@@ -31,6 +31,7 @@ import (
 	"mwskit/internal/policy"
 	"mwskit/internal/rclient"
 	"mwskit/internal/sim"
+	"mwskit/internal/storage"
 	"mwskit/internal/symenc"
 	"mwskit/internal/tpkg"
 	"mwskit/internal/wal"
@@ -359,11 +360,15 @@ func BenchmarkTable1PolicyLookup(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	db, err := policy.Open(dir, wal.SyncNever)
+	kv, err := storage.OpenKV(dir, storage.SyncNever)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer db.Close()
+	defer kv.Close()
+	db, err := policy.New(kv)
+	if err != nil {
+		b.Fatal(err)
+	}
 	// Table 1 scaled up: 1000 identities × 4 attributes.
 	for i := 0; i < 1000; i++ {
 		for j := 0; j < 4; j++ {
@@ -396,11 +401,15 @@ func BenchmarkRevocationChurn(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	db, err := policy.Open(dir, wal.SyncNever)
+	kv, err := storage.OpenKV(dir, storage.SyncNever)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer db.Close()
+	defer kv.Close()
+	db, err := policy.New(kv)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := fmt.Sprintf("IDRC%d", i%100)

@@ -37,8 +37,8 @@ type benchReport struct {
 	Deposit    depositResult    `json:"deposit"`
 	Counters   counterResult    `json:"deposit_counters"`
 	Retrieve   []retrieveResult `json:"retrieve"`
-	// Storage holds the mixed-phase backend comparison (-compare-storage):
-	// local vs sharded under SyncAlways, concurrent depositors + retrievers.
+	// Storage holds the shard-count comparison (-compare-storage): one
+	// shard vs -shards under SyncAlways, concurrent depositors + retrievers.
 	Storage []storageBenchResult `json:"storage,omitempty"`
 }
 
@@ -111,10 +111,8 @@ func main() {
 	nonceEpoch := flag.Int("nonce-epoch", 1, "deposits sharing one nonce per device (1 = fresh nonce per message)")
 	jsonPath := flag.String("json", "", "also write results as JSON to this file")
 	microBudget := flag.Duration("micro-budget", time.Second, "time budget per phase-0 microbenchmark")
-	storageBackend := flag.String("storage", "", "storage backend for the main deployment (empty = local)")
-	shards := flag.Int("shards", 8, "partition count for the sharded backend")
-	groupCommit := flag.Duration("group-commit", storage.DefaultGroupCommit, "extra fsync batching delay for the sharded backend (0 = batch only during in-flight syncs)")
-	compareStorage := flag.Bool("compare-storage", false, "also run the mixed concurrent deposit/retrieve phase on local vs sharded backends (SyncAlways) and report both")
+	shards := flag.Int("shards", 8, "storage partition count (1 = unpartitioned)")
+	compareStorage := flag.Bool("compare-storage", false, "also run the concurrent-append and mixed deposit/retrieve phases on -shards 1 vs -shards N (SyncAlways) and report both")
 	mixedWorkers := flag.Int("mixed-workers", 8, "depositor goroutines in the mixed phase")
 	mixedMessages := flag.Int("mixed-messages", 400, "total deposits in the mixed phase")
 	mixedAttrs := flag.Int("mixed-attrs", 16, "distinct attributes in the mixed phase")
@@ -140,15 +138,11 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	dep, err := core.NewDeployment(core.DeploymentConfig{
-		Dir:    dir,
-		Preset: *preset,
-		Scheme: *scheme,
-		Sync:   wal.SyncNever,
-		Storage: storage.Options{
-			Backend:     *storageBackend,
-			Shards:      *shards,
-			GroupCommit: *groupCommit,
-		},
+		Dir:     dir,
+		Preset:  *preset,
+		Scheme:  *scheme,
+		Sync:    wal.SyncNever,
+		Storage: storage.Options{Shards: *shards},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -287,7 +281,7 @@ func main() {
 	// deployments, after the main deployment's phases are done so the
 	// obsv counter brackets don't interleave.
 	if *compareStorage {
-		report.Storage = compareStorageBackends(*preset, *scheme, *shards, *groupCommit,
+		report.Storage = compareShardCounts(*preset, *scheme, *shards,
 			*mixedWorkers, *mixedMessages, *mixedAttrs)
 	}
 

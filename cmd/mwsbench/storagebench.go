@@ -18,10 +18,9 @@ import (
 	"mwskit/internal/storage"
 )
 
-// storageBenchResult is one backend's score on the mixed concurrent
-// deposit/retrieve phase. FsyncsPerDeposit is the group-commit headline:
-// under SyncAlways the local store pays ≥1 fsync per acked deposit, the
-// sharded store amortizes batched same-shard deposits into shared syncs.
+// storageBenchResult is one shard count's score on a concurrent phase.
+// FsyncsPerDeposit is the group-commit headline: under SyncAlways
+// batched same-shard deposits share fsyncs, so it falls below 1.
 type storageBenchResult struct {
 	Phase            string  `json:"phase"`
 	Backend          string  `json:"backend"`
@@ -38,13 +37,13 @@ type storageBenchResult struct {
 	FsyncsPerDeposit float64 `json:"fsyncs_per_deposit"`
 }
 
-// runStorageBench stands up a fresh deployment on the given backend and
-// drives the mixed phase: `workers` depositor goroutines (each with its
+// runStorageBench stands up a fresh deployment over `shards` partitions
+// and drives the mixed phase: `workers` depositor goroutines (each with its
 // own device, connection, and attribute stride across `attrs` attributes)
 // racing alongside two retrieving clients that poll their grants over the
 // wire. Durability is SyncAlways throughout — this benchmark measures the
 // cost of honoring the ack contract, not of skipping it.
-func runStorageBench(preset, scheme, backend string, shards int, groupCommit time.Duration, workers, messages, attrs int) storageBenchResult {
+func runStorageBench(preset, scheme string, shards, workers, messages, attrs int) storageBenchResult {
 	dir, err := os.MkdirTemp("", "mwsbench-storage-*")
 	if err != nil {
 		log.Fatal(err)
@@ -52,15 +51,11 @@ func runStorageBench(preset, scheme, backend string, shards int, groupCommit tim
 	defer os.RemoveAll(dir)
 
 	dep, err := core.NewDeployment(core.DeploymentConfig{
-		Dir:    dir,
-		Preset: preset,
-		Scheme: scheme,
-		Sync:   storage.SyncAlways,
-		Storage: storage.Options{
-			Backend:     backend,
-			Shards:      shards,
-			GroupCommit: groupCommit,
-		},
+		Dir:     dir,
+		Preset:  preset,
+		Scheme:  scheme,
+		Sync:    storage.SyncAlways,
+		Storage: storage.Options{Shards: shards},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -196,7 +191,7 @@ func runStorageBench(preset, scheme, backend string, shards int, groupCommit tim
 	snap := hist.Snapshot()
 	res := storageBenchResult{
 		Phase:      "service-mixed",
-		Backend:    backend,
+		Backend:    storage.BackendSharded,
 		Shards:     dep.MWS.Store().Shards(),
 		Workers:    workers,
 		Attributes: attrs,
@@ -214,20 +209,20 @@ func runStorageBench(preset, scheme, backend string, shards int, groupCommit tim
 	return res
 }
 
-// runProviderBench measures the storage engines themselves: `workers`
+// runProviderBench measures the storage engine itself: `workers`
 // goroutines appending straight into a storage.Provider under SyncAlways,
-// no crypto or wire protocol in the way. This isolates what the sharded
-// layout buys — parallel fsyncs plus group-commit batching — from the
+// no crypto or wire protocol in the way. This isolates what partitioning
+// buys — parallel fsyncs on top of group-commit batching — from the
 // end-to-end path, which on small machines is bound by the IBE hot path
 // long before the store.
-func runProviderBench(backend string, shards int, groupCommit time.Duration, workers, messages, attrs int) storageBenchResult {
+func runProviderBench(shards, workers, messages, attrs int) storageBenchResult {
 	dir, err := os.MkdirTemp("", "mwsbench-provider-*")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
 	p, err := storage.Open(storage.Config{Dir: dir, Sync: storage.SyncAlways,
-		Options: storage.Options{Backend: backend, Shards: shards, GroupCommit: groupCommit}})
+		Options: storage.Options{Shards: shards}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -276,7 +271,7 @@ func runProviderBench(backend string, shards int, groupCommit time.Duration, wor
 	snap := hist.Snapshot()
 	res := storageBenchResult{
 		Phase:      "provider-concurrent",
-		Backend:    backend,
+		Backend:    storage.BackendSharded,
 		Shards:     p.Shards(),
 		Workers:    workers,
 		Attributes: attrs,
@@ -293,46 +288,44 @@ func runProviderBench(backend string, shards int, groupCommit time.Duration, wor
 	return res
 }
 
-// compareStorageBackends benchmarks local vs sharded twice — first the
-// storage engines alone under heavy append concurrency, then the full
+// compareShardCounts benchmarks one shard against `shards` twice — first
+// the storage engine alone under heavy append concurrency, then the full
 // service with a mixed deposit/retrieve workload — and prints the
-// side-by-sides. The provider phase is the PR's acceptance number: the
-// sharded engine must beat local at concurrent deposits, on fewer fsyncs
-// per acked append.
-func compareStorageBackends(preset, scheme string, shards int, groupCommit time.Duration, workers, messages, attrs int) []storageBenchResult {
+// side-by-sides.
+func compareShardCounts(preset, scheme string, shards, workers, messages, attrs int) []storageBenchResult {
 	provWorkers, provMessages := 4*workers, 8*messages
 	fmt.Printf("\nstorage engine, concurrent appends (SyncAlways, %d workers, %d msgs, %d attrs):\n",
 		provWorkers, provMessages, attrs)
 	results := []storageBenchResult{
-		runProviderBench(storage.BackendLocal, 0, 0, provWorkers, provMessages, attrs),
-		runProviderBench(storage.BackendSharded, shards, groupCommit, provWorkers, provMessages, attrs),
+		runProviderBench(1, provWorkers, provMessages, attrs),
+		runProviderBench(shards, provWorkers, provMessages, attrs),
 	}
 	printStoragePair(results[0], results[1])
 
 	fmt.Printf("\nservice, mixed deposit/retrieve phase (SyncAlways, %d workers, %d msgs, %d attrs):\n",
 		workers, messages, attrs)
 	results = append(results,
-		runStorageBench(preset, scheme, storage.BackendLocal, 0, 0, workers, messages, attrs),
-		runStorageBench(preset, scheme, storage.BackendSharded, shards, groupCommit, workers, messages, attrs),
+		runStorageBench(preset, scheme, 1, workers, messages, attrs),
+		runStorageBench(preset, scheme, shards, workers, messages, attrs),
 	)
 	printStoragePair(results[2], results[3])
 	return results
 }
 
-// printStoragePair prints a local/sharded result pair and their ratio.
-func printStoragePair(local, sharded storageBenchResult) {
-	for _, r := range []storageBenchResult{local, sharded} {
+// printStoragePair prints a one-shard/N-shard result pair and their ratio.
+func printStoragePair(one, many storageBenchResult) {
+	for _, r := range []storageBenchResult{one, many} {
 		extra := ""
 		if r.Phase == "service-mixed" {
 			extra = fmt.Sprintf("  (%d retrieves alongside)", r.Retrieves)
 		}
-		fmt.Printf("  %-8s shards=%-2d  %8.1f msg/s  p50=%6dus p99=%6dus  fsyncs/deposit=%.3f%s\n",
-			r.Backend, r.Shards, r.MsgPerSec, r.P50Micros, r.P99Micros, r.FsyncsPerDeposit, extra)
+		fmt.Printf("  shards=%-2d  %8.1f msg/s  p50=%6dus p99=%6dus  fsyncs/deposit=%.3f%s\n",
+			r.Shards, r.MsgPerSec, r.P50Micros, r.P99Micros, r.FsyncsPerDeposit, extra)
 	}
-	if local.MsgPerSec > 0 {
-		fmt.Printf("  sharded vs local: %.2fx deposit throughput, %.1f%% of local's fsyncs\n",
-			sharded.MsgPerSec/local.MsgPerSec,
-			100*safeDiv(float64(sharded.WALFsyncs), float64(local.WALFsyncs)))
+	if one.MsgPerSec > 0 {
+		fmt.Printf("  %d shards vs 1: %.2fx deposit throughput, %.1f%% of its fsyncs\n",
+			many.Shards, many.MsgPerSec/one.MsgPerSec,
+			100*safeDiv(float64(many.WALFsyncs), float64(one.WALFsyncs)))
 	}
 }
 

@@ -66,9 +66,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /traces, /healthz, /debug/pprof on this address (empty = disabled; bind localhost — it exposes profiles and span attributes)")
 	traceRing := flag.Int("trace-ring", 4096, "finished-span ring capacity for /traces and the TTrace op")
 	slowReq := flag.Duration("slow-request", time.Second, "log the span tree of requests slower than this (0 disables)")
-	storageBackend := flag.String("storage", "", "storage backend: "+strings.Join(storage.Backends(), ", ")+" (empty = auto: keep an existing sharded layout, else local)")
-	shards := flag.Int("shards", 0, "partition count for -storage sharded (0 = default 8; fixed at directory creation)")
-	groupCommit := flag.Duration("group-commit", storage.DefaultGroupCommit, "extra fsync batching delay for -storage sharded (0 = batch only appends that land while a sync is in flight)")
+	shards := flag.Int("shards", 0, "storage partition count (0 = what the directory was created with, else 8; 1 = unpartitioned; fixed at directory creation)")
 	compactEvery := flag.Duration("compact-every", 10*time.Minute, "background KV compaction sweep period (0 disables)")
 	compactMinMuts := flag.Uint64("compact-min-mutations", 4096, "compact a KV store only after this many logged mutations (and mutations > 2x live keys)")
 	flag.Parse()
@@ -104,11 +102,7 @@ func main() {
 		RequestTimeout:  *reqTimeout,
 		Logger:          logger,
 		Tracer:          tracer,
-		Storage: storage.Options{
-			Backend:     *storageBackend,
-			Shards:      *shards,
-			GroupCommit: *groupCommit,
-		},
+		Storage:         storage.Options{Shards: *shards},
 	})
 	if err != nil {
 		die(logger, "open service", err)

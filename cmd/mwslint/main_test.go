@@ -35,18 +35,18 @@ package symenc
 // Open decrypts blob.
 func Open(key, ciphertext, aad []byte) ([]byte, error) { return ciphertext, nil }
 `)
-	write("store/store.go", `// Package store mimics the storage layer's shape.
-package store
+	write("storage/storage.go", `// Package storage mimics the storage layer's shape.
+package storage
 
 // Put persists one record.
 func Put(rec []byte) error { _ = rec; return nil }
 `)
 	write("mws/mws.go", `// Package mws seeds the cross-package violation: Open output reaches
-// a store write through two intermediate calls.
+// a storage write through two intermediate calls.
 package mws
 
 import (
-	"scratchtaint/store"
+	"scratchtaint/storage"
 	"scratchtaint/symenc"
 )
 
@@ -61,7 +61,7 @@ func Handle(key, blob []byte) error {
 }
 
 func persist(rec []byte) error {
-	return store.Put(rec)
+	return storage.Put(rec)
 }
 `)
 

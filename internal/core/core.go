@@ -66,9 +66,9 @@ type DeploymentConfig struct {
 	// Sync selects store durability (default SyncAlways; tests and
 	// benchmarks use SyncNever).
 	Sync storage.SyncPolicy
-	// Storage selects and tunes the MWS persistence backend (zero value:
-	// the local single-store layout). The PKG's small master-key store
-	// always uses the standalone local KV.
+	// Storage tunes the MWS persistence layer (zero value: 8 shards, or
+	// what the directory was created with). The PKG's small master-key
+	// store is always a standalone storage.OpenKV.
 	Storage storage.Options
 	// RSABits sizes client token-wrapping keys (default 2048).
 	RSABits int
@@ -168,7 +168,7 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 // loadOrCreateSharedKey persists the MWS–PKG ticket key in a tiny KV of
 // its own so restarts keep old tickets decryptable.
 func loadOrCreateSharedKey(dir string, rng io.Reader, sync storage.SyncPolicy) ([]byte, error) {
-	kv, err := openSharedKV(dir, sync)
+	kv, err := storage.OpenKV(dir, sync)
 	if err != nil {
 		return nil, err
 	}

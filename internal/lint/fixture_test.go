@@ -127,7 +127,6 @@ func TestWireOpsFixture(t *testing.T) {
 func TestPlainFlowFixture(t *testing.T) {
 	checkFixture(t,
 		"./testdata/src/plainflow/symenc",
-		"./testdata/src/plainflow/store",
 		"./testdata/src/plainflow/storage",
 		"./testdata/src/plainflow/wire",
 		"./testdata/src/plainflow/mws",
@@ -236,7 +235,7 @@ func TestFixtureWantsAreExercised(t *testing.T) {
 		{"./testdata/src/spanattr/mws"},
 		{"./testdata/src/ctxflow"},
 		{"./testdata/src/wireops/wire", "./testdata/src/wireops/mws"},
-		{"./testdata/src/plainflow/symenc", "./testdata/src/plainflow/store", "./testdata/src/plainflow/storage", "./testdata/src/plainflow/wire", "./testdata/src/plainflow/mws"},
+		{"./testdata/src/plainflow/symenc", "./testdata/src/plainflow/storage", "./testdata/src/plainflow/wire", "./testdata/src/plainflow/mws"},
 		{"./testdata/src/noncereuse/symenc", "./testdata/src/noncereuse/enc"},
 		{"./testdata/src/keyzero/kdf", "./testdata/src/keyzero/symenc", "./testdata/src/keyzero/ticket"},
 		{"./testdata/src/vartime/ec", "./testdata/src/vartime/pairing", "./testdata/src/vartime/bfibe", "./testdata/src/vartime/tpkg", "./testdata/src/vartime/use"},

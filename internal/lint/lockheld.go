@@ -8,21 +8,21 @@ import (
 
 // LockHeld reports blocking operations — fsync, net I/O, wire RPCs,
 // channel operations without a default, time.Sleep — performed while a
-// mutex belonging to the warehouse's data plane (storage, store, mws,
-// wal) is held. A blocked goroutine holding a shard or WAL lock stalls
+// mutex belonging to the warehouse's data plane (storage, mws, wal) is
+// held. A blocked goroutine holding a shard or WAL lock stalls
 // every other request on that shard, so the sites that *intend* the
 // coupling (fsync-under-lock is the WAL's durability contract) carry
 // //mwslint:ignore annotations explaining why.
 var LockHeld = &Analyzer{
 	Name:       "lockheld",
-	Doc:        "report blocking operations performed while a storage/store/mws/wal mutex is held",
+	Doc:        "report blocking operations performed while a storage/mws/wal mutex is held",
 	RunProgram: runLockHeld,
 }
 
 // lockHeldScopes are the package tails whose mutexes the analyzer
 // guards; locks declared elsewhere (metrics, obsv, fixtures' own
 // helper packages) are out of scope.
-var lockHeldScopes = []string{"storage", "store", "mws", "wal"}
+var lockHeldScopes = []string{"storage", "mws", "wal"}
 
 // scopedLockKey reports whether an abstract lock key belongs to a
 // guarded package (keys begin with the declaring package's tail).

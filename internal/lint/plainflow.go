@@ -8,14 +8,14 @@ import (
 // as a dataflow property: the warehouse side of the system must only
 // ever persist, frame, or write out ciphertext. Values originating from
 // a symmetric Open, an IBE decrypt, or a private-key extraction are
-// tracked interprocedurally; reaching a store/storage/wal write (the
+// tracked interprocedurally; reaching a storage/wal write (the
 // provider layer's Append/Put included), a wire message, or any
 // io.Writer without first passing through an encrypting call is a
 // finding.
 var PlainFlow = &Analyzer{
 	Name: "plainflow",
 	Doc: "tracks decrypted plaintext, pre-Seal plaintext, and extracted IBE private keys " +
-		"interprocedurally; they must not reach store/wal writes, wire messages, or io.Writers " +
+		"interprocedurally; they must not reach storage/wal writes, wire messages, or io.Writers " +
 		"on the warehouse side unless re-encrypted via symenc.Seal",
 	RunProgram: runPlainFlow,
 }
@@ -34,7 +34,7 @@ var plainAll = srcLabel(plainOpened) | srcLabel(plainPreSeal) | srcLabel(plainPr
 // violations. Client-side packages (device, rclient) legitimately hold
 // plaintext; the warehouse, the PKG, and the storage/framing layers must
 // not.
-var plainReportIn = []string{"mws", "keyserver", "store", "storage", "wal", "wire", "ticket"}
+var plainReportIn = []string{"mws", "keyserver", "storage", "wal", "wire", "ticket"}
 
 func runPlainFlow(pass *ProgramPass) {
 	runTaint(pass, &taintSpec{
@@ -131,7 +131,7 @@ func plainSinkCall(cx *sinkCtx, callee *types.Func) []sinkArg {
 		}
 	}
 	switch {
-	case crossing && pathEndsIn(calleePath, "store", "storage", "wal"):
+	case crossing && pathEndsIn(calleePath, "storage", "wal"):
 		addAll("%s flows into a storage write; the warehouse must persist only ciphertext (seal with symenc.Seal first)")
 	case crossing && pathEndsIn(calleePath, "wire"):
 		addAll("%s flows into the wire layer; frames must carry only ciphertext")

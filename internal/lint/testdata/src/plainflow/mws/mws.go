@@ -1,13 +1,13 @@
 // Package mws is a mwslint fixture for the plainflow analyzer: its
 // terminal path segment puts it in plainflow's report scope, and the
-// sibling symenc/store/wire fixture packages play the roles of the real
+// sibling symenc/storage/wire fixture packages play the roles of the real
 // crypto, storage, and framing layers.
 package mws
 
 import (
 	"io"
 
-	"mwskit/internal/lint/testdata/src/plainflow/store"
+	"mwskit/internal/lint/testdata/src/plainflow/storage"
 	"mwskit/internal/lint/testdata/src/plainflow/symenc"
 	"mwskit/internal/lint/testdata/src/plainflow/wire"
 )
@@ -19,7 +19,7 @@ func StoreDecrypted(key, blob []byte) error {
 	if err != nil {
 		return err
 	}
-	return store.Put(pt) // want "decrypted plaintext \\(symenc.Open output\\) flows into a storage write"
+	return storage.Put(pt) // want "decrypted plaintext \\(symenc.Open output\\) flows into a storage write"
 }
 
 // StoreSealed re-encrypts before persisting: the sanctioned shape. The
@@ -33,12 +33,12 @@ func StoreSealed(key, blob []byte) error {
 	if err != nil {
 		return err
 	}
-	return store.Put(ct)
+	return storage.Put(ct)
 }
 
 // StoreRaw persists bytes that were never decrypted: clean.
 func StoreRaw(blob []byte) error {
-	return store.Put(blob)
+	return storage.Put(blob)
 }
 
 // decrypt, relay, Persist, persist: the taint crosses three function
@@ -58,7 +58,7 @@ func Persist(key, blob []byte) error {
 }
 
 func persist(rec []byte) error {
-	return store.Put(rec) // want "decrypted plaintext \\(symenc.Open output\\) flows into a storage write"
+	return storage.Put(rec) // want "decrypted plaintext \\(symenc.Open output\\) flows into a storage write"
 }
 
 // SealAndJournal leaks the pre-encryption plaintext after sealing it:
@@ -68,7 +68,7 @@ func SealAndJournal(key, msg []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	store.Audit(msg) // want "pre-encryption plaintext \\(symenc.Seal input\\) flows into a storage write"
+	storage.Audit(msg) // want "pre-encryption plaintext \\(symenc.Seal input\\) flows into a storage write"
 	return ct, nil
 }
 

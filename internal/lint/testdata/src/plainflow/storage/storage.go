@@ -1,7 +1,13 @@
 // Package storage is a mwslint fixture shaped like the real
 // storage.Provider layer: calls into it from other packages are
-// plainflow storage sinks, exactly like the store/wal fixtures.
+// plainflow storage sinks, exactly like the wal fixtures.
 package storage
+
+// Put persists one record.
+func Put(rec []byte) error { _ = rec; return nil }
+
+// Audit journals an entry alongside the records.
+func Audit(entry []byte) { _ = entry }
 
 // Message mirrors the provider's record shape.
 type Message struct {

@@ -51,20 +51,6 @@ func Verify(key, mac []byte, parts ...[]byte) bool {
 type KeyService struct {
 	mu sync.RWMutex
 	kv storage.KV
-	// closer is set only for standalone stores opened via OpenKeyService;
-	// provider-supplied KVs (NewKeyService) are closed by their provider.
-	closer io.Closer
-}
-
-// OpenKeyService opens (or creates) a standalone device-key store at
-// dir. Services running over a storage.Provider should pass the
-// provider's KV to NewKeyService instead.
-func OpenKeyService(dir string, sync storage.SyncPolicy) (*KeyService, error) {
-	kv, err := storage.OpenKV(dir, sync)
-	if err != nil {
-		return nil, err
-	}
-	return &KeyService{kv: kv, closer: kv}, nil
 }
 
 // NewKeyService builds the key service over an existing KV (typically
@@ -111,15 +97,6 @@ func (ks *KeyService) Revoke(deviceID string) error {
 
 // Devices lists registered device IDs, sorted.
 func (ks *KeyService) Devices() []string { return ks.kv.Keys() }
-
-// Close releases the underlying store when this service owns it (opened
-// via OpenKeyService); a no-op for provider-backed services.
-func (ks *KeyService) Close() error {
-	if ks.closer != nil {
-		return ks.closer.Close()
-	}
-	return nil
-}
 
 // RandReader is the default entropy source for Register.
 var RandReader io.Reader = rand.Reader

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"mwskit/internal/wal"
+	"mwskit/internal/storage"
 )
 
 func TestComputeVerify(t *testing.T) {
@@ -47,12 +47,21 @@ func TestComputeBoundaryUnambiguity(t *testing.T) {
 	}
 }
 
-func TestKeyServiceRegisterAndLookup(t *testing.T) {
-	ks, err := OpenKeyService(t.TempDir(), wal.SyncNever)
+// openKeyService builds a key service over a standalone KV at dir;
+// closeKV releases the KV (also run at test cleanup, where a second close
+// is harmless).
+func openKeyService(t *testing.T, dir string) (ks *KeyService, closeKV func() error) {
+	t.Helper()
+	kv, err := storage.OpenKV(dir, storage.SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ks.Close()
+	t.Cleanup(func() { kv.Close() })
+	return NewKeyService(kv), kv.Close
+}
+
+func TestKeyServiceRegisterAndLookup(t *testing.T) {
+	ks, _ := openKeyService(t, t.TempDir())
 	key, err := ks.Register("meter-1", rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -76,11 +85,7 @@ func TestKeyServiceRegisterAndLookup(t *testing.T) {
 }
 
 func TestKeyServiceRevoke(t *testing.T) {
-	ks, err := OpenKeyService(t.TempDir(), wal.SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ks.Close()
+	ks, _ := openKeyService(t, t.TempDir())
 	if _, err := ks.Register("meter-1", rand.Reader); err != nil {
 		t.Fatal(err)
 	}
@@ -94,22 +99,15 @@ func TestKeyServiceRevoke(t *testing.T) {
 
 func TestKeyServiceDurability(t *testing.T) {
 	dir := t.TempDir()
-	ks, err := OpenKeyService(dir, wal.SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ks, closeKV := openKeyService(t, dir)
 	key, err := ks.Register("meter-1", rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ks.Close(); err != nil {
+	if err := closeKV(); err != nil {
 		t.Fatal(err)
 	}
-	ks2, err := OpenKeyService(dir, wal.SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ks2.Close()
+	ks2, _ := openKeyService(t, dir)
 	got, ok := ks2.Key("meter-1")
 	if !ok || !bytes.Equal(got, key) {
 		t.Fatal("device key lost across reopen")

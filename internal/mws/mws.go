@@ -59,8 +59,8 @@ type Config struct {
 	RequestTimeout time.Duration
 	// Sync selects store durability (default SyncAlways).
 	Sync storage.SyncPolicy
-	// Storage selects and tunes the persistence backend (zero value:
-	// the local single-store layout, auto-detecting sharded directories).
+	// Storage tunes the persistence layer (zero value: 8 shards, or what
+	// the directory was created with; a v1-layout directory is resharded).
 	// Storage.Metrics defaults to the service's own registry, so shard
 	// series appear on the debug listener without extra wiring.
 	Storage storage.Options
@@ -135,10 +135,8 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mws: storage: %w", err)
 	}
-	// The sub-databases share the provider: under the local backend the
-	// KV names map to the historical dir/devices, dir/policy, dir/users
-	// layout; under the sharded backend each is partitioned with the
-	// message database.
+	// The sub-databases share the provider: each is striped across the
+	// same shards as the message database.
 	devKV, err := db.KV("devices")
 	if err != nil {
 		db.Close()

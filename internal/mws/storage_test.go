@@ -2,10 +2,12 @@ package mws
 
 import (
 	"context"
+	"os"
 	"testing"
 	"time"
 
 	"mwskit/internal/attr"
+	"mwskit/internal/device"
 	"mwskit/internal/obsv"
 	"mwskit/internal/storage"
 	"mwskit/internal/ticket"
@@ -34,13 +36,18 @@ func newStorageService(t *testing.T, dir string, opts storage.Options) (*Service
 }
 
 // TestServiceOverStorageBackends runs the deposit → policy → retrieve
-// path over every storage backend, then (for the durable ones) reopens
-// the directory with backend auto-detection and checks nothing was lost.
+// path over one shard, several, and the memory backend, then (for the
+// durable ones) reopens the directory with zero options and checks
+// nothing was lost.
 func TestServiceOverStorageBackends(t *testing.T) {
-	for _, backend := range storage.Backends() {
-		t.Run(backend, func(t *testing.T) {
+	for name, opts := range map[string]storage.Options{
+		"shards=1": {Shards: 1},
+		"shards=4": {Backend: storage.BackendSharded, Shards: 4},
+		"memory":   {Backend: storage.BackendMemory},
+	} {
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, clock := newStorageService(t, dir, storage.Options{Backend: backend, Shards: 4})
+			s, clock := newStorageService(t, dir, opts)
 			closed := false
 			defer func() {
 				if !closed {
@@ -82,23 +89,19 @@ func TestServiceOverStorageBackends(t *testing.T) {
 					t.Fatal("items not in sequence order")
 				}
 			}
-			if backend == storage.BackendMemory {
+			if opts.Backend == storage.BackendMemory {
 				return
 			}
 
-			// Reopen with Backend "": the provider auto-detects the layout.
+			// Reopen with zero options: the directory pins its shard count.
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
 			closed = true
 			re, clock2 := newStorageService(t, dir, storage.Options{})
 			defer re.Close()
-			wantShards := 1
-			if backend == storage.BackendSharded {
-				wantShards = 4
-			}
-			if got := re.Store().Shards(); got != wantShards {
-				t.Fatalf("reopened shards = %d, want %d", got, wantShards)
+			if got := re.Store().Shards(); got != opts.Shards {
+				t.Fatalf("reopened shards = %d, want %d", got, opts.Shards)
 			}
 			if re.MessageCount() != deposited {
 				t.Fatalf("reopened MessageCount = %d, want %d", re.MessageCount(), deposited)
@@ -136,51 +139,49 @@ func mintLogin(t *testing.T, clock *fakeClock, id string, password []byte) []byt
 	return blob
 }
 
-// TestShardedServiceMigratesV1Layout opens a service written under the
-// local layout with the sharded backend and verifies the transparent
-// migration end to end at the service level: messages, grants, user
-// registrations, and device keys all carry over.
+// TestShardedServiceMigratesV1Layout opens a service over a directory a
+// pre-shard service wrote in the v1 layout (the storage package's golden
+// fixture: one device, one client with two live grants, ten deposits) and
+// verifies the transparent migration end to end at the service level:
+// messages, grants, user registrations, and device keys all carry over.
 func TestShardedServiceMigratesV1Layout(t *testing.T) {
 	dir := t.TempDir()
-	s, clock := newStorageService(t, dir, storage.Options{Backend: storage.BackendLocal})
-	d := registerTestDevice(t, s, clock, "meter-1")
-	enrollRC(t, s, clock, "c-services", []byte("pw"))
-	if _, err := s.Grant("c-services", "ELECTRIC-A"); err != nil {
+	if err := os.CopyFS(dir, os.DirFS("../storage/testdata/v1-local")); err != nil {
 		t.Fatal(err)
 	}
-	const n = 9
-	for i := 0; i < n; i++ {
-		req, _ := d.PrepareDeposit("ELECTRIC-A", []byte{byte(i)})
-		if _, err := s.Deposit(context.Background(), req); err != nil {
-			t.Fatal(err)
-		}
-		clock.Advance(time.Second)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, clock2 := newStorageService(t, dir, storage.Options{Backend: storage.BackendSharded, Shards: 8})
+	re, clock := newStorageService(t, dir, storage.Options{})
 	defer re.Close()
 	if re.Store().Shards() != 8 {
 		t.Fatalf("shards = %d, want 8", re.Store().Shards())
 	}
-	if re.MessageCount() != n {
-		t.Fatalf("migrated MessageCount = %d, want %d", re.MessageCount(), n)
+	if re.MessageCount() != 10 {
+		t.Fatalf("migrated MessageCount = %d, want 10", re.MessageCount())
 	}
 	clock.Advance(time.Hour)
-	clock2.Advance(time.Hour)
-	login := mintLogin(t, clock2, "c-services", []byte("pw"))
+	login := mintLogin(t, clock, "c-services", []byte("pw"))
 	resp, err := re.Retrieve(context.Background(), &wire.RetrieveRequest{RC: "c-services", AuthBlob: login})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Items) != n {
-		t.Fatalf("migrated retrieve = %d items, want %d", len(resp.Items), n)
+	// Three ELECTRIC-A and two WATER-C deposits; the GAS-D grant was revoked.
+	if len(resp.Items) != 5 {
+		t.Fatalf("migrated retrieve = %d items, want 5", len(resp.Items))
+	}
+	macKey, ok := re.devices.Key("meter-1")
+	if !ok {
+		t.Fatal("device key lost in migration")
+	}
+	if _, ok := re.devices.Key("meter-gone"); ok {
+		t.Fatal("revoked device came back in migration")
+	}
+	params, _ := testEnv(t)
+	d, err := device.New("meter-1", macKey, params, device.WithClock(clock.Now))
+	if err != nil {
+		t.Fatal(err)
 	}
 	req, _ := d.PrepareDeposit("ELECTRIC-A", []byte("post-migration"))
-	if _, err := re.Deposit(context.Background(), req); err != nil {
-		t.Fatalf("post-migration deposit: %v", err)
+	if seq, err := re.Deposit(context.Background(), req); err != nil || seq != 10 {
+		t.Fatalf("post-migration deposit: seq %d, %v; want 10, nil", seq, err)
 	}
 }
 
@@ -188,7 +189,7 @@ func TestShardedServiceMigratesV1Layout(t *testing.T) {
 // threshold and verifies the background sweep rewrites it and bumps the
 // store_compactions counter.
 func TestAutoCompaction(t *testing.T) {
-	s, clock := newStorageService(t, t.TempDir(), storage.Options{Backend: storage.BackendLocal})
+	s, clock := newStorageService(t, t.TempDir(), storage.Options{})
 	defer s.Close()
 	enrollRC(t, s, clock, "rc", []byte("pw"))
 	// Each Grant+Revoke pair logs ≥3 mutations; 100 rounds ≫ the live key

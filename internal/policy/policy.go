@@ -14,7 +14,6 @@ package policy
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,9 +36,6 @@ type Binding struct {
 type DB struct {
 	mu sync.RWMutex
 	kv storage.KV
-	// closer is set only when the DB opened its own standalone store via
-	// Open; provider-supplied KVs (New) are closed by their provider.
-	closer io.Closer
 
 	byIdentity map[string]map[attr.Attribute]attr.ID
 	byAID      map[attr.ID]Binding
@@ -50,23 +46,6 @@ const (
 	grantPrefix = "grant/"
 	nextAIDKey  = "meta/next-aid"
 )
-
-// Open opens (or creates) a standalone policy database at dir. Services
-// running over a storage.Provider should pass the provider's KV to New
-// instead, so one backend owns every store.
-func Open(dir string, sync storage.SyncPolicy) (*DB, error) {
-	kv, err := storage.OpenKV(dir, sync)
-	if err != nil {
-		return nil, err
-	}
-	db, err := New(kv)
-	if err != nil {
-		kv.Close()
-		return nil, err
-	}
-	db.closer = kv
-	return db, nil
-}
 
 // New builds the policy database over an existing KV (typically
 // storage.Provider.KV("policy")); the caller's provider keeps ownership
@@ -275,14 +254,4 @@ func FormatTable(rows []Binding) string {
 		fmt.Fprintf(&b, "%s\t%s\t%d\n", r.Identity, r.Attribute, r.AID)
 	}
 	return b.String()
-}
-
-// Close releases the underlying store when this DB owns it (opened via
-// Open); for provider-backed DBs it is a no-op — the provider closes the
-// store.
-func (db *DB) Close() error {
-	if db.closer != nil {
-		return db.closer.Close()
-	}
-	return nil
 }

@@ -5,16 +5,28 @@ import (
 	"testing"
 
 	"mwskit/internal/attr"
-	"mwskit/internal/wal"
+	"mwskit/internal/storage"
 )
 
-func openTestDB(t *testing.T) *DB {
+// openDB builds a policy DB over a standalone KV at dir; closeKV releases
+// the KV (also run at test cleanup, where a second close is harmless).
+func openDB(t *testing.T, dir string) (db *DB, closeKV func() error) {
 	t.Helper()
-	db, err := Open(t.TempDir(), wal.SyncNever)
+	kv, err := storage.OpenKV(dir, storage.SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
+	t.Cleanup(func() { kv.Close() })
+	db, err = New(kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, kv.Close
+}
+
+func openTestDB(t *testing.T) *DB {
+	t.Helper()
+	db, _ := openDB(t, t.TempDir())
 	return db
 }
 
@@ -199,23 +211,16 @@ func TestIdentities(t *testing.T) {
 
 func TestPolicyDurability(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, wal.SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, closeKV := openDB(t, dir)
 	db.Grant("IDRC1", "A1")
 	db.Grant("IDRC1", "A2")
 	db.Grant("IDRC2", "A1")
 	db.Revoke("IDRC1", "A2")
-	if err := db.Close(); err != nil {
+	if err := closeKV(); err != nil {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(dir, wal.SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
+	db2, _ := openDB(t, dir)
 	if !db2.HasAttribute("IDRC1", "A1") || db2.HasAttribute("IDRC1", "A2") {
 		t.Fatal("grants not recovered correctly")
 	}

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"context"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -17,34 +16,7 @@ import (
 // instant is what a restarted process gets to see.
 func copyTree(t *testing.T, src, dst string) {
 	t.Helper()
-	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if info.IsDir() {
-			return os.MkdirAll(target, 0o700)
-		}
-		in, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-		out, err := os.OpenFile(target, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
-		if err != nil {
-			return err
-		}
-		if _, err := io.Copy(out, in); err != nil {
-			out.Close()
-			return err
-		}
-		return out.Close()
-	})
-	if err != nil {
+	if err := os.CopyFS(dst, os.DirFS(src)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,7 +30,7 @@ func copyTree(t *testing.T, src, dst string) {
 func TestShardedCrashMidGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	p, err := Open(Config{Dir: dir, Sync: SyncAlways, Options: Options{
-		Backend: BackendSharded, Shards: 4, GroupCommit: 500 * time.Microsecond,
+		Backend: BackendSharded, Shards: 4,
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"sync"
-	"time"
 
 	"mwskit/internal/wal"
 )
@@ -11,20 +10,16 @@ import (
 // appenders share fsyncs instead of paying one each. An appender's
 // record hits the OS before it calls wait (the WAL append happens under
 // the shard lock, strictly before registration), and wait only returns
-// after a Sync that started after registration — so an acknowledged
+// after a sync that started after registration — so an acknowledged
 // append is always on stable storage, while K concurrent same-shard
 // deposits cost one fsync instead of K.
 //
-// Batching happens two ways. Always: waiters that register while a sync
-// is in flight are picked up together by the next sync (the flush loop
-// keeps draining until the queue is empty), so batching scales with how
-// slow the disk is — exactly when it matters. Optionally: a positive
-// interval makes each round sleep first, trading ack latency for larger
-// batches on workloads whose concurrency alone doesn't fill them.
+// Batching is sync-coupled: waiters that register while a sync is in
+// flight are picked up together by the next one (the flush loop keeps
+// draining until the queue is empty), so batches grow with how slow the
+// disk is — exactly when it matters — and no delay is ever added.
 type committer struct {
-	log      *wal.Log
-	interval time.Duration
-	onSync   func() // telemetry hook, called once per fsync
+	fsync func() error // flushes everything appended so far
 
 	mu       sync.Mutex
 	idle     sync.Cond // signalled when flushing drops to false
@@ -33,8 +28,8 @@ type committer struct {
 	closed   bool
 }
 
-func newCommitter(log *wal.Log, interval time.Duration, onSync func()) *committer {
-	c := &committer{log: log, interval: interval, onSync: onSync}
+func newCommitter(fsync func() error) *committer {
+	c := &committer{fsync: fsync}
 	c.idle.L = &c.mu
 	return c
 }
@@ -57,17 +52,13 @@ func (c *committer) wait() error {
 	return <-ch
 }
 
-// flush drains the waiter queue in rounds: sleep out the batching window
-// (if any), detach the accumulated waiters, release them after one fsync,
-// and loop while new waiters piled up during the sync. `flushing` stays
-// true for the whole drain, so at most one flush goroutine runs per
-// committer and mid-sync arrivals batch instead of racing their own
-// syncs.
+// flush drains the waiter queue in rounds: detach the accumulated
+// waiters, release them after one fsync, and loop while new waiters
+// piled up during the sync. `flushing` stays true for the whole drain,
+// so at most one flush goroutine runs per committer and mid-sync
+// arrivals batch instead of racing their own syncs.
 func (c *committer) flush() {
 	for {
-		if c.interval > 0 {
-			time.Sleep(c.interval)
-		}
 		c.mu.Lock()
 		waiters := c.waiters
 		c.waiters = nil
@@ -78,10 +69,7 @@ func (c *committer) flush() {
 			return
 		}
 		c.mu.Unlock()
-		err := c.log.Sync()
-		if err == nil && c.onSync != nil {
-			c.onSync()
-		}
+		err := c.fsync()
 		for _, ch := range waiters {
 			ch <- err
 		}
@@ -91,7 +79,7 @@ func (c *committer) flush() {
 // close marks the committer closed — subsequent waits fail fast — and
 // then blocks until the in-flight flush goroutine (if any) has drained
 // its batch and exited. Waiting matters: the provider closes the WAL
-// right after, and an undrained flush would race its final Sync against
+// right after, and an undrained flush would race its final sync against
 // that close (and leak the goroutine besides).
 func (c *committer) close() {
 	c.mu.Lock()

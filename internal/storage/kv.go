@@ -6,16 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
+	"sync"
 
-	"mwskit/internal/store"
+	"mwskit/internal/obsv"
+	"mwskit/internal/wal"
 )
 
-// keyShard maps a KV key to its partition by digest, mirroring
-// shardIndex for attributes.
-func keyShard(key string, n int) int {
+// digestIndex maps a routing key (an attribute, a KV key) to one of n
+// partitions. The digest is stable across restarts and platforms, so a
+// key always lands in the same partition.
+func digestIndex(key string, n int) int {
 	if n <= 1 {
 		return 0
 	}
@@ -23,175 +24,319 @@ func keyShard(key string, n int) int {
 	return int(binary.BigEndian.Uint64(h[:8]) % uint64(n))
 }
 
-// shardedKV stripes one named KV database across the provider's
-// partitions (shard-NNN/kv/<name>). Each partition is an independent
-// store.KV with its own WAL, so writes toward different partitions do
-// not serialize on one log.
-type shardedKV struct {
-	name  string
-	parts []*store.KV
+// kv is the one KV implementation: a string-keyed database striped over
+// one or more parts by key digest, so writes toward different parts do
+// not serialize on one log. The provider stripes each named database
+// across its shards (shard-NNN/kv/<name>); OpenKV is the one-part case.
+type kv struct {
+	parts []*kvPart
 }
 
-func (p *shardedProvider) KV(name string) (KV, error) {
-	if err := validKVName(name); err != nil {
+// kvPart is one stripe: an in-memory map fronted by an optional
+// write-ahead log. With a log, every mutation is logged before it is
+// applied and open replays the log to rebuild the map, so the part
+// survives crashes with at most the in-flight operation lost. Without
+// one (the memory backend) it is just the map.
+type kvPart struct {
+	mu   sync.RWMutex
+	m    map[string][]byte
+	log  *wal.Log // nil = volatile
+	dir  string
+	sync SyncPolicy
+	// mutations counts logged operations since the last compaction, used
+	// by the compaction heuristic.
+	mutations uint64
+}
+
+// openKV opens a kv with one part per directory; no directories at all
+// means a single volatile part.
+func openKV(dirs []string, sync SyncPolicy) (*kv, error) {
+	if len(dirs) == 0 {
+		return &kv{parts: []*kvPart{{m: make(map[string][]byte)}}}, nil
+	}
+	k := &kv{}
+	for _, dir := range dirs {
+		part, err := openKVPart(dir, sync)
+		if err != nil {
+			k.Close()
+			return nil, err
+		}
+		k.parts = append(k.parts, part)
+	}
+	return k, nil
+}
+
+func openKVPart(dir string, sync SyncPolicy) (*kvPart, error) {
+	log, err := wal.Open(wal.Options{Dir: dir, Sync: sync})
+	if err != nil {
 		return nil, err
 	}
-	if name == "messages" || name == metaName || strings.HasPrefix(name, "shard-") || strings.HasSuffix(name, ".v1") {
-		return nil, fmt.Errorf("storage: KV name %q is reserved", name)
+	p := &kvPart{m: make(map[string][]byte), log: log, dir: dir, sync: sync}
+	err = log.Iterate(func(_ uint64, payload []byte) error {
+		obsv.AddStoreReadBytes(len(payload))
+		return p.applyRecord(payload)
+	})
+	if err != nil {
+		log.Close()
+		return nil, fmt.Errorf("storage: kv replay: %w", err)
+	}
+	return p, nil
+}
+
+func (p *kvPart) applyRecord(payload []byte) error {
+	d := dec{buf: payload}
+	op, err := d.uint8()
+	if err != nil {
+		return err
+	}
+	key, err := d.str()
+	if err != nil {
+		return err
+	}
+	switch op {
+	case kvOpPut:
+		val, err := d.bytes()
+		if err != nil {
+			return err
+		}
+		p.m[key] = val
+	case kvOpDelete:
+		delete(p.m, key)
+	default:
+		return fmt.Errorf("storage: unknown kv op %d", op)
+	}
+	p.mutations++
+	return d.done()
+}
+
+func (p *kvPart) get(key string) ([]byte, bool) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	v, ok := p.m[key]
+	if !ok {
+		return nil, false
+	}
+	out := make([]byte, len(v))
+	copy(out, v)
+	return out, true
+}
+
+func (p *kvPart) put(key string, value []byte) error {
+	val := make([]byte, len(value))
+	copy(val, value)
+	var record []byte
+	if p.log != nil {
+		record = encodeKVPut(key, value)
+		obsv.AddStoreWriteBytes(len(record))
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if kv, ok := p.kvs[name]; ok {
-		return kv, nil
-	}
-
-	// A v1 directory for this name means the database predates the
-	// reshard: replay its live keys into the partitions first. Partial
-	// partition contents from a crashed earlier migration are dropped
-	// before the replay; the v1 directory is only retired (renamed) after
-	// the copy succeeds, so the migration is restartable.
-	v1dir := filepath.Join(p.dir, name)
-	migrate := false
-	if st, err := os.Stat(v1dir); err == nil && st.IsDir() {
-		migrate = true
-		for i := 0; i < p.nshard; i++ {
-			if err := os.RemoveAll(filepath.Join(shardDir(p.dir, i), "kv", name)); err != nil {
-				return nil, err
-			}
-		}
-	} else if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-
-	kv := &shardedKV{name: name}
-	for i := 0; i < p.nshard; i++ {
-		//mwslint:ignore lockheld first open of a named kv must be exclusive so two callers cannot double-open one partition WAL; runs once per name
-		part, err := store.OpenKV(filepath.Join(shardDir(p.dir, i), "kv", name), p.sync)
-		if err != nil {
-			//mwslint:ignore lockheld unwinding a failed exclusive open; no other caller can hold this kv yet
-			kv.close()
-			return nil, fmt.Errorf("storage: kv %q shard %d: %w", name, i, err)
-		}
-		kv.parts = append(kv.parts, part)
-	}
-
-	if migrate {
-		//mwslint:ignore lockheld one-time v1 reshard runs under the exclusive open lock so no reader sees a half-copied database
-		v1, err := store.OpenKV(v1dir, SyncNever)
-		if err != nil {
-			//mwslint:ignore lockheld unwinding a failed exclusive open; no other caller can hold this kv yet
-			kv.close()
-			return nil, fmt.Errorf("storage: open v1 kv %q: %w", name, err)
-		}
-		var perr error
-		v1.Range(func(key string, value []byte) bool {
-			perr = kv.Put(key, value)
-			return perr == nil
-		})
-		//mwslint:ignore lockheld retiring the v1 source inside the one-time migration critical section
-		cerr := v1.Close()
-		if perr != nil {
-			//mwslint:ignore lockheld unwinding a failed exclusive open; no other caller can hold this kv yet
-			kv.close()
-			return nil, fmt.Errorf("storage: reshard kv %q: %w", name, perr)
-		}
-		if cerr != nil {
-			//mwslint:ignore lockheld unwinding a failed exclusive open; no other caller can hold this kv yet
-			kv.close()
-			return nil, cerr
-		}
-		if err := os.Rename(v1dir, v1dir+".v1"); err != nil {
-			//mwslint:ignore lockheld unwinding a failed exclusive open; no other caller can hold this kv yet
-			kv.close()
-			return nil, fmt.Errorf("storage: retire v1 kv %q: %w", name, err)
+	if p.log != nil {
+		//mwslint:ignore lockheld the durable append must run under p.mu so WAL order matches the order mutations land in p.m; ack implies on stable storage
+		if _, err := p.log.Append(record); err != nil {
+			return err
 		}
 	}
-
-	p.kvs[name] = kv
-	return kv, nil
+	p.m[key] = val
+	p.mutations++
+	return nil
 }
 
-func (kv *shardedKV) part(key string) *store.KV {
-	return kv.parts[keyShard(key, len(kv.parts))]
+func (p *kvPart) delete(key string) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, ok := p.m[key]; !ok {
+		return nil
+	}
+	if p.log != nil {
+		//mwslint:ignore lockheld the durable append must run under p.mu so WAL order matches the order mutations land in p.m; ack implies on stable storage
+		if _, err := p.log.Append(encodeKVDelete(key)); err != nil {
+			return err
+		}
+	}
+	delete(p.m, key)
+	p.mutations++
+	return nil
 }
 
-func (kv *shardedKV) Get(key string) ([]byte, bool) { return kv.part(key).Get(key) }
+// compact rewrites the log so it contains exactly one Put per live key,
+// bounding recovery time after long churn. The part remains usable
+// afterwards; on any error the original data is untouched.
+func (p *kvPart) compact() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.log == nil {
+		p.mutations = uint64(len(p.m))
+		return nil
+	}
+	tmpDir := p.dir + ".compact"
+	//mwslint:ignore lockheld compaction rewrites the log with writers excluded; the whole rewrite-and-swap runs under p.mu by design
+	if err := writeCompacted(tmpDir, p.m); err != nil {
+		os.RemoveAll(tmpDir)
+		return err
+	}
+	//mwslint:ignore lockheld the old log must be closed with writers excluded before the directory swap
+	if err := p.log.Close(); err != nil {
+		return err
+	}
+	swapErr := replaceDir(p.dir, tmpDir)
+	// Reopen whichever log now sits at p.dir — the rewritten one, or the
+	// original if the swap failed — under the policy the part was opened
+	// with.
+	log, err := wal.Open(wal.Options{Dir: p.dir, Sync: p.sync})
+	if err != nil {
+		return errors.Join(swapErr, err)
+	}
+	p.log = log
+	if swapErr == nil {
+		p.mutations = uint64(len(p.m))
+	}
+	return swapErr
+}
 
-func (kv *shardedKV) Put(key string, value []byte) error { return kv.part(key).Put(key, value) }
+// writeCompacted writes one Put per entry of m into a fresh log at dir
+// and seals it.
+func writeCompacted(dir string, m map[string][]byte) error {
+	if err := os.RemoveAll(dir); err != nil {
+		return fmt.Errorf("storage: compact cleanup: %w", err)
+	}
+	log, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncNever})
+	if err != nil {
+		return err
+	}
+	for k, v := range m {
+		if _, err := log.Append(encodeKVPut(k, v)); err != nil {
+			log.Close()
+			return err
+		}
+	}
+	return log.Close()
+}
 
-func (kv *shardedKV) Delete(key string) error { return kv.part(key).Delete(key) }
+// replaceDir moves src over dst by way of dst.old, putting dst back if
+// src cannot take its place.
+func replaceDir(dst, src string) error {
+	old := dst + ".old"
+	if err := os.RemoveAll(old); err != nil {
+		return err
+	}
+	if err := os.Rename(dst, old); err != nil {
+		return fmt.Errorf("storage: compact swap: %w", err)
+	}
+	if err := os.Rename(src, dst); err != nil {
+		return errors.Join(fmt.Errorf("storage: compact swap: %w", err), os.Rename(old, dst))
+	}
+	return os.RemoveAll(old)
+}
 
-func (kv *shardedKV) Len() int {
+func (p *kvPart) close() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.log == nil {
+		return nil
+	}
+	//mwslint:ignore lockheld close must exclude in-flight writers; the final fsync happens under p.mu by design
+	return p.log.Close()
+}
+
+func (k *kv) part(key string) *kvPart { return k.parts[digestIndex(key, len(k.parts))] }
+
+// Get returns a copy of the value for key.
+func (k *kv) Get(key string) ([]byte, bool) { return k.part(key).get(key) }
+
+// Put durably stores key = value (a copy of it).
+func (k *kv) Put(key string, value []byte) error { return k.part(key).put(key, value) }
+
+// Delete durably removes key. Deleting an absent key is a no-op.
+func (k *kv) Delete(key string) error { return k.part(key).delete(key) }
+
+// Len returns the number of live keys.
+func (k *kv) Len() int {
 	n := 0
-	for _, part := range kv.parts {
-		n += part.Len()
+	for _, p := range k.parts {
+		p.mu.RLock()
+		n += len(p.m)
+		p.mu.RUnlock()
 	}
 	return n
 }
 
-func (kv *shardedKV) Keys() []string {
+// Keys returns the live keys in sorted order.
+func (k *kv) Keys() []string {
 	var out []string
-	for _, part := range kv.parts {
-		out = append(out, part.Keys()...)
-	}
+	k.Range(func(key string, _ []byte) bool {
+		out = append(out, key)
+		return true
+	})
 	sort.Strings(out)
 	return out
 }
 
-func (kv *shardedKV) Range(fn func(key string, value []byte) bool) {
-	for _, part := range kv.parts {
-		stopped := false
-		part.Range(func(key string, value []byte) bool {
-			if !fn(key, value) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
+// Range calls fn for each key/value pair (in unspecified order) until fn
+// returns false. The value slice must not be retained.
+func (k *kv) Range(fn func(key string, value []byte) bool) {
+	for _, p := range k.parts {
+		if !p.rangeWhile(fn) {
 			return
 		}
 	}
 }
 
-func (kv *shardedKV) Mutations() uint64 {
+// rangeWhile reports whether fn asked for more after the last pair.
+func (p *kvPart) rangeWhile(fn func(key string, value []byte) bool) bool {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	for key, v := range p.m {
+		if !fn(key, v) {
+			return false
+		}
+	}
+	return true
+}
+
+// Mutations reports logged operations since the last compaction.
+func (k *kv) Mutations() uint64 {
 	var n uint64
-	for _, part := range kv.parts {
-		n += part.Mutations()
+	for _, p := range k.parts {
+		p.mu.RLock()
+		n += p.mutations
+		p.mu.RUnlock()
 	}
 	return n
 }
 
-func (kv *shardedKV) Compact() error {
-	for _, part := range kv.parts {
-		if err := part.Compact(); err != nil {
-			return err
-		}
-	}
-	return nil
+// Compact compacts every part unconditionally.
+func (k *kv) Compact() error {
+	_, err := k.compact(0)
+	return err
 }
 
-// compact applies the compaction heuristic partition by partition (each
-// partition has its own log to shrink), returning how many compacted.
-func (kv *shardedKV) compact(minMutations uint64) (int, error) {
+// compact applies the compaction heuristic part by part (each part has
+// its own log to shrink): a part is rewritten when its mutation count
+// exceeds both minMutations and twice its live keys, or unconditionally
+// when minMutations is 0. It returns how many parts were compacted.
+func (k *kv) compact(minMutations uint64) (int, error) {
 	n := 0
-	for _, part := range kv.parts {
-		did, err := compactIfWorthwhile(part, minMutations)
-		if err != nil {
+	for _, p := range k.parts {
+		p.mu.RLock()
+		muts, live := p.mutations, uint64(len(p.m))
+		p.mu.RUnlock()
+		if minMutations > 0 && (muts < minMutations || muts <= 2*live) {
+			continue
+		}
+		if err := p.compact(); err != nil {
 			return n, err
 		}
-		if did {
-			n++
-		}
+		n++
 	}
 	return n, nil
 }
 
-func (kv *shardedKV) close() error {
+// Close releases every part's log.
+func (k *kv) Close() error {
 	var errs []error
-	for _, part := range kv.parts {
-		errs = append(errs, part.Close())
+	for _, p := range k.parts {
+		errs = append(errs, p.close())
 	}
-	kv.parts = nil
 	return errors.Join(errs...)
 }

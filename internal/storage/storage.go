@@ -1,44 +1,34 @@
-// Package storage is the persistence seam under the Message Warehousing
-// Service: a small provider interface over the paper's Message Database
-// (attribute-indexed message records) and the KV databases backing the
-// policy, user, and device-key stores. Everything above the WAL — the
-// MWS, both KV database packages, the daemons, the bench — speaks only
-// through this interface, so backends can be swapped by configuration:
+// Package storage is the persistence layer under the Message Warehousing
+// Service — the only package above internal/wal: the paper's Message
+// Database (attribute-indexed message records) and the KV databases
+// backing the policy, user, and device-key stores. The paper's prototype
+// used flat files; §VIII asks for a real database layer, which this
+// package supplies.
 //
-//	local    the original single WAL+map store, byte-compatible with the
-//	         pre-provider on-disk layout (the default)
-//	sharded  N independent WAL+KV partitions keyed by the recipient
-//	         attribute's digest, with per-shard locks and a group-commit
-//	         fsync loop — deposits for different utilities never contend,
-//	         and same-shard deposits amortize durability cost
-//	memory   volatile maps, for tests and simulation
+// There is one engine. A provider is N shards keyed by the recipient
+// attribute's digest, each an in-memory index in front of its own WAL
+// with a group-commit fsync loop — deposits for different utilities
+// never contend, and same-shard deposits amortize durability cost — and
+// every named KV database is striped across the same shards by key
+// digest. One shard is the unpartitioned store; the memory backend is
+// the same engine with no logs under it, for tests and simulation.
 //
-// Opening a v1 (local-layout) data directory with the sharded backend
-// performs a one-time resharding replay; see Open.
+// A data directory in the pre-shard v1 layout is resharded in place the
+// first time it is opened; see Open.
 package storage
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"mwskit/internal/attr"
 	"mwskit/internal/metrics"
-	"mwskit/internal/store"
 	"mwskit/internal/wal"
 )
-
-// Message is the stored message record — the paper's rP ‖ C ‖ (A ‖ Nonce)
-// tuple plus bookkeeping. It aliases store.Message so the local provider
-// is zero-copy over the existing engine and record formats stay owned by
-// one codec.
-type Message = store.Message
 
 // SyncPolicy re-exports the WAL durability policy so provider consumers
 // need not import internal/wal.
@@ -46,24 +36,19 @@ type SyncPolicy = wal.SyncPolicy
 
 // Re-exported durability policies.
 const (
-	SyncAlways   = wal.SyncAlways
-	SyncNever    = wal.SyncNever
-	SyncInterval = wal.SyncInterval
+	SyncAlways = wal.SyncAlways
+	SyncNever  = wal.SyncNever
 )
 
 // Backend names.
 const (
-	BackendLocal   = "local"
 	BackendSharded = "sharded"
 	BackendMemory  = "memory"
 )
 
-// Backends lists the selectable backends, for flag help strings.
-func Backends() []string { return []string{BackendLocal, BackendSharded, BackendMemory} }
-
 // KV is a durable string-keyed database. The provider owns the lifecycle
 // of every KV it hands out; callers must not retain value slices passed
-// to Range. *store.KV satisfies this interface directly.
+// to Range.
 type KV interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, value []byte) error
@@ -86,10 +71,10 @@ type CloserKV interface {
 	Close() error
 }
 
-// Provider is the message-database + KV seam. All methods are safe for
-// concurrent use. Message sequence numbers are unique and increasing
-// across the provider; under the sharded backend they are additionally
-// monotonic within each shard but not dense.
+// Provider is the message database plus the named KV databases. All
+// methods are safe for concurrent use. Message sequence numbers are
+// unique and increasing across the provider, and monotonic (but not
+// dense) within each shard.
 type Provider interface {
 	// Append durably stores a message and returns its assigned sequence
 	// number. The caller's Message.Seq is ignored. The append is durable
@@ -102,7 +87,9 @@ type Provider interface {
 	// (0 = unlimited).
 	ScanAttribute(a attr.Attribute, fromSeq uint64, limit int) []*Message
 	// ScanAttributes merges ScanAttribute across a set, ordered by
-	// sequence number.
+	// sequence number. A result is a gap-free prefix of what the set
+	// will ever hold from fromSeq on: no later scan returns a lower
+	// sequence number, so last+1 is a sound tail cursor.
 	ScanAttributes(set attr.Set, fromSeq uint64, limit int) []*Message
 	// Count returns the total number of stored messages.
 	Count() int
@@ -113,11 +100,12 @@ type Provider interface {
 	// KV opens (or returns) the named KV database. Names are single path
 	// elements ("devices", "policy", "users").
 	KV(name string) (KV, error)
-	// Compact compacts every open KV database whose mutation count
-	// exceeds both minMutations and twice its live key count, returning
-	// how many were compacted. minMutations 0 compacts unconditionally.
+	// Compact compacts every part of every open KV database whose
+	// mutation count exceeds both minMutations and twice its live key
+	// count, returning how many were compacted. minMutations 0 compacts
+	// unconditionally.
 	Compact(minMutations uint64) (int, error)
-	// Shards reports the partition count (1 for local and memory).
+	// Shards reports the partition count (1 for memory).
 	Shards() int
 	// ShardOf reports which partition an attribute's messages land in.
 	ShardOf(a attr.Attribute) int
@@ -127,7 +115,9 @@ type Provider interface {
 	Close() error
 }
 
-// ShardStat is a point-in-time sample of one partition.
+// ShardStat is a point-in-time sample of one partition. The counters are
+// the partition's Options.Metrics series when a registry was given, so
+// they run for as long as that registry has: compare two samples.
 type ShardStat struct {
 	Shard      int
 	Messages   int
@@ -136,23 +126,15 @@ type ShardStat struct {
 	WriteBytes uint64
 }
 
-// Options selects and tunes a backend; the zero value means the local
-// backend with defaults (auto-detecting a sharded directory, see Open).
+// Options selects and tunes a backend; the zero value means the durable
+// backend with the default shard count.
 type Options struct {
-	// Backend is one of Backends() ("" = auto: an existing sharded
-	// directory reopens sharded, anything else opens local).
+	// Backend is BackendSharded (also what "" means) or BackendMemory.
 	Backend string
-	// Shards is the partition count for the sharded backend (default 8).
-	// An existing sharded directory pins its shard count at creation;
-	// reopening with a different non-zero value is an error.
+	// Shards is the partition count (default 8; 1 is the unpartitioned
+	// store). A directory pins its shard count at creation; reopening
+	// with a different non-zero value is an error.
 	Shards int
-	// GroupCommit is the sharded backend's extra fsync batching window.
-	// Appends that land while a shard's fsync is in flight always share
-	// the next one (sync-coupled batching); a positive window additionally
-	// delays each fsync by that long to grow batches on slow-concurrency
-	// workloads. 0 (the default) adds no delay. Only meaningful when
-	// Sync != SyncNever.
-	GroupCommit time.Duration
 	// Metrics, when set, receives per-shard labeled series
 	// (storage_shard_appends, storage_shard_fsyncs,
 	// storage_shard_write_bytes, storage_shard_messages).
@@ -169,17 +151,13 @@ type Config struct {
 }
 
 const (
-	// metaName is the sharded backend's marker file under Dir.
+	// metaName is the marker file under Dir that pins the layout.
 	metaName = "storage.json"
-	// defaultShards is the sharded backend's default partition count.
+	// defaultShards is the default partition count.
 	defaultShards = 8
-	// DefaultGroupCommit is the sharded backend's default extra fsync
-	// batching window: none — batching comes from appends sharing
-	// in-flight syncs, which self-scales with disk latency.
-	DefaultGroupCommit = 0 * time.Millisecond
 )
 
-// meta is the persisted shape of the sharded backend's marker file.
+// meta is the persisted shape of the marker file.
 type meta struct {
 	Version int    `json:"version"`
 	Backend string `json:"backend"`
@@ -188,66 +166,92 @@ type meta struct {
 
 // Open opens (or creates) a provider rooted at cfg.Dir.
 //
-// Backend selection: an explicit cfg.Backend wins; with Backend "" a
-// directory carrying a sharded marker file reopens sharded (so daemons
-// restarted without flags keep their layout) and anything else opens
-// local. Opening a v1 local-layout directory with the sharded backend
-// reshards it once: the message WAL and each KV are replayed into the
-// per-shard partitions, and the v1 directories are kept beside them with
-// a ".v1" suffix as a frozen backup.
+// On-disk layout under Dir:
+//
+//	storage.json                   marker: shard count, written last
+//	shard-000/messages/*.wal       message WAL for partition 0
+//	shard-000/kv/<name>/*.wal      partition 0 of KV database <name>
+//	...
+//	messages.v1/, <name>.v1/       frozen pre-reshard backups (migration)
+//
+// A directory without a marker is either new or in the v1 layout (one
+// message WAL under messages/, one KV WAL under each <name>/). Open
+// reshards a v1 directory once, before the provider exists: every
+// message keeps its sequence number, every KV entry is re-striped, and
+// the v1 directories stay beside the shards with a ".v1" suffix as a
+// frozen backup. The marker lands after the copy, and a v1 directory is
+// only renamed once its copy is durable, so a migration killed part-way
+// simply picks up again on the next Open.
 func Open(cfg Config) (Provider, error) {
-	if cfg.Backend == BackendMemory {
-		return newMemoryProvider(cfg.Metrics), nil
+	shards := 1
+	switch cfg.Backend {
+	case BackendMemory:
+		cfg.Dir = "" // volatile: the engine with no logs under it
+	case "", BackendSharded:
+		var err error
+		if shards, err = prepareDir(cfg.Dir, cfg.Shards); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("storage: unknown backend %q (want %q or %q)", cfg.Backend, BackendSharded, BackendMemory)
 	}
-	if cfg.Dir == "" {
-		return nil, errors.New("storage: Dir is required")
-	}
-	m, err := readMeta(cfg.Dir)
+	p, err := newProvider(cfg.Dir, cfg.Sync, shards, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}
-	backend := cfg.Backend
-	if backend == "" {
-		if m != nil {
-			backend = m.Backend
-		} else {
-			backend = BackendLocal
-		}
-	}
-	switch backend {
-	case BackendLocal:
-		if m != nil {
-			return nil, fmt.Errorf("storage: %s was created with the %q backend (%d shards); pass that backend explicitly", cfg.Dir, m.Backend, m.Shards)
-		}
-		return openLocal(cfg)
-	case BackendSharded:
-		shards := cfg.Shards
-		if m != nil {
-			if shards != 0 && shards != m.Shards {
-				return nil, fmt.Errorf("storage: %s has %d shards (fixed at creation); cannot reopen with %d", cfg.Dir, m.Shards, shards)
-			}
-			shards = m.Shards
-		}
-		if shards == 0 {
-			shards = defaultShards
-		}
-		if shards < 1 || shards > 1024 {
-			return nil, fmt.Errorf("storage: shard count %d out of range [1,1024]", shards)
-		}
-		return openSharded(cfg, shards, m == nil)
-	default:
-		return nil, fmt.Errorf("storage: unknown backend %q (want one of %v)", backend, Backends())
-	}
+	return p, nil
 }
 
-// OpenKV opens a single standalone local KV database — the entry point
+// prepareDir settles dir's shard count — pinned by the marker if there
+// is one, else wanted (0 = default) — migrates any v1 contents, and
+// writes the marker if it was missing.
+func prepareDir(dir string, wanted int) (int, error) {
+	if dir == "" {
+		return 0, errors.New("storage: Dir is required")
+	}
+	m, err := readMeta(dir)
+	if err != nil {
+		return 0, err
+	}
+	shards := wanted
+	if m != nil {
+		if shards != 0 && shards != m.Shards {
+			return 0, fmt.Errorf("storage: %s has %d shards (fixed at creation); cannot reopen with %d", dir, m.Shards, shards)
+		}
+		shards = m.Shards
+	}
+	if shards == 0 {
+		shards = defaultShards
+	}
+	if shards < 1 || shards > 1024 {
+		return 0, fmt.Errorf("storage: shard count %d out of range [1,1024]", shards)
+	}
+	// Not only when the marker is missing: directories resharded by a
+	// release that migrated KVs lazily, on first use, can carry a marker
+	// beside v1 KV directories nobody has asked for since.
+	if err := migrateV1(dir, shards); err != nil {
+		return 0, err
+	}
+	if m == nil {
+		if err := writeMeta(dir, meta{Version: 1, Backend: BackendSharded, Shards: shards}); err != nil {
+			return 0, err
+		}
+	}
+	return shards, nil
+}
+
+// OpenKV opens a single standalone KV database at dir — the entry point
 // for consumers that need one durable map and no message database (the
 // PKG's master-key store, the deployment's shared-key store).
 func OpenKV(dir string, sync SyncPolicy) (CloserKV, error) {
-	return store.OpenKV(dir, sync)
+	k, err := openKV([]string{dir}, sync)
+	if err != nil {
+		return nil, err
+	}
+	return k, nil
 }
 
-// readMeta loads the sharded marker file, nil when absent.
+// readMeta loads the marker file, nil when absent.
 func readMeta(dir string) (*meta, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, metaName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -266,46 +270,17 @@ func readMeta(dir string) (*meta, error) {
 	return &m, nil
 }
 
-// writeMeta persists the sharded marker file.
+// writeMeta persists the marker file.
 func writeMeta(dir string, m meta) error {
 	raw, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
+	if err := os.MkdirAll(dir, 0o700); err != nil {
+		return fmt.Errorf("storage: write meta: %w", err)
+	}
 	if err := os.WriteFile(filepath.Join(dir, metaName), append(raw, '\n'), 0o600); err != nil {
 		return fmt.Errorf("storage: write meta: %w", err)
 	}
 	return nil
-}
-
-// shardIndex maps an attribute to its partition by digest. The digest is
-// stable across restarts and platforms: deposits for one utility always
-// land in the same shard, which is what makes per-shard cursors and
-// per-shard monotonic sequence numbers sound.
-func shardIndex(a attr.Attribute, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := sha256.Sum256([]byte(a))
-	return int(binary.BigEndian.Uint64(h[:8]) % uint64(n))
-}
-
-// validKVName rejects names that would escape the provider directory.
-func validKVName(name string) error {
-	if name == "" || name != filepath.Base(name) || name == "." || name == ".." {
-		return fmt.Errorf("storage: invalid KV name %q", name)
-	}
-	return nil
-}
-
-// compactIfWorthwhile applies the shared compaction heuristic to one KV.
-func compactIfWorthwhile(kv KV, minMutations uint64) (bool, error) {
-	muts := kv.Mutations()
-	if minMutations > 0 && (muts < minMutations || muts <= 2*uint64(kv.Len())) {
-		return false, nil
-	}
-	if err := kv.Compact(); err != nil {
-		return false, err
-	}
-	return true, nil
 }

@@ -6,7 +6,7 @@ import (
 	"fmt"
 )
 
-// Minimal length-prefixed binary codec, mirroring internal/store's record
+// Minimal length-prefixed binary codec, mirroring internal/storage's record
 // codec (kept package-local to avoid exporting encoding internals).
 
 type binEnc struct{ buf []byte }

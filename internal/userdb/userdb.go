@@ -16,7 +16,6 @@ import (
 	"crypto/x509"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 
@@ -45,20 +44,6 @@ type Record struct {
 type DB struct {
 	mu sync.RWMutex
 	kv storage.KV
-	// closer is set only for standalone databases opened via Open;
-	// provider-supplied KVs (New) are closed by their provider.
-	closer io.Closer
-}
-
-// Open opens (or creates) a standalone user database at dir. Services
-// running over a storage.Provider should pass the provider's KV to New
-// instead.
-func Open(dir string, sync storage.SyncPolicy) (*DB, error) {
-	kv, err := storage.OpenKV(dir, sync)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{kv: kv, closer: kv}, nil
 }
 
 // New builds the user database over an existing KV (typically
@@ -155,13 +140,4 @@ func (db *DB) Identities() []string {
 		}
 	}
 	return out
-}
-
-// Close releases the underlying store when this DB owns it (opened via
-// Open); a no-op for provider-backed DBs.
-func (db *DB) Close() error {
-	if db.closer != nil {
-		return db.closer.Close()
-	}
-	return nil
 }

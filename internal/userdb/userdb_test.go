@@ -7,7 +7,7 @@ import (
 	"sync"
 	"testing"
 
-	"mwskit/internal/wal"
+	"mwskit/internal/storage"
 )
 
 // testRSAKey is generated once; RSA keygen is the slow part of these tests.
@@ -28,13 +28,21 @@ func testKey(t *testing.T) *rsa.PrivateKey {
 	return rsaKey
 }
 
-func openTestDB(t *testing.T) *DB {
+// openDB builds a user DB over a standalone KV at dir; closeKV releases
+// the KV (also run at test cleanup, where a second close is harmless).
+func openDB(t *testing.T, dir string) (db *DB, closeKV func() error) {
 	t.Helper()
-	db, err := Open(t.TempDir(), wal.SyncNever)
+	kv, err := storage.OpenKV(dir, storage.SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
+	t.Cleanup(func() { kv.Close() })
+	return New(kv), kv.Close
+}
+
+func openTestDB(t *testing.T) *DB {
+	t.Helper()
+	db, _ := openDB(t, t.TempDir())
 	return db
 }
 
@@ -150,21 +158,14 @@ func TestIdentitiesList(t *testing.T) {
 func TestUserDBDurability(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(t)
-	db, err := Open(dir, wal.SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, closeKV := openDB(t, dir)
 	if err := db.Register("survivor", []byte("pw"), &key.PublicKey); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Close(); err != nil {
+	if err := closeKV(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(dir, wal.SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
+	db2, _ := openDB(t, dir)
 	if !db2.Exists("survivor") {
 		t.Fatal("registration lost across reopen")
 	}

@@ -32,6 +32,10 @@ fi
 
 go test -race ./...
 
+# Non-test Go lines per package: the figure ROADMAP aim 2 tracks. Printed,
+# not gated — a PR that grows a package says why in its description.
+scripts/loc.sh
+
 # Opt-in hot-path benchmark: MWSBENCH=1 runs the end-to-end load
 # generator (phase 0 offline microbenchmarks included) and writes
 # BENCH_PR10.json — phase 0 now exercises the fixed-limb Montgomery

@@ -1,14 +1,15 @@
 #!/bin/sh
-# Shard smoke: boot a sharded mwsd (8 partitions) against a live pkgd,
+# Shard smoke: boot mwsd on 8 storage partitions against a live pkgd,
 # deposit across more attributes than shards, retrieve, SIGKILL the
 # warehouse mid-flight state, restart it, and prove every acknowledged
 # deposit survived recovery. Finishes with a /metrics scrape asserting
 # the per-shard telemetry series are live (saved to $SCRAPE_OUT, default
 # shard-metrics-scrape.txt, for CI artifact upload).
 #
-# The admin steps run before the first serve, so the data directory is
-# created in the v1 local layout and `serve -storage sharded -shards 8`
-# exercises the transparent resharding migration too.
+# Every command passes -shards 8, the first admin step included: the
+# shard count is fixed when the directory is created. (Resharding a v1
+# directory is covered by internal/storage's golden-fixture tests, not
+# here.)
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -36,10 +37,9 @@ go build -o "$W/pkgd" ./cmd/pkgd
 go build -o "$W/smartdev" ./cmd/smartdev
 go build -o "$W/rcclient" ./cmd/rcclient
 
-MWSD="$W/mwsd -dir $W/mws-data -shared-key-file $W/mws-pkg.key -addr $MWS_ADDR"
+MWSD="$W/mwsd -dir $W/mws-data -shards 8 -shared-key-file $W/mws-pkg.key -addr $MWS_ADDR"
 
-# Provision in the v1 layout: one device, one retrieving client granted
-# every attribute.
+# Provision: one device, one retrieving client granted every attribute.
 MAC_KEY=$($MWSD register-device meter-001 | tail -1)
 printf 'smoke-pw\n' > "$W/pw.txt"
 (cd "$W" && ./rcclient keygen -rsa-key rc.key -pubkey rc.pem)
@@ -53,7 +53,7 @@ done
 PKGD_PID=$!
 
 start_mwsd() {
-	$MWSD -storage sharded -shards 8 -debug-addr $DEBUG_ADDR serve &
+	$MWSD -debug-addr $DEBUG_ADDR serve &
 	MWSD_PID=$!
 	for _ in $(seq 1 50); do
 		curl -sf "http://$DEBUG_ADDR/healthz" >/dev/null 2>&1 && return 0
@@ -68,8 +68,8 @@ retrieve_count() {
 		-mws $MWS_ADDR -pkg $PKG_ADDR) | grep -c '^#'
 }
 
-# Round 1: the v1 directory reshards on boot, then takes deposits across
-# more attributes than shards. The first deposit retries while pkgd
+# Round 1: deposits across more attributes than shards. The first
+# deposit retries while pkgd
 # finishes booting (no health endpoint on the PKG).
 start_mwsd
 N=0
