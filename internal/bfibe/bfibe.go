@@ -144,10 +144,18 @@ func (p *Params) gID(id []byte) (pairing.GT, error) {
 // --- KEM (the paper's hybrid usage) ---
 
 // Encapsulation carries the key-transport point U = rP that the depositing
-// client stores next to the symmetric ciphertext.
+// client stores next to the symmetric ciphertext. It is a validated point
+// by construction: the only makers are Encapsulate (rP with r ∈ [1, q−1])
+// and UnmarshalEncapsulation (curve check, order-q check, infinity
+// refused), so a holder of one may pair it with a private key without
+// checking again. The zero value came from neither and is refused.
 type Encapsulation struct {
-	U ec.Point
+	u ec.Point
 }
+
+// checked reports whether e came from one of the two makers; both only
+// produce finite points, whose coordinates know their field.
+func (e *Encapsulation) checked() bool { return e != nil && e.u.X.Field() != nil }
 
 // Encapsulate derives a fresh symmetric key of keyLen bytes for the given
 // identity: pick r, output U = rP and key = KDF(ê(Q_ID, sP)^r). This is
@@ -165,34 +173,18 @@ func (p *Params) Encapsulate(id []byte, keyLen int, rng io.Reader) (*Encapsulati
 	u := p.Sys.G1Comb().Mul(r)
 	// r keys the pad, so the exponentiation takes the constant-time path.
 	shared := p.Sys.GTExpSecret(g, r)
-	return &Encapsulation{U: u}, kdf.SessionKey(shared.Bytes(), keyLen), nil
+	return &Encapsulation{u: u}, kdf.SessionKey(shared.Bytes(), keyLen), nil
 }
 
 // Decapsulate recomputes the symmetric key from U and the identity's
-// private key: KDF(ê(d_ID, U)) = KDF(ê(Q_ID, sP)^r) by bilinearity.
+// private key: KDF(ê(d_ID, U)) = KDF(ê(Q_ID, sP)^r) by bilinearity. U was
+// validated when enc was made (see Encapsulation); nothing is re-checked.
 func (p *Params) Decapsulate(sk *PrivateKey, enc *Encapsulation, keyLen int) ([]byte, error) {
-	if sk == nil || enc == nil {
+	if sk == nil || !enc.checked() {
 		return nil, errors.New("bfibe: nil key or encapsulation")
 	}
-	if err := p.checkEncapsulationPoint(enc.U); err != nil {
-		return nil, err
-	}
-	shared := p.Sys.Pair(sk.D, enc.U)
+	shared := p.Sys.Pair(sk.D, enc.u)
 	return kdf.SessionKey(shared.Bytes(), keyLen), nil
-}
-
-// checkEncapsulationPoint validates an encapsulation point before it may
-// meet private-key material. The order check matters: an on-curve point
-// outside G1 pairs into a small subgroup and probes the private key (the
-// invalid-point attack); honest encapsulations are always rP ∈ G1.
-func (p *Params) checkEncapsulationPoint(u ec.Point) error {
-	if u.Inf || !p.Sys.Curve.IsOnCurve(u) {
-		return errors.New("bfibe: encapsulation point off curve")
-	}
-	if !p.Sys.Curve.ScalarBaseOrderCheck(u) {
-		return errors.New("bfibe: encapsulation point not in the order-q subgroup")
-	}
-	return nil
 }
 
 // Decapsulator amortizes the pairing cost of one private key across many
@@ -204,7 +196,6 @@ func (p *Params) checkEncapsulationPoint(u ec.Point) error {
 // (rclient.DecryptRetrieval builds one per key in the batch). Immutable
 // and safe for concurrent use by the batch worker pool.
 type Decapsulator struct {
-	p   *Params
 	pre *pairing.G1Precomp
 }
 
@@ -213,19 +204,16 @@ func (p *Params) NewDecapsulator(sk *PrivateKey) (*Decapsulator, error) {
 	if sk == nil {
 		return nil, errors.New("bfibe: nil private key")
 	}
-	return &Decapsulator{p: p, pre: p.Sys.G1Precomp(sk.D)}, nil
+	return &Decapsulator{pre: p.Sys.G1Precomp(sk.D)}, nil
 }
 
 // Decapsulate recomputes the symmetric key from U using the precomputed
-// key lines, with the same validation as Params.Decapsulate.
+// key lines, relying like Params.Decapsulate on enc's validation.
 func (d *Decapsulator) Decapsulate(enc *Encapsulation, keyLen int) ([]byte, error) {
-	if enc == nil {
+	if !enc.checked() {
 		return nil, errors.New("bfibe: nil encapsulation")
 	}
-	if err := d.p.checkEncapsulationPoint(enc.U); err != nil {
-		return nil, err
-	}
-	shared := d.pre.Pair(enc.U)
+	shared := d.pre.Pair(enc.u)
 	return kdf.SessionKey(shared.Bytes(), keyLen), nil
 }
 

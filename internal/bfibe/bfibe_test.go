@@ -99,6 +99,10 @@ func TestKEMRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dec, err := p.NewDecapsulator(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, keyLen := range []int{8, 16, 32} {
 		enc, key, err := p.Encapsulate(id, keyLen, rand.Reader)
 		if err != nil {
@@ -113,6 +117,19 @@ func TestKEMRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(key, got) {
 			t.Fatal("KEM round trip key mismatch")
+		}
+		// The precomputed-lines path, fed through the wire decoder as
+		// rclient feeds it, derives the same key.
+		wired, err := UnmarshalEncapsulation(p, MarshalEncapsulation(p, enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err = dec.Decapsulate(wired, keyLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(key, got) {
+			t.Fatal("Decapsulator key differs from Encapsulate's")
 		}
 	}
 }
@@ -150,7 +167,7 @@ func TestKEMFreshness(t *testing.T) {
 	if bytes.Equal(k1, k2) {
 		t.Fatal("two encapsulations produced the same key")
 	}
-	if e1.U.Equal(e2.U) {
+	if e1.u.Equal(e2.u) {
 		t.Fatal("two encapsulations produced the same transport point")
 	}
 }
@@ -349,7 +366,7 @@ func TestEncapsulationSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.U.Equal(enc.U) {
+	if !back.u.Equal(enc.u) {
 		t.Fatal("encapsulation round trip mismatch")
 	}
 }

@@ -50,7 +50,9 @@ func offSubgroupU(t *testing.T, c *ec.Curve) ec.Point {
 // TestDecapsulationRejectsOffSubgroupPoint seeds every decryption path
 // with an on-curve point outside G1 and demands rejection: such a point
 // pairs into a small subgroup and would probe the private key (the
-// invalid-point attack).
+// invalid-point attack). For the KEM the rejection lives in the decoder,
+// the only way bytes become an *Encapsulation; the decapsulation paths
+// refuse what no maker produced (nil, the zero value).
 func TestDecapsulationRejectsOffSubgroupPoint(t *testing.T) {
 	p, mk := testSetup(t)
 	sk, err := mk.Extract(p, []byte("victim"))
@@ -59,8 +61,25 @@ func TestDecapsulationRejectsOffSubgroupPoint(t *testing.T) {
 	}
 	bad := offSubgroupU(t, p.Sys.Curve)
 
-	if _, err := p.Decapsulate(sk, &Encapsulation{U: bad}, 16); err == nil {
-		t.Error("Decapsulate accepted an off-subgroup U")
+	for what, b := range map[string][]byte{
+		"an off-subgroup point": p.Sys.Curve.Bytes(bad),
+		"the identity":          p.Sys.Curve.Bytes(p.Sys.Curve.Infinity()),
+	} {
+		if _, err := UnmarshalEncapsulation(p, b); err == nil {
+			t.Errorf("UnmarshalEncapsulation accepted %s", what)
+		}
+	}
+	dec, err := p.NewDecapsulator(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, enc := range map[string]*Encapsulation{"nil": nil, "the zero value": {}} {
+		if _, err := p.Decapsulate(sk, enc, 16); err == nil {
+			t.Errorf("Decapsulate accepted %s", what)
+		}
+		if _, err := dec.Decapsulate(enc, 16); err == nil {
+			t.Errorf("Decapsulator accepted %s", what)
+		}
 	}
 	if _, err := p.DecryptBasic(sk, &CiphertextBasic{U: bad, V: []byte("xx")}); err == nil {
 		t.Error("DecryptBasic accepted an off-subgroup U")
@@ -68,10 +87,6 @@ func TestDecapsulationRejectsOffSubgroupPoint(t *testing.T) {
 	ctf := &CiphertextFull{U: bad, V: make([]byte, sigmaLen), W: []byte("yy")}
 	if _, err := p.DecryptFull(sk, ctf); err == nil {
 		t.Error("DecryptFull accepted an off-subgroup U")
-	}
-	// The wire boundary must reject it before it is even representable.
-	if _, err := UnmarshalEncapsulation(p, p.Sys.Curve.Bytes(bad)); err == nil {
-		t.Error("UnmarshalEncapsulation accepted an off-subgroup point")
 	}
 	if _, err := UnmarshalPrivateKey(p, MarshalPrivateKey(p, &PrivateKey{ID: []byte("x"), D: bad})); err == nil {
 		t.Error("UnmarshalPrivateKey accepted an off-subgroup point")

@@ -65,17 +65,23 @@ func UnmarshalPrivateKey(p *Params, b []byte) (*PrivateKey, error) {
 // MarshalEncapsulation encodes the key-transport point U (the rP the
 // paper stores beside each message).
 func MarshalEncapsulation(p *Params, e *Encapsulation) []byte {
-	return p.Sys.Curve.Bytes(e.U)
+	return p.Sys.Curve.Bytes(e.u)
 }
 
-// UnmarshalEncapsulation decodes U, rejecting off-subgroup points before
-// they can reach a decapsulation pairing.
+// UnmarshalEncapsulation decodes U. This is the one place an encapsulation
+// point from the wire or from storage is validated — on the curve, of
+// order q, not the identity — and Decapsulate relies on it: an on-curve
+// point outside G1 pairs into a small subgroup and probes the private key
+// (the invalid-point attack); honest encapsulations are always rP ∈ G1.
 func UnmarshalEncapsulation(p *Params, b []byte) (*Encapsulation, error) {
 	u, err := p.Sys.Curve.SubgroupPointFromBytes(b)
 	if err != nil {
 		return nil, fmt.Errorf("bfibe: encapsulation: %w", err)
 	}
-	return &Encapsulation{U: u}, nil
+	if u.Inf {
+		return nil, errors.New("bfibe: encapsulation: point at infinity")
+	}
+	return &Encapsulation{u: u}, nil
 }
 
 // MarshalCiphertextFull encodes (U, V, W).

@@ -103,6 +103,11 @@ type Service struct {
 
 	stats  *metrics.Registry
 	router *wire.Router
+
+	// Keyword-search series: tags tested per search is
+	// peks_tags_tested / peks_searches, and a search that matched nothing
+	// because its corpus would not decode shows in peks_tags_undecodable.
+	searches, tagsTested, tagsUndecodable *metrics.Counter
 }
 
 // New opens (or creates) an MWS instance rooted at cfg.Dir.
@@ -171,20 +176,29 @@ func New(cfg Config) (*Service, error) {
 		users:    userdb.New(userKV),
 		rules:    rules,
 		stats:    stats,
+
+		searches:        stats.Counter("peks_searches"),
+		tagsTested:      stats.Counter("peks_tags_tested"),
+		tagsUndecodable: stats.Counter("peks_tags_undecodable"),
 	}
 	s.router = s.buildRouter()
 	return s, nil
 }
 
-// anyTagMatches tests a message's PEKS tags against a trapdoor;
-// undecodable tags are skipped rather than failing the whole retrieval.
-func (s *Service) anyTagMatches(tags [][]byte, td *peks.Trapdoor) bool {
+// anyTagMatches tests a message's PEKS tags against a search's trapdoor.
+// UnmarshalTag is where a stored tag's point is curve- and order-checked,
+// once, before it meets the trapdoor. Undecodable tags are counted and
+// skipped rather than failing the whole retrieval; only counts leave this
+// function, never tag bytes.
+func (s *Service) anyTagMatches(tags [][]byte, t *peks.Tester) bool {
 	for _, raw := range tags {
 		tag, err := peks.UnmarshalTag(s.cfg.IBEParams, raw)
 		if err != nil {
+			s.tagsUndecodable.Inc()
 			continue
 		}
-		if peks.Test(s.cfg.IBEParams, tag, td) {
+		s.tagsTested.Inc()
+		if t.Test(tag) {
 			return true
 		}
 	}
@@ -492,12 +506,19 @@ func (s *Service) Retrieve(ctx context.Context, req *wire.RetrieveRequest) (*wir
 			return nil, &wire.ErrorMsg{Code: wire.CodeBadRequest, Message: "keyword search not enabled"}
 		}
 		_, peksSp := obsv.StartSpan(ctx, "peks.filter")
+		// One Tester per search: the trapdoor is validated and its pairing
+		// lines are built here, not once per stored tag.
 		td, err := peks.UnmarshalTrapdoor(s.cfg.IBEParams, req.Trapdoor)
+		var tester *peks.Tester
+		if err == nil {
+			tester, err = peks.NewTester(s.cfg.IBEParams, td)
+		}
 		if err != nil {
 			peksSp.SetErr(err)
 			peksSp.End()
 			return nil, &wire.ErrorMsg{Code: wire.CodeBadRequest, Message: "malformed trapdoor"}
 		}
+		s.searches.Inc()
 		filtered := msgs[:0:0]
 		for _, m := range msgs {
 			// Each tag test costs a pairing; honor the request deadline
@@ -506,7 +527,7 @@ func (s *Service) Retrieve(ctx context.Context, req *wire.RetrieveRequest) (*wir
 				peksSp.End()
 				return nil, em
 			}
-			if s.anyTagMatches(m.Tags, td) {
+			if s.anyTagMatches(m.Tags, tester) {
 				filtered = append(filtered, m)
 				if req.Limit > 0 && len(filtered) == int(req.Limit) {
 					break

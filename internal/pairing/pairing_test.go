@@ -177,14 +177,6 @@ func TestGTOperations(t *testing.T) {
 	if !e.Exp(new(big.Int).Neg(k)).Equal(e.Exp(k).Inv()) {
 		t.Error("negative exponent broken in GT")
 	}
-	// Bytes round trip.
-	back, err := s.GTFromBytes(e.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(e) {
-		t.Error("GT byte round trip changed value")
-	}
 }
 
 func TestPairDeterministic(t *testing.T) {

@@ -11,7 +11,7 @@
 //
 //	Tag(W):       r ← Z_q*, t = ê(H1(W), P_pub)^r, output (U = rP, c = H(t))
 //	Trapdoor(W):  T_W = s·H1(W)                      (PKG-side, same as Extract)
-//	Test:         H(ê(T_W, U)) == c
+//	Test:         H(ê(T_W, U)) == c                  (Tester: T_W's lines built once)
 //
 // Correctness: ê(T_W, rP) = ê(s·Q_W, rP) = ê(Q_W, sP)^r = t.
 // The warehouse learns only *which* tags match a trapdoor it was handed,
@@ -27,6 +27,7 @@ import (
 	"mwskit/internal/bfibe"
 	"mwskit/internal/ec"
 	"mwskit/internal/kdf"
+	"mwskit/internal/pairing"
 )
 
 // keywordNamespace prefixes keyword identities so trapdoors can never
@@ -92,18 +93,40 @@ func NewTrapdoor(p *bfibe.Params, master *bfibe.MasterKey, keyword string) (*Tra
 	return &Trapdoor{T: sk.D}, nil
 }
 
-// Test reports whether the tag encrypts the trapdoor's keyword. Run by
-// the warehouse; constant-time on the check value.
-func Test(p *bfibe.Params, tag *Tag, td *Trapdoor) bool {
-	if tag == nil || td == nil || len(tag.C) != tagHashLen {
+// Tester tests tags against one trapdoor. A search meets many stored tags
+// with the same trapdoor, and everything in ê(T_W, ·) that depends only on
+// T_W — the trapdoor's validation and its Miller-loop lines — is done once
+// here, so each Test pays the F_p² accumulation and the final
+// exponentiation only. Immutable and safe for concurrent use.
+type Tester struct {
+	p   *bfibe.Params
+	pre *pairing.G1Precomp
+}
+
+// NewTester validates the trapdoor and precomputes its pairing lines. The
+// warehouse builds one per search.
+func NewTester(p *bfibe.Params, td *Trapdoor) (*Tester, error) {
+	if td == nil || !p.Sys.Curve.IsOnCurve(td.T) {
+		return nil, errors.New("peks: trapdoor point off curve")
+	}
+	return &Tester{p: p, pre: p.Sys.G1Precomp(td.T)}, nil
+}
+
+// Test reports whether the tag encrypts the tester's keyword;
+// constant-time on the check value.
+func (t *Tester) Test(tag *Tag) bool {
+	if tag == nil || len(tag.C) != tagHashLen || !t.p.Sys.Curve.IsOnCurve(tag.U) {
 		return false
 	}
-	if !p.Sys.Curve.IsOnCurve(tag.U) || !p.Sys.Curve.IsOnCurve(td.T) {
-		return false
-	}
-	t := p.Sys.Pair(td.T, tag.U)
-	want := kdf.Stream("mwskit/peks/h/v1", t.Bytes(), tagHashLen)
+	want := kdf.Stream("mwskit/peks/h/v1", t.pre.Pair(tag.U).Bytes(), tagHashLen)
 	return subtle.ConstantTimeCompare(want, tag.C) == 1
+}
+
+// Test reports whether the tag encrypts the trapdoor's keyword: the
+// one-shot form of Tester, for a single tag.
+func Test(p *bfibe.Params, tag *Tag, td *Trapdoor) bool {
+	t, err := NewTester(p, td)
+	return err == nil && t.Test(tag)
 }
 
 // MarshalTag encodes a tag as point ‖ check value.

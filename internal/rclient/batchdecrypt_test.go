@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/rand"
 	"fmt"
+	"strings"
 	"testing"
 
 	"mwskit/internal/attr"
@@ -17,6 +18,14 @@ import (
 // distinct identities plus the key map FetchKeys would have produced.
 func buildRetrieval(t *testing.T, n int) (*Client, *Retrieval, map[keyIndex]*bfibe.PrivateKey, [][]byte) {
 	t.Helper()
+	return buildEpochRetrieval(t, n, n)
+}
+
+// buildEpochRetrieval is buildRetrieval with the n messages spread
+// round-robin over epochs nonces, so n/epochs messages share each key —
+// the shape a page has when devices keep a nonce for an epoch.
+func buildEpochRetrieval(t *testing.T, n, epochs int) (*Client, *Retrieval, map[keyIndex]*bfibe.PrivateKey, [][]byte) {
+	t.Helper()
 	params, master, rsaKey := env(t)
 	c, err := New("rc", []byte("pw"), rsaKey, params)
 	if err != nil {
@@ -26,13 +35,17 @@ func buildRetrieval(t *testing.T, n int) (*Client, *Retrieval, map[keyIndex]*bfi
 	r := &Retrieval{}
 	keys := make(map[keyIndex]*bfibe.PrivateKey)
 	payloads := make([][]byte, n)
+	nonces := make([]attr.Nonce, epochs)
+	for i := range nonces {
+		var err error
+		if nonces[i], err = attr.NewNonce(rand.Reader); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := 0; i < n; i++ {
 		payloads[i] = []byte(fmt.Sprintf("reading-%d", i))
 		a := attr.Attribute("ELECTRIC-X")
-		nonce, err := attr.NewNonce(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
+		nonce := nonces[i%epochs]
 		identity := attr.Identity(a, nonce)
 		enc, key, err := params.Encapsulate(identity, scheme.KeyLen(), rand.Reader)
 		if err != nil {
@@ -48,7 +61,7 @@ func buildRetrieval(t *testing.T, n int) (*Client, *Retrieval, map[keyIndex]*bfi
 		if err != nil {
 			t.Fatal(err)
 		}
-		aid := uint64(i % 3) // a few AIDs, distinct nonces
+		aid := uint64(i % epochs % 3) // a few AIDs, one per nonce
 		r.Items = append(r.Items, Envelope{
 			Seq:        uint64(i),
 			AID:        aid,
@@ -110,5 +123,56 @@ func TestDecryptRetrievalBadCiphertextFails(t *testing.T) {
 	r.Items[3].Ciphertext[0] ^= 1
 	if _, err := c.DecryptRetrieval(context.Background(), r, keys); err == nil {
 		t.Fatal("tampered ciphertext did not fail the batch")
+	}
+}
+
+// TestDecryptRetrievalSharedKeys: 48 messages under 3 keys, so every
+// worker of the pool meets every key and the lazily built Decapsulators
+// are shared across goroutines — the case the race detector is run for
+// (scripts/check.sh runs the suite under -race).
+func TestDecryptRetrievalSharedKeys(t *testing.T) {
+	c, r, keys, payloads := buildEpochRetrieval(t, 48, 3)
+	if len(keys) != 3 {
+		t.Fatalf("fixture has %d keys, want 3", len(keys))
+	}
+	for round := 0; round < 4; round++ {
+		msgs, err := c.DecryptRetrieval(context.Background(), r, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range msgs {
+			if m == nil || m.Seq != uint64(i) || !bytes.Equal(m.Payload, payloads[i]) {
+				t.Fatalf("round %d: message %d out of order or corrupted: %+v", round, i, m)
+			}
+		}
+	}
+}
+
+// TestDecryptRetrievalOffSubgroupPointFails: an envelope whose U is on
+// the curve but outside G1 — the invalid-point probe of the private key —
+// is refused by the decoder and fails the page; no plaintext of the other
+// envelopes is handed back.
+func TestDecryptRetrievalOffSubgroupPointFails(t *testing.T) {
+	c, r, keys, _ := buildEpochRetrieval(t, 6, 2)
+	curve := c.params.Sys.Curve
+	var bad []byte
+	for x := int64(1); bad == nil; x++ {
+		xe := curve.F.FromInt64(x)
+		y, ok := xe.Square().Mul(xe).Add(xe).Sqrt()
+		if !ok || y.IsZero() {
+			continue
+		}
+		pt, err := curve.NewPoint(xe, y)
+		if err == nil && !curve.ScalarBaseOrderCheck(pt) {
+			bad = curve.Bytes(pt)
+		}
+	}
+	r.Items[4].U = bad
+	msgs, err := c.DecryptRetrieval(context.Background(), r, keys)
+	if err == nil || msgs != nil {
+		t.Fatalf("off-subgroup U did not fail the page: %v, %v", msgs, err)
+	}
+	if !strings.Contains(err.Error(), "order-q subgroup") {
+		t.Fatalf("page failed for another reason: %v", err)
 	}
 }

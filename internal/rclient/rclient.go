@@ -154,9 +154,10 @@ func (c *Client) FetchKeys(pkg *wire.Client, r *Retrieval) (map[keyIndex]*bfibe.
 // trace (if any) rides the extract frame so the PKG's spans stitch to
 // the client's.
 func (c *Client) FetchKeysContext(ctx context.Context, pkg *wire.Client, r *Retrieval) (map[keyIndex]*bfibe.PrivateKey, []wire.ExtractItem, error) {
-	// Deduplicate (AID, nonce) pairs: several messages can share a key
-	// only if a device reused a nonce, which compliant devices never do,
-	// but the dedup keeps the request minimal either way.
+	// Deduplicate (AID, nonce) pairs: every message a device deposits
+	// within one nonce epoch shares a key by design (WithNonceEpoch(64)
+	// gives about 48 keys per 256-message page), and each extraction
+	// costs the PKG a hash-to-point and a secret scalar multiplication.
 	seen := make(map[keyIndex]int)
 	var items []wire.ExtractItem
 	for _, it := range r.Items {
@@ -235,6 +236,8 @@ func (c *Client) Decrypt(env *Envelope, sk *bfibe.PrivateKey) (*Message, error) 
 
 // decryptWith opens one envelope through a prepared Decapsulator, so
 // batch callers amortize the key's pairing precomputation.
+// UnmarshalEncapsulation is where the envelope's U is curve- and
+// order-checked, once, before it meets the key.
 func (c *Client) decryptWith(env *Envelope, d *bfibe.Decapsulator) (*Message, error) {
 	scheme, err := symenc.ByName(env.Scheme)
 	if err != nil {
@@ -242,7 +245,7 @@ func (c *Client) decryptWith(env *Envelope, d *bfibe.Decapsulator) (*Message, er
 	}
 	enc, err := bfibe.UnmarshalEncapsulation(c.params, env.U)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rclient: message %d: %w", env.Seq, err)
 	}
 	key, err := d.Decapsulate(enc, scheme.KeyLen())
 	if err != nil {
@@ -262,14 +265,14 @@ func (c *Client) decryptWith(env *Envelope, d *bfibe.Decapsulator) (*Message, er
 }
 
 // DecryptRetrieval decrypts every message in a retrieval with the
-// extracted keys, in deposit order, fanning the per-message pairing work
-// across a GOMAXPROCS-wide worker pool. The pairing's Miller-loop lines
-// are precomputed once per key (bfibe.Decapsulator) and shared by all
-// messages under that key — the batch-decryption shape the multi-pairing
-// layer exists for — so each message pays only the F_p² accumulation,
-// the final exponentiation, and an AEAD open. The first failure (a
-// missing key, a bad point, a forged ciphertext) cancels the remaining
-// work.
+// extracted keys, in deposit order, fanning the pairing work across a
+// GOMAXPROCS-wide worker pool. The pairing's Miller-loop lines are
+// precomputed once per key (bfibe.Decapsulator, built inside the pool on
+// the key's first message) and shared by all messages under that key —
+// the batch-decryption shape the multi-pairing layer exists for — so each
+// message pays only its point's validation, the F_p² accumulation, the
+// final exponentiation, and an AEAD open. The first failure (a missing
+// key, a bad point, a forged ciphertext) cancels the remaining work.
 func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[keyIndex]*bfibe.PrivateKey) ([]*Message, error) {
 	if len(r.Items) == 0 {
 		return nil, nil
@@ -280,15 +283,15 @@ func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[ke
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// One Decapsulator per distinct key, built up front: every message of
-	// a (attribute, nonce) group reuses its key's precomputed lines.
-	decaps := make(map[keyIndex]*bfibe.Decapsulator, len(keys))
+	// One Decapsulator per distinct key: every message of an (attribute,
+	// nonce) group reuses its key's precomputed lines, built by whichever
+	// worker first meets a message under that key. The map is read-only
+	// once the workers start.
+	decaps := make(map[keyIndex]func() (*bfibe.Decapsulator, error), len(keys))
 	for ki, sk := range keys {
-		d, err := c.params.NewDecapsulator(sk)
-		if err != nil {
-			return nil, err
-		}
-		decaps[ki] = d
+		decaps[ki] = sync.OnceValues(func() (*bfibe.Decapsulator, error) {
+			return c.params.NewDecapsulator(sk)
+		})
 	}
 
 	workers := runtime.GOMAXPROCS(0)
@@ -315,9 +318,14 @@ func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[ke
 					return
 				}
 				env := &r.Items[i]
-				d, ok := decaps[keyIndexOf(env.AID, env.Nonce)]
+				decap, ok := decaps[keyIndexOf(env.AID, env.Nonce)]
 				if !ok {
 					fail(fmt.Errorf("rclient: missing key for message %d", env.Seq))
+					return
+				}
+				d, err := decap()
+				if err != nil {
+					fail(err)
 					return
 				}
 				m, err := c.decryptWith(env, d)
