@@ -137,14 +137,6 @@ func (s Snapshot) String() string {
 		s.Count, s.Min, s.P50, s.P90, s.P99, s.Max, s.Mean)
 }
 
-// Throughput converts a count over a duration to operations/second.
-func Throughput(count int, elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(count) / elapsed.Seconds()
-}
-
 // Counter is a monotonically increasing counter, safe for concurrent use.
 type Counter struct {
 	n atomic.Uint64

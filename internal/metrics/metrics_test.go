@@ -83,18 +83,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	if got := Throughput(100, time.Second); got != 100 {
-		t.Fatalf("Throughput = %v", got)
-	}
-	if got := Throughput(50, 500*time.Millisecond); got != 100 {
-		t.Fatalf("Throughput = %v", got)
-	}
-	if got := Throughput(10, 0); got != 0 {
-		t.Fatalf("zero-duration Throughput = %v", got)
-	}
-}
-
 // TestHistogramBoundedMemory drives far more observations than the
 // reservoir holds and checks memory stays bounded while the exact
 // aggregates remain exact and percentile estimates stay sane.

@@ -183,6 +183,11 @@ type meta struct {
 // only renamed once its copy is durable, so a migration killed part-way
 // simply picks up again on the next Open.
 func Open(cfg Config) (Provider, error) {
+	// The shard logs are always opened SyncNever (the group committer
+	// owns their fsyncs), so wal.Open's own check never sees cfg.Sync.
+	if cfg.Sync != SyncAlways && cfg.Sync != SyncNever {
+		return nil, fmt.Errorf("storage: undefined sync policy %d", cfg.Sync)
+	}
 	shards := 1
 	switch cfg.Backend {
 	case BackendMemory:

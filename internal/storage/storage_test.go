@@ -569,6 +569,13 @@ func TestOpenConfigErrors(t *testing.T) {
 	if _, err := Open(Config{Sync: SyncNever}); err == nil {
 		t.Fatal("missing Dir must fail")
 	}
+	// An undefined policy would acknowledge appends nobody syncs.
+	if _, err := Open(Config{Dir: t.TempDir(), Sync: SyncNever + 1}); err == nil {
+		t.Fatal("Open: undefined sync policy must fail")
+	}
+	if _, err := OpenKV(t.TempDir(), SyncNever+1); err == nil {
+		t.Fatal("OpenKV: undefined sync policy must fail")
+	}
 	// Matching explicit shard count reopens fine, under either spelling.
 	for _, backend := range []string{"", BackendSharded} {
 		re, err := Open(Config{Dir: dir, Sync: SyncNever, Options: Options{Backend: backend, Shards: 4}})

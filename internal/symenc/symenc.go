@@ -73,7 +73,3 @@ func Names() []string {
 
 // Default returns the scheme new deployments should use.
 func Default() Scheme { s, _ := ByName("AES-128-GCM"); return s }
-
-// PaperDefault returns DES-CBC-HMAC, the cipher the paper's prototype
-// used, for fidelity benchmarks.
-func PaperDefault() Scheme { s, _ := ByName("DES-CBC-HMAC"); return s }

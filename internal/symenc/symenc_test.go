@@ -49,9 +49,6 @@ func TestRegistry(t *testing.T) {
 	if Default().Name() != "AES-128-GCM" {
 		t.Error("unexpected default scheme")
 	}
-	if PaperDefault().Name() != "DES-CBC-HMAC" {
-		t.Error("unexpected paper default")
-	}
 }
 
 func TestSealOpenRoundTrip(t *testing.T) {

@@ -40,8 +40,6 @@ const (
 	// SyncNever leaves syncing to the OS (fast, loses recent writes on
 	// power failure but never corrupts: recovery truncates torn tails).
 	SyncNever
-	// SyncInterval fsyncs every Options.SyncEvery appends.
-	SyncInterval
 )
 
 // Options configures a Log.
@@ -52,17 +50,12 @@ type Options struct {
 	SegmentSize int64
 	// Sync selects the durability policy (default SyncAlways).
 	Sync SyncPolicy
-	// SyncEvery is the append interval for SyncInterval (default 64).
-	SyncEvery int
 }
 
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.SegmentSize <= 0 {
 		out.SegmentSize = 16 << 20
-	}
-	if out.SyncEvery <= 0 {
-		out.SyncEvery = 64
 	}
 	return out
 }
@@ -88,7 +81,6 @@ type Log struct {
 	activeID   uint64
 	activeSize int64
 	nextSeq    uint64 // sequence number of the next record appended
-	appends    int    // appends since last sync (for SyncInterval)
 	closed     bool
 }
 
@@ -99,6 +91,9 @@ func Open(opts Options) (*Log, error) {
 	o := opts.withDefaults()
 	if o.Dir == "" {
 		return nil, errors.New("wal: Dir is required")
+	}
+	if o.Sync != SyncAlways && o.Sync != SyncNever {
+		return nil, fmt.Errorf("wal: undefined sync policy %d", o.Sync)
 	}
 	if err := os.MkdirAll(o.Dir, 0o700); err != nil {
 		return nil, fmt.Errorf("wal: mkdir: %w", err)
@@ -184,21 +179,10 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.activeSize += int64(len(frame))
 	seq := l.nextSeq
 	l.nextSeq++
-	l.appends++
-	switch l.opts.Sync {
-	case SyncAlways:
+	if l.opts.Sync == SyncAlways {
 		//mwslint:ignore lockheld fsync under l.mu is the SyncAlways contract: an acked append is on stable storage before the next one enters the log
 		if err := l.syncActiveLocked(); err != nil {
 			return 0, fmt.Errorf("wal: sync: %w", err)
-		}
-		l.appends = 0
-	case SyncInterval:
-		if l.appends >= l.opts.SyncEvery {
-			//mwslint:ignore lockheld interval fsync under l.mu keeps the synced prefix aligned with append order
-			if err := l.syncActiveLocked(); err != nil {
-				return 0, fmt.Errorf("wal: sync: %w", err)
-			}
-			l.appends = 0
 		}
 	}
 	return seq, nil
@@ -230,7 +214,6 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return ErrClosed
 	}
-	l.appends = 0
 	//mwslint:ignore lockheld explicit Sync must flush everything appended before it, which requires excluding writers for the fsync
 	return l.syncActiveLocked()
 }

@@ -39,6 +39,9 @@ func TestAppendAndIterate(t *testing.T) {
 	if l.Len() != 100 {
 		t.Fatalf("Len = %d", l.Len())
 	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("explicit Sync of unsynced appends: %v", err)
+	}
 	var got [][]byte
 	err := l.Iterate(func(seq uint64, payload []byte) error {
 		got = append(got, append([]byte(nil), payload...))
@@ -329,15 +332,14 @@ func TestConcurrentAppends(t *testing.T) {
 	}
 }
 
-func TestSyncIntervalPolicy(t *testing.T) {
-	l := openTestLog(t, Options{Sync: SyncInterval, SyncEvery: 4})
-	for i := 0; i < 10; i++ {
-		if _, err := l.Append([]byte("x")); err != nil {
-			t.Fatal(err)
+// An undefined policy must be refused at Open: Append would otherwise
+// treat it as SyncNever and acknowledge writes that were never synced.
+func TestOpenRejectsUndefinedSyncPolicy(t *testing.T) {
+	for _, p := range []SyncPolicy{-1, SyncNever + 1} {
+		if l, err := Open(Options{Dir: t.TempDir(), Sync: p}); err == nil {
+			l.Close()
+			t.Errorf("Open accepted sync policy %d", p)
 		}
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
 	}
 }
 

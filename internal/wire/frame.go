@@ -7,7 +7,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -215,6 +214,3 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		return Frame{}, ErrBadMagic
 	}
 }
-
-// ReadFrameBuffered is ReadFrame over a bufio.Reader (avoids tiny reads).
-func ReadFrameBuffered(br *bufio.Reader) (Frame, error) { return ReadFrame(br) }

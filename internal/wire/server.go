@@ -51,17 +51,12 @@ func Peer(ctx context.Context) net.Addr {
 // ServerOption tunes a Server.
 type ServerOption func(*Server)
 
-// WithIdleTimeout bounds how long a connection may sit between frames (and
-// how slowly a peer may dribble one in): the read deadline is re-armed
-// before each frame read. Non-positive means no bound.
+// WithIdleTimeout bounds how long a connection may sit between frames and
+// how slowly a peer may dribble one in or drain one out: the read deadline
+// is re-armed before each frame read, the write deadline before each
+// response. Non-positive means no bound.
 func WithIdleTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.idleTimeout = d }
-}
-
-// WithWriteTimeout bounds writing one response frame. Non-positive means
-// no bound.
-func WithWriteTimeout(d time.Duration) ServerOption {
-	return func(s *Server) { s.writeTimeout = d }
 }
 
 // WithMaxConns caps concurrently served connections. A connection over the
@@ -78,9 +73,8 @@ type Server struct {
 	handler Handler
 	logger  *slog.Logger
 
-	idleTimeout  time.Duration
-	writeTimeout time.Duration
-	maxConns     int
+	idleTimeout time.Duration
+	maxConns    int
 
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
@@ -227,8 +221,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			}()
 			resp = s.handler.Handle(ctx, req)
 		}()
-		if s.writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
+		if s.idleTimeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(s.idleTimeout))
 		}
 		if err := WriteFrame(bw, resp); err != nil {
 			return

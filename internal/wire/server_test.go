@@ -232,6 +232,45 @@ func TestServerMaxConns(t *testing.T) {
 	}
 }
 
+// TestServerStalledReaderReleasesSlot checks the write deadline: a peer
+// that asks for a reply larger than the socket buffers and never reads it
+// must not pin its goroutine and its max-conns slot past the idle bound.
+func TestServerStalledReaderReleasesSlot(t *testing.T) {
+	srv := NewServer(HandlerFunc(func(ctx context.Context, f Frame) Frame {
+		return Frame{Type: TPong, Payload: make([]byte, MaxFrameLen)}
+	}), nil, WithIdleTimeout(100*time.Millisecond), WithMaxConns(1))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	stalled, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if err := WriteFrame(stalled, Frame{Type: TPing}); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.ConnCount() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("stalled reader still holds its slot: %d live connections", srv.ConnCount())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	c, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Do(Frame{Type: TPing}); err != nil {
+		t.Fatalf("slot not usable after the stalled reader was dropped: %v", err)
+	}
+}
+
 // TestPeerHelper covers the no-server path explicitly.
 func TestPeerHelper(t *testing.T) {
 	if Peer(context.Background()) != nil {

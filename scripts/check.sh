@@ -30,20 +30,24 @@ if [ "$mwslint_elapsed" -gt 30 ]; then
 	echo "warning: mwslint exceeded its 30s soft budget" >&2
 fi
 
+# Production closure (ROADMAP aim 2): every package under internal/ is
+# linked by a daemon, an example or the benchmark, and nothing under
+# experiments/ is — code that exists only to reproduce the paper lives
+# there, code that exists only to measure lives in bench/.
+closure=$(go list -deps ./cmd/... ./examples/... ./bench)
+orphans=$(go list ./internal/... | grep -vxF "$closure" || true)
+leaks=$(echo "$closure" | grep '^mwskit/experiments' || true)
+if [ -n "$orphans$leaks" ]; then
+	echo "outside the production closure: ${orphans:-none}; experiments linked into it: ${leaks:-none}" >&2
+	exit 1
+fi
+
 go test -race ./...
+
+# One iteration of every paper experiment, so an E-benchmark that drifts
+# from the API it measures fails here and not only in CI's bench-smoke.
+go test -run='^$' -bench=. -benchtime=1x ./experiments/...
 
 # Non-test Go lines per package: the figure ROADMAP aim 2 tracks. Printed,
 # not gated — a PR that grows a package says why in its description.
 scripts/loc.sh
-
-# Opt-in hot-path benchmark: MWSBENCH=1 runs the end-to-end load
-# generator (phase 0 offline microbenchmarks included) and writes
-# BENCH_PR10.json — phase 0 now exercises the fixed-limb Montgomery
-# field core (the committed reference run is the bf80 preset: cold
-# deposit preparation 77.9 → 402.5 msgs/s over the math/big backend it
-# replaced). Off by default — it adds minutes on the bf80 preset.
-if [ "${MWSBENCH:-0}" = "1" ]; then
-	go run ./cmd/mwsbench -preset "${MWSBENCH_PRESET:-test}" -meters 10 \
-		-messages 120 -nonce-epoch 64 -compare-storage \
-		-json BENCH_PR10.json
-fi

@@ -3,7 +3,9 @@
 # tracks ("net non-test line count per package"). Physical lines, comments
 # and blanks included: a package does not get smaller by losing its
 # comments. With package directories as arguments it prints those and
-# their sum; without, every package in the tree.
+# their sum; without, every package in the tree. A package of test files
+# only (experiments/ itself, unlike experiments/baseline and
+# experiments/tpkg) has no row.
 set -eu
 
 cd "$(dirname "$0")/.."
