@@ -3,13 +3,39 @@ package lint_test
 import (
 	"fmt"
 	"go/ast"
+	"os"
+	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"mwskit/internal/lint"
 )
+
+// fixtures is the one table of want-annotated fixture package sets. The
+// per-analyzer tests, TestFixtureWantsAreExercised and
+// TestGoldenDiagnostics all read it, so a fixture registered for one is
+// registered for all three.
+var fixtures = map[string][]string{
+	"cryptocompare": {"./testdata/src/bfibe"},
+	"randsource":    {"./testdata/src/randsource"},
+	"secretlog":     {"./testdata/src/kdf"},
+	"spanattr":      {"./testdata/src/spanattr/mws"},
+	"ctxflow":       {"./testdata/src/ctxflow"},
+	"wireops":       {"./testdata/src/wireops/wire", "./testdata/src/wireops/mws"},
+	"plainflow":     {"./testdata/src/plainflow/symenc", "./testdata/src/plainflow/storage", "./testdata/src/plainflow/wire", "./testdata/src/plainflow/mws"},
+	"noncereuse":    {"./testdata/src/noncereuse/symenc", "./testdata/src/noncereuse/enc"},
+	"keyzero":       {"./testdata/src/keyzero/kdf", "./testdata/src/keyzero/symenc", "./testdata/src/keyzero/ticket"},
+	"vartime":       {"./testdata/src/vartime/ec", "./testdata/src/vartime/pairing", "./testdata/src/vartime/bfibe", "./testdata/src/vartime/tpkg", "./testdata/src/vartime/use"},
+	"ctflow":        {"./testdata/src/ctflow/bfibe", "./testdata/src/ctflow/app"},
+	"lockorder":     {"./testdata/src/lockorder/locks", "./testdata/src/lockorder/alpha", "./testdata/src/lockorder/beta"},
+	"lockheld":      {"./testdata/src/lockheld/storage"},
+	"atomicmix":     {"./testdata/src/atomicmix/counter", "./testdata/src/atomicmix/reader"},
+	"goleak":        {"./testdata/src/goleak/storage"},
+	"ignoremulti":   {"./testdata/src/ignoremulti/storage"},
+}
 
 // loadFixture loads fixture packages (patterns relative to this package's
 // directory) through the real go list + go/types pipeline.
@@ -20,6 +46,16 @@ func loadFixture(t *testing.T, patterns ...string) *lint.Program {
 		t.Fatalf("Load(%v): %v", patterns, err)
 	}
 	return prog
+}
+
+// loadNamedFixture loads one entry of the fixtures table.
+func loadNamedFixture(t *testing.T, name string) *lint.Program {
+	t.Helper()
+	patterns, ok := fixtures[name]
+	if !ok {
+		t.Fatalf("fixture %q is not in the fixtures table", name)
+	}
+	return loadFixture(t, patterns...)
 }
 
 // lineKey addresses one fixture source line.
@@ -70,12 +106,13 @@ func collectWants(t *testing.T, prog *lint.Program) map[lineKey][]*regexp.Regexp
 	return wants
 }
 
-// checkFixture runs the full analyzer suite over the fixture packages and
-// diffs the diagnostics against the want comments: every diagnostic must
-// match a want on its exact line, and every want must be consumed.
-func checkFixture(t *testing.T, patterns ...string) {
+// checkFixture runs the full analyzer suite over one entry of the
+// fixtures table and diffs the diagnostics against the want comments:
+// every diagnostic must match a want on its exact line, and every want
+// must be consumed.
+func checkFixture(t *testing.T, name string) {
 	t.Helper()
-	prog := loadFixture(t, patterns...)
+	prog := loadNamedFixture(t, name)
 	wants := collectWants(t, prog)
 	diags := lint.RunProgram(prog, lint.DefaultAnalyzers())
 
@@ -100,76 +137,27 @@ func checkFixture(t *testing.T, patterns ...string) {
 	}
 }
 
-func TestCryptoCompareFixture(t *testing.T) {
-	checkFixture(t, "./testdata/src/bfibe")
-}
-
-func TestRandSourceFixture(t *testing.T) {
-	checkFixture(t, "./testdata/src/randsource")
-}
-
-func TestSecretLogFixture(t *testing.T) {
-	checkFixture(t, "./testdata/src/kdf")
-}
-
-func TestSecretLogSpanAttrFixture(t *testing.T) {
-	checkFixture(t, "./testdata/src/spanattr/mws")
-}
-
-func TestCtxFlowFixture(t *testing.T) {
-	checkFixture(t, "./testdata/src/ctxflow")
-}
-
-func TestWireOpsFixture(t *testing.T) {
-	checkFixture(t, "./testdata/src/wireops/wire", "./testdata/src/wireops/mws")
-}
-
-func TestPlainFlowFixture(t *testing.T) {
-	checkFixture(t,
-		"./testdata/src/plainflow/symenc",
-		"./testdata/src/plainflow/storage",
-		"./testdata/src/plainflow/wire",
-		"./testdata/src/plainflow/mws",
-	)
-}
-
-func TestNonceReuseFixture(t *testing.T) {
-	checkFixture(t,
-		"./testdata/src/noncereuse/symenc",
-		"./testdata/src/noncereuse/enc",
-	)
-}
-
-func TestKeyZeroFixture(t *testing.T) {
-	checkFixture(t,
-		"./testdata/src/keyzero/kdf",
-		"./testdata/src/keyzero/symenc",
-		"./testdata/src/keyzero/ticket",
-	)
-}
-
-func TestVarTimeFixture(t *testing.T) {
-	checkFixture(t,
-		"./testdata/src/vartime/ec",
-		"./testdata/src/vartime/pairing",
-		"./testdata/src/vartime/bfibe",
-		"./testdata/src/vartime/tpkg",
-		"./testdata/src/vartime/use",
-	)
-}
-
-func TestCTFlowFixture(t *testing.T) {
-	checkFixture(t,
-		"./testdata/src/ctflow/bfibe",
-		"./testdata/src/ctflow/app",
-	)
-}
+func TestCryptoCompareFixture(t *testing.T)     { checkFixture(t, "cryptocompare") }
+func TestRandSourceFixture(t *testing.T)        { checkFixture(t, "randsource") }
+func TestSecretLogFixture(t *testing.T)         { checkFixture(t, "secretlog") }
+func TestSecretLogSpanAttrFixture(t *testing.T) { checkFixture(t, "spanattr") }
+func TestCtxFlowFixture(t *testing.T)           { checkFixture(t, "ctxflow") }
+func TestWireOpsFixture(t *testing.T)           { checkFixture(t, "wireops") }
+func TestPlainFlowFixture(t *testing.T)         { checkFixture(t, "plainflow") }
+func TestNonceReuseFixture(t *testing.T)        { checkFixture(t, "noncereuse") }
+func TestKeyZeroFixture(t *testing.T)           { checkFixture(t, "keyzero") }
+func TestVarTimeFixture(t *testing.T)           { checkFixture(t, "vartime") }
+func TestCTFlowFixture(t *testing.T)            { checkFixture(t, "ctflow") }
+func TestLockOrderFixture(t *testing.T)         { checkFixture(t, "lockorder") }
+func TestLockHeldFixture(t *testing.T)          { checkFixture(t, "lockheld") }
+func TestAtomicMixFixture(t *testing.T)         { checkFixture(t, "atomicmix") }
+func TestGoLeakFixture(t *testing.T)            { checkFixture(t, "goleak") }
 
 // TestCTFlowDeclassifyReported pins the declassification record: the
 // fixture's one //mwslint:declassify directive must surface in the
 // report with its justification.
 func TestCTFlowDeclassifyReported(t *testing.T) {
-	prog := loadFixture(t, "./testdata/src/ctflow/bfibe", "./testdata/src/ctflow/app")
+	prog := loadNamedFixture(t, "ctflow")
 	rep := lint.RunProgramReport(prog, lint.DefaultAnalyzers())
 	if len(rep.Declassified) != 1 {
 		t.Fatalf("want exactly 1 declassification, got %v", rep.Declassified)
@@ -179,38 +167,15 @@ func TestCTFlowDeclassifyReported(t *testing.T) {
 	}
 }
 
-func TestLockOrderFixture(t *testing.T) {
-	checkFixture(t,
-		"./testdata/src/lockorder/locks",
-		"./testdata/src/lockorder/alpha",
-		"./testdata/src/lockorder/beta",
-	)
-}
-
-func TestLockHeldFixture(t *testing.T) {
-	checkFixture(t, "./testdata/src/lockheld/storage")
-}
-
-func TestAtomicMixFixture(t *testing.T) {
-	checkFixture(t,
-		"./testdata/src/atomicmix/counter",
-		"./testdata/src/atomicmix/reader",
-	)
-}
-
-func TestGoLeakFixture(t *testing.T) {
-	checkFixture(t, "./testdata/src/goleak/storage")
-}
-
 // TestIgnoreMultiLineStatement is the regression fixture for
 // statement-extent suppression: the directive above a wrapped statement
 // must cover its inner lines (SyncTwo) but not jump a blank line
 // (SyncApart), and the suppressed finding must surface in the report
 // with its reason.
 func TestIgnoreMultiLineStatement(t *testing.T) {
-	checkFixture(t, "./testdata/src/ignoremulti/storage")
+	checkFixture(t, "ignoremulti")
 
-	prog := loadFixture(t, "./testdata/src/ignoremulti/storage")
+	prog := loadNamedFixture(t, "ignoremulti")
 	rep := lint.RunProgramReport(prog, lint.DefaultAnalyzers())
 	if len(rep.Suppressed) != 1 {
 		t.Fatalf("want exactly 1 suppressed diagnostic, got %v", rep.Suppressed)
@@ -228,27 +193,58 @@ func TestIgnoreMultiLineStatement(t *testing.T) {
 // no want comments would vacuously pass, so assert each fixture carries
 // at least one expectation.
 func TestFixtureWantsAreExercised(t *testing.T) {
-	for _, patterns := range [][]string{
-		{"./testdata/src/bfibe"},
-		{"./testdata/src/randsource"},
-		{"./testdata/src/kdf"},
-		{"./testdata/src/spanattr/mws"},
-		{"./testdata/src/ctxflow"},
-		{"./testdata/src/wireops/wire", "./testdata/src/wireops/mws"},
-		{"./testdata/src/plainflow/symenc", "./testdata/src/plainflow/storage", "./testdata/src/plainflow/wire", "./testdata/src/plainflow/mws"},
-		{"./testdata/src/noncereuse/symenc", "./testdata/src/noncereuse/enc"},
-		{"./testdata/src/keyzero/kdf", "./testdata/src/keyzero/symenc", "./testdata/src/keyzero/ticket"},
-		{"./testdata/src/vartime/ec", "./testdata/src/vartime/pairing", "./testdata/src/vartime/bfibe", "./testdata/src/vartime/tpkg", "./testdata/src/vartime/use"},
-		{"./testdata/src/ctflow/bfibe", "./testdata/src/ctflow/app"},
-		{"./testdata/src/lockorder/locks", "./testdata/src/lockorder/alpha", "./testdata/src/lockorder/beta"},
-		{"./testdata/src/lockheld/storage"},
-		{"./testdata/src/atomicmix/counter", "./testdata/src/atomicmix/reader"},
-		{"./testdata/src/goleak/storage"},
-		{"./testdata/src/ignoremulti/storage"},
-	} {
-		prog := loadFixture(t, patterns...)
-		if len(collectWants(t, prog)) == 0 {
-			t.Errorf("fixture %v has no want comments", patterns)
+	for name := range fixtures {
+		if len(collectWants(t, loadNamedFixture(t, name))) == 0 {
+			t.Errorf("fixture %q has no want comments", name)
+		}
+	}
+}
+
+// TestGoldenDiagnostics pins what the want comments cannot: column,
+// full message text and per-line multiplicity of every diagnostic the
+// suite reports over the fixtures table. testdata/golden_diagnostics.txt
+// holds them sorted, one "file:line:col: [analyzer] message" per line
+// with the file relative to this directory.
+//
+// To regenerate after an intended change: run this test, then add the
+// lines it prints with "+" to the file and delete the ones it prints
+// with "-", keeping the file sorted (LC_ALL=C sort).
+func TestGoldenDiagnostics(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for name := range fixtures {
+		for _, d := range lint.RunProgram(loadNamedFixture(t, name), lint.DefaultAnalyzers()) {
+			if rel, err := filepath.Rel(wd, d.Pos.Filename); err == nil {
+				d.Pos.Filename = filepath.ToSlash(rel)
+			}
+			got = append(got, d.String())
+		}
+	}
+	sort.Strings(got)
+
+	b, err := os.ReadFile("testdata/golden_diagnostics.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if !sort.StringsAreSorted(want) {
+		t.Error("testdata/golden_diagnostics.txt is not sorted")
+	}
+	// Multiset difference of two sorted lists.
+	i, j := 0, 0
+	for i < len(got) || j < len(want) {
+		switch {
+		case j == len(want) || (i < len(got) && got[i] < want[j]):
+			t.Errorf("+%s", got[i])
+			i++
+		case i == len(got) || want[j] < got[i]:
+			t.Errorf("-%s", want[j])
+			j++
+		default:
+			i, j = i+1, j+1
 		}
 	}
 }
