@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"mwskit/internal/lint"
 )
 
 // TestSeededCrossPackageViolation seeds a module where plaintext
@@ -139,7 +141,8 @@ func persist(rec []byte) error {
 
 // TestSeededVartimeViolation seeds a module where RandomScalar output
 // crosses a package boundary before hitting the variable-time
-// multiplier, and asserts the binary exits 1 naming vartime.
+// multiplier, and asserts the binary exits 1 naming ctflow and the
+// variable-time callee.
 func TestSeededVartimeViolation(t *testing.T) {
 	tmp := t.TempDir()
 	write := func(rel, content string) {
@@ -183,7 +186,7 @@ import (
 // System carries the group parameters.
 type System struct{ Curve *ec.Curve }
 
-// RandomScalar draws a uniform scalar: the vartime source.
+// RandomScalar draws a uniform scalar: a ctflow source.
 func (s *System) RandomScalar(r io.Reader) (*big.Int, error) {
 	_ = r
 	return big.NewInt(7), nil
@@ -220,11 +223,11 @@ func Encapsulate(sys *pairing.System, base ec.Point) (ec.Point, error) {
 	if ee.ExitCode() != 1 {
 		t.Fatalf("mwslint exit code = %d, want 1; output:\n%s", ee.ExitCode(), out)
 	}
-	if !strings.Contains(string(out), "vartime") {
-		t.Fatalf("mwslint output does not name vartime:\n%s", out)
+	if !strings.Contains(string(out), "[ctflow]") {
+		t.Fatalf("mwslint output does not name ctflow:\n%s", out)
 	}
-	if !strings.Contains(string(out), "RandomScalar") {
-		t.Fatalf("mwslint output does not describe the RandomScalar taint:\n%s", out)
+	if !strings.Contains(string(out), "a secret scalar flows into variable-time ec.ScalarMult") {
+		t.Fatalf("mwslint output does not describe the scalar reaching ec.ScalarMult:\n%s", out)
 	}
 }
 
@@ -805,13 +808,14 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mwslint -list: %v\n%s", err, out)
 	}
-	for _, name := range []string{
-		"cryptocompare", "randsource", "secretlog", "ctxflow", "wireops",
-		"plainflow", "noncereuse", "keyzero", "vartime", "ctflow",
-		"lockorder", "lockheld", "atomicmix", "goleak",
-	} {
-		if !strings.Contains(string(out), name) {
-			t.Errorf("-list output missing analyzer %q:\n%s", name, out)
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	suite := lint.DefaultAnalyzers()
+	if len(lines) != len(suite) {
+		t.Fatalf("-list printed %d lines for a suite of %d:\n%s", len(lines), len(suite), out)
+	}
+	for i, a := range suite {
+		if name, _, _ := strings.Cut(lines[i], " "); name != a.Name {
+			t.Errorf("-list line %d names %q, want %q", i+1, name, a.Name)
 		}
 	}
 }

@@ -2,19 +2,19 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
 
 // ctflow is the constant-time discipline verifier: a secret-dependence
-// abstract interpreter layered on the taint engine's call-graph
-// summaries. The engine (numericTaint mode: secret bits, digits, and
-// indices are exactly what a timing channel leaks) computes which
-// parameters and results of every function carry key material; this
-// file then re-walks each body flow-sensitively — branch forks with
-// union merges, strong updates on plain assignments, bounded loop
-// iteration — and reports five violation classes:
+// analysis that is one more taintSpec of the engine in taint.go. The
+// engine (numericTaint mode: secret bits, digits, and indices are
+// exactly what a timing channel leaks) computes which parameters and
+// results of every function carry key material, then replays each body
+// under the flow-sensitive environment policy — branch forks with union
+// merges, strong updates on plain assignments, every loop interpreted
+// until its environment stops growing — and this file's site sinks and
+// call sinks report five violation classes:
 //
 //  1. secret-dependent branch conditions (if/switch/select tags),
 //  2. secret-indexed loads and stores (table lookups, slice offsets,
@@ -80,16 +80,8 @@ const (
 	ctSymKey            // symmetric session/MAC key bytes
 )
 
-// ctflow violation classes, for report deduplication across loop
-// iterations and branch re-walks.
-const (
-	ctClassBranch = iota
-	ctClassLoop
-	ctClassIndex
-	ctClassAlloc
-	ctClassVartime
-	ctClassCompare
-)
+// ctAll selects every ctflow label.
+const ctAll = labels(1)<<(ctSymKey+1) - 1
 
 // ctCryptoPkgs are the package tails whose key-named []byte parameters
 // are seeded as key material. Storage and wire packages are excluded on
@@ -146,6 +138,18 @@ func ctSpec() *taintSpec {
 			"a secret scalar",
 			"symmetric key material",
 		},
+		// internal/ff bodies are skipped: the fixed-limb core is
+		// constant-time by construction, and its big.Int boundary (the Exp
+		// schedules, NewElement) is accounted at call sites.
+		reportIn:      func(path string) bool { return !pathEndsIn(path, "ff") },
+		flowSensitive: true,
+		siteSinks: [numSiteKinds]string{
+			siteBranch:    "branch condition depends on %s; constant-time code must not branch on secrets",
+			siteLoopBound: "loop bound depends on %s; the iteration count leaks the secret",
+			siteIndex:     "memory index depends on %s; secret-dependent table lookups leak through the data cache",
+			siteAlloc:     "allocation size depends on %s; secret-length allocations leak through the allocator",
+			siteCompare:   "variable-time string comparison on %s; compare secrets with crypto/subtle.ConstantTimeCompare",
+		},
 		numericTaint:    true,
 		declassify:      true,
 		crossPkg:        true,
@@ -156,6 +160,7 @@ func ctSpec() *taintSpec {
 		sanitizes:       ctSanitizes,
 		passthrough:     ctPassthrough,
 		fieldRead:       ctFieldRead,
+		sinkCall:        ctSinkCall,
 	}
 }
 
@@ -278,15 +283,16 @@ func ctPassthrough(fn *types.Func) bool {
 	return calleePkgEndsIn(fn, "kdf") && (fn.Name() == "ToScalar" || fn.Name() == "Stream")
 }
 
-// ctVartime classifies callees whose execution time depends on operand
-// values, with a short description for the diagnostic. The returned
-// operand selector reports which expanded-argument indices (receiver
-// first for methods) are the timing-sensitive ones; nil means every
-// operand.
+// ctSinkCall is class 5: callees whose execution time depends on operand
+// values. The sink reports and the call still propagates — big.Int.Set
+// on the master key is a finding and still the master key. Its operand
+// selector scopes the check to the callee's timing-sensitive operands:
+// ff.Exp on a secret base with a public exponent is constant-time and
+// clean, the same call with a secret exponent is the finding.
 //
 // internal/ff is fixed-limb Montgomery arithmetic: Add/Sub/Mul/Inv/
 // Equal/Bytes and the rest of the element surface run a schedule fixed
-// by the public limb count, so they are no longer classified here. What
+// by the public limb count, so they are not classified here. What
 // survives is the deliberate big.Int boundary, variable-time only in
 // the big.Int (or small-integer) operand: Exp's square/multiply window
 // schedule follows the exponent's bits (the base is constant-time —
@@ -294,739 +300,67 @@ func ctPassthrough(fn *types.Func) bool {
 // NewElement and FromInt64 reduce their input with math/big, MulInt64's
 // double-and-add follows the multiplier's bits, and String formats the
 // value it is called on.
-func ctVartime(fn *types.Func) (string, func(int) bool, bool) {
+func ctSinkCall(_ *sinkCtx, fn *types.Func) []sinkArg {
+	every := func(int) bool { return true }
+	argOnly := func(i int) bool { return i == 1 }
+	recvOnly := func(i int) bool { return i == 0 }
+	sink := func(desc string, operands func(int) bool) []sinkArg {
+		return []sinkArg{{operands: operands, mask: ctAll,
+			message: "%s flows into variable-time " + desc + "; use crypto/subtle or fixed-limb arithmetic"}}
+	}
 	name := fn.Name()
 	if pkg := fn.Pkg(); pkg != nil {
 		switch pkg.Path() {
 		case "math/big":
-			return "math/big." + name, nil, true
+			return sink("math/big."+name, every)
 		case "bytes":
 			switch name {
 			case "Equal", "Compare", "HasPrefix", "HasSuffix", "Index", "Contains":
-				return "bytes." + name, nil, true
+				return sink("bytes."+name, every)
 			}
 		case "strings":
 			switch name {
 			case "Compare", "EqualFold", "Index", "HasPrefix", "HasSuffix", "Contains":
-				return "strings." + name, nil, true
+				return sink("strings."+name, every)
 			}
 		}
 	}
 	if calleePkgEndsIn(fn, "ff") {
-		argOnly := func(i int) bool { return i == 1 }
-		recvOnly := func(i int) bool { return i == 0 }
 		switch name {
 		case "Exp":
-			return "ff." + name + " (exponent-driven schedule)", argOnly, true
+			return sink("ff."+name+" (exponent-driven schedule)", argOnly)
 		case "NewElement", "FromInt64", "MulInt64":
-			return "ff." + name + " (big.Int boundary)", argOnly, true
+			return sink("ff."+name+" (big.Int boundary)", argOnly)
 		case "String":
-			return "ff." + name, recvOnly, true
+			return sink("ff."+name, recvOnly)
 		}
-		return "", nil, false
+		return nil
 	}
 	if name == "ScalarMult" && calleePkgEndsIn(fn, "ec") {
-		return "ec.ScalarMult", nil, true
+		return sink("ec.ScalarMult", every)
 	}
-	return "", nil, false
+	return nil
 }
 
-// runCTFlow builds the interprocedural summaries, then re-checks every
-// function body flow-sensitively.
 func runCTFlow(pass *ProgramPass) {
-	eng := buildTaintEngine(pass.Prog, ctSpec())
-	c := &ctChecker{pass: pass, eng: eng, seen: make(map[ctSeenKey]bool)}
-	for _, fa := range eng.ordered {
-		// internal/ff bodies are skipped: the fixed-limb core is
-		// constant-time by construction, and its big.Int boundary (the
-		// Exp schedules, NewElement) is accounted at call sites.
-		if pathEndsIn(fa.pkg.Path, "ff") {
-			continue
-		}
-		c.checkFunc(fa)
-	}
+	runTaint(pass, ctSpec())
 }
 
-// ctSeenKey dedupes violations across loop iterations and branch
-// re-walks of the same body.
-type ctSeenKey struct {
-	pos   token.Pos
-	class int
-}
-
-// ctChecker is the flow-sensitive walker for one program.
-type ctChecker struct {
-	pass *ProgramPass
-	eng  *taintEngine
-	seen map[ctSeenKey]bool
-
-	fa   *funcFacts
-	info *types.Info
-}
-
-// ctEnv maps in-scope objects to the labels they currently hold. A
-// missing object is clean. Plain assignments strong-update (kill), so a
-// declassified or overwritten variable really goes clean.
-type ctEnv map[types.Object]labels
-
-func (e ctEnv) clone() ctEnv {
-	out := make(ctEnv, len(e))
-	for k, v := range e {
-		out[k] = v
-	}
-	return out
-}
-
-// mergeInto unions src into dst (control-flow join).
-func mergeInto(dst, src ctEnv) {
-	for k, v := range src {
-		dst[k] |= v
-	}
-}
-
-// envGrew reports whether next holds any taint base does not.
-func envGrew(base, next ctEnv) bool {
-	for k, v := range next {
-		if v&^base[k] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *ctChecker) checkFunc(fa *funcFacts) {
-	c.fa = fa
-	c.info = fa.pkg.Info
-	env := make(ctEnv)
-	for i, p := range fa.params {
-		if t := fa.paramIn[i]; t != 0 {
-			env[p] = t
-		}
-	}
-	c.stmt(fa.decl.Body, env)
-}
-
-// violation reports one deduplicated finding.
-func (c *ctChecker) violation(pos token.Pos, class int, format string, args ...any) {
-	k := ctSeenKey{pos: pos, class: class}
-	if c.seen[k] {
-		return
-	}
-	c.seen[k] = true
-	c.pass.Reportf(pos, format, args...)
-}
-
-func (c *ctChecker) describe(t labels) string { return c.eng.spec.describe(sourceBits(t)) }
-
-// --- statements ---
-
-// stmt interprets one statement, returning the (possibly forked and
-// rejoined) environment after it.
-func (c *ctChecker) stmt(s ast.Stmt, env ctEnv) ctEnv {
-	switch s := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		for _, st := range s.List {
-			env = c.stmt(st, env)
-		}
-	case *ast.ExprStmt:
-		c.eval(s.X, env)
-	case *ast.AssignStmt:
-		c.assign(s, env)
-	case *ast.DeclStmt:
-		gd, ok := s.Decl.(*ast.GenDecl)
-		if !ok {
-			break
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			if len(vs.Values) == 1 && len(vs.Names) > 1 {
-				ts := c.evalMulti(vs.Values[0], len(vs.Names), env)
-				for i, name := range vs.Names {
-					c.set(env, c.info.Defs[name], ts[i])
-				}
-				continue
-			}
-			for i, name := range vs.Names {
-				if i < len(vs.Values) {
-					c.set(env, c.info.Defs[name], c.eval(vs.Values[i], env))
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			c.eval(e, env)
-		}
-	case *ast.IfStmt:
-		env = c.stmt(s.Init, env)
-		if t := c.eval(s.Cond, env); t != 0 {
-			c.violation(s.Cond.Pos(), ctClassBranch,
-				"branch condition depends on %s; constant-time code must not branch on secrets", c.describe(t))
-		}
-		thenEnv := c.stmt(s.Body, env.clone())
-		elseEnv := env
-		if s.Else != nil {
-			elseEnv = c.stmt(s.Else, env.clone())
-		}
-		mergeInto(thenEnv, elseEnv)
-		return thenEnv
-	case *ast.ForStmt:
-		env = c.stmt(s.Init, env)
-		for range 4 {
-			if s.Cond != nil {
-				if t := c.eval(s.Cond, env); t != 0 {
-					c.violation(s.Cond.Pos(), ctClassLoop,
-						"loop bound depends on %s; the iteration count leaks the secret", c.describe(t))
-				}
-			}
-			next := c.stmt(s.Body, env.clone())
-			next = c.stmt(s.Post, next)
-			if !envGrew(env, next) {
-				break
-			}
-			mergeInto(env, next)
-		}
-	case *ast.RangeStmt:
-		t := c.eval(s.X, env)
-		if t != 0 {
-			if tv, ok := c.info.Types[s.X]; ok && tv.Type != nil {
-				if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
-					c.violation(s.X.Pos(), ctClassLoop,
-						"loop bound depends on %s; the iteration count leaks the secret", c.describe(t))
-				}
-			}
-		}
-		bind := func(e ast.Expr, t labels) {
-			if e == nil {
-				return
-			}
-			if s.Tok == token.DEFINE {
-				if id, ok := e.(*ast.Ident); ok {
-					c.set(env, c.info.Defs[id], t)
-					return
-				}
-			}
-			c.setLHS(env, e, t)
-		}
-		bind(s.Key, rangeKeyTaint(c.info, s.X, t))
-		bind(s.Value, t)
-		for range 4 {
-			next := c.stmt(s.Body, env.clone())
-			if !envGrew(env, next) {
-				break
-			}
-			mergeInto(env, next)
-		}
-	case *ast.SwitchStmt:
-		env = c.stmt(s.Init, env)
-		if s.Tag != nil {
-			if t := c.eval(s.Tag, env); t != 0 {
-				c.violation(s.Tag.Pos(), ctClassBranch,
-					"branch condition depends on %s; constant-time code must not branch on secrets", c.describe(t))
-			}
-		}
-		out := env.clone()
-		for _, cc := range s.Body.List {
-			clause, ok := cc.(*ast.CaseClause)
-			if !ok {
-				continue
-			}
-			fork := env.clone()
-			for _, e := range clause.List {
-				if t := c.eval(e, fork); t != 0 && s.Tag == nil {
-					c.violation(e.Pos(), ctClassBranch,
-						"branch condition depends on %s; constant-time code must not branch on secrets", c.describe(t))
-				}
-			}
-			for _, st := range clause.Body {
-				fork = c.stmt(st, fork)
-			}
-			mergeInto(out, fork)
-		}
-		return out
-	case *ast.TypeSwitchStmt:
-		env = c.stmt(s.Init, env)
-		var tagTaint labels
-		var guard ast.Expr
-		switch a := s.Assign.(type) {
-		case *ast.AssignStmt:
-			if len(a.Rhs) == 1 {
-				if ta, ok := a.Rhs[0].(*ast.TypeAssertExpr); ok {
-					guard = ta.X
-				}
-			}
-		case *ast.ExprStmt:
-			if ta, ok := a.X.(*ast.TypeAssertExpr); ok {
-				guard = ta.X
-			}
-		}
-		if guard != nil {
-			tagTaint = c.eval(guard, env)
-			if tagTaint != 0 {
-				c.violation(guard.Pos(), ctClassBranch,
-					"branch condition depends on %s; constant-time code must not branch on secrets", c.describe(tagTaint))
-			}
-		}
-		out := env.clone()
-		for _, cc := range s.Body.List {
-			clause, ok := cc.(*ast.CaseClause)
-			if !ok {
-				continue
-			}
-			fork := env.clone()
-			c.set(fork, c.info.Implicits[clause], tagTaint)
-			for _, st := range clause.Body {
-				fork = c.stmt(st, fork)
-			}
-			mergeInto(out, fork)
-		}
-		return out
-	case *ast.SelectStmt:
-		out := env.clone()
-		for _, cc := range s.Body.List {
-			clause, ok := cc.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			fork := env.clone()
-			fork = c.stmt(clause.Comm, fork)
-			for _, st := range clause.Body {
-				fork = c.stmt(st, fork)
-			}
-			mergeInto(out, fork)
-		}
-		return out
-	case *ast.SendStmt:
-		t := c.eval(s.Value, env)
-		c.eval(s.Chan, env)
-		c.setLHS(env, s.Chan, t)
-	case *ast.IncDecStmt:
-		c.eval(s.X, env)
-	case *ast.GoStmt:
-		c.eval(s.Call, env)
-	case *ast.DeferStmt:
-		c.eval(s.Call, env)
-	case *ast.LabeledStmt:
-		return c.stmt(s.Stmt, env)
-	case *ast.BranchStmt, *ast.EmptyStmt:
-	}
-	return env
-}
-
-func (c *ctChecker) assign(s *ast.AssignStmt, env ctEnv) {
-	if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-		ts := c.evalMulti(s.Rhs[0], len(s.Lhs), env)
-		for i, lhs := range s.Lhs {
-			c.assignOne(s.Tok, lhs, ts[i], env)
-		}
-		return
-	}
-	for i, lhs := range s.Lhs {
-		if i >= len(s.Rhs) {
-			break
-		}
-		c.assignOne(s.Tok, lhs, c.eval(s.Rhs[i], env), env)
-	}
-}
-
-// assignOne writes taint t into one assignment target. Plain `=`/`:=`
-// onto a bare identifier strong-updates (this is where flow sensitivity
-// and declassification kills happen); everything else — op-assigns,
-// field and element stores — unions. A store at a secret index is a
-// class-2 violation.
-func (c *ctChecker) assignOne(tok token.Token, lhs ast.Expr, t labels, env ctEnv) {
-	if id, ok := lhs.(*ast.Ident); ok {
-		if id.Name == "_" {
-			return
-		}
-		obj := c.info.Defs[id]
-		if obj == nil {
-			obj = c.info.Uses[id]
-		}
-		if obj == nil {
-			return
-		}
-		if tok == token.ASSIGN || tok == token.DEFINE {
-			env[obj] = t
-			if t == 0 {
-				delete(env, obj)
-			}
-		} else {
-			c.set(env, obj, t)
-		}
-		return
-	}
-	// Non-identifier lvalue: evaluating it runs the index checks (a
-	// secret-indexed store is the same cache leak as a load).
-	c.eval(lhs, env)
-	c.setLHS(env, lhs, t)
-}
-
-func (c *ctChecker) set(env ctEnv, obj types.Object, t labels) {
-	if obj == nil || t == 0 {
-		return
-	}
-	env[obj] |= t
-}
-
-func (c *ctChecker) setLHS(env ctEnv, lhs ast.Expr, t labels) {
-	if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
-		return
-	}
-	root := ctRootObj(c.info, lhs)
-	c.set(env, root, t)
-}
-
-// ctRootObj mirrors bodyState.rootObj without the engine state.
-func ctRootObj(info *types.Info, e ast.Expr) types.Object {
+// typeIsNamed reports whether t is (a pointer to, or a slice of) the
+// named type pkgTail.name, matching the declaring package by its import
+// path's final segment.
+func typeIsNamed(t types.Type, pkgTail, name string) bool {
 	for {
-		switch v := e.(type) {
-		case *ast.Ident:
-			if o := info.Defs[v]; o != nil {
-				return o
-			}
-			return info.Uses[v]
-		case *ast.ParenExpr:
-			e = v.X
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.IndexListExpr:
-			e = v.X
-		case *ast.SliceExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
+		switch v := t.(type) {
+		case *types.Pointer:
+			t = v.Elem()
+		case *types.Slice:
+			t = v.Elem()
+		case *types.Named:
+			obj := v.Obj()
+			return obj.Name() == name && obj.Pkg() != nil && pathEndsIn(obj.Pkg().Path(), pkgTail)
 		default:
-			return nil
+			return false
 		}
-	}
-}
-
-// --- expressions ---
-
-// evalMulti evaluates a single expression feeding n targets.
-func (c *ctChecker) evalMulti(e ast.Expr, n int, env ctEnv) []labels {
-	out := make([]labels, n)
-	switch v := ast.Unparen(e).(type) {
-	case *ast.CallExpr:
-		copy(out, c.evalCall(v, env))
-	case *ast.TypeAssertExpr:
-		out[0] = c.eval(v.X, env)
-	case *ast.IndexExpr:
-		out[0] = c.eval(e, env) // comma-ok map read: index check included
-	case *ast.UnaryExpr: // <-ch
-		out[0] = c.eval(v.X, env)
-	default:
-		out[0] = c.eval(e, env)
-	}
-	return out
-}
-
-// eval interprets one expression under env, reporting violations as it
-// goes, and returns the labels the expression's value carries.
-func (c *ctChecker) eval(e ast.Expr, env ctEnv) labels {
-	if e == nil {
-		return 0
-	}
-	var t labels
-	switch v := e.(type) {
-	case *ast.Ident:
-		if o := c.info.Uses[v]; o != nil {
-			t = env[o]
-		}
-	case *ast.BasicLit:
-	case *ast.ParenExpr:
-		t = c.eval(v.X, env)
-	case *ast.SelectorExpr:
-		if pkgNameOf(c.info, identOf(v.X)) == nil {
-			t = c.eval(v.X, env)
-			if t != 0 {
-				if sel, ok := c.info.Selections[v]; ok && sel.Kind() == types.FieldVal {
-					t = ctFieldRead(c.fa.pkg, c.info, v, t)
-				}
-			}
-		}
-	case *ast.IndexExpr:
-		t = c.eval(v.X, env)
-		if tv, ok := c.info.Types[v.Index]; !ok || !tv.IsType() { // generic instantiation has a type operand
-			if ti := c.eval(v.Index, env); ti != 0 {
-				c.violation(v.Index.Pos(), ctClassIndex,
-					"memory index depends on %s; secret-dependent table lookups leak through the data cache", c.describe(ti))
-				// The loaded value is clean: the access pattern is the leak,
-				// reported here; contents of the (public) table are public.
-			}
-		}
-	case *ast.IndexListExpr:
-		t = c.eval(v.X, env)
-	case *ast.SliceExpr:
-		t = c.eval(v.X, env)
-		for _, b := range []ast.Expr{v.Low, v.High, v.Max} {
-			if b == nil {
-				continue
-			}
-			if ti := c.eval(b, env); ti != 0 {
-				c.violation(b.Pos(), ctClassIndex,
-					"memory index depends on %s; secret-dependent table lookups leak through the data cache", c.describe(ti))
-			}
-		}
-	case *ast.StarExpr:
-		t = c.eval(v.X, env)
-	case *ast.UnaryExpr:
-		t = c.eval(v.X, env)
-	case *ast.BinaryExpr:
-		t = c.binary(v, env)
-	case *ast.TypeAssertExpr:
-		t = c.eval(v.X, env)
-	case *ast.CompositeLit:
-		for _, el := range v.Elts {
-			t |= c.eval(el, env)
-		}
-	case *ast.CallExpr:
-		for _, r := range c.evalCall(v, env) {
-			t |= r
-		}
-	case *ast.FuncLit:
-		// Captured objects are shared with the enclosing frame; the
-		// closure's own parameters start clean.
-		c.stmt(v.Body, env)
-	case *ast.KeyValueExpr:
-		c.eval(v.Key, env)
-		t = c.eval(v.Value, env)
-	}
-	t |= ctSourceExpr(c.info, e)
-	if t != 0 && c.eng.declassified(e.Pos()) {
-		return 0
-	}
-	return t
-}
-
-// binary handles operators: comparisons against nil are public (pointer
-// identity, not content), string comparisons on secrets are byte-wise
-// variable-time (class 5), and everything else unions its operands.
-func (c *ctChecker) binary(v *ast.BinaryExpr, env ctEnv) labels {
-	isCompare := false
-	switch v.Op {
-	case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
-		isCompare = true
-	}
-	if isCompare && (isNilExpr(c.info, v.X) || isNilExpr(c.info, v.Y)) {
-		c.eval(v.X, env)
-		c.eval(v.Y, env)
-		return 0
-	}
-	t := c.eval(v.X, env) | c.eval(v.Y, env)
-	if isCompare && t != 0 {
-		if tv, ok := c.info.Types[v.X]; ok && tv.Type != nil {
-			if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-				c.violation(v.Pos(), ctClassCompare,
-					"variable-time string comparison on %s; compare secrets with crypto/subtle.ConstantTimeCompare", c.describe(t))
-			}
-		}
-	}
-	return t
-}
-
-// evalCall interprets a call: conversions and builtins first, then sink
-// classification (variable-time callees report and still propagate),
-// then result taint via passthrough, sanitizer, callee summary, or the
-// conservative external union.
-func (c *ctChecker) evalCall(call *ast.CallExpr, env ctEnv) []labels {
-	info := c.info
-
-	// Type conversion: taint passes through.
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		var t labels
-		for _, a := range call.Args {
-			t |= c.eval(a, env)
-		}
-		return []labels{t}
-	}
-
-	// Builtins.
-	if id := identOf(call.Fun); id != nil {
-		if _, ok := info.Uses[id].(*types.Builtin); ok {
-			return c.builtin(id.Name, call, env)
-		}
-	}
-
-	callee := staticCallee(info, call)
-
-	// Expanded arguments: receiver first for method calls.
-	var args []ast.Expr
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if _, isMethod := info.Selections[sel]; isMethod {
-			args = append(args, sel.X)
-		} else {
-			c.eval(sel.X, env)
-		}
-	} else {
-		c.eval(call.Fun, env)
-	}
-	recvOffset := len(args)
-	args = append(args, call.Args...)
-	argTaint := make([]labels, len(args))
-	var union labels
-	for i, a := range args {
-		argTaint[i] = c.eval(a, env)
-		union |= argTaint[i]
-	}
-
-	// Class 5: variable-time callee with a secret operand. Report and
-	// propagate — big.Int.Set on the master key is a finding and still
-	// the master key. The operand selector scopes the check to the
-	// callee's timing-sensitive arguments: ff.Exp on a secret base with
-	// a public exponent is constant-time and clean, the same call with a
-	// secret exponent is the finding.
-	if callee != nil && union != 0 {
-		if desc, operands, ok := ctVartime(callee); ok {
-			vt := union
-			if operands != nil {
-				vt = 0
-				for i := range argTaint {
-					if operands(i) {
-						vt |= argTaint[i]
-					}
-				}
-			}
-			if vt != 0 {
-				c.violation(call.Pos(), ctClassVartime,
-					"%s flows into variable-time %s; use crypto/subtle or fixed-limb arithmetic", c.describe(vt), desc)
-			}
-		}
-	}
-
-	// Result count.
-	nres := 1
-	if tv, ok := info.Types[call]; ok && tv.Type != nil {
-		if tup, ok := tv.Type.(*types.Tuple); ok {
-			nres = tup.Len()
-		}
-	}
-	out := make([]labels, max(nres, 1))
-
-	switch {
-	case callee != nil && ctPassthrough(callee):
-		for i := range out {
-			out[i] = union
-		}
-	case callee != nil && ctSanitizes(callee):
-		// clean
-	default:
-		if fa := c.eng.facts(c.fa.pkg, callee); fa != nil {
-			// Translate the callee summary: parameter bits substitute this
-			// site's argument taint. The summary's absolute source bits are
-			// deliberately dropped — the flow-insensitive fixpoint seeds
-			// bodies with the union of every call site's taint, so once one
-			// caller passes a private key into ec.IsOnCurve its summary
-			// would return "private key" at every call site in the program.
-			// Functions that genuinely produce secrets are covered without
-			// them: key-typed results are re-labeled by ctSourceExpr at the
-			// call expression, generators are listed in ctSourceCall, and
-			// derivation helpers are passthrough.
-			sig := calleeSig(callee)
-			paramTaint := func(j int) labels { // j indexes fa.params
-				if j < fa.recvOffset {
-					if recvOffset > 0 {
-						return argTaint[0]
-					}
-					return 0
-				}
-				k := j - fa.recvOffset + recvOffset
-				if k >= len(args) {
-					return 0
-				}
-				t := argTaint[k]
-				if sig != nil && sig.Variadic() && j-fa.recvOffset == sig.Params().Len()-1 {
-					for m := k + 1; m < len(args); m++ {
-						t |= argTaint[m]
-					}
-				}
-				return t
-			}
-			for i := 0; i < nres && i < len(fa.retOut); i++ {
-				ro := fa.retOut[i]
-				var t labels
-				for j := range fa.params {
-					if pb := paramLabel(j); pb != 0 && ro&pb != 0 {
-						t |= paramTaint(j)
-					}
-				}
-				out[i] = t
-			}
-		} else {
-			// Unresolved or external callee: every result carries the union
-			// of argument (and receiver) taint.
-			for i := range out {
-				out[i] = union
-			}
-		}
-		if callee != nil {
-			for i, lab := range ctSourceCall(callee) {
-				if i < len(out) {
-					out[i] |= lab
-				}
-			}
-		}
-	}
-	return out
-}
-
-func (c *ctChecker) builtin(name string, call *ast.CallExpr, env ctEnv) []labels {
-	switch name {
-	case "make":
-		// Class 4: a secret-length allocation leaks through the allocator.
-		for i, a := range call.Args {
-			if i == 0 {
-				continue // the type operand
-			}
-			if t := c.eval(a, env); t != 0 {
-				c.violation(a.Pos(), ctClassAlloc,
-					"allocation size depends on %s; secret-length allocations leak through the allocator", c.describe(t))
-			}
-		}
-		return []labels{0}
-	case "append":
-		var t labels
-		for _, a := range call.Args {
-			t |= c.eval(a, env)
-		}
-		if len(call.Args) > 0 {
-			c.setLHS(env, call.Args[0], t)
-		}
-		return []labels{t}
-	case "copy":
-		if len(call.Args) == 2 {
-			t := c.eval(call.Args[1], env)
-			c.eval(call.Args[0], env)
-			c.setLHS(env, call.Args[0], t)
-		}
-		return []labels{0}
-	case "min", "max":
-		var t labels
-		for _, a := range call.Args {
-			t |= c.eval(a, env)
-		}
-		return []labels{t}
-	case "delete":
-		if len(call.Args) == 2 {
-			c.eval(call.Args[0], env)
-			if t := c.eval(call.Args[1], env); t != 0 {
-				c.violation(call.Args[1].Pos(), ctClassIndex,
-					"memory index depends on %s; secret-dependent table lookups leak through the data cache", c.describe(t))
-			}
-		}
-		return []labels{0}
-	default:
-		// len, cap, new, clear, panic, print, println, close, complex,
-		// real, imag, recover: lengths and the rest are public.
-		for _, a := range call.Args {
-			c.eval(a, env)
-		}
-		return []labels{0}
 	}
 }

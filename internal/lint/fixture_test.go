@@ -29,7 +29,7 @@ var fixtures = map[string][]string{
 	"noncereuse":    {"./testdata/src/noncereuse/symenc", "./testdata/src/noncereuse/enc"},
 	"keyzero":       {"./testdata/src/keyzero/kdf", "./testdata/src/keyzero/symenc", "./testdata/src/keyzero/ticket"},
 	"vartime":       {"./testdata/src/vartime/ec", "./testdata/src/vartime/pairing", "./testdata/src/vartime/bfibe", "./testdata/src/vartime/tpkg", "./testdata/src/vartime/use"},
-	"ctflow":        {"./testdata/src/ctflow/bfibe", "./testdata/src/ctflow/app"},
+	"ctflow":        {"./testdata/src/ctflow/bfibe", "./testdata/src/ctflow/ff", "./testdata/src/ctflow/app"},
 	"lockorder":     {"./testdata/src/lockorder/locks", "./testdata/src/lockorder/alpha", "./testdata/src/lockorder/beta"},
 	"lockheld":      {"./testdata/src/lockheld/storage"},
 	"atomicmix":     {"./testdata/src/atomicmix/counter", "./testdata/src/atomicmix/reader"},
@@ -48,6 +48,10 @@ func loadFixture(t *testing.T, patterns ...string) *lint.Program {
 	return prog
 }
 
+// loadedFixtures caches loadNamedFixture: three tests read each entry,
+// analyzers do not modify a loaded program, and no test here is parallel.
+var loadedFixtures = map[string]*lint.Program{}
+
 // loadNamedFixture loads one entry of the fixtures table.
 func loadNamedFixture(t *testing.T, name string) *lint.Program {
 	t.Helper()
@@ -55,7 +59,10 @@ func loadNamedFixture(t *testing.T, name string) *lint.Program {
 	if !ok {
 		t.Fatalf("fixture %q is not in the fixtures table", name)
 	}
-	return loadFixture(t, patterns...)
+	if loadedFixtures[name] == nil {
+		loadedFixtures[name] = loadFixture(t, patterns...)
+	}
+	return loadedFixtures[name]
 }
 
 // lineKey addresses one fixture source line.

@@ -76,3 +76,30 @@ func FuzzDirectiveParser(f *testing.F) {
 		}
 	})
 }
+
+// TestDataflowConverges is the robustness net under the one dataflow
+// interpreter: every whole-program analyzer — each taintSpec among them —
+// runs over every fixture package and over the whole tree (tier-1 runs
+// this under -race). A panic fails the test by itself; a fixpoint cut
+// short by safetyCap surfaces as the engine's own diagnostic.
+func TestDataflowConverges(t *testing.T) {
+	for _, tc := range []struct{ dir, pattern string }{
+		{".", "./testdata/src/..."},
+		{"../..", "./..."},
+	} {
+		prog, err := Load(tc.dir, []string{tc.pattern})
+		if err != nil {
+			t.Fatalf("Load(%s): %v", tc.pattern, err)
+		}
+		for _, a := range DefaultAnalyzers() {
+			if a.RunProgram == nil {
+				continue
+			}
+			a.RunProgram(&ProgramPass{Analyzer: a, Prog: prog, report: func(d Diagnostic) {
+				if strings.Contains(d.Message, "did not converge") {
+					t.Errorf("%s over %s: %s", a.Name, tc.pattern, d)
+				}
+			}})
+		}
+	}
+}

@@ -33,7 +33,7 @@ func runKeyZero(pass *ProgramPass) {
 	runTaint(pass, &taintSpec{
 		name:       "keyzero",
 		labelDesc:  []string{"key material"},
-		reportIn:   keyzeroPkgs,
+		reportIn:   func(path string) bool { return pathEndsIn(path, keyzeroPkgs...) },
 		seedParam:  keyzeroSeedParam,
 		sourceCall: keyzeroSourceCall,
 		sanitizes:  plainSanitizes,

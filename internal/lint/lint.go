@@ -111,7 +111,6 @@ func DefaultAnalyzers() []*Analyzer {
 		PlainFlow,
 		NonceReuse,
 		KeyZero,
-		VarTime,
 		LockOrder,
 		LockHeld,
 		AtomicMix,

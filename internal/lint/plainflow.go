@@ -44,7 +44,7 @@ func runPlainFlow(pass *ProgramPass) {
 			"pre-encryption plaintext (symenc.Seal input)",
 			"extracted IBE private key",
 		},
-		reportIn:      plainReportIn,
+		reportIn:      func(path string) bool { return pathEndsIn(path, plainReportIn...) },
 		sourceCall:    plainSourceCall,
 		sourceArgs:    plainSourceArgs,
 		sanitizes:     plainSanitizes,

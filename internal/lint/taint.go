@@ -1,19 +1,21 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // This file is the interprocedural dataflow substrate of mwslint: a
-// def-use/taint engine over the already-type-checked ASTs. Analyzers
-// (plainflow, noncereuse, keyzero) describe their sources, sinks, and
-// sanitizers in a taintSpec; the engine computes per-function transfer
-// summaries, builds a static call graph over the loaded program, and
-// iterates both to a fixpoint, so taint introduced in one package is
-// observed at a sink two or more calls away in another.
+// def-use/taint engine over the already-type-checked ASTs, and the only
+// statement/expression/call interpreter of the label-dataflow analyzers.
+// Analyzers (plainflow, noncereuse, keyzero, ctflow) describe their
+// sources, sinks, and sanitizers in a taintSpec; the engine computes
+// per-function transfer summaries, builds a static call graph over the
+// loaded program, and iterates both to a fixpoint, so taint introduced
+// in one package is observed at a sink two or more calls away in
+// another. A final replay of every body reports the sinks.
 //
 // The lattice is a bitset. The low sourceLabelBits bits are the spec's
 // source labels ("decrypted plaintext", "key material", ...); the
@@ -25,17 +27,25 @@ import (
 // other half of the fixpoint: every call site with a tainted argument
 // widens the callee's paramIn until the program stabilizes.
 //
-// The intraprocedural transfer is deliberately object-granular and
-// flow-insensitive: taint sticks to the *types.Var it touches (a field
-// write taints the whole struct, a slice of a tainted slice stays
-// tainted) and is never killed by reassignment — only a configured
-// sanitizer produces clean values. That over-approximates, but for the
-// invariants mwslint enforces a false flow is an annotation
-// (//mwslint:ignore) while a missed flow is a stored plaintext, so the
-// engine errs monotonically on the side of taint. Values of boolean and
-// numeric types never carry taint (a length or timestamp parsed out of
-// a secret is metadata, not the secret), which is what keeps the
-// over-approximation tolerable in practice.
+// The intraprocedural transfer is object-granular: taint sticks to the
+// *types.Var it touches (a field write taints the whole struct, a slice
+// of a tainted slice stays tainted). The one walker runs under one of
+// two environment policies (see env). The summary pass is sticky, i.e.
+// flow-insensitive: taint is never killed by reassignment — only a
+// configured sanitizer produces clean values — and the body is re-walked
+// until nothing grows. That over-approximates, but for the invariants
+// mwslint enforces a false flow is an annotation (//mwslint:ignore)
+// while a missed flow is a stored plaintext, so the summaries err
+// monotonically on the side of taint. The reporting replay of the three
+// storage analyzers walks that converged sticky environment once more
+// with sinks on; a spec that sets flowSensitive (ctflow) replays from a
+// fresh environment that forks at branches, joins by union,
+// strong-updates on plain assignments to a bare identifier, and
+// iterates each loop until its head environment stops growing. Values
+// of boolean and numeric types never carry taint unless the spec asks
+// (a length or timestamp parsed out of a secret is metadata, not the
+// secret), which is what keeps the over-approximation tolerable in
+// practice.
 //
 // Known blind spots, accepted for a stdlib-only engine: dynamic calls
 // (interface methods, stored func values) propagate no taint into their
@@ -79,7 +89,26 @@ type sinkArg struct {
 	// message is the diagnostic; it may contain one %s verb, filled with
 	// the description of the first offending label.
 	message string
+	// operands, when set, replaces param: the sink is the union of the
+	// expanded operands it selects (receiver first for methods) and is
+	// reported at the call — for callees that are variable-time in an
+	// operand, receiver included, rather than in one parameter slot.
+	operands func(i int) bool
 }
+
+// siteKind names a control-flow or memory-access site the walker passes
+// through; a spec turns kinds into sinks by giving them a message in
+// taintSpec.siteSinks.
+type siteKind int
+
+const (
+	siteBranch    siteKind = iota // if/switch/type-switch condition
+	siteLoopBound                 // for condition, integer range operand
+	siteIndex                     // index, slice bound, delete key
+	siteAlloc                     // make size
+	siteCompare                   // ordered or equality comparison of strings
+	numSiteKinds
+)
 
 // sinkCtx gives spec hooks the package context of the call site, so
 // boundary sinks ("a call *into* store from outside") can tell crossing
@@ -96,10 +125,25 @@ type taintSpec struct {
 	name string
 	// labelDesc describes each source label, indexed by label bit.
 	labelDesc []string
-	// reportIn limits sink reporting to packages with these terminal
-	// names (nil = report everywhere). Summaries are still computed over
-	// the whole program.
-	reportIn []string
+	// reportIn limits sink reporting to the packages it accepts (nil =
+	// report everywhere). Summaries are still computed over the whole
+	// program.
+	reportIn func(pkgPath string) bool
+	// flowSensitive selects the environment policy of the reporting
+	// replay (the summary pass is always sticky); see env. ctflow sets
+	// it: a branch on a variable that was overwritten or declassified is
+	// not a timing leak. The storage analyzers do not: their finding sets
+	// were calibrated on sticky replays, and a flow-sensitive one reports
+	// keyserver.Trapdoor's err.Error() reply, where err was := reassigned
+	// from a call on the decrypted keyword (the plainflow fixture's
+	// FrameParseError pins the shape).
+	flowSensitive bool
+	// siteSinks turns the sites of a kind into sinks for every source
+	// label: the message (one %s verb, as in sinkArg) is reported where
+	// tainted data decides a branch, bounds a loop, indexes memory, sizes
+	// an allocation or is compared as a string. An empty message leaves
+	// the kind alone.
+	siteSinks [numSiteKinds]string
 	// numericTaint lets boolean and numeric values carry taint. The
 	// default (false) treats them as metadata — right for the storage
 	// invariants, where a length parsed out of a secret is not the
@@ -210,17 +254,52 @@ type taintEngine struct {
 	// declass indexes //mwslint:declassify coverage when the spec honors
 	// it; expressions on covered lines evaluate clean.
 	declass map[declassKey]string
-	// reporting is the pass diagnostics go to; set only for the final
-	// replay, after the fixpoint has stabilized.
-	reporting *ProgramPass
+	// pass receives the diagnostics.
+	pass *ProgramPass
+	// reported dedupes diagnostics: the replay re-walks loop bodies to a
+	// fixpoint, and a later round may describe the same site by another
+	// label.
+	reported map[reportKey]bool
 }
 
-// buildTaintEngine constructs the engine over every function body in the
-// program and iterates summaries and parameter taint to a global
-// fixpoint, without reporting. ctflow consumes the summaries directly;
-// runTaint adds the reporting replay on top.
-func buildTaintEngine(prog *Program, spec *taintSpec) *taintEngine {
-	e := &taintEngine{spec: spec, prog: prog, byKey: make(map[string]*funcFacts)}
+// reportKey identifies one diagnostic by where it is and which sink
+// message (before label substitution) it instantiates.
+type reportKey struct {
+	pos    token.Pos
+	format string
+}
+
+// safetyCap bounds every fixpoint iteration in the engine — the global
+// summary fixpoint, the sticky re-walk of one body, the rounds of one
+// loop. Labels only accumulate over a finite lattice, so each of them
+// terminates on its own; the cap is a net under a bug, not a tuning
+// value, and falling into it is itself a diagnostic.
+const safetyCap = 64
+
+// fixpoint calls round until it reports no change.
+func (e *taintEngine) fixpoint(pos token.Pos, round func() (changed bool)) {
+	for range safetyCap {
+		if !round() {
+			return
+		}
+	}
+	e.reportf(pos, "dataflow did not converge within %d rounds; findings downstream of here may be missing", safetyCap)
+}
+
+// reportf emits a diagnostic, once per position and format.
+func (e *taintEngine) reportf(pos token.Pos, format string, args ...any) {
+	if k := (reportKey{pos, format}); !e.reported[k] {
+		e.reported[k] = true
+		e.pass.Reportf(pos, format, args...)
+	}
+}
+
+// runTaint constructs the engine over every function body in the
+// program, iterates summaries and parameter taint to a global fixpoint,
+// then replays every function once more with sink reporting enabled.
+func runTaint(pass *ProgramPass, spec *taintSpec) {
+	prog := pass.Prog
+	e := &taintEngine{spec: spec, prog: prog, pass: pass, byKey: make(map[string]*funcFacts), reported: make(map[reportKey]bool)}
 	if spec.declassify {
 		e.declass, _ = collectDeclassify(prog)
 	}
@@ -239,30 +318,17 @@ func buildTaintEngine(prog *Program, spec *taintSpec) *taintEngine {
 			}
 		}
 	}
-	// Global fixpoint: labels only accumulate, so this terminates; the
-	// iteration cap is a safety net, not a tuning knob.
-	for range 64 {
+	e.fixpoint(token.NoPos, func() bool {
 		e.changed = false
 		for _, fa := range e.ordered {
 			e.analyze(fa, false)
 		}
-		if !e.changed {
-			break
-		}
-	}
-	return e
-}
-
-// runTaint builds the engine, iterates to the global fixpoint, then
-// replays every function once more with sink reporting enabled.
-func runTaint(pass *ProgramPass, spec *taintSpec) {
-	e := buildTaintEngine(pass.Prog, spec)
-	e.reporting = pass
+		return e.changed
+	})
 	for _, fa := range e.ordered {
-		if spec.reportIn != nil && !pathEndsIn(fa.pkg.Path, spec.reportIn...) {
-			continue
+		if spec.reportIn == nil || spec.reportIn(fa.pkg.Path) {
+			e.analyze(fa, true)
 		}
-		e.analyze(fa, true)
 	}
 }
 
@@ -320,20 +386,24 @@ func (e *taintEngine) facts(caller *Package, fn *types.Func) *funcFacts {
 	return e.byKey[concFuncKey(fn)]
 }
 
-// analyze runs the intraprocedural transfer for one function: to a local
-// fixpoint when report is false (propagating into summaries and callee
-// paramIn), or once more with sinks enabled when report is true.
+// analyze runs the intraprocedural transfer for one function. The
+// summary pass (report false) walks the body under the sticky policy to
+// a local fixpoint, propagating into the summary and callee paramIn. The
+// reporting replay walks once with sinks enabled: over that converged
+// sticky environment, or, for a flow-sensitive spec, from a fresh one
+// holding only the parameters.
 func (e *taintEngine) analyze(fa *funcFacts, report bool) {
-	b := &bodyState{engine: e, fa: fa, info: fa.pkg.Info, obj: make(map[types.Object]labels), retTaint: make([]labels, len(fa.retOut))}
+	b := &bodyState{engine: e, fa: fa, info: fa.pkg.Info, retTaint: make([]labels, len(fa.retOut))}
+	b.env = &env{obj: make(map[types.Object]labels), flow: report && e.spec.flowSensitive}
 	for i, p := range fa.params {
 		b.setObj(p, fa.paramIn[i]|paramLabel(i))
 	}
-	for range 32 {
-		b.localChanged = false
-		b.stmt(fa.decl.Body)
-		if !b.localChanged {
-			break
-		}
+	if !b.env.flow {
+		e.fixpoint(fa.decl.Pos(), func() bool {
+			b.localChanged = false
+			b.stmt(fa.decl.Body)
+			return b.localChanged
+		})
 	}
 	if report {
 		b.report = true
@@ -351,29 +421,63 @@ func (e *taintEngine) analyze(fa *funcFacts, report bool) {
 	}
 }
 
+// env maps in-scope objects to the labels they hold (parameter bits
+// included); a missing object is clean. It implements both environment
+// policies of the walker. Sticky (flow false): one map for the whole
+// body, fork and join are the identity, nothing is ever killed, and the
+// caller re-walks until no object grows. Flow-sensitive (flow true):
+// fork clones at a control-flow split, join unions at the merge, and a
+// plain assignment to a bare identifier replaces what it held, so an
+// overwritten or declassified variable really goes clean.
+type env struct {
+	obj  map[types.Object]labels
+	flow bool
+}
+
+// fork returns the environment one arm of a control-flow split runs in.
+func (e *env) fork() *env {
+	if !e.flow {
+		return e
+	}
+	return &env{obj: maps.Clone(e.obj), flow: true}
+}
+
+// join unions o into e (control-flow merge) and reports whether e grew.
+func (e *env) join(o *env) bool {
+	grew := false
+	if o != e {
+		for k, t := range o.obj {
+			grew = e.add(k, t) || grew
+		}
+	}
+	return grew
+}
+
+// add unions t into what o holds and reports whether that grew.
+func (e *env) add(o types.Object, t labels) bool {
+	if t&^e.obj[o] == 0 {
+		return false
+	}
+	e.obj[o] |= t
+	return true
+}
+
 // bodyState is the per-analysis mutable state for one function body.
 type bodyState struct {
 	engine *taintEngine
 	fa     *funcFacts
 	info   *types.Info
-	// obj maps in-scope objects to their taint (parameter bits included).
-	obj map[types.Object]labels
+	// env is the environment at the statement being interpreted.
+	env *env
 	// retTaint accumulates per-result taint across return statements.
 	retTaint []labels
 	// funcLitDepth guards return-statement attribution inside closures.
 	funcLitDepth int
+	// localChanged records that some object grew during this walk; the
+	// sticky policy re-walks the body until it stays false.
 	localChanged bool
 	report       bool
 	wiped        map[types.Object]bool
-}
-
-// reportf emits a diagnostic through the engine's program pass.
-func (b *bodyState) reportf(pos token.Pos, format string, args ...any) {
-	b.engine.reporting.report(Diagnostic{
-		Analyzer: b.engine.reporting.Analyzer.Name,
-		Pos:      b.engine.prog.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
 }
 
 // concretize substitutes the current function's parameter bits with the
@@ -386,6 +490,16 @@ func (b *bodyState) concretize(t labels) labels {
 		}
 	}
 	return out
+}
+
+// site checks taint t arriving at a site of kind k (the expression at)
+// against the spec's site sinks.
+func (b *bodyState) site(k siteKind, at ast.Expr, t labels) {
+	if msg := b.engine.spec.siteSinks[k]; b.report && msg != "" {
+		if eff := b.concretize(t); eff != 0 {
+			b.engine.reportf(at.Pos(), msg, b.engine.spec.describe(eff))
+		}
+	}
 }
 
 // taintableType reports whether values of t can carry taint. Booleans
@@ -431,8 +545,7 @@ func (b *bodyState) setObj(o types.Object, t labels) {
 	if o == nil || t == 0 || !b.taintable(o.Type()) {
 		return
 	}
-	if t&^b.obj[o] != 0 {
-		b.obj[o] |= t
+	if b.env.add(o, t) {
 		b.localChanged = true
 	}
 }
@@ -465,29 +578,103 @@ func (b *bodyState) rootObj(e ast.Expr) types.Object {
 	}
 }
 
-// setLHS propagates taint into an assignment target.
+// setLHS propagates taint into a store target that is not a plain
+// assignment (range variables, channel sends, append and copy
+// destinations). Writing a tainted value into x.f or x[i] taints x as a
+// whole: object granularity.
 func (b *bodyState) setLHS(lhs ast.Expr, t labels) {
 	if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
 		return
 	}
-	// Writing a tainted value into x.f or x[i] taints x as a whole:
-	// object granularity.
 	b.setObj(b.rootObj(lhs), t)
 }
 
+// assignTo writes taint t into one assignment target. Under the
+// flow-sensitive policy a plain `=`/`:=` onto a bare identifier
+// strong-updates (this is where declassification kills happen);
+// everything else — op-assigns, field and element stores — unions.
+// Evaluating a non-identifier target runs its index sites: a
+// secret-indexed store is the same cache leak as a load.
+func (b *bodyState) assignTo(tok token.Token, lhs ast.Expr, t labels) {
+	if id, ok := lhs.(*ast.Ident); !ok {
+		b.expr(lhs)
+	} else if b.env.flow && (tok == token.ASSIGN || tok == token.DEFINE) {
+		delete(b.env.obj, b.rootObj(id))
+	} else if tok == token.DEFINE && b.info.Defs[id] == nil {
+		// Sticky, and := merely reassigns this identifier (the err of
+		// `v, err := f(x)`): with no kill to precede it, the union would
+		// leave one shared err holding the arguments of every call in the
+		// body, so it keeps what it held.
+		return
+	}
+	b.setLHS(lhs, t)
+}
+
 // --- statements ---
+
+func (b *bodyState) block(list []ast.Stmt) {
+	for _, st := range list {
+		b.stmt(st)
+	}
+}
+
+// alt interprets alternative control-flow arms, each from a fork of the
+// current environment, and makes the join of their outcomes current.
+// open says control may also bypass every arm (a switch without a
+// matching case), so the entry environment joins too.
+func (b *bodyState) alt(open bool, arms []ast.Stmt, walk func(ast.Stmt)) {
+	entry := b.env
+	var out *env
+	if open {
+		out = entry.fork()
+	}
+	for _, arm := range arms {
+		b.env = entry.fork()
+		walk(arm)
+		if out == nil {
+			out = b.env
+		} else {
+			out.join(b.env)
+		}
+	}
+	b.env = out
+}
+
+// loop interprets a loop: round walks condition, body and post once from
+// a fork of the head environment, and the outcome joins back into the
+// head until it stops growing (the lattice is finite and the head only
+// grows, so this is a fixpoint, not a bound). Under the sticky policy
+// the first join is the identity and the enclosing re-walk iterates
+// instead.
+func (b *bodyState) loop(pos token.Pos, round func()) {
+	head := b.env
+	b.engine.fixpoint(pos, func() bool {
+		b.env = head.fork()
+		round()
+		return head.join(b.env)
+	})
+	b.env = head
+}
 
 func (b *bodyState) stmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case nil:
 	case *ast.BlockStmt:
-		for _, st := range s.List {
-			b.stmt(st)
-		}
+		b.block(s.List)
 	case *ast.ExprStmt:
 		b.expr(s.X)
 	case *ast.AssignStmt:
-		b.assign(s)
+		if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
+			for i, t := range b.exprMulti(s.Rhs[0], len(s.Lhs)) {
+				b.assignTo(s.Tok, s.Lhs[i], t)
+			}
+			return
+		}
+		for i, lhs := range s.Lhs {
+			if i < len(s.Rhs) {
+				b.assignTo(s.Tok, lhs, b.expr(s.Rhs[i]))
+			}
+		}
 	case *ast.DeclStmt:
 		gd, ok := s.Decl.(*ast.GenDecl)
 		if !ok {
@@ -515,93 +702,81 @@ func (b *bodyState) stmt(s ast.Stmt) {
 		b.ret(s)
 	case *ast.IfStmt:
 		b.stmt(s.Init)
-		b.expr(s.Cond)
-		b.stmt(s.Body)
-		b.stmt(s.Else)
+		b.site(siteBranch, s.Cond, b.expr(s.Cond))
+		// A missing else is the arm that does nothing.
+		b.alt(false, []ast.Stmt{s.Body, s.Else}, b.stmt)
 	case *ast.ForStmt:
 		b.stmt(s.Init)
-		if s.Cond != nil {
-			b.expr(s.Cond)
-		}
-		b.stmt(s.Post)
-		b.stmt(s.Body)
+		b.loop(s.Pos(), func() {
+			if s.Cond != nil {
+				b.site(siteLoopBound, s.Cond, b.expr(s.Cond))
+			}
+			b.stmt(s.Body)
+			b.stmt(s.Post)
+		})
 	case *ast.RangeStmt:
 		t := b.expr(s.X)
-		if s.Key != nil {
-			// The key is a public index or map key, not the container's
-			// contents — `for id, dev := range devices` must not mark the
-			// identifier string with the devices' key material. Channel and
-			// integer ranges are the exception: there the key IS the element
-			// (or a value bounded by the secret).
-			kt := rangeKeyTaint(b.info, s.X, t)
-			if s.Tok == token.DEFINE {
-				if id, ok := s.Key.(*ast.Ident); ok {
-					b.setObj(b.info.Defs[id], kt)
-				}
-			} else {
-				b.setLHS(s.Key, kt)
-			}
+		// The key is a public index or map key, not the container's
+		// contents — `for id, dev := range devices` must not mark the
+		// identifier string with the devices' key material. Channel and
+		// integer ranges are the exception: there the key IS the element
+		// (or a value bounded by the secret, which makes the operand a loop
+		// bound as well).
+		kt := rangeKeyTaint(b.info, s.X, t)
+		if basicInfo(b.info, s.X)&types.IsInteger != 0 {
+			b.site(siteLoopBound, s.X, t)
 		}
-		if s.Value != nil {
-			if s.Tok == token.DEFINE {
-				if id, ok := s.Value.(*ast.Ident); ok {
-					b.setObj(b.info.Defs[id], t)
-				}
-			} else {
-				b.setLHS(s.Value, t)
-			}
-		}
-		b.stmt(s.Body)
+		b.setLHS(s.Key, kt) // an absent key or value roots at no object
+		b.setLHS(s.Value, t)
+		b.loop(s.Pos(), func() { b.stmt(s.Body) })
 	case *ast.SwitchStmt:
 		b.stmt(s.Init)
 		if s.Tag != nil {
-			b.expr(s.Tag)
+			b.site(siteBranch, s.Tag, b.expr(s.Tag))
 		}
-		b.stmt(s.Body)
-	case *ast.TypeSwitchStmt:
-		b.stmt(s.Init)
-		var tagTaint labels
-		switch a := s.Assign.(type) {
-		case *ast.AssignStmt:
-			if len(a.Rhs) == 1 {
-				if ta, ok := a.Rhs[0].(*ast.TypeAssertExpr); ok {
-					tagTaint = b.expr(ta.X)
+		b.alt(true, s.Body.List, func(cc ast.Stmt) {
+			clause := cc.(*ast.CaseClause)
+			for _, e := range clause.List {
+				// Without a tag every case expression is a condition of
+				// its own.
+				if t := b.expr(e); s.Tag == nil {
+					b.site(siteBranch, e, t)
 				}
 			}
+			b.block(clause.Body)
+		})
+	case *ast.TypeSwitchStmt:
+		b.stmt(s.Init)
+		var guard ast.Expr // x.(type), bare or as the right side of v := x.(type)
+		switch a := s.Assign.(type) {
+		case *ast.AssignStmt:
+			guard = a.Rhs[0]
 		case *ast.ExprStmt:
-			if ta, ok := a.X.(*ast.TypeAssertExpr); ok {
-				tagTaint = b.expr(ta.X)
-			}
+			guard = a.X
 		}
-		for _, cc := range s.Body.List {
-			clause, ok := cc.(*ast.CaseClause)
-			if !ok {
-				continue
-			}
+		var tagTaint labels
+		if ta, ok := guard.(*ast.TypeAssertExpr); ok {
+			tagTaint = b.expr(ta.X)
+			b.site(siteBranch, ta.X, tagTaint)
+		}
+		b.alt(true, s.Body.List, func(cc ast.Stmt) {
+			clause := cc.(*ast.CaseClause)
 			// The per-clause implicit object carries the switched value.
 			b.setObj(b.info.Implicits[clause], tagTaint)
-			for _, st := range clause.Body {
-				b.stmt(st)
-			}
-		}
-	case *ast.CaseClause:
-		for _, e := range s.List {
-			b.expr(e)
-		}
-		for _, st := range s.Body {
-			b.stmt(st)
-		}
+			b.block(clause.Body)
+		})
 	case *ast.SelectStmt:
-		b.stmt(s.Body)
-	case *ast.CommClause:
-		b.stmt(s.Comm)
-		for _, st := range s.Body {
-			b.stmt(st)
-		}
+		b.alt(true, s.Body.List, func(cc ast.Stmt) {
+			clause := cc.(*ast.CommClause)
+			b.stmt(clause.Comm)
+			b.block(clause.Body)
+		})
 	case *ast.SendStmt:
 		// Channel contents collapse onto the channel object: a receive
 		// from it elsewhere in this function sees the taint.
-		b.setLHS(s.Chan, b.expr(s.Value))
+		t := b.expr(s.Value)
+		b.expr(s.Chan)
+		b.setLHS(s.Chan, t)
 	case *ast.IncDecStmt:
 		b.expr(s.X)
 	case *ast.GoStmt:
@@ -614,53 +789,14 @@ func (b *bodyState) stmt(s ast.Stmt) {
 	}
 }
 
-func (b *bodyState) assign(s *ast.AssignStmt) {
-	if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-		ts := b.exprMulti(s.Rhs[0], len(s.Lhs))
-		for i, lhs := range s.Lhs {
-			if s.Tok == token.DEFINE {
-				if id, ok := lhs.(*ast.Ident); ok {
-					b.setObj(b.info.Defs[id], ts[i])
-					continue
-				}
-			}
-			b.setLHS(lhs, ts[i])
-		}
-		return
-	}
-	for i, lhs := range s.Lhs {
-		if i >= len(s.Rhs) {
-			break
-		}
-		t := b.expr(s.Rhs[i])
-		if s.Tok == token.DEFINE {
-			if id, ok := lhs.(*ast.Ident); ok {
-				b.setObj(b.info.Defs[id], t)
-				continue
-			}
-		}
-		// += on strings/slices merges; other tokens over-approximate
-		// harmlessly since taint is never killed anyway.
-		b.setLHS(lhs, t)
-	}
-}
-
-// exprMulti evaluates a single expression feeding n targets (call,
-// comma-ok forms).
+// exprMulti evaluates a single expression feeding n targets: a
+// multi-valued call, or a comma-ok form whose first target takes the
+// value.
 func (b *bodyState) exprMulti(e ast.Expr, n int) []labels {
 	out := make([]labels, n)
-	switch v := ast.Unparen(e).(type) {
-	case *ast.CallExpr:
-		res := b.call(v)
-		copy(out, res)
-	case *ast.TypeAssertExpr:
-		out[0] = b.expr(v.X)
-	case *ast.IndexExpr:
-		out[0] = b.expr(v.X)
-		b.expr(v.Index)
-	case *ast.UnaryExpr: // <-ch
-		out[0] = b.expr(v.X)
-	default:
+	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
+		copy(out, b.call(call))
+	} else {
 		out[0] = b.expr(e)
 	}
 	return out
@@ -684,7 +820,7 @@ func (b *bodyState) ret(s *ast.ReturnStmt) {
 		res := b.fa.sig.Results()
 		for i := range n {
 			if v := res.At(i); v.Name() != "" {
-				taints[i] = b.obj[v]
+				taints[i] = b.env.obj[v]
 			}
 		}
 	case len(s.Results) == n:
@@ -701,10 +837,7 @@ func (b *bodyState) ret(s *ast.ReturnStmt) {
 		}
 	}
 	for i := range n {
-		if taints[i]&^b.retTaint[i] != 0 {
-			b.retTaint[i] |= taints[i]
-			b.localChanged = true
-		}
+		b.retTaint[i] |= taints[i]
 	}
 	if b.report && b.engine.spec.sinkReturn != nil {
 		conc := make([]labels, n)
@@ -712,7 +845,7 @@ func (b *bodyState) ret(s *ast.ReturnStmt) {
 			conc[i] = b.concretize(taints[i])
 		}
 		b.engine.spec.sinkReturn(b.fa.fn, b.fa.pkg, s, conc, exprs, b.wiped, func(pos token.Pos, msg string) {
-			b.reportf(pos, "%s", msg)
+			b.engine.reportf(pos, "%s", msg)
 		})
 	}
 }
@@ -727,7 +860,7 @@ func (b *bodyState) expr(e ast.Expr) labels {
 	switch v := e.(type) {
 	case *ast.Ident:
 		if o := b.info.Uses[v]; o != nil {
-			t = b.obj[o]
+			t = b.env.obj[o]
 		}
 	case *ast.BasicLit:
 	case *ast.ParenExpr:
@@ -746,21 +879,36 @@ func (b *bodyState) expr(e ast.Expr) labels {
 			}
 		}
 	case *ast.IndexExpr:
+		// The index taints nothing: where it is a sink the leak is the
+		// access pattern, reported here, and the loaded value is as public
+		// as the table it came from.
 		t = b.expr(v.X)
-		b.expr(v.Index)
+		if tv, ok := b.info.Types[v.Index]; !ok || !tv.IsType() { // a generic instantiation has a type operand
+			b.site(siteIndex, v.Index, b.expr(v.Index))
+		}
 	case *ast.IndexListExpr:
 		t = b.expr(v.X)
 	case *ast.SliceExpr:
 		t = b.expr(v.X)
-		b.expr(v.Low)
-		b.expr(v.High)
-		b.expr(v.Max)
+		for _, bound := range []ast.Expr{v.Low, v.High, v.Max} {
+			if bound != nil {
+				b.site(siteIndex, bound, b.expr(bound))
+			}
+		}
 	case *ast.StarExpr:
 		t = b.expr(v.X)
 	case *ast.UnaryExpr:
 		t = b.expr(v.X)
 	case *ast.BinaryExpr:
 		t = b.expr(v.X) | b.expr(v.Y)
+		switch v.Op {
+		case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+			if isNilExpr(b.info, v.X) || isNilExpr(b.info, v.Y) {
+				t = 0 // pointer identity, not content
+			} else if basicInfo(b.info, v.X)&types.IsString != 0 {
+				b.site(siteCompare, v, t) // byte-wise, so variable-time
+			}
+		}
 	case *ast.TypeAssertExpr:
 		t = b.expr(v.X)
 	case *ast.CompositeLit:
@@ -805,7 +953,7 @@ func (b *bodyState) composite(lit *ast.CompositeLit) labels {
 			if mask, msg := b.engine.spec.sinkComposite(cx, tv.Type); mask != 0 {
 				for i, el := range lit.Elts {
 					if eff := b.concretize(elts[i]) & mask; eff != 0 {
-						b.reportf(el.Pos(), msg, b.engine.spec.describe(eff))
+						b.engine.reportf(el.Pos(), msg, b.engine.spec.describe(eff))
 					}
 				}
 			}
@@ -944,13 +1092,19 @@ func (b *bodyState) call(c *ast.CallExpr) []labels {
 	if b.report && callee != nil && spec.sinkCall != nil {
 		cx := &sinkCtx{callerPkg: b.fa.pkg, info: info}
 		for _, s := range spec.sinkCall(cx, callee) {
-			t := sigParamTaint(s.param)
-			if eff := b.concretize(t) & s.mask; eff != 0 {
-				pos := c.Pos()
-				if i := s.param + recvOffset; i < len(args) {
-					pos = args[i].Pos()
+			t, pos := sigParamTaint(s.param), c.Pos()
+			if s.operands != nil {
+				t = 0
+				for i, at := range argTaint {
+					if s.operands(i) {
+						t |= at
+					}
 				}
-				b.reportf(pos, s.message, spec.describe(eff))
+			} else if i := s.param + recvOffset; i < len(args) {
+				pos = args[i].Pos()
+			}
+			if eff := b.concretize(t) & s.mask; eff != 0 {
+				b.engine.reportf(pos, s.message, spec.describe(eff))
 			}
 		}
 	}
@@ -1085,10 +1239,21 @@ func (b *bodyState) builtin(name string, c *ast.CallExpr) []labels {
 			t |= b.expr(a)
 		}
 		return []labels{b.filterByType(c, t)}
+	case "make":
+		for _, size := range c.Args[1:] { // after the type operand
+			b.site(siteAlloc, size, b.expr(size))
+		}
+		return []labels{0}
+	case "delete":
+		if len(c.Args) == 2 {
+			b.expr(c.Args[0])
+			b.site(siteIndex, c.Args[1], b.expr(c.Args[1]))
+		}
+		return []labels{0}
 	default:
-		// len, cap, make, new, clear, delete, panic, print, println,
-		// close, complex, real, imag, recover: evaluate arguments; the
-		// results (if any) carry no secret bytes worth tracking.
+		// len, cap, new, clear, panic, print, println, close, complex,
+		// real, imag, recover: evaluate arguments; lengths are public and
+		// the other results (if any) carry no secret bytes worth tracking.
 		for _, a := range c.Args {
 			b.expr(a)
 		}
@@ -1186,6 +1351,17 @@ func isByteSlice(t types.Type) bool {
 	return ok && basic.Kind() == types.Byte
 }
 
+// basicInfo returns the flags of e's underlying basic type, or 0 when it
+// has none.
+func basicInfo(info *types.Info, e ast.Expr) types.BasicInfo {
+	if tv, ok := info.Types[e]; ok && tv.Type != nil {
+		if basic, ok := tv.Type.Underlying().(*types.Basic); ok {
+			return basic.Info()
+		}
+	}
+	return 0
+}
+
 // rangeKeyTaint is the taint a range key inherits when the ranged
 // container carries t: the container's taint for channels (the key is
 // the received element) and integer ranges (the key is bounded by the
@@ -1196,13 +1372,8 @@ func rangeKeyTaint(info *types.Info, x ast.Expr, t labels) labels {
 	if !ok || tv.Type == nil {
 		return t
 	}
-	switch u := tv.Type.Underlying().(type) {
-	case *types.Chan:
+	if _, isChan := tv.Type.Underlying().(*types.Chan); isChan || basicInfo(info, x)&types.IsInteger != 0 {
 		return t
-	case *types.Basic:
-		if u.Info()&types.IsInteger != 0 {
-			return t
-		}
 	}
 	return 0
 }

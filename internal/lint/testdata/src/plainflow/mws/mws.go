@@ -95,3 +95,30 @@ func Dump(w io.Writer, key, blob []byte) error {
 func FrameCiphertext(blob []byte) wire.Record {
 	return wire.Record{Payload: blob}
 }
+
+// parseError quotes the input that failed to parse.
+type parseError []byte
+
+func (e parseError) Error() string { return string(e) }
+
+func parse(b []byte) (int, error) {
+	return 0, parseError(b)
+}
+
+// FrameParseError frames the text of an err that := merely reassigned
+// from a call on decrypted bytes. plainflow replays under the sticky
+// policy, where such an identifier keeps what it held, so this stays
+// silent; a flow-sensitive replay would strong-update err to parse's
+// argument and report the literal — the shape of the "malformed
+// keyword" reply in keyserver.Trapdoor.
+func FrameParseError(key, blob []byte) wire.Record {
+	pt, err := symenc.Open(key, blob, nil)
+	if err != nil {
+		return wire.Record{}
+	}
+	n, err := parse(pt)
+	if err != nil {
+		return wire.Record{Payload: []byte(err.Error())}
+	}
+	return wire.Record{Payload: make([]byte, n)}
+}

@@ -1,6 +1,6 @@
-// Package bfibe is a mwslint fixture for the vartime analyzer: the
-// master secret reaching the variable-time multiplier versus the
-// constant-time path.
+// Package bfibe is a mwslint fixture for ctflow's variable-time-callee
+// sink: the master secret reaching the variable-time multiplier versus
+// the constant-time path.
 package bfibe
 
 import (
@@ -10,14 +10,14 @@ import (
 )
 
 // MasterKey holds the master secret s: every value reached from it is
-// vartime-tainted.
+// master-key material.
 type MasterKey struct {
 	s *big.Int
 }
 
 // ExtractBad multiplies by the master secret on the variable-time path.
 func (m *MasterKey) ExtractBad(c *ec.Curve, q ec.Point) ec.Point {
-	return c.ScalarMult(q, m.s) // want "the IBE master secret reaches the variable-time ScalarMult" "IBE master-key material flows into variable-time ec.ScalarMult"
+	return c.ScalarMult(q, m.s) // want "IBE master-key material flows into variable-time ec.ScalarMult"
 }
 
 // ExtractGood takes the constant-schedule path: clean.
@@ -28,7 +28,7 @@ func (m *MasterKey) ExtractGood(c *ec.Curve, q ec.Point) ec.Point {
 // extractVia launders the scalar through a helper two calls deep; the
 // interprocedural engine still sees the master taint at the sink.
 func extractVia(c *ec.Curve, q ec.Point, k *big.Int) ec.Point {
-	return c.ScalarMult(q, k) // want "the IBE master secret reaches the variable-time ScalarMult" "IBE master-key material flows into variable-time ec.ScalarMult"
+	return c.ScalarMult(q, k) // want "IBE master-key material flows into variable-time ec.ScalarMult"
 }
 
 // ExtractLaundered routes the master scalar through extractVia.

@@ -15,7 +15,7 @@ type Curve struct {
 	Q *big.Int
 }
 
-// ScalarMult is the variable-time multiplier: the vartime sink.
+// ScalarMult is the variable-time multiplier: a ctflow sink.
 func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 	_ = k
 	return p

@@ -22,7 +22,7 @@ func (s *System) G1() ec.Point { return s.g }
 // G1Comb returns a fixed-base table for the generator.
 func (s *System) G1Comb() *ec.Comb { return s.Curve.NewComb(s.g) }
 
-// RandomScalar draws a secret scalar: the vartime source.
+// RandomScalar draws a secret scalar: a ctflow source.
 func (s *System) RandomScalar(r io.Reader) (*big.Int, error) {
 	return rand.Int(r, s.Curve.Q)
 }

@@ -1,4 +1,4 @@
-// Package tpkg is a mwslint fixture for the vartime analyzer: a
+// Package tpkg is a mwslint fixture for ctflow's variable-time sink: a
 // threshold share scalar is as secret as the master key it reconstructs.
 package tpkg
 
@@ -16,7 +16,7 @@ type Share struct {
 
 // PartialBad multiplies by the share scalar on the variable-time path.
 func PartialBad(c *ec.Curve, sh Share, q ec.Point) ec.Point {
-	return c.ScalarMult(q, sh.Scalar) // want "a threshold-PKG share scalar reaches the variable-time ScalarMult" "a secret scalar flows into variable-time ec.ScalarMult"
+	return c.ScalarMult(q, sh.Scalar) // want "a secret scalar flows into variable-time ec.ScalarMult"
 }
 
 // PartialGood uses the constant-schedule multiplier: clean.

@@ -1,6 +1,6 @@
-// Package use is a mwslint fixture for the vartime analyzer: fresh
-// RandomScalar randomness flowing into the variable-time multiplier,
-// against the sanctioned constant-time routes.
+// Package use is a mwslint fixture for ctflow's variable-time-callee
+// sink: fresh RandomScalar randomness flowing into the variable-time
+// multiplier, against the sanctioned constant-time routes.
 package use
 
 import (
@@ -17,7 +17,7 @@ func EncapsulateBad(sys *pairing.System) (ec.Point, error) {
 	if err != nil {
 		return ec.Point{}, err
 	}
-	return sys.Curve.ScalarMult(sys.G1(), r), nil // want "a secret scalar drawn by RandomScalar reaches the variable-time ScalarMult" "a secret scalar flows into variable-time ec.ScalarMult"
+	return sys.Curve.ScalarMult(sys.G1(), r), nil // want "a secret scalar flows into variable-time ec.ScalarMult"
 }
 
 // EncapsulateSecret uses the constant-schedule multiplier: clean.
@@ -60,7 +60,7 @@ func SignDerived(sys *pairing.System) (ec.Point, error) {
 
 // mulVia is an innocent-looking helper; taint arrives via its caller.
 func mulVia(sys *pairing.System, k *big.Int) ec.Point {
-	return sys.Curve.ScalarMult(sys.G1(), k) // want "a secret scalar drawn by RandomScalar reaches the variable-time ScalarMult" "a secret scalar flows into variable-time ec.ScalarMult"
+	return sys.Curve.ScalarMult(sys.G1(), k) // want "a secret scalar flows into variable-time ec.ScalarMult"
 }
 
 // EncapsulateLaundered routes the secret through mulVia.
