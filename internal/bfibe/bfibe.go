@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync"
 
 	"mwskit/internal/ec"
 	"mwskit/internal/kdf"
@@ -35,9 +36,9 @@ const sigmaLen = 32
 // Params are the public system parameters the PKG publishes after Setup:
 // the pairing system (field, curve, base point P) and P_pub = sP.
 //
-// Params also owns the g_ID hot-path cache (gidcache.go), so it must be
-// handled by pointer once in use; every constructor in this package and
-// its callers already does.
+// Params also owns the g_ID hot-path cache (gidcache.go) and P_pub's
+// pairing lines, so it must be handled by pointer once in use; every
+// constructor in this package and its callers already does.
 type Params struct {
 	Sys  *pairing.System
 	PPub ec.Point // sP, the public master key
@@ -45,6 +46,12 @@ type Params struct {
 	// gid caches g_ID = ê(Q_ID, P_pub) per identity digest so repeat
 	// deposits to the same attribute ‖ nonce identity skip the pairing.
 	gid gidCache
+
+	// ppub holds the Miller lines of P_pub, the fixed argument of every
+	// g_ID, built by the first PairIdentity (≈ 130 KB on bf80) so Params
+	// literals keep working.
+	ppubOnce sync.Once
+	ppub     *pairing.G1Precomp
 }
 
 // InvalidateIdentity drops the cached g_ID for one identity. Devices call
@@ -124,19 +131,46 @@ func (m *MasterKey) Extract(p *Params, id []byte) (*PrivateKey, error) {
 	return &PrivateKey{ID: idCopy, D: d}, nil
 }
 
-// gID returns g_ID = ê(Q_ID, P_pub), the value whose r-th power keys a
-// ciphertext for the identity — from the cache when the identity was
-// encrypted to before (one deposit per message within a nonce epoch hits
-// this), computing and caching the hash-to-curve plus pairing otherwise.
-func (p *Params) gID(id []byte) (pairing.GT, error) {
-	if g, ok := p.gid.get(id); ok {
+// PairIdentity returns ê(H1(id), P_pub), uncached: the g_ID of an
+// encryption identity, or the same value for a PEKS keyword identity,
+// which has no business in the g_ID cache. H1's cofactor is not cleared
+// on the curve: the pairing is symmetric and only its first argument
+// needs order q, so the hashed curve point R is evaluated against P_pub's
+// precomputed lines and the cofactor h goes through the final
+// exponentiation, ê(P_pub, R)^h = ê(h·R, P_pub) to the bit
+// (pairing.G1Precomp.PairCofactor). R is hashed from public bytes and
+// P_pub and h are public; the secret of an encryption is the power r
+// taken afterwards. The value is 1 exactly when h·R = ∞ (probability
+// 1/q); then H1 re-hashes under its retry domain, and that rule stays in
+// HashToSubgroup alone.
+func (p *Params) PairIdentity(id []byte) (pairing.GT, error) {
+	r, err := p.Sys.Curve.HashToCurvePoint(identityDomain, id)
+	if err != nil {
+		return pairing.GT{}, err
+	}
+	p.ppubOnce.Do(func() { p.ppub = p.Sys.G1Precomp(p.PPub) })
+	if g := p.ppub.PairCofactor(r); !g.IsOne() {
 		return g, nil
 	}
 	q, err := p.HashIdentity(id)
 	if err != nil {
 		return pairing.GT{}, err
 	}
-	g := p.Sys.Pair(q, p.PPub)
+	return p.Sys.Pair(q, p.PPub), nil
+}
+
+// gID returns g_ID = ê(Q_ID, P_pub), the value whose r-th power keys a
+// ciphertext for the identity — from the cache when the identity was
+// encrypted to before (one deposit per message within a nonce epoch hits
+// this), computing and caching it otherwise.
+func (p *Params) gID(id []byte) (pairing.GT, error) {
+	if g, ok := p.gid.get(id); ok {
+		return g, nil
+	}
+	g, err := p.PairIdentity(id)
+	if err != nil {
+		return pairing.GT{}, err
+	}
 	p.gid.put(id, g)
 	return g, nil
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"crypto/rand"
 	"fmt"
+	"math/big"
 	"sync"
 	"testing"
 
 	"mwskit/internal/ec"
+	"mwskit/internal/ff"
+	"mwskit/internal/obsv"
 	"mwskit/internal/pairing"
 )
 
@@ -234,4 +237,97 @@ func TestGIDCacheConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// opCounts runs f and returns how many pairings and public scalar
+// multiplications it performed. The counters are process-wide, so callers
+// must not run in parallel with other crypto.
+func opCounts(f func()) (pairings, publicMults uint64) {
+	before := obsv.CounterMap()
+	f()
+	after := obsv.CounterMap()
+	return after["pairing_ops"] - before["pairing_ops"], after["scalar_mult_public"] - before["scalar_mult_public"]
+}
+
+// TestEncapsulateOpCounts pins the counts BENCH_PR19.json quotes beside
+// its timings: a cold Encapsulate is one pairing and no public scalar
+// multiplication (the cofactor goes through the pairing, not over the
+// curve), a warm one neither.
+func TestEncapsulateOpCounts(t *testing.T) {
+	p, _ := freshParams(t)
+	id := []byte("ELECTRIC-APT-SV-CA||nonce-counts")
+	encapsulate := func() {
+		if _, _, err := p.Encapsulate(id, 16, rand.Reader); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pairings, mults := opCounts(encapsulate); pairings != 1 || mults != 0 {
+		t.Errorf("cold Encapsulate: %d pairings, %d public scalar mults; want 1 and 0", pairings, mults)
+	}
+	if pairings, mults := opCounts(encapsulate); pairings != 0 || mults != 0 {
+		t.Errorf("warm Encapsulate: %d pairings, %d public scalar mults; want 0 and 0", pairings, mults)
+	}
+}
+
+// TestPairIdentityFallback drives the branch no preset will ever take:
+// on the tiny curve (q = 263) one identity in 263 hashes to a point whose
+// cleared image is ∞, where PairIdentity must agree with H1's retry rule.
+// Every identity, on either branch, must give Pair(H1(id), P_pub).
+func TestPairIdentityFallback(t *testing.T) {
+	c := ec.MustCurve(ff.MustField(big.NewInt(1051)), big.NewInt(263))
+	g, err := c.HashToSubgroup("tiny-bfibe", []byte("gen"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := (&pairing.Params{P: c.F.P(), Q: c.Q, Gx: g.X.BigInt(), Gy: g.Y.BigInt()}).System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Params{Sys: sys, PPub: sys.Curve.ScalarMult(g, big.NewInt(97))}
+	fellBack := 0
+	for i := 0; i < 2000; i++ {
+		id := []byte(fmt.Sprintf("tiny-id-%d", i))
+		r, err := sys.Curve.HashToCurvePoint(identityDomain, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.Curve.ClearCofactor(r).Inf {
+			fellBack++
+		}
+		q, err := p.HashIdentity(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.PairIdentity(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sys.Pair(q, p.PPub); !got.Equal(want) || got.IsOne() {
+			t.Fatalf("identity %d: PairIdentity ≠ Pair(H1(id), P_pub)", i)
+		}
+	}
+	if fellBack == 0 {
+		t.Fatal("no identity exercised the fallback")
+	}
+}
+
+var sinkKey []byte
+
+// BenchmarkEncapsulateCold is Encapsulate on the paper-scale preset with
+// the g_ID cache disabled: hash-to-curve, the P_pub pairing with the
+// cofactor folded in, U = rP on the comb and g_ID^r.
+func BenchmarkEncapsulateCold(b *testing.B) {
+	sys := pairing.ParamsBF80.MustSystem()
+	p, _, err := Setup(sys, rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.SetGIDCacheCap(0)
+	id := []byte("ELECTRIC-APTCOMPLEX-SV-CA||nonce-bytes")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, sinkKey, err = p.Encapsulate(id, 16, rand.Reader); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

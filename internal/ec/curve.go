@@ -151,8 +151,8 @@ func (c *Curve) Sub(p, q Point) Point { return c.Add(p, q.Neg()) }
 // instead of one per bit. The bit scan branches on the scalar, so the
 // running time leaks its pattern — acceptable only for PUBLIC scalars
 // (cofactor, group order, signature challenges, Lagrange coefficients).
-// Secret scalars must go through ScalarMultSecret or a Comb; the mwslint
-// vartime analyzer enforces that split.
+// Secret scalars must go through ScalarMultSecret or a Comb; mwslint's
+// ctflow analyzer enforces that split (its class 5, variable-time callees).
 func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 	obsv.AddScalarMultPublic()
 	if p.Inf || k.Sign() == 0 {

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
+	"io"
 	"math/big"
 )
 
@@ -20,8 +22,10 @@ const maxHashAttempts = 256
 // in the order-q subgroup; see HashToSubgroup.
 func (c *Curve) HashToCurvePoint(domain string, msg []byte) (Point, error) {
 	byteLen := c.F.ByteLen()
+	h := sha256.New()
+	xBytes := make([]byte, 0, byteLen+sha256.Size)
 	for ctr := uint32(0); ctr < maxHashAttempts; ctr++ {
-		xBytes := expand(domain, ctr, msg, byteLen)
+		xBytes = expand(h, xBytes[:0], domain, ctr, msg, byteLen)
 		x := c.F.NewElement(new(big.Int).SetBytes(xBytes))
 		rhs := x.Square().Mul(x).Add(x) // x³ + x
 		y, ok := rhs.Sqrt()
@@ -31,7 +35,7 @@ func (c *Curve) HashToCurvePoint(domain string, msg []byte) (Point, error) {
 		// Normalize the root so hashing is deterministic across
 		// square-root implementations: pick the root whose canonical
 		// representative is even.
-		if y.BigInt().Bit(0) == 1 {
+		if yb := y.Bytes(); yb[len(yb)-1]&1 == 1 {
 			y = y.Neg()
 		}
 		return Point{X: x, Y: y}, nil
@@ -59,23 +63,19 @@ func (c *Curve) HashToSubgroup(domain string, msg []byte) (Point, error) {
 	return Point{}, errors.New("ec: hash-to-subgroup produced the identity")
 }
 
-// expand derives byteLen bytes from (domain, ctr, msg) by chaining SHA-256
-// blocks, a simple fixed-output-length XOF substitute.
-func expand(domain string, ctr uint32, msg []byte, byteLen int) []byte {
-	var ctrBuf [4]byte
-	binary.BigEndian.PutUint32(ctrBuf[:], ctr)
-	out := make([]byte, 0, byteLen+sha256.Size)
-	var block uint32
-	for len(out) < byteLen {
-		h := sha256.New()
-		h.Write([]byte(domain))
-		h.Write(ctrBuf[:])
-		var blockBuf [4]byte
-		binary.BigEndian.PutUint32(blockBuf[:], block)
-		h.Write(blockBuf[:])
+// expand appends to out the byteLen bytes derived from (domain, ctr, msg)
+// by chaining SHA-256 blocks on the caller's hasher, a simple
+// fixed-output-length XOF substitute.
+func expand(h hash.Hash, out []byte, domain string, ctr uint32, msg []byte, byteLen int) []byte {
+	var hdr [8]byte // counter ‖ block index
+	binary.BigEndian.PutUint32(hdr[:4], ctr)
+	for block := uint32(0); len(out) < byteLen; block++ {
+		binary.BigEndian.PutUint32(hdr[4:], block)
+		h.Reset()
+		io.WriteString(h, domain)
+		h.Write(hdr[:])
 		h.Write(msg)
 		out = h.Sum(out)
-		block++
 	}
 	return out[:byteLen]
 }

@@ -2,12 +2,13 @@ package pairing
 
 import (
 	"crypto/rand"
+	"math/big"
 	"testing"
 
 	"mwskit/internal/ec"
 )
 
-// The three benchmarks the CI bench-smoke job runs at -benchtime=0.2s on
+// The benchmarks the CI bench-smoke job runs at -benchtime=0.2s on
 // the paper-scale preset, so a final exponentiation that fell back to
 // square-and-multiply (FinalExp ≈ +40 %) shows in the log.
 
@@ -36,6 +37,33 @@ func BenchmarkPrecompPair(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkGT = pre.Pair(q)
 	}
+}
+
+// BenchmarkPairCofactor is the cold-deposit shape: a fixed first argument
+// against a hashed curve point, cofactor included. "cleared" is what it
+// replaced (clear h on the curve, then a full pairing) and "exp" the
+// unfolded alternative (fixed-argument pairing, then the power h mod q in
+// F_p²).
+func BenchmarkPairCofactor(b *testing.B) {
+	sys, p, _ := benchPoints(b)
+	pre := sys.G1Precomp(p)
+	r := hashedCurvePoint(b, sys.Curve, 0)
+	hModQ := new(big.Int).Mod(sys.Curve.H, sys.Curve.Q)
+	b.Run("folded", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkGT = pre.PairCofactor(r)
+		}
+	})
+	b.Run("exp", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkGT = pre.Pair(r).Exp(hModQ)
+		}
+	})
+	b.Run("cleared", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkGT = sys.Pair(sys.Curve.ClearCofactor(r), p)
+		}
+	})
 }
 
 func BenchmarkFinalExp(b *testing.B) {

@@ -83,6 +83,10 @@ type Pairing struct {
 	Curve *ec.Curve
 	// pPlus1DivQ is (p+1)/q, the second factor of the final exponent.
 	pPlus1DivQ *big.Int
+	// cofactorExp is h·(h mod q) for the cofactor h = (p+1)/q: the second
+	// factor of the final exponent times the public power that stands in
+	// for clearing h on the curve (PairCofactor).
+	cofactorExp *big.Int
 	// two and half are the F_p constants 2 and 1/2 of the Lucas ladder in
 	// finalExp.
 	two, half ff.Element
@@ -90,9 +94,9 @@ type Pairing struct {
 
 // New builds a Pairing for the given curve.
 func New(c *ec.Curve) *Pairing {
-	pp1 := new(big.Int).Add(c.F.P(), big.NewInt(1))
+	hModQ := new(big.Int).Mod(c.H, c.Q)
 	two := c.F.FromInt64(2)
-	return &Pairing{Curve: c, pPlus1DivQ: pp1.Div(pp1, c.Q), two: two, half: two.Inv()}
+	return &Pairing{Curve: c, pPlus1DivQ: c.H, cofactorExp: hModQ.Mul(hModQ, c.H), two: two, half: two.Inv()}
 }
 
 // GTOne returns the identity of the target group.
@@ -269,13 +273,32 @@ func (pre *G1Precomp) miller(q ec.Point) ff.E2 {
 	return f
 }
 
-// Pair evaluates ê(P, Q) against the precomputed first argument.
+// Pair evaluates ê(P, Q) against the precomputed first argument. Only P
+// must have order q; Q may be any point of E(F_p) (see Pairing.Pair).
 func (pre *G1Precomp) Pair(q ec.Point) GT {
 	obsv.AddPairing()
 	if pre.inf || q.Inf {
 		return pre.e.GTOne()
 	}
 	return GT{v: pre.e.finalExp(pre.miller(q))}
+}
+
+// PairCofactor evaluates ê(P, h·R) for any point R of E(F_p), h = (p+1)/q
+// the cofactor, without multiplying by h on the curve: the Tate
+// pairing is bilinear in a second argument taken modulo qE, so
+// ê(P, h·R) = ê(P, R)^h = ê(P, R)^(h mod q), and that public power rides
+// in the Lucas ladder of the final exponentiation as the single exponent
+// h·(h mod q). The result is the field element Pair(ClearCofactor(R))
+// computes, bit for bit, and is 1 exactly when h·R = ∞ (gcd(h, q) = 1,
+// which Params.Validate demands). It is how a hashed identity meets the
+// fixed P_pub: R comes out of HashToCurvePoint, so nothing here is secret
+// or attacker-chosen.
+func (pre *G1Precomp) PairCofactor(r ec.Point) GT {
+	obsv.AddPairing()
+	if pre.inf || r.Inf {
+		return pre.e.GTOne()
+	}
+	return GT{v: pre.e.finalExpBy(pre.miller(r), pre.e.cofactorExp)}
 }
 
 // PairProduct evaluates Π_i ê(P, Q_i) under a single shared final
@@ -301,9 +324,16 @@ func (pre *G1Precomp) PairProduct(qs ...ec.Point) GT {
 	return GT{v: pre.e.finalExp(f)}
 }
 
-// Pair computes the modified Tate pairing ê(P, Q). Both inputs must lie in
-// the order-q subgroup G1 (callers obtain them via hashing or scalar
-// multiplication of subgroup points); pairing with the identity returns 1.
+// Pair computes the modified Tate pairing ê(P, Q); pairing with the
+// identity returns 1. The FIRST argument must lie in the order-q subgroup
+// G1: the Miller walk over its multiples is exception-free only then (see
+// G1Precomp). The second may be any point of E(F_p) — it is only ever
+// evaluated at, and its component of order dividing h = (p+1)/q pairs
+// to 1 — so ê(P, Q) = ê(P, Q′) for the G1 component Q′ of Q. That is a
+// property of the function, not a licence to skip validation: second
+// arguments decoded from the wire (encapsulation and tag points) are still
+// order-checked by their decoders, because a point outside G1 there is an
+// attacker's choice (DESIGN.md §9).
 func (e *Pairing) Pair(p, q ec.Point) GT {
 	obsv.AddPairing()
 	//mwslint:declassify infinity tags are public wire structure; extracted private keys are never the identity, so the branch outcome is fixed for secret operands
@@ -365,13 +395,16 @@ func (e *Pairing) PairProduct(ps, qs []ec.Point) GT {
 // division by N and the one by 2·Im(g) = −4xy/N share a single F_p
 // inversion, that of −4xy·N. The result equals finalExpRef(f) bit for
 // bit: both compute the same field element, and encodings are canonical.
-func (e *Pairing) finalExp(f ff.E2) ff.E2 {
+func (e *Pairing) finalExp(f ff.E2) ff.E2 { return e.finalExpBy(f, e.pPlus1DivQ) }
+
+// finalExpBy is finalExp with the second factor of the exponent given:
+// f^((p−1)·k) for a public k, (p+1)/q or a multiple of it.
+func (e *Pairing) finalExpBy(f ff.E2, k *big.Int) ff.E2 {
 	x, y := f.A, f.B
-	k := e.pPlus1DivQ
 	im := x.Mul(y).Double().Neg() // −2xy = N·Im(g)
 	//mwslint:declassify the pairing is non-degenerate on order-q points, so g ≠ ±1 and the outcome is fixed whenever a private key is an operand; only crafted accumulators and products of public pairings can take the branch
 	if im.IsZero() {
-		return e.finalExpNoImag(f)
+		return e.finalExpNoImag(f, k)
 	}
 	re := x.Add(y).Mul(x.Sub(y)) // x² − y² = N·Re(g)
 	n := re.Add(y.Square().Double())
@@ -392,19 +425,19 @@ func (e *Pairing) finalExp(f ff.E2) ff.E2 {
 	return ff.NewE2(v0.Mul(e.half), a.Mul(v0).Sub(v1).Mul(inv2b))
 }
 
-// finalExpNoImag is finalExp for an accumulator with a zero coordinate,
+// finalExpNoImag is finalExpBy for an accumulator with a zero coordinate,
 // where g = conj(f)/f is ±1 and there is no Im(g) to divide by: f ∈ F_p
-// gives g = 1, f ∈ i·F_p gives g = −1 and the result is (−1)^((p+1)/q).
+// gives g = 1, f ∈ i·F_p gives g = −1 and the result is (−1)^k.
 // f = 0 has no inverse and panics as f.Inv() always did; no pairing of
 // curve points produces it.
 //
-//mwslint:declassify reached only through finalExp's declassified branch, whose outcome no private key influences
-func (e *Pairing) finalExpNoImag(f ff.E2) ff.E2 {
+//mwslint:declassify reached only through finalExpBy's declassified branch, whose outcome no private key influences
+func (e *Pairing) finalExpNoImag(f ff.E2, k *big.Int) ff.E2 {
 	one := e.Curve.F.E2One()
 	switch {
 	case f.IsZero():
 		panic("ff: inverse of zero in F_p²")
-	case f.A.IsZero() && e.pPlus1DivQ.Bit(0) == 1:
+	case f.A.IsZero() && k.Bit(0) == 1:
 		return one.Neg()
 	}
 	return one

@@ -24,8 +24,9 @@ type Params struct {
 }
 
 // Validate checks the internal consistency of a parameter set: the field
-// congruence, divisibility, primality (probabilistic), generator curve
-// membership, subgroup order, and pairing non-degeneracy ê(G, G) ≠ 1.
+// congruence, divisibility, primality (probabilistic), a cofactor
+// (p+1)/q prime to q, generator curve membership, subgroup order, and
+// pairing non-degeneracy ê(G, G) ≠ 1.
 func (pp *Params) Validate() error {
 	if pp.P == nil || pp.Q == nil || pp.Gx == nil || pp.Gy == nil {
 		return errors.New("pairing: incomplete parameter set")
@@ -39,6 +40,11 @@ func (pp *Params) Validate() error {
 	sys, err := pp.System()
 	if err != nil {
 		return err
+	}
+	// G1 must be the whole q-torsion of E(F_p), and G1Precomp.PairCofactor
+	// replaces the cofactor by its residue mod q, which must be a unit.
+	if new(big.Int).Mod(sys.Curve.H, pp.Q).Sign() == 0 {
+		return errors.New("pairing: q divides the cofactor (p+1)/q")
 	}
 	g := sys.G1()
 	if !sys.Curve.IsOnCurve(g) {
@@ -143,7 +149,8 @@ func Generate(pBits, qBits int, rng io.Reader) (*Params, error) {
 		if !p.ProbablyPrime(32) {
 			continue
 		}
-		// Reject q² | p+1 so G1 is the full q-torsion over F_p.
+		// Reject q² | p+1 so G1 is the full q-torsion over F_p and the
+		// cofactor is a unit mod q (Validate checks the same).
 		if new(big.Int).Mod(c, q).Sign() == 0 {
 			continue
 		}

@@ -57,7 +57,7 @@ func NewTag(p *bfibe.Params, keyword string, rng io.Reader) (*Tag, error) {
 	if keyword == "" {
 		return nil, errors.New("peks: empty keyword")
 	}
-	qw, err := p.HashIdentity(KeywordIdentity(keyword))
+	g, err := p.PairIdentity(KeywordIdentity(keyword))
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +70,7 @@ func NewTag(p *bfibe.Params, keyword string, rng io.Reader) (*Tag, error) {
 	// constant schedule and the speedup; the target-group power of r
 	// likewise takes the constant-time path.
 	u := p.Sys.G1Comb().Mul(r)
-	t := p.Sys.GTExpSecret(p.Sys.Pair(qw, p.PPub), r)
+	t := p.Sys.GTExpSecret(g, r)
 	return &Tag{U: u, C: kdf.Stream("mwskit/peks/h/v1", t.Bytes(), tagHashLen)}, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mwskit/internal/bfibe"
+	"mwskit/internal/obsv"
 	"mwskit/internal/pairing"
 )
 
@@ -192,6 +193,23 @@ func TestWarehouseFilterScenario(t *testing.T) {
 	}
 	if len(matched) != 2 || matched[0] != 2 || matched[1] != 4 {
 		t.Fatalf("filter returned %v, want [2 4]", matched)
+	}
+}
+
+// TestNewTagOpCounts pins what a tag costs its depositor: one pairing and
+// no public scalar multiplication — H1's cofactor goes through the P_pub
+// pairing, as for g_ID (bfibe.Params.PairIdentity).
+func TestNewTagOpCounts(t *testing.T) {
+	p, _ := env(t)
+	before := obsv.CounterMap()
+	if _, err := NewTag(p, "outage", rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	after := obsv.CounterMap()
+	pairings := after["pairing_ops"] - before["pairing_ops"]
+	mults := after["scalar_mult_public"] - before["scalar_mult_public"]
+	if pairings != 1 || mults != 0 {
+		t.Errorf("NewTag: %d pairings, %d public scalar mults; want 1 and 0", pairings, mults)
 	}
 }
 
