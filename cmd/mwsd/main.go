@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"mwskit/internal/attr"
-	"mwskit/internal/metrics"
 	"mwskit/internal/mws"
 	"mwskit/internal/obsv"
 	"mwskit/internal/policy"
@@ -144,7 +143,7 @@ func main() {
 				"endpoints", "/metrics /healthz /traces /debug/pprof")
 			defer dsrv.Close()
 		}
-		stopStats := logStatsPeriodically(*statsEvery, logger, srv, svc.Metrics)
+		stopStats := obsv.LogStats(*statsEvery, logger, "mws stats", srv.ConnCount, svc.StatsRegistry())
 		waitForSignal()
 		stopStats()
 		if err := srv.Close(); err != nil {
@@ -295,27 +294,4 @@ func waitForSignal() {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	<-ch
-}
-
-// logStatsPeriodically emits one per-op stats line every interval, giving
-// operators the latency/error surface without scraping. The returned stop
-// function halts the ticker.
-func logStatsPeriodically(interval time.Duration, logger *slog.Logger, srv *wire.Server, snap func() map[string]metrics.OpSnapshot) func() {
-	if interval <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				logger.Info("mws stats", "conns", srv.ConnCount(), "ops", metrics.FormatSnapshot(snap()))
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() { close(done) }
 }

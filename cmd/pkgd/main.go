@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"mwskit/internal/keyserver"
-	"mwskit/internal/metrics"
 	"mwskit/internal/obsv"
 	"mwskit/internal/wire"
 )
@@ -88,26 +87,12 @@ func main() {
 		defer dsrv.Close()
 	}
 
-	stopStats := make(chan struct{})
-	if *statsEvery > 0 {
-		go func() {
-			t := time.NewTicker(*statsEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					logger.Info("pkg stats", "conns", srv.ConnCount(), "ops", metrics.FormatSnapshot(svc.Metrics()))
-				case <-stopStats:
-					return
-				}
-			}
-		}()
-	}
+	stopStats := obsv.LogStats(*statsEvery, logger, "pkg stats", srv.ConnCount, svc.StatsRegistry())
 
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	<-ch
-	close(stopStats)
+	stopStats()
 	if err := srv.Close(); err != nil {
 		die(logger, "shutdown", err)
 	}

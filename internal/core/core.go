@@ -33,7 +33,6 @@ import (
 	"mwskit/internal/bfibe"
 	"mwskit/internal/device"
 	"mwskit/internal/keyserver"
-	"mwskit/internal/metrics"
 	"mwskit/internal/mws"
 	"mwskit/internal/obsv"
 	"mwskit/internal/rclient"
@@ -258,13 +257,13 @@ func (d *Deployment) Close() error {
 // services, keyed "mws.<Op>" / "pkg.<Op>" — the observable surface the
 // paper's §III(iv) scalability requirement implies. Ops appear once they
 // have served at least one request.
-func (d *Deployment) MetricsSnapshot() map[string]metrics.OpSnapshot {
-	out := make(map[string]metrics.OpSnapshot)
-	for op, s := range d.MWS.Metrics() {
-		out["mws."+op] = s
+func (d *Deployment) MetricsSnapshot() map[string]obsv.OpSample {
+	out := make(map[string]obsv.OpSample)
+	for _, s := range d.MWS.StatsRegistry().Export().Ops {
+		out["mws."+s.Op] = s
 	}
-	for op, s := range d.PKG.Metrics() {
-		out["pkg."+op] = s
+	for _, s := range d.PKG.StatsRegistry().Export().Ops {
+		out["pkg."+s.Op] = s
 	}
 	return out
 }

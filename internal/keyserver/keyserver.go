@@ -24,7 +24,6 @@ import (
 	"mwskit/internal/bfibe"
 	"mwskit/internal/ibs"
 	"mwskit/internal/macauth"
-	"mwskit/internal/metrics"
 	"mwskit/internal/obsv"
 	"mwskit/internal/pairing"
 	"mwskit/internal/peks"
@@ -70,7 +69,7 @@ type Service struct {
 	kv     storage.CloserKV
 	replay *macauth.ReplayGuard
 	seal   symenc.Scheme
-	stats  *metrics.Registry
+	stats  *obsv.Registry
 	router *wire.Router
 }
 
@@ -115,7 +114,7 @@ func New(cfg Config) (*Service, error) {
 		sys:    sys,
 		kv:     kv,
 		replay: macauth.NewReplayGuard(cfg.FreshnessWindow),
-		stats:  metrics.NewRegistry(),
+		stats:  obsv.NewRegistry(),
 	}
 	s.seal, err = symenc.ByName("AES-256-GCM")
 	if err != nil {
@@ -352,13 +351,10 @@ func (s *Service) Handle(ctx context.Context, f wire.Frame) wire.Frame {
 	return s.router.Handle(ctx, f)
 }
 
-// Metrics returns a point-in-time per-op snapshot (request and error
-// counts, latency distribution) keyed by request frame type name.
-func (s *Service) Metrics() map[string]metrics.OpSnapshot { return s.stats.Snapshot() }
-
-// StatsRegistry exposes the live registry so the debug listener can
-// render labeled counters and gauges alongside the per-op series.
-func (s *Service) StatsRegistry() *metrics.Registry { return s.stats }
+// StatsRegistry exposes the live registry: per-op request and error
+// counts and latency distributions keyed by request frame type name, and
+// the service's labeled counters and gauges.
+func (s *Service) StatsRegistry() *obsv.Registry { return s.stats }
 
 // ListenAndServe starts a wire server for the PKG.
 func (s *Service) ListenAndServe(addr string, opts ...wire.ServerOption) (*wire.Server, net.Addr, error) {

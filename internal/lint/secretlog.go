@@ -18,7 +18,7 @@ import (
 var SecretLog = &Analyzer{
 	Name: "secretlog",
 	Doc: "flags identifiers matching secret/key naming patterns passed directly to fmt, log, or slog " +
-		"sinks — or into tracing span attributes — in secret-bearing packages",
+		"sinks — or into tracing span attributes or metric labels — in secret-bearing packages",
 	Run: runSecretLog,
 }
 
@@ -81,27 +81,43 @@ func runSecretLog(pass *Pass) {
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+			var args []ast.Expr
+			var telemetry string // where a span or label sink's text surfaces; "" for a log sink
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				switch {
+				case isSpanAttrSink(info, n):
+					telemetry = spanAttrSink
+				case calleeFromPkg(info, n, "mwskit/internal/obsv") == "L":
+					telemetry = labelSink
+				case !isLogSink(info, n):
+					return true
+				}
+				args = n.Args
+			case *ast.CompositeLit:
+				if tv := info.Types[n]; tv.Type == nil || !strings.HasSuffix(tv.Type.String(), "obsv.Label") {
+					return true
+				}
+				telemetry = labelSink
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						el = kv.Value
+					}
+					args = append(args, el)
+				}
 			}
-			spanAttr := isSpanAttrSink(info, call)
-			if !spanAttr && !isLogSink(info, call) {
-				return true
-			}
-			for _, arg := range call.Args {
+			for _, arg := range args {
 				name, pos := argIdentName(arg)
-				if spanAttr && name == "" {
-					// SetAttr takes strings, so the typical violation
+				if telemetry != "" && name == "" {
+					// These sinks take strings, so the typical violation
 					// arrives wrapped in a conversion: string(masterKey).
 					name, pos = convArgIdentName(info, arg)
 				}
 				if name == "" || !secretName(name) {
 					continue
 				}
-				if spanAttr {
-					pass.Reportf(pos,
-						"%s looks like key material flowing into a span attribute; attributes reach the trace ring, slow-request logs, /traces, and TTrace responses — record identities or digests, never the secret", name)
+				if telemetry != "" {
+					pass.Reportf(pos, "%s looks like key material flowing into %s — record identities or digests, never the secret", name, telemetry)
 					continue
 				}
 				pass.Reportf(pos,
@@ -111,6 +127,14 @@ func runSecretLog(pass *Pass) {
 		})
 	}
 }
+
+// spanAttrSink and labelSink say, for a diagnostic, where the text handed
+// to obsv's two telemetry sinks ends up. A metric label value (obsv.L or
+// an obsv.Label literal) is log output as much as a span attribute is.
+const (
+	spanAttrSink = "a span attribute; attributes reach the trace ring, slow-request logs, /traces, and TTrace responses"
+	labelSink    = "a metric label; labels reach /metrics, TStats responses, and the stats log line"
+)
 
 // isLogSink reports whether call is a fmt/log/slog output call or a
 // method on a slog.Logger.

@@ -31,7 +31,6 @@ import (
 	"mwskit/internal/bfibe"
 	"mwskit/internal/ibs"
 	"mwskit/internal/macauth"
-	"mwskit/internal/metrics"
 	"mwskit/internal/obsv"
 	"mwskit/internal/peks"
 	"mwskit/internal/policy"
@@ -101,13 +100,13 @@ type Service struct {
 	compactStop chan struct{}
 	compactDone chan struct{}
 
-	stats  *metrics.Registry
+	stats  *obsv.Registry
 	router *wire.Router
 
 	// Keyword-search series: tags tested per search is
 	// peks_tags_tested / peks_searches, and a search that matched nothing
 	// because its corpus would not decode shows in peks_tags_undecodable.
-	searches, tagsTested, tagsUndecodable *metrics.Counter
+	searches, tagsTested, tagsUndecodable *obsv.Counter
 }
 
 // New opens (or creates) an MWS instance rooted at cfg.Dir.
@@ -131,7 +130,7 @@ func New(cfg Config) (*Service, error) {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 
-	stats := metrics.NewRegistry()
+	stats := obsv.NewRegistry()
 	sopts := cfg.Storage
 	if sopts.Metrics == nil {
 		sopts.Metrics = stats

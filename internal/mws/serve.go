@@ -4,7 +4,6 @@ import (
 	"context"
 	"net"
 
-	"mwskit/internal/metrics"
 	"mwskit/internal/obsv"
 	"mwskit/internal/wire"
 )
@@ -54,13 +53,10 @@ func (s *Service) Handle(ctx context.Context, f wire.Frame) wire.Frame {
 	return s.router.Handle(ctx, f)
 }
 
-// Metrics returns a point-in-time per-op snapshot (request and error
-// counts, latency distribution) keyed by request frame type name.
-func (s *Service) Metrics() map[string]metrics.OpSnapshot { return s.stats.Snapshot() }
-
-// StatsRegistry exposes the live registry so the debug listener can
-// render labeled counters and gauges alongside the per-op series.
-func (s *Service) StatsRegistry() *metrics.Registry { return s.stats }
+// StatsRegistry exposes the live registry: per-op request and error
+// counts and latency distributions keyed by request frame type name, and
+// the service's labeled counters and gauges.
+func (s *Service) StatsRegistry() *obsv.Registry { return s.stats }
 
 // ListenAndServe starts a wire server for this service on addr and
 // returns it along with the bound address.

@@ -7,8 +7,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"time"
-
-	"mwskit/internal/metrics"
 )
 
 // DebugHandler builds the opt-in operational debug surface the daemons
@@ -22,11 +20,11 @@ import (
 // The listener this handler is mounted on should default to localhost:
 // it exposes latency distributions, identities in span attributes, and
 // CPU profiles — operational data, not public API (DESIGN.md §10).
-func DebugHandler(service string, reg *metrics.Registry, tracer *Tracer) http.Handler {
+func DebugHandler(service string, reg *Registry, tracer *Tracer) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		metrics.WritePrometheus(w, service, reg, GlobalCounters(), GlobalGauges())
+		WritePrometheus(w, service, Collect(reg))
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -37,12 +35,11 @@ func DebugHandler(service string, reg *metrics.Registry, tracer *Tracer) http.Ha
 		if q := r.URL.Query().Get("trace"); q != "" {
 			// Trace IDs render in decimal everywhere (slog, JSON); parse
 			// the same way.
-			v, err := strconv.ParseUint(q, 10, 64)
-			if err != nil {
+			var err error
+			if traceID, err = strconv.ParseUint(q, 10, 64); err != nil {
 				http.Error(w, "bad trace id", http.StatusBadRequest)
 				return
 			}
-			traceID = v
 		}
 		recs := tracer.Snapshot(0, traceID)
 		w.Header().Set("Content-Type", "application/json")
@@ -68,7 +65,7 @@ type tracesDoc struct {
 // ServeDebug starts an HTTP debug server on addr in a background
 // goroutine and returns it plus the bound address; the caller owns
 // Shutdown/Close. Used by mwsd/pkgd when -debug-addr is set.
-func ServeDebug(addr, service string, reg *metrics.Registry, tracer *Tracer) (*http.Server, net.Addr, error) {
+func ServeDebug(addr, service string, reg *Registry, tracer *Tracer) (*http.Server, net.Addr, error) {
 	srv := &http.Server{
 		Handler:           DebugHandler(service, reg, tracer),
 		ReadHeaderTimeout: 5 * time.Second,

@@ -36,18 +36,6 @@ func (r *SpanRing) Put(rec *SpanRecord) {
 	r.slots[i%uint64(len(r.slots))].Store(rec)
 }
 
-// Len reports how many records the ring currently holds.
-func (r *SpanRing) Len() int {
-	if r == nil {
-		return 0
-	}
-	n := r.cursor.Load()
-	if n > uint64(len(r.slots)) {
-		return len(r.slots)
-	}
-	return int(n)
-}
-
 // Snapshot returns up to limit records, newest first (limit<=0 means
 // all retained). When traceID is nonzero only that trace's records are
 // returned. Concurrent Puts may race individual slots; each record read
@@ -58,23 +46,16 @@ func (r *SpanRing) Snapshot(limit int, traceID uint64) []SpanRecord {
 	}
 	size := uint64(len(r.slots))
 	end := r.cursor.Load()
-	span := size
-	if end < size {
-		span = end
-	}
+	span := min(size, end)
 	if limit <= 0 || uint64(limit) > size {
 		limit = int(size)
 	}
 	out := make([]SpanRecord, 0, min(limit, int(span)))
 	for off := uint64(0); off < span && len(out) < limit; off++ {
 		rec := r.slots[(end-1-off)%size].Load()
-		if rec == nil {
-			continue
+		if rec != nil && (traceID == 0 || rec.TraceID == traceID) {
+			out = append(out, *rec)
 		}
-		if traceID != 0 && rec.TraceID != traceID {
-			continue
-		}
-		out = append(out, *rec)
 	}
 	return out
 }

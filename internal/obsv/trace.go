@@ -1,8 +1,9 @@
 // Package obsv is the observability layer for the message warehousing
 // stack: wire-propagated request traces, crypto-stage spans, and the
 // process-wide counters that attribute a slow deposit to pairing work vs.
-// policy checks vs. WAL fsync. It deliberately depends only on the
-// standard library and internal/metrics so every other package — the
+// policy checks vs. WAL fsync, and the registry, counter, gauge and
+// histogram types such numbers are kept in. It imports only the standard
+// library (scripts/check.sh enforces it), so every other package — the
 // field/curve layer included — can hook into it without import cycles.
 //
 // Tracing is pull-based and bounded: finished spans land in a fixed-size
@@ -21,6 +22,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 )
@@ -36,14 +38,6 @@ type TraceContext struct {
 // Valid reports whether the context carries a trace.
 func (tc TraceContext) Valid() bool { return tc.TraceID != 0 }
 
-// Attr is one key/value annotation on a span. Values are strings by
-// design: attributes are operator-facing log data (identities, digests,
-// counts), not a transport for structures — and never for secrets.
-type Attr struct {
-	Key   string
-	Value string
-}
-
 // SpanRecord is one finished span, immutable once published to the ring.
 type SpanRecord struct {
 	TraceID  uint64
@@ -54,7 +48,7 @@ type SpanRecord struct {
 	Start    time.Time
 	Duration time.Duration
 	Err      string
-	Attrs    []Attr
+	Attrs    []Label // annotations, in SetAttr order
 }
 
 // Span is one in-flight stage of a request. All methods are nil-receiver
@@ -115,22 +109,13 @@ func NewTracer(service string, ringSize int, slow time.Duration, logger *slog.Lo
 	return &Tracer{service: service, ring: NewSpanRing(ringSize), slow: slow, logger: logger}
 }
 
-// Service returns the tracer's service name ("" for nil).
-func (t *Tracer) Service() string {
-	if t == nil {
-		return ""
-	}
-	return t.service
-}
-
 // Snapshot returns up to limit recent finished spans, newest first,
 // filtered to one trace when traceID is nonzero. Nil-safe.
 func (t *Tracer) Snapshot(limit int, traceID uint64) []SpanRecord {
 	if t == nil {
 		return nil
 	}
-	recs := t.ring.Snapshot(limit, traceID)
-	return recs
+	return t.ring.Snapshot(limit, traceID)
 }
 
 // spanCtxKey carries the current *Span through a request context.
@@ -161,24 +146,33 @@ func (t *Tracer) StartRemote(ctx context.Context, name string, remote TraceConte
 	if t == nil {
 		return ctx, nil
 	}
-	traceID := remote.TraceID
-	if traceID == 0 {
-		traceID = newID()
+	if remote.TraceID == 0 {
+		remote.TraceID = newID()
 	}
+	s := newSpan(t, nil, name, remote)
+	return ContextWithSpan(ctx, s), s
+}
+
+// newSpan starts a span of t under parent; a nil root makes it its own.
+func newSpan(t *Tracer, root *Span, name string, parent TraceContext) *Span {
+	now := time.Now()
 	s := &Span{
 		tracer: t,
-		start:  time.Now(),
+		root:   root,
+		start:  now,
 		rec: SpanRecord{
-			TraceID:  traceID,
+			TraceID:  parent.TraceID,
 			SpanID:   newID(),
-			ParentID: remote.SpanID,
+			ParentID: parent.SpanID,
 			Service:  t.service,
 			Name:     name,
-			Start:    time.Now(),
+			Start:    now,
 		},
 	}
-	s.root = s
-	return ContextWithSpan(ctx, s), s
+	if root == nil {
+		s.root = s
+	}
+	return s
 }
 
 // StartRoot begins a fresh root span with a newly minted trace ID.
@@ -194,22 +188,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if parent == nil {
 		return ctx, nil
 	}
-	parent.mu.Lock()
-	ptc := TraceContext{TraceID: parent.rec.TraceID, SpanID: parent.rec.SpanID}
-	parent.mu.Unlock()
-	s := &Span{
-		tracer: parent.tracer,
-		root:   parent.root,
-		start:  time.Now(),
-		rec: SpanRecord{
-			TraceID:  ptc.TraceID,
-			SpanID:   newID(),
-			ParentID: ptc.SpanID,
-			Service:  parent.tracer.service,
-			Name:     name,
-			Start:    time.Now(),
-		},
-	}
+	s := newSpan(parent.tracer, parent.root, name, parent.Context())
 	return ContextWithSpan(ctx, s), s
 }
 
@@ -229,7 +208,7 @@ func (s *Span) SetAttr(key, value string) {
 	}
 	s.mu.Lock()
 	if !s.done {
-		s.rec.Attrs = append(s.rec.Attrs, Attr{Key: key, Value: value})
+		s.rec.Attrs = append(s.rec.Attrs, L(key, value))
 	}
 	s.mu.Unlock()
 }
@@ -290,8 +269,7 @@ func (s *Span) finishRoot(root SpanRecord) {
 		return
 	}
 	s.mu.Lock()
-	kids := make([]SpanRecord, len(s.kids))
-	copy(kids, s.kids)
+	kids := slices.Clone(s.kids)
 	s.mu.Unlock()
 	t.logger.Warn("slow request",
 		"trace", root.TraceID,

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"mwskit/internal/attr"
-	"mwskit/internal/metrics"
 	"mwskit/internal/obsv"
 	"mwskit/internal/wal"
 )
@@ -49,12 +48,12 @@ type shard struct {
 	// Telemetry: series labeled shard="i" in the provider's registry, so
 	// the daemons' /metrics endpoint exposes per-shard load. Resolved
 	// once, so the hot path pays a few atomic adds.
-	appends, fsyncs, writeBytes *metrics.Counter
-	messages                    *metrics.Gauge
+	appends, fsyncs, writeBytes *obsv.Counter
+	messages                    *obsv.Gauge
 }
 
-func newShard(i int, reg *metrics.Registry) *shard {
-	l := metrics.L("shard", strconv.Itoa(i))
+func newShard(i int, reg *obsv.Registry) *shard {
+	l := obsv.L("shard", strconv.Itoa(i))
 	return &shard{
 		msgs:       make(map[uint64]*Message),
 		byAttr:     make(map[attr.Attribute][]uint64),
@@ -83,10 +82,10 @@ func shardKVDirs(dir, name string, nshard int) []string {
 
 // newProvider opens nshard shards under dir, replaying each shard's WAL
 // into its index; with dir "" the shards are volatile.
-func newProvider(dir string, sync SyncPolicy, nshard int, reg *metrics.Registry) (*provider, error) {
+func newProvider(dir string, sync SyncPolicy, nshard int, reg *obsv.Registry) (*provider, error) {
 	p := &provider{dir: dir, sync: sync, kvs: make(map[string]*kv)}
 	if reg == nil {
-		reg = metrics.NewRegistry() // nobody's /metrics: ShardStats alone reads it
+		reg = obsv.NewRegistry() // nobody's /metrics: ShardStats alone reads it
 	}
 	for i := 0; i < nshard; i++ {
 		sh := newShard(i, reg)

@@ -26,7 +26,7 @@ import (
 	"path/filepath"
 
 	"mwskit/internal/attr"
-	"mwskit/internal/metrics"
+	"mwskit/internal/obsv"
 	"mwskit/internal/wal"
 )
 
@@ -138,7 +138,7 @@ type Options struct {
 	// Metrics, when set, receives per-shard labeled series
 	// (storage_shard_appends, storage_shard_fsyncs,
 	// storage_shard_write_bytes, storage_shard_messages).
-	Metrics *metrics.Registry
+	Metrics *obsv.Registry
 }
 
 // Config is everything Open needs.

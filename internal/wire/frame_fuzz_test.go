@@ -83,7 +83,7 @@ func FuzzTraceResponseCodec(f *testing.F) {
 	valid := (&TraceResponse{Spans: []obsv.SpanRecord{{
 		TraceID: 1, SpanID: 2, ParentID: 3,
 		Service: "mws", Name: "Deposit",
-		Attrs: []obsv.Attr{{Key: "device", Value: "meter-7"}},
+		Attrs: []obsv.Label{{Key: "device", Value: "meter-7"}},
 	}}}).Marshal()
 	f.Add(valid)
 	f.Add((&TraceResponse{}).Marshal())
@@ -109,8 +109,8 @@ func FuzzTraceResponseCodec(f *testing.F) {
 func FuzzStatsResponseCodec(f *testing.F) {
 	valid := (&StatsResponse{
 		Ops:      []OpStat{{Op: "Deposit", Requests: 3, Errors: 1, MeanNs: 5}},
-		Counters: []CounterStat{{Name: "pairing_ops", Labels: []LabelPair{{Key: "op", Value: "Deposit"}}, Value: 9}},
-		Gauges:   []GaugeStat{{Name: "wal_fsync_p99_ns", Value: 100}},
+		Counters: []obsv.Sample{{Name: "pairing_ops", Labels: []obsv.Label{{Key: "op", Value: "Deposit"}}, Value: 9}},
+		Gauges:   []obsv.Sample{{Name: "wal_fsync_p99_ns", Value: 100}},
 	}).Marshal()
 	f.Add(valid)
 	f.Add((&StatsResponse{Ops: []OpStat{{Op: "Ping"}}}).Marshal())

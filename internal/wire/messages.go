@@ -3,6 +3,8 @@ package wire
 import (
 	"errors"
 	"fmt"
+
+	"mwskit/internal/obsv"
 )
 
 // Error codes carried by ErrorMsg.
@@ -572,38 +574,19 @@ type OpStat struct {
 	MaxNs    int64
 }
 
-// LabelPair is one key=value dimension on a CounterStat or GaugeStat.
-type LabelPair struct {
-	Key   string
-	Value string
-}
-
-// CounterStat is one labeled monotonic counter series as reported over
-// the wire (crypto-stage counters, error-by-code series).
-type CounterStat struct {
-	Name   string
-	Labels []LabelPair
-	Value  uint64
-}
-
-// GaugeStat is one labeled instantaneous value (WAL latency percentiles,
-// cache sizes).
-type GaugeStat struct {
-	Name   string
-	Labels []LabelPair
-	Value  int64
-}
-
 // StatsResponse answers a TStats introspection request with one OpStat per
 // instrumented operation, sorted by op name, plus (since v2 of the
-// message) labeled counter and gauge series. The counter/gauge block is
-// an optional trailing section: encoders omit it when empty, so a
-// counter-free response is byte-identical to the v1 message and old
-// decoders keep working.
+// message) labeled counter and gauge series in obsv's own sample type:
+// crypto-stage counters and error-by-code series, WAL latency percentiles
+// and per-shard sizes. The counter/gauge block is an optional trailing
+// section: encoders omit it when empty, so a counter-free response is
+// byte-identical to the v1 message and old decoders keep working. A
+// counter travels as an unsigned and a gauge as a signed eight-byte
+// field, which are the same bytes.
 type StatsResponse struct {
 	Ops      []OpStat
-	Counters []CounterStat
-	Gauges   []GaugeStat
+	Counters []obsv.Sample
+	Gauges   []obsv.Sample
 }
 
 // Marshal encodes the message.
@@ -622,24 +605,50 @@ func (r *StatsResponse) Marshal() []byte {
 		e.Int64(op.MaxNs)
 	}
 	if len(r.Counters) > 0 || len(r.Gauges) > 0 {
-		e.Uint32(uint32(len(r.Counters)))
-		for _, c := range r.Counters {
-			e.Str(c.Name)
-			encodeLabels(&e, c.Labels)
-			e.Uint64(c.Value)
-		}
-		e.Uint32(uint32(len(r.Gauges)))
-		for _, g := range r.Gauges {
-			e.Str(g.Name)
-			encodeLabels(&e, g.Labels)
-			e.Int64(g.Value)
-		}
+		encodeSamples(&e, r.Counters)
+		encodeSamples(&e, r.Gauges)
 	}
 	return e.Bytes()
 }
 
-// encodeLabels / decodeLabels carry a bounded label set.
-func encodeLabels(e *Encoder, labels []LabelPair) {
+// encodeSamples / decodeSamples carry one bounded block of series, each
+// with a bounded label set.
+func encodeSamples(e *Encoder, samples []obsv.Sample) {
+	e.Uint32(uint32(len(samples)))
+	for _, s := range samples {
+		e.Str(s.Name)
+		encodeLabels(e, s.Labels)
+		e.Int64(s.Value)
+	}
+}
+
+func decodeSamples(d *Decoder) ([]obsv.Sample, error) {
+	n, err := d.Uint32()
+	if err != nil {
+		return nil, err
+	}
+	if n > 1<<16 {
+		return nil, errors.New("wire: implausible series count")
+	}
+	out := make([]obsv.Sample, n)
+	for i := range out {
+		s := &out[i]
+		if s.Name, err = d.Str(); err != nil {
+			return nil, err
+		}
+		if s.Labels, err = decodeLabels(d, 64); err != nil {
+			return nil, err
+		}
+		if s.Value, err = d.Int64(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// encodeLabels / decodeLabels carry the label set of a series or the
+// attributes of a span, at most limit of them.
+func encodeLabels(e *Encoder, labels []obsv.Label) {
 	e.Uint32(uint32(len(labels)))
 	for _, l := range labels {
 		e.Str(l.Key)
@@ -647,18 +656,18 @@ func encodeLabels(e *Encoder, labels []LabelPair) {
 	}
 }
 
-func decodeLabels(d *Decoder) ([]LabelPair, error) {
+func decodeLabels(d *Decoder, limit uint32) ([]obsv.Label, error) {
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, err
 	}
-	if n > 64 {
+	if n > limit {
 		return nil, errors.New("wire: implausible label count")
 	}
 	if n == 0 {
 		return nil, nil
 	}
-	out := make([]LabelPair, n)
+	out := make([]obsv.Label, n)
 	for i := range out {
 		if out[i].Key, err = d.Str(); err != nil {
 			return nil, err
@@ -701,45 +710,11 @@ func UnmarshalStatsResponse(b []byte) (*StatsResponse, error) {
 	if d.Remaining() == 0 {
 		return r, nil // v1 message without the counter/gauge block
 	}
-	nc, err := d.Uint32()
-	if err != nil {
+	if r.Counters, err = decodeSamples(d); err != nil {
 		return nil, err
 	}
-	if nc > 1<<16 {
-		return nil, errors.New("wire: implausible counter count")
-	}
-	r.Counters = make([]CounterStat, nc)
-	for i := range r.Counters {
-		c := &r.Counters[i]
-		if c.Name, err = d.Str(); err != nil {
-			return nil, err
-		}
-		if c.Labels, err = decodeLabels(d); err != nil {
-			return nil, err
-		}
-		if c.Value, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-	}
-	ng, err := d.Uint32()
-	if err != nil {
+	if r.Gauges, err = decodeSamples(d); err != nil {
 		return nil, err
-	}
-	if ng > 1<<16 {
-		return nil, errors.New("wire: implausible gauge count")
-	}
-	r.Gauges = make([]GaugeStat, ng)
-	for i := range r.Gauges {
-		g := &r.Gauges[i]
-		if g.Name, err = d.Str(); err != nil {
-			return nil, err
-		}
-		if g.Labels, err = decodeLabels(d); err != nil {
-			return nil, err
-		}
-		if g.Value, err = d.Int64(); err != nil {
-			return nil, err
-		}
 	}
 	return r, d.Done()
 }

@@ -3,13 +3,11 @@ package wire
 import (
 	"context"
 	"errors"
-	"fmt"
 	"log/slog"
 	"sort"
 	"sync"
 	"time"
 
-	"mwskit/internal/metrics"
 	"mwskit/internal/obsv"
 )
 
@@ -201,21 +199,22 @@ func WithTimeout(d time.Duration) Middleware {
 
 // Instrument is middleware recording per-op request counts, error counts,
 // and latency into reg, keyed by the request frame type's name. Error
-// responses are additionally attributed to their structured code so the
-// periodic stats line can tell auth failures from timeouts.
-func Instrument(reg *metrics.Registry) Middleware {
+// responses are attributed to their structured code so the periodic stats
+// line can tell auth failures from timeouts; one whose payload carries no
+// usable code counts as CodeInternal.
+func Instrument(reg *obsv.Registry) Middleware {
 	return func(next Handler) Handler {
 		return HandlerFunc(func(ctx context.Context, f Frame) Frame {
 			start := time.Now()
 			resp := next.Handle(ctx, f)
-			op := f.Type.String()
-			isErr := resp.Type == TError
-			reg.Observe(op, time.Since(start), isErr)
-			if isErr {
-				if em, err := UnmarshalErrorMsg(resp.Payload); err == nil {
-					reg.ObserveCode(op, em.Code)
+			var code uint32
+			if resp.Type == TError {
+				code = CodeInternal
+				if em, err := UnmarshalErrorMsg(resp.Payload); err == nil && em.Code != 0 {
+					code = em.Code
 				}
 			}
+			reg.Observe(f.Type.String(), time.Since(start), code)
 			return resp
 		})
 	}
@@ -249,22 +248,16 @@ func Trace(t *obsv.Tracer) Middleware {
 	}
 }
 
-// StatsFromRegistry renders a registry snapshot as a wire StatsResponse:
-// per-op series sorted by name, the registry's labeled counters and
-// gauges, per-code error counts (as errors_by_code{op,code} series), and
-// the process-wide crypto/storage counters from obsv.
-func StatsFromRegistry(reg *metrics.Registry) *StatsResponse {
-	snap := reg.Snapshot()
-	names := make([]string, 0, len(snap))
-	for op := range snap {
-		names = append(names, op)
-	}
-	sort.Strings(names)
-	resp := &StatsResponse{Ops: make([]OpStat, 0, len(names))}
-	for _, op := range names {
-		s := snap[op]
-		resp.Ops = append(resp.Ops, OpStat{
-			Op:       op,
+// StatsFromRegistry renders what obsv.Collect(reg) exports — the same
+// samples /metrics serves — as a wire StatsResponse: per-op rows sorted by
+// name, then the registry's counters (errors_by_code{code,op} among them)
+// and gauges, each followed by the process-wide crypto/storage series.
+func StatsFromRegistry(reg *obsv.Registry) *StatsResponse {
+	e := obsv.Collect(reg)
+	resp := &StatsResponse{Ops: make([]OpStat, len(e.Ops)), Counters: e.Counters, Gauges: e.Gauges}
+	for i, s := range e.Ops {
+		resp.Ops[i] = OpStat{
+			Op:       s.Op,
 			Requests: s.Requests,
 			Errors:   s.Errors,
 			MinNs:    int64(s.Latency.Min),
@@ -273,52 +266,13 @@ func StatsFromRegistry(reg *metrics.Registry) *StatsResponse {
 			P90Ns:    int64(s.Latency.P90),
 			P99Ns:    int64(s.Latency.P99),
 			MaxNs:    int64(s.Latency.Max),
-		})
-	}
-	for _, op := range names {
-		codes := snap[op].ErrorCodes
-		ids := make([]uint32, 0, len(codes))
-		for c := range codes {
-			ids = append(ids, c)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, c := range ids {
-			resp.Counters = append(resp.Counters, CounterStat{
-				Name:   "errors_by_code",
-				Labels: []LabelPair{{Key: "op", Value: op}, {Key: "code", Value: fmt.Sprintf("%d", c)}},
-				Value:  codes[c],
-			})
-		}
-	}
-	for _, c := range reg.Counters() {
-		resp.Counters = append(resp.Counters, CounterStat{Name: c.Name, Labels: toLabelPairs(c.Labels), Value: c.Value})
-	}
-	for _, c := range obsv.GlobalCounters() {
-		resp.Counters = append(resp.Counters, CounterStat{Name: c.Name, Labels: toLabelPairs(c.Labels), Value: c.Value})
-	}
-	for _, g := range reg.Gauges() {
-		resp.Gauges = append(resp.Gauges, GaugeStat{Name: g.Name, Labels: toLabelPairs(g.Labels), Value: g.Value})
-	}
-	for _, g := range obsv.GlobalGauges() {
-		resp.Gauges = append(resp.Gauges, GaugeStat{Name: g.Name, Labels: toLabelPairs(g.Labels), Value: g.Value})
 	}
 	return resp
 }
 
-// toLabelPairs converts metrics labels to their wire shape.
-func toLabelPairs(ls []metrics.Label) []LabelPair {
-	if len(ls) == 0 {
-		return nil
-	}
-	out := make([]LabelPair, len(ls))
-	for i, l := range ls {
-		out[i] = LabelPair{Key: l.Key, Value: l.Value}
-	}
-	return out
-}
-
 // RegisterStats exposes reg on the router as the TStats introspection op.
-func RegisterStats(r *Router, reg *metrics.Registry) {
+func RegisterStats(r *Router, reg *obsv.Registry) {
 	r.HandleFunc(TStats, func(ctx context.Context, f Frame) Frame {
 		return Frame{Type: TStatsResp, Payload: StatsFromRegistry(reg).Marshal()}
 	})

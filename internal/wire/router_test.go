@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"mwskit/internal/metrics"
+	"mwskit/internal/obsv"
 )
 
 func TestRouterDispatchAndUnknownType(t *testing.T) {
@@ -193,7 +193,7 @@ func TestWithTimeoutDisabled(t *testing.T) {
 }
 
 func TestInstrumentAndStatsRoute(t *testing.T) {
-	reg := metrics.NewRegistry()
+	reg := obsv.NewRegistry()
 	r := NewRouter()
 	r.Use(Instrument(reg))
 	r.HandleFunc(TPing, func(ctx context.Context, f Frame) Frame {

@@ -61,11 +61,7 @@ func (r *TraceResponse) Marshal() []byte {
 		e.Int64(s.Start.UnixNano())
 		e.Int64(int64(s.Duration))
 		e.Str(s.Err)
-		e.Uint32(uint32(len(s.Attrs)))
-		for _, a := range s.Attrs {
-			e.Str(a.Key)
-			e.Str(a.Value)
-		}
+		encodeLabels(&e, s.Attrs)
 	}
 	return e.Bytes()
 }
@@ -110,23 +106,8 @@ func UnmarshalTraceResponse(b []byte) (*TraceResponse, error) {
 		if s.Err, err = d.Str(); err != nil {
 			return nil, err
 		}
-		na, err := d.Uint32()
-		if err != nil {
+		if s.Attrs, err = decodeLabels(d, 256); err != nil {
 			return nil, err
-		}
-		if na > 256 {
-			return nil, errors.New("wire: implausible attr count")
-		}
-		if na > 0 {
-			s.Attrs = make([]obsv.Attr, na)
-			for j := range s.Attrs {
-				if s.Attrs[j].Key, err = d.Str(); err != nil {
-					return nil, err
-				}
-				if s.Attrs[j].Value, err = d.Str(); err != nil {
-					return nil, err
-				}
-			}
 		}
 	}
 	return r, d.Done()

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,7 +39,7 @@ func TestTraceResponseRoundTrip(t *testing.T) {
 			Start:    start,
 			Duration: 1500 * time.Microsecond,
 			Err:      "deadline exceeded",
-			Attrs:    []obsv.Attr{{Key: "device", Value: "meter-7"}, {Key: "bytes", Value: "128"}},
+			Attrs:    []obsv.Label{{Key: "device", Value: "meter-7"}, {Key: "bytes", Value: "128"}},
 		},
 		{TraceID: 1, SpanID: 4, ParentID: 2, Service: "mws", Name: "wal.append", Start: start, Duration: time.Millisecond},
 	}}
@@ -64,11 +67,11 @@ func TestTraceResponseRejectsImplausibleCounts(t *testing.T) {
 func TestStatsResponseCounterRoundTrip(t *testing.T) {
 	r := &StatsResponse{
 		Ops: []OpStat{{Op: "Deposit", Requests: 10, Errors: 2, MinNs: 1, MeanNs: 5, P50Ns: 4, P90Ns: 8, P99Ns: 9, MaxNs: 12}},
-		Counters: []CounterStat{
-			{Name: "errors_by_code", Labels: []LabelPair{{Key: "code", Value: "2"}, {Key: "op", Value: "Deposit"}}, Value: 2},
+		Counters: []obsv.Sample{
+			{Name: "errors_by_code", Labels: []obsv.Label{{Key: "code", Value: "2"}, {Key: "op", Value: "Deposit"}}, Value: 2},
 			{Name: "pairing_ops", Value: 42},
 		},
-		Gauges: []GaugeStat{{Name: "wal_fsync_p99_ns", Value: 123456}},
+		Gauges: []obsv.Sample{{Name: "wal_fsync_p99_ns", Value: 123456}},
 	}
 	got, err := UnmarshalStatsResponse(r.Marshal())
 	if err != nil {
@@ -76,6 +79,58 @@ func TestStatsResponseCounterRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, r) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, r)
+	}
+}
+
+// TestStatsResponseGolden holds the codec to testdata/tstats_v2.golden:
+// the v1 (ops only) and v2 (ops, labeled counters, gauges) payloads of two
+// fixed values as the encoder of the commit before obsv.Sample replaced
+// wire's own sample and label types wrote them. The file is never
+// regenerated; both directions must hold byte for byte.
+func TestStatsResponseGolden(t *testing.T) {
+	values := map[string]*StatsResponse{
+		"v1": {Ops: []OpStat{{Op: "Ping", Requests: 1}}},
+		"v2": {
+			Ops: []OpStat{
+				{Op: "Deposit", Requests: 10, Errors: 2, MinNs: 1000, MeanNs: 5000, P50Ns: 4000, P90Ns: 8000, P99Ns: 9000, MaxNs: 12000},
+				{Op: "Retrieve", Requests: 3},
+			},
+			Counters: []obsv.Sample{
+				{Name: "errors_by_code", Labels: []obsv.Label{{Key: "code", Value: "2"}, {Key: "op", Value: "Deposit"}}, Value: 2},
+				{Name: "pairing_ops", Value: 42},
+				{Name: "storage_shard_appends", Labels: []obsv.Label{{Key: "shard", Value: "3"}}, Value: 7},
+			},
+			Gauges: []obsv.Sample{
+				{Name: "queue_delta", Labels: []obsv.Label{{Key: "listener", Value: "a\"b\\c\n"}}, Value: -3},
+				{Name: "storage_shard_messages", Labels: []obsv.Label{{Key: "shard", Value: "3"}}, Value: 7},
+				{Name: "wal_fsync_p99_ns", Value: 123456},
+			},
+		},
+	}
+	raw, err := os.ReadFile("testdata/tstats_v2.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != len(values) {
+		t.Fatalf("golden holds %d payloads, want %d", len(lines), len(values))
+	}
+	for _, line := range lines {
+		name, hexed, _ := strings.Cut(line, " ")
+		want, err := hex.DecodeString(hexed)
+		if err != nil || values[name] == nil {
+			t.Fatalf("bad golden line %q: %v", line, err)
+		}
+		if got := values[name].Marshal(); !bytes.Equal(got, want) {
+			t.Errorf("%s encodes to\n %x\nthe golden is\n %x", name, got, want)
+		}
+		got, err := UnmarshalStatsResponse(want)
+		if err != nil {
+			t.Fatalf("%s golden does not decode: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, values[name]) {
+			t.Errorf("%s golden decodes to\n %+v\nwant\n %+v", name, got, values[name])
+		}
 	}
 }
 

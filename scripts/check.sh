@@ -42,6 +42,19 @@ if [ -n "$orphans$leaks" ]; then
 	exit 1
 fi
 
+# One telemetry package (ROADMAP aim 2): internal/metrics stays folded into
+# internal/obsv, and obsv imports nothing of ours — that is what lets ff,
+# ec, pairing and wal hook into it without an import cycle.
+if go list ./... | grep -qx 'mwskit/internal/metrics'; then
+	echo "mwskit/internal/metrics is back: telemetry types live in internal/obsv" >&2
+	exit 1
+fi
+obsv_deps=$(go list -deps ./internal/obsv | grep '^mwskit/' | grep -vx 'mwskit/internal/obsv' || true)
+if [ -n "$obsv_deps" ]; then
+	echo "internal/obsv must import only the standard library, found: $obsv_deps" >&2
+	exit 1
+fi
+
 go test -race ./...
 
 # One iteration of every paper experiment, so an E-benchmark that drifts
