@@ -215,34 +215,26 @@ func die(logger *slog.Logger, stage string, err error) {
 	os.Exit(1)
 }
 
-// ping dials a running server, negotiates wire tracing, and sends one
-// traced TPing. The printed trace ID can then be queried back via the
-// TTrace op or the server's /traces debug endpoint — CI uses this to
-// populate the trace ring before scraping it.
+// ping dials a running server and sends one traced Ping. The printed
+// trace ID can then be queried back via the TTrace op or the server's
+// /traces debug endpoint — CI uses this to populate the trace ring before
+// scraping it.
 func ping(addr string) error {
 	c, err := wire.Dial(addr)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	ctx := context.Background()
-	v2, err := c.EnableTrace(ctx)
-	if err != nil {
-		return err
-	}
 	tracer := obsv.NewTracer("mwsd-ping", 16, 0, nil)
-	tctx, root := tracer.StartRoot(ctx, "ping")
+	ctx, root := tracer.StartRoot(context.Background(), "ping")
 	start := time.Now()
-	resp, err := c.Do(wire.Frame{Type: wire.TPing, Trace: obsv.ContextTrace(tctx)})
+	_, err = wire.Call(ctx, c, wire.OpPing, nil)
 	rtt := time.Since(start)
 	root.End()
 	if err != nil {
 		return err
 	}
-	if resp.Type != wire.TPong {
-		return fmt.Errorf("unexpected response type %d", resp.Type)
-	}
-	fmt.Printf("pong from %s in %v (tracing=%v trace_id=%d)\n", addr, rtt, v2, root.Context().TraceID)
+	fmt.Printf("pong from %s in %v (trace_id=%d)\n", addr, rtt, root.Context().TraceID)
 	return nil
 }
 

@@ -88,17 +88,12 @@ func main() {
 	}
 	defer mwsConn.Close()
 
-	// With -trace, the whole retrieval (MWS retrieve, PKG extract, local
-	// decrypt) runs under one client-generated root span; both servers'
-	// stage spans stitch to its trace ID.
+	// With -trace, the whole retrieval (MWS retrieve or search, PKG
+	// trapdoor and extract, local decrypt) runs under one client-generated
+	// root span; both servers' stage spans stitch to its trace ID.
 	ctx := context.Background()
 	var root *obsv.Span
 	if *trace {
-		for _, c := range []*wire.Client{mwsConn, pkgConn} {
-			if _, err := c.EnableTrace(ctx); err != nil {
-				log.Fatalf("trace negotiation: %v", err)
-			}
-		}
 		tracer := obsv.NewTracer("rcclient", 64, 0, nil)
 		ctx, root = tracer.StartRoot(ctx, "rcclient.retrieve")
 	}
@@ -109,11 +104,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("retrieve: %v", err)
 		}
-		trapdoor, err := rc.FetchTrapdoor(pkgConn, boot, *search)
+		trapdoor, err := rc.FetchTrapdoorContext(ctx, pkgConn, boot, *search)
 		if err != nil {
 			log.Fatalf("trapdoor: %v", err)
 		}
-		hits, err := rc.Search(mwsConn, trapdoor, *from, uint32(*limit))
+		hits, err := rc.SearchContext(ctx, mwsConn, trapdoor, *from, uint32(*limit))
 		if err != nil {
 			log.Fatalf("search: %v", err)
 		}

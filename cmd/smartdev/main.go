@@ -90,13 +90,6 @@ func main() {
 	ctx := context.Background()
 	var root *obsv.Span
 	if *trace {
-		v2, err := mwsConn.EnableTrace(ctx)
-		if err != nil {
-			log.Fatalf("trace negotiation: %v", err)
-		}
-		if !v2 {
-			log.Print("server does not speak protocol v2; depositing untraced")
-		}
 		tracer := obsv.NewTracer("smartdev", 64, 0, nil)
 		ctx, root = tracer.StartRoot(ctx, "smartdev.deposit")
 	}

@@ -1,4 +1,10 @@
-package wire
+// Package codec is the one length-prefixed binary codec of the tree: wire
+// messages, stored records and ticket plaintexts are all built by hand (no
+// reflection) from the same two primitives — big-endian fixed-width
+// integers and 4-byte-length-prefixed byte strings — so every format is
+// stable and auditable. It imports only the standard library; each user
+// wraps the errors below under its own name at its decode boundary.
+package codec
 
 import (
 	"encoding/binary"
@@ -6,9 +12,7 @@ import (
 	"fmt"
 )
 
-// Encoder is the append-only field encoder shared by all wire messages.
-// Fields are length-prefixed big-endian; the format is deliberately
-// explicit (no reflection) so the protocol is stable and auditable.
+// Encoder is the append-only field encoder.
 type Encoder struct{ buf []byte }
 
 // Bytes returns the accumulated encoding.
@@ -18,18 +22,10 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 func (e *Encoder) Uint8(v uint8) { e.buf = append(e.buf, v) }
 
 // Uint32 appends a fixed four-byte field.
-func (e *Encoder) Uint32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	e.buf = append(e.buf, b[:]...)
-}
+func (e *Encoder) Uint32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
 
 // Uint64 appends a fixed eight-byte field.
-func (e *Encoder) Uint64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	e.buf = append(e.buf, b[:]...)
-}
+func (e *Encoder) Uint64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
 
 // Int64 appends a signed eight-byte field.
 func (e *Encoder) Int64(v int64) { e.Uint64(uint64(v)) }
@@ -41,17 +37,26 @@ func (e *Encoder) Blob(b []byte) {
 }
 
 // Str appends a length-prefixed string field.
-func (e *Encoder) Str(s string) { e.Blob([]byte(s)) }
+func (e *Encoder) Str(s string) {
+	e.Uint32(uint32(len(s)))
+	e.buf = append(e.buf, s...)
+}
 
 // Decoder is the matching reader; every accessor fails cleanly on
-// truncated input.
+// truncated input, so corrupt or hostile bytes can never panic a caller.
 type Decoder struct{ buf []byte }
 
-// NewDecoder wraps a payload for decoding.
+// NewDecoder wraps an encoding for decoding.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 
-// ErrTruncated reports malformed (short) wire input.
-var ErrTruncated = errors.New("wire: truncated message")
+// ErrTruncated reports input that ends inside a field.
+var ErrTruncated = errors.New("truncated encoding")
+
+// TrailingError reports how many bytes were left after the last field of
+// a fixed-shape encoding.
+type TrailingError int
+
+func (n TrailingError) Error() string { return fmt.Sprintf("%d trailing bytes", int(n)) }
 
 // Uint8 reads a one-byte field.
 func (d *Decoder) Uint8() (uint8, error) {
@@ -111,15 +116,15 @@ func (d *Decoder) Str() (string, error) {
 }
 
 // Remaining reports how many undecoded bytes are left. Decoders use it
-// to accept messages carrying optional trailing sections (e.g. the
+// to accept encodings carrying optional trailing sections (e.g. the
 // TStats counter block added after v1) without loosening Done's
-// zero-trailing-bytes check for fixed-shape messages.
+// zero-trailing-bytes check for fixed-shape ones.
 func (d *Decoder) Remaining() int { return len(d.buf) }
 
-// Done verifies the payload was fully consumed.
+// Done verifies the encoding was fully consumed.
 func (d *Decoder) Done() error {
 	if len(d.buf) != 0 {
-		return fmt.Errorf("wire: %d trailing bytes", len(d.buf))
+		return TrailingError(len(d.buf))
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"mwskit/internal/wire"
@@ -21,8 +23,8 @@ func TestStatsCoverEveryRoute(t *testing.T) {
 		types  []wire.Type
 		prefix string
 	}{
-		{"mws", mwsConn, dep.MWS.Router().Types(), "mws."},
-		{"pkg", pkgConn, dep.PKG.Router().Types(), "pkg."},
+		{"mws", mwsConn, routed(dep.MWS, wire.Ops()), "mws."},
+		{"pkg", pkgConn, routed(dep.PKG, wire.Ops()), "pkg."},
 	}
 	for _, svc := range services {
 		if len(svc.types) < 3 {
@@ -33,16 +35,9 @@ func TestStatsCoverEveryRoute(t *testing.T) {
 		for _, typ := range svc.types {
 			svc.conn.Do(wire.Frame{Type: typ})
 		}
-		resp, err := svc.conn.Do(wire.Frame{Type: wire.TStats})
+		stats, err := wire.Call(context.Background(), svc.conn, wire.OpStats, nil)
 		if err != nil {
 			t.Fatalf("%s stats: %v", svc.name, err)
-		}
-		if resp.Type != wire.TStatsResp {
-			t.Fatalf("%s stats resp type %s", svc.name, resp.Type)
-		}
-		stats, err := wire.UnmarshalStatsResponse(resp.Payload)
-		if err != nil {
-			t.Fatal(err)
 		}
 		byOp := make(map[string]wire.OpStat, len(stats.Ops))
 		for _, op := range stats.Ops {
@@ -67,5 +62,51 @@ func TestStatsCoverEveryRoute(t *testing.T) {
 				t.Errorf("MetricsSnapshot missing %s", key)
 			}
 		}
+	}
+}
+
+// routed returns the request types of the ops a service answers with
+// anything other than the router's "unsupported frame type" refusal. The
+// probe payload is empty, so most answers are decode errors — which still
+// prove a route exists.
+func routed(svc wire.Handler, ops []wire.OpInfo) []wire.Type {
+	var types []wire.Type
+	for _, op := range ops {
+		resp := svc.Handle(context.Background(), wire.Frame{Type: op.Req})
+		if em, err := wire.UnmarshalErrorMsg(resp.Payload); resp.Type == wire.TError && err == nil &&
+			strings.Contains(em.Message, "unsupported frame type") {
+			continue
+		}
+		types = append(types, op.Req)
+	}
+	return types
+}
+
+// TestEveryOpIsRouted replaces the wireops analyzer's route check: every
+// exchange declared in the op table is served by the MWS or the PKG. An
+// op with no route anywhere — seeded here as one extra table row — is
+// reported.
+func TestEveryOpIsRouted(t *testing.T) {
+	dep := newTestDeployment(t)
+	unrouted := func(ops []wire.OpInfo) (names []string) {
+		served := map[wire.Type]bool{}
+		for _, svc := range []wire.Handler{dep.MWS, dep.PKG} {
+			for _, typ := range routed(svc, ops) {
+				served[typ] = true
+			}
+		}
+		for _, op := range ops {
+			if !served[op.Req] {
+				names = append(names, op.Name)
+			}
+		}
+		return names
+	}
+	if names := unrouted(wire.Ops()); len(names) != 0 {
+		t.Fatalf("ops declared in the table but served by neither the MWS nor the PKG: %v", names)
+	}
+	orphan := wire.OpInfo{Name: "Orphan", RespName: "OrphanResp", Req: 201, Resp: 202}
+	if names := unrouted(append(wire.Ops(), orphan)); len(names) != 1 || names[0] != "Orphan" {
+		t.Fatalf("seeded unrouted op not reported: got %v", names)
 	}
 }

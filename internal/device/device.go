@@ -277,39 +277,21 @@ func (d *Device) DepositContext(ctx context.Context, mws *wire.Client, a attr.At
 	return d.send(ctx, mws, req)
 }
 
-// send ships a prepared deposit and decodes the acknowledgement.
+// send ships a prepared deposit and returns the acknowledged sequence
+// number.
 func (d *Device) send(ctx context.Context, mws *wire.Client, req *wire.DepositRequest) (uint64, error) {
-	// Inject the rpc span's own context so the server's request root
-	// parents to this span, not to its parent.
-	spanCtx, sp := obsv.StartSpan(ctx, "rpc.deposit")
-	resp, err := mws.Do(wire.Frame{Type: wire.TDeposit, Payload: req.Marshal(), Trace: obsv.ContextTrace(spanCtx)})
-	sp.SetErr(err)
-	sp.End()
+	resp, err := wire.Call(ctx, mws, wire.OpDeposit, req)
 	if err != nil {
 		return 0, err
 	}
-	if resp.Type != wire.TDepositResp {
-		return 0, fmt.Errorf("device: unexpected response type %s", resp.Type)
-	}
-	dr, err := wire.UnmarshalDepositResponse(resp.Payload)
-	if err != nil {
-		return 0, err
-	}
-	return dr.Seq, nil
+	return resp.Seq, nil
 }
 
 // FetchParams retrieves the public IBE parameters from a PKG connection
 // and instantiates them against the named preset — the paper's "SD
 // obtains the parameters [from the PKG] and uses them later" (§VIII).
 func FetchParams(pkg *wire.Client) (*bfibe.Params, error) {
-	resp, err := pkg.Do(wire.Frame{Type: wire.TParams})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Type != wire.TParamsResp {
-		return nil, fmt.Errorf("device: unexpected response type %s", resp.Type)
-	}
-	pr, err := wire.UnmarshalParamsResponse(resp.Payload)
+	pr, err := wire.Call(background(), pkg, wire.OpParams, nil)
 	if err != nil {
 		return nil, err
 	}

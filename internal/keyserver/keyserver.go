@@ -68,7 +68,6 @@ type Service struct {
 	master *bfibe.MasterKey
 	kv     storage.CloserKV
 	replay *macauth.ReplayGuard
-	seal   symenc.Scheme
 	stats  *obsv.Registry
 	router *wire.Router
 }
@@ -116,11 +115,6 @@ func New(cfg Config) (*Service, error) {
 		replay: macauth.NewReplayGuard(cfg.FreshnessWindow),
 		stats:  obsv.NewRegistry(),
 	}
-	s.seal, err = symenc.ByName("AES-256-GCM")
-	if err != nil {
-		kv.Close()
-		return nil, err
-	}
 	if raw, ok := kv.Get(masterKeyKey); ok {
 		mk, err := bfibe.UnmarshalMasterKey(raw)
 		if err != nil {
@@ -154,11 +148,11 @@ func (s *Service) Params() *bfibe.Params { return s.params }
 
 // PublicParams answers the parameter-distribution request smart devices
 // issue at registration.
-func (s *Service) PublicParams() *wire.ParamsResponse {
+func (s *Service) PublicParams(context.Context, *wire.Empty) (*wire.ParamsResponse, error) {
 	return &wire.ParamsResponse{
 		Preset: s.cfg.Preset,
 		PPub:   bfibe.MarshalParams(s.params),
-	}
+	}, nil
 }
 
 // ExtractDeviceSigningKey issues the identity-based signing key for a
@@ -175,48 +169,46 @@ func (s *Service) ExtractDeviceSigningKey(deviceID string) (*bfibe.PrivateKey, e
 // sealedKeyAAD binds extracted keys to their request context.
 const sealedKeyAAD = "mwskit/keyserver/extract/v1"
 
-// Extract serves the RC–PKG phase: verify the ticket (sealed by the MWS
-// under the shared key), verify the authenticator (sealed under the
-// ticket's session key, fresh, not replayed), then for each AID ‖ Nonce
-// resolve the attribute from the ticket, derive the per-message identity
-// I = SHA1(A ‖ Nonce), extract sI, and return it sealed under the session
-// key — the paper's "secure channel".
+// openSession authenticates one RC–PKG request, the discipline Extract and
+// Trapdoor share: open the ticket (sealed by the MWS under the shared
+// key), open the authenticator (sealed under the ticket's session key,
+// fresh), and refuse a replay. One authenticator, one session: that is
+// how "a private key can only be used once" (§V.C) is enforced at the PKG.
+func (s *Service) openSession(ctx context.Context, rc string, ticketBlob, authenticator []byte) (*ticket.Ticket, error) {
+	_, sp := obsv.StartSpan(ctx, "ticket.open")
+	defer sp.End()
+	sp.SetAttr("rc", rc)
+	denied := &wire.ErrorMsg{Code: wire.CodeAuth, Message: "authentication failed"}
+	tk, err := ticket.OpenTicket(s.cfg.MWSPKGKey, ticketBlob)
+	if err != nil || tk.RC != rc {
+		sp.SetErr(err)
+		return nil, denied
+	}
+	now := s.cfg.Now()
+	auth, err := ticket.OpenAuthenticator(tk.SessionKey, authenticator, now, s.cfg.FreshnessWindow)
+	if err != nil || auth.RC != rc {
+		sp.SetErr(err)
+		return nil, denied
+	}
+	if err := s.replay.Check(authenticator, auth.Timestamp, now); err != nil {
+		sp.SetErr(err)
+		return nil, &wire.ErrorMsg{Code: wire.CodeReplay, Message: err.Error()}
+	}
+	return tk, nil
+}
+
+// Extract serves the RC–PKG phase: authenticate the session, then for each
+// AID ‖ Nonce resolve the attribute from the ticket, derive the
+// per-message identity I = SHA1(A ‖ Nonce), extract sI, and return it
+// sealed under the session key — the paper's "secure channel".
 func (s *Service) Extract(ctx context.Context, req *wire.ExtractRequest) (*wire.ExtractResponse, error) {
 	if req == nil {
 		return nil, &wire.ErrorMsg{Code: wire.CodeBadRequest, Message: "empty extract"}
 	}
-	_, authSp := obsv.StartSpan(ctx, "ticket.open")
-	authSp.SetAttr("rc", req.RC)
-	tk, err := ticket.OpenTicket(s.cfg.MWSPKGKey, req.TicketBlob)
+	tk, err := s.openSession(ctx, req.RC, req.TicketBlob, req.Authenticator)
 	if err != nil {
-		authSp.SetErr(err)
-		authSp.End()
-		return nil, &wire.ErrorMsg{Code: wire.CodeAuth, Message: "authentication failed"}
+		return nil, err
 	}
-	if tk.RC != req.RC {
-		authSp.End()
-		return nil, &wire.ErrorMsg{Code: wire.CodeAuth, Message: "authentication failed"}
-	}
-	now := s.cfg.Now()
-	auth, err := ticket.OpenAuthenticator(tk.SessionKey, req.Authenticator, now, s.cfg.FreshnessWindow)
-	if err != nil {
-		authSp.SetErr(err)
-		authSp.End()
-		return nil, &wire.ErrorMsg{Code: wire.CodeAuth, Message: "authentication failed"}
-	}
-	if auth.RC != req.RC {
-		authSp.End()
-		return nil, &wire.ErrorMsg{Code: wire.CodeAuth, Message: "authentication failed"}
-	}
-	// One authenticator, one extraction session: replaying the same
-	// authenticator is rejected, which is how "a private key can only be
-	// used once" (§V.C) is enforced at the PKG.
-	if err := s.replay.Check(req.Authenticator, auth.Timestamp, now); err != nil {
-		authSp.SetErr(err)
-		authSp.End()
-		return nil, &wire.ErrorMsg{Code: wire.CodeReplay, Message: err.Error()}
-	}
-	authSp.End()
 
 	extractCtx, extSp := obsv.StartSpan(ctx, "ibe.extract")
 	extSp.SetAttr("items", fmt.Sprintf("%d", len(req.Items)))
@@ -245,8 +237,7 @@ func (s *Service) Extract(ctx context.Context, req *wire.ExtractRequest) (*wire.
 			s.cfg.Logger.Error("keyserver: extract", "err", err)
 			return nil, &wire.ErrorMsg{Code: wire.CodeInternal, Message: "extract failure"}
 		}
-		plain := bfibe.MarshalPrivateKey(s.params, sk)
-		sealed, err := s.seal.Seal(tk.SessionKey, plain, []byte(sealedKeyAAD))
+		sealed, err := sessionSeal().Seal(tk.SessionKey, bfibe.MarshalPrivateKey(s.params, sk), []byte(sealedKeyAAD))
 		if err != nil {
 			extSp.SetErr(err)
 			return nil, &wire.ErrorMsg{Code: wire.CodeInternal, Message: "seal failure"}
@@ -257,13 +248,10 @@ func (s *Service) Extract(ctx context.Context, req *wire.ExtractRequest) (*wire.
 	return resp, nil
 }
 
-// keywordAAD binds sealed keywords and trapdoors to their role.
-const keywordAAD = "mwskit/keyserver/trapdoor/v1"
-
 // Trapdoor serves a PEKS keyword-trapdoor request (searchable encryption,
-// related work [1]): same ticket + authenticator discipline as Extract,
-// with the keyword and the returned trapdoor both sealed under the RC–PKG
-// session key so the search term never travels in the clear.
+// related work [1]): same session discipline as Extract, with the keyword
+// and the returned trapdoor both sealed under the RC–PKG session key so
+// the search term never travels in the clear.
 func (s *Service) Trapdoor(ctx context.Context, req *wire.TrapdoorRequest) (*wire.TrapdoorResponse, error) {
 	if req == nil {
 		return nil, &wire.ErrorMsg{Code: wire.CodeBadRequest, Message: "empty trapdoor request"}
@@ -271,19 +259,11 @@ func (s *Service) Trapdoor(ctx context.Context, req *wire.TrapdoorRequest) (*wir
 	if em := wire.CtxErr(ctx); em != nil {
 		return nil, em
 	}
-	tk, err := ticket.OpenTicket(s.cfg.MWSPKGKey, req.TicketBlob)
-	if err != nil || tk.RC != req.RC {
-		return nil, &wire.ErrorMsg{Code: wire.CodeAuth, Message: "authentication failed"}
+	tk, err := s.openSession(ctx, req.RC, req.TicketBlob, req.Authenticator)
+	if err != nil {
+		return nil, err
 	}
-	now := s.cfg.Now()
-	auth, err := ticket.OpenAuthenticator(tk.SessionKey, req.Authenticator, now, s.cfg.FreshnessWindow)
-	if err != nil || auth.RC != req.RC {
-		return nil, &wire.ErrorMsg{Code: wire.CodeAuth, Message: "authentication failed"}
-	}
-	if err := s.replay.Check(req.Authenticator, auth.Timestamp, now); err != nil {
-		return nil, &wire.ErrorMsg{Code: wire.CodeReplay, Message: err.Error()}
-	}
-	kw, err := s.seal.Open(tk.SessionKey, req.SealedKeyword, []byte(keywordAAD))
+	kw, err := OpenTrapdoorPayload(tk.SessionKey, req.SealedKeyword)
 	if err != nil {
 		return nil, &wire.ErrorMsg{Code: wire.CodeBadRequest, Message: "malformed keyword"}
 	}
@@ -291,7 +271,7 @@ func (s *Service) Trapdoor(ctx context.Context, req *wire.TrapdoorRequest) (*wir
 	if err != nil {
 		return nil, &wire.ErrorMsg{Code: wire.CodeBadRequest, Message: err.Error()}
 	}
-	sealed, err := s.seal.Seal(tk.SessionKey, peks.MarshalTrapdoor(s.params, td), []byte(keywordAAD))
+	sealed, err := SealTrapdoorPayload(tk.SessionKey, peks.MarshalTrapdoor(s.params, td))
 	if err != nil {
 		return nil, &wire.ErrorMsg{Code: wire.CodeInternal, Message: "seal failure"}
 	}
@@ -302,16 +282,30 @@ func (s *Service) Trapdoor(ctx context.Context, req *wire.TrapdoorRequest) (*wir
 // OpenSealedKey is the client-side inverse of the Extract sealing,
 // exported for the rclient package.
 func OpenSealedKey(params *bfibe.Params, sessionKey, sealed []byte) (*bfibe.PrivateKey, error) {
-	scheme, err := symenc.ByName("AES-256-GCM")
-	if err != nil {
-		return nil, err
-	}
-	plain, err := scheme.Open(sessionKey, sealed, []byte(sealedKeyAAD))
+	plain, err := sessionSeal().Open(sessionKey, sealed, []byte(sealedKeyAAD))
 	if err != nil {
 		return nil, fmt.Errorf("keyserver: sealed key: %w", err)
 	}
 	return bfibe.UnmarshalPrivateKey(params, plain)
 }
+
+// keywordAAD binds the two payloads of the trapdoor exchange — the RC's
+// keyword and the PKG's trapdoor — to their role.
+const keywordAAD = "mwskit/keyserver/trapdoor/v1"
+
+// SealTrapdoorPayload and OpenTrapdoorPayload seal and open either
+// payload of the trapdoor exchange under the RC–PKG session key: the RC
+// seals the keyword and opens the trapdoor, the PKG the reverse.
+func SealTrapdoorPayload(sessionKey, plain []byte) ([]byte, error) {
+	return sessionSeal().Seal(sessionKey, plain, []byte(keywordAAD))
+}
+
+func OpenTrapdoorPayload(sessionKey, sealed []byte) ([]byte, error) {
+	return sessionSeal().Open(sessionKey, sealed, []byte(keywordAAD))
+}
+
+// sessionSeal is the AEAD of the RC–PKG "secure channel".
+func sessionSeal() symenc.Scheme { s, _ := symenc.ByName("AES-256-GCM"); return s }
 
 // buildRouter assembles the PKG's request pipeline: tracing outermost
 // (so the request span covers the whole pipeline), then instrumentation
@@ -325,25 +319,14 @@ func (s *Service) buildRouter() *wire.Router {
 		wire.WithTimeout(s.cfg.RequestTimeout),
 		wire.Recover(s.cfg.Logger),
 	)
-	r.HandleFunc(wire.TPing, func(ctx context.Context, f wire.Frame) wire.Frame {
-		return wire.Frame{Type: wire.TPong}
-	})
-	r.HandleFunc(wire.TParams, func(ctx context.Context, f wire.Frame) wire.Frame {
-		return wire.Frame{Type: wire.TParamsResp, Payload: s.PublicParams().Marshal()}
-	})
-	wire.Route(r, wire.TExtract, wire.TExtractResp, wire.UnmarshalExtractRequest, s.Extract)
-	wire.Route(r, wire.TTrapdoor, wire.TTrapdoorResp, wire.UnmarshalTrapdoorRequest, s.Trapdoor)
+	wire.RegisterPing(r)
+	wire.Route(r, wire.OpParams, s.PublicParams)
+	wire.Route(r, wire.OpExtract, s.Extract)
+	wire.Route(r, wire.OpTrapdoor, s.Trapdoor)
 	wire.RegisterStats(r, s.stats)
 	wire.RegisterTrace(r, s.cfg.Tracer)
 	return r
 }
-
-// Tracer returns the service's tracer (nil when tracing is disabled).
-func (s *Service) Tracer() *obsv.Tracer { return s.cfg.Tracer }
-
-// Router exposes the PKG's request pipeline (all routes registered,
-// middleware attached).
-func (s *Service) Router() *wire.Router { return s.router }
 
 // Handle dispatches one frame through the pipeline, making *Service a
 // wire.Handler.

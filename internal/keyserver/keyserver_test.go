@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mwskit/internal/attr"
+	"mwskit/internal/bfibe"
 	"mwskit/internal/policy"
 	"mwskit/internal/ticket"
 	"mwskit/internal/wal"
@@ -101,7 +102,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestPublicParams(t *testing.T) {
 	s, _, _ := newTestPKG(t)
-	pr := s.PublicParams()
+	pr, _ := s.PublicParams(context.Background(), nil)
 	if pr.Preset != "test" || len(pr.PPub) == 0 {
 		t.Fatalf("params response: %+v", pr)
 	}
@@ -278,7 +279,7 @@ func TestMasterKeyPersistsAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ppub1 := s1.PublicParams().PPub
+	ppub1 := bfibe.MarshalParams(s1.Params())
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestMasterKeyPersistsAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if !bytes.Equal(ppub1, s2.PublicParams().PPub) {
+	if !bytes.Equal(ppub1, bfibe.MarshalParams(s2.Params())) {
 		t.Fatal("master key changed across restart — all old ciphertexts would be lost")
 	}
 }

@@ -239,8 +239,10 @@ func blockingCall(callee *types.Func) string {
 		switch {
 		case name == "Dial" || name == "DialContext":
 			return "a wire dial"
-		case recvNamed("wire", "Client") && (name == "Do" || name == "EnableTrace"):
-			return "a wire RPC (Client." + name + ")"
+		case name == "Call":
+			return "a wire RPC (wire.Call)"
+		case recvNamed("wire", "Client") && name == "Do":
+			return "a wire RPC (Client.Do)"
 		}
 	}
 	return ""

@@ -24,7 +24,6 @@ var fixtures = map[string][]string{
 	"secretlog":     {"./testdata/src/kdf"},
 	"spanattr":      {"./testdata/src/spanattr/mws"},
 	"ctxflow":       {"./testdata/src/ctxflow"},
-	"wireops":       {"./testdata/src/wireops/wire", "./testdata/src/wireops/mws"},
 	"plainflow":     {"./testdata/src/plainflow/symenc", "./testdata/src/plainflow/storage", "./testdata/src/plainflow/wire", "./testdata/src/plainflow/mws"},
 	"noncereuse":    {"./testdata/src/noncereuse/symenc", "./testdata/src/noncereuse/enc"},
 	"keyzero":       {"./testdata/src/keyzero/kdf", "./testdata/src/keyzero/symenc", "./testdata/src/keyzero/ticket"},
@@ -72,8 +71,7 @@ type lineKey struct {
 }
 
 // collectWants parses the `// want "re" "re"...` expectation comments out
-// of every loaded file (tests included — wireops reports into regular
-// files but fixtures may annotate anywhere).
+// of every loaded file (tests included — fixtures may annotate anywhere).
 func collectWants(t *testing.T, prog *lint.Program) map[lineKey][]*regexp.Regexp {
 	t.Helper()
 	wants := make(map[lineKey][]*regexp.Regexp)
@@ -149,7 +147,6 @@ func TestRandSourceFixture(t *testing.T)        { checkFixture(t, "randsource") 
 func TestSecretLogFixture(t *testing.T)         { checkFixture(t, "secretlog") }
 func TestSecretLogSpanAttrFixture(t *testing.T) { checkFixture(t, "spanattr") }
 func TestCtxFlowFixture(t *testing.T)           { checkFixture(t, "ctxflow") }
-func TestWireOpsFixture(t *testing.T)           { checkFixture(t, "wireops") }
 func TestPlainFlowFixture(t *testing.T)         { checkFixture(t, "plainflow") }
 func TestNonceReuseFixture(t *testing.T)        { checkFixture(t, "noncereuse") }
 func TestKeyZeroFixture(t *testing.T)           { checkFixture(t, "keyzero") }

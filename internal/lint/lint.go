@@ -107,7 +107,6 @@ func DefaultAnalyzers() []*Analyzer {
 		RandSource,
 		SecretLog,
 		CtxFlow,
-		WireOps,
 		PlainFlow,
 		NonceReuse,
 		KeyZero,

@@ -1,7 +1,5 @@
 // Package wire is a mwslint fixture: composing its message types or
-// calling into it from other packages is a plainflow framing sink. It
-// deliberately declares no TypeName named "Type", so the wireops
-// analyzer does not adopt it.
+// calling into it from other packages is a plainflow framing sink.
 package wire
 
 // Record is one framed message.

@@ -23,29 +23,19 @@ func (s *Service) buildRouter() *wire.Router {
 		wire.WithTimeout(s.cfg.RequestTimeout),
 		wire.Recover(s.cfg.Logger),
 	)
-	r.HandleFunc(wire.TPing, func(ctx context.Context, f wire.Frame) wire.Frame {
-		return wire.Frame{Type: wire.TPong}
+	wire.RegisterPing(r)
+	wire.Route(r, wire.OpDeposit, func(ctx context.Context, req *wire.DepositRequest) (*wire.DepositResponse, error) {
+		seq, err := s.Deposit(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		return &wire.DepositResponse{Seq: seq}, nil
 	})
-	wire.Route(r, wire.TDeposit, wire.TDepositResp, wire.UnmarshalDepositRequest,
-		func(ctx context.Context, req *wire.DepositRequest) (*wire.DepositResponse, error) {
-			seq, err := s.Deposit(ctx, req)
-			if err != nil {
-				return nil, err
-			}
-			return &wire.DepositResponse{Seq: seq}, nil
-		})
-	wire.Route(r, wire.TRetrieve, wire.TRetrieveResp, wire.UnmarshalRetrieveRequest, s.Retrieve)
+	wire.Route(r, wire.OpRetrieve, s.Retrieve)
 	wire.RegisterStats(r, s.stats)
 	wire.RegisterTrace(r, s.cfg.Tracer)
 	return r
 }
-
-// Tracer returns the service's tracer (nil when tracing is disabled).
-func (s *Service) Tracer() *obsv.Tracer { return s.cfg.Tracer }
-
-// Router exposes the service's request pipeline (all routes registered,
-// middleware attached). Useful for serving and for introspection tests.
-func (s *Service) Router() *wire.Router { return s.router }
 
 // Handle dispatches one frame through the pipeline, making *Service a
 // wire.Handler.

@@ -111,25 +111,18 @@ func background() context.Context {
 // the warehouse's spans stitch to the client's, and the token unwrap
 // lands as its own child span.
 func (c *Client) RetrieveContext(ctx context.Context, mws *wire.Client, fromSeq uint64, limit uint32) (*Retrieval, error) {
-	authBlob, err := ticket.SealAuthenticator(c.credKey, &ticket.Authenticator{
-		RC:        c.id,
-		Timestamp: c.now(),
-	})
+	return c.retrieve(ctx, mws, fromSeq, limit, nil)
+}
+
+// retrieve is the MWS–RC phase behind Retrieve and Search: a search is a
+// retrieval whose request carries a trapdoor.
+func (c *Client) retrieve(ctx context.Context, mws *wire.Client, fromSeq uint64, limit uint32, trapdoor []byte) (*Retrieval, error) {
+	authBlob, err := ticket.SealAuthenticator(c.credKey, &ticket.Authenticator{RC: c.id, Timestamp: c.now()})
 	if err != nil {
 		return nil, err
 	}
-	req := wire.RetrieveRequest{RC: c.id, AuthBlob: authBlob, FromSeq: fromSeq, Limit: limit}
-	rpcCtx, rpcSp := obsv.StartSpan(ctx, "rpc.retrieve")
-	resp, err := mws.Do(wire.Frame{Type: wire.TRetrieve, Payload: req.Marshal(), Trace: obsv.ContextTrace(rpcCtx)})
-	rpcSp.SetErr(err)
-	rpcSp.End()
-	if err != nil {
-		return nil, err
-	}
-	if resp.Type != wire.TRetrieveResp {
-		return nil, fmt.Errorf("rclient: unexpected response type %s", resp.Type)
-	}
-	rr, err := wire.UnmarshalRetrieveResponse(resp.Payload)
+	rr, err := wire.Call(ctx, mws, wire.OpRetrieve,
+		&wire.RetrieveRequest{RC: c.id, AuthBlob: authBlob, FromSeq: fromSeq, Limit: limit, Trapdoor: trapdoor})
 	if err != nil {
 		return nil, err
 	}
@@ -171,30 +164,12 @@ func (c *Client) FetchKeysContext(ctx context.Context, pkg *wire.Client, r *Retr
 	if len(items) == 0 {
 		return map[keyIndex]*bfibe.PrivateKey{}, nil, nil
 	}
-	authBlob, err := ticket.SealAuthenticator(r.SessionKey, &ticket.Authenticator{
-		RC:        c.id,
-		Timestamp: c.now(),
-	})
+	authBlob, err := ticket.SealAuthenticator(r.SessionKey, &ticket.Authenticator{RC: c.id, Timestamp: c.now()})
 	if err != nil {
 		return nil, nil, err
 	}
-	req := wire.ExtractRequest{
-		RC:            c.id,
-		TicketBlob:    r.TicketBlob,
-		Authenticator: authBlob,
-		Items:         items,
-	}
-	rpcCtx, rpcSp := obsv.StartSpan(ctx, "rpc.extract")
-	resp, err := pkg.Do(wire.Frame{Type: wire.TExtract, Payload: req.Marshal(), Trace: obsv.ContextTrace(rpcCtx)})
-	rpcSp.SetErr(err)
-	rpcSp.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	if resp.Type != wire.TExtractResp {
-		return nil, nil, fmt.Errorf("rclient: unexpected response type %s", resp.Type)
-	}
-	er, err := wire.UnmarshalExtractResponse(resp.Payload)
+	er, err := wire.Call(ctx, pkg, wire.OpExtract,
+		&wire.ExtractRequest{RC: c.id, TicketBlob: r.TicketBlob, Authenticator: authBlob, Items: items})
 	if err != nil {
 		return nil, nil, err
 	}

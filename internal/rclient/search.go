@@ -1,53 +1,38 @@
 package rclient
 
 import (
+	"context"
 	"fmt"
 
-	"mwskit/internal/symenc"
+	"mwskit/internal/keyserver"
 	"mwskit/internal/ticket"
 	"mwskit/internal/wire"
 )
-
-// keywordAAD mirrors the PKG's trapdoor sealing context.
-const keywordAAD = "mwskit/keyserver/trapdoor/v1"
 
 // FetchTrapdoor obtains a PEKS keyword trapdoor from the PKG using the
 // credentials of an earlier Retrieve. The keyword travels sealed under
 // the RC–PKG session key in both directions.
 func (c *Client) FetchTrapdoor(pkg *wire.Client, r *Retrieval, keyword string) ([]byte, error) {
-	scheme, err := symenc.ByName("AES-256-GCM")
+	return c.FetchTrapdoorContext(background(), pkg, r, keyword)
+}
+
+// FetchTrapdoorContext is FetchTrapdoor under a request context: the
+// current trace (if any) rides the trapdoor frame to the PKG.
+func (c *Client) FetchTrapdoorContext(ctx context.Context, pkg *wire.Client, r *Retrieval, keyword string) ([]byte, error) {
+	sealedKw, err := keyserver.SealTrapdoorPayload(r.SessionKey, []byte(keyword))
 	if err != nil {
 		return nil, err
 	}
-	sealedKw, err := scheme.Seal(r.SessionKey, []byte(keyword), []byte(keywordAAD))
+	authBlob, err := ticket.SealAuthenticator(r.SessionKey, &ticket.Authenticator{RC: c.id, Timestamp: c.now()})
 	if err != nil {
 		return nil, err
 	}
-	authBlob, err := ticket.SealAuthenticator(r.SessionKey, &ticket.Authenticator{
-		RC:        c.id,
-		Timestamp: c.now(),
-	})
+	tr, err := wire.Call(ctx, pkg, wire.OpTrapdoor,
+		&wire.TrapdoorRequest{RC: c.id, TicketBlob: r.TicketBlob, Authenticator: authBlob, SealedKeyword: sealedKw})
 	if err != nil {
 		return nil, err
 	}
-	req := wire.TrapdoorRequest{
-		RC:            c.id,
-		TicketBlob:    r.TicketBlob,
-		Authenticator: authBlob,
-		SealedKeyword: sealedKw,
-	}
-	resp, err := pkg.Do(wire.Frame{Type: wire.TTrapdoor, Payload: req.Marshal()})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Type != wire.TTrapdoorResp {
-		return nil, fmt.Errorf("rclient: unexpected response type %s", resp.Type)
-	}
-	tr, err := wire.UnmarshalTrapdoorResponse(resp.Payload)
-	if err != nil {
-		return nil, err
-	}
-	trapdoor, err := scheme.Open(r.SessionKey, tr.SealedTrapdoor, []byte(keywordAAD))
+	trapdoor, err := keyserver.OpenTrapdoorPayload(r.SessionKey, tr.SealedTrapdoor)
 	if err != nil {
 		return nil, fmt.Errorf("rclient: sealed trapdoor: %w", err)
 	}
@@ -58,34 +43,11 @@ func (c *Client) FetchTrapdoor(pkg *wire.Client, r *Retrieval, keyword string) (
 // encrypted tags against the trapdoor and returns only matches (which
 // the caller then decrypts as usual with FetchKeys/Decrypt).
 func (c *Client) Search(mws *wire.Client, trapdoor []byte, fromSeq uint64, limit uint32) (*Retrieval, error) {
-	authBlob, err := ticket.SealAuthenticator(c.credKey, &ticket.Authenticator{
-		RC:        c.id,
-		Timestamp: c.now(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	req := wire.RetrieveRequest{
-		RC:       c.id,
-		AuthBlob: authBlob,
-		FromSeq:  fromSeq,
-		Limit:    limit,
-		Trapdoor: trapdoor,
-	}
-	resp, err := mws.Do(wire.Frame{Type: wire.TRetrieve, Payload: req.Marshal()})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Type != wire.TRetrieveResp {
-		return nil, fmt.Errorf("rclient: unexpected response type %s", resp.Type)
-	}
-	rr, err := wire.UnmarshalRetrieveResponse(resp.Payload)
-	if err != nil {
-		return nil, err
-	}
-	tok, err := ticket.OpenToken(c.priv, rr.TokenBlob)
-	if err != nil {
-		return nil, fmt.Errorf("rclient: token: %w", err)
-	}
-	return &Retrieval{Items: rr.Items, SessionKey: tok.SessionKey, TicketBlob: tok.TicketBlob}, nil
+	return c.SearchContext(background(), mws, trapdoor, fromSeq, limit)
+}
+
+// SearchContext is Search under a request context: Retrieve with a
+// trapdoor, traced the same way.
+func (c *Client) SearchContext(ctx context.Context, mws *wire.Client, trapdoor []byte, fromSeq uint64, limit uint32) (*Retrieval, error) {
+	return c.retrieve(ctx, mws, fromSeq, limit, trapdoor)
 }

@@ -6,73 +6,13 @@ import (
 	"fmt"
 
 	"mwskit/internal/attr"
+	"mwskit/internal/codec"
 )
 
-// Record formats are built by hand (no reflection) from two primitives,
-// so they stay stable and auditable: big-endian fixed-width integers and
-// 4-byte-length-prefixed byte strings.
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-// dec reads records back. Every method returns an error on truncation so
-// corrupt records can never panic the store.
-type dec struct {
-	buf []byte
-}
-
-var errTruncated = errors.New("storage: truncated record")
-
-func (d *dec) uint8() (uint8, error) {
-	if len(d.buf) < 1 {
-		return 0, errTruncated
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v, nil
-}
-
-func (d *dec) uint64() (uint64, error) {
-	if len(d.buf) < 8 {
-		return 0, errTruncated
-	}
-	v := binary.BigEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v, nil
-}
-
-func (d *dec) bytes() ([]byte, error) {
-	if len(d.buf) < 4 {
-		return nil, errTruncated
-	}
-	n := binary.BigEndian.Uint32(d.buf)
-	if uint32(len(d.buf)-4) < n {
-		return nil, errTruncated
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[4:4+n])
-	d.buf = d.buf[4+n:]
-	return out, nil
-}
-
-func (d *dec) str() (string, error) {
-	b, err := d.bytes()
-	return string(b), err
-}
-
-func (d *dec) done() error {
-	if len(d.buf) != 0 {
-		return fmt.Errorf("storage: %d trailing bytes in record", len(d.buf))
-	}
-	return nil
-}
+// Record formats are built by hand from internal/codec's two primitives —
+// big-endian fixed-width integers and 4-byte-length-prefixed byte strings —
+// so they stay stable and auditable. Decoding returns an error on
+// truncation, so corrupt records can never panic the store.
 
 // Message is one deposited record: exactly the tuple the paper stores
 // after SD authentication — rP ‖ C ‖ (A ‖ Nonce) (§V.D "SD – MWS Phase")
@@ -104,71 +44,76 @@ type Message struct {
 // encode renders m as a message payload — the v1 record format, which
 // carried no sequence number because the v1 WAL position was the seq.
 func (m *Message) encode() []byte {
-	b := appendString(nil, m.DeviceID)
-	b = appendString(b, string(m.Attribute))
-	b = appendBytes(b, m.Nonce[:])
-	b = appendBytes(b, m.U)
-	b = appendBytes(b, m.Ciphertext)
-	b = appendString(b, m.Scheme)
-	b = binary.BigEndian.AppendUint64(b, uint64(m.Timestamp))
-	b = binary.BigEndian.AppendUint64(b, uint64(len(m.Tags)))
+	var e codec.Encoder
+	e.Str(m.DeviceID)
+	e.Str(string(m.Attribute))
+	e.Blob(m.Nonce[:])
+	e.Blob(m.U)
+	e.Blob(m.Ciphertext)
+	e.Str(m.Scheme)
+	e.Int64(m.Timestamp)
+	e.Uint64(uint64(len(m.Tags)))
 	for _, tg := range m.Tags {
-		b = appendBytes(b, tg)
+		e.Blob(tg)
 	}
-	return b
+	return e.Bytes()
 }
 
 // decodeMessage parses a message payload, stamping the caller-supplied
-// sequence number.
+// sequence number. It is where the codec's truncation and trailing-bytes
+// errors take the package's name.
 func decodeMessage(seq uint64, payload []byte) (*Message, error) {
-	d := dec{buf: payload}
 	m := &Message{Seq: seq}
-	var err error
-	if m.DeviceID, err = d.str(); err != nil {
-		return nil, err
+	if err := m.decode(codec.NewDecoder(payload)); err != nil {
+		return nil, fmt.Errorf("storage: bad record: %w", err)
+	}
+	return m, nil
+}
+
+func (m *Message) decode(d *codec.Decoder) (err error) {
+	if m.DeviceID, err = d.Str(); err != nil {
+		return err
 	}
 	var a string
-	if a, err = d.str(); err != nil {
-		return nil, err
+	if a, err = d.Str(); err != nil {
+		return err
 	}
 	m.Attribute = attr.Attribute(a)
-	nb, err := d.bytes()
+	nb, err := d.Blob()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if m.Nonce, err = attr.NonceFromBytes(nb); err != nil {
-		return nil, err
+		return err
 	}
-	if m.U, err = d.bytes(); err != nil {
-		return nil, err
+	if m.U, err = d.Blob(); err != nil {
+		return err
 	}
-	if m.Ciphertext, err = d.bytes(); err != nil {
-		return nil, err
+	if m.Ciphertext, err = d.Blob(); err != nil {
+		return err
 	}
-	if m.Scheme, err = d.str(); err != nil {
-		return nil, err
+	if m.Scheme, err = d.Str(); err != nil {
+		return err
 	}
-	ts, err := d.uint64()
+	if m.Timestamp, err = d.Int64(); err != nil {
+		return err
+	}
+	nTags, err := d.Uint64()
 	if err != nil {
-		return nil, err
-	}
-	m.Timestamp = int64(ts)
-	nTags, err := d.uint64()
-	if err != nil {
-		return nil, err
+		return err
 	}
 	if nTags > 1<<16 {
-		return nil, errors.New("storage: implausible tag count")
+		return errors.New("implausible tag count")
 	}
 	if nTags > 0 {
 		m.Tags = make([][]byte, nTags)
 		for i := range m.Tags {
-			if m.Tags[i], err = d.bytes(); err != nil {
-				return nil, err
+			if m.Tags[i], err = d.Blob(); err != nil {
+				return err
 			}
 		}
 	}
-	return m, d.done()
+	return d.Done()
 }
 
 // frameShardRecord builds a shard WAL record, [8B seq][message payload]:
@@ -191,9 +136,16 @@ const (
 )
 
 func encodeKVPut(key string, value []byte) []byte {
-	return appendBytes(appendString([]byte{kvOpPut}, key), value)
+	var e codec.Encoder
+	e.Uint8(kvOpPut)
+	e.Str(key)
+	e.Blob(value)
+	return e.Bytes()
 }
 
 func encodeKVDelete(key string) []byte {
-	return appendString([]byte{kvOpDelete}, key)
+	var e codec.Encoder
+	e.Uint8(kvOpDelete)
+	e.Str(key)
+	return e.Bytes()
 }

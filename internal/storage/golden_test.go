@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mwskit/internal/attr"
+	"mwskit/internal/codec"
 	"mwskit/internal/wal"
 )
 
@@ -173,9 +174,9 @@ func TestGoldenSharded(t *testing.T) {
 			if record[0] != kvOpPut {
 				continue
 			}
-			d := dec{buf: record[1:]}
-			key, _ := d.str()
-			val, _ := d.bytes()
+			d := codec.NewDecoder(record[1:])
+			key, _ := d.Str()
+			val, _ := d.Blob()
 			if digestIndex(key, 4) != i {
 				t.Fatalf("key %q found in part %d, routed to %d", key, i, digestIndex(key, 4))
 			}

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 
+	"mwskit/internal/codec"
 	"mwskit/internal/obsv"
 	"mwskit/internal/wal"
 )
@@ -84,18 +85,18 @@ func openKVPart(dir string, sync SyncPolicy) (*kvPart, error) {
 }
 
 func (p *kvPart) applyRecord(payload []byte) error {
-	d := dec{buf: payload}
-	op, err := d.uint8()
+	d := codec.NewDecoder(payload)
+	op, err := d.Uint8()
 	if err != nil {
 		return err
 	}
-	key, err := d.str()
+	key, err := d.Str()
 	if err != nil {
 		return err
 	}
 	switch op {
 	case kvOpPut:
-		val, err := d.bytes()
+		val, err := d.Blob()
 		if err != nil {
 			return err
 		}
@@ -106,7 +107,7 @@ func (p *kvPart) applyRecord(payload []byte) error {
 		return fmt.Errorf("storage: unknown kv op %d", op)
 	}
 	p.mutations++
-	return d.done()
+	return d.Done()
 }
 
 func (p *kvPart) get(key string) ([]byte, bool) {

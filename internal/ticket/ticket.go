@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"mwskit/internal/attr"
+	"mwskit/internal/codec"
 	"mwskit/internal/policy"
 	"mwskit/internal/symenc"
 )
@@ -69,53 +70,66 @@ func (t *Ticket) encode() ([]byte, error) {
 	if len(t.SessionKey) != SessionKeyLen {
 		return nil, fmt.Errorf("ticket: session key must be %d bytes", SessionKeyLen)
 	}
-	var e binEnc
-	e.putString(t.RC)
-	e.putUint64(uint64(t.IssuedAt))
-	e.putUint64(uint64(len(t.Bindings)))
+	var e codec.Encoder
+	e.Str(t.RC)
+	e.Int64(t.IssuedAt)
+	e.Uint64(uint64(len(t.Bindings)))
 	for _, b := range t.Bindings {
-		e.putUint64(uint64(b.AID))
-		e.putString(string(b.Attribute))
+		e.Uint64(uint64(b.AID))
+		e.Str(string(b.Attribute))
 	}
-	e.putBytes(t.SessionKey)
-	return e.buf, nil
+	e.Blob(t.SessionKey)
+	return e.Bytes(), nil
+}
+
+// decoded reports a plaintext that failed to decode under the package's
+// name; it is where the codec's truncation and trailing-bytes errors are
+// wrapped.
+func decoded(err error) error {
+	if err != nil {
+		return fmt.Errorf("ticket: %w", err)
+	}
+	return nil
 }
 
 func decodeTicket(b []byte) (*Ticket, error) {
-	d := binDec{buf: b}
 	t := &Ticket{}
-	var err error
-	if t.RC, err = d.str(); err != nil {
+	if err := decoded(t.decode(codec.NewDecoder(b))); err != nil {
 		return nil, err
 	}
-	issued, err := d.uint64()
-	if err != nil {
-		return nil, err
+	return t, nil
+}
+
+func (t *Ticket) decode(d *codec.Decoder) (err error) {
+	if t.RC, err = d.Str(); err != nil {
+		return err
 	}
-	t.IssuedAt = int64(issued)
-	n, err := d.uint64()
+	if t.IssuedAt, err = d.Int64(); err != nil {
+		return err
+	}
+	n, err := d.Uint64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n > 1<<16 {
-		return nil, errors.New("ticket: implausible binding count")
+		return errors.New("implausible binding count")
 	}
 	t.Bindings = make([]policy.Binding, n)
 	for i := range t.Bindings {
-		aid, err := d.uint64()
+		aid, err := d.Uint64()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		a, err := d.str()
+		a, err := d.Str()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t.Bindings[i] = policy.Binding{Identity: t.RC, AID: attr.ID(aid), Attribute: attr.Attribute(a)}
 	}
-	if t.SessionKey, err = d.bytes(); err != nil {
-		return nil, err
+	if t.SessionKey, err = d.Blob(); err != nil {
+		return err
 	}
-	return t, d.done()
+	return d.Done()
 }
 
 // AttributeByAID resolves an AID carried by this ticket.
@@ -172,31 +186,37 @@ func SealToken(rng io.Reader, pub *rsa.PublicKey, tok *Token) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ticket: token wrap: %w", err)
 	}
-	var e binEnc
-	e.putBytes(tok.SessionKey)
-	e.putBytes(tok.TicketBlob)
-	body, err := sealScheme().Seal(contentKey, e.buf, []byte(tokenAAD))
+	body, err := sealScheme().Seal(contentKey, blobPair(tok.SessionKey, tok.TicketBlob), []byte(tokenAAD))
 	if err != nil {
 		return nil, err
 	}
-	var out binEnc
-	out.putBytes(wrapped)
-	out.putBytes(body)
-	return out.buf, nil
+	return blobPair(wrapped, body), nil
+}
+
+// blobPair / openBlobPair carry the two length-prefixed fields of a token
+// body (session key, ticket) and of its wrapping (RSA block, sealed body).
+func blobPair(a, b []byte) []byte {
+	var e codec.Encoder
+	e.Blob(a)
+	e.Blob(b)
+	return e.Bytes()
+}
+
+func openBlobPair(raw []byte) (a, b []byte, err error) {
+	d := codec.NewDecoder(raw)
+	if a, err = d.Blob(); err != nil {
+		return nil, nil, decoded(err)
+	}
+	if b, err = d.Blob(); err != nil {
+		return nil, nil, decoded(err)
+	}
+	return a, b, decoded(d.Done())
 }
 
 // OpenToken unwraps a token with the RC's private key.
 func OpenToken(priv *rsa.PrivateKey, blob []byte) (*Token, error) {
-	d := binDec{buf: blob}
-	wrapped, err := d.bytes()
+	wrapped, body, err := openBlobPair(blob)
 	if err != nil {
-		return nil, err
-	}
-	body, err := d.bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.done(); err != nil {
 		return nil, err
 	}
 	contentKey, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, priv, wrapped, []byte(tokenAAD))
@@ -207,15 +227,9 @@ func OpenToken(priv *rsa.PrivateKey, blob []byte) (*Token, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ticket: token body: %w", err)
 	}
-	dd := binDec{buf: plain}
 	tok := &Token{}
-	if tok.SessionKey, err = dd.bytes(); err != nil {
-		return nil, err
-	}
-	if tok.TicketBlob, err = dd.bytes(); err != nil {
-		return nil, err
-	}
-	return tok, dd.done()
+	tok.SessionKey, tok.TicketBlob, err = openBlobPair(plain)
+	return tok, err
 }
 
 // Authenticator proves to the PKG that the bearer holds the session key
@@ -229,10 +243,10 @@ const authAAD = "mwskit/authenticator/v1"
 
 // SealAuthenticator encrypts the authenticator under the session key.
 func SealAuthenticator(sessionKey []byte, a *Authenticator) ([]byte, error) {
-	var e binEnc
-	e.putString(a.RC)
-	e.putUint64(uint64(a.Timestamp.Unix()))
-	return sealScheme().Seal(sessionKey, e.buf, []byte(authAAD))
+	var e codec.Encoder
+	e.Str(a.RC)
+	e.Int64(a.Timestamp.Unix())
+	return sealScheme().Seal(sessionKey, e.Bytes(), []byte(authAAD))
 }
 
 // ErrStale is returned when an authenticator's timestamp falls outside
@@ -246,19 +260,19 @@ func OpenAuthenticator(sessionKey, blob []byte, now time.Time, window time.Durat
 	if err != nil {
 		return nil, fmt.Errorf("ticket: authenticator: %w", err)
 	}
-	d := binDec{buf: plain}
+	d := codec.NewDecoder(plain)
 	a := &Authenticator{}
-	if a.RC, err = d.str(); err != nil {
-		return nil, err
+	if a.RC, err = d.Str(); err != nil {
+		return nil, decoded(err)
 	}
-	ts, err := d.uint64()
+	ts, err := d.Int64()
+	if err == nil {
+		err = d.Done()
+	}
 	if err != nil {
-		return nil, err
+		return nil, decoded(err)
 	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	a.Timestamp = time.Unix(int64(ts), 0)
+	a.Timestamp = time.Unix(ts, 0)
 	if d := now.Sub(a.Timestamp); d > window || d < -window {
 		return nil, ErrStale
 	}

@@ -15,21 +15,27 @@ import (
 	"mwskit/internal/obsv"
 )
 
-// Magic identifies protocol version 1 frames.
+// Magic opens a frame that carries no extension: magic, type, length,
+// payload — the 9-byte header every peer has spoken since version 1.
 var Magic = [4]byte{'M', 'W', 'S', '1'}
 
-// Magic2 identifies protocol version 2 frames: same framing as v1 plus a
-// flags byte and optional extension blocks (today: a trace context).
-// Writers emit v2 only when an extension is present, so a peer that never
-// uses extensions is byte-for-byte a v1 peer and old servers are
-// unaffected; see Client.EnableTrace for the version probe.
+// Magic2 opens a frame whose header carries a flags byte after the type
+// and, selected by the flags, extension blocks between header and payload
+// (today: a trace context). There is one grammar,
+//
+//	magic type [flags] len [trace] payload
+//
+// written by WriteFrame and read by ReadFrame: a frame without an
+// extension is written under Magic, byte for byte as before extensions
+// existed, and every reader accepts both, so no peer negotiates anything.
 var Magic2 = [4]byte{'M', 'W', 'S', '2'}
 
 // Type tags the payload carried by a frame.
 type Type uint8
 
 // Frame types. Requests are odd, their responses even; TError may answer
-// any request.
+// any request. Each request/response pair is declared once, with its name
+// and its decoders, in the op table (ops.go).
 const (
 	TError        Type = 0
 	TDeposit      Type = 1
@@ -50,69 +56,27 @@ const (
 	TTraceResp    Type = 16
 )
 
-// String implements fmt.Stringer for log lines.
-func (t Type) String() string {
-	switch t {
-	case TError:
-		return "Error"
-	case TDeposit:
-		return "Deposit"
-	case TDepositResp:
-		return "DepositResp"
-	case TRetrieve:
-		return "Retrieve"
-	case TRetrieveResp:
-		return "RetrieveResp"
-	case TExtract:
-		return "Extract"
-	case TExtractResp:
-		return "ExtractResp"
-	case TParams:
-		return "Params"
-	case TParamsResp:
-		return "ParamsResp"
-	case TPing:
-		return "Ping"
-	case TPong:
-		return "Pong"
-	case TTrapdoor:
-		return "Trapdoor"
-	case TTrapdoorResp:
-		return "TrapdoorResp"
-	case TStats:
-		return "Stats"
-	case TStatsResp:
-		return "StatsResp"
-	case TTrace:
-		return "Trace"
-	case TTraceResp:
-		return "TraceResp"
-	default:
-		return fmt.Sprintf("Type(%d)", uint8(t))
-	}
-}
-
 // MaxFrameLen bounds a frame payload (16 MiB) so a malicious peer cannot
 // force unbounded allocation.
 const MaxFrameLen = 16 << 20
 
-// Frame is one protocol message. Trace is the optional v2 extension: a
-// zero Trace produces a v1 frame on the wire, a valid one a v2 frame
-// carrying the trace block.
+// Frame is one protocol message. Trace is the optional extension: a zero
+// Trace is written under Magic, a valid one under Magic2 with the trace
+// block.
 type Frame struct {
 	Type    Type
 	Payload []byte
 	Trace   obsv.TraceContext
 }
 
-// frame header v1: magic(4) + type(1) + len(4)
-const headerLen = 9
+// Header sizes: magic(4) + type(1) + len(4), one more for the flags byte
+// of an extended header.
+const (
+	headerLen    = 9
+	headerLenExt = 10
+)
 
-// frame header v2: magic(4) + type(1) + flags(1) + len(4), then extension
-// blocks selected by flags, then the payload.
-const headerLenV2 = 10
-
-// v2 header flag bits.
+// Extended-header flag bits.
 const (
 	// flagTrace marks a 16-byte trace block (trace ID, span ID) between
 	// header and payload.
@@ -126,91 +90,81 @@ const (
 // traceBlockLen is the wire size of the flagTrace extension block.
 const traceBlockLen = 16
 
-// WriteFrame writes a frame to w, choosing v1 or v2 encoding by whether
-// the frame carries an extension.
+// WriteFrame writes a frame to w; the header is extended only when the
+// frame carries an extension.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxFrameLen {
 		return fmt.Errorf("wire: frame payload %d exceeds limit", len(f.Payload))
 	}
-	if !f.Trace.Valid() {
-		var hdr [headerLen]byte
-		copy(hdr[:4], Magic[:])
-		hdr[4] = byte(f.Type)
-		binary.BigEndian.PutUint32(hdr[5:9], uint32(len(f.Payload)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		_, err := w.Write(f.Payload)
-		return err
-	}
-	var hdr [headerLenV2 + traceBlockLen]byte
-	copy(hdr[:4], Magic2[:])
+	var hdr [headerLenExt + traceBlockLen]byte
+	copy(hdr[:4], Magic[:])
 	hdr[4] = byte(f.Type)
-	hdr[5] = flagTrace
-	binary.BigEndian.PutUint32(hdr[6:10], uint32(len(f.Payload)))
-	binary.BigEndian.PutUint64(hdr[10:18], f.Trace.TraceID)
-	binary.BigEndian.PutUint64(hdr[18:26], f.Trace.SpanID)
-	if _, err := w.Write(hdr[:]); err != nil {
+	n := 5
+	traced := f.Trace.Valid()
+	if traced {
+		copy(hdr[:4], Magic2[:])
+		hdr[5] = flagTrace
+		n = 6
+	}
+	binary.BigEndian.PutUint32(hdr[n:], uint32(len(f.Payload)))
+	n += 4
+	if traced {
+		binary.BigEndian.PutUint64(hdr[n:], f.Trace.TraceID)
+		binary.BigEndian.PutUint64(hdr[n+8:], f.Trace.SpanID)
+		n += traceBlockLen
+	}
+	if _, err := w.Write(hdr[:n]); err != nil {
 		return err
 	}
 	_, err := w.Write(f.Payload)
 	return err
 }
 
-// ErrBadMagic indicates the peer is not speaking a known MWS protocol
-// version.
+// ErrBadMagic indicates the peer is not speaking the MWS protocol.
 var ErrBadMagic = errors.New("wire: bad magic")
 
-// ReadFrame reads one frame (either protocol version) from r, rejecting
-// oversized or mis-tagged input before allocating.
+// ReadFrame reads one frame from r, rejecting oversized or mis-tagged
+// input before allocating.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return Frame{}, err
 	}
+	n := headerLen - 4
 	switch magic {
 	case Magic:
-		var rest [headerLen - 4]byte
-		if _, err := io.ReadFull(r, rest[:]); err != nil {
-			return Frame{}, err
-		}
-		n := binary.BigEndian.Uint32(rest[1:5])
-		if n > MaxFrameLen {
-			return Frame{}, fmt.Errorf("wire: frame payload %d exceeds limit", n)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return Frame{}, err
-		}
-		return Frame{Type: Type(rest[0]), Payload: payload}, nil
 	case Magic2:
-		var rest [headerLenV2 - 4]byte
-		if _, err := io.ReadFull(r, rest[:]); err != nil {
-			return Frame{}, err
-		}
-		flags := rest[1]
-		if flags&^knownFlags != 0 {
-			return Frame{}, fmt.Errorf("wire: unknown v2 flags %#02x", flags)
-		}
-		n := binary.BigEndian.Uint32(rest[2:6])
-		if n > MaxFrameLen {
-			return Frame{}, fmt.Errorf("wire: frame payload %d exceeds limit", n)
-		}
-		f := Frame{Type: Type(rest[0])}
-		if flags&flagTrace != 0 {
-			var tb [traceBlockLen]byte
-			if _, err := io.ReadFull(r, tb[:]); err != nil {
-				return Frame{}, err
-			}
-			f.Trace.TraceID = binary.BigEndian.Uint64(tb[0:8])
-			f.Trace.SpanID = binary.BigEndian.Uint64(tb[8:16])
-		}
-		f.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return Frame{}, err
-		}
-		return f, nil
+		n = headerLenExt - 4
 	default:
 		return Frame{}, ErrBadMagic
 	}
+	var rest [headerLenExt - 4]byte
+	if _, err := io.ReadFull(r, rest[:n]); err != nil {
+		return Frame{}, err
+	}
+	f := Frame{Type: Type(rest[0])}
+	var flags uint8
+	if magic == Magic2 {
+		flags = rest[1]
+	}
+	if flags&^knownFlags != 0 {
+		return Frame{}, fmt.Errorf("wire: unknown header flags %#02x", flags)
+	}
+	size := binary.BigEndian.Uint32(rest[n-4 : n])
+	if size > MaxFrameLen {
+		return Frame{}, fmt.Errorf("wire: frame payload %d exceeds limit", size)
+	}
+	if flags&flagTrace != 0 {
+		var tb [traceBlockLen]byte
+		if _, err := io.ReadFull(r, tb[:]); err != nil {
+			return Frame{}, err
+		}
+		f.Trace.TraceID = binary.BigEndian.Uint64(tb[0:8])
+		f.Trace.SpanID = binary.BigEndian.Uint64(tb[8:16])
+	}
+	f.Payload = make([]byte, size)
+	if _, err := io.ReadFull(r, f.Payload); err != nil {
+		return Frame{}, err
+	}
+	return f, nil
 }

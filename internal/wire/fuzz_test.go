@@ -8,30 +8,22 @@ import (
 	"testing/quick"
 )
 
-// TestDecodersNeverPanic feeds random byte strings to every wire decoder:
-// each must return an error or a value, never panic — a panicking decoder
-// would let any network peer kill the server goroutine.
+// TestDecodersNeverPanic feeds random byte strings to every wire decoder
+// — both decoders of every op in the table, and ErrorMsg's: each must
+// return an error or a value, never panic — a panicking decoder would let
+// any network peer kill the server goroutine.
 func TestDecodersNeverPanic(t *testing.T) {
-	decoders := map[string]func([]byte){
-		"ErrorMsg":         func(b []byte) { _, _ = UnmarshalErrorMsg(b) },
-		"DepositRequest":   func(b []byte) { _, _ = UnmarshalDepositRequest(b) },
-		"DepositResponse":  func(b []byte) { _, _ = UnmarshalDepositResponse(b) },
-		"RetrieveRequest":  func(b []byte) { _, _ = UnmarshalRetrieveRequest(b) },
-		"RetrieveResponse": func(b []byte) { _, _ = UnmarshalRetrieveResponse(b) },
-		"ExtractRequest":   func(b []byte) { _, _ = UnmarshalExtractRequest(b) },
-		"ExtractResponse":  func(b []byte) { _, _ = UnmarshalExtractResponse(b) },
-		"ParamsResponse":   func(b []byte) { _, _ = UnmarshalParamsResponse(b) },
-		"TrapdoorRequest":  func(b []byte) { _, _ = UnmarshalTrapdoorRequest(b) },
-		"TrapdoorResponse": func(b []byte) { _, _ = UnmarshalTrapdoorResponse(b) },
-		"StatsResponse":    func(b []byte) { _, _ = UnmarshalStatsResponse(b) },
-		"TraceRequest":     func(b []byte) { _, _ = UnmarshalTraceRequest(b) },
-		"TraceResponse":    func(b []byte) { _, _ = UnmarshalTraceResponse(b) },
+	decoders := map[string]func([]byte) error{
+		"ErrorMsg": func(b []byte) error { _, err := UnmarshalErrorMsg(b); return err },
+	}
+	for _, op := range Ops() {
+		decoders[op.Name+"Request"] = op.DecodeReq
+		decoders[op.Name+"Response"] = op.DecodeResp
 	}
 	for name, dec := range decoders {
-		name, dec := name, dec
 		t.Run(name, func(t *testing.T) {
 			if err := quick.Check(func(b []byte) bool {
-				dec(b)
+				_ = dec(b)
 				return true
 			}, &quick.Config{MaxCount: 400}); err != nil {
 				t.Fatal(err)
@@ -40,35 +32,35 @@ func TestDecodersNeverPanic(t *testing.T) {
 	}
 }
 
-// TestDecodersSurviveMutatedValidInput mutates valid encodings — these
-// reach deeper decoder paths than pure random bytes.
+// TestDecodersSurviveMutatedValidInput mutates a valid encoding of every
+// message in the op table — these reach deeper decoder paths than pure
+// random bytes.
 func TestDecodersSurviveMutatedValidInput(t *testing.T) {
-	valid := (&DepositRequest{
-		DeviceID:   "meter-7",
-		Timestamp:  1278000000,
-		Attribute:  "ELECTRIC-X",
-		Nonce:      bytes.Repeat([]byte{9}, 16),
-		U:          bytes.Repeat([]byte{4}, 67),
-		Ciphertext: bytes.Repeat([]byte{5}, 128),
-		Scheme:     "AES-128-GCM",
-		Tags:       [][]byte{[]byte("tag")},
-		MAC:        bytes.Repeat([]byte{6}, 32),
-	}).Marshal()
-
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 2000; i++ {
-		mutated := append([]byte(nil), valid...)
-		switch rng.Intn(3) {
-		case 0: // flip a byte
-			mutated[rng.Intn(len(mutated))] ^= byte(1 + rng.Intn(255))
-		case 1: // truncate
-			mutated = mutated[:rng.Intn(len(mutated))]
-		case 2: // extend with junk
-			junk := make([]byte, 1+rng.Intn(16))
-			rng.Read(junk)
-			mutated = append(mutated, junk...)
+	for _, op := range Ops() {
+		s := sampleOf(t, op)
+		for _, side := range []struct {
+			valid  []byte
+			decode func([]byte) error
+		}{{s.req.Marshal(), op.DecodeReq}, {s.resp.Marshal(), op.DecodeResp}} {
+			if len(side.valid) == 0 {
+				continue // an Empty message has nothing to mutate
+			}
+			for i := 0; i < 500; i++ {
+				mutated := append([]byte(nil), side.valid...)
+				switch rng.Intn(3) {
+				case 0: // flip a byte
+					mutated[rng.Intn(len(mutated))] ^= byte(1 + rng.Intn(255))
+				case 1: // truncate
+					mutated = mutated[:rng.Intn(len(mutated))]
+				case 2: // extend with junk
+					junk := make([]byte, 1+rng.Intn(16))
+					rng.Read(junk)
+					mutated = append(mutated, junk...)
+				}
+				_ = side.decode(mutated) // must not panic
+			}
 		}
-		_, _ = UnmarshalDepositRequest(mutated) // must not panic
 	}
 }
 

@@ -1,11 +1,68 @@
 package wire
 
 import (
-	"errors"
 	"fmt"
 
+	"mwskit/internal/codec"
 	"mwskit/internal/obsv"
 )
+
+// decode runs one message's field reader over a payload, insists that the
+// payload is consumed exactly, and reports any failure as a wire error —
+// the one place the codec's truncation and trailing-bytes errors take the
+// package's name.
+func decode[T any](b []byte, fields func(d *codec.Decoder, m *T) error) (*T, error) {
+	d := codec.NewDecoder(b)
+	m := new(T)
+	err := fields(d, m)
+	if err == nil {
+		err = d.Done()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("wire: %w", err)
+	}
+	return m, nil
+}
+
+// decodeList reads a count-prefixed list of at most limit elements — the
+// bound every variable-length field carries, so a hostile count cannot
+// force an allocation. An empty list decodes to nil.
+func decodeList[T any](d *codec.Decoder, limit uint32, what string, elem func(*codec.Decoder, *T) error) ([]T, error) {
+	n, err := d.Uint32()
+	if err != nil {
+		return nil, err
+	}
+	if n > limit {
+		return nil, fmt.Errorf("implausible %s count %d", what, n)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		if err := elem(d, &out[i]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func decodeBlob(d *codec.Decoder, b *[]byte) (err error) {
+	*b, err = d.Blob()
+	return err
+}
+
+// Empty is the payload-less message: the Ping and Pong frames and the
+// Params and Stats requests. A nil *Empty marshals like any other.
+type Empty struct{}
+
+// Marshal encodes the message.
+func (*Empty) Marshal() []byte { return nil }
+
+// UnmarshalEmpty accepts only an empty payload.
+func UnmarshalEmpty(b []byte) (*Empty, error) {
+	return decode(b, func(*codec.Decoder, *Empty) error { return nil })
+}
 
 // Error codes carried by ErrorMsg.
 const (
@@ -30,7 +87,7 @@ func (e *ErrorMsg) Error() string { return fmt.Sprintf("wire: remote error %d: %
 
 // Marshal encodes the message.
 func (e *ErrorMsg) Marshal() []byte {
-	var enc Encoder
+	var enc codec.Encoder
 	enc.Uint32(e.Code)
 	enc.Str(e.Message)
 	return enc.Bytes()
@@ -38,16 +95,13 @@ func (e *ErrorMsg) Marshal() []byte {
 
 // UnmarshalErrorMsg decodes an ErrorMsg payload.
 func UnmarshalErrorMsg(b []byte) (*ErrorMsg, error) {
-	d := NewDecoder(b)
-	var e ErrorMsg
-	var err error
-	if e.Code, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if e.Message, err = d.Str(); err != nil {
-		return nil, err
-	}
-	return &e, d.Done()
+	return decode(b, func(d *codec.Decoder, e *ErrorMsg) (err error) {
+		if e.Code, err = d.Uint32(); err != nil {
+			return err
+		}
+		e.Message, err = d.Str()
+		return err
+	})
 }
 
 // Device authentication modes for deposits.
@@ -100,7 +154,7 @@ func (r *DepositRequest) MACParts() [][]byte {
 // flattenBlobs length-delimits a blob list into one part so variable-
 // count fields have unambiguous coverage under the authenticator.
 func flattenBlobs(blobs [][]byte) []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.Uint32(uint32(len(blobs)))
 	for _, b := range blobs {
 		e.Blob(b)
@@ -111,7 +165,7 @@ func flattenBlobs(blobs [][]byte) []byte {
 // AuthBytes returns the canonical length-delimited concatenation of
 // MACParts — the exact byte string an IBS signature covers.
 func (r *DepositRequest) AuthBytes() []byte {
-	var e Encoder
+	var e codec.Encoder
 	for _, p := range r.MACParts() {
 		e.Blob(p)
 	}
@@ -119,14 +173,14 @@ func (r *DepositRequest) AuthBytes() []byte {
 }
 
 func i64bytes(v int64) []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.Int64(v)
 	return e.Bytes()
 }
 
 // Marshal encodes the message.
 func (r *DepositRequest) Marshal() []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.Str(r.DeviceID)
 	e.Int64(r.Timestamp)
 	e.Str(r.Attribute)
@@ -145,52 +199,37 @@ func (r *DepositRequest) Marshal() []byte {
 
 // UnmarshalDepositRequest decodes a DepositRequest payload.
 func UnmarshalDepositRequest(b []byte) (*DepositRequest, error) {
-	d := NewDecoder(b)
-	var r DepositRequest
-	var err error
-	if r.DeviceID, err = d.Str(); err != nil {
-		return nil, err
-	}
-	if r.Timestamp, err = d.Int64(); err != nil {
-		return nil, err
-	}
-	if r.Attribute, err = d.Str(); err != nil {
-		return nil, err
-	}
-	if r.Nonce, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	if r.U, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	if r.Ciphertext, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	if r.Scheme, err = d.Str(); err != nil {
-		return nil, err
-	}
-	if r.AuthMode, err = d.Uint8(); err != nil {
-		return nil, err
-	}
-	nTags, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if nTags > MaxTags {
-		return nil, errors.New("wire: too many keyword tags")
-	}
-	if nTags > 0 {
-		r.Tags = make([][]byte, nTags)
-		for i := range r.Tags {
-			if r.Tags[i], err = d.Blob(); err != nil {
-				return nil, err
-			}
+	return decode(b, func(d *codec.Decoder, r *DepositRequest) (err error) {
+		if r.DeviceID, err = d.Str(); err != nil {
+			return err
 		}
-	}
-	if r.MAC, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	return &r, d.Done()
+		if r.Timestamp, err = d.Int64(); err != nil {
+			return err
+		}
+		if r.Attribute, err = d.Str(); err != nil {
+			return err
+		}
+		if r.Nonce, err = d.Blob(); err != nil {
+			return err
+		}
+		if r.U, err = d.Blob(); err != nil {
+			return err
+		}
+		if r.Ciphertext, err = d.Blob(); err != nil {
+			return err
+		}
+		if r.Scheme, err = d.Str(); err != nil {
+			return err
+		}
+		if r.AuthMode, err = d.Uint8(); err != nil {
+			return err
+		}
+		if r.Tags, err = decodeList(d, MaxTags, "keyword tag", decodeBlob); err != nil {
+			return err
+		}
+		r.MAC, err = d.Blob()
+		return err
+	})
 }
 
 // MaxTags bounds the keyword tags on one deposit.
@@ -203,20 +242,17 @@ type DepositResponse struct {
 
 // Marshal encodes the message.
 func (r *DepositResponse) Marshal() []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.Uint64(r.Seq)
 	return e.Bytes()
 }
 
 // UnmarshalDepositResponse decodes a DepositResponse payload.
 func UnmarshalDepositResponse(b []byte) (*DepositResponse, error) {
-	d := NewDecoder(b)
-	var r DepositResponse
-	var err error
-	if r.Seq, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	return &r, d.Done()
+	return decode(b, func(d *codec.Decoder, r *DepositResponse) (err error) {
+		r.Seq, err = d.Uint64()
+		return err
+	})
 }
 
 // RetrieveRequest is the MWS–RC phase login + fetch (§V.D):
@@ -233,7 +269,7 @@ type RetrieveRequest struct {
 
 // Marshal encodes the message.
 func (r *RetrieveRequest) Marshal() []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.Str(r.RC)
 	e.Blob(r.AuthBlob)
 	e.Uint64(r.FromSeq)
@@ -244,25 +280,22 @@ func (r *RetrieveRequest) Marshal() []byte {
 
 // UnmarshalRetrieveRequest decodes a RetrieveRequest payload.
 func UnmarshalRetrieveRequest(b []byte) (*RetrieveRequest, error) {
-	d := NewDecoder(b)
-	var r RetrieveRequest
-	var err error
-	if r.RC, err = d.Str(); err != nil {
-		return nil, err
-	}
-	if r.AuthBlob, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	if r.FromSeq, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	if r.Limit, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if r.Trapdoor, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	return &r, d.Done()
+	return decode(b, func(d *codec.Decoder, r *RetrieveRequest) (err error) {
+		if r.RC, err = d.Str(); err != nil {
+			return err
+		}
+		if r.AuthBlob, err = d.Blob(); err != nil {
+			return err
+		}
+		if r.FromSeq, err = d.Uint64(); err != nil {
+			return err
+		}
+		if r.Limit, err = d.Uint32(); err != nil {
+			return err
+		}
+		r.Trapdoor, err = d.Blob()
+		return err
+	})
 }
 
 // MessageItem is one retrieved message as delivered to an RC:
@@ -279,7 +312,7 @@ type MessageItem struct {
 	Timestamp  int64
 }
 
-func (m *MessageItem) encode(e *Encoder) {
+func (m *MessageItem) encode(e *codec.Encoder) {
 	e.Uint64(m.Seq)
 	e.Uint64(m.AID)
 	e.Blob(m.Nonce)
@@ -290,34 +323,30 @@ func (m *MessageItem) encode(e *Encoder) {
 	e.Int64(m.Timestamp)
 }
 
-func decodeMessageItem(d *Decoder) (MessageItem, error) {
-	var m MessageItem
-	var err error
+func decodeMessageItem(d *codec.Decoder, m *MessageItem) (err error) {
 	if m.Seq, err = d.Uint64(); err != nil {
-		return m, err
+		return err
 	}
 	if m.AID, err = d.Uint64(); err != nil {
-		return m, err
+		return err
 	}
 	if m.Nonce, err = d.Blob(); err != nil {
-		return m, err
+		return err
 	}
 	if m.U, err = d.Blob(); err != nil {
-		return m, err
+		return err
 	}
 	if m.Ciphertext, err = d.Blob(); err != nil {
-		return m, err
+		return err
 	}
 	if m.Scheme, err = d.Str(); err != nil {
-		return m, err
+		return err
 	}
 	if m.DeviceID, err = d.Str(); err != nil {
-		return m, err
+		return err
 	}
-	if m.Timestamp, err = d.Int64(); err != nil {
-		return m, err
-	}
-	return m, nil
+	m.Timestamp, err = d.Int64()
+	return err
 }
 
 // RetrieveResponse carries the PKG token plus the matching messages.
@@ -328,7 +357,7 @@ type RetrieveResponse struct {
 
 // Marshal encodes the message.
 func (r *RetrieveResponse) Marshal() []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.Blob(r.TokenBlob)
 	e.Uint32(uint32(len(r.Items)))
 	for i := range r.Items {
@@ -339,26 +368,13 @@ func (r *RetrieveResponse) Marshal() []byte {
 
 // UnmarshalRetrieveResponse decodes a RetrieveResponse payload.
 func UnmarshalRetrieveResponse(b []byte) (*RetrieveResponse, error) {
-	d := NewDecoder(b)
-	var r RetrieveResponse
-	var err error
-	if r.TokenBlob, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<20 {
-		return nil, errors.New("wire: implausible item count")
-	}
-	r.Items = make([]MessageItem, n)
-	for i := range r.Items {
-		if r.Items[i], err = decodeMessageItem(d); err != nil {
-			return nil, err
+	return decode(b, func(d *codec.Decoder, r *RetrieveResponse) (err error) {
+		if r.TokenBlob, err = d.Blob(); err != nil {
+			return err
 		}
-	}
-	return &r, d.Done()
+		r.Items, err = decodeList(d, 1<<20, "item", decodeMessageItem)
+		return err
+	})
 }
 
 // ExtractItem names one private key the RC needs: AID ‖ Nonce (§V.D,
@@ -379,7 +395,7 @@ type ExtractRequest struct {
 
 // Marshal encodes the message.
 func (r *ExtractRequest) Marshal() []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.Str(r.RC)
 	e.Blob(r.TicketBlob)
 	e.Blob(r.Authenticator)
@@ -393,35 +409,25 @@ func (r *ExtractRequest) Marshal() []byte {
 
 // UnmarshalExtractRequest decodes an ExtractRequest payload.
 func UnmarshalExtractRequest(b []byte) (*ExtractRequest, error) {
-	d := NewDecoder(b)
-	var r ExtractRequest
-	var err error
-	if r.RC, err = d.Str(); err != nil {
-		return nil, err
-	}
-	if r.TicketBlob, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	if r.Authenticator, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<20 {
-		return nil, errors.New("wire: implausible extract count")
-	}
-	r.Items = make([]ExtractItem, n)
-	for i := range r.Items {
-		if r.Items[i].AID, err = d.Uint64(); err != nil {
-			return nil, err
+	return decode(b, func(d *codec.Decoder, r *ExtractRequest) (err error) {
+		if r.RC, err = d.Str(); err != nil {
+			return err
 		}
-		if r.Items[i].Nonce, err = d.Blob(); err != nil {
-			return nil, err
+		if r.TicketBlob, err = d.Blob(); err != nil {
+			return err
 		}
-	}
-	return &r, d.Done()
+		if r.Authenticator, err = d.Blob(); err != nil {
+			return err
+		}
+		r.Items, err = decodeList(d, 1<<20, "extract", func(d *codec.Decoder, it *ExtractItem) (err error) {
+			if it.AID, err = d.Uint64(); err != nil {
+				return err
+			}
+			it.Nonce, err = d.Blob()
+			return err
+		})
+		return err
+	})
 }
 
 // ExtractResponse returns one sealed private key per requested item
@@ -433,7 +439,7 @@ type ExtractResponse struct {
 
 // Marshal encodes the message.
 func (r *ExtractResponse) Marshal() []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.Uint32(uint32(len(r.SealedKeys)))
 	for _, k := range r.SealedKeys {
 		e.Blob(k)
@@ -443,31 +449,15 @@ func (r *ExtractResponse) Marshal() []byte {
 
 // UnmarshalExtractResponse decodes an ExtractResponse payload.
 func UnmarshalExtractResponse(b []byte) (*ExtractResponse, error) {
-	d := NewDecoder(b)
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<20 {
-		return nil, errors.New("wire: implausible key count")
-	}
-	r := &ExtractResponse{SealedKeys: make([][]byte, n)}
-	for i := range r.SealedKeys {
-		if r.SealedKeys[i], err = d.Blob(); err != nil {
-			return nil, err
-		}
-	}
-	return r, d.Done()
+	return decode(b, func(d *codec.Decoder, r *ExtractResponse) (err error) {
+		r.SealedKeys, err = decodeList(d, 1<<20, "key", decodeBlob)
+		return err
+	})
 }
 
-// ParamsRequest asks the PKG for the public IBE parameters (the paper's
-// SDs "receive system parameters" from the PKG).
-type ParamsRequest struct{}
-
-// Marshal encodes the message.
-func (ParamsRequest) Marshal() []byte { return nil }
-
-// ParamsResponse names the pairing preset and carries P_pub.
+// ParamsResponse answers the (Empty) request for the public IBE
+// parameters — the paper's SDs "receive system parameters" from the PKG —
+// naming the pairing preset and carrying P_pub.
 type ParamsResponse struct {
 	Preset string // pairing preset name, e.g. "bf80"
 	PPub   []byte // encoded sP
@@ -475,7 +465,7 @@ type ParamsResponse struct {
 
 // Marshal encodes the message.
 func (r *ParamsResponse) Marshal() []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.Str(r.Preset)
 	e.Blob(r.PPub)
 	return e.Bytes()
@@ -483,16 +473,13 @@ func (r *ParamsResponse) Marshal() []byte {
 
 // UnmarshalParamsResponse decodes a ParamsResponse payload.
 func UnmarshalParamsResponse(b []byte) (*ParamsResponse, error) {
-	d := NewDecoder(b)
-	var r ParamsResponse
-	var err error
-	if r.Preset, err = d.Str(); err != nil {
-		return nil, err
-	}
-	if r.PPub, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	return &r, d.Done()
+	return decode(b, func(d *codec.Decoder, r *ParamsResponse) (err error) {
+		if r.Preset, err = d.Str(); err != nil {
+			return err
+		}
+		r.PPub, err = d.Blob()
+		return err
+	})
 }
 
 // TrapdoorRequest asks the PKG for a PEKS keyword trapdoor. The caller
@@ -508,7 +495,7 @@ type TrapdoorRequest struct {
 
 // Marshal encodes the message.
 func (r *TrapdoorRequest) Marshal() []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.Str(r.RC)
 	e.Blob(r.TicketBlob)
 	e.Blob(r.Authenticator)
@@ -518,22 +505,19 @@ func (r *TrapdoorRequest) Marshal() []byte {
 
 // UnmarshalTrapdoorRequest decodes a TrapdoorRequest payload.
 func UnmarshalTrapdoorRequest(b []byte) (*TrapdoorRequest, error) {
-	d := NewDecoder(b)
-	var r TrapdoorRequest
-	var err error
-	if r.RC, err = d.Str(); err != nil {
-		return nil, err
-	}
-	if r.TicketBlob, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	if r.Authenticator, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	if r.SealedKeyword, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	return &r, d.Done()
+	return decode(b, func(d *codec.Decoder, r *TrapdoorRequest) (err error) {
+		if r.RC, err = d.Str(); err != nil {
+			return err
+		}
+		if r.TicketBlob, err = d.Blob(); err != nil {
+			return err
+		}
+		if r.Authenticator, err = d.Blob(); err != nil {
+			return err
+		}
+		r.SealedKeyword, err = d.Blob()
+		return err
+	})
 }
 
 // TrapdoorResponse returns the trapdoor sealed under the session key.
@@ -543,20 +527,17 @@ type TrapdoorResponse struct {
 
 // Marshal encodes the message.
 func (r *TrapdoorResponse) Marshal() []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.Blob(r.SealedTrapdoor)
 	return e.Bytes()
 }
 
 // UnmarshalTrapdoorResponse decodes a TrapdoorResponse payload.
 func UnmarshalTrapdoorResponse(b []byte) (*TrapdoorResponse, error) {
-	d := NewDecoder(b)
-	var r TrapdoorResponse
-	var err error
-	if r.SealedTrapdoor, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	return &r, d.Done()
+	return decode(b, func(d *codec.Decoder, r *TrapdoorResponse) (err error) {
+		r.SealedTrapdoor, err = d.Blob()
+		return err
+	})
 }
 
 // OpStat is one operation's counters and latency summary as reported over
@@ -591,7 +572,7 @@ type StatsResponse struct {
 
 // Marshal encodes the message.
 func (r *StatsResponse) Marshal() []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.Uint32(uint32(len(r.Ops)))
 	for _, op := range r.Ops {
 		e.Str(op.Op)
@@ -613,7 +594,7 @@ func (r *StatsResponse) Marshal() []byte {
 
 // encodeSamples / decodeSamples carry one bounded block of series, each
 // with a bounded label set.
-func encodeSamples(e *Encoder, samples []obsv.Sample) {
+func encodeSamples(e *codec.Encoder, samples []obsv.Sample) {
 	e.Uint32(uint32(len(samples)))
 	for _, s := range samples {
 		e.Str(s.Name)
@@ -622,33 +603,22 @@ func encodeSamples(e *Encoder, samples []obsv.Sample) {
 	}
 }
 
-func decodeSamples(d *Decoder) ([]obsv.Sample, error) {
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<16 {
-		return nil, errors.New("wire: implausible series count")
-	}
-	out := make([]obsv.Sample, n)
-	for i := range out {
-		s := &out[i]
+func decodeSamples(d *codec.Decoder) ([]obsv.Sample, error) {
+	return decodeList(d, 1<<16, "series", func(d *codec.Decoder, s *obsv.Sample) (err error) {
 		if s.Name, err = d.Str(); err != nil {
-			return nil, err
+			return err
 		}
 		if s.Labels, err = decodeLabels(d, 64); err != nil {
-			return nil, err
+			return err
 		}
-		if s.Value, err = d.Int64(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+		s.Value, err = d.Int64()
+		return err
+	})
 }
 
 // encodeLabels / decodeLabels carry the label set of a series or the
 // attributes of a span, at most limit of them.
-func encodeLabels(e *Encoder, labels []obsv.Label) {
+func encodeLabels(e *codec.Encoder, labels []obsv.Label) {
 	e.Uint32(uint32(len(labels)))
 	for _, l := range labels {
 		e.Str(l.Key)
@@ -656,65 +626,43 @@ func encodeLabels(e *Encoder, labels []obsv.Label) {
 	}
 }
 
-func decodeLabels(d *Decoder, limit uint32) ([]obsv.Label, error) {
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > limit {
-		return nil, errors.New("wire: implausible label count")
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]obsv.Label, n)
-	for i := range out {
-		if out[i].Key, err = d.Str(); err != nil {
-			return nil, err
+func decodeLabels(d *codec.Decoder, limit uint32) ([]obsv.Label, error) {
+	return decodeList(d, limit, "label", func(d *codec.Decoder, l *obsv.Label) (err error) {
+		if l.Key, err = d.Str(); err != nil {
+			return err
 		}
-		if out[i].Value, err = d.Str(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+		l.Value, err = d.Str()
+		return err
+	})
 }
 
 // UnmarshalStatsResponse decodes a StatsResponse payload.
 func UnmarshalStatsResponse(b []byte) (*StatsResponse, error) {
-	d := NewDecoder(b)
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<16 {
-		return nil, errors.New("wire: implausible op count")
-	}
-	r := &StatsResponse{Ops: make([]OpStat, n)}
-	for i := range r.Ops {
-		op := &r.Ops[i]
-		if op.Op, err = d.Str(); err != nil {
-			return nil, err
-		}
-		if op.Requests, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		if op.Errors, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		for _, dst := range []*int64{&op.MinNs, &op.MeanNs, &op.P50Ns, &op.P90Ns, &op.P99Ns, &op.MaxNs} {
-			if *dst, err = d.Int64(); err != nil {
-				return nil, err
+	return decode(b, func(d *codec.Decoder, r *StatsResponse) (err error) {
+		r.Ops, err = decodeList(d, 1<<16, "op", func(d *codec.Decoder, op *OpStat) (err error) {
+			if op.Op, err = d.Str(); err != nil {
+				return err
 			}
+			if op.Requests, err = d.Uint64(); err != nil {
+				return err
+			}
+			if op.Errors, err = d.Uint64(); err != nil {
+				return err
+			}
+			for _, dst := range []*int64{&op.MinNs, &op.MeanNs, &op.P50Ns, &op.P90Ns, &op.P99Ns, &op.MaxNs} {
+				if *dst, err = d.Int64(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil || d.Remaining() == 0 {
+			return err // a v1 message carries no counter/gauge block
 		}
-	}
-	if d.Remaining() == 0 {
-		return r, nil // v1 message without the counter/gauge block
-	}
-	if r.Counters, err = decodeSamples(d); err != nil {
-		return nil, err
-	}
-	if r.Gauges, err = decodeSamples(d); err != nil {
-		return nil, err
-	}
-	return r, d.Done()
+		if r.Counters, err = decodeSamples(d); err != nil {
+			return err
+		}
+		r.Gauges, err = decodeSamples(d)
+		return err
+	})
 }

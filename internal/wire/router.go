@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"log/slog"
-	"sort"
 	"sync"
 	"time"
 
@@ -17,10 +16,10 @@ import (
 // outermost.
 type Middleware func(next Handler) Handler
 
-// Router dispatches request frames to typed routes. Register routes with
-// Route (typed, owns unmarshal/marshal/error mapping) or HandleFunc (raw
-// frames, for payload-less ops like Ping); attach middleware with Use.
-// An unknown frame type yields a CodeBadRequest error frame.
+// Router dispatches request frames to the handlers registered for their
+// ops. Register one with Route (it owns unmarshal, marshal and error
+// mapping); attach middleware with Use. An unknown frame type yields a
+// CodeBadRequest error frame.
 type Router struct {
 	mu       sync.RWMutex
 	mws      []Middleware
@@ -50,26 +49,13 @@ func (r *Router) composeLocked(h Handler) Handler {
 	return h
 }
 
-// HandleFunc registers a raw frame handler for one request type. Most
-// routes should use Route instead; this exists for payload-less
-// operations (Ping, Stats) where typed adapters add nothing.
-func (r *Router) HandleFunc(t Type, h HandlerFunc) {
+// handle registers a raw frame handler for one request type; Route is
+// its only caller outside the tests.
+func (r *Router) handle(t Type, h HandlerFunc) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.routes[t] = h
 	r.composed[t] = r.composeLocked(h)
-}
-
-// Types returns the registered request frame types, sorted.
-func (r *Router) Types() []Type {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Type, 0, len(r.routes))
-	for t := range r.routes {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Handle dispatches one frame through the middleware chain to its route.
@@ -84,30 +70,27 @@ func (r *Router) Handle(ctx context.Context, f Frame) Frame {
 	return h.Handle(ctx, f)
 }
 
-// Route registers a typed route: unmarshal the request payload, invoke the
-// handler with the decoded message, marshal the response. Handler errors
-// map to structured error frames: a *ErrorMsg is sent verbatim, context
+// Route registers the handler of one op: unmarshal the request payload
+// with the op's decoder, invoke the handler with the decoded message,
+// marshal the response under the op's response type. Handler errors map
+// to structured error frames: a *ErrorMsg is sent verbatim, context
 // deadline errors become CodeTimeout, context cancellation becomes
 // CodeUnavailable, and anything else is masked as CodeInternal so internal
 // detail never leaks to the peer.
-func Route[Req any, Resp interface{ Marshal() []byte }](
-	r *Router, reqType, respType Type,
-	unmarshal func([]byte) (Req, error),
-	handle func(ctx context.Context, req Req) (Resp, error),
-) {
-	r.HandleFunc(reqType, func(ctx context.Context, f Frame) Frame {
+func Route[Req, Resp Message](r *Router, op *Op[Req, Resp], handle func(ctx context.Context, req Req) (Resp, error)) {
+	r.handle(op.Req, func(ctx context.Context, f Frame) Frame {
 		_, sp := obsv.StartSpan(ctx, "decode")
-		req, err := unmarshal(f.Payload)
+		req, err := op.decodeReq(f.Payload)
 		sp.SetErr(err)
 		sp.End()
 		if err != nil {
-			return ErrorFrame(CodeBadRequest, "bad %s request: %v", reqType, err)
+			return ErrorFrame(CodeBadRequest, "bad %s request: %v", op.Name, err)
 		}
 		resp, err := handle(ctx, req)
 		if err != nil {
 			return errorToFrame(ctx, err)
 		}
-		return Frame{Type: respType, Payload: resp.Marshal()}
+		return Frame{Type: op.Resp, Payload: resp.Marshal()}
 	})
 }
 
@@ -221,7 +204,7 @@ func Instrument(reg *obsv.Registry) Middleware {
 }
 
 // Trace is middleware that roots a server-side span tree for every
-// request: the span inherits the trace ID carried in a v2 frame (so the
+// request: the span inherits the trace ID a frame carries (so the
 // server's stages stitch onto the client's trace) or mints one for
 // untraced peers so the slow-request log still fires for them. Install
 // it outermost — ahead of Instrument — so every stage, decode included,
@@ -271,10 +254,15 @@ func StatsFromRegistry(reg *obsv.Registry) *StatsResponse {
 	return resp
 }
 
+// RegisterPing answers the liveness op.
+func RegisterPing(r *Router) {
+	Route(r, OpPing, func(context.Context, *Empty) (*Empty, error) { return nil, nil })
+}
+
 // RegisterStats exposes reg on the router as the TStats introspection op.
 func RegisterStats(r *Router, reg *obsv.Registry) {
-	r.HandleFunc(TStats, func(ctx context.Context, f Frame) Frame {
-		return Frame{Type: TStatsResp, Payload: StatsFromRegistry(reg).Marshal()}
+	Route(r, OpStats, func(context.Context, *Empty) (*StatsResponse, error) {
+		return StatsFromRegistry(reg), nil
 	})
 }
 
@@ -285,12 +273,11 @@ const defaultTraceLimit = 512
 // RegisterTrace exposes the tracer's span ring on the router as the
 // TTrace introspection op.
 func RegisterTrace(r *Router, t *obsv.Tracer) {
-	Route(r, TTrace, TTraceResp, UnmarshalTraceRequest,
-		func(ctx context.Context, req *TraceRequest) (*TraceResponse, error) {
-			limit := int(req.Limit)
-			if limit <= 0 || limit > maxTraceSpans {
-				limit = defaultTraceLimit
-			}
-			return &TraceResponse{Spans: t.Snapshot(limit, req.TraceID)}, nil
-		})
+	Route(r, OpTrace, func(ctx context.Context, req *TraceRequest) (*TraceResponse, error) {
+		limit := int(req.Limit)
+		if limit <= 0 || limit > maxTraceSpans {
+			limit = defaultTraceLimit
+		}
+		return &TraceResponse{Spans: t.Snapshot(limit, req.TraceID)}, nil
+	})
 }

@@ -273,18 +273,18 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Client is a frame-oriented connection to a Server. Do is serialized, so
-// one Client can be shared across goroutines.
+// Client is a frame-oriented connection to a Server. Round trips are
+// serialized, so one Client can be shared across goroutines.
 type Client struct {
 	mu   sync.Mutex
-	addr string
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
-	// traceOK records the outcome of EnableTrace: only after a successful
-	// v2 probe will Do put trace blocks on the wire. Until then outgoing
-	// frames are stripped to v1, so an old server never sees v2 magic.
-	traceOK bool
+	// broken is the transport error that ended a round trip part-way. The
+	// stream may then hold half a request or a late response, so every
+	// later call fails with it rather than read an answer that belongs to
+	// an earlier request.
+	broken error
 }
 
 // Dial connects to a wire server. Callers that own a context (anything on
@@ -301,76 +301,31 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	return &Client{addr: addr, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}, nil
-}
-
-// EnableTrace negotiates protocol v2 by probing the server with a traced
-// ping. On success every subsequent traced Do carries its trace block;
-// on failure — a v1 server kills the connection at the unknown magic —
-// the client transparently redials and keeps speaking v1, so old peers
-// are unaffected beyond one extra round trip at setup. Returns whether
-// the peer accepted v2.
-func (c *Client) EnableTrace(ctx context.Context) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.traceOK {
-		return true, nil
-	}
-	probe := Frame{Type: TPing, Trace: obsv.TraceContext{TraceID: obsv.NewTraceID(), SpanID: obsv.NewTraceID()}}
-	err := func() error {
-		if err := WriteFrame(c.bw, probe); err != nil {
-			return err
-		}
-		if err := c.bw.Flush(); err != nil {
-			return err
-		}
-		resp, err := ReadFrame(c.br)
-		if err != nil {
-			return err
-		}
-		if resp.Type == TError {
-			em, derr := UnmarshalErrorMsg(resp.Payload)
-			if derr != nil {
-				return fmt.Errorf("wire: undecodable error response: %w", derr)
-			}
-			return em
-		}
-		return nil
-	}()
-	if err == nil {
-		c.traceOK = true
-		return true, nil
-	}
-	// The peer rejected (or tore down on) v2: reconnect and stay on v1.
-	c.conn.Close()
-	var d net.Dialer
-	conn, derr := d.DialContext(ctx, "tcp", c.addr)
-	if derr != nil {
-		return false, fmt.Errorf("wire: redial %s after v2 probe: %w", c.addr, derr)
-	}
-	c.conn = conn
-	c.br = bufio.NewReader(conn)
-	c.bw = bufio.NewWriter(conn)
-	return false, nil
+	return &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}, nil
 }
 
 // Do sends a request frame and reads the response frame. A TError
-// response is decoded and returned as *ErrorMsg. Trace blocks are
-// stripped unless EnableTrace negotiated protocol v2 on this connection.
-func (c *Client) Do(req Frame) (Frame, error) {
+// response is decoded and returned as *ErrorMsg. It is the raw layer
+// under Call, which is how everything outside this package and its
+// measurements performs an op.
+func (c *Client) Do(req Frame) (Frame, error) { return c.roundTrip(time.Time{}, req) }
+
+// roundTrip is the one request/response exchange, bounded by deadline
+// unless that is zero. A transport error — the deadline passing mid-read
+// included — breaks the client for good.
+func (c *Client) roundTrip(deadline time.Time, req Frame) (Frame, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.traceOK {
-		req.Trace = obsv.TraceContext{}
+	if c.broken != nil {
+		return Frame{}, fmt.Errorf("wire: connection broken by an earlier round trip: %w", c.broken)
 	}
-	if err := WriteFrame(c.bw, req); err != nil {
-		return Frame{}, err
+	if !deadline.IsZero() {
+		c.conn.SetDeadline(deadline)
+		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := c.bw.Flush(); err != nil {
-		return Frame{}, err
-	}
-	resp, err := ReadFrame(c.br)
+	resp, err := c.exchange(req)
 	if err != nil {
+		c.broken = err
 		return Frame{}, err
 	}
 	if resp.Type == TError {
@@ -383,8 +338,15 @@ func (c *Client) Do(req Frame) (Frame, error) {
 	return resp, nil
 }
 
-// SetDeadline bounds the next Do round trip.
-func (c *Client) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
+func (c *Client) exchange(req Frame) (Frame, error) {
+	if err := WriteFrame(c.bw, req); err != nil {
+		return Frame{}, err
+	}
+	if err := c.bw.Flush(); err != nil {
+		return Frame{}, err
+	}
+	return ReadFrame(c.br)
+}
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }

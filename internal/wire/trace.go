@@ -1,9 +1,9 @@
 package wire
 
 import (
-	"errors"
 	"time"
 
+	"mwskit/internal/codec"
 	"mwskit/internal/obsv"
 )
 
@@ -17,7 +17,7 @@ type TraceRequest struct {
 
 // Marshal encodes the message.
 func (r *TraceRequest) Marshal() []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.Uint64(r.TraceID)
 	e.Uint32(r.Limit)
 	return e.Bytes()
@@ -25,16 +25,13 @@ func (r *TraceRequest) Marshal() []byte {
 
 // UnmarshalTraceRequest decodes a TraceRequest payload.
 func UnmarshalTraceRequest(b []byte) (*TraceRequest, error) {
-	d := NewDecoder(b)
-	var r TraceRequest
-	var err error
-	if r.TraceID, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	if r.Limit, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	return &r, d.Done()
+	return decode(b, func(d *codec.Decoder, r *TraceRequest) (err error) {
+		if r.TraceID, err = d.Uint64(); err != nil {
+			return err
+		}
+		r.Limit, err = d.Uint32()
+		return err
+	})
 }
 
 // maxTraceSpans bounds a TraceResponse so introspection cannot be used
@@ -49,7 +46,7 @@ type TraceResponse struct {
 // Marshal encodes the message. Span start times travel as Unix
 // nanoseconds so the encoding is architecture- and timezone-independent.
 func (r *TraceResponse) Marshal() []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.Uint32(uint32(len(r.Spans)))
 	for i := range r.Spans {
 		s := &r.Spans[i]
@@ -68,47 +65,38 @@ func (r *TraceResponse) Marshal() []byte {
 
 // UnmarshalTraceResponse decodes a TraceResponse payload.
 func UnmarshalTraceResponse(b []byte) (*TraceResponse, error) {
-	d := NewDecoder(b)
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxTraceSpans {
-		return nil, errors.New("wire: implausible span count")
-	}
-	r := &TraceResponse{Spans: make([]obsv.SpanRecord, n)}
-	for i := range r.Spans {
-		s := &r.Spans[i]
-		if s.TraceID, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		if s.SpanID, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		if s.ParentID, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		if s.Service, err = d.Str(); err != nil {
-			return nil, err
-		}
-		if s.Name, err = d.Str(); err != nil {
-			return nil, err
-		}
-		var startNs, durNs int64
-		if startNs, err = d.Int64(); err != nil {
-			return nil, err
-		}
-		if durNs, err = d.Int64(); err != nil {
-			return nil, err
-		}
-		s.Start = time.Unix(0, startNs).UTC()
-		s.Duration = time.Duration(durNs)
-		if s.Err, err = d.Str(); err != nil {
-			return nil, err
-		}
-		if s.Attrs, err = decodeLabels(d, 256); err != nil {
-			return nil, err
-		}
-	}
-	return r, d.Done()
+	return decode(b, func(d *codec.Decoder, r *TraceResponse) (err error) {
+		r.Spans, err = decodeList(d, maxTraceSpans, "span", func(d *codec.Decoder, s *obsv.SpanRecord) (err error) {
+			if s.TraceID, err = d.Uint64(); err != nil {
+				return err
+			}
+			if s.SpanID, err = d.Uint64(); err != nil {
+				return err
+			}
+			if s.ParentID, err = d.Uint64(); err != nil {
+				return err
+			}
+			if s.Service, err = d.Str(); err != nil {
+				return err
+			}
+			if s.Name, err = d.Str(); err != nil {
+				return err
+			}
+			var startNs, durNs int64
+			if startNs, err = d.Int64(); err != nil {
+				return err
+			}
+			if durNs, err = d.Int64(); err != nil {
+				return err
+			}
+			s.Start = time.Unix(0, startNs).UTC()
+			s.Duration = time.Duration(durNs)
+			if s.Err, err = d.Str(); err != nil {
+				return err
+			}
+			s.Attrs, err = decodeLabels(d, 256)
+			return err
+		})
+		return err
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mwskit/internal/codec"
 	"mwskit/internal/obsv"
 )
 
@@ -57,7 +58,7 @@ func TestTraceResponseRoundTrip(t *testing.T) {
 }
 
 func TestTraceResponseRejectsImplausibleCounts(t *testing.T) {
-	var e Encoder
+	var e codec.Encoder
 	e.Uint32(maxTraceSpans + 1)
 	if _, err := UnmarshalTraceResponse(e.Bytes()); err == nil {
 		t.Fatal("implausible span count accepted")
@@ -140,7 +141,7 @@ func TestStatsResponseGolden(t *testing.T) {
 func TestStatsResponseBackwardCompatible(t *testing.T) {
 	ops := []OpStat{{Op: "Ping", Requests: 1}}
 	v1 := func() []byte { // the pre-counter encoding: ops only
-		var e Encoder
+		var e codec.Encoder
 		e.Uint32(uint32(len(ops)))
 		for _, op := range ops {
 			e.Str(op.Op)
@@ -167,10 +168,10 @@ func TestStatsResponseBackwardCompatible(t *testing.T) {
 	}
 }
 
-// TestFrameTraceRoundTrip exercises the extended (v2) frame header: a
-// frame carrying a trace context survives the wire, an untraced frame
-// stays byte-identical to the v1 encoding, and unknown header flags are
-// rejected rather than silently skipped.
+// TestFrameTraceRoundTrip exercises the extended frame header: a frame
+// carrying a trace context survives the wire, an untraced frame keeps the
+// plain 9-byte header, and unknown header flags are rejected rather than
+// silently skipped.
 func TestFrameTraceRoundTrip(t *testing.T) {
 	tc := obsv.TraceContext{TraceID: 0x1122334455667788, SpanID: 0x99AABBCCDDEEFF00}
 	var buf bytes.Buffer
@@ -178,7 +179,7 @@ func TestFrameTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(buf.Bytes(), Magic2[:]) {
-		t.Fatalf("traced frame does not start with v2 magic: %x", buf.Bytes()[:4])
+		t.Fatalf("traced frame does not start with the extended magic: %x", buf.Bytes()[:4])
 	}
 	got, err := ReadFrame(&buf)
 	if err != nil {
@@ -188,8 +189,8 @@ func TestFrameTraceRoundTrip(t *testing.T) {
 		t.Fatalf("round trip = %+v", got)
 	}
 
-	// Untraced frames must remain byte-identical to v1 so old peers are
-	// unaffected.
+	// Untraced frames must keep the plain header byte for byte (see also
+	// TestFramesGolden).
 	var v1 bytes.Buffer
 	if err := WriteFrame(&v1, Frame{Type: TPing}); err != nil {
 		t.Fatal(err)
@@ -198,12 +199,12 @@ func TestFrameTraceRoundTrip(t *testing.T) {
 		t.Fatalf("untraced frame uses extended header: %x", v1.Bytes())
 	}
 
-	// A v2 header with an unknown flag bit must be rejected: skipping
+	// An extended header with an unknown flag bit must be rejected: skipping
 	// unknown extensions silently would desynchronize the stream.
 	raw := append([]byte{}, Magic2[:]...)
 	raw = append(raw, byte(TPing), 0x80, 0, 0, 0, 0)
 	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
-		t.Fatal("unknown v2 flag accepted")
+		t.Fatal("unknown header flag accepted")
 	}
 }
 
@@ -216,7 +217,7 @@ func TestFrameV2Truncation(t *testing.T) {
 	raw := buf.Bytes()
 	for cut := 1; cut < len(raw); cut++ {
 		if _, err := ReadFrame(bytes.NewReader(raw[:cut])); err == nil {
-			t.Fatalf("truncated v2 frame of %d bytes accepted", cut)
+			t.Fatalf("truncated extended frame of %d bytes accepted", cut)
 		}
 	}
 }

@@ -44,14 +44,26 @@ fi
 
 # One telemetry package (ROADMAP aim 2): internal/metrics stays folded into
 # internal/obsv, and obsv imports nothing of ours — that is what lets ff,
-# ec, pairing and wal hook into it without an import cycle.
+# ec, pairing and wal hook into it without an import cycle. internal/codec,
+# the one length-prefixed codec under wire, storage and ticket, is a leaf
+# of the same kind.
 if go list ./... | grep -qx 'mwskit/internal/metrics'; then
 	echo "mwskit/internal/metrics is back: telemetry types live in internal/obsv" >&2
 	exit 1
 fi
-obsv_deps=$(go list -deps ./internal/obsv | grep '^mwskit/' | grep -vx 'mwskit/internal/obsv' || true)
-if [ -n "$obsv_deps" ]; then
-	echo "internal/obsv must import only the standard library, found: $obsv_deps" >&2
+for leaf in obsv codec; do
+	leaf_deps=$(go list -deps ./internal/$leaf | grep '^mwskit/' | grep -vx "mwskit/internal/$leaf" || true)
+	if [ -n "$leaf_deps" ]; then
+		echo "internal/$leaf must import only the standard library, found: $leaf_deps" >&2
+		exit 1
+	fi
+done
+
+# One client call path (DESIGN.md §7): every exchange is declared once in
+# internal/wire's op table and performed through wire.Call, so outside that
+# package no non-test file builds a request frame by hand.
+if git grep -nE '\.Do\((wire\.)?Frame\{' -- internal cmd examples ':!*_test.go' ':!internal/wire'; then
+	echo "build request frames with wire.Call(ctx, client, op, req), not Client.Do" >&2
 	exit 1
 fi
 
