@@ -104,3 +104,18 @@ func BenchmarkCoordinates(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCombMul is the device's per-deposit U = rP: a secret scalar
+// times the fixed generator through its precomputed table.
+func BenchmarkCombMul(b *testing.B) {
+	c, g := benchCurve(b)
+	comb := c.NewComb(g)
+	k, err := rand.Int(rand.Reader, benchQ)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = comb.Mul(k)
+	}
+}

@@ -115,6 +115,7 @@ func New(cfg Config) (*Service, error) {
 		replay: macauth.NewReplayGuard(cfg.FreshnessWindow),
 		stats:  obsv.NewRegistry(),
 	}
+	s.stats.GaugeFunc("replay_guard_entries", func() int64 { return int64(s.replay.Len()) }, obsv.L("guard", "session"))
 	if raw, ok := kv.Get(masterKeyKey); ok {
 		mk, err := bfibe.UnmarshalMasterKey(raw)
 		if err != nil {

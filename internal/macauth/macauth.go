@@ -101,19 +101,27 @@ func (ks *KeyService) Devices() []string { return ks.kv.Keys() }
 // RandReader is the default entropy source for Register.
 var RandReader io.Reader = rand.Reader
 
+// replaySet holds one window's accepted MACs as SHA-256 digests cut to 128
+// bits: one entry size for device HMACs and sealed RC authenticators alike.
+type replaySet map[[16]byte]struct{}
+
 // ReplayGuard rejects MACs it has already accepted within the freshness
-// window. Entries older than the window are pruned lazily, so memory is
-// bounded by the accept rate × window.
+// window. A timestamp passes freshness for 2 × window of clock time, so
+// entries must live that long: they sit in three generation sets, one per
+// window, and expire by dropping the oldest set whole. An entry lives 2–3
+// windows, a Check costs three map probes at any accept rate, memory is
+// accept rate × 3 windows, and nothing survives a restart (DESIGN.md §11).
 type ReplayGuard struct {
 	window time.Duration
 
-	mu   sync.Mutex
-	seen map[string]time.Time
+	mu    sync.Mutex
+	start time.Time    // when gens[0]'s window began
+	gens  [3]replaySet // gens[0] is current; older sets may be nil
 }
 
 // NewReplayGuard builds a guard with the given freshness window.
 func NewReplayGuard(window time.Duration) *ReplayGuard {
-	return &ReplayGuard{window: window, seen: make(map[string]time.Time)}
+	return &ReplayGuard{window: window}
 }
 
 // Errors returned by Check.
@@ -129,20 +137,27 @@ func (g *ReplayGuard) Check(mac []byte, ts, now time.Time) error {
 	if d := now.Sub(ts); d > g.window || d < -g.window {
 		return ErrStale
 	}
-	key := string(mac)
+	sum := sha256.Sum256(mac)
+	key := [16]byte(sum[:16])
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	// Lazy prune: drop expired entries while we hold the lock.
-	cutoff := now.Add(-2 * g.window)
-	for k, t := range g.seen {
-		if t.Before(cutoff) {
-			delete(g.seen, k)
+	// Advance to now's window. A clock that leapt three windows or more (a
+	// first Check included) outlived every entry, so all sets go at once; one
+	// that stepped backwards rotates nothing, which only keeps entries longer.
+	if age := now.Sub(g.start); age >= 3*g.window {
+		g.gens, g.start = [3]replaySet{{}}, now
+	} else {
+		for ; age >= g.window; age -= g.window {
+			g.gens = [3]replaySet{{}, g.gens[0], g.gens[1]}
+			g.start = g.start.Add(g.window)
 		}
 	}
-	if _, dup := g.seen[key]; dup {
-		return ErrReplay
+	for _, gen := range g.gens {
+		if _, dup := gen[key]; dup {
+			return ErrReplay
+		}
 	}
-	g.seen[key] = now
+	g.gens[0][key] = struct{}{}
 	return nil
 }
 
@@ -150,5 +165,5 @@ func (g *ReplayGuard) Check(mac []byte, ts, now time.Time) error {
 func (g *ReplayGuard) Len() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.seen)
+	return len(g.gens[0]) + len(g.gens[1]) + len(g.gens[2])
 }

@@ -180,6 +180,9 @@ func New(cfg Config) (*Service, error) {
 		tagsTested:      stats.Counter("peks_tags_tested"),
 		tagsUndecodable: stats.Counter("peks_tags_undecodable"),
 	}
+	for guard, g := range map[string]*macauth.ReplayGuard{"deposit": s.replay, "retrieve": s.rcReplay} {
+		stats.GaugeFunc("replay_guard_entries", func() int64 { return int64(g.Len()) }, obsv.L("guard", guard))
+	}
 	s.router = s.buildRouter()
 	return s, nil
 }

@@ -135,6 +135,7 @@ type series struct {
 	labels []Label // sorted by key
 	gauge  bool
 	v      atomic.Int64
+	read   func() int64 // GaugeFunc's reader: Export reports it in place of v
 }
 
 // Counter is a monotonically increasing series, safe for concurrent use.
@@ -238,11 +239,11 @@ func seriesKey(gauge bool, name string, labels []Label) string {
 // lookup returns (registering on first use) the series of the given kind,
 // name and label set. Labels are sorted by key, so the same set given in
 // any order is one series.
-func (r *Registry) lookup(gauge bool, name string, labels []Label) *series {
+func (r *Registry) lookup(gauge bool, name string, labels []Label, read func() int64) *series {
 	labels = slices.Clone(labels)
 	slices.SortStableFunc(labels, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
 	return getOrCreate(&r.mu, r.series, seriesKey(gauge, name, labels), func() *series {
-		return &series{name: name, labels: labels, gauge: gauge}
+		return &series{name: name, labels: labels, gauge: gauge, read: read}
 	})
 }
 
@@ -250,13 +251,21 @@ func (r *Registry) lookup(gauge bool, name string, labels []Label) *series {
 // given name and label set. The returned pointer is stable, so hot paths
 // should resolve it once and call Inc/Add on the result.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	return (*Counter)(r.lookup(false, name, labels))
+	return (*Counter)(r.lookup(false, name, labels, nil))
 }
 
 // Gauge returns (registering on first use) the gauge series for the given
 // name and label set.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	return (*Gauge)(r.lookup(true, name, labels))
+	return (*Gauge)(r.lookup(true, name, labels, nil))
+}
+
+// GaugeFunc registers a gauge series that Export fills by calling read, for
+// a size its owner already tracks (a cache, a guard): the hot path pays
+// nothing for it. read runs outside the registry's lock and must be safe
+// for concurrent use. A series registered before keeps its first reader.
+func (r *Registry) GaugeFunc(name string, read func() int64, labels ...Label) {
+	r.lookup(true, name, labels, read)
 }
 
 // OpSample is one operation's totals, latency summary, and error-code
@@ -313,14 +322,18 @@ func (r *Registry) Export() Export {
 		}
 		e.Ops = append(e.Ops, o)
 	}
-	for _, s := range r.series {
-		dst := &e.Counters
+	live := slices.Collect(maps.Values(r.series))
+	r.mu.RUnlock()
+	for _, s := range live { // outside the lock: read is caller-supplied code
+		dst, v := &e.Counters, s.v.Load()
 		if s.gauge {
 			dst = &e.Gauges
 		}
-		*dst = append(*dst, Sample{Name: s.name, Labels: s.labels, Value: s.v.Load()})
+		if s.read != nil {
+			v = s.read()
+		}
+		*dst = append(*dst, Sample{Name: s.name, Labels: s.labels, Value: v})
 	}
-	r.mu.RUnlock()
 	slices.SortFunc(e.Ops, func(a, b OpSample) int { return strings.Compare(a.Op, b.Op) })
 	sortSamples(e.Counters)
 	sortSamples(e.Gauges)

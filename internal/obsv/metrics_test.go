@@ -231,6 +231,25 @@ func TestLabeledGauge(t *testing.T) {
 	}
 }
 
+// TestGaugeFunc: a function-backed gauge is read at every Export, sorts
+// with the stored gauges, and is one series however often it is registered.
+func TestGaugeFunc(t *testing.T) {
+	r := NewRegistry()
+	size := int64(0)
+	for i := 0; i < 2; i++ {
+		r.GaugeFunc("cache_entries", func() int64 { return size }, L("cache", "gid"))
+	}
+	r.Gauge("queue_depth").Set(3)
+	r.Gauge("a_first").Set(1)
+	for _, want := range []int64{0, 7} {
+		size = want
+		gs := r.Export().Gauges
+		if len(gs) != 3 || gs[0].Name != "a_first" || gs[1].Name != "cache_entries" || gs[1].Value != want || gs[1].Labels[0] != L("cache", "gid") {
+			t.Fatalf("gauges = %+v, want cache_entries = %d between the stored two", gs, want)
+		}
+	}
+}
+
 // TestLabeledConcurrent is the -race hammer: concurrent first-use
 // registration and increments across a fixed set of series must produce
 // exact totals.
