@@ -4,7 +4,10 @@
 //
 // Serve:
 //
-//	mwsd -dir /var/lib/mws -addr :7701 -shared-key-file mws-pkg.key serve
+//	mwsd -dir /var/lib/mws -addr :7701 -pkg 127.0.0.1:7702 -shared-key-file mws-pkg.key serve
+//
+// serve fetches the PKG's public parameters from -pkg at startup (keyword
+// search and IBS-signed deposits need them); the commands below never dial.
 //
 // Administer (against the same -dir, while the server is stopped):
 //
@@ -41,8 +44,10 @@ import (
 	"time"
 
 	"mwskit/internal/attr"
+	"mwskit/internal/bfibe"
 	"mwskit/internal/mws"
 	"mwskit/internal/obsv"
+	"mwskit/internal/pkgparams"
 	"mwskit/internal/policy"
 	"mwskit/internal/policyrule"
 	"mwskit/internal/storage"
@@ -52,6 +57,7 @@ import (
 func main() {
 	dir := flag.String("dir", "./mws-data", "data directory")
 	addr := flag.String("addr", "127.0.0.1:7701", "listen address for serve")
+	pkgAddr := flag.String("pkg", "127.0.0.1:7702", "PKG address; serve fetches its public parameters (keyword search, IBS deposits)")
 	keyFile := flag.String("shared-key-file", "mws-pkg.key", "hex-encoded 32-byte MWS–PKG shared key (created if absent)")
 	passwordFile := flag.String("password-file", "", "file holding a client password (register-client)")
 	pubKeyFile := flag.String("pubkey", "", "PEM file with the client's RSA public key (register-client)")
@@ -94,7 +100,7 @@ func main() {
 		die(logger, "shared key", err)
 	}
 	tracer := obsv.NewTracer("mws", *traceRing, *slowReq, logger)
-	svc, err := mws.New(mws.Config{
+	cfg := mws.Config{
 		Dir:             *dir,
 		MWSPKGKey:       sharedKey,
 		FreshnessWindow: *window,
@@ -102,7 +108,13 @@ func main() {
 		Logger:          logger,
 		Tracer:          tracer,
 		Storage:         storage.Options{Shards: *shards},
-	})
+	}
+	if args[0] == "serve" {
+		if cfg.IBEParams, err = fetchParams(*pkgAddr); err != nil {
+			logger.Warn("no PKG parameters: keyword search and IBS deposits are refused until restart", "pkg", *pkgAddr, "err", err)
+		}
+	}
+	svc, err := mws.New(cfg)
 	if err != nil {
 		die(logger, "open service", err)
 	}
@@ -215,6 +227,25 @@ func die(logger *slog.Logger, stage string, err error) {
 	os.Exit(1)
 }
 
+// fetchParams asks the PKG for its public parameters. The dial is retried
+// for three seconds: deployments start both daemons together, and a PKG
+// that listens has its parameters ready.
+func fetchParams(addr string) (*bfibe.Params, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	for {
+		c, err := wire.DialContext(ctx, addr)
+		if err == nil {
+			defer c.Close()
+			return pkgparams.Fetch(ctx, c)
+		}
+		if ctx.Err() != nil {
+			return nil, err
+		}
+		time.Sleep(200 * time.Millisecond)
+	}
+}
+
 // ping dials a running server and sends one traced Ping. The printed
 // trace ID can then be queried back via the TTrace op or the server's
 // /traces debug endpoint — CI uses this to populate the trace ring before
@@ -259,10 +290,7 @@ func loadOrCreateKey(path string, logger *slog.Logger) ([]byte, error) {
 	return key, nil
 }
 
-// rsaPub aliases the RSA public key type for terse parsing code.
-type rsaPub = rsa.PublicKey
-
-func readRSAPublicKey(path string) (pub *rsaPub, err error) {
+func readRSAPublicKey(path string) (*rsa.PublicKey, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -275,7 +303,7 @@ func readRSAPublicKey(path string) (pub *rsaPub, err error) {
 	if err != nil {
 		return nil, err
 	}
-	rp, ok := parsed.(*rsaPub)
+	rp, ok := parsed.(*rsa.PublicKey)
 	if !ok {
 		return nil, fmt.Errorf("mwsd: %s: not an RSA key", path)
 	}

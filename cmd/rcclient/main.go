@@ -27,8 +27,8 @@ import (
 	"strings"
 	"time"
 
-	"mwskit/internal/device"
 	"mwskit/internal/obsv"
+	"mwskit/internal/pkgparams"
 	"mwskit/internal/rclient"
 	"mwskit/internal/wire"
 )
@@ -74,7 +74,7 @@ func main() {
 		log.Fatalf("dial PKG: %v", err)
 	}
 	defer pkgConn.Close()
-	params, err := device.FetchParams(pkgConn)
+	params, err := pkgparams.Fetch(context.Background(), pkgConn)
 	if err != nil {
 		log.Fatalf("fetch parameters: %v", err)
 	}

@@ -26,6 +26,7 @@ import (
 	"mwskit/internal/attr"
 	"mwskit/internal/device"
 	"mwskit/internal/obsv"
+	"mwskit/internal/pkgparams"
 	"mwskit/internal/symenc"
 	"mwskit/internal/wire"
 )
@@ -62,7 +63,7 @@ func main() {
 		log.Fatalf("dial PKG: %v", err)
 	}
 	defer pkgConn.Close()
-	params, err := device.FetchParams(pkgConn)
+	params, err := pkgparams.Fetch(context.Background(), pkgConn)
 	if err != nil {
 		log.Fatalf("fetch parameters: %v", err)
 	}

@@ -4,7 +4,8 @@
 // warehouse model. Medical devices deposit observations toward *role*
 // attributes (CARDIOLOGIST-WARD7, NURSE-WARD7, PHARMACY-CENTRAL); staff
 // clients hold roles, not device lists, and revoking a role instantly
-// stops future access — no device is reconfigured.
+// stops future access — no device is reconfigured. A §VIII rule then
+// narrows one grant for an hour; the policy table is untouched.
 //
 //	go run ./examples/healthcare
 package main
@@ -13,9 +14,11 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"time"
 
 	"mwskit/internal/attr"
 	"mwskit/internal/core"
+	"mwskit/internal/policyrule"
 	"mwskit/internal/wal"
 )
 
@@ -123,6 +126,18 @@ func main() {
 	for _, m := range joyMsgs {
 		fmt.Printf("  #%d %-20s %s\n", m.Seq, m.DeviceID, m.Payload)
 	}
+
+	// Pharmacy audit: for the next hour nurses do not read the pharmacy
+	// feed. A rule only narrows a grant; Table 1 keeps nurse-joy's row.
+	audit := policyrule.Rule{Effect: policyrule.Deny, Identity: "nurse-*", Attribute: "PHARMACY-*", NotAfter: time.Now().Add(time.Hour)}
+	if err := dep.MWS.SetRules(&policyrule.Set{Rules: []policyrule.Rule{audit}, Default: policyrule.Permit}); err != nil {
+		log.Fatal(err)
+	}
+	narrowed, err := nurseJoy.RetrieveAndDecrypt(mwsConn, pkgConn, 0, 0)
+	if err != nil || len(narrowed) != len(joyMsgs)-1 {
+		log.Fatalf("rule layer: nurse-joy sees %d messages, want %d (%v)", len(narrowed), len(joyMsgs)-1, err)
+	}
+	fmt.Printf("under a one-hour deny on PHARMACY-* for nurse-*, nurse-joy sees %d of %d messages\n", len(narrowed), len(joyMsgs))
 
 	// Shift change: Dr Who rotates off cardiology. One policy row is
 	// removed; the monitors are untouched.

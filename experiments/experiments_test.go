@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"mwskit/experiments/baseline"
+	_ "mwskit/experiments/papercipher" // E11's three paper-era schemes
 	"mwskit/experiments/tpkg"
 	"mwskit/internal/attr"
 	"mwskit/internal/bfibe"

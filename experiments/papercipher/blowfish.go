@@ -1,4 +1,4 @@
-package symenc
+package papercipher
 
 import (
 	"encoding/binary"
@@ -21,7 +21,7 @@ type Blowfish struct {
 // NewBlowfish expands a key of 1 to 56 bytes into a cipher instance.
 func NewBlowfish(key []byte) (*Blowfish, error) {
 	if len(key) < 1 || len(key) > 56 {
-		return nil, fmt.Errorf("symenc: blowfish key must be 1..56 bytes, got %d", len(key))
+		return nil, fmt.Errorf("papercipher: blowfish key must be 1..56 bytes, got %d", len(key))
 	}
 	c := &Blowfish{}
 	pi := piFractionWords()

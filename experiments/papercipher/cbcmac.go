@@ -1,4 +1,17 @@
-package symenc
+// Package papercipher holds the message ciphers the paper names — "any
+// encryption algorithm, such as DES or Blowfish" (§IV; the prototype used
+// DES, §V.C) — outside the production closure:
+//
+//	DES-CBC-HMAC       — the paper's prototype cipher
+//	3DES-CBC-HMAC      — the era-appropriate hardening of DES
+//	BLOWFISH-CBC-HMAC  — the paper's named alternative, implemented from
+//	                     the specification here (π-derived boxes)
+//
+// Each is CBC under encrypt-then-MAC (HMAC-SHA256), so all meet
+// symenc.Scheme's authenticated-encryption contract. Importing the package
+// registers them with symenc: tests and E11 do, and scripts/check.sh fails
+// the build if a daemon, client, example or bench/ does (DESIGN.md §2).
+package papercipher
 
 import (
 	"crypto/cipher"
@@ -6,15 +19,15 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
+
+	"mwskit/internal/symenc"
 )
 
 // macLen is the HMAC-SHA256 key and tag length used by the CBC schemes.
 const macLen = 32
-
-// blockFactory builds a block cipher from encKeyLen bytes of key material.
-type blockFactory func(key []byte) (cipher.Block, error)
 
 // cbcScheme is CBC encryption with PKCS#7 padding followed by
 // HMAC-SHA256 over IV ‖ ciphertext ‖ aad (encrypt-then-MAC). Key material
@@ -22,7 +35,7 @@ type blockFactory func(key []byte) (cipher.Block, error)
 type cbcScheme struct {
 	name      string
 	encKeyLen int
-	factory   blockFactory
+	factory   func(encKey []byte) (cipher.Block, error)
 }
 
 func (s *cbcScheme) Name() string { return s.name }
@@ -30,7 +43,7 @@ func (s *cbcScheme) KeyLen() int  { return s.encKeyLen + macLen }
 
 func (s *cbcScheme) split(key []byte) (encKey, macKey []byte, err error) {
 	if len(key) != s.KeyLen() {
-		return nil, nil, fmt.Errorf("symenc: %s needs a %d-byte key, got %d", s.name, s.KeyLen(), len(key))
+		return nil, nil, fmt.Errorf("papercipher: %s needs a %d-byte key, got %d", s.name, s.KeyLen(), len(key))
 	}
 	return key[:s.encKeyLen], key[s.encKeyLen:], nil
 }
@@ -49,7 +62,7 @@ func (s *cbcScheme) Seal(key, plaintext, aad []byte) ([]byte, error) {
 	out := make([]byte, bs+len(padded)+macLen)
 	iv := out[:bs]
 	if _, err := io.ReadFull(rand.Reader, iv); err != nil {
-		return nil, fmt.Errorf("symenc: iv: %w", err)
+		return nil, fmt.Errorf("papercipher: iv: %w", err)
 	}
 	cipher.NewCBCEncrypter(block, iv).CryptBlocks(out[bs:bs+len(padded)], padded)
 	tag := s.tag(macKey, out[:bs+len(padded)], aad)
@@ -69,12 +82,12 @@ func (s *cbcScheme) Open(key, ciphertext, aad []byte) ([]byte, error) {
 	bs := block.BlockSize()
 	// Minimum: IV + one block + tag.
 	if len(ciphertext) < bs+bs+macLen || (len(ciphertext)-macLen)%bs != 0 {
-		return nil, ErrAuth
+		return nil, symenc.ErrAuth
 	}
 	body := ciphertext[:len(ciphertext)-macLen]
 	tag := ciphertext[len(ciphertext)-macLen:]
 	if !hmac.Equal(tag, s.tag(macKey, body, aad)) {
-		return nil, ErrAuth
+		return nil, symenc.ErrAuth
 	}
 	iv, ct := body[:bs], body[bs:]
 	padded := make([]byte, len(ct))
@@ -82,7 +95,7 @@ func (s *cbcScheme) Open(key, ciphertext, aad []byte) ([]byte, error) {
 	pt, ok := pkcs7Unpad(padded, bs)
 	if !ok {
 		// Unreachable for authentic ciphertexts; defense in depth only.
-		return nil, ErrAuth
+		return nil, symenc.ErrAuth
 	}
 	return pt, nil
 }
@@ -90,18 +103,9 @@ func (s *cbcScheme) Open(key, ciphertext, aad []byte) ([]byte, error) {
 func (s *cbcScheme) tag(macKey, body, aad []byte) []byte {
 	m := hmac.New(sha256.New, macKey)
 	m.Write(body)
-	var aadLen [8]byte
-	putUint64(aadLen[:], uint64(len(aad)))
-	m.Write(aadLen[:])
+	m.Write(binary.BigEndian.AppendUint64(nil, uint64(len(aad))))
 	m.Write(aad)
 	return m.Sum(nil)
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
 }
 
 // pkcs7Pad appends 1..bs bytes of padding, each equal to the pad length.
@@ -133,9 +137,9 @@ func pkcs7Unpad(data []byte, bs int) ([]byte, bool) {
 }
 
 func init() {
-	register(&cbcScheme{name: "DES-CBC-HMAC", encKeyLen: 8, factory: des.NewCipher})
-	register(&cbcScheme{name: "3DES-CBC-HMAC", encKeyLen: 24, factory: des.NewTripleDESCipher})
-	register(&cbcScheme{name: "BLOWFISH-CBC-HMAC", encKeyLen: 16, factory: func(key []byte) (cipher.Block, error) {
+	symenc.Register(&cbcScheme{name: "DES-CBC-HMAC", encKeyLen: 8, factory: des.NewCipher})
+	symenc.Register(&cbcScheme{name: "3DES-CBC-HMAC", encKeyLen: 24, factory: des.NewTripleDESCipher})
+	symenc.Register(&cbcScheme{name: "BLOWFISH-CBC-HMAC", encKeyLen: 16, factory: func(key []byte) (cipher.Block, error) {
 		return NewBlowfish(key)
 	}})
 }

@@ -1,4 +1,4 @@
-package symenc
+package papercipher
 
 import (
 	"math/big"

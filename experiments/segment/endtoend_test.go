@@ -1,13 +1,63 @@
-package core
+package segment
 
 import (
 	"bytes"
 	"testing"
 
 	"mwskit/internal/attr"
+	"mwskit/internal/core"
+	"mwskit/internal/device"
 	"mwskit/internal/rclient"
-	"mwskit/internal/segment"
+	"mwskit/internal/wal"
+	"mwskit/internal/wire"
 )
+
+// newDeployment starts an in-process MWS + PKG on the test preset and
+// returns it with one enrolled device and a connection to each server.
+func newDeployment(t *testing.T, deviceID string) (dep *core.Deployment, sd *device.Device, mwsConn, pkgConn *wire.Client) {
+	t.Helper()
+	dep, err := core.NewDeployment(core.DeploymentConfig{Dir: t.TempDir(), Preset: "test", Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dep.Close() })
+	if err := dep.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if mwsConn, err = dep.DialMWS(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mwsConn.Close() })
+	if pkgConn, err = dep.DialPKG(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pkgConn.Close() })
+	key, err := dep.MWS.RegisterDevice(deviceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sd, err = dep.NewDevice(deviceID, key); err != nil {
+		t.Fatal(err)
+	}
+	return dep, sd, mwsConn, pkgConn
+}
+
+func TestDepositSegmentsOverNetwork(t *testing.T) {
+	_, d, mwsConn, _ := newDeployment(t, "net-meter")
+	group, seqs, err := DepositSegments(d, mwsConn, []Part{
+		{Attribute: "CONSUMPTION-X", Body: []byte("a")},
+		{Attribute: "ERRORS-X", Body: []byte("b")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seqs) != 2 || group == (GroupID{}) {
+		t.Fatalf("segments: %v %v", group, seqs)
+	}
+	if _, _, err := DepositSegments(d, mwsConn, nil); err == nil {
+		t.Fatal("empty segment list accepted")
+	}
+}
 
 // TestSegmentedDepositEndToEnd drives the §VIII segmentation scenario:
 // one device message split into consumption / errors / events parts,
@@ -16,10 +66,7 @@ import (
 // everything — confidentiality between parts is preserved by IBE, not
 // by trust in the warehouse.
 func TestSegmentedDepositEndToEnd(t *testing.T) {
-	dep := newTestDeployment(t)
-	mwsConn, pkgConn := dialBoth(t, dep)
-
-	sd := newTestDevice(t, dep, "smart-meter")
+	dep, sd, mwsConn, pkgConn := newDeployment(t, "smart-meter")
 
 	retailer, err := dep.EnrollClient("retailer", []byte("pw-r"))
 	if err != nil {
@@ -45,7 +92,7 @@ func TestSegmentedDepositEndToEnd(t *testing.T) {
 		}
 	}
 
-	group, seqs, err := sd.DepositSegments(mwsConn, []segment.Part{
+	group, seqs, err := DepositSegments(sd, mwsConn, []Part{
 		{Attribute: "CONSUMPTION-SITE1", Body: []byte(`{"kwh":42.7}`)},
 		{Attribute: "ERRORS-SITE1", Body: []byte(`{"code":"E07"}`)},
 		{Attribute: "EVENTS-SITE1", Body: []byte(`{"event":"cover-opened"}`)},
@@ -57,15 +104,15 @@ func TestSegmentedDepositEndToEnd(t *testing.T) {
 		t.Fatalf("%d segment deposits", len(seqs))
 	}
 
-	collect := func(rc *rclient.Client) []*segment.Assembled {
+	collect := func(rc *rclient.Client) []*Assembled {
 		t.Helper()
 		msgs, err := rc.RetrieveAndDecrypt(mwsConn, pkgConn, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", rc.ID(), err)
 		}
-		as := segment.NewAssembler()
+		as := NewAssembler()
 		for _, m := range msgs {
-			env, ok := segment.Unwrap(m.Payload)
+			env, ok := Unwrap(m.Payload)
 			if !ok {
 				t.Fatalf("%s: non-segment payload", rc.ID())
 			}

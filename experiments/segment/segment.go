@@ -11,6 +11,9 @@
 // Segments carry a group ID and index/total header so a client holding
 // several attributes can correlate and reassemble the parts it is
 // entitled to; parts it is not entitled to simply never reach it.
+//
+// Extension X3 lives under experiments/ (DESIGN.md §2): no daemon, client,
+// example or bench/ workload ever called it or its client-side assembler.
 package segment
 
 import (
@@ -21,6 +24,8 @@ import (
 	"sort"
 
 	"mwskit/internal/attr"
+	"mwskit/internal/device"
+	"mwskit/internal/wire"
 )
 
 // GroupIDLen is the byte length of a segment-group correlation ID.
@@ -42,6 +47,37 @@ func NewGroupID(rng io.Reader) (GroupID, error) {
 type Part struct {
 	Attribute attr.Attribute
 	Body      []byte
+}
+
+// DepositSegments splits one logical device message into parts, each
+// encrypted toward its own attribute, and deposits them through d as a
+// correlated segment group. It returns the group ID and the per-part
+// sequence numbers.
+//
+// Confidentiality property: a receiving client granted only some of the
+// part attributes receives — and can decrypt — only those parts.
+func DepositSegments(d *device.Device, mws *wire.Client, parts []Part) (GroupID, []uint64, error) {
+	if len(parts) == 0 || len(parts) > 255 {
+		return GroupID{}, nil, fmt.Errorf("segment: %d segments, want 1 to 255", len(parts))
+	}
+	group, err := NewGroupID(attr.RandReader)
+	if err != nil {
+		return GroupID{}, nil, err
+	}
+	seqs := make([]uint64, len(parts))
+	total := uint8(len(parts))
+	for i, part := range parts {
+		wrapped, err := Wrap(group, uint8(i), total, part.Body)
+		if err != nil {
+			return GroupID{}, nil, err
+		}
+		seq, err := d.Deposit(mws, part.Attribute, wrapped)
+		if err != nil {
+			return GroupID{}, nil, fmt.Errorf("segment: part %d: %w", i, err)
+		}
+		seqs[i] = seq
+	}
+	return group, seqs, nil
 }
 
 // Envelope is the decoded header + body of a wrapped segment payload.

@@ -14,7 +14,6 @@
 package bfibe
 
 import (
-	"crypto/subtle"
 	"errors"
 	"fmt"
 	"io"
@@ -352,10 +351,4 @@ func (p *Params) DecryptFull(sk *PrivateKey, ct *CiphertextFull) ([]byte, error)
 		return nil, ErrDecrypt
 	}
 	return msg, nil
-}
-
-// ConstantTimeKeyEqual compares two derived symmetric keys without leaking
-// a timing signal; exported for the protocol layer's tests.
-func ConstantTimeKeyEqual(a, b []byte) bool {
-	return len(a) == len(b) && subtle.ConstantTimeCompare(a, b) == 1
 }

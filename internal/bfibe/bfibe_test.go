@@ -399,18 +399,6 @@ func TestCiphertextFullSerialization(t *testing.T) {
 	}
 }
 
-func TestConstantTimeKeyEqual(t *testing.T) {
-	if !ConstantTimeKeyEqual([]byte{1, 2}, []byte{1, 2}) {
-		t.Error("equal keys reported unequal")
-	}
-	if ConstantTimeKeyEqual([]byte{1, 2}, []byte{1, 3}) {
-		t.Error("unequal keys reported equal")
-	}
-	if ConstantTimeKeyEqual([]byte{1, 2}, []byte{1, 2, 3}) {
-		t.Error("different-length keys reported equal")
-	}
-}
-
 func TestMasterKeyFromScalarRejectsBad(t *testing.T) {
 	if _, err := MasterKeyFromScalar(nil); err == nil {
 		t.Error("nil scalar accepted")

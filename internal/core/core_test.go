@@ -2,13 +2,16 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	_ "mwskit/experiments/papercipher" // registers DES-CBC-HMAC for TestPaperCipherEndToEnd
 	"mwskit/internal/attr"
 	"mwskit/internal/device"
+	"mwskit/internal/pkgparams"
 	"mwskit/internal/rclient"
 	"mwskit/internal/wal"
 	"mwskit/internal/wire"
@@ -281,7 +284,7 @@ func TestFigure3Architecture(t *testing.T) {
 		t.Fatal("end-to-end path broken")
 	}
 	// PKG serves params (SD bootstrap path).
-	params, err := device.FetchParams(pkgConn)
+	params, err := pkgparams.Fetch(context.Background(), pkgConn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"mwskit/internal/bfibe"
 	"mwskit/internal/pairing"
+	"mwskit/internal/pkgparams"
 )
 
 // isolatedParams builds a Params instance not shared with other tests so
@@ -163,7 +164,7 @@ func TestPrepareDepositsFirstErrorWins(t *testing.T) {
 
 func TestDepositBatchOverNetwork(t *testing.T) {
 	h := newNetHarness(t)
-	params, err := FetchParams(h.pkgConn)
+	params, err := pkgparams.Fetch(context.Background(), h.pkgConn)
 	if err != nil {
 		t.Fatal(err)
 	}

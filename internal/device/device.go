@@ -24,7 +24,6 @@ import (
 	"mwskit/internal/ibs"
 	"mwskit/internal/macauth"
 	"mwskit/internal/obsv"
-	"mwskit/internal/pairing"
 	"mwskit/internal/symenc"
 	"mwskit/internal/wire"
 )
@@ -74,19 +73,17 @@ func WithClock(now func() time.Time) Option { return func(d *Device) { d.now = n
 // epoch's cached identities.
 func WithNonceEpoch(n int) Option { return func(d *Device) { d.epoch = n } }
 
-// WithSigningKey switches the device to identity-based signature
-// authentication (wire.AuthModeIBS): deposits are signed under the
-// device's PKG-extracted key instead of MACed with a shared key. The
-// paper's §VIII sketches exactly this to drop per-device shared secrets.
-func WithSigningKey(sk *bfibe.PrivateKey) Option { return func(d *Device) { d.signKey = sk } }
-
-// NewSigning builds a Device that authenticates with an IBS key only (no
-// MAC key is needed or held).
+// NewSigning builds a Device that authenticates by identity-based
+// signature (wire.AuthModeIBS): deposits are signed under the device's
+// PKG-extracted key instead of MACed with a shared key, which the device
+// neither needs nor holds. The paper's §VIII sketches exactly this to drop
+// per-device shared secrets.
 func NewSigning(id string, signKey *bfibe.PrivateKey, params *bfibe.Params, opts ...Option) (*Device, error) {
 	if signKey == nil {
 		return nil, errors.New("device: nil signing key")
 	}
-	return New(id, nil, params, append([]Option{WithSigningKey(signKey)}, opts...)...)
+	withKey := func(d *Device) { d.signKey = signKey }
+	return New(id, nil, params, append([]Option{withKey}, opts...)...)
 }
 
 // New builds a Device from its registration artifacts.
@@ -166,9 +163,6 @@ func (d *Device) RotateNonce() error {
 
 // ID returns the device identity.
 func (d *Device) ID() string { return d.id }
-
-// Scheme returns the symmetric scheme in use.
-func (d *Device) Scheme() symenc.Scheme { return d.scheme }
 
 // PrepareDeposit performs the full client-side cryptography for one
 // message, returning the wire request ready to send. Exposed separately
@@ -285,23 +279,4 @@ func (d *Device) send(ctx context.Context, mws *wire.Client, req *wire.DepositRe
 		return 0, err
 	}
 	return resp.Seq, nil
-}
-
-// FetchParams retrieves the public IBE parameters from a PKG connection
-// and instantiates them against the named preset — the paper's "SD
-// obtains the parameters [from the PKG] and uses them later" (§VIII).
-func FetchParams(pkg *wire.Client) (*bfibe.Params, error) {
-	pr, err := wire.Call(background(), pkg, wire.OpParams, nil)
-	if err != nil {
-		return nil, err
-	}
-	preset, ok := pairing.Presets[pr.Preset]
-	if !ok {
-		return nil, fmt.Errorf("device: server uses unknown preset %q", pr.Preset)
-	}
-	sys, err := preset.System()
-	if err != nil {
-		return nil, err
-	}
-	return bfibe.UnmarshalParams(sys, pr.PPub)
 }

@@ -54,7 +54,7 @@ func TestNewValidation(t *testing.T) {
 	if d.ID() != "d" {
 		t.Error("ID lost")
 	}
-	if d.Scheme().Name() != symenc.Default().Name() {
+	if d.scheme != symenc.Default() {
 		t.Error("default scheme wrong")
 	}
 }
@@ -174,11 +174,7 @@ func TestDepositDecryptableByExtractedKey(t *testing.T) {
 
 func TestWithSchemeOption(t *testing.T) {
 	params, _ := env(t)
-	des, err := symenc.ByName("DES-CBC-HMAC")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := New("m", testKey(), params, WithScheme(des))
+	d, err := New("m", testKey(), params, WithScheme(symenc.AES256GCM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +182,7 @@ func TestWithSchemeOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Scheme != "DES-CBC-HMAC" {
+	if req.Scheme != "AES-256-GCM" {
 		t.Fatalf("scheme = %s", req.Scheme)
 	}
 }

@@ -1,12 +1,13 @@
 package device
 
 import (
+	"context"
 	"crypto/rand"
 	"testing"
 
 	"mwskit/internal/keyserver"
 	"mwskit/internal/mws"
-	"mwskit/internal/segment"
+	"mwskit/internal/pkgparams"
 	"mwskit/internal/wal"
 	"mwskit/internal/wire"
 )
@@ -68,7 +69,7 @@ func newNetHarness(t *testing.T) *netHarness {
 func TestFetchParamsAndDepositOverNetwork(t *testing.T) {
 	h := newNetHarness(t)
 	// Bootstrap exactly as a field device would: parameters from the PKG.
-	params, err := FetchParams(h.pkgConn)
+	params, err := pkgparams.Fetch(context.Background(), h.pkgConn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestFetchParamsAndDepositOverNetwork(t *testing.T) {
 
 func TestDepositTaggedOverNetwork(t *testing.T) {
 	h := newNetHarness(t)
-	params, err := FetchParams(h.pkgConn)
+	params, err := pkgparams.Fetch(context.Background(), h.pkgConn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,38 +120,9 @@ func TestDepositTaggedOverNetwork(t *testing.T) {
 	}
 }
 
-func TestDepositSegmentsOverNetwork(t *testing.T) {
-	h := newNetHarness(t)
-	params, err := FetchParams(h.pkgConn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := h.mwsSvc.RegisterDevice("net-meter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := New("net-meter", key, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	group, seqs, err := d.DepositSegments(h.mwsConn, []segment.Part{
-		{Attribute: "CONSUMPTION-X", Body: []byte("a")},
-		{Attribute: "ERRORS-X", Body: []byte("b")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqs) != 2 || group == (segment.GroupID{}) {
-		t.Fatalf("segments: %v %v", group, seqs)
-	}
-	if _, _, err := d.DepositSegments(h.mwsConn, nil); err == nil {
-		t.Fatal("empty segment list accepted")
-	}
-}
-
 func TestDepositRejectedByServerSurfacesError(t *testing.T) {
 	h := newNetHarness(t)
-	params, err := FetchParams(h.pkgConn)
+	params, err := pkgparams.Fetch(context.Background(), h.pkgConn)
 	if err != nil {
 		t.Fatal(err)
 	}

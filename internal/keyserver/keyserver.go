@@ -238,7 +238,7 @@ func (s *Service) Extract(ctx context.Context, req *wire.ExtractRequest) (*wire.
 			s.cfg.Logger.Error("keyserver: extract", "err", err)
 			return nil, &wire.ErrorMsg{Code: wire.CodeInternal, Message: "extract failure"}
 		}
-		sealed, err := sessionSeal().Seal(tk.SessionKey, bfibe.MarshalPrivateKey(s.params, sk), []byte(sealedKeyAAD))
+		sealed, err := sessionSeal.Seal(tk.SessionKey, bfibe.MarshalPrivateKey(s.params, sk), []byte(sealedKeyAAD))
 		if err != nil {
 			extSp.SetErr(err)
 			return nil, &wire.ErrorMsg{Code: wire.CodeInternal, Message: "seal failure"}
@@ -283,7 +283,7 @@ func (s *Service) Trapdoor(ctx context.Context, req *wire.TrapdoorRequest) (*wir
 // OpenSealedKey is the client-side inverse of the Extract sealing,
 // exported for the rclient package.
 func OpenSealedKey(params *bfibe.Params, sessionKey, sealed []byte) (*bfibe.PrivateKey, error) {
-	plain, err := sessionSeal().Open(sessionKey, sealed, []byte(sealedKeyAAD))
+	plain, err := sessionSeal.Open(sessionKey, sealed, []byte(sealedKeyAAD))
 	if err != nil {
 		return nil, fmt.Errorf("keyserver: sealed key: %w", err)
 	}
@@ -298,15 +298,15 @@ const keywordAAD = "mwskit/keyserver/trapdoor/v1"
 // payload of the trapdoor exchange under the RC–PKG session key: the RC
 // seals the keyword and opens the trapdoor, the PKG the reverse.
 func SealTrapdoorPayload(sessionKey, plain []byte) ([]byte, error) {
-	return sessionSeal().Seal(sessionKey, plain, []byte(keywordAAD))
+	return sessionSeal.Seal(sessionKey, plain, []byte(keywordAAD))
 }
 
 func OpenTrapdoorPayload(sessionKey, sealed []byte) ([]byte, error) {
-	return sessionSeal().Open(sessionKey, sealed, []byte(keywordAAD))
+	return sessionSeal.Open(sessionKey, sealed, []byte(keywordAAD))
 }
 
 // sessionSeal is the AEAD of the RC–PKG "secure channel".
-func sessionSeal() symenc.Scheme { s, _ := symenc.ByName("AES-256-GCM"); return s }
+var sessionSeal = symenc.AES256GCM
 
 // buildRouter assembles the PKG's request pipeline: tracing outermost
 // (so the request span covers the whole pipeline), then instrumentation

@@ -21,7 +21,7 @@ var CryptoCompare = &Analyzer{
 // cryptoComparePkgs are the terminal package names CryptoCompare guards:
 // everywhere a MAC tag, PEKS tag, ticket authenticator, or derived key is
 // verified.
-var cryptoComparePkgs = []string{"bfibe", "peks", "symenc", "macauth", "ticket", "kdf", "userdb"}
+var cryptoComparePkgs = []string{"bfibe", "peks", "symenc", "papercipher", "macauth", "ticket", "kdf", "userdb"}
 
 func runCryptoCompare(pass *Pass) {
 	if !pathEndsIn(pass.Pkg.Path, cryptoComparePkgs...) {

@@ -87,8 +87,8 @@ const ctAll = labels(1)<<(ctSymKey+1) - 1
 // are seeded as key material. Storage and wire packages are excluded on
 // purpose: a KV lookup key is not a cryptographic key.
 var ctCryptoPkgs = []string{
-	"symenc", "kdf", "macauth", "ticket", "bfibe", "peks", "ibs",
-	"tpkg", "keyserver", "userdb", "ec", "pairing",
+	"symenc", "papercipher", "kdf", "macauth", "ticket", "bfibe", "peks",
+	"ibs", "tpkg", "keyserver", "userdb", "ec", "pairing",
 }
 
 // ctCorePkgs are the pure-math packages whose structs are small
@@ -100,7 +100,7 @@ var ctCryptoPkgs = []string{
 // boundary; the key-bearing fields themselves are re-labeled by type
 // (MasterKey, PrivateKey, Share) or name (ticket SessionKey).
 var ctCorePkgs = []string{
-	"symenc", "ec", "pairing", "ff",
+	"symenc", "papercipher", "ec", "pairing", "ff",
 }
 
 // ctFieldRead scopes struct-field reads: inside the core math packages a

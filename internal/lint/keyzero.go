@@ -26,7 +26,7 @@ const keyMaterial = 0
 // keyzeroPkgs are the terminal package names whose exported API is held
 // to the wipe-on-error rule.
 var keyzeroPkgs = []string{
-	"bfibe", "symenc", "kdf", "ticket", "macauth", "keyserver", "tpkg", "peks",
+	"bfibe", "symenc", "papercipher", "kdf", "ticket", "macauth", "keyserver", "tpkg", "peks",
 }
 
 func runKeyZero(pass *ProgramPass) {

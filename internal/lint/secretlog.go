@@ -25,7 +25,7 @@ var SecretLog = &Analyzer{
 // secretLogPkgs are the terminal package names SecretLog guards: the IBE
 // core, the PKG, both services, and every keyed-crypto helper.
 var secretLogPkgs = []string{
-	"bfibe", "keyserver", "kdf", "ticket", "mws", "macauth", "userdb", "symenc", "peks", "tpkg",
+	"bfibe", "keyserver", "kdf", "ticket", "mws", "macauth", "userdb", "symenc", "papercipher", "peks", "tpkg",
 }
 
 // fmtSinks, logSinks, slogSinks name the formatting functions treated as

@@ -11,7 +11,6 @@ package macauth
 
 import (
 	"crypto/hmac"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -19,8 +18,6 @@ import (
 	"io"
 	"sync"
 	"time"
-
-	"mwskit/internal/storage"
 )
 
 // KeyLen is the byte length of device MAC keys.
@@ -46,17 +43,27 @@ func Verify(key, mac []byte, parts ...[]byte) bool {
 	return hmac.Equal(mac, Compute(key, parts...))
 }
 
+// KV is what the key service needs of a durable map. storage.KV satisfies
+// it; declaring it here keeps the storage engine out of every binary that
+// only computes MACs (the smart device).
+type KV interface {
+	Get(key string) ([]byte, bool)
+	Put(key string, value []byte) error
+	Delete(key string) error
+	Keys() []string
+}
+
 // KeyService is the key-management component the SDA consults (§V.B):
 // a durable map from device identity to its shared MAC key.
 type KeyService struct {
 	mu sync.RWMutex
-	kv storage.KV
+	kv KV
 }
 
 // NewKeyService builds the key service over an existing KV (typically
 // storage.Provider.KV("devices")); the provider keeps lifecycle
 // ownership.
-func NewKeyService(kv storage.KV) *KeyService { return &KeyService{kv: kv} }
+func NewKeyService(kv KV) *KeyService { return &KeyService{kv: kv} }
 
 // Register draws a fresh key for the device and stores it, returning the
 // key for delivery to the device over the registration channel (the
@@ -97,9 +104,6 @@ func (ks *KeyService) Revoke(deviceID string) error {
 
 // Devices lists registered device IDs, sorted.
 func (ks *KeyService) Devices() []string { return ks.kv.Keys() }
-
-// RandReader is the default entropy source for Register.
-var RandReader io.Reader = rand.Reader
 
 // replaySet holds one window's accepted MACs as SHA-256 digests cut to 128
 // bits: one entry size for device HMACs and sealed RC authenticators alike.

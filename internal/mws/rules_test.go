@@ -117,6 +117,33 @@ func TestRuleLayerTimeWindow(t *testing.T) {
 	}
 }
 
+// TestRuleCannotWidenTable1 pins "a rule can only narrow Table 1": a
+// permit-everything rule gives an RC nothing it was never granted.
+func TestRuleCannotWidenTable1(t *testing.T) {
+	s, clock := newTestService(t)
+	d := registerTestDevice(t, s, clock, "meter-1")
+	login := enrollRC(t, s, clock, "rc", []byte("pw"))
+	req, _ := d.PrepareDeposit("NEVER-GRANTED", []byte("m"))
+	if _, err := s.Deposit(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(time.Second)
+	rules, err := policyrule.Parse("permit identity=* attribute=*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetRules(rules); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := s.Retrieve(context.Background(), &wire.RetrieveRequest{RC: "rc", AuthBlob: login()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Items) != 0 {
+		t.Fatalf("permit * handed out %d messages for an attribute never granted", len(resp.Items))
+	}
+}
+
 func TestSetRulesValidates(t *testing.T) {
 	s, _ := newTestService(t)
 	bad := &policyrule.Set{Rules: []policyrule.Rule{{

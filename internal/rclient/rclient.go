@@ -214,9 +214,10 @@ func (c *Client) Decrypt(env *Envelope, sk *bfibe.PrivateKey) (*Message, error) 
 // UnmarshalEncapsulation is where the envelope's U is curve- and
 // order-checked, once, before it meets the key.
 func (c *Client) decryptWith(env *Envelope, d *bfibe.Decapsulator) (*Message, error) {
+	// An unlinked scheme is symenc.ErrUnknownScheme: resume with fromSeq = Seq + 1.
 	scheme, err := symenc.ByName(env.Scheme)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rclient: message %d: %w", env.Seq, err)
 	}
 	enc, err := bfibe.UnmarshalEncapsulation(c.params, env.U)
 	if err != nil {

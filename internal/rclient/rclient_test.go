@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
+	"errors"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -172,6 +175,30 @@ func TestDecryptRejectsTampering(t *testing.T) {
 			t.Fatal("garbage transport point accepted")
 		}
 	})
+}
+
+// TestUnknownSchemeIsLocated: this test binary links what rcclient links —
+// the two AES-GCM profiles and no paper-era cipher — so an envelope a
+// device sealed with one fails typed and names its sequence number, and
+// the caller can resume the page after it.
+func TestUnknownSchemeIsLocated(t *testing.T) {
+	if got := symenc.Names(); !slices.Equal(got, []string{"AES-128-GCM", "AES-256-GCM"}) {
+		t.Fatalf("schemes linked beside rclient: %v", got)
+	}
+	params, master, key := env(t)
+	c, err := New("rc", []byte("pw"), key, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, sk := buildEnvelope(t, params, master, []byte("sealed by a paper-era device"))
+	env.Scheme = "DES-CBC-HMAC"
+	_, err = c.Decrypt(env, sk)
+	if !errors.Is(err, symenc.ErrUnknownScheme) {
+		t.Fatalf("got %v, want symenc.ErrUnknownScheme", err)
+	}
+	if want := `message 7: symenc: unknown scheme "DES-CBC-HMAC"`; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not locate the message (%s)", err, want)
+	}
 }
 
 func TestKeyIndexOf(t *testing.T) {

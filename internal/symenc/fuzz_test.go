@@ -1,9 +1,11 @@
-package symenc
+package symenc_test
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"testing"
+
+	. "mwskit/internal/symenc"
 )
 
 // fuzzKey stretches an arbitrary fuzz seed into a key of exactly n

@@ -57,7 +57,13 @@ func (s *gcmScheme) Open(key, ciphertext, aad []byte) ([]byte, error) {
 	return pt, nil
 }
 
+// The two schemes every binary links.
+var (
+	AES128GCM Scheme = &gcmScheme{name: "AES-128-GCM", keyLen: 16}
+	AES256GCM Scheme = &gcmScheme{name: "AES-256-GCM", keyLen: 32}
+)
+
 func init() {
-	register(&gcmScheme{name: "AES-128-GCM", keyLen: 16})
-	register(&gcmScheme{name: "AES-256-GCM", keyLen: 32})
+	Register(AES128GCM)
+	Register(AES256GCM)
 }

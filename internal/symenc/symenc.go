@@ -1,27 +1,17 @@
-// Package symenc is the symmetric-encryption layer of the MWS protocol.
+// Package symenc is the symmetric-encryption layer of the MWS protocol:
+// one authenticated-encryption interface, a registry keyed by the scheme
+// name every stored message carries, and the two schemes the binaries
+// link — AES128GCM (the default) and AES256GCM (tickets, sealed keys).
 // The paper encrypts message bodies with "any encryption algorithm, such
-// as DES or Blowfish" (§IV) keyed by the pairing-derived session key; this
-// package provides those exact choices plus modern replacements behind a
-// single authenticated-encryption interface:
-//
-//	DES-CBC-HMAC       — the paper's prototype cipher (kept for fidelity)
-//	3DES-CBC-HMAC      — the era-appropriate hardening of DES
-//	BLOWFISH-CBC-HMAC  — the paper's named alternative, implemented from
-//	                     the specification in this package (π-derived boxes)
-//	AES-128-GCM        — the modern default
-//	AES-256-GCM        — the high-security profile
-//
-// The legacy block ciphers are wrapped in encrypt-then-MAC (HMAC-SHA256)
-// so every scheme provides authenticated encryption; the paper's separate
-// integrity requirement (§III ii) is handled at the protocol layer with
-// device MACs, but the symmetric layer refuses to ship malleable
-// ciphertext regardless.
+// as DES or Blowfish" (§IV); those live in experiments/papercipher, which
+// Registers them here for whoever imports it — no daemon or client does.
 package symenc
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // Scheme is an authenticated symmetric encryption scheme. Implementations
@@ -43,9 +33,15 @@ type Scheme interface {
 // bfibe.ErrDecrypt it is deliberately cause-free.
 var ErrAuth = errors.New("symenc: message authentication failed")
 
+// ErrUnknownScheme is returned by ByName for a name this binary has not
+// linked a scheme for.
+var ErrUnknownScheme = errors.New("symenc: unknown scheme")
+
 var registry = map[string]Scheme{}
 
-func register(s Scheme) {
+// Register adds a scheme under its name; it is called from init functions
+// only (the registry is not locked).
+func Register(s Scheme) {
 	if _, dup := registry[s.Name()]; dup {
 		panic("symenc: duplicate scheme " + s.Name())
 	}
@@ -56,20 +52,13 @@ func register(s Scheme) {
 func ByName(name string) (Scheme, error) {
 	s, ok := registry[name]
 	if !ok {
-		return nil, fmt.Errorf("symenc: unknown scheme %q", name)
+		return nil, fmt.Errorf("%w %q", ErrUnknownScheme, name)
 	}
 	return s, nil
 }
 
 // Names lists the registered schemes in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return slices.Sorted(maps.Keys(registry)) }
 
 // Default returns the scheme new deployments should use.
-func Default() Scheme { s, _ := ByName("AES-128-GCM"); return s }
+func Default() Scheme { return AES128GCM }

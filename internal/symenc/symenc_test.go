@@ -1,9 +1,18 @@
-package symenc
+// The contract suite runs over every scheme this test binary registers:
+// the two production AES-GCM profiles and, through the blank import, the
+// three paper-era ciphers of experiments/papercipher. That no binary
+// registers more than the two is held by scripts/check.sh and by
+// internal/rclient's TestUnknownSchemeIsLocated.
+package symenc_test
 
 import (
 	"bytes"
 	"crypto/rand"
+	"errors"
 	"testing"
+
+	_ "mwskit/experiments/papercipher"
+	. "mwskit/internal/symenc"
 )
 
 func allSchemes(t *testing.T) []Scheme {
@@ -43,10 +52,10 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("Names() = %v, want %v", got, want)
 		}
 	}
-	if _, err := ByName("ROT13"); err == nil {
-		t.Error("unknown scheme accepted")
+	if _, err := ByName("ROT13"); !errors.Is(err, ErrUnknownScheme) {
+		t.Errorf("unknown scheme: got %v, want ErrUnknownScheme", err)
 	}
-	if Default().Name() != "AES-128-GCM" {
+	if Default() != AES128GCM || Default().Name() != "AES-128-GCM" {
 		t.Error("unexpected default scheme")
 	}
 }
@@ -174,28 +183,5 @@ func TestWrongKeyLengthRejected(t *testing.T) {
 		if _, err := s.Open(make([]byte, s.KeyLen()-1), []byte("ct"), nil); err == nil {
 			t.Errorf("%s: undersized key accepted by Open", s.Name())
 		}
-	}
-}
-
-func TestPKCS7(t *testing.T) {
-	for n := 0; n <= 17; n++ {
-		data := bytes.Repeat([]byte{7}, n)
-		padded := pkcs7Pad(data, 8)
-		if len(padded)%8 != 0 {
-			t.Fatalf("pad(%d) produced non-multiple length %d", n, len(padded))
-		}
-		back, ok := pkcs7Unpad(padded, 8)
-		if !ok || !bytes.Equal(back, data) {
-			t.Fatalf("unpad(pad(%d)) failed", n)
-		}
-	}
-	if _, ok := pkcs7Unpad([]byte{1, 2, 3, 4, 5, 6, 7, 9}, 8); ok {
-		t.Error("bad pad byte accepted")
-	}
-	if _, ok := pkcs7Unpad([]byte{1, 2, 3}, 8); ok {
-		t.Error("non-block-multiple accepted")
-	}
-	if _, ok := pkcs7Unpad([]byte{0, 0, 0, 0, 0, 0, 0, 0}, 8); ok {
-		t.Error("zero pad accepted")
 	}
 }

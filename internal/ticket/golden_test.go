@@ -60,7 +60,7 @@ func TestPlainGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := sealScheme().Open(key, blob, []byte(ticketAAD))
+	plain, err := sealScheme.Open(key, blob, []byte(ticketAAD))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestPlainGolden(t *testing.T) {
 	if blob, err = SealAuthenticator(session, auth); err != nil {
 		t.Fatal(err)
 	}
-	if plain, err = sealScheme().Open(session, blob, []byte(authAAD)); err != nil {
+	if plain, err = sealScheme.Open(session, blob, []byte(authAAD)); err != nil {
 		t.Fatal(err)
 	}
 	check("authenticator", plain)
@@ -97,7 +97,7 @@ func TestPlainGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain, err = sealScheme().Open(contentKey, rest[4:], []byte(tokenAAD)); err != nil {
+	if plain, err = sealScheme.Open(contentKey, rest[4:], []byte(tokenAAD)); err != nil {
 		t.Fatal(err)
 	}
 	check("token", plain)

@@ -37,13 +37,7 @@ import (
 const SessionKeyLen = 32
 
 // sealScheme is the AEAD used for tickets and authenticators.
-func sealScheme() symenc.Scheme {
-	s, err := symenc.ByName("AES-256-GCM")
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
+var sealScheme = symenc.AES256GCM
 
 // Ticket is the PKG-bound credential: who it was issued to, which grants
 // (AID → attribute) it conveys, the RC–PKG session key, and issue time.
@@ -150,12 +144,12 @@ func (t *Ticket) Seal(mwsPkgKey []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sealScheme().Seal(mwsPkgKey, plain, []byte(ticketAAD))
+	return sealScheme.Seal(mwsPkgKey, plain, []byte(ticketAAD))
 }
 
 // OpenTicket authenticates and decrypts a sealed ticket at the PKG.
 func OpenTicket(mwsPkgKey, blob []byte) (*Ticket, error) {
-	plain, err := sealScheme().Open(mwsPkgKey, blob, []byte(ticketAAD))
+	plain, err := sealScheme.Open(mwsPkgKey, blob, []byte(ticketAAD))
 	if err != nil {
 		return nil, fmt.Errorf("ticket: %w", err)
 	}
@@ -186,7 +180,7 @@ func SealToken(rng io.Reader, pub *rsa.PublicKey, tok *Token) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ticket: token wrap: %w", err)
 	}
-	body, err := sealScheme().Seal(contentKey, blobPair(tok.SessionKey, tok.TicketBlob), []byte(tokenAAD))
+	body, err := sealScheme.Seal(contentKey, blobPair(tok.SessionKey, tok.TicketBlob), []byte(tokenAAD))
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +217,7 @@ func OpenToken(priv *rsa.PrivateKey, blob []byte) (*Token, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ticket: token unwrap: %w", err)
 	}
-	plain, err := sealScheme().Open(contentKey, body, []byte(tokenAAD))
+	plain, err := sealScheme.Open(contentKey, body, []byte(tokenAAD))
 	if err != nil {
 		return nil, fmt.Errorf("ticket: token body: %w", err)
 	}
@@ -246,7 +240,7 @@ func SealAuthenticator(sessionKey []byte, a *Authenticator) ([]byte, error) {
 	var e codec.Encoder
 	e.Str(a.RC)
 	e.Int64(a.Timestamp.Unix())
-	return sealScheme().Seal(sessionKey, e.Bytes(), []byte(authAAD))
+	return sealScheme.Seal(sessionKey, e.Bytes(), []byte(authAAD))
 }
 
 // ErrStale is returned when an authenticator's timestamp falls outside
@@ -256,7 +250,7 @@ var ErrStale = errors.New("ticket: authenticator outside freshness window")
 // OpenAuthenticator decrypts and freshness-checks an authenticator: the
 // embedded timestamp must lie within ±window of now.
 func OpenAuthenticator(sessionKey, blob []byte, now time.Time, window time.Duration) (*Authenticator, error) {
-	plain, err := sealScheme().Open(sessionKey, blob, []byte(authAAD))
+	plain, err := sealScheme.Open(sessionKey, blob, []byte(authAAD))
 	if err != nil {
 		return nil, fmt.Errorf("ticket: authenticator: %w", err)
 	}

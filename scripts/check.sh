@@ -42,6 +42,29 @@ if [ -n "$orphans$leaks" ]; then
 	exit 1
 fi
 
+# Each binary links only its role (DESIGN.md §2 has the reason for every
+# row). A binary's closure here is its first-party packages plus what they
+# import directly: the standard library reaches crypto/des by itself
+# (crypto/x509's legacy PEM, crypto/tls's 3DES suites), our code must not.
+# device and rclient are the only packages that ever hold a plaintext, so
+# their absence from mwsd and pkgd is the paper's "the warehouse never
+# decrypts" on the link graph.
+deny() {
+	bin=$1
+	shift
+	linked=$(go list -deps -f '{{if not .Standard}}{{.ImportPath}}{{"\n"}}{{join .Imports "\n"}}{{end}}' "./cmd/$bin")
+	for pkg in "$@"; do
+		if echo "$linked" | grep -qxE "(mwskit/internal/)?$pkg"; then
+			echo "cmd/$bin links $pkg: outside its role (DESIGN.md §2, per-binary deny list)" >&2
+			exit 1
+		fi
+	done
+}
+deny mwsd crypto/des device rclient
+deny pkgd crypto/des device rclient
+deny smartdev crypto/des storage wal mws keyserver
+deny rcclient crypto/des device mws
+
 # One telemetry package (ROADMAP aim 2): internal/metrics stays folded into
 # internal/obsv, and obsv imports nothing of ours — that is what lets ff,
 # ec, pairing and wal hook into it without an import cycle. internal/codec,
@@ -68,6 +91,13 @@ if git grep -nE '\.Do\((wire\.)?Frame\{' -- internal cmd examples ':!*_test.go' 
 fi
 
 go test -race ./...
+
+# The examples are closure roots — an internal/ package may be kept alive
+# by one alone — so each is run, not just built; a scenario that breaks
+# exits non-zero.
+for ex in examples/*/; do
+	go run "./$ex" >/dev/null
+done
 
 # One iteration of every paper experiment, so an E-benchmark that drifts
 # from the API it measures fails here and not only in CI's bench-smoke.

@@ -2,7 +2,10 @@
 # Shard smoke: boot mwsd on 8 storage partitions against a live pkgd,
 # deposit across more attributes than shards, retrieve, SIGKILL the
 # warehouse mid-flight state, restart it, and prove every acknowledged
-# deposit survived recovery. Finishes with a /metrics scrape asserting
+# deposit survived recovery. One deposit carries a PEKS keyword tag: mwsd
+# fetches the PKG's public parameters at startup (-pkg), so a keyword search
+# must find exactly that message, and an absent keyword none, before and
+# after the kill. Finishes with a /metrics scrape asserting
 # the per-shard telemetry series are live (saved to $SCRAPE_OUT, default
 # shard-metrics-scrape.txt, for CI artifact upload).
 #
@@ -37,7 +40,7 @@ go build -o "$W/pkgd" ./cmd/pkgd
 go build -o "$W/smartdev" ./cmd/smartdev
 go build -o "$W/rcclient" ./cmd/rcclient
 
-MWSD="$W/mwsd -dir $W/mws-data -shards 8 -shared-key-file $W/mws-pkg.key -addr $MWS_ADDR"
+MWSD="$W/mwsd -dir $W/mws-data -shards 8 -shared-key-file $W/mws-pkg.key -addr $MWS_ADDR -pkg $PKG_ADDR"
 
 # Provision: one device, one retrieving client granted every attribute.
 MAC_KEY=$($MWSD register-device meter-001 | tail -1)
@@ -68,6 +71,21 @@ retrieve_count() {
 		-mws $MWS_ADDR -pkg $PKG_ADDR) | grep -c '^#'
 }
 
+search() {
+	(cd "$W" && ./rcclient -id c-smoke -password-file pw.txt -rsa-key rc.key \
+		-mws $MWS_ADDR -pkg $PKG_ADDR -search "$1")
+}
+
+# "outage" tags exactly the one message that says so; a keyword nothing was
+# tagged with matches nothing.
+search_check() {
+	HITS=$(search outage | grep '^#' || true)
+	[ "$(echo "$HITS" | wc -l)" -eq 1 ] && echo "$HITS" | grep -q 'feeder-12 outage' ||
+		{ echo "$1 search for outage: got '$HITS'" >&2; exit 1; }
+	search blackout | grep -qx 'no messages' ||
+		{ echo "$1 search for an absent keyword returned messages" >&2; exit 1; }
+}
+
 # Round 1: deposits across more attributes than shards. The first
 # deposit retries while pkgd
 # finishes booting (no health endpoint on the PKG).
@@ -86,8 +104,12 @@ for a in $ATTRS; do
 	[ -n "$ok" ] || { echo "deposit to $a failed" >&2; exit 1; }
 	N=$((N + 1))
 done
+"$W/smartdev" -id meter-001 -mac-key "$MAC_KEY" -mws $MWS_ADDR -pkg $PKG_ADDR \
+	-attr ELECTRIC-SMOKE-00 -message "feeder-12 outage" -keywords outage
+N=$((N + 1))
 GOT=$(retrieve_count)
 [ "$GOT" -eq "$N" ] || { echo "pre-kill retrieve: got $GOT want $N" >&2; exit 1; }
+search_check pre-kill
 
 # Kill the warehouse without ceremony; every acknowledged deposit must
 # already be on disk (SyncAlways + per-shard group commit).
@@ -99,6 +121,7 @@ MWSD_PID=""
 start_mwsd
 GOT=$(retrieve_count)
 [ "$GOT" -eq "$N" ] || { echo "post-kill retrieve: got $GOT want $N" >&2; exit 1; }
+search_check post-kill
 "$W/smartdev" -id meter-001 -mac-key "$MAC_KEY" -mws $MWS_ADDR \
 	-pkg $PKG_ADDR -attr ELECTRIC-SMOKE-00 -message "reading=post-restart"
 GOT=$(retrieve_count)
