@@ -17,7 +17,7 @@
 //	mwsd -dir /var/lib/mws revoke c-services ELECTRIC-APTCOMPLEX-SV-CA
 //	mwsd -dir /var/lib/mws table
 //
-// Probe a running server (negotiates wire tracing, emits a traced ping):
+// Probe a running server (emits a traced ping and prints its trace ID):
 //
 //	mwsd -addr 127.0.0.1:7701 ping
 //

@@ -46,7 +46,7 @@ func main() {
 	limit := flag.Uint("limit", 0, "maximum messages to fetch (0 = all)")
 	search := flag.String("search", "", "keyword: fetch only messages tagged with this keyword (searchable encryption)")
 	bits := flag.Int("bits", 2048, "RSA key size for keygen")
-	trace := flag.Bool("trace", false, "negotiate wire tracing and stamp the retrieval with a trace ID (query it back via the servers' TTrace or /traces)")
+	trace := flag.Bool("trace", false, "stamp the retrieval with a trace ID (query it back via the servers' TTrace or /traces)")
 	flag.Parse()
 
 	if flag.Arg(0) == "keygen" {

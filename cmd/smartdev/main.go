@@ -43,7 +43,7 @@ func main() {
 	keywords := flag.String("keywords", "", "comma-separated searchable keywords to tag the message with")
 	schemeName := flag.String("scheme", "AES-128-GCM", "symmetric scheme: "+strings.Join(symenc.Names(), ", "))
 	demo := flag.Bool("demo", false, "interactive mode (Figure 5 equivalent)")
-	trace := flag.Bool("trace", false, "negotiate wire tracing and stamp the deposit with a trace ID (query it back via mwsd's TTrace or /traces)")
+	trace := flag.Bool("trace", false, "stamp the deposit with a trace ID (query it back via mwsd's TTrace or /traces)")
 	flag.Parse()
 
 	if *id == "" || *macKeyHex == "" {

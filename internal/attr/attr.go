@@ -99,6 +99,15 @@ type ID uint64
 // String renders the AID in decimal, as in the paper's Table 1.
 func (id ID) String() string { return fmt.Sprintf("%d", uint64(id)) }
 
+// Binding is one row of the paper's Table 1: a grant of an attribute to
+// an identity, named by its per-grant attribute ID. The policy database
+// holds the rows; a ticket carries one identity's rows to the PKG.
+type Binding struct {
+	Identity  string
+	Attribute Attribute
+	AID       ID
+}
+
 // Set is an ordered collection of distinct attributes, convenience for
 // policy rows.
 type Set []Attribute

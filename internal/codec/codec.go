@@ -115,12 +115,6 @@ func (d *Decoder) Str() (string, error) {
 	return string(b), err
 }
 
-// Remaining reports how many undecoded bytes are left. Decoders use it
-// to accept encodings carrying optional trailing sections (e.g. the
-// TStats counter block added after v1) without loosening Done's
-// zero-trailing-bytes check for fixed-shape ones.
-func (d *Decoder) Remaining() int { return len(d.buf) }
-
 // Done verifies the encoding was fully consumed.
 func (d *Decoder) Done() error {
 	if len(d.buf) != 0 {

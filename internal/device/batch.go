@@ -62,7 +62,7 @@ func (d *Device) PrepareDeposits(ctx context.Context, items []BatchItem) ([]*wir
 					fail(err)
 					return
 				}
-				req, err := d.PrepareDeposit(items[i].Attribute, items[i].Payload)
+				req, err := d.PrepareDepositContext(ctx, items[i].Attribute, items[i].Payload)
 				if err != nil {
 					fail(err)
 					return

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mwskit/internal/bfibe"
+	"mwskit/internal/obsv"
 	"mwskit/internal/pairing"
 	"mwskit/internal/pkgparams"
 )
@@ -129,6 +130,38 @@ func TestPrepareDepositsOrderAndContent(t *testing.T) {
 
 	if out, err := d.PrepareDeposits(context.Background(), nil); err != nil || out != nil {
 		t.Fatalf("empty batch: %v, %v", out, err)
+	}
+}
+
+// TestPrepareDepositsKeepsItsTrace: a batch prepared under a root span
+// records every item's three stage spans in that trace, as children of
+// the root.
+func TestPrepareDepositsKeepsItsTrace(t *testing.T) {
+	params, _ := env(t)
+	d, err := New("meter-1", testKey(), params, WithNonceEpoch(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]BatchItem, 5)
+	for i := range items {
+		items[i] = BatchItem{Attribute: "ELECTRIC-X", Payload: []byte("reading")}
+	}
+	tracer := obsv.NewTracer("device", 64, 0, nil)
+	ctx, root := tracer.StartRoot(context.Background(), "batch")
+	if _, err := d.PrepareDeposits(ctx, items); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	stages := map[string]int{}
+	for _, rec := range tracer.Snapshot(64, root.Context().TraceID) {
+		if rec.ParentID == root.Context().SpanID {
+			stages[rec.Name]++
+		}
+	}
+	for _, name := range []string{"ibe.encapsulate", "symenc.seal", "auth"} {
+		if stages[name] != len(items) {
+			t.Errorf("%d %s spans under the batch's root, want %d (all: %v)", stages[name], name, len(items), stages)
+		}
 	}
 }
 

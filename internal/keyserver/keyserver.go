@@ -28,7 +28,6 @@ import (
 	"mwskit/internal/pairing"
 	"mwskit/internal/peks"
 	"mwskit/internal/storage"
-	"mwskit/internal/symenc"
 	"mwskit/internal/ticket"
 	"mwskit/internal/wire"
 )
@@ -167,9 +166,6 @@ func (s *Service) ExtractDeviceSigningKey(deviceID string) (*bfibe.PrivateKey, e
 	return s.master.Extract(s.params, ibs.DeviceIdentity(deviceID))
 }
 
-// sealedKeyAAD binds extracted keys to their request context.
-const sealedKeyAAD = "mwskit/keyserver/extract/v1"
-
 // openSession authenticates one RC–PKG request, the discipline Extract and
 // Trapdoor share: open the ticket (sealed by the MWS under the shared
 // key), open the authenticator (sealed under the ticket's session key,
@@ -238,7 +234,7 @@ func (s *Service) Extract(ctx context.Context, req *wire.ExtractRequest) (*wire.
 			s.cfg.Logger.Error("keyserver: extract", "err", err)
 			return nil, &wire.ErrorMsg{Code: wire.CodeInternal, Message: "extract failure"}
 		}
-		sealed, err := sessionSeal.Seal(tk.SessionKey, bfibe.MarshalPrivateKey(s.params, sk), []byte(sealedKeyAAD))
+		sealed, err := ticket.SealExtractedKey(tk.SessionKey, bfibe.MarshalPrivateKey(s.params, sk))
 		if err != nil {
 			extSp.SetErr(err)
 			return nil, &wire.ErrorMsg{Code: wire.CodeInternal, Message: "seal failure"}
@@ -264,7 +260,7 @@ func (s *Service) Trapdoor(ctx context.Context, req *wire.TrapdoorRequest) (*wir
 	if err != nil {
 		return nil, err
 	}
-	kw, err := OpenTrapdoorPayload(tk.SessionKey, req.SealedKeyword)
+	kw, err := ticket.OpenTrapdoorPayload(tk.SessionKey, req.SealedKeyword)
 	if err != nil {
 		return nil, &wire.ErrorMsg{Code: wire.CodeBadRequest, Message: "malformed keyword"}
 	}
@@ -272,41 +268,13 @@ func (s *Service) Trapdoor(ctx context.Context, req *wire.TrapdoorRequest) (*wir
 	if err != nil {
 		return nil, &wire.ErrorMsg{Code: wire.CodeBadRequest, Message: err.Error()}
 	}
-	sealed, err := SealTrapdoorPayload(tk.SessionKey, peks.MarshalTrapdoor(s.params, td))
+	sealed, err := ticket.SealTrapdoorPayload(tk.SessionKey, peks.MarshalTrapdoor(s.params, td))
 	if err != nil {
 		return nil, &wire.ErrorMsg{Code: wire.CodeInternal, Message: "seal failure"}
 	}
 	s.cfg.Logger.Debug("keyserver: trapdoor issued", "rc", req.RC)
 	return &wire.TrapdoorResponse{SealedTrapdoor: sealed}, nil
 }
-
-// OpenSealedKey is the client-side inverse of the Extract sealing,
-// exported for the rclient package.
-func OpenSealedKey(params *bfibe.Params, sessionKey, sealed []byte) (*bfibe.PrivateKey, error) {
-	plain, err := sessionSeal.Open(sessionKey, sealed, []byte(sealedKeyAAD))
-	if err != nil {
-		return nil, fmt.Errorf("keyserver: sealed key: %w", err)
-	}
-	return bfibe.UnmarshalPrivateKey(params, plain)
-}
-
-// keywordAAD binds the two payloads of the trapdoor exchange — the RC's
-// keyword and the PKG's trapdoor — to their role.
-const keywordAAD = "mwskit/keyserver/trapdoor/v1"
-
-// SealTrapdoorPayload and OpenTrapdoorPayload seal and open either
-// payload of the trapdoor exchange under the RC–PKG session key: the RC
-// seals the keyword and opens the trapdoor, the PKG the reverse.
-func SealTrapdoorPayload(sessionKey, plain []byte) ([]byte, error) {
-	return sessionSeal.Seal(sessionKey, plain, []byte(keywordAAD))
-}
-
-func OpenTrapdoorPayload(sessionKey, sealed []byte) ([]byte, error) {
-	return sessionSeal.Open(sessionKey, sealed, []byte(keywordAAD))
-}
-
-// sessionSeal is the AEAD of the RC–PKG "secure channel".
-var sessionSeal = symenc.AES256GCM
 
 // buildRouter assembles the PKG's request pipeline: tracing outermost
 // (so the request span covers the whole pipeline), then instrumentation

@@ -11,7 +11,6 @@ import (
 
 	"mwskit/internal/attr"
 	"mwskit/internal/bfibe"
-	"mwskit/internal/policy"
 	"mwskit/internal/ticket"
 	"mwskit/internal/wal"
 	"mwskit/internal/wire"
@@ -56,7 +55,7 @@ func newTestPKG(t *testing.T) (*Service, []byte, *fakeClock) {
 }
 
 // mintTicket plays the MWS Token Generator role for tests.
-func mintTicket(t *testing.T, mwsPkgKey []byte, rc string, bindings []policy.Binding, issued time.Time) (ticketBlob, sessionKey []byte) {
+func mintTicket(t *testing.T, mwsPkgKey []byte, rc string, bindings []attr.Binding, issued time.Time) (ticketBlob, sessionKey []byte) {
 	t.Helper()
 	sk, err := ticket.NewSessionKey(rand.Reader)
 	if err != nil {
@@ -110,7 +109,7 @@ func TestPublicParams(t *testing.T) {
 
 func TestExtractHappyPath(t *testing.T) {
 	s, key, clock := newTestPKG(t)
-	bindings := []policy.Binding{
+	bindings := []attr.Binding{
 		{Identity: "rc", Attribute: "ELECTRIC-X", AID: 1},
 		{Identity: "rc", Attribute: "WATER-X", AID: 2},
 	}
@@ -131,7 +130,11 @@ func TestExtractHappyPath(t *testing.T) {
 	}
 	// The sealed key opens under the session key and matches a direct
 	// extraction for the same identity.
-	got, err := OpenSealedKey(s.Params(), sk, resp.SealedKeys[0])
+	raw, err := ticket.OpenExtractedKey(sk, resp.SealedKeys[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := bfibe.UnmarshalPrivateKey(s.Params(), raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestExtractHappyPath(t *testing.T) {
 
 func TestExtractRejectsUngrantedAID(t *testing.T) {
 	s, key, clock := newTestPKG(t)
-	tb, sk := mintTicket(t, key, "rc", []policy.Binding{{Identity: "rc", Attribute: "A1", AID: 1}}, clock.Now())
+	tb, sk := mintTicket(t, key, "rc", []attr.Binding{{Identity: "rc", Attribute: "A1", AID: 1}}, clock.Now())
 	nonce, _ := attr.NewNonce(rand.Reader)
 	_, err := s.Extract(context.Background(), &wire.ExtractRequest{
 		RC:            "rc",
@@ -193,7 +196,7 @@ func TestExtractRejectsForgedTicket(t *testing.T) {
 
 func TestExtractRejectsRCMismatch(t *testing.T) {
 	s, key, clock := newTestPKG(t)
-	tb, sk := mintTicket(t, key, "rc-real", []policy.Binding{{Identity: "rc-real", Attribute: "A1", AID: 1}}, clock.Now())
+	tb, sk := mintTicket(t, key, "rc-real", []attr.Binding{{Identity: "rc-real", Attribute: "A1", AID: 1}}, clock.Now())
 	nonce, _ := attr.NewNonce(rand.Reader)
 	// Request under a different RC name than the ticket was minted for.
 	_, err := s.Extract(context.Background(), &wire.ExtractRequest{
@@ -209,7 +212,7 @@ func TestExtractRejectsRCMismatch(t *testing.T) {
 
 func TestExtractRejectsWrongSessionKeyAuthenticator(t *testing.T) {
 	s, key, clock := newTestPKG(t)
-	tb, _ := mintTicket(t, key, "rc", []policy.Binding{{Identity: "rc", Attribute: "A1", AID: 1}}, clock.Now())
+	tb, _ := mintTicket(t, key, "rc", []attr.Binding{{Identity: "rc", Attribute: "A1", AID: 1}}, clock.Now())
 	wrongSK, _ := ticket.NewSessionKey(rand.Reader)
 	nonce, _ := attr.NewNonce(rand.Reader)
 	_, err := s.Extract(context.Background(), &wire.ExtractRequest{
@@ -225,7 +228,7 @@ func TestExtractRejectsWrongSessionKeyAuthenticator(t *testing.T) {
 
 func TestExtractRejectsReplayedAuthenticator(t *testing.T) {
 	s, key, clock := newTestPKG(t)
-	tb, sk := mintTicket(t, key, "rc", []policy.Binding{{Identity: "rc", Attribute: "A1", AID: 1}}, clock.Now())
+	tb, sk := mintTicket(t, key, "rc", []attr.Binding{{Identity: "rc", Attribute: "A1", AID: 1}}, clock.Now())
 	nonce, _ := attr.NewNonce(rand.Reader)
 	ab := authBlob(t, sk, "rc", clock.Now())
 	req := &wire.ExtractRequest{
@@ -243,7 +246,7 @@ func TestExtractRejectsReplayedAuthenticator(t *testing.T) {
 
 func TestExtractRejectsStaleAuthenticator(t *testing.T) {
 	s, key, clock := newTestPKG(t)
-	tb, sk := mintTicket(t, key, "rc", []policy.Binding{{Identity: "rc", Attribute: "A1", AID: 1}}, clock.Now())
+	tb, sk := mintTicket(t, key, "rc", []attr.Binding{{Identity: "rc", Attribute: "A1", AID: 1}}, clock.Now())
 	nonce, _ := attr.NewNonce(rand.Reader)
 	ab := authBlob(t, sk, "rc", clock.Now())
 	clock.Advance(time.Hour)
@@ -258,7 +261,7 @@ func TestExtractRejectsStaleAuthenticator(t *testing.T) {
 
 func TestExtractRejectsBadNonce(t *testing.T) {
 	s, key, clock := newTestPKG(t)
-	tb, sk := mintTicket(t, key, "rc", []policy.Binding{{Identity: "rc", Attribute: "A1", AID: 1}}, clock.Now())
+	tb, sk := mintTicket(t, key, "rc", []attr.Binding{{Identity: "rc", Attribute: "A1", AID: 1}}, clock.Now())
 	_, err := s.Extract(context.Background(), &wire.ExtractRequest{
 		RC: "rc", TicketBlob: tb,
 		Authenticator: authBlob(t, sk, "rc", clock.Now()),

@@ -59,7 +59,7 @@ type Config struct {
 	// Sync selects store durability (default SyncAlways).
 	Sync storage.SyncPolicy
 	// Storage tunes the persistence layer (zero value: 8 shards, or what
-	// the directory was created with; a v1-layout directory is resharded).
+	// the directory was created with).
 	// Storage.Metrics defaults to the service's own registry, so shard
 	// series appear on the debug listener without extra wiring.
 	Storage storage.Options
@@ -276,7 +276,7 @@ func (s *Service) Rules() *policyrule.Set {
 }
 
 // PolicyTable returns the current Table 1 rows.
-func (s *Service) PolicyTable() []policy.Binding { return s.policies.Table() }
+func (s *Service) PolicyTable() []attr.Binding { return s.policies.Table() }
 
 // MessageCount reports the number of warehoused messages.
 func (s *Service) MessageCount() int { return s.messages.Count() }

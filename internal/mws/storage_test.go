@@ -2,12 +2,10 @@ package mws
 
 import (
 	"context"
-	"os"
 	"testing"
 	"time"
 
 	"mwskit/internal/attr"
-	"mwskit/internal/device"
 	"mwskit/internal/obsv"
 	"mwskit/internal/storage"
 	"mwskit/internal/ticket"
@@ -137,52 +135,6 @@ func mintLogin(t *testing.T, clock *fakeClock, id string, password []byte) []byt
 		t.Fatal(err)
 	}
 	return blob
-}
-
-// TestShardedServiceMigratesV1Layout opens a service over a directory a
-// pre-shard service wrote in the v1 layout (the storage package's golden
-// fixture: one device, one client with two live grants, ten deposits) and
-// verifies the transparent migration end to end at the service level:
-// messages, grants, user registrations, and device keys all carry over.
-func TestShardedServiceMigratesV1Layout(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.CopyFS(dir, os.DirFS("../storage/testdata/v1-local")); err != nil {
-		t.Fatal(err)
-	}
-	re, clock := newStorageService(t, dir, storage.Options{})
-	defer re.Close()
-	if re.Store().Shards() != 8 {
-		t.Fatalf("shards = %d, want 8", re.Store().Shards())
-	}
-	if re.MessageCount() != 10 {
-		t.Fatalf("migrated MessageCount = %d, want 10", re.MessageCount())
-	}
-	clock.Advance(time.Hour)
-	login := mintLogin(t, clock, "c-services", []byte("pw"))
-	resp, err := re.Retrieve(context.Background(), &wire.RetrieveRequest{RC: "c-services", AuthBlob: login})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three ELECTRIC-A and two WATER-C deposits; the GAS-D grant was revoked.
-	if len(resp.Items) != 5 {
-		t.Fatalf("migrated retrieve = %d items, want 5", len(resp.Items))
-	}
-	macKey, ok := re.devices.Key("meter-1")
-	if !ok {
-		t.Fatal("device key lost in migration")
-	}
-	if _, ok := re.devices.Key("meter-gone"); ok {
-		t.Fatal("revoked device came back in migration")
-	}
-	params, _ := testEnv(t)
-	d, err := device.New("meter-1", macKey, params, device.WithClock(clock.Now))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, _ := d.PrepareDeposit("ELECTRIC-A", []byte("post-migration"))
-	if seq, err := re.Deposit(context.Background(), req); err != nil || seq != 10 {
-		t.Fatalf("post-migration deposit: seq %d, %v; want 10, nil", seq, err)
-	}
 }
 
 // TestAutoCompaction churns the policy store far past the mutation

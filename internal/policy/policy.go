@@ -23,14 +23,6 @@ import (
 	"mwskit/internal/storage"
 )
 
-// Binding is one row of Table 1: a grant of an attribute to an identity,
-// named by its per-grant attribute ID.
-type Binding struct {
-	Identity  string
-	Attribute attr.Attribute
-	AID       attr.ID
-}
-
 // DB is the policy database. All methods are safe for concurrent use;
 // mutations are durable through the underlying KV store.
 type DB struct {
@@ -38,7 +30,7 @@ type DB struct {
 	kv storage.KV
 
 	byIdentity map[string]map[attr.Attribute]attr.ID
-	byAID      map[attr.ID]Binding
+	byAID      map[attr.ID]attr.Binding
 	nextAID    uint64
 }
 
@@ -54,7 +46,7 @@ func New(kv storage.KV) (*DB, error) {
 	db := &DB{
 		kv:         kv,
 		byIdentity: make(map[string]map[attr.Attribute]attr.ID),
-		byAID:      make(map[attr.ID]Binding),
+		byAID:      make(map[attr.ID]attr.Binding),
 		nextAID:    1, // Table 1 numbers AIDs from 1
 	}
 	var loadErr error
@@ -78,7 +70,7 @@ func New(kv storage.KV) (*DB, error) {
 				loadErr = err
 				return false
 			}
-			db.indexGrant(Binding{Identity: identity, Attribute: attribute, AID: attr.ID(aid)})
+			db.indexGrant(attr.Binding{Identity: identity, Attribute: attribute, AID: attr.ID(aid)})
 		}
 		return true
 	})
@@ -101,7 +93,7 @@ func decodeGrant(b []byte) (identity string, a attr.Attribute, err error) {
 	return parts[0], attr.Attribute(parts[1]), nil
 }
 
-func (db *DB) indexGrant(b Binding) {
+func (db *DB) indexGrant(b attr.Binding) {
 	m := db.byIdentity[b.Identity]
 	if m == nil {
 		m = make(map[attr.Attribute]attr.ID)
@@ -135,7 +127,7 @@ func (db *DB) Grant(identity string, a attr.Attribute) (attr.ID, error) {
 	if err := db.kv.Put(key, encodeGrant(identity, a)); err != nil {
 		return 0, err
 	}
-	db.indexGrant(Binding{Identity: identity, Attribute: a, AID: aid})
+	db.indexGrant(attr.Binding{Identity: identity, Attribute: a, AID: aid})
 	return aid, nil
 }
 
@@ -191,13 +183,13 @@ func (db *DB) HasAttribute(identity string, a attr.Attribute) bool {
 
 // BindingsFor returns the identity's current grants sorted by AID — the
 // rows of Table 1 restricted to one identity.
-func (db *DB) BindingsFor(identity string) []Binding {
+func (db *DB) BindingsFor(identity string) []attr.Binding {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	grants := db.byIdentity[identity]
-	out := make([]Binding, 0, len(grants))
+	out := make([]attr.Binding, 0, len(grants))
 	for a, aid := range grants {
-		out = append(out, Binding{Identity: identity, Attribute: a, AID: aid})
+		out = append(out, attr.Binding{Identity: identity, Attribute: a, AID: aid})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].AID < out[j].AID })
 	return out
@@ -215,7 +207,7 @@ func (db *DB) AttributesFor(identity string) attr.Set {
 
 // ByAID resolves an attribute ID back to its grant — the substitution the
 // PKG performs when a client presents AID ‖ Nonce (§V.D, RC–PKG phase).
-func (db *DB) ByAID(aid attr.ID) (Binding, bool) {
+func (db *DB) ByAID(aid attr.ID) (attr.Binding, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	b, ok := db.byAID[aid]
@@ -223,10 +215,10 @@ func (db *DB) ByAID(aid attr.ID) (Binding, bool) {
 }
 
 // Table returns every grant sorted by AID: the full Table 1.
-func (db *DB) Table() []Binding {
+func (db *DB) Table() []attr.Binding {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]Binding, 0, len(db.byAID))
+	out := make([]attr.Binding, 0, len(db.byAID))
 	for _, b := range db.byAID {
 		out = append(out, b)
 	}
@@ -247,7 +239,7 @@ func (db *DB) Identities() []string {
 }
 
 // FormatTable renders the grants as the paper's Table 1 layout.
-func FormatTable(rows []Binding) string {
+func FormatTable(rows []attr.Binding) string {
 	var b strings.Builder
 	b.WriteString("Identity\tAttribute\tAttribute ID\n")
 	for _, r := range rows {

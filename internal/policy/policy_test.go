@@ -66,12 +66,12 @@ func TestTable1Reproduction(t *testing.T) {
 		}
 	}
 	table := db.Table()
-	want := []Binding{
-		{"IDRC1", "A1", 1},
-		{"IDRC1", "A2", 2},
-		{"IDRC2", "A1", 3},
-		{"IDRC3", "A3", 4},
-		{"IDRC4", "A4", 5},
+	want := []attr.Binding{
+		{Identity: "IDRC1", Attribute: "A1", AID: 1},
+		{Identity: "IDRC1", Attribute: "A2", AID: 2},
+		{Identity: "IDRC2", Attribute: "A1", AID: 3},
+		{Identity: "IDRC3", Attribute: "A3", AID: 4},
+		{Identity: "IDRC4", Attribute: "A4", AID: 5},
 	}
 	if len(table) != len(want) {
 		t.Fatalf("table has %d rows, want %d", len(table), len(want))

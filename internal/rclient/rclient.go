@@ -21,7 +21,6 @@ import (
 
 	"mwskit/internal/attr"
 	"mwskit/internal/bfibe"
-	"mwskit/internal/keyserver"
 	"mwskit/internal/obsv"
 	"mwskit/internal/symenc"
 	"mwskit/internal/ticket"
@@ -179,7 +178,7 @@ func (c *Client) FetchKeysContext(ctx context.Context, pkg *wire.Client, r *Retr
 	_, openSp := obsv.StartSpan(ctx, "keys.open")
 	keys := make(map[keyIndex]*bfibe.PrivateKey, len(items))
 	for i, sealed := range er.SealedKeys {
-		sk, err := keyserver.OpenSealedKey(c.params, r.SessionKey, sealed)
+		sk, err := c.openKey(r.SessionKey, sealed)
 		if err != nil {
 			openSp.SetErr(err)
 			openSp.End()
@@ -189,6 +188,15 @@ func (c *Client) FetchKeysContext(ctx context.Context, pkg *wire.Client, r *Retr
 	}
 	openSp.End()
 	return keys, items, nil
+}
+
+// openKey opens one sealed extraction and decodes the private key sI in it.
+func (c *Client) openKey(sessionKey, sealed []byte) (*bfibe.PrivateKey, error) {
+	raw, err := ticket.OpenExtractedKey(sessionKey, sealed)
+	if err != nil {
+		return nil, err
+	}
+	return bfibe.UnmarshalPrivateKey(c.params, raw)
 }
 
 // Message is a fully decrypted warehouse message.

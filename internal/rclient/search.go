@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"mwskit/internal/keyserver"
 	"mwskit/internal/ticket"
 	"mwskit/internal/wire"
 )
@@ -19,7 +18,7 @@ func (c *Client) FetchTrapdoor(pkg *wire.Client, r *Retrieval, keyword string) (
 // FetchTrapdoorContext is FetchTrapdoor under a request context: the
 // current trace (if any) rides the trapdoor frame to the PKG.
 func (c *Client) FetchTrapdoorContext(ctx context.Context, pkg *wire.Client, r *Retrieval, keyword string) ([]byte, error) {
-	sealedKw, err := keyserver.SealTrapdoorPayload(r.SessionKey, []byte(keyword))
+	sealedKw, err := ticket.SealTrapdoorPayload(r.SessionKey, []byte(keyword))
 	if err != nil {
 		return nil, err
 	}
@@ -32,7 +31,7 @@ func (c *Client) FetchTrapdoorContext(ctx context.Context, pkg *wire.Client, r *
 	if err != nil {
 		return nil, err
 	}
-	trapdoor, err := keyserver.OpenTrapdoorPayload(r.SessionKey, tr.SealedTrapdoor)
+	trapdoor, err := ticket.OpenTrapdoorPayload(r.SessionKey, tr.SealedTrapdoor)
 	if err != nil {
 		return nil, fmt.Errorf("rclient: sealed trapdoor: %w", err)
 	}

@@ -41,8 +41,9 @@ type Message struct {
 	Tags [][]byte
 }
 
-// encode renders m as a message payload — the v1 record format, which
-// carried no sequence number because the v1 WAL position was the seq.
+// encode renders m as a message payload: the record format, live and
+// pinned by the sharded-4 golden. It carries no sequence number; the shard
+// frame around it does (frameShardRecord).
 func (m *Message) encode() []byte {
 	var e codec.Encoder
 	e.Str(m.DeviceID)

@@ -14,9 +14,9 @@ import (
 	"mwskit/internal/wal"
 )
 
-// The directories under testdata/ were written by the commit before the
-// storage engines were merged (see testdata/README.md), and each has a
-// manifest of what that commit's provider read back from it. They pin
+// The directory under testdata/ was written by the commit before the
+// storage engines were merged (see testdata/README.md), and has a
+// manifest of what that commit's provider read back from it. It pins
 // the on-disk formats: this package must read the same records out of
 // the same bytes, and write the same bytes for the same records.
 
@@ -185,112 +185,4 @@ func TestGoldenSharded(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestGoldenV1Migration: a v1 local-layout directory (messages + devices,
-// policy, users) is resharded by its first Open — sequence numbers and
-// every KV entry preserved, the v1 directories left behind as *.v1 — and
-// the second Open finds nothing to do.
-func TestGoldenV1Migration(t *testing.T) {
-	dir, man := loadGolden(t, "v1-local")
-	v1Payloads := walRecords(t, filepath.Join(dir, "messages"))
-
-	p, err := Open(Config{Dir: dir, Sync: SyncNever, Options: Options{Shards: 4}})
-	if err != nil {
-		t.Fatalf("migrating open: %v", err)
-	}
-	checkGolden(t, p, man)
-	// A v1 record's position was its sequence number, and the shard frame
-	// is that number in front of the very same payload.
-	for seq, payload := range v1Payloads {
-		m, ok := p.Get(uint64(seq))
-		if !ok || !bytes.Equal(m.encode(), payload) {
-			t.Fatalf("v1 record %d did not keep its sequence number and bytes", seq)
-		}
-	}
-	if top := mustAppend(t, p, testMessage("ELECTRIC-A", 1)); top != uint64(len(v1Payloads)) {
-		t.Fatalf("first post-migration seq = %d, want %d", top, len(v1Payloads))
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"messages", "devices", "policy", "users"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Fatalf("v1 %s still in place after migration (err=%v)", name, err)
-		}
-		if got := walRecords(t, filepath.Join(dir, name+".v1")); len(got) == 0 {
-			t.Fatalf("backup %s.v1 is empty", name)
-		}
-	}
-
-	// Second open, no flags: the marker pins 4 shards and nothing moves.
-	before := treeListing(t, dir)
-	re, err := Open(Config{Dir: dir, Sync: SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Shards() != 4 || re.Count() != len(man.Records)+1 {
-		t.Fatalf("second open: %d shards, %d messages", re.Shards(), re.Count())
-	}
-	if after := treeListing(t, dir); !reflect.DeepEqual(before, after) {
-		t.Fatalf("second open changed the directory:\nbefore %v\nafter  %v", before, after)
-	}
-}
-
-// TestGoldenV1MigrationRestart: a migration killed before storage.json
-// lands — one source already retired, two copied but not yet renamed, one
-// untouched — is picked up by the next Open without losing or
-// duplicating anything.
-func TestGoldenV1MigrationRestart(t *testing.T) {
-	dir, man := loadGolden(t, "v1-local")
-	// Leave what a killed Open could have: devices retired…
-	if err := migrateKV(dir, "devices", 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(filepath.Join(dir, "devices"), filepath.Join(dir, "devices.v1")); err != nil {
-		t.Fatal(err)
-	}
-	// …messages and policy copied into their partitions but not renamed,
-	// users not reached, and no marker.
-	if err := migrateMessages(dir, "messages", 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := migrateKV(dir, "policy", 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, metaName)); !os.IsNotExist(err) {
-		t.Fatalf("marker exists before Open (err=%v)", err)
-	}
-
-	p, err := Open(Config{Dir: dir, Sync: SyncNever, Options: Options{Shards: 4}})
-	if err != nil {
-		t.Fatalf("restarted migration: %v", err)
-	}
-	defer p.Close()
-	checkGolden(t, p, man)
-	for _, name := range []string{"messages", "devices", "policy", "users"} {
-		if _, err := os.Stat(filepath.Join(dir, name+".v1")); err != nil {
-			t.Fatalf("backup %s.v1: %v", name, err)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, metaName)); err != nil {
-		t.Fatalf("marker after restarted migration: %v", err)
-	}
-}
-
-// treeListing maps every file under dir to its size.
-func treeListing(t *testing.T, dir string) map[string]int64 {
-	t.Helper()
-	out := make(map[string]int64)
-	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			out[path] = info.Size()
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
 }

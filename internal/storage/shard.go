@@ -318,7 +318,7 @@ func (p *provider) KV(name string) (KV, error) {
 	if name == "" || name != filepath.Base(name) || name == "." || name == ".." {
 		return nil, fmt.Errorf("storage: invalid KV name %q", name)
 	}
-	if name == "messages" || name == metaName || strings.HasPrefix(name, "shard-") || strings.HasSuffix(name, ".v1") {
+	if name == "messages" || name == metaName || strings.HasPrefix(name, "shard-") {
 		return nil, fmt.Errorf("storage: KV name %q is reserved", name)
 	}
 	p.mu.Lock()

@@ -12,9 +12,6 @@
 // every named KV database is striped across the same shards by key
 // digest. One shard is the unpartitioned store; the memory backend is
 // the same engine with no logs under it, for tests and simulation.
-//
-// A data directory in the pre-shard v1 layout is resharded in place the
-// first time it is opened; see Open.
 package storage
 
 import (
@@ -24,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"mwskit/internal/attr"
 	"mwskit/internal/obsv"
@@ -168,20 +166,13 @@ type meta struct {
 //
 // On-disk layout under Dir:
 //
-//	storage.json                   marker: shard count, written last
+//	storage.json                   marker: shard count, fixed at creation
 //	shard-000/messages/*.wal       message WAL for partition 0
 //	shard-000/kv/<name>/*.wal      partition 0 of KV database <name>
 //	...
-//	messages.v1/, <name>.v1/       frozen pre-reshard backups (migration)
 //
-// A directory without a marker is either new or in the v1 layout (one
-// message WAL under messages/, one KV WAL under each <name>/). Open
-// reshards a v1 directory once, before the provider exists: every
-// message keeps its sequence number, every KV entry is re-striped, and
-// the v1 directories stay beside the shards with a ".v1" suffix as a
-// frozen backup. The marker lands after the copy, and a v1 directory is
-// only renamed once its copy is durable, so a migration killed part-way
-// simply picks up again on the next Open.
+// That is the only layout: a directory holding WAL segments in any other
+// first-level subdirectory is refused with ErrUnknownLayout, untouched.
 func Open(cfg Config) (Provider, error) {
 	// The shard logs are always opened SyncNever (the group committer
 	// owns their fsyncs), so wal.Open's own check never sees cfg.Sync.
@@ -207,9 +198,34 @@ func Open(cfg Config) (Provider, error) {
 	return p, nil
 }
 
+// ErrUnknownLayout is Open's refusal of a directory that keeps WAL
+// segments outside its shard-NNN partitions: data some other layout put
+// there, which this engine would neither serve nor account for.
+var ErrUnknownLayout = errors.New("storage: unknown data directory layout")
+
+// checkLayout returns ErrUnknownLayout naming the first subdirectory of
+// dir, other than a shard, that holds WAL segments. Stray files and
+// directories without segments are not the engine's business.
+func checkLayout(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("storage: scan layout: %w", err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() || strings.HasPrefix(e.Name(), "shard-") {
+			continue
+		}
+		sub := filepath.Join(dir, e.Name())
+		if segs, _ := filepath.Glob(filepath.Join(sub, "*.wal")); len(segs) > 0 {
+			return fmt.Errorf("%w: %s holds WAL segments outside shard-NNN/", ErrUnknownLayout, sub)
+		}
+	}
+	return nil
+}
+
 // prepareDir settles dir's shard count — pinned by the marker if there
-// is one, else wanted (0 = default) — migrates any v1 contents, and
-// writes the marker if it was missing.
+// is one, else wanted (0 = default) — refuses a layout it does not know,
+// and writes the marker if it was missing.
 func prepareDir(dir string, wanted int) (int, error) {
 	if dir == "" {
 		return 0, errors.New("storage: Dir is required")
@@ -231,10 +247,7 @@ func prepareDir(dir string, wanted int) (int, error) {
 	if shards < 1 || shards > 1024 {
 		return 0, fmt.Errorf("storage: shard count %d out of range [1,1024]", shards)
 	}
-	// Not only when the marker is missing: directories resharded by a
-	// release that migrated KVs lazily, on first use, can carry a marker
-	// beside v1 KV directories nobody has asked for since.
-	if err := migrateV1(dir, shards); err != nil {
+	if err := checkLayout(dir); err != nil {
 		return 0, err
 	}
 	if m == nil {

@@ -3,8 +3,12 @@ package storage
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -197,7 +201,7 @@ func TestProviderRoundTrip(t *testing.T) {
 			if again, _ := p.KV("policy"); again != kv {
 				t.Fatal("second KV(policy) returned a different handle")
 			}
-			for _, bad := range []string{"../escape", "", "messages", "shard-000", "policy.v1", metaName} {
+			for _, bad := range []string{"../escape", "", "messages", "shard-000", metaName} {
 				if _, err := p.KV(bad); err == nil {
 					t.Fatalf("KV name %q accepted", bad)
 				}
@@ -584,6 +588,86 @@ func TestOpenConfigErrors(t *testing.T) {
 		}
 		re.Close()
 	}
+}
+
+// treeContents maps every file under dir to its bytes.
+func treeContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		out[path] = string(raw)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestOpenUnknownLayout: WAL segments in a first-level subdirectory that
+// is not a shard are data this engine would silently not serve, so Open
+// refuses the directory by name and changes nothing in it — with or
+// without a marker. Files that are not WAL directories are none of its
+// business.
+func TestOpenUnknownLayout(t *testing.T) {
+	strayWAL := func(t *testing.T, dir, name string) {
+		t.Helper()
+		kv, err := OpenKV(filepath.Join(dir, name), SyncNever)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustPut(t, kv, "k", []byte("v"))
+		if err := kv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused := func(t *testing.T, dir, name string) {
+		t.Helper()
+		before := treeContents(t, dir)
+		_, err := Open(Config{Dir: dir, Sync: SyncNever})
+		if !errors.Is(err, ErrUnknownLayout) || !strings.Contains(err.Error(), filepath.Join(dir, name)) {
+			t.Fatalf("Open = %v, want ErrUnknownLayout naming %s", err, name)
+		}
+		if after := treeContents(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("refused Open changed the directory:\nbefore %v\nafter  %v", before, after)
+		}
+	}
+	t.Run("Unmarked", func(t *testing.T) {
+		dir := t.TempDir()
+		strayWAL(t, dir, "messages")
+		refused(t, dir, "messages")
+	})
+	t.Run("BesideMarker", func(t *testing.T) {
+		dir := t.TempDir()
+		p, err := Open(Config{Dir: dir, Sync: SyncNever, Options: Options{Shards: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustAppend(t, p, testMessage("ELECTRIC-A", 1))
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		strayWAL(t, dir, "devices")
+		refused(t, dir, "devices")
+	})
+	t.Run("StrayFile", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "mws-pkg.key"), []byte("00ff\n"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		p, err := Open(Config{Dir: dir, Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		if _, err := os.Stat(filepath.Join(dir, metaName)); err != nil {
+			t.Fatalf("marker after Open: %v", err)
+		}
+	})
 }
 
 // TestCompactHeuristic verifies Provider.Compact's threshold behavior.

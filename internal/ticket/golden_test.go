@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"mwskit/internal/policy"
+	"mwskit/internal/attr"
 )
 
 // TestPlainGolden holds the pre-seal plaintexts of a fixed Ticket,
@@ -48,7 +48,7 @@ func TestPlainGolden(t *testing.T) {
 	session := bytes.Repeat([]byte{0xA5}, SessionKeyLen)
 	tk := &Ticket{
 		RC: "c-services",
-		Bindings: []policy.Binding{
+		Bindings: []attr.Binding{
 			{Identity: "c-services", AID: 7, Attribute: "ELECTRIC-APTCOMPLEX-SV-CA"},
 			{Identity: "c-services", AID: 0x0102030405060708, Attribute: "WATER-APTCOMPLEX-SV-CA"},
 		},

@@ -28,7 +28,6 @@ import (
 
 	"mwskit/internal/attr"
 	"mwskit/internal/codec"
-	"mwskit/internal/policy"
 	"mwskit/internal/symenc"
 )
 
@@ -36,16 +35,17 @@ import (
 // tickets and tokens.
 const SessionKeyLen = 32
 
-// sealScheme is the AEAD used for tickets and authenticators.
+// sealScheme is the AEAD of every sealed object here: tickets, token
+// bodies, authenticators and the RC–PKG session payloads.
 var sealScheme = symenc.AES256GCM
 
 // Ticket is the PKG-bound credential: who it was issued to, which grants
 // (AID → attribute) it conveys, the RC–PKG session key, and issue time.
 type Ticket struct {
 	RC         string
-	Bindings   []policy.Binding // attribute bindings; Identity field matches RC
-	SessionKey []byte           // SecK_RC-PKG
-	IssuedAt   int64            // Unix seconds
+	Bindings   []attr.Binding // attribute bindings; Identity field matches RC
+	SessionKey []byte         // SecK_RC-PKG
+	IssuedAt   int64          // Unix seconds
 }
 
 // NewSessionKey draws a fresh RC–PKG session key.
@@ -108,7 +108,7 @@ func (t *Ticket) decode(d *codec.Decoder) (err error) {
 	if n > 1<<16 {
 		return errors.New("implausible binding count")
 	}
-	t.Bindings = make([]policy.Binding, n)
+	t.Bindings = make([]attr.Binding, n)
 	for i := range t.Bindings {
 		aid, err := d.Uint64()
 		if err != nil {
@@ -118,7 +118,7 @@ func (t *Ticket) decode(d *codec.Decoder) (err error) {
 		if err != nil {
 			return err
 		}
-		t.Bindings[i] = policy.Binding{Identity: t.RC, AID: attr.ID(aid), Attribute: attr.Attribute(a)}
+		t.Bindings[i] = attr.Binding{Identity: t.RC, AID: attr.ID(aid), Attribute: attr.Attribute(a)}
 	}
 	if t.SessionKey, err = d.Blob(); err != nil {
 		return err
@@ -271,4 +271,37 @@ func OpenAuthenticator(sessionKey, blob []byte, now time.Time, window time.Durat
 		return nil, ErrStale
 	}
 	return a, nil
+}
+
+// What crosses the RC–PKG session — the paper's "secure channel" — is
+// sealed under the ticket's session key, one AAD per role so an extracted
+// key never opens as a trapdoor payload or the reverse.
+const (
+	sealedKeyAAD = "mwskit/keyserver/extract/v1"
+	keywordAAD   = "mwskit/keyserver/trapdoor/v1"
+)
+
+// SealExtractedKey seals one marshalled private key sI at the PKG;
+// OpenExtractedKey is the RC's inverse.
+func SealExtractedKey(sessionKey, key []byte) ([]byte, error) {
+	return sealScheme.Seal(sessionKey, key, []byte(sealedKeyAAD))
+}
+
+func OpenExtractedKey(sessionKey, sealed []byte) ([]byte, error) {
+	key, err := sealScheme.Open(sessionKey, sealed, []byte(sealedKeyAAD))
+	if err != nil {
+		return nil, fmt.Errorf("ticket: sealed key: %w", err)
+	}
+	return key, nil
+}
+
+// SealTrapdoorPayload and OpenTrapdoorPayload seal and open either
+// payload of the trapdoor exchange: the RC seals the keyword and opens the
+// trapdoor, the PKG the reverse.
+func SealTrapdoorPayload(sessionKey, plain []byte) ([]byte, error) {
+	return sealScheme.Seal(sessionKey, plain, []byte(keywordAAD))
+}
+
+func OpenTrapdoorPayload(sessionKey, sealed []byte) ([]byte, error) {
+	return sealScheme.Open(sessionKey, sealed, []byte(keywordAAD))
 }

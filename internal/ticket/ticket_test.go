@@ -8,7 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"mwskit/internal/policy"
+	"mwskit/internal/attr"
+	"mwskit/internal/symenc"
 )
 
 var (
@@ -46,7 +47,7 @@ func sampleTicket(t *testing.T) *Ticket {
 	}
 	return &Ticket{
 		RC: "c-services",
-		Bindings: []policy.Binding{
+		Bindings: []attr.Binding{
 			{Identity: "c-services", Attribute: "ELECTRIC-APT-SV-CA", AID: 1},
 			{Identity: "c-services", Attribute: "WATER-APT-SV-CA", AID: 2},
 		},
@@ -240,5 +241,39 @@ func TestAuthenticatorWrongSessionKey(t *testing.T) {
 	}
 	if _, err := OpenAuthenticator(sk2, blob, now, time.Minute); err == nil {
 		t.Fatal("authenticator opened under the wrong session key")
+	}
+}
+
+// TestSessionPayloadRoles: the two kinds of payload sealed under one
+// RC–PKG session key are told apart by their AAD — an extracted key does
+// not open as a trapdoor payload, nor the reverse — and the AAD strings
+// are the ones every deployed peer already uses.
+func TestSessionPayloadRoles(t *testing.T) {
+	sk, _ := NewSessionKey(rand.Reader)
+	plain := []byte("marshalled key or trapdoor")
+	roles := []struct {
+		name string
+		aad  string
+		seal func(sessionKey, plain []byte) ([]byte, error)
+		open func(sessionKey, sealed []byte) ([]byte, error)
+	}{
+		{"extracted key", "mwskit/keyserver/extract/v1", SealExtractedKey, OpenExtractedKey},
+		{"trapdoor payload", "mwskit/keyserver/trapdoor/v1", SealTrapdoorPayload, OpenTrapdoorPayload},
+	}
+	for i, r := range roles {
+		sealed, err := r.seal(sk, plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := r.open(sk, sealed); err != nil || !bytes.Equal(got, plain) {
+			t.Fatalf("%s does not open in its own role: %q, %v", r.name, got, err)
+		}
+		other := roles[1-i]
+		if _, err := other.open(sk, sealed); err == nil {
+			t.Fatalf("%s opened as %s", r.name, other.name)
+		}
+		if got, err := symenc.AES256GCM.Open(sk, sealed, []byte(r.aad)); err != nil || !bytes.Equal(got, plain) {
+			t.Fatalf("%s is not AES-256-GCM under AAD %q: %v", r.name, r.aad, err)
+		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"mwskit/internal/kdf"
-	"mwskit/internal/storage"
 )
 
 // CredentialKeyLen is the byte length of the derived credential key.
@@ -40,15 +39,25 @@ type Record struct {
 	PublicKey     *rsa.PublicKey // token-wrapping key (the paper's PubK_RC)
 }
 
+// KV is what the user database needs of a durable map. storage.KV
+// satisfies it; declaring it here keeps the storage engine out of the
+// receiving client, which derives its CredentialKey from this package.
+type KV interface {
+	Get(key string) ([]byte, bool)
+	Put(key string, value []byte) error
+	Delete(key string) error
+	Keys() []string
+}
+
 // DB is the user database.
 type DB struct {
 	mu sync.RWMutex
-	kv storage.KV
+	kv KV
 }
 
 // New builds the user database over an existing KV (typically
 // storage.Provider.KV("users")); the provider keeps lifecycle ownership.
-func New(kv storage.KV) *DB { return &DB{kv: kv} }
+func New(kv KV) *DB { return &DB{kv: kv} }
 
 func credKeyKey(id string) string { return "cred/" + id }
 func pubKeyKey(id string) string  { return "pub/" + id }

@@ -556,14 +556,12 @@ type OpStat struct {
 }
 
 // StatsResponse answers a TStats introspection request with one OpStat per
-// instrumented operation, sorted by op name, plus (since v2 of the
-// message) labeled counter and gauge series in obsv's own sample type:
-// crypto-stage counters and error-by-code series, WAL latency percentiles
-// and per-shard sizes. The counter/gauge block is an optional trailing
-// section: encoders omit it when empty, so a counter-free response is
-// byte-identical to the v1 message and old decoders keep working. A
-// counter travels as an unsigned and a gauge as a signed eight-byte
-// field, which are the same bytes.
+// instrumented operation, sorted by op name, plus labeled counter and
+// gauge series in obsv's own sample type: crypto-stage counters and
+// error-by-code series, WAL latency percentiles and per-shard sizes. The
+// two blocks follow the op list in every response, empty or not. A counter
+// travels as an unsigned and a gauge as a signed eight-byte field, which
+// are the same bytes.
 type StatsResponse struct {
 	Ops      []OpStat
 	Counters []obsv.Sample
@@ -585,10 +583,8 @@ func (r *StatsResponse) Marshal() []byte {
 		e.Int64(op.P99Ns)
 		e.Int64(op.MaxNs)
 	}
-	if len(r.Counters) > 0 || len(r.Gauges) > 0 {
-		encodeSamples(&e, r.Counters)
-		encodeSamples(&e, r.Gauges)
-	}
+	encodeSamples(&e, r.Counters)
+	encodeSamples(&e, r.Gauges)
 	return e.Bytes()
 }
 
@@ -656,8 +652,8 @@ func UnmarshalStatsResponse(b []byte) (*StatsResponse, error) {
 			}
 			return nil
 		})
-		if err != nil || d.Remaining() == 0 {
-			return err // a v1 message carries no counter/gauge block
+		if err != nil {
+			return err
 		}
 		if r.Counters, err = decodeSamples(d); err != nil {
 			return err

@@ -84,13 +84,12 @@ func TestStatsResponseCounterRoundTrip(t *testing.T) {
 }
 
 // TestStatsResponseGolden holds the codec to testdata/tstats_v2.golden:
-// the v1 (ops only) and v2 (ops, labeled counters, gauges) payloads of two
-// fixed values as the encoder of the commit before obsv.Sample replaced
-// wire's own sample and label types wrote them. The file is never
-// regenerated; both directions must hold byte for byte.
+// the payload (ops, labeled counters, gauges) of a fixed value as the
+// encoder of the commit before obsv.Sample replaced wire's own sample and
+// label types wrote it. The file is never regenerated; both directions
+// must hold byte for byte.
 func TestStatsResponseGolden(t *testing.T) {
 	values := map[string]*StatsResponse{
-		"v1": {Ops: []OpStat{{Op: "Ping", Requests: 1}}},
 		"v2": {
 			Ops: []OpStat{
 				{Op: "Deposit", Requests: 10, Errors: 2, MinNs: 1000, MeanNs: 5000, P50Ns: 4000, P90Ns: 8000, P99Ns: 9000, MaxNs: 12000},
@@ -132,39 +131,6 @@ func TestStatsResponseGolden(t *testing.T) {
 		if !reflect.DeepEqual(got, values[name]) {
 			t.Errorf("%s golden decodes to\n %+v\nwant\n %+v", name, got, values[name])
 		}
-	}
-}
-
-// TestStatsResponseBackwardCompatible pins the optional-trailing-block
-// contract: a counter-free response is byte-identical to the v1 message,
-// and a v1 payload (ops only, no counter block) still decodes.
-func TestStatsResponseBackwardCompatible(t *testing.T) {
-	ops := []OpStat{{Op: "Ping", Requests: 1}}
-	v1 := func() []byte { // the pre-counter encoding: ops only
-		var e codec.Encoder
-		e.Uint32(uint32(len(ops)))
-		for _, op := range ops {
-			e.Str(op.Op)
-			e.Uint64(op.Requests)
-			e.Uint64(op.Errors)
-			e.Int64(op.MinNs)
-			e.Int64(op.MeanNs)
-			e.Int64(op.P50Ns)
-			e.Int64(op.P90Ns)
-			e.Int64(op.P99Ns)
-			e.Int64(op.MaxNs)
-		}
-		return e.Bytes()
-	}()
-	if got := (&StatsResponse{Ops: ops}).Marshal(); !bytes.Equal(got, v1) {
-		t.Fatalf("counter-free encoding diverges from v1:\n got %x\nwant %x", got, v1)
-	}
-	got, err := UnmarshalStatsResponse(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Ops) != 1 || got.Ops[0].Op != "Ping" || got.Counters != nil || got.Gauges != nil {
-		t.Fatalf("v1 decode = %+v", got)
 	}
 }
 

@@ -60,10 +60,10 @@ deny() {
 		fi
 	done
 }
-deny mwsd crypto/des device rclient
-deny pkgd crypto/des device rclient
+deny mwsd crypto/des device rclient keyserver
+deny pkgd crypto/des device rclient policy userdb mws policyrule
 deny smartdev crypto/des storage wal mws keyserver
-deny rcclient crypto/des device mws
+deny rcclient crypto/des device mws storage wal keyserver policy macauth ibs peks
 
 # One telemetry package (ROADMAP aim 2): internal/metrics stays folded into
 # internal/obsv, and obsv imports nothing of ours — that is what lets ff,
@@ -106,3 +106,10 @@ go test -run='^$' -bench=. -benchtime=1x ./experiments/...
 # Non-test Go lines per package: the figure ROADMAP aim 2 tracks. Printed,
 # not gated — a PR that grows a package says why in its description.
 scripts/loc.sh
+
+# The same count over what each binary links (its first-party closure, its
+# own main package included): the figure DESIGN.md §2 quotes per binary.
+for bin in mwsd pkgd smartdev rcclient; do
+	go list -deps "./cmd/$bin" | sed -n 's|^mwskit/||p' | xargs scripts/loc.sh |
+		awk -v bin="$bin" 'END { printf "%7d  linked by cmd/%s\n", $1, bin }'
+done

@@ -10,9 +10,7 @@
 # shard-metrics-scrape.txt, for CI artifact upload).
 #
 # Every command passes -shards 8, the first admin step included: the
-# shard count is fixed when the directory is created. (Resharding a v1
-# directory is covered by internal/storage's golden-fixture tests, not
-# here.)
+# shard count is fixed when the directory is created.
 set -eux
 
 cd "$(dirname "$0")/.."
