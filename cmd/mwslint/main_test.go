@@ -139,10 +139,11 @@ func persist(rec []byte) error {
 	}
 }
 
-// TestSeededVartimeViolation seeds a module where RandomScalar output
-// crosses a package boundary before hitting the variable-time
-// multiplier, and asserts the binary exits 1 naming ctflow and the
-// variable-time callee.
+// TestSeededVartimeViolation seeds a module where RandomScalar output —
+// an ec.Scalar, which no variable-time callee takes — is carried back
+// into math/big through its byte encoding and on to the variable-time
+// multiplier, and asserts the binary exits 1 naming ctflow, the
+// conversion and the variable-time callee.
 func TestSeededVartimeViolation(t *testing.T) {
 	tmp := t.TempDir()
 	write := func(rel, content string) {
@@ -167,18 +168,29 @@ type Point struct{ X, Y *big.Int }
 // Curve is the group.
 type Curve struct{}
 
+// Scalar is a secret scalar on limbs.
+type Scalar struct{ l [4]uint64 }
+
+// ScalarBytes encodes k at a fixed width.
+func (c *Curve) ScalarBytes(k Scalar) []byte {
+	b := make([]byte, 32)
+	for i := range b {
+		b[31-i] = byte(k.l[i/8] >> (8 * (i % 8)))
+	}
+	return b
+}
+
 // ScalarMult is the variable-time multiplier.
 func (c *Curve) ScalarMult(p Point, k *big.Int) Point { _ = k; return p }
 
 // ScalarMultSecret is the constant-schedule multiplier.
-func (c *Curve) ScalarMultSecret(p Point, k *big.Int) Point { _ = k; return p }
+func (c *Curve) ScalarMultSecret(p Point, k Scalar) Point { _ = k; return p }
 `)
 	write("pairing/pairing.go", `// Package pairing mimics the pairing layer's shape.
 package pairing
 
 import (
 	"io"
-	"math/big"
 
 	"scratchvartime/ec"
 )
@@ -187,17 +199,18 @@ import (
 type System struct{ Curve *ec.Curve }
 
 // RandomScalar draws a uniform scalar: a ctflow source.
-func (s *System) RandomScalar(r io.Reader) (*big.Int, error) {
+func (s *System) RandomScalar(r io.Reader) (ec.Scalar, error) {
 	_ = r
-	return big.NewInt(7), nil
+	return ec.Scalar{}, nil
 }
 `)
 	write("kem/kem.go", `// Package kem seeds the cross-package violation: the encapsulation
-// randomness reaches ScalarMult through a helper in another package.
+// randomness leaves the limb domain for math/big.
 package kem
 
 import (
 	"crypto/rand"
+	"math/big"
 
 	"scratchvartime/ec"
 	"scratchvartime/pairing"
@@ -209,7 +222,8 @@ func Encapsulate(sys *pairing.System, base ec.Point) (ec.Point, error) {
 	if err != nil {
 		return ec.Point{}, err
 	}
-	return sys.Curve.ScalarMult(base, r), nil
+	k := new(big.Int).SetBytes(sys.Curve.ScalarBytes(r))
+	return sys.Curve.ScalarMult(base, k), nil
 }
 `)
 
@@ -226,8 +240,10 @@ func Encapsulate(sys *pairing.System, base ec.Point) (ec.Point, error) {
 	if !strings.Contains(string(out), "[ctflow]") {
 		t.Fatalf("mwslint output does not name ctflow:\n%s", out)
 	}
-	if !strings.Contains(string(out), "a secret scalar flows into variable-time ec.ScalarMult") {
-		t.Fatalf("mwslint output does not describe the scalar reaching ec.ScalarMult:\n%s", out)
+	for _, callee := range []string{"math/big.SetBytes", "ec.ScalarMult"} {
+		if !strings.Contains(string(out), "a secret scalar flows into variable-time "+callee) {
+			t.Fatalf("mwslint output does not describe the scalar reaching %s:\n%s", callee, out)
+		}
 	}
 }
 

@@ -586,7 +586,7 @@ func BenchmarkDepositAuthModes(b *testing.B) {
 // distributed 3-of-5 threshold extraction (§VIII future work).
 func BenchmarkThresholdExtract(b *testing.B) {
 	_, params, master := fixtures(b)
-	shares, err := tpkg.Split(master, 3, 5, params.Sys.Curve.Q, rand.Reader)
+	shares, err := tpkg.Split(master, 3, 5, params.Sys, rand.Reader)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,7 +16,6 @@
 package tpkg
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -24,13 +23,14 @@ import (
 
 	"mwskit/internal/bfibe"
 	"mwskit/internal/ec"
+	"mwskit/internal/pairing"
 )
 
 // Share is one server's slice of the master secret: the evaluation
 // f(Index) of the sharing polynomial.
 type Share struct {
 	Index  uint32 // x-coordinate, ≥ 1
-	Scalar *big.Int
+	Scalar ec.Scalar
 }
 
 // Partial is one server's contribution to an extraction.
@@ -40,45 +40,56 @@ type Partial struct {
 }
 
 // Split shares the master secret among n servers with threshold t
-// (any t of the n shares suffice; t−1 reveal nothing).
-//
-//mwslint:ignore ctflow key-ceremony boundary: Horner evaluation works the secret coefficients with math/big, but Split runs once at setup inside the PKG quorum, not on any request path
-func Split(master *bfibe.MasterKey, t, n int, q *big.Int, rng io.Reader) ([]Share, error) {
+// (any t of the n shares suffice; t−1 reveal nothing). The coefficients
+// and the evaluations f(i) are secret scalars and stay on limbs: Horner's
+// rule multiplies by the public index i with mulSmall.
+func Split(master *bfibe.MasterKey, t, n int, sys *pairing.System, rng io.Reader) ([]Share, error) {
 	if t < 1 || n < t {
 		return nil, fmt.Errorf("tpkg: invalid threshold %d of %d", t, n)
 	}
-	if master == nil || q == nil {
-		return nil, errors.New("tpkg: nil master or group order")
+	if master == nil || sys == nil {
+		return nil, errors.New("tpkg: nil master or pairing system")
 	}
 	// coeffs[0] = s; coeffs[1..t-1] random.
-	coeffs := make([]*big.Int, t)
-	coeffs[0] = master.S()
+	coeffs := make([]ec.Scalar, t)
+	var err error
+	if coeffs[0], err = sys.Curve.ScalarFromBytes(bfibe.MarshalMasterKey(sys, master)); err != nil {
+		return nil, err
+	}
 	for i := 1; i < t; i++ {
-		c, err := rand.Int(rng, q)
-		if err != nil {
+		if coeffs[i], err = sys.RandomScalar(rng); err != nil {
 			return nil, err
 		}
-		coeffs[i] = c
 	}
 	shares := make([]Share, n)
 	for i := 1; i <= n; i++ {
-		x := big.NewInt(int64(i))
-		// Horner evaluation of f(x) mod q.
-		acc := new(big.Int)
+		// Horner evaluation of f(i) mod q.
+		var acc ec.Scalar
 		for j := t - 1; j >= 0; j-- {
-			acc.Mul(acc, x)
-			acc.Add(acc, coeffs[j])
-			acc.Mod(acc, q)
+			acc = sys.Curve.ScalarAdd(mulSmall(sys.Curve, acc, uint32(i)), coeffs[j])
 		}
 		shares[i-1] = Share{Index: uint32(i), Scalar: acc}
 	}
 	return shares, nil
 }
 
+// mulSmall returns x·k mod q by double-and-add over the bits of the
+// public x, on ScalarAdd alone.
+func mulSmall(c *ec.Curve, k ec.Scalar, x uint32) ec.Scalar {
+	var r ec.Scalar
+	for bit := 31; bit >= 0; bit-- {
+		r = c.ScalarAdd(r, r)
+		if x>>bit&1 == 1 {
+			r = c.ScalarAdd(r, k)
+		}
+	}
+	return r
+}
+
 // PartialExtract computes this share's contribution f(i)·Q_ID for the
 // given identity. It runs at share server i and never sees s.
 func (sh Share) PartialExtract(p *bfibe.Params, identity []byte) (Partial, error) {
-	if sh.Scalar == nil || sh.Index == 0 {
+	if sh.Index == 0 {
 		return Partial{}, errors.New("tpkg: uninitialized share")
 	}
 	q, err := p.HashIdentity(identity)

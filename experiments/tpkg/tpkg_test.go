@@ -3,7 +3,6 @@ package tpkg
 import (
 	"bytes"
 	"crypto/rand"
-	"math/big"
 	"sync"
 	"testing"
 
@@ -32,14 +31,14 @@ func env(t testing.TB) (*bfibe.Params, *bfibe.MasterKey) {
 
 func TestSplitValidation(t *testing.T) {
 	p, m := env(t)
-	q := p.Sys.Curve.Q
-	if _, err := Split(m, 0, 3, q, rand.Reader); err == nil {
+	sys := p.Sys
+	if _, err := Split(m, 0, 3, sys, rand.Reader); err == nil {
 		t.Error("t=0 accepted")
 	}
-	if _, err := Split(m, 4, 3, q, rand.Reader); err == nil {
+	if _, err := Split(m, 4, 3, sys, rand.Reader); err == nil {
 		t.Error("t>n accepted")
 	}
-	if _, err := Split(nil, 2, 3, q, rand.Reader); err == nil {
+	if _, err := Split(nil, 2, 3, sys, rand.Reader); err == nil {
 		t.Error("nil master accepted")
 	}
 }
@@ -47,7 +46,7 @@ func TestSplitValidation(t *testing.T) {
 func TestThresholdExtractionMatchesDirect(t *testing.T) {
 	p, m := env(t)
 	const threshold, n = 3, 5
-	shares, err := Split(m, threshold, n, p.Sys.Curve.Q, rand.Reader)
+	shares, err := Split(m, threshold, n, p.Sys, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func TestThresholdExtractionMatchesDirect(t *testing.T) {
 
 func TestCombinedKeyDecrypts(t *testing.T) {
 	p, m := env(t)
-	shares, err := Split(m, 2, 3, p.Sys.Curve.Q, rand.Reader)
+	shares, err := Split(m, 2, 3, p.Sys, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestCombinedKeyDecrypts(t *testing.T) {
 
 func TestUnderThresholdFails(t *testing.T) {
 	p, m := env(t)
-	shares, err := Split(m, 3, 5, p.Sys.Curve.Q, rand.Reader)
+	shares, err := Split(m, 3, 5, p.Sys, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,20 +146,20 @@ func TestUnderThresholdFails(t *testing.T) {
 
 func TestSingleShareRevealsNothingUsable(t *testing.T) {
 	p, m := env(t)
-	shares, err := Split(m, 2, 3, p.Sys.Curve.Q, rand.Reader)
+	shares, err := Split(m, 2, 3, p.Sys, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A single share scalar is a point on a random line through s — it
 	// must not equal s (probability ~2⁻¹²⁸ if it did by chance).
-	if shares[0].Scalar.Cmp(m.S()) == 0 {
+	if bytes.Equal(p.Sys.Curve.ScalarBytes(shares[0].Scalar), bfibe.MarshalMasterKey(p.Sys, m)) {
 		t.Fatal("share equals the master secret")
 	}
 }
 
 func TestCombineValidation(t *testing.T) {
 	p, m := env(t)
-	shares, err := Split(m, 2, 3, p.Sys.Curve.Q, rand.Reader)
+	shares, err := Split(m, 2, 3, p.Sys, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,12 +181,12 @@ func TestCombineValidation(t *testing.T) {
 func TestThresholdOne(t *testing.T) {
 	// t=1 degenerates to plain replication: each share IS the secret.
 	p, m := env(t)
-	shares, err := Split(m, 1, 3, p.Sys.Curve.Q, rand.Reader)
+	shares, err := Split(m, 1, 3, p.Sys, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sh := range shares {
-		if sh.Scalar.Cmp(m.S()) != 0 {
+		if !bytes.Equal(p.Sys.Curve.ScalarBytes(sh.Scalar), bfibe.MarshalMasterKey(p.Sys, m)) {
 			t.Fatal("t=1 share differs from master")
 		}
 	}
@@ -195,11 +194,11 @@ func TestThresholdOne(t *testing.T) {
 
 func TestVerifyAgainstMasterDetectsCorruption(t *testing.T) {
 	p, m := env(t)
-	shares, err := Split(m, 2, 3, p.Sys.Curve.Q, rand.Reader)
+	shares, err := Split(m, 2, 3, p.Sys, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares[1].Scalar.Add(shares[1].Scalar, big.NewInt(1))
+	shares[1].Scalar = p.Sys.Curve.ScalarAdd(shares[1].Scalar, shares[1].Scalar) // 2·f(2) ≠ f(2): shares are non-zero
 	if err := VerifyAgainstMaster(p, shares[:2]); err == nil {
 		t.Fatal("corrupted share set verified")
 	}

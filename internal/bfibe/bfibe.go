@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 	"sync"
 
 	"mwskit/internal/ec"
@@ -69,22 +68,10 @@ func (p *Params) GIDCacheLen() int { return p.gid.size() }
 // uncached path.
 func (p *Params) SetGIDCacheCap(n int) { p.gid.setCap(n) }
 
-// MasterKey is the PKG's master secret s. It never leaves the PKG.
+// MasterKey is the PKG's master secret s ∈ [1, q−1]. It never leaves the
+// PKG; Setup and UnmarshalMasterKey are its only makers.
 type MasterKey struct {
-	s *big.Int
-}
-
-// S returns a copy of the master scalar (for persistence inside the PKG).
-//
-//mwslint:ignore ctflow persistence boundary: the master scalar leaves the limb domain as a big.Int only to be serialized by the PKG's own storage, not to enter arithmetic
-func (m *MasterKey) S() *big.Int { return new(big.Int).Set(m.s) }
-
-// MasterKeyFromScalar reconstructs a master key from persisted state.
-func MasterKeyFromScalar(s *big.Int) (*MasterKey, error) {
-	if s == nil || s.Sign() <= 0 {
-		return nil, errors.New("bfibe: master scalar must be positive")
-	}
-	return &MasterKey{s: new(big.Int).Set(s)}, nil
+	s ec.Scalar
 }
 
 // PrivateKey is an extracted identity key d_ID = s·Q_ID.
@@ -116,6 +103,15 @@ func ParamsFromMaster(sys *pairing.System, mk *MasterKey) *Params {
 // (the BF "MapToPoint" H1).
 func (p *Params) HashIdentity(id []byte) (ec.Point, error) {
 	return p.Sys.Curve.HashToSubgroup(identityDomain, id)
+}
+
+// HashToScalar hashes the inputs into [1, q−1]: H3 of the Fujisaki–Okamoto
+// transform (r = H3(σ, M)) and the IBS challenge. kdf expands the inputs
+// to 64 bits beyond q's size and the curve reduces them on limbs, so a
+// scalar derived from a secret σ is never a math/big value.
+func (p *Params) HashToScalar(domain string, parts ...[]byte) ec.Scalar {
+	c := p.Sys.Curve
+	return c.ScalarFromWide(kdf.ScalarSeed(domain, c.ScalarLen()+8, parts...))
 }
 
 // Extract runs the BF Extract algorithm at the PKG: d_ID = s·Q_ID.
@@ -320,7 +316,7 @@ func (p *Params) EncryptFull(id, msg []byte, rng io.Reader) (*CiphertextFull, er
 	}
 	// r is secret (it determines the pad), so even this hash-derived
 	// scalar takes the constant-schedule fixed-base path.
-	r := kdf.ToScalar("mwskit/bfibe/h3", p.Sys.Curve.Q, sigma, msg)
+	r := p.HashToScalar("mwskit/bfibe/h3", sigma, msg)
 	u := p.Sys.G1Comb().Mul(r)
 	pad := p.Sys.GTExpSecret(g, r)
 	return &CiphertextFull{
@@ -345,7 +341,7 @@ func (p *Params) DecryptFull(sk *PrivateKey, ct *CiphertextFull) ([]byte, error)
 	pad := p.Sys.Pair(sk.D, ct.U)
 	sigma := kdf.Mask("mwskit/bfibe/h2", pad.Bytes(), ct.V)
 	msg := kdf.Mask("mwskit/bfibe/h4", sigma, ct.W)
-	r := kdf.ToScalar("mwskit/bfibe/h3", p.Sys.Curve.Q, sigma, msg)
+	r := p.HashToScalar("mwskit/bfibe/h3", sigma, msg)
 	uCheck := p.Sys.G1Comb().Mul(r)
 	if !uCheck.Equal(ct.U) {
 		return nil, ErrDecrypt

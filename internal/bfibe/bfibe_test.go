@@ -3,9 +3,11 @@ package bfibe
 import (
 	"bytes"
 	"crypto/rand"
+	"math/big"
 	"sync"
 	"testing"
 
+	"mwskit/internal/kdf"
 	"mwskit/internal/pairing"
 )
 
@@ -28,6 +30,12 @@ func testSetup(t *testing.T) (*Params, *MasterKey) {
 	return tParams, tMaster
 }
 
+// masterBig returns the master scalar as the big.Int the public
+// reference multiplier takes.
+func masterBig(p *Params, mk *MasterKey) *big.Int {
+	return new(big.Int).SetBytes(MarshalMasterKey(p.Sys, mk))
+}
+
 func TestSetupProducesValidParams(t *testing.T) {
 	p, mk := testSetup(t)
 	if p.PPub.Inf {
@@ -36,11 +44,12 @@ func TestSetupProducesValidParams(t *testing.T) {
 	if !p.Sys.Curve.IsOnCurve(p.PPub) {
 		t.Fatal("P_pub off curve")
 	}
-	if mk.S().Sign() <= 0 || mk.S().Cmp(p.Sys.Curve.Q) >= 0 {
+	s := masterBig(p, mk)
+	if s.Sign() <= 0 || s.Cmp(p.Sys.Curve.Q) >= 0 {
 		t.Fatal("master scalar out of range")
 	}
 	// P_pub really is s·P.
-	if !p.Sys.Curve.ScalarMult(p.Sys.G1(), mk.S()).Equal(p.PPub) {
+	if !p.Sys.Curve.ScalarMult(p.Sys.G1(), s).Equal(p.PPub) {
 		t.Fatal("P_pub != sP")
 	}
 }
@@ -84,7 +93,7 @@ func TestExtractKeyIsScalarMultipleOfQID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Sys.Curve.ScalarMult(q, mk.S()).Equal(sk.D) {
+	if !p.Sys.Curve.ScalarMult(q, masterBig(p, mk)).Equal(sk.D) {
 		t.Fatal("d_ID != s·Q_ID")
 	}
 	if !bytes.Equal(sk.ID, id) {
@@ -298,22 +307,47 @@ func TestFullIdentRejectsTampering(t *testing.T) {
 	})
 }
 
+// TestHashToScalarMatchesBigReference holds H3 to the value earlier
+// versions computed in math/big, (seed mod (q−1)) + 1 over the same
+// expansion: FullIdent ciphertexts and IBS signatures made before still
+// check.
+func TestHashToScalarMatchesBigReference(t *testing.T) {
+	p, _ := testSetup(t)
+	c := p.Sys.Curve
+	qm1 := new(big.Int).Sub(c.Q, big.NewInt(1))
+	for i := 0; i < 64; i++ {
+		parts := [][]byte{{byte(i)}, bytes.Repeat([]byte{0xa5}, i)}
+		want := new(big.Int).SetBytes(kdf.ScalarSeed("d", (c.Q.BitLen()+7)/8+8, parts...))
+		want.Mod(want, qm1).Add(want, big.NewInt(1))
+		if got := new(big.Int).SetBytes(c.ScalarBytes(p.HashToScalar("d", parts...))); got.Cmp(want) != 0 {
+			t.Fatalf("HashToScalar(%d) = %v, want %v", i, got, want)
+		}
+	}
+}
+
 func TestMasterKeyPersistence(t *testing.T) {
 	p, mk := testSetup(t)
-	enc := MarshalMasterKey(mk)
-	back, err := UnmarshalMasterKey(enc)
+	enc := MarshalMasterKey(p.Sys, mk)
+	if len(enc) != p.Sys.Curve.ScalarLen() {
+		t.Fatalf("master key encoded in %d bytes, want the fixed %d", len(enc), p.Sys.Curve.ScalarLen())
+	}
+	back, err := UnmarshalMasterKey(p.Sys, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.S().Cmp(mk.S()) != 0 {
+	if back.s != mk.s {
 		t.Fatal("master key round trip changed the scalar")
+	}
+	// The minimal-length encoding earlier versions wrote still opens.
+	if old, err := UnmarshalMasterKey(p.Sys, masterBig(p, mk).Bytes()); err != nil || old.s != mk.s {
+		t.Fatalf("minimal-length master key: %v", err)
 	}
 	// Rebuilt params must match the originals.
 	p2 := ParamsFromMaster(p.Sys, back)
 	if !p2.PPub.Equal(p.PPub) {
 		t.Fatal("rebuilt P_pub differs")
 	}
-	if _, err := UnmarshalMasterKey(nil); err == nil {
+	if _, err := UnmarshalMasterKey(p.Sys, nil); err == nil {
 		t.Fatal("empty master key accepted")
 	}
 }
@@ -399,8 +433,21 @@ func TestCiphertextFullSerialization(t *testing.T) {
 	}
 }
 
+// TestMasterKeyFromScalarRejectsBad holds the master-key decoder to
+// [1, q−1]: s ≡ 0 (mod q) would publish P_pub = ∞ and make every g_ID 1.
 func TestMasterKeyFromScalarRejectsBad(t *testing.T) {
-	if _, err := MasterKeyFromScalar(nil); err == nil {
-		t.Error("nil scalar accepted")
+	p, _ := testSetup(t)
+	q, n := p.Sys.Curve.Q, p.Sys.Curve.ScalarLen()
+	for name, b := range map[string][]byte{
+		"zero":      make([]byte, n),
+		"q":         q.Bytes(),
+		"q+1":       new(big.Int).Add(q, big.NewInt(1)).Bytes(),
+		"2q":        new(big.Int).Lsh(q, 1).Bytes(),
+		"over-long": append(make([]byte, n), 1),
+		"201 bytes": append(make([]byte, 200), 1),
+	} {
+		if _, err := UnmarshalMasterKey(p.Sys, b); err == nil {
+			t.Errorf("%s accepted as a master key", name)
+		}
 	}
 }

@@ -76,11 +76,11 @@ func TestGoldenGID(t *testing.T) {
 			t.Fatalf("golden preset %q no longer exists", name)
 		}
 		s, _ := new(big.Int).SetString(v.Master, 16)
-		mk, err := bfibe.MasterKeyFromScalar(s)
+		sys := pp.MustSystem()
+		mk, err := bfibe.UnmarshalMasterKey(sys, s.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys := pp.MustSystem()
 		for _, cacheCap := range []int{256, 0} {
 			p := bfibe.ParamsFromMaster(sys, mk)
 			p.SetGIDCacheCap(cacheCap)

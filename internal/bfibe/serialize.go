@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/big"
 
 	"mwskit/internal/pairing"
 )
@@ -115,19 +114,29 @@ func UnmarshalCiphertextFull(p *Params, b []byte) (*CiphertextFull, error) {
 	return &CiphertextFull{U: pt, V: vCopy, W: w}, nil
 }
 
-// MarshalMasterKey encodes the master scalar for PKG persistence.
-//
-//mwslint:ignore ctflow persistence boundary: big.Bytes on the master scalar is length-dependent, but the encoding only ever reaches the PKG's own sealed storage
-func MarshalMasterKey(mk *MasterKey) []byte {
-	return mk.s.Bytes()
+// MarshalMasterKey encodes the master scalar for PKG persistence,
+// big-endian at the curve's fixed scalar width.
+func MarshalMasterKey(sys *pairing.System, mk *MasterKey) []byte {
+	return sys.Curve.ScalarBytes(mk.s)
 }
 
-// UnmarshalMasterKey decodes a persisted master scalar.
-func UnmarshalMasterKey(b []byte) (*MasterKey, error) {
-	if len(b) == 0 {
-		return nil, errors.New("bfibe: empty master key")
+// UnmarshalMasterKey decodes a persisted master scalar: a big-endian
+// value of at most the curve's scalar width (earlier versions wrote it
+// without leading zero bytes) in [1, q−1]. A longer input, zero, or a
+// value not below q is refused — s ≡ 0 would publish P_pub = ∞.
+func UnmarshalMasterKey(sys *pairing.System, b []byte) (*MasterKey, error) {
+	n := sys.Curve.ScalarLen()
+	if len(b) > n {
+		return nil, fmt.Errorf("bfibe: master key of %d bytes, want at most %d", len(b), n)
 	}
-	return MasterKeyFromScalar(new(big.Int).SetBytes(b))
+	s, err := sys.Curve.ScalarFromBytes(append(make([]byte, n-len(b)), b...))
+	if err != nil {
+		return nil, fmt.Errorf("bfibe: master key: %w", err)
+	}
+	if s.IsZero() {
+		return nil, errors.New("bfibe: master key is zero")
+	}
+	return &MasterKey{s: s}, nil
 }
 
 func appendChunk(dst, chunk []byte) []byte {

@@ -110,7 +110,7 @@ func BenchmarkCoordinates(b *testing.B) {
 func BenchmarkCombMul(b *testing.B) {
 	c, g := benchCurve(b)
 	comb := c.NewComb(g)
-	k, err := rand.Int(rand.Reader, benchQ)
+	k, err := c.RandomScalar(rand.Reader)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package ec
 
 import (
-	"math/big"
-
 	"mwskit/internal/ff"
 	"mwskit/internal/obsv"
 )
@@ -41,7 +39,7 @@ func (c *Curve) NewComb(base Point) *Comb {
 	if base.Inf {
 		return t
 	}
-	n := c.secretDigits()
+	n := c.sc.digits
 	b := c.toJacobian(base)
 	for i := 0; i < n; i++ {
 		t.tbl = append(t.tbl, c.oddMultiples(b)...)
@@ -70,7 +68,7 @@ func (c *Curve) NewComb(base Point) *Comb {
 func (t *Comb) Base() Point { return t.base }
 
 // Mul returns k·base with a scalar-independent operation schedule:
-// secretDigits() table selections and secretDigits()−1 additions for
+// one table selection per digit of the recoding and one addition fewer, for
 // every k. Suitable for secret scalars.
 //
 // Window lemma: before window m the accumulator is S·B, S = Σ_{i<m} d_i·16^i
@@ -81,14 +79,14 @@ func (t *Comb) Base() Point { return t.base }
 // neither equal nor opposite, for any scalar: mixed addition is exact there
 // without exceptional cases. The top windows keep jacAddSecret; the choice
 // reads the public window index only.
-func (t *Comb) Mul(k *big.Int) Point {
+func (t *Comb) Mul(k Scalar) Point {
 	obsv.AddScalarMultSecret()
 	//mwslint:declassify the infinity flag of the precomputed base is public
 	if t.base.Inf {
 		return t.c.Infinity()
 	}
 	c := t.c
-	digits, safe := c.recodeSecret(k), (c.Q.BitLen()-1)/secretWindow-1
+	digits, safe := c.RecodeSecretScalar(k), (c.Q.BitLen()-1)/secretWindow-1
 	r := selectSigned(t.tbl[:combRow], digits[0])
 	for i := 1; i < len(digits); i++ {
 		e := selectSigned(t.tbl[i*combRow:][:combRow], digits[i])

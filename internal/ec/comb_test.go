@@ -15,25 +15,31 @@ var (
 	presetTestQ, _ = new(big.Int).SetString("295790843914753428982384584317181214427", 10)
 )
 
-// combCurves returns the curves the comb tests run on, each with a base of
-// order q: the q = 263 curve, where one window is provably exception-free
-// and the top-window path carries the other two additions, and the two
-// preset sizes the daemons run.
+// testCurves returns the curves the scalar and comb tests run on: the
+// q = 263 curve and the two preset sizes the daemons run.
+func testCurves(t testing.TB) map[string]*Curve {
+	t.Helper()
+	return map[string]*Curve{
+		"q263": smallCurve(t),
+		"test": MustCurve(ff.MustField(presetTestP), presetTestQ),
+		"bf80": MustCurve(ff.MustField(benchP), benchQ),
+	}
+}
+
+// combCurves returns a comb over a base of order q on each test curve; on
+// q = 263 one window is provably exception-free and the top-window path
+// carries the other two additions.
 func combCurves(t *testing.T) map[string]*Comb {
 	t.Helper()
 	out := map[string]*Comb{}
-	small := smallCurve(t)
-	out["q263"] = small.NewComb(subgroupGen(t, small))
-	for name, pq := range map[string][2]*big.Int{"test": {presetTestP, presetTestQ}, "bf80": {benchP, benchQ}} {
-		c := MustCurve(ff.MustField(pq[0]), pq[1])
+	for name, c := range testCurves(t) {
 		out[name] = c.NewComb(subgroupGen(t, c))
 	}
 	return out
 }
 
 // TestCombExhaustive checks Comb.Mul(k) against repeated addition for
-// every k in [0, 3q] — the whole range of normalized scalars — and every
-// base of the order-263 subgroup, so each digit pattern meets both the
+// every scalar k in [0, q) and every base of the order-263 subgroup, so each digit pattern meets both the
 // mixed addition and the masked one on every point it can meet.
 func TestCombExhaustive(t *testing.T) {
 	c := smallCurve(t)
@@ -42,8 +48,8 @@ func TestCombExhaustive(t *testing.T) {
 	for b := int64(1); b < smallQ.Int64(); b++ {
 		comb := c.NewComb(base)
 		want := c.Infinity()
-		for k := int64(0); k <= 3*smallQ.Int64(); k++ {
-			if got := comb.Mul(big.NewInt(k)); !got.Equal(want) {
+		for k := int64(0); k < smallQ.Int64(); k++ {
+			if got := comb.Mul(scalarOf(t, c, big.NewInt(k))); !got.Equal(want) {
 				t.Fatalf("base %d·g: Comb.Mul(%d) = %v, want %v", b, k, got, want)
 			}
 			want = c.Add(want, base)
@@ -58,7 +64,7 @@ func TestCombExhaustive(t *testing.T) {
 func TestCombTableAffine(t *testing.T) {
 	for name, comb := range combCurves(t) {
 		c := comb.c
-		if n := c.secretDigits() * combRow; len(comb.tbl) != n {
+		if n := c.sc.digits * combRow; len(comb.tbl) != n {
 			t.Fatalf("%s: table has %d entries, want %d", name, len(comb.tbl), n)
 		}
 		one := c.F.One()
@@ -89,7 +95,7 @@ func TestCombEdgeScalars(t *testing.T) {
 		off := func(d int64) *big.Int { return new(big.Int).Add(q, big.NewInt(d)) }
 		ks := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), off(-2), off(-1), q,
 			new(big.Int).Rsh(off(-1), 1), new(big.Int).Rsh(off(1), 1)}
-		for m := 1; m < c.secretDigits(); m++ {
+		for m := 1; m < c.sc.digits; m++ {
 			for _, d := range []int64{-1, 0, 1} {
 				ks = append(ks, new(big.Int).Add(new(big.Int).Lsh(big.NewInt(1), uint(secretWindow*m)), big.NewInt(d)))
 			}
@@ -102,7 +108,7 @@ func TestCombEdgeScalars(t *testing.T) {
 			ks = append(ks, k)
 		}
 		for _, k := range ks {
-			if got, want := comb.Mul(k), c.ScalarMult(comb.base, k); !got.Equal(want) {
+			if got, want := comb.Mul(scalarOf(t, c, k)), c.ScalarMult(comb.base, k); !got.Equal(want) {
 				t.Fatalf("%s: Comb.Mul(%v) = %v, want %v", name, k, got, want)
 			}
 		}

@@ -15,7 +15,7 @@ var (
 	smallQ = big.NewInt(263)
 )
 
-func smallCurve(t *testing.T) *Curve {
+func smallCurve(t testing.TB) *Curve {
 	t.Helper()
 	f, err := ff.NewField(smallP)
 	if err != nil {

@@ -1,8 +1,6 @@
 package ec
 
 import (
-	"math/big"
-
 	"mwskit/internal/ff"
 	"mwskit/internal/obsv"
 )
@@ -25,11 +23,10 @@ import (
 // ladder's additions use jacAddSecret, whose exceptional cases resolve by
 // masked selects rather than branches.
 //
-// The guarantee is end-to-end down to the limb level: scalar recoding
-// runs on fixed-size limb arrays (scalar.go), point arithmetic runs on
-// internal/ff's fixed-limb Montgomery representation, and no operation
-// after the scalarToLimbs bridge branches or indexes on secret data. The
-// former math/big caveat (schedule-only constant time) is retired; see
+// The guarantee is end-to-end down to the limb level: a Scalar is limbs
+// from the bytes it was made from (scalar.go), recoding runs on those
+// limbs, point arithmetic runs on internal/ff's fixed-limb Montgomery
+// representation, and nothing branches or indexes on secret data; see
 // DESIGN.md §14 for the constant-time contract of the field layer.
 //
 // The same recoding drives the fixed-base Comb in comb.go.
@@ -38,13 +35,6 @@ import (
 // for the preset sizes: 8 precomputed points per (table, window) against
 // one addition per 4 bits of scalar.
 const secretWindow = 4
-
-// secretDigits returns the number of signed digits a normalized scalar
-// decomposes into for this curve: enough windows to cover scalars up to
-// 3q plus the final carry digit.
-func (c *Curve) secretDigits() int {
-	return c.sc.digits
-}
 
 // selectSigned returns d·P for an odd digit d, where tbl[j] = (2j+1)·P.
 // The table is scanned in full with a branch-free equality mask per
@@ -77,9 +67,22 @@ func (c *Curve) oddMultiples(base jacPoint) []jacPoint {
 	return tbl
 }
 
-// ladderSecret evaluates Σ digits[i]·2^(4i) · tbl, the shared core of
-// ScalarMultSecret and ScalarMultSecretSum.
-func (c *Curve) ladderSecret(tbl []jacPoint, digits []int64) Point {
+// ScalarMultSecret returns k·p for a point p of the order-q subgroup,
+// with an instruction trace and memory access pattern independent of k:
+// the same count of doublings, masked additions, and full-table scans for
+// every k. Use it whenever the scalar is secret (master keys,
+// encapsulation randomness, threshold shares); for public scalars
+// ScalarMult is faster. p must lie in the order-q subgroup (everywhere a
+// secret scalar arises in this codebase the base point does); for points
+// outside it the result is (k + {q,2q})·p, which is not k·p.
+func (c *Curve) ScalarMultSecret(p Point, k Scalar) Point {
+	obsv.AddScalarMultSecret()
+	//mwslint:declassify the infinity guard branches on the base point, which is public (hashed identities, the generator) even when the scalar is secret
+	if p.Inf {
+		return c.Infinity()
+	}
+	digits := c.RecodeSecretScalar(k)
+	tbl := c.oddMultiples(c.toJacobian(p))
 	r := selectSigned(tbl, digits[len(digits)-1])
 	for i := len(digits) - 2; i >= 0; i-- {
 		for s := 0; s < secretWindow; s++ {
@@ -88,39 +91,4 @@ func (c *Curve) ladderSecret(tbl []jacPoint, digits []int64) Point {
 		r = c.jacAddSecret(r, selectSigned(tbl, digits[i]))
 	}
 	return c.fromJacobian(r)
-}
-
-// ScalarMultSecret returns k·p for a point p of the order-q subgroup,
-// with an instruction trace and memory access pattern independent of k:
-// the same count of doublings, masked additions, and full-table scans for
-// every k. Use it whenever the scalar is secret (master keys,
-// encapsulation randomness, threshold shares); for public scalars
-// ScalarMult is faster. p must lie in the order-q subgroup (everywhere a
-// secret scalar arises in this codebase the base point does); for points
-// outside it the result is (k mod q + {q,2q})·p, which is not k·p.
-func (c *Curve) ScalarMultSecret(p Point, k *big.Int) Point {
-	obsv.AddScalarMultSecret()
-	//mwslint:declassify the infinity guard branches on the base point, which is public (hashed identities, the generator) even when the scalar is secret
-	if p.Inf {
-		return c.Infinity()
-	}
-	digits := c.recodeSecret(k)
-	tbl := c.oddMultiples(c.toJacobian(p))
-	return c.ladderSecret(tbl, digits)
-}
-
-// ScalarMultSecretSum returns ((k1 + k2) mod q)·p with the same
-// constant-time contract as ScalarMultSecret. The sum is formed in the
-// limb domain (recodeSecretSum), so signature responses like
-// (r + h)·sk.D in internal/ibs never round-trip a secret-derived sum
-// through math/big arithmetic.
-func (c *Curve) ScalarMultSecretSum(p Point, k1, k2 *big.Int) Point {
-	obsv.AddScalarMultSecret()
-	//mwslint:declassify the infinity guard branches on the base point, which is public even when the scalars are secret
-	if p.Inf {
-		return c.Infinity()
-	}
-	digits := c.recodeSecretSum(k1, k2)
-	tbl := c.oddMultiples(c.toJacobian(p))
-	return c.ladderSecret(tbl, digits)
 }

@@ -6,10 +6,23 @@ import (
 	"testing"
 )
 
+// scalarOf returns k mod q as a Scalar, through the byte decoder.
+func scalarOf(t testing.TB, c *Curve, k *big.Int) Scalar {
+	t.Helper()
+	s, err := c.ScalarFromBytes(new(big.Int).Mod(k, c.Q).FillBytes(make([]byte, c.ScalarLen())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// bigOf returns k as a big.Int, through the byte encoder.
+func bigOf(c *Curve, k Scalar) *big.Int { return new(big.Int).SetBytes(c.ScalarBytes(k)) }
+
 // TestMultipliersAgree cross-checks every multiplier — sliding-window
 // ScalarMult, constant-schedule ScalarMultSecret, fixed-base Comb.Mul —
-// against the reference double-and-add, over the edge cases the secret
-// path's normalization has to survive (k = 0, k < 0, k = q, k > q) and a
+// against the reference double-and-add, over the edge cases (k = 0,
+// k < 0, k = q, k > q; the secret paths take them reduced mod q) and a
 // spread of random scalars beyond q.
 func TestMultipliersAgree(t *testing.T) {
 	c := smallCurve(t)
@@ -44,12 +57,12 @@ func TestMultipliersAgree(t *testing.T) {
 		if got := c.ScalarMult(g, k); !got.Equal(want) {
 			t.Fatalf("ScalarMult(g, %v) = %v, want %v", k, got, want)
 		}
-		// The secret paths compute (k mod q)·g, which equals k·g for any
-		// point of order q — including every case above.
-		if got := c.ScalarMultSecret(g, k); !got.Equal(want) {
+		// (k mod q)·g equals k·g for any point of order q.
+		ks := scalarOf(t, c, k)
+		if got := c.ScalarMultSecret(g, ks); !got.Equal(want) {
 			t.Fatalf("ScalarMultSecret(g, %v) = %v, want %v", k, got, want)
 		}
-		if got := comb.Mul(k); !got.Equal(want) {
+		if got := comb.Mul(ks); !got.Equal(want) {
 			t.Fatalf("Comb.Mul(%v) = %v, want %v", k, got, want)
 		}
 	}
@@ -63,12 +76,12 @@ func TestMultipliersAtInfinity(t *testing.T) {
 		if !c.ScalarMult(inf, k).Inf {
 			t.Errorf("ScalarMult(∞, %v) not ∞", k)
 		}
-		if !c.ScalarMultSecret(inf, k).Inf {
+		if !c.ScalarMultSecret(inf, scalarOf(t, c, k)).Inf {
 			t.Errorf("ScalarMultSecret(∞, %v) not ∞", k)
 		}
 	}
 	comb := c.NewComb(inf)
-	if !comb.Mul(big.NewInt(5)).Inf {
+	if !comb.Mul(scalarOf(t, c, big.NewInt(5))).Inf {
 		t.Error("Comb over ∞ must return ∞")
 	}
 	if !comb.Base().Inf {
@@ -97,16 +110,16 @@ func TestScalarMultOffSubgroupPoint(t *testing.T) {
 // odd representative kmod + q·2^(kmod mod 2) ∈ (0, 3q].
 func TestRecodeSignedRoundTrip(t *testing.T) {
 	c := smallCurve(t)
-	n := c.secretDigits()
+	n := c.sc.digits
 	threeQ := new(big.Int).Mul(c.Q, big.NewInt(3))
 	for i := 0; i < 500; i++ {
-		k, err := rand.Int(rand.Reader, new(big.Int).Lsh(c.Q, 1))
+		k, err := rand.Int(rand.Reader, c.Q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		digits := c.recodeSecret(k)
+		digits := c.RecodeSecretScalar(scalarOf(t, c, k))
 		if len(digits) != n {
-			t.Fatalf("recodeSecret(%v): %d digits, want %d", k, len(digits), n)
+			t.Fatalf("RecodeSecretScalar(%v): %d digits, want %d", k, len(digits), n)
 		}
 		sum := new(big.Int)
 		for j := n - 1; j >= 0; j-- {
@@ -126,15 +139,16 @@ func TestRecodeSignedRoundTrip(t *testing.T) {
 		if sum.Sign() <= 0 || sum.Cmp(threeQ) > 0 {
 			t.Fatalf("digit sum %v of %v outside (0, 3q]", sum, k)
 		}
-		if new(big.Int).Mod(sum, c.Q).Cmp(new(big.Int).Mod(k, c.Q)) != 0 {
+		if new(big.Int).Mod(sum, c.Q).Cmp(k) != 0 {
 			t.Fatalf("digits of %v sum to %v ≢ k (mod q)", k, sum)
 		}
 	}
 }
 
 // TestScalarMultSecretSum cross-checks the limb-domain scalar addition
-// path against computing (k1+k2) mod q with math/big, over edge pairs
-// that exercise the conditional −q correction and the zero sum.
+// feeding the secret multiplier — the IBS response (r + h)·d_ID — against
+// computing (k1+k2) mod q with math/big, over edge pairs that exercise
+// the conditional −q correction and the zero sum.
 func TestScalarMultSecretSum(t *testing.T) {
 	c := smallCurve(t)
 	g := subgroupGen(t, c)
@@ -144,29 +158,25 @@ func TestScalarMultSecretSum(t *testing.T) {
 		{big.NewInt(1), big.NewInt(0)},
 		{big.NewInt(1), qm1}, // sum ≡ 0 (mod q)
 		{qm1, qm1},           // wraps past q
-		{new(big.Int).Set(c.Q), big.NewInt(3)},
-		{new(big.Int).Neg(c.Q), big.NewInt(5)},
 	}
 	for i := 0; i < 100; i++ {
-		k1, err := rand.Int(rand.Reader, new(big.Int).Lsh(c.Q, 1))
+		k1, err := rand.Int(rand.Reader, c.Q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		k2, err := rand.Int(rand.Reader, new(big.Int).Lsh(c.Q, 1))
+		k2, err := rand.Int(rand.Reader, c.Q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pairs = append(pairs, [2]*big.Int{k1, k2})
 	}
 	for _, pr := range pairs {
-		sum := new(big.Int).Add(new(big.Int).Mod(pr[0], c.Q), new(big.Int).Mod(pr[1], c.Q))
+		sum := new(big.Int).Add(pr[0], pr[1])
 		want := c.scalarMultBinary(g, sum.Mod(sum, c.Q))
-		if got := c.ScalarMultSecretSum(g, pr[0], pr[1]); !got.Equal(want) {
-			t.Fatalf("ScalarMultSecretSum(g, %v, %v) = %v, want %v", pr[0], pr[1], got, want)
+		got := c.ScalarMultSecret(g, c.ScalarAdd(scalarOf(t, c, pr[0]), scalarOf(t, c, pr[1])))
+		if !got.Equal(want) {
+			t.Fatalf("ScalarMultSecret(g, %v + %v) = %v, want %v", pr[0], pr[1], got, want)
 		}
-	}
-	if !c.ScalarMultSecretSum(c.Infinity(), big.NewInt(3), big.NewInt(4)).Inf {
-		t.Error("ScalarMultSecretSum(∞, ...) not ∞")
 	}
 }
 

@@ -19,11 +19,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 
 	"mwskit/internal/bfibe"
 	"mwskit/internal/ec"
-	"mwskit/internal/kdf"
 )
 
 // Signature is a Cha–Cheon signature (U, V) ∈ G1².
@@ -32,8 +30,8 @@ type Signature struct {
 	V ec.Point
 }
 
-// hashDomain separates the signature challenge hash from other scalar
-// derivations.
+// hashDomain separates the signature challenge hash h = H(m ‖ U) ∈
+// [1, q−1] from other scalar derivations.
 const hashDomain = "mwskit/ibs/h/v1"
 
 // Sign produces a signature on msg under the identity key sk (which is
@@ -53,12 +51,12 @@ func Sign(p *bfibe.Params, sk *bfibe.PrivateKey, msg []byte, rng io.Reader) (*Si
 	}
 	// Both multiplications involve secrets — r blinds the signature and
 	// r+h multiplies the private key — so they take the constant-time
-	// path. The response sum r+h mod q is formed inside
-	// ScalarMultSecretSum on limb arrays, never as big.Int arithmetic.
-	u := p.Sys.Curve.ScalarMultSecret(q, r)
-	h := challenge(p, msg, u)
+	// path, and the response sum r+h mod q is formed on limbs.
+	c := p.Sys.Curve
+	u := c.ScalarMultSecret(q, r)
+	h := p.HashToScalar(hashDomain, msg, c.Bytes(u))
 	// V = (r + h)·d_ID
-	v := p.Sys.Curve.ScalarMultSecretSum(sk.D, r, h)
+	v := c.ScalarMultSecret(sk.D, c.ScalarAdd(r, h))
 	return &Signature{U: u, V: v}, nil
 }
 
@@ -75,9 +73,11 @@ func Verify(p *bfibe.Params, identity, msg []byte, sig *Signature) bool {
 	if err != nil {
 		return false
 	}
-	h := challenge(p, msg, sig.U)
-	// RHS point: U + h·Q_ID
-	rhs := p.Sys.Curve.Add(sig.U, p.Sys.Curve.ScalarMult(q, h))
+	// RHS point: U + h·Q_ID. h is public, but a hashed scalar exists only
+	// on limbs and no multiplier takes one back into math/big.
+	c := p.Sys.Curve
+	h := p.HashToScalar(hashDomain, msg, c.Bytes(sig.U))
+	rhs := c.Add(sig.U, c.ScalarMultSecret(q, h))
 	// ê(P, V) = ê(P_pub, rhs)  ⇔  ê(P, V)·ê(−P_pub, rhs) = 1, which a
 	// multi-pairing decides with one shared final exponentiation instead
 	// of two full pairings.
@@ -85,11 +85,6 @@ func Verify(p *bfibe.Params, identity, msg []byte, sig *Signature) bool {
 		[]ec.Point{p.Sys.G1(), p.PPub.Neg()},
 		[]ec.Point{sig.V, rhs},
 	).IsOne()
-}
-
-// challenge computes h = H(m ‖ U) ∈ [1, q−1].
-func challenge(p *bfibe.Params, msg []byte, u ec.Point) *big.Int {
-	return kdf.ToScalar(hashDomain, p.Sys.Curve.Q, msg, p.Sys.Curve.Bytes(u))
 }
 
 // Marshal encodes a signature as two point encodings.

@@ -1,7 +1,7 @@
 // Package kdf provides the hash-function family the Boneh–Franklin scheme
 // and the MWS protocol are built from: counter-mode key/mask derivation
-// (the H2 and H4 roles), hashing into the scalar field (H3), and the
-// paper's attribute digest I = SHA1(A ‖ Nonce) (§V.D).
+// (the H2 and H4 roles), the byte expansion of hashing into the scalar
+// field (H3), and the paper's attribute digest I = SHA1(A ‖ Nonce) (§V.D).
 //
 // All functions are deterministic, domain-separated, and stdlib-only.
 package kdf
@@ -10,7 +10,6 @@ import (
 	"crypto/sha1"
 	"crypto/sha256"
 	"encoding/binary"
-	"math/big"
 )
 
 // Stream derives n pseudo-random bytes from the given secret and domain
@@ -42,11 +41,12 @@ func Mask(domain string, secret, data []byte) []byte {
 	return out
 }
 
-// ToScalar hashes the inputs into the range [1, q−1], the H3 role of the
-// Fujisaki–Okamoto transform (r = H3(σ, M)). Uniformity is achieved by
-// deriving 64 bits beyond the order's size before reducing.
-func ToScalar(domain string, q *big.Int, parts ...[]byte) *big.Int {
-	n := (q.BitLen()+7)/8 + 8
+// ScalarSeed hashes the length-framed inputs into n bytes for
+// ec.Curve.ScalarFromWide to reduce into [1, q−1] — together the H3 role
+// of the Fujisaki–Okamoto transform (r = H3(σ, M)) and the IBS
+// challenge. n is 8 more than a scalar's width: the 64 extra bits make
+// the reduced value uniform.
+func ScalarSeed(domain string, n int, parts ...[]byte) []byte {
 	h := sha256.New()
 	h.Write([]byte(domain))
 	for _, p := range parts {
@@ -55,11 +55,7 @@ func ToScalar(domain string, q *big.Int, parts ...[]byte) *big.Int {
 		h.Write(lenBuf[:])
 		h.Write(p)
 	}
-	raw := Stream(domain+"/expand", h.Sum(nil), n)
-	v := new(big.Int).SetBytes(raw)
-	qm1 := new(big.Int).Sub(q, big.NewInt(1))
-	v.Mod(v, qm1)
-	return v.Add(v, big.NewInt(1))
+	return Stream(domain+"/expand", h.Sum(nil), n)
 }
 
 // AttributeDigest computes the paper's I = SHA1(A ‖ Nonce) (§V.D

@@ -3,7 +3,6 @@ package kdf
 import (
 	"bytes"
 	"crypto/sha1"
-	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -66,32 +65,23 @@ func TestMaskDoesNotAliasInput(t *testing.T) {
 	}
 }
 
-func TestToScalarRange(t *testing.T) {
-	q := big.NewInt(1<<31 - 1) // Mersenne prime
-	for i := 0; i < 200; i++ {
-		s := ToScalar("d", q, []byte{byte(i)})
-		if s.Sign() <= 0 || s.Cmp(q) >= 0 {
-			t.Fatalf("scalar %v out of [1, q)", s)
-		}
+func TestScalarSeedDeterministicAndSensitive(t *testing.T) {
+	const n = 28 // a 160-bit scalar plus 64 bits
+	a := ScalarSeed("d", n, []byte("sigma"), []byte("msg"))
+	if len(a) != n {
+		t.Fatalf("ScalarSeed length %d, want %d", len(a), n)
 	}
-}
-
-func TestToScalarDeterministicAndSensitive(t *testing.T) {
-	q, _ := new(big.Int).SetString("1120670043750042761784702932102626593805650752633", 10)
-	a := ToScalar("d", q, []byte("sigma"), []byte("msg"))
-	b := ToScalar("d", q, []byte("sigma"), []byte("msg"))
-	if a.Cmp(b) != 0 {
-		t.Fatal("ToScalar not deterministic")
+	if !bytes.Equal(a, ScalarSeed("d", n, []byte("sigma"), []byte("msg"))) {
+		t.Fatal("ScalarSeed not deterministic")
 	}
-	c := ToScalar("d", q, []byte("sigma"), []byte("msg2"))
-	if a.Cmp(c) == 0 {
-		t.Fatal("ToScalar insensitive to message change")
+	if bytes.Equal(a, ScalarSeed("d", n, []byte("sigma"), []byte("msg2"))) {
+		t.Fatal("ScalarSeed insensitive to message change")
 	}
 	// Length-prefixed part hashing: ("ab","c") must differ from ("a","bc").
-	d1 := ToScalar("d", q, []byte("ab"), []byte("c"))
-	d2 := ToScalar("d", q, []byte("a"), []byte("bc"))
-	if d1.Cmp(d2) == 0 {
-		t.Fatal("ToScalar part boundaries are ambiguous")
+	d1 := ScalarSeed("d", n, []byte("ab"), []byte("c"))
+	d2 := ScalarSeed("d", n, []byte("a"), []byte("bc"))
+	if bytes.Equal(d1, d2) {
+		t.Fatal("ScalarSeed part boundaries are ambiguous")
 	}
 }
 

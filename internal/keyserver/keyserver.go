@@ -116,7 +116,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.stats.GaugeFunc("replay_guard_entries", func() int64 { return int64(s.replay.Len()) }, obsv.L("guard", "session"))
 	if raw, ok := kv.Get(masterKeyKey); ok {
-		mk, err := bfibe.UnmarshalMasterKey(raw)
+		mk, err := bfibe.UnmarshalMasterKey(sys, raw)
 		if err != nil {
 			kv.Close()
 			return nil, fmt.Errorf("keyserver: corrupt master key: %w", err)
@@ -129,7 +129,7 @@ func New(cfg Config) (*Service, error) {
 			kv.Close()
 			return nil, err
 		}
-		if err := kv.Put(masterKeyKey, bfibe.MarshalMasterKey(mk)); err != nil {
+		if err := kv.Put(masterKeyKey, bfibe.MarshalMasterKey(sys, mk)); err != nil {
 			kv.Close()
 			return nil, err
 		}

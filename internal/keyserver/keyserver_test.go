@@ -5,12 +5,17 @@ import (
 	"context"
 	"crypto/rand"
 	"errors"
+	"math/big"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mwskit/internal/attr"
 	"mwskit/internal/bfibe"
+	"mwskit/internal/pairing"
+	"mwskit/internal/storage"
 	"mwskit/internal/ticket"
 	"mwskit/internal/wal"
 	"mwskit/internal/wire"
@@ -294,6 +299,53 @@ func TestMasterKeyPersistsAcrossRestart(t *testing.T) {
 	defer s2.Close()
 	if !bytes.Equal(ppub1, bfibe.MarshalParams(s2.Params())) {
 		t.Fatal("master key changed across restart — all old ciphertexts would be lost")
+	}
+}
+
+// TestOpensEarlierMasterKeyEncodings seeds the PKG's store with a master
+// key as earlier versions wrote it — big.Int.Bytes, minimal length, here
+// the 1-in-256 key whose top byte is zero and so one byte short — and as
+// this version writes it, fixed width: both open to the same P_pub = sP.
+// A value outside [1, q−1] is refused as corrupt.
+func TestOpensEarlierMasterKeyEncodings(t *testing.T) {
+	sys := pairing.ParamsTest.MustSystem()
+	n := sys.Curve.ScalarLen()
+	s := new(big.Int).Rsh(sys.Curve.Q, 9) // top byte zero
+	want := sys.Curve.ScalarMult(sys.G1(), s)
+	open := func(raw []byte) (*Service, error) {
+		dir := t.TempDir()
+		kv, err := storage.OpenKV(filepath.Join(dir, "pkg"), wal.SyncNever)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := kv.Put(masterKeyKey, raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := kv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return New(Config{Dir: dir, Preset: "test", MWSPKGKey: make([]byte, 32), Sync: wal.SyncNever})
+	}
+	if len(s.Bytes()) != n-1 {
+		t.Fatalf("test scalar encodes in %d bytes, want %d", len(s.Bytes()), n-1)
+	}
+	for name, raw := range map[string][]byte{"minimal": s.Bytes(), "fixed": s.FillBytes(make([]byte, n))} {
+		svc, err := open(raw)
+		if err != nil {
+			t.Fatalf("%s encoding: %v", name, err)
+		}
+		if !svc.Params().PPub.Equal(want) {
+			t.Errorf("%s encoding: P_pub ≠ sP", name)
+		}
+		svc.Close()
+	}
+	for name, raw := range map[string][]byte{"q": sys.Curve.Q.Bytes(), "zero": {0}, "over-long": make([]byte, n+1)} {
+		if svc, err := open(raw); err == nil || !strings.Contains(err.Error(), "corrupt master key") {
+			t.Errorf("%s: err = %v, want corrupt master key", name, err)
+			if svc != nil {
+				svc.Close()
+			}
+		}
 	}
 }
 

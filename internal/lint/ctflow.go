@@ -268,19 +268,19 @@ func ctSanitizes(fn *types.Func) bool {
 	// Extract's d = s·Q_ID stays secret.
 	if calleePkgEndsIn(fn, "ec") {
 		switch name {
-		case "ScalarMult", "ScalarMultSecret", "ScalarMultSecretSum", "Mul": // Mul is Comb.Mul, fixed-base
+		case "ScalarMult", "ScalarMultSecret", "Mul": // Mul is Comb.Mul, fixed-base
 			return true
 		}
 	}
 	return name == "Mask" && calleePkgEndsIn(fn, "kdf")
 }
 
-// ctPassthrough: kdf.ToScalar and kdf.Stream hash their inputs, but the
+// ctPassthrough: kdf.ScalarSeed and kdf.Stream hash their inputs, but the
 // output is exactly as secret as what went in — a Fujisaki–Okamoto
-// re-encryption scalar derived from a secret σ is secret, while the
-// public IBS challenge derived from public bytes stays clean.
+// re-encryption scalar reduced from the seed of a secret σ is secret,
+// while the public IBS challenge derived from public bytes stays clean.
 func ctPassthrough(fn *types.Func) bool {
-	return calleePkgEndsIn(fn, "kdf") && (fn.Name() == "ToScalar" || fn.Name() == "Stream")
+	return calleePkgEndsIn(fn, "kdf") && (fn.Name() == "ScalarSeed" || fn.Name() == "Stream")
 }
 
 // ctSinkCall is class 5: callees whose execution time depends on operand

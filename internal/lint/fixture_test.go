@@ -27,7 +27,7 @@ var fixtures = map[string][]string{
 	"plainflow":     {"./testdata/src/plainflow/symenc", "./testdata/src/plainflow/storage", "./testdata/src/plainflow/wire", "./testdata/src/plainflow/mws"},
 	"noncereuse":    {"./testdata/src/noncereuse/symenc", "./testdata/src/noncereuse/enc"},
 	"keyzero":       {"./testdata/src/keyzero/kdf", "./testdata/src/keyzero/symenc", "./testdata/src/keyzero/ticket"},
-	"vartime":       {"./testdata/src/vartime/ec", "./testdata/src/vartime/pairing", "./testdata/src/vartime/bfibe", "./testdata/src/vartime/tpkg", "./testdata/src/vartime/use"},
+	"vartime":       {"./testdata/src/vartime/ec", "./testdata/src/vartime/kdf", "./testdata/src/vartime/pairing", "./testdata/src/vartime/bfibe", "./testdata/src/vartime/tpkg", "./testdata/src/vartime/use"},
 	"ctflow":        {"./testdata/src/ctflow/bfibe", "./testdata/src/ctflow/ff", "./testdata/src/ctflow/app"},
 	"lockorder":     {"./testdata/src/lockorder/locks", "./testdata/src/lockorder/alpha", "./testdata/src/lockorder/beta"},
 	"lockheld":      {"./testdata/src/lockheld/storage"},

@@ -1,5 +1,6 @@
 // Package ec is a mwslint fixture stand-in for the curve layer: the
-// variable-time ScalarMult sink and its constant-time alternatives.
+// limb-domain Scalar, the variable-time ScalarMult sink and its
+// constant-time alternatives.
 package ec
 
 import "math/big"
@@ -15,6 +16,30 @@ type Curve struct {
 	Q *big.Int
 }
 
+// Scalar is a secret scalar on limbs: the only form the constant-time
+// multipliers take.
+type Scalar struct{ l [4]uint64 }
+
+// ScalarBytes encodes k at a fixed width. It is the one road from a
+// Scalar back to bytes, and so the one a secret takes into math/big.
+func (c *Curve) ScalarBytes(k Scalar) []byte {
+	b := make([]byte, 32)
+	for i := range b {
+		b[len(b)-1-i] = byte(k.l[i/8] >> (8 * (i % 8)))
+	}
+	return b
+}
+
+// ScalarFromWide reduces hash output into a Scalar on limbs; the result
+// is as secret as the bytes.
+func (c *Curve) ScalarFromWide(v []byte) Scalar {
+	var k Scalar
+	for i, b := range v {
+		k.l[i%4] ^= uint64(b)
+	}
+	return k
+}
+
 // ScalarMult is the variable-time multiplier: a ctflow sink.
 func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 	_ = k
@@ -23,7 +48,7 @@ func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 
 // ScalarMultSecret is the constant-schedule multiplier: sanctioned for
 // secret scalars.
-func (c *Curve) ScalarMultSecret(p Point, k *big.Int) Point {
+func (c *Curve) ScalarMultSecret(p Point, k Scalar) Point {
 	_ = k
 	return p
 }
@@ -37,7 +62,7 @@ type Comb struct {
 func (c *Curve) NewComb(base Point) *Comb { return &Comb{base: base} }
 
 // Mul is the fixed-base constant-schedule multiplier.
-func (t *Comb) Mul(k *big.Int) Point {
+func (t *Comb) Mul(k Scalar) Point {
 	_ = k
 	return t.base
 }

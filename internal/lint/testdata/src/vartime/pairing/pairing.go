@@ -3,9 +3,7 @@
 package pairing
 
 import (
-	"crypto/rand"
 	"io"
-	"math/big"
 
 	"mwskit/internal/lint/testdata/src/vartime/ec"
 )
@@ -23,6 +21,8 @@ func (s *System) G1() ec.Point { return s.g }
 func (s *System) G1Comb() *ec.Comb { return s.Curve.NewComb(s.g) }
 
 // RandomScalar draws a secret scalar: a ctflow source.
-func (s *System) RandomScalar(r io.Reader) (*big.Int, error) {
-	return rand.Int(r, s.Curve.Q)
+func (s *System) RandomScalar(r io.Reader) (ec.Scalar, error) {
+	var b [32]byte
+	_, err := io.ReadFull(r, b[:])
+	return s.Curve.ScalarFromWide(b[:]), err
 }

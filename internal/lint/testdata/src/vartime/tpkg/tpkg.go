@@ -11,12 +11,14 @@ import (
 // Share is one threshold share of the master secret.
 type Share struct {
 	Index  uint32
-	Scalar *big.Int
+	Scalar ec.Scalar
 }
 
-// PartialBad multiplies by the share scalar on the variable-time path.
+// PartialBad takes the share scalar into math/big for the variable-time
+// path.
 func PartialBad(c *ec.Curve, sh Share, q ec.Point) ec.Point {
-	return c.ScalarMult(q, sh.Scalar) // want "a secret scalar flows into variable-time ec.ScalarMult"
+	k := new(big.Int).SetBytes(c.ScalarBytes(sh.Scalar)) // want "a secret scalar flows into variable-time math/big.SetBytes"
+	return c.ScalarMult(q, k)                            // want "a secret scalar flows into variable-time ec.ScalarMult"
 }
 
 // PartialGood uses the constant-schedule multiplier: clean.

@@ -1,6 +1,6 @@
 // Package use is a mwslint fixture for ctflow's variable-time-callee
-// sink: fresh RandomScalar randomness flowing into the variable-time
-// multiplier, against the sanctioned constant-time routes.
+// sink: fresh RandomScalar randomness taken back into math/big for the
+// variable-time multiplier, against the sanctioned constant-time routes.
 package use
 
 import (
@@ -17,7 +17,8 @@ func EncapsulateBad(sys *pairing.System) (ec.Point, error) {
 	if err != nil {
 		return ec.Point{}, err
 	}
-	return sys.Curve.ScalarMult(sys.G1(), r), nil // want "a secret scalar flows into variable-time ec.ScalarMult"
+	k := new(big.Int).SetBytes(sys.Curve.ScalarBytes(r)) // want "a secret scalar flows into variable-time math/big.SetBytes"
+	return sys.Curve.ScalarMult(sys.G1(), k), nil        // want "a secret scalar flows into variable-time ec.ScalarMult"
 }
 
 // EncapsulateSecret uses the constant-schedule multiplier: clean.
@@ -38,7 +39,7 @@ func EncapsulateComb(sys *pairing.System) (ec.Point, error) {
 	return sys.G1Comb().Mul(r), nil
 }
 
-// VerifyPublic multiplies by a public hash-derived challenge: clean, the
+// VerifyPublic multiplies by a public challenge: clean, the
 // variable-time multiplier exists for exactly this.
 func VerifyPublic(sys *pairing.System, h *big.Int) ec.Point {
 	return sys.Curve.ScalarMult(sys.G1(), h)
@@ -59,8 +60,8 @@ func SignDerived(sys *pairing.System) (ec.Point, error) {
 }
 
 // mulVia is an innocent-looking helper; taint arrives via its caller.
-func mulVia(sys *pairing.System, k *big.Int) ec.Point {
-	return sys.Curve.ScalarMult(sys.G1(), k) // want "a secret scalar flows into variable-time ec.ScalarMult"
+func mulVia(sys *pairing.System, k []byte) ec.Point {
+	return sys.Curve.ScalarMult(sys.G1(), new(big.Int).SetBytes(k)) // want "a secret scalar flows into variable-time math/big.SetBytes" "a secret scalar flows into variable-time ec.ScalarMult"
 }
 
 // EncapsulateLaundered routes the secret through mulVia.
@@ -69,5 +70,5 @@ func EncapsulateLaundered(sys *pairing.System) (ec.Point, error) {
 	if err != nil {
 		return ec.Point{}, err
 	}
-	return mulVia(sys, r), nil
+	return mulVia(sys, sys.Curve.ScalarBytes(r)), nil
 }

@@ -15,17 +15,11 @@ func TestG1PrecompMatchesPair(t *testing.T) {
 	s := testSystem(t)
 	g := s.G1()
 	for i := 0; i < 8; i++ {
-		a, err := s.RandomScalar(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := randBig(t, s)
 		p := s.Curve.ScalarMult(g, a)
 		pre := s.G1Precomp(p)
 		for j := 0; j < 4; j++ {
-			b, err := s.RandomScalar(rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := randBig(t, s)
 			q := s.Curve.ScalarMult(g, b)
 			if got, want := pre.Pair(q), s.Pair(p, q); !got.Equal(want) {
 				t.Fatalf("precomp pair mismatch for a=%v b=%v", a, b)
@@ -49,10 +43,7 @@ func TestPairProductMatchesProductOfPairs(t *testing.T) {
 	s := testSystem(t)
 	g := s.G1()
 	newPt := func() ec.Point {
-		k, err := s.RandomScalar(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
+		k := randBig(t, s)
 		return s.Curve.ScalarMult(g, k)
 	}
 
@@ -87,8 +78,8 @@ func TestPairProductMatchesProductOfPairs(t *testing.T) {
 
 // TestGTExpSecretMatchesExp cross-checks the constant-time target-group
 // exponentiation against the public square-and-multiply over edge scalars
-// (0, 1, q−1, q, multiples beyond q, negatives reduced mod q) and random
-// exponents.
+// (0, 1, q−1, and q, beyond q and negatives, all reduced mod q into the
+// Scalar) and random exponents.
 func TestGTExpSecretMatchesExp(t *testing.T) {
 	s := testSystem(t)
 	g := s.G1()
@@ -111,8 +102,13 @@ func TestGTExpSecretMatchesExp(t *testing.T) {
 		cases = append(cases, k)
 	}
 	for _, k := range cases {
-		want := base.Exp(new(big.Int).Mod(k, s.Curve.Q))
-		if got := s.GTExpSecret(base, k); !got.Equal(want) {
+		kq := new(big.Int).Mod(k, s.Curve.Q)
+		ks, err := s.Curve.ScalarFromBytes(kq.FillBytes(make([]byte, s.Curve.ScalarLen())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := base.Exp(kq)
+		if got := s.GTExpSecret(base, ks); !got.Equal(want) {
 			t.Fatalf("GTExpSecret(g, %v) ≠ g^(k mod q)", k)
 		}
 	}

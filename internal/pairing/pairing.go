@@ -107,10 +107,10 @@ func (e *Pairing) GTOne() GT { return GT{v: e.Curve.F.E2One()} }
 // signed odd digits on limb arrays (ec.RecodeSecretScalar) and the
 // 8-entry odd-power table is read by full masked scans. Negative digits
 // use the conjugate, so g must lie in μ_{p+1} — every pairing output
-// does. The result is g^(k mod q) (the recoding adds a multiple of q,
-// invisible in μ_q). Use this whenever the exponent is secret: the
-// encapsulation randomness r in g_ID^r is the canonical case.
-func (e *Pairing) GTExpSecret(g GT, k *big.Int) GT {
+// does. The recoding adds a multiple of q to k, invisible in μ_q. Use
+// this whenever the exponent is secret: the encapsulation randomness r
+// in g_ID^r is the canonical case.
+func (e *Pairing) GTExpSecret(g GT, k ec.Scalar) GT {
 	digits := e.Curve.RecodeSecretScalar(k)
 	var tbl [8]ff.E2 // tbl[j] = g^(2j+1)
 	tbl[0] = g.v

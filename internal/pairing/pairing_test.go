@@ -89,14 +89,8 @@ func TestBilinearity(t *testing.T) {
 	base := s.Pair(g, g)
 
 	for i := 0; i < 8; i++ {
-		a, err := s.RandomScalar(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := s.RandomScalar(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := randBig(t, s)
+		b := randBig(t, s)
 		aG := s.Curve.ScalarMult(g, a)
 		bG := s.Curve.ScalarMult(g, b)
 
@@ -119,8 +113,8 @@ func TestBilinearity(t *testing.T) {
 func TestBilinearityInFirstArgument(t *testing.T) {
 	s := testSystem(t)
 	g := s.G1()
-	a, _ := s.RandomScalar(rand.Reader)
-	b, _ := s.RandomScalar(rand.Reader)
+	a := randBig(t, s)
+	b := randBig(t, s)
 	p1 := s.Curve.ScalarMult(g, a)
 	p2 := s.Curve.ScalarMult(g, b)
 	// ê(P1 + P2, G) = ê(P1, G) · ê(P2, G)
@@ -142,8 +136,8 @@ func TestDHExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sMaster, _ := s.RandomScalar(rand.Reader) // PKG master secret
-	r, _ := s.RandomScalar(rand.Reader)       // per-message randomness
+	sMaster := randBig(t, s) // PKG master secret
+	r := randBig(t, s)       // per-message randomness
 
 	sP := s.Curve.ScalarMult(g, sMaster) // public parameter
 	rI := s.Curve.ScalarMult(i, r)
@@ -182,7 +176,7 @@ func TestGTOperations(t *testing.T) {
 func TestPairDeterministic(t *testing.T) {
 	s := testSystem(t)
 	g := s.G1()
-	a, _ := s.RandomScalar(rand.Reader)
+	a := randBig(t, s)
 	p := s.Curve.ScalarMult(g, a)
 	if !s.Pair(p, g).Equal(s.Pair(p, g)) {
 		t.Fatal("pairing not deterministic")
@@ -227,15 +221,73 @@ func TestSystemGeneratorProperties(t *testing.T) {
 	}
 }
 
+// randBig draws a RandomScalar and returns it as the big.Int the tests'
+// reference arithmetic (public ScalarMult, GT.Exp, products mod q) takes.
+func randBig(t testing.TB, s *System) *big.Int {
+	t.Helper()
+	k, err := s.RandomScalar(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return new(big.Int).SetBytes(s.Curve.ScalarBytes(k))
+}
+
 func TestRandomScalarRange(t *testing.T) {
 	s := testSystem(t)
 	for i := 0; i < 32; i++ {
-		k, err := s.RandomScalar(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
+		k := randBig(t, s)
 		if k.Sign() <= 0 || k.Cmp(s.Curve.Q) >= 0 {
 			t.Fatalf("scalar %v out of (0, q)", k)
+		}
+	}
+}
+
+// countingStream is a deterministic byte stream (a 64-bit LCG's top
+// byte) that counts what it hands out.
+type countingStream struct {
+	x uint64
+	n int
+}
+
+func (s *countingStream) Read(p []byte) (int, error) {
+	for i := range p {
+		s.x = s.x*6364136223846793005 + 1442695040888963407
+		p[i] = byte(s.x >> 56)
+	}
+	s.n += len(p)
+	return len(p), nil
+}
+
+// TestRandomScalarDrawParity holds the limb-domain draw to the one it
+// replaced, rand.Int(r, q−1) + 1: over the same stream it returns the
+// same scalars and consumes the same bytes — byte count, top-bit mask,
+// reject-and-redraw — on every preset and the q = 263 curve. The bfibe
+// and peks goldens pin values drawn from such a stream.
+func TestRandomScalarDrawParity(t *testing.T) {
+	curves := map[string]*ec.Curve{"q263": ec.MustCurve(ff.MustField(big.NewInt(1051)), big.NewInt(263))}
+	for name, sys := range presetSystems(t) {
+		curves[name] = sys.Curve
+	}
+	for name, c := range curves {
+		qm1 := new(big.Int).Sub(c.Q, big.NewInt(1))
+		got, want := &countingStream{x: 1}, &countingStream{x: 1}
+		const draws = 2000
+		for i := 0; i < draws; i++ {
+			k, err := c.RandomScalar(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := rand.Int(want, qm1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Add(ref, big.NewInt(1))
+			if kb := new(big.Int).SetBytes(c.ScalarBytes(k)); kb.Cmp(ref) != 0 || got.n != want.n {
+				t.Fatalf("%s: draw %d = %v after %d bytes, rand.Int gives %v after %d", name, i, kb, got.n, ref, want.n)
+			}
+		}
+		if perDraw := (new(big.Int).Sub(c.Q, big.NewInt(2)).BitLen() + 7) / 8; got.n == draws*perDraw {
+			t.Errorf("%s: %d draws never redrew; the stream does not cover rejection", name, draws)
 		}
 	}
 }

@@ -109,15 +109,10 @@ func (s *System) G1Comb() *ec.Comb {
 	return s.comb
 }
 
-// RandomScalar returns a uniformly random scalar in [1, q−1]: rand.Int
-// draws uniformly from [0, q−2] and the +1 shifts the range, so the
-// result is non-zero by construction and no rejection loop is needed.
-func (s *System) RandomScalar(r io.Reader) (*big.Int, error) {
-	k, err := rand.Int(r, new(big.Int).Sub(s.Curve.Q, big.NewInt(1)))
-	if err != nil {
-		return nil, err
-	}
-	return k.Add(k, big.NewInt(1)), nil
+// RandomScalar returns a uniformly random scalar in [1, q−1], non-zero
+// by construction.
+func (s *System) RandomScalar(r io.Reader) (ec.Scalar, error) {
+	return s.Curve.RandomScalar(r)
 }
 
 // Generate produces a fresh parameter set with a qBits-bit subgroup order

@@ -70,11 +70,12 @@ func TestGoldenTagAndTrapdoor(t *testing.T) {
 			t.Fatalf("golden preset %q no longer exists", name)
 		}
 		s, _ := new(big.Int).SetString(v.Master, 16)
-		mk, err := bfibe.MasterKeyFromScalar(s)
+		sys := pp.MustSystem()
+		mk, err := bfibe.UnmarshalMasterKey(sys, s.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := bfibe.ParamsFromMaster(pp.MustSystem(), mk)
+		p := bfibe.ParamsFromMaster(sys, mk)
 
 		tag, err := NewTag(p, v.Keyword, &counterStream{seed: []byte(v.RandSeed)})
 		if err != nil {

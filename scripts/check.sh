@@ -65,6 +65,19 @@ deny pkgd crypto/des device rclient policy userdb mws policyrule
 deny smartdev crypto/des storage wal mws keyserver
 deny rcclient crypto/des device mws storage wal keyserver policy macauth ibs peks
 
+# The scheme layer never does integer arithmetic on a secret (DESIGN.md
+# §14): a secret scalar is an ec.Scalar from the bytes it was made from
+# down to the ladder, so outside the arithmetic core — whose math/big is
+# public parameters: p, q, h, the final exponents, public multipliers —
+# no first-party non-test code imports math/big, the parameter generator
+# and experiments/ aside.
+bigs=$(go list -f '{{range .Imports}}{{if eq . "math/big"}}{{$.ImportPath}}{{end}}{{end}}' ./... |
+	grep -vxE 'mwskit/(internal/(ff|ec|pairing)|cmd/paramgen|experiments/.*)' || true)
+if [ -n "$bigs" ]; then
+	echo "imports math/big outside internal/ff, internal/ec and internal/pairing: $bigs" >&2
+	exit 1
+fi
+
 # One telemetry package (ROADMAP aim 2): internal/metrics stays folded into
 # internal/obsv, and obsv imports nothing of ours — that is what lets ff,
 # ec, pairing and wal hook into it without an import cycle. internal/codec,
