@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mwskit/internal/bfibe"
+	"mwskit/internal/ibs"
 	"mwskit/internal/pairing"
 	"mwskit/internal/peks"
 )
@@ -130,6 +131,141 @@ func TestGoldenGID(t *testing.T) {
 			if p.GIDCacheLen() != wantCached {
 				t.Errorf("%s: a keyword identity entered the g_ID cache", name)
 			}
+		}
+	}
+}
+
+// TestGoldenParentArtifacts feeds this commit what its parent made
+// (testdata/golden_parent_pr27.md), per preset: an extracted
+// key, an encapsulation, a FullIdent ciphertext, a PEKS tag with its
+// trapdoor and an IBS signature. Each must decode, and decapsulate,
+// decrypt, match or verify to the parent's answer — and everything
+// deterministic must come out of this commit byte for byte: the retyped
+// kernels changed no formula.
+func TestGoldenParentArtifacts(t *testing.T) {
+	raw, err := os.ReadFile("testdata/golden_parent_pr27.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Presets map[string]struct {
+			Master        string `json:"master"`
+			RandSeed      string `json:"rand_seed"`
+			KeyLen        int    `json:"key_len"`
+			ID            string `json:"id"`
+			PrivateKey    string `json:"private_key"`
+			Encapsulation string `json:"encapsulation"`
+			SessionKey    string `json:"session_key"`
+			Message       string `json:"message"`
+			FullIdent     string `json:"fullident_ciphertext"`
+			Keyword       string `json:"keyword"`
+			Tag           string `json:"tag"`
+			Trapdoor      string `json:"trapdoor"`
+			Device        string `json:"device"`
+			DeviceKey     string `json:"device_key"`
+			Signature     string `json:"signature"`
+		} `json:"presets"`
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	if len(golden.Presets) != len(pairing.Presets) {
+		t.Fatalf("golden file covers %d presets, tree has %d", len(golden.Presets), len(pairing.Presets))
+	}
+	unhex := func(s string) []byte {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for name, v := range golden.Presets {
+		if name == "bf112" && testing.Short() {
+			continue
+		}
+		sys := pairing.Presets[name].MustSystem()
+		s, _ := new(big.Int).SetString(v.Master, 16)
+		mk, err := bfibe.UnmarshalMasterKey(sys, s.FillBytes(make([]byte, sys.Curve.ScalarLen())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := bfibe.ParamsFromMaster(sys, mk)
+		rng := func() *counterStream { return &counterStream{seed: []byte(v.RandSeed)} }
+		id, msg := unhex(v.ID), unhex(v.Message)
+
+		// The parent's key decodes, and Extract still makes it.
+		sk, err := bfibe.UnmarshalPrivateKey(p, unhex(v.PrivateKey))
+		if err != nil {
+			t.Fatalf("%s: parent's private key: %v", name, err)
+		}
+		if mine, err := mk.Extract(p, id); err != nil || hex.EncodeToString(bfibe.MarshalPrivateKey(p, mine)) != v.PrivateKey {
+			t.Errorf("%s: Extract differs from the parent commit's (%v)", name, err)
+		}
+
+		// The parent's encapsulation decapsulates, both ways, to its key.
+		enc, err := bfibe.UnmarshalEncapsulation(p, unhex(v.Encapsulation))
+		if err != nil {
+			t.Fatalf("%s: parent's encapsulation: %v", name, err)
+		}
+		if key, err := p.Decapsulate(sk, enc, v.KeyLen); err != nil || hex.EncodeToString(key) != v.SessionKey {
+			t.Errorf("%s: Decapsulate of the parent's encapsulation gives another key (%v)", name, err)
+		}
+		d, err := p.NewDecapsulator(sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key, err := d.Decapsulate(enc, v.KeyLen); err != nil || hex.EncodeToString(key) != v.SessionKey {
+			t.Errorf("%s: Decapsulator on the parent's encapsulation gives another key (%v)", name, err)
+		}
+
+		// The parent's FullIdent ciphertext decrypts, and is reproduced.
+		ct, err := bfibe.UnmarshalCiphertextFull(p, unhex(v.FullIdent))
+		if err != nil {
+			t.Fatalf("%s: parent's FullIdent ciphertext: %v", name, err)
+		}
+		if got, err := p.DecryptFull(sk, ct); err != nil || string(got) != string(msg) {
+			t.Errorf("%s: DecryptFull of the parent's ciphertext: %q, %v", name, got, err)
+		}
+		if mine, err := p.EncryptFull(id, msg, rng()); err != nil || hex.EncodeToString(bfibe.MarshalCiphertextFull(p, mine)) != v.FullIdent {
+			t.Errorf("%s: EncryptFull differs from the parent commit's (%v)", name, err)
+		}
+
+		// The parent's tag matches its trapdoor and this commit's; a
+		// trapdoor for another keyword does not.
+		tag, err := peks.UnmarshalTag(p, unhex(v.Tag))
+		if err != nil {
+			t.Fatalf("%s: parent's tag: %v", name, err)
+		}
+		td, err := peks.UnmarshalTrapdoor(p, unhex(v.Trapdoor))
+		if err != nil {
+			t.Fatalf("%s: parent's trapdoor: %v", name, err)
+		}
+		mine, err := peks.NewTrapdoor(p, mk, v.Keyword)
+		if err != nil || hex.EncodeToString(peks.MarshalTrapdoor(p, mine)) != v.Trapdoor {
+			t.Errorf("%s: NewTrapdoor differs from the parent commit's (%v)", name, err)
+		}
+		other, err := peks.NewTrapdoor(p, mk, v.Keyword+"-not")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !peks.Test(p, tag, td) || !peks.Test(p, tag, mine) || peks.Test(p, tag, other) {
+			t.Errorf("%s: the parent's tag does not match exactly its keyword's trapdoors", name)
+		}
+
+		// The parent's signature verifies, and Sign reproduces it.
+		sig, err := ibs.Unmarshal(p, unhex(v.Signature))
+		if err != nil {
+			t.Fatalf("%s: parent's signature: %v", name, err)
+		}
+		if !ibs.Verify(p, ibs.DeviceIdentity(v.Device), msg, sig) || ibs.Verify(p, ibs.DeviceIdentity(v.Device), id, sig) {
+			t.Errorf("%s: the parent's signature does not verify on exactly its message", name)
+		}
+		dk, err := bfibe.UnmarshalPrivateKey(p, unhex(v.DeviceKey))
+		if err != nil {
+			t.Fatalf("%s: parent's device key: %v", name, err)
+		}
+		if again, err := ibs.Sign(p, dk, msg, rng()); err != nil || hex.EncodeToString(again.Marshal(p)) != v.Signature {
+			t.Errorf("%s: Sign differs from the parent commit's (%v)", name, err)
 		}
 	}
 }

@@ -331,3 +331,85 @@ func BenchmarkEncapsulateCold(b *testing.B) {
 		}
 	}
 }
+
+// benchPerMsg is the receiving client's fixture on the paper-scale preset:
+// one extracted key, its Decapsulator and one marshalled encapsulation.
+func benchPerMsg(b *testing.B) (*Params, *MasterKey, *Decapsulator, []byte) {
+	b.Helper()
+	p, mk, err := Setup(pairing.ParamsBF80.MustSystem(), rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	id := []byte("ELECTRIC-APTCOMPLEX-SV-CA||nonce-bytes")
+	sk, err := mk.Extract(p, id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := p.NewDecapsulator(sk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, _, err := p.Encapsulate(id, 16, rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p, mk, d, MarshalEncapsulation(p, enc)
+}
+
+// BenchmarkUnmarshalEncapsulation times the decoder with its exact order-q
+// check (one public multiplication by q) — per retrieved message, and what
+// no bench/ rung times (ROADMAP 1(b)).
+func BenchmarkUnmarshalEncapsulation(b *testing.B) {
+	p, _, _, raw := benchPerMsg(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := UnmarshalEncapsulation(p, raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecapsulatorPerMsg is the other half of the per-message client
+// path: one precomputed-line pairing and the KDF.
+func BenchmarkDecapsulatorPerMsg(b *testing.B) {
+	p, _, d, raw := benchPerMsg(b)
+	enc, err := UnmarshalEncapsulation(p, raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sinkKey, err = d.Decapsulate(enc, 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClientPerMsg is the two above back to back, the path
+// DESIGN.md §9's CPU-profile shares are taken on.
+func BenchmarkClientPerMsg(b *testing.B) {
+	p, _, d, raw := benchPerMsg(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc, err := UnmarshalEncapsulation(p, raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sinkKey, err = d.Decapsulate(enc, 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExtract is the PKG's per-identity cost: hash to G1 (cofactor
+// cleared on the curve) and the secret multiplication by s.
+func BenchmarkExtract(b *testing.B) {
+	p, mk, _, _ := benchPerMsg(b)
+	id := []byte("ELECTRIC-APTCOMPLEX-SV-CA||nonce-bytes")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mk.Extract(p, id); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

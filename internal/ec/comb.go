@@ -40,26 +40,32 @@ func (c *Curve) NewComb(base Point) *Comb {
 		return t
 	}
 	n := c.sc.digits
+	t.tbl = make([]jacPoint, n*combRow)
 	b := c.toJacobian(base)
 	for i := 0; i < n; i++ {
-		t.tbl = append(t.tbl, c.oddMultiples(b)...)
+		c.oddMultiples(t.tbl[i*combRow:][:combRow], &b)
 		for s := 0; s < secretWindow; s++ {
-			b = c.jacDouble(b)
+			jacDouble(&b, &b)
 		}
 	}
 	// Montgomery's trick: zs[i] = Z_0·…·Z_(i−1), one inversion, one Z peeled
 	// off per entry walking back. No entry is ∞ (q > 15), so no Z is zero.
 	zs := make([]ff.Element, len(t.tbl)+1)
 	zs[0] = c.F.One()
-	for i, e := range t.tbl {
-		zs[i+1] = zs[i].Mul(e.z)
+	for i := range t.tbl {
+		zs[i+1].SetMul(&zs[i], &t.tbl[i].z)
 	}
 	inv := zs[len(t.tbl)].Inv()
 	for i := len(t.tbl) - 1; i >= 0; i-- {
-		e, zi := t.tbl[i], inv.Mul(zs[i])
-		inv = inv.Mul(e.z)
-		zi2 := zi.Square()
-		t.tbl[i] = jacPoint{x: e.x.Mul(zi2), y: e.y.Mul(zi2).Mul(zi), z: zs[0]}
+		var zi, zi2 ff.Element
+		e := &t.tbl[i]
+		zi.SetMul(&inv, &zs[i])
+		inv.SetMul(&inv, &e.z)
+		zi2.SetSquare(&zi)
+		e.x.SetMul(&e.x, &zi2)
+		e.y.SetMul(&e.y, &zi2)
+		e.y.SetMul(&e.y, &zi)
+		e.z = zs[0]
 	}
 	return t
 }
@@ -87,29 +93,40 @@ func (t *Comb) Mul(k Scalar) Point {
 	}
 	c := t.c
 	digits, safe := c.RecodeSecretScalar(k), (c.Q.BitLen()-1)/secretWindow-1
-	r := selectSigned(t.tbl[:combRow], digits[0])
+	var r, e jacPoint
+	selectSigned(&r, t.tbl[:combRow], digits[0])
 	for i := 1; i < len(digits); i++ {
-		e := selectSigned(t.tbl[i*combRow:][:combRow], digits[i])
+		selectSigned(&e, t.tbl[i*combRow:][:combRow], digits[i])
 		if i <= safe {
-			r = jacAddAffine(r, e)
+			jacAddAffine(&r, &r, &e)
 		} else {
-			r = c.jacAddSecret(r, e)
+			jacAddSecret(&r, &r, &e)
 		}
 	}
-	return c.fromJacobian(r)
+	return c.fromJacobian(&r)
 }
 
-// jacAddAffine returns j + k for k with Z = 1 by the 8M + 3S mixed
+// jacAddAffine sets r = j + k for k with Z = 1 by the 8M + 3S mixed
 // formula: no doubling, no selects. Exact only for j ≠ ∞ and j ≠ ±k,
 // which Comb.Mul's window lemma guarantees.
-func jacAddAffine(j, k jacPoint) jacPoint {
-	z1Sq := j.z.Square()
-	h := k.x.Mul(z1Sq).Sub(j.x)
-	r := k.y.Mul(z1Sq).Mul(j.z).Sub(j.y)
-	hSq := h.Square()
-	hCu := hSq.Mul(h)
-	v := j.x.Mul(hSq)
-	x3 := r.Square().Sub(hCu).Sub(v.Double())
-	y3 := r.Mul(v.Sub(x3)).Sub(j.y.Mul(hCu))
-	return jacPoint{x: x3, y: y3, z: j.z.Mul(h)}
+func jacAddAffine(r, j, k *jacPoint) {
+	var t, h, rr, hCu, v ff.Element
+	t.SetSquare(&j.z)
+	h.SetMul(&k.x, &t)
+	h.SetSub(&h, &j.x) // H = x2·Z1² − X1
+	rr.SetMul(&k.y, &t)
+	rr.SetMul(&rr, &j.z)
+	rr.SetSub(&rr, &j.y) // R = y2·Z1³ − Y1
+	r.z.SetMul(&j.z, &h)
+	t.SetSquare(&h)
+	hCu.SetMul(&t, &h)
+	v.SetMul(&j.x, &t)   // V = X1·H²
+	t.SetMul(&j.y, &hCu) // Y1·H³
+	r.x.SetSquare(&rr)
+	r.x.SetSub(&r.x, &hCu)
+	hCu.SetDouble(&v)
+	r.x.SetSub(&r.x, &hCu) // X3 = R² − H³ − 2V
+	v.SetSub(&v, &r.x)
+	r.y.SetMul(&rr, &v)
+	r.y.SetSub(&r.y, &t) // Y3 = R·(V − X3) − Y1·H³
 }

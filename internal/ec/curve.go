@@ -135,7 +135,8 @@ func (c *Curve) Double(p Point) Point {
 	if p.Y.IsZero() {
 		return c.Infinity()
 	}
-	num := p.X.Square().MulInt64(3).Add(c.F.One())
+	xSq := p.X.Square()
+	num := xSq.Double().Add(xSq).Add(c.F.One())
 	lam := num.Mul(p.Y.Double().Inv())
 	x3 := lam.Square().Sub(p.X.Double())
 	y3 := lam.Mul(p.X.Sub(x3)).Sub(p.Y)
@@ -163,13 +164,15 @@ func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 		kk = new(big.Int).Neg(k)
 		p = p.Neg()
 	}
-	const w = 4
-	tbl := c.oddMultiples(c.toJacobian(p))
+	const w = secretWindow
+	var tbl [combRow]jacPoint
+	base := c.toJacobian(p)
+	c.oddMultiples(tbl[:], &base)
 	r := c.jacInfinity()
 	i := kk.BitLen() - 1
 	for i >= 0 {
 		if kk.Bit(i) == 0 {
-			r = c.jacDouble(r)
+			jacDouble(&r, &r)
 			i--
 			continue
 		}
@@ -184,13 +187,13 @@ func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 		}
 		var val uint
 		for j := i; j >= l; j-- {
-			r = c.jacDouble(r)
+			jacDouble(&r, &r)
 			val = val<<1 | kk.Bit(j)
 		}
-		r = c.jacAdd(r, tbl[(val-1)/2])
+		c.jacAdd(&r, &r, &tbl[(val-1)/2])
 		i = l - 1
 	}
-	return c.fromJacobian(r)
+	return c.fromJacobian(&r)
 }
 
 // scalarMultBinary is the textbook double-and-add ScalarMult replaced.
@@ -209,12 +212,12 @@ func (c *Curve) scalarMultBinary(p Point, k *big.Int) Point {
 	j := c.toJacobian(p)
 	r := c.jacInfinity()
 	for i := kk.BitLen() - 1; i >= 0; i-- {
-		r = c.jacDouble(r)
+		jacDouble(&r, &r)
 		if kk.Bit(i) == 1 {
-			r = c.jacAdd(r, j)
+			c.jacAdd(&r, &r, &j)
 		}
 	}
-	return c.fromJacobian(r)
+	return c.fromJacobian(&r)
 }
 
 // ScalarBaseOrderCheck reports whether p lies in the order-q subgroup.

@@ -36,35 +36,36 @@ import (
 // one addition per 4 bits of scalar.
 const secretWindow = 4
 
-// selectSigned returns d·P for an odd digit d, where tbl[j] = (2j+1)·P.
+// selectSigned sets r = d·P for an odd digit d, where tbl[j] = (2j+1)·P.
 // The table is scanned in full with a branch-free equality mask per
 // entry, so neither the digit's magnitude nor its sign influences the
 // memory access pattern or the instruction trace.
-func selectSigned(tbl []jacPoint, d int64) jacPoint {
+func selectSigned(r *jacPoint, tbl []jacPoint, d int64) {
 	m := d >> 63 // all ones iff d < 0
 	abs := uint64((d ^ m) - m)
 	idx := (abs - 1) >> 1
-	e := tbl[0]
+	*r = tbl[0]
 	for j := 1; j < len(tbl); j++ {
 		x := uint64(j) ^ idx
 		hit := 1 - ((x | -x) >> 63) // 1 iff j == idx
-		e = selJac(hit, tbl[j], e)
+		selJac(r, hit, &tbl[j], r)
 	}
-	return jacPoint{x: e.x, y: ff.Select(uint64(m)&1, e.y.Neg(), e.y), z: e.z}
+	var neg ff.Element
+	neg.SetNeg(&r.y)
+	r.y.SetSelect(uint64(m)&1, &neg, &r.y)
 }
 
 // oddMultiples fills a table tbl[j] = (2j+1)·base of the 2^(w−1) odd
 // multiples a fixed window of width w can select. The table is built with
 // the branchy jacAdd: base points are public (hashed identities, the
 // generator) even when the scalar is secret.
-func (c *Curve) oddMultiples(base jacPoint) []jacPoint {
-	tbl := make([]jacPoint, 1<<(secretWindow-1))
-	tbl[0] = base
-	twice := c.jacDouble(base)
+func (c *Curve) oddMultiples(tbl []jacPoint, base *jacPoint) {
+	var twice jacPoint
+	jacDouble(&twice, base)
+	tbl[0] = *base
 	for j := 1; j < len(tbl); j++ {
-		tbl[j] = c.jacAdd(tbl[j-1], twice)
+		c.jacAdd(&tbl[j], &tbl[j-1], &twice)
 	}
-	return tbl
 }
 
 // ScalarMultSecret returns k·p for a point p of the order-q subgroup,
@@ -82,13 +83,17 @@ func (c *Curve) ScalarMultSecret(p Point, k Scalar) Point {
 		return c.Infinity()
 	}
 	digits := c.RecodeSecretScalar(k)
-	tbl := c.oddMultiples(c.toJacobian(p))
-	r := selectSigned(tbl, digits[len(digits)-1])
+	var tbl [combRow]jacPoint
+	base := c.toJacobian(p)
+	c.oddMultiples(tbl[:], &base)
+	var r, e jacPoint
+	selectSigned(&r, tbl[:], digits[len(digits)-1])
 	for i := len(digits) - 2; i >= 0; i-- {
 		for s := 0; s < secretWindow; s++ {
-			r = c.jacDouble(r)
+			jacDouble(&r, &r)
 		}
-		r = c.jacAddSecret(r, selectSigned(tbl, digits[i]))
+		selectSigned(&e, tbl[:], digits[i])
+		jacAddSecret(&r, &r, &e)
 	}
-	return c.fromJacobian(r)
+	return c.fromJacobian(&r)
 }

@@ -76,7 +76,7 @@ func BenchmarkFp2Square(b *testing.B) {
 	e := NewE2(x, y)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e = e.Square()
+		e.SetSquare(&e)
 	}
 }
 
@@ -96,5 +96,30 @@ func BenchmarkFp2Exp(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = e.Exp(exp)
+	}
+}
+
+// The in-place forms the curve and pairing kernels are written on.
+func BenchmarkFpSetMul(b *testing.B) {
+	x, y := benchElems(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.SetMul(&x, &y)
+	}
+}
+
+func BenchmarkFpSetAdd(b *testing.B) {
+	x, y := benchElems(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.SetAdd(&x, &y)
+	}
+}
+
+func BenchmarkFpSetSub(b *testing.B) {
+	x, y := benchElems(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.SetSub(&x, &y)
 	}
 }

@@ -9,7 +9,10 @@
 // Arithmetic runs on fixed-size [MaxLimbs]uint64 arrays in Montgomery
 // form with value-independent control flow (see DESIGN.md §14 for the
 // constant-time contract per function); math/big appears only at the
-// public parameter-loading and serialization boundary. Values are
-// immutable from the caller's perspective (operations return fresh
-// elements) so elements may be shared freely across goroutines.
+// public parameter-loading and serialization boundary. Each operation has
+// one body, in destination-receiver form (z.SetMul(x, y); z may alias its
+// operands; only the field's own limbs are touched), which the curve and
+// pairing kernels call; the value methods (x.Mul(y)) are wrappers over it
+// that return a fresh element, so a value shared across goroutines is
+// never written unless someone passes its address as a destination.
 package ff

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"math/bits"
 )
 
 // Field describes a prime field F_p with fixed-limb Montgomery internals.
@@ -116,9 +115,16 @@ func (f *Field) ByteLen() int { return f.byteLen }
 func (f *Field) Limbs() int { return f.n }
 
 // Element is a residue in F_p, held in Montgomery form (v = a·R mod p).
-// The zero value is not usable; construct elements through a Field.
-// Elements are immutable: all arithmetic returns new values, and the
+// The zero value is usable only as the destination of a Set method (so is
+// any element of the same field); construct operands through a Field. The
 // fixed-size array keeps every intermediate off the heap.
+//
+// Arithmetic has one body per operation, in destination-receiver form:
+// z.SetMul(x, y) writes x·y into z and touches only the field's n limbs
+// of it, so nothing MaxLimbs wide is copied, zeroed or returned. z may
+// alias x, y or both in every Set method. The value methods (Mul, Add, …)
+// are one-line wrappers for cold paths, where returning 136 bytes is not
+// worth a temporary's name; the curve and pairing kernels use the Set form.
 type Element struct {
 	f *Field
 	v limbs
@@ -189,8 +195,7 @@ func (f *Field) FromBytes(b []byte) (Element, error) {
 		return Element{}, fmt.Errorf("ff: element encoding must be %d bytes, got %d", f.byteLen, len(b))
 	}
 	l := limbsOfBytes(b)
-	var d limbs
-	if subN(&d, &l, &f.pl, f.n) == 0 { // no borrow ⇒ value ≥ p
+	if geN(&l, &f.pl, f.n) == 1 {
 		return Element{}, errors.New("ff: element encoding out of range")
 	}
 	return Element{f: f, v: f.toMont(&l)}, nil
@@ -221,10 +226,7 @@ func (e Element) IsZero() bool { return iszeroN(&e.v, e.f.n) == 1 }
 // IsZeroBit returns 1 when e is zero and 0 otherwise. Unlike IsZero it
 // never materializes a branchable bool, so callers can fold the result
 // into constant-time masks (see ec's branch-free unified addition).
-func (e Element) IsZeroBit() uint64 { return iszeroN(&e.v, e.f.n) }
-
-// EqualBit returns 1 when e == x and 0 otherwise, as a maskable bit.
-func (e Element) EqualBit(x Element) uint64 { return eqN(&e.v, &x.v, e.f.n) }
+func (e *Element) IsZeroBit() uint64 { return iszeroN(&e.v, e.f.n) }
 
 // IsOne reports whether e is the multiplicative identity, in constant time.
 func (e Element) IsOne() bool { return eqN(&e.v, &e.f.one, e.f.n) == 1 }
@@ -233,72 +235,73 @@ func (e Element) IsOne() bool { return eqN(&e.v, &e.f.one, e.f.n) == 1 }
 // equal exactly when the values are.)
 func (e Element) Equal(x Element) bool { return eqN(&e.v, &x.v, e.f.n) == 1 }
 
-// Add returns e + x.
-func (e Element) Add(x Element) Element {
-	f := e.f
-	var s, d limbs
-	c := addN(&s, &e.v, &x.v, f.n)
-	b := subN(&d, &s, &f.pl, f.n)
-	r := Element{f: f}
-	cselN(&r.v, c|(b^1), &d, &s, f.n)
-	return r
+// SetAdd sets z = x + y: the sum, then p subtracted under a mask when it
+// carried out or reached p.
+func (z *Element) SetAdd(x, y *Element) {
+	f := x.f
+	z.f = f
+	c := addN(&z.v, &x.v, &y.v, f.n)
+	subMaskedN(&z.v, &f.pl, c|geN(&z.v, &f.pl, f.n), f.n)
 }
+
+// SetDouble sets z = 2x.
+func (z *Element) SetDouble(x *Element) { z.SetAdd(x, x) }
+
+// SetSub sets z = x − y: the difference, then p added back under a mask
+// when it borrowed.
+func (z *Element) SetSub(x, y *Element) {
+	f := x.f
+	z.f = f
+	addMaskedN(&z.v, &f.pl, subN(&z.v, &x.v, &y.v, f.n), f.n)
+}
+
+// SetNeg sets z = −x: p − x, masked to zero when x is zero.
+func (z *Element) SetNeg(x *Element) {
+	f := x.f
+	z.f = f
+	keep := iszeroN(&x.v, f.n) - 1 // all ones unless x == 0
+	subN(&z.v, &f.pl, &x.v, f.n)
+	for i := 0; i < f.n; i++ {
+		z.v[i] &= keep
+	}
+}
+
+// SetMul sets z = x · y.
+func (z *Element) SetMul(x, y *Element) {
+	f := x.f
+	z.f = f
+	montMul(&z.v, &x.v, &y.v, &f.pl, f.m0, f.n)
+}
+
+// SetSquare sets z = x².
+func (z *Element) SetSquare(x *Element) { z.SetMul(x, x) }
+
+// SetSelect sets z = a when v == 1 and z = b when v == 0, in constant
+// time. Both operands must belong to the same field. It is the building
+// block for the masked table scans in ec and pairing (Joye–Tunstall digit
+// selection, GT exponentiation), replacing secret-indexed loads.
+func (z *Element) SetSelect(v uint64, a, b *Element) {
+	z.f = b.f
+	cselN(&z.v, v, &a.v, &b.v, b.f.n)
+}
+
+// Add returns e + x.
+func (e Element) Add(x Element) Element { e.SetAdd(&e, &x); return e }
 
 // Sub returns e − x.
-func (e Element) Sub(x Element) Element {
-	f := e.f
-	var d, dp limbs
-	b := subN(&d, &e.v, &x.v, f.n)
-	addN(&dp, &d, &f.pl, f.n)
-	r := Element{f: f}
-	cselN(&r.v, b, &dp, &d, f.n)
-	return r
-}
+func (e Element) Sub(x Element) Element { e.SetSub(&e, &x); return e }
 
 // Neg returns −e.
-func (e Element) Neg() Element {
-	f := e.f
-	var d, z limbs
-	subN(&d, &f.pl, &e.v, f.n)
-	r := Element{f: f}
-	cselN(&r.v, iszeroN(&e.v, f.n), &z, &d, f.n)
-	return r
-}
+func (e Element) Neg() Element { e.SetNeg(&e); return e }
 
 // Mul returns e · x.
-func (e Element) Mul(x Element) Element {
-	r := Element{f: e.f}
-	montMul(&r.v, &e.v, &x.v, &e.f.pl, e.f.m0, e.f.n)
-	return r
-}
+func (e Element) Mul(x Element) Element { e.SetMul(&e, &x); return e }
 
 // Square returns e².
-func (e Element) Square() Element { return e.Mul(e) }
+func (e Element) Square() Element { e.SetMul(&e, &e); return e }
 
 // Double returns 2e.
-func (e Element) Double() Element { return e.Add(e) }
-
-// MulInt64 returns k·e for a small integer k, by a double-and-add chain
-// over the bits of k. Constant-time in e; variable-time in k, which every
-// caller passes as a public literal (curve formula constants).
-func (e Element) MulInt64(k int64) Element {
-	neg := k < 0
-	ku := uint64(k)
-	if neg {
-		ku = -ku
-	}
-	r := e.f.Zero()
-	for i := bits.Len64(ku) - 1; i >= 0; i-- {
-		r = r.Double()
-		if ku>>uint(i)&1 == 1 {
-			r = r.Add(e)
-		}
-	}
-	if neg {
-		return r.Neg()
-	}
-	return r
-}
+func (e Element) Double() Element { e.SetAdd(&e, &e); return e }
 
 // expMont raises a Montgomery-form base to a public exponent with a fixed
 // 4-bit window: the square/multiply schedule depends only on the exponent
@@ -316,18 +319,15 @@ func (f *Field) expMont(base *limbs, k *big.Int) limbs {
 	}
 	windows := (k.BitLen() + 3) / 4
 	r := f.one
-	var t limbs
 	for w := windows - 1; w >= 0; w-- {
 		if w != windows-1 {
 			for s := 0; s < 4; s++ {
-				montMul(&t, &r, &r, &f.pl, f.m0, f.n)
-				r = t
+				montMul(&r, &r, &r, &f.pl, f.m0, f.n)
 			}
 		}
 		idx := k.Bit(4*w+3)<<3 | k.Bit(4*w+2)<<2 | k.Bit(4*w+1)<<1 | k.Bit(4*w)
 		if idx != 0 {
-			montMul(&t, &r, &tbl[idx], &f.pl, f.m0, f.n)
-			r = t
+			montMul(&r, &r, &tbl[idx], &f.pl, f.m0, f.n)
 		}
 	}
 	return r
@@ -382,16 +382,6 @@ func (e Element) Sqrt() (Element, bool) {
 		return e.f.Zero(), false
 	}
 	return Element{f: e.f, v: r}, true
-}
-
-// Select returns a when v == 1 and b when v == 0, in constant time. Both
-// operands must belong to the same field. It is the building block for
-// the masked table scans in ec and pairing (Joye–Tunstall digit
-// selection, GT exponentiation), replacing secret-indexed loads.
-func Select(v uint64, a, b Element) Element {
-	r := Element{f: b.f}
-	cselN(&r.v, v, &a.v, &b.v, b.f.n)
-	return r
 }
 
 // String implements fmt.Stringer with a hex rendering.

@@ -6,8 +6,9 @@ import (
 	"math/big"
 )
 
-// E2 is an element of F_p² = F_p[i]/(i²+1), stored as A + B·i.
-// Like Element, values are immutable and safe to share.
+// E2 is an element of F_p² = F_p[i]/(i²+1), stored as A + B·i. Like
+// Element it has one body per operation in destination-receiver form
+// (z may alias x, y or both) and value wrappers for cold paths.
 type E2 struct {
 	A Element // real part
 	B Element // imaginary part
@@ -72,38 +73,65 @@ func (x E2) IsOne() bool { return x.A.IsOne() && x.B.IsZero() }
 // Equal reports whether x == y.
 func (x E2) Equal(y E2) bool { return x.A.Equal(y.A) && x.B.Equal(y.B) }
 
-// Add returns x + y.
-func (x E2) Add(y E2) E2 { return E2{A: x.A.Add(y.A), B: x.B.Add(y.B)} }
+// SetAdd sets z = x + y.
+func (z *E2) SetAdd(x, y *E2) {
+	z.A.SetAdd(&x.A, &y.A)
+	z.B.SetAdd(&x.B, &y.B)
+}
 
-// Sub returns x − y.
-func (x E2) Sub(y E2) E2 { return E2{A: x.A.Sub(y.A), B: x.B.Sub(y.B)} }
+// SetSub sets z = x − y.
+func (z *E2) SetSub(x, y *E2) {
+	z.A.SetSub(&x.A, &y.A)
+	z.B.SetSub(&x.B, &y.B)
+}
+
+// SetNeg sets z = −x.
+func (z *E2) SetNeg(x *E2) {
+	z.A.SetNeg(&x.A)
+	z.B.SetNeg(&x.B)
+}
+
+// SetMul sets z = x · y by Karatsuba over i²=−1: three base
+// multiplications (ac, bd, (a+b)(c+d)) instead of the schoolbook four, with
+// (a+bi)(c+di) = (ac − bd) + ((a+b)(c+d) − ac − bd)·i. Both coordinates of
+// z are written after the last read of x and y.
+func (z *E2) SetMul(x, y *E2) {
+	var ac, bd, cross, t Element
+	ac.SetMul(&x.A, &y.A)
+	bd.SetMul(&x.B, &y.B)
+	cross.SetAdd(&x.A, &x.B)
+	t.SetAdd(&y.A, &y.B)
+	cross.SetMul(&cross, &t)
+	z.A.SetSub(&ac, &bd)
+	cross.SetSub(&cross, &ac)
+	z.B.SetSub(&cross, &bd)
+}
+
+// SetSquare sets z = x² via (a+bi)² = (a+b)(a−b) + 2ab·i.
+func (z *E2) SetSquare(x *E2) {
+	var sum, dif Element
+	sum.SetAdd(&x.A, &x.B)
+	dif.SetSub(&x.A, &x.B)
+	z.B.SetMul(&x.A, &x.B)
+	z.B.SetDouble(&z.B)
+	z.A.SetMul(&sum, &dif)
+}
+
+// SetSelect sets z = a when v == 1 and z = b when v == 0, in constant
+// time: the masked table scan of pairing.GTExpSecret.
+func (z *E2) SetSelect(v uint64, a, b *E2) {
+	z.A.SetSelect(v, &a.A, &b.A)
+	z.B.SetSelect(v, &a.B, &b.B)
+}
 
 // Neg returns −x.
-func (x E2) Neg() E2 { return E2{A: x.A.Neg(), B: x.B.Neg()} }
+func (x E2) Neg() E2 { x.SetNeg(&x); return x }
 
 // Conjugate returns A − B·i, which equals x^p when p ≡ 3 (mod 4).
-func (x E2) Conjugate() E2 { return E2{A: x.A, B: x.B.Neg()} }
+func (x E2) Conjugate() E2 { x.B.SetNeg(&x.B); return x }
 
-// Mul returns x · y by Karatsuba over i²=−1: three base multiplications
-// (ac, bd, (a+b)(c+d)) instead of the schoolbook four, with
-// (a+bi)(c+di) = (ac − bd) + ((a+b)(c+d) − ac − bd)·i.
-func (x E2) Mul(y E2) E2 {
-	ac := x.A.Mul(y.A)
-	bd := x.B.Mul(y.B)
-	cross := x.A.Add(x.B).Mul(y.A.Add(y.B))
-	return E2{A: ac.Sub(bd), B: cross.Sub(ac).Sub(bd)}
-}
-
-// MulScalar returns x scaled by a base-field element.
-func (x E2) MulScalar(s Element) E2 { return E2{A: x.A.Mul(s), B: x.B.Mul(s)} }
-
-// Square returns x² via (a+bi)² = (a+b)(a−b) + 2ab·i.
-func (x E2) Square() E2 {
-	sum := x.A.Add(x.B)
-	dif := x.A.Sub(x.B)
-	ab := x.A.Mul(x.B)
-	return E2{A: sum.Mul(dif), B: ab.Double()}
-}
+// Mul returns x · y.
+func (x E2) Mul(y E2) E2 { x.SetMul(&x, &y); return x }
 
 // Norm returns a² + b² ∈ F_p, the field norm of x.
 func (x E2) Norm() Element { return x.A.Square().Add(x.B.Square()) }
@@ -125,24 +153,13 @@ func (x E2) Exp(k *big.Int) E2 {
 		return f.E2One()
 	}
 	r := f.E2One()
-	base := x
 	for i := k.BitLen() - 1; i >= 0; i-- {
-		r = r.Square()
+		r.SetSquare(&r)
 		if k.Bit(i) == 1 {
-			r = r.Mul(base)
+			r.SetMul(&r, &x)
 		}
 	}
 	return r
-}
-
-// Frobenius returns x^p. For p ≡ 3 (mod 4), i^p = −i, so this is the
-// conjugate; kept as a named operation for clarity at call sites.
-func (x E2) Frobenius() E2 { return x.Conjugate() }
-
-// SelectE2 returns a when v == 1 and b when v == 0, in constant time.
-// Companion to Select for the masked table scans in pairing.GTExpSecret.
-func SelectE2(v uint64, a, b E2) E2 {
-	return E2{A: Select(v, a.A, b.A), B: Select(v, a.B, b.B)}
 }
 
 // String implements fmt.Stringer.

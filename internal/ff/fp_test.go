@@ -184,14 +184,6 @@ func TestFieldAxioms(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	t.Run("MulInt64MatchesRepeatedAdd", func(t *testing.T) {
-		if err := quick.Check(func(a int64) bool {
-			e := elem(a)
-			return e.MulInt64(3).Equal(e.Add(e).Add(e))
-		}, nil); err != nil {
-			t.Error(err)
-		}
-	})
 }
 
 func TestInvZeroPanics(t *testing.T) {

@@ -13,8 +13,9 @@ import (
 // cross-checks the amd64 ADX kernel against the portable Go unrolling.
 
 // diffFields returns fields spanning the supported limb widths: the
-// 1-limb Mersenne test prime, the 5-limb test preset, the 8-limb bf80
-// deployment modulus (ADX kernel) and a 16-limb MaxLimbs-wide prime.
+// 1-limb Mersenne test prime, the moduli of the three presets (test at 5
+// limbs, bf80 at 8 — the ADX kernel —, bf112 at 16; entries 1–3) and a
+// prime just below 2¹⁰²⁴ whose top limb is all ones.
 func diffFields(t testing.TB) []*Field {
 	t.Helper()
 	ps := []string{
@@ -23,6 +24,8 @@ func diffFields(t testing.TB) []*Field {
 		"146243787580160607335409866087352920027733935707104342391904050466984690923907",
 		// bf80: the 512-bit deployment modulus.
 		"12810777694916072611203116704468939970767213228450076790270442963300868876670239351063471358988175446936393497845530695391654418328020042030714485041645431",
+		// bf112: the 1024-bit modulus (internal/pairing ParamsBF112).
+		"174463668563175016348171735044143113285642078073673012284111640033112125236158872805646547183737654029781222534788685344144452575105812177370551550311370190117887547450643487320246065544535910775437410440675230997844407190502903084933784460816225113516295449305229068624536286863837831446367740645583121759883",
 	}
 	var fs []*Field
 	for _, s := range ps {
@@ -96,25 +99,16 @@ func TestLimbArithmeticMatchesBig(t *testing.T) {
 			if got, want := a.Legendre(), big.Jacobi(av, p); got != want {
 				t.Fatalf("p=%d bits: Legendre(%v) = %d, want %d", p.BitLen(), av, got, want)
 			}
-			// Binary ops against a rotating partner.
+			// Every in-place op and its value wrapper against a rotating
+			// partner, in F_p and in F_p².
 			bv := ops[(i*7+3)%len(ops)]
 			b := f.NewElement(bv)
-			checks := []struct {
-				name string
-				got  Element
-				want *big.Int
-			}{
-				{"Add", a.Add(b), new(big.Int).Add(av, bv)},
-				{"Sub", a.Sub(b), new(big.Int).Sub(av, bv)},
-				{"Mul", a.Mul(b), new(big.Int).Mul(av, bv)},
-				{"Double", a.Double(), new(big.Int).Lsh(av, 1)},
-				{"MulInt64", a.MulInt64(-13), new(big.Int).Mul(av, big.NewInt(-13))},
+			for _, op := range elemOps {
+				checkElemOp(t, f, op, av, bv)
 			}
-			for _, c := range checks {
-				want := new(big.Int).Mod(c.want, p)
-				if got := c.got.BigInt(); got.Cmp(want) != 0 {
-					t.Fatalf("p=%d bits: %s(%v, %v) = %v, want %v", p.BitLen(), c.name, av, bv, got, want)
-				}
+			a2, b2 := bigE2{av, ops[(i*3+1)%len(ops)]}, bigE2{bv, ops[(i*5+2)%len(ops)]}
+			for _, op := range e2Ops {
+				checkE2Op(t, f, op, a2, b2)
 			}
 			if got, want := a.Equal(b), av.Cmp(bv) == 0; got != want {
 				t.Fatalf("p=%d bits: Equal(%v, %v) = %v", p.BitLen(), av, bv, got)
@@ -256,9 +250,13 @@ func TestMontMul8KernelsAgree(t *testing.T) {
 
 // FuzzLimbFieldOps drives the limb arithmetic from raw bytes and
 // cross-checks against math/big, so the fuzzer can hunt for carry-chain
-// corner cases the fixed edge list misses.
+// corner cases the fixed edge list misses. The two 64-byte operands are
+// read at the width of each preset's modulus; op picks one row of elemOps
+// or e2Ops, which is run in place (every aliasing shape), through its value
+// wrapper and through the model.
 func FuzzLimbFieldOps(f *testing.F) {
-	bf := benchField
+	presets := diffFields(f)[1:4]
+	bf := presets[1]
 	p := bf.P()
 	f.Add(make([]byte, 128), uint8(0))
 	seed := make([]byte, 128)
@@ -276,36 +274,34 @@ func FuzzLimbFieldOps(f *testing.F) {
 			t.Fatalf("FromBytes accept/reject mismatch for %v", av)
 		}
 		if errA != nil {
-			av.Mod(av, p)
 			a = bf.NewElement(av)
 		}
-		b, errB := bf.FromBytes(bBytes)
-		if errB != nil {
-			bv.Mod(bv, p)
-			b = bf.NewElement(bv)
-		}
-		var got Element
-		want := new(big.Int)
-		switch op % 5 {
-		case 0:
-			got, _ = a.Add(b), want.Add(av, bv)
-		case 1:
-			got, _ = a.Sub(b), want.Sub(av, bv)
-		case 2:
-			got, _ = a.Mul(b), want.Mul(av, bv)
-		case 3:
-			got, _ = a.Square(), want.Mul(av, av)
-		case 4:
-			got, _ = a.Neg(), want.Neg(av)
-		}
-		want.Mod(want, p)
-		if g := got.BigInt(); g.Cmp(want) != 0 {
-			t.Fatalf("op %d on %v, %v: got %v, want %v", op%5, av, bv, g, want)
-		}
 		// Serialization round-trip.
-		back, err := bf.FromBytes(got.Bytes())
-		if err != nil || !back.Equal(got) {
+		back, err := bf.FromBytes(a.Bytes())
+		if err != nil || !back.Equal(a) {
 			t.Fatalf("Bytes/FromBytes roundtrip failed: %v", err)
 		}
+		for _, fld := range presets {
+			// The widest preset reads both operands as one 1024-bit value
+			// and its byte reversal, so its upper limbs see fuzzed bits too.
+			x, y := av, bv
+			if fld.n > 8 {
+				x, y = new(big.Int).SetBytes(raw[:128]), new(big.Int).SetBytes(reversed(raw[:128]))
+			}
+			x, y = new(big.Int).Mod(x, fld.p), new(big.Int).Mod(y, fld.p)
+			if i := int(op) % (len(elemOps) + len(e2Ops)); i < len(elemOps) {
+				checkElemOp(t, fld, elemOps[i], x, y)
+			} else {
+				checkE2Op(t, fld, e2Ops[i-len(elemOps)], bigE2{x, y}, bigE2{y, x})
+			}
+		}
 	})
+}
+
+func reversed(b []byte) []byte {
+	out := make([]byte, len(b))
+	for i, v := range b {
+		out[len(b)-1-i] = v
+	}
+	return out
 }

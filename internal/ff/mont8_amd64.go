@@ -4,7 +4,8 @@ package ff
 
 // montMul8ADX is the MULX/ADCX/ADOX assembly kernel emitted by
 // gen_mont8.go into mont8_amd64.s. It requires the BMI2 and ADX
-// extensions (Broadwell and later).
+// extensions (Broadwell and later). Like montMul8Go it stores to z only
+// after its last read of x and y, so z may alias either.
 //
 //go:noescape
 func montMul8ADX(z, x, y, m *limbs, minv uint64)

@@ -26,9 +26,9 @@ import (
 //     helpers, string ==/!= on secrets, the public variable-time
 //     ec.ScalarMult, and the residual big.Int boundary of the
 //     fixed-limb ff layer (Exp's exponent-driven schedule, the
-//     NewElement/FromInt64/MulInt64 inputs, String) — each checked only
-//     in its timing-sensitive operand, so a secret base under a public
-//     exponent stays clean.
+//     NewElement/FromInt64 inputs, String) — each checked only in its
+//     timing-sensitive operand, so a secret base under a public exponent
+//     stays clean.
 //
 // Sources: bfibe.MasterKey / bfibe.PrivateKey / tpkg.Share by type
 // (every expression of those types is key material, so struct fields
@@ -297,9 +297,8 @@ func ctPassthrough(fn *types.Func) bool {
 // the big.Int (or small-integer) operand: Exp's square/multiply window
 // schedule follows the exponent's bits (the base is constant-time —
 // secret exponents belong in pairing.GTExpSecret or ec.ScalarMultSecret),
-// NewElement and FromInt64 reduce their input with math/big, MulInt64's
-// double-and-add follows the multiplier's bits, and String formats the
-// value it is called on.
+// NewElement and FromInt64 reduce their input with math/big, and String
+// formats the value it is called on.
 func ctSinkCall(_ *sinkCtx, fn *types.Func) []sinkArg {
 	every := func(int) bool { return true }
 	argOnly := func(i int) bool { return i == 1 }
@@ -329,7 +328,7 @@ func ctSinkCall(_ *sinkCtx, fn *types.Func) []sinkArg {
 		switch name {
 		case "Exp":
 			return sink("ff."+name+" (exponent-driven schedule)", argOnly)
-		case "NewElement", "FromInt64", "MulInt64":
+		case "NewElement", "FromInt64":
 			return sink("ff."+name+" (big.Int boundary)", argOnly)
 		case "String":
 			return sink("ff."+name, recvOnly)

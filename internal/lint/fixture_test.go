@@ -28,7 +28,7 @@ var fixtures = map[string][]string{
 	"noncereuse":    {"./testdata/src/noncereuse/symenc", "./testdata/src/noncereuse/enc"},
 	"keyzero":       {"./testdata/src/keyzero/kdf", "./testdata/src/keyzero/symenc", "./testdata/src/keyzero/ticket"},
 	"vartime":       {"./testdata/src/vartime/ec", "./testdata/src/vartime/kdf", "./testdata/src/vartime/pairing", "./testdata/src/vartime/bfibe", "./testdata/src/vartime/tpkg", "./testdata/src/vartime/use"},
-	"ctflow":        {"./testdata/src/ctflow/bfibe", "./testdata/src/ctflow/ff", "./testdata/src/ctflow/app"},
+	"ctflow":        {"./testdata/src/ctflow/bfibe", "./testdata/src/ctflow/ff", "./testdata/src/ctflow/ec", "./testdata/src/ctflow/app"},
 	"lockorder":     {"./testdata/src/lockorder/locks", "./testdata/src/lockorder/alpha", "./testdata/src/lockorder/beta"},
 	"lockheld":      {"./testdata/src/lockheld/storage"},
 	"atomicmix":     {"./testdata/src/atomicmix/counter", "./testdata/src/atomicmix/reader"},

@@ -52,7 +52,9 @@ import (
 // targets' parameters — sources *inside* such targets are still seen,
 // and spec hooks match interface callees by name/package so the symenc
 // Scheme methods act as sources/sanitizers at every call site; channels
-// and global variables propagate only within a single function.
+// and global variables propagate only within a single function; and a
+// store through a local alias (st := &tbl[i]; f(&st.x, secret)) taints
+// the alias, not tbl — kernels pass &tbl[i].x itself.
 
 // labels is the taint lattice element: a bitset of source labels plus
 // symbolic parameter bits.
@@ -238,6 +240,11 @@ type funcFacts struct {
 	// parameter i seeded paramIn[i]|paramLabel(i). Parameter bits are
 	// preserved so callers can substitute argument taint.
 	retOut []labels
+	// paramOut is the other way a value leaves a function: what the body
+	// stored through each pointer, slice or map parameter (receiver
+	// included), in retOut's vocabulary and without the parameter's own
+	// bit. z.SetMul(x, y) has no result; its summary is paramOut[z] ∋ x, y.
+	paramOut []labels
 }
 
 // taintEngine ties a spec to a loaded program. Functions are indexed by
@@ -363,6 +370,7 @@ func (e *taintEngine) addFunc(fn *types.Func, decl *ast.FuncDecl, pkg *Package) 
 		}
 	}
 	fa.retOut = make([]labels, sig.Results().Len())
+	fa.paramOut = make([]labels, len(fa.params))
 	e.byKey[concFuncKey(fn)] = fa
 	e.ordered = append(e.ordered, fa)
 }
@@ -419,6 +427,22 @@ func (e *taintEngine) analyze(fa *funcFacts, report bool) {
 			e.changed = true
 		}
 	}
+	for i, p := range fa.params {
+		if t := b.env.obj[p] &^ paramLabel(i); storesReachCaller(p.Type()) && t&^fa.paramOut[i] != 0 {
+			fa.paramOut[i] |= t
+			e.changed = true
+		}
+	}
+}
+
+// storesReachCaller reports whether a store through a parameter of type t
+// lands in memory the caller still sees.
+func storesReachCaller(t types.Type) bool {
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Slice, *types.Map:
+		return true
+	}
+	return false
 }
 
 // env maps in-scope objects to the labels they hold (parameter bits
@@ -551,7 +575,7 @@ func (b *bodyState) setObj(o types.Object, t labels) {
 }
 
 // rootObj resolves the base object an lvalue expression stores into:
-// x, x.f, x[i], (*x), x[i:j] all root at x.
+// x, x.f, x[i], (*x), x[i:j] and the destination argument &x all root at x.
 func (b *bodyState) rootObj(e ast.Expr) types.Object {
 	for {
 		switch v := e.(type) {
@@ -571,6 +595,11 @@ func (b *bodyState) rootObj(e ast.Expr) types.Object {
 		case *ast.SliceExpr:
 			e = v.X
 		case *ast.StarExpr:
+			e = v.X
+		case *ast.UnaryExpr:
+			if v.Op != token.AND {
+				return nil
+			}
 			e = v.X
 		default:
 			return nil
@@ -1170,8 +1199,7 @@ func (b *bodyState) call(c *ast.CallExpr) []labels {
 		// parameter bits substitute this site's argument taint. Under
 		// callSiteSources the source bits are dropped as context-
 		// insensitive (see the taintSpec field).
-		for i := 0; i < nres && i < len(fa.retOut); i++ {
-			ro := fa.retOut[i]
+		translate := func(ro labels) labels {
 			t := sourceBits(ro)
 			if spec.callSiteSources {
 				t = 0
@@ -1187,7 +1215,18 @@ func (b *bodyState) call(c *ast.CallExpr) []labels {
 					}
 				}
 			}
-			out[i] = t
+			return t
+		}
+		for i := 0; i < nres && i < len(fa.retOut); i++ {
+			out[i] = translate(fa.retOut[i])
+		}
+		// What the callee stored through a destination parameter now sits
+		// in the caller's object behind that argument (an argument that is
+		// itself a call roots at no object).
+		for j, po := range fa.paramOut {
+			if i := j - fa.recvOffset + recvOffset; po != 0 && i >= 0 && i < len(args) {
+				b.setObj(b.rootObj(args[i]), translate(po))
+			}
 		}
 	} else {
 		// Unresolved or external callee: conservatively, every result

@@ -19,3 +19,12 @@ func (e *Element) Exp(k *big.Int) *Element {
 	}
 	return e
 }
+
+// Mul and SetMul are one operation in its two forms: the product leaves
+// Mul as a result and SetMul through the destination receiver z.
+func (e Element) Mul(x Element) Element { return Element{V: new(big.Int).Mul(e.V, x.V)} }
+
+func (z *Element) SetMul(x, y *Element) { z.V = new(big.Int).Mul(x.V, y.V) }
+
+// IsZero is the predicate the callers branch on.
+func (e *Element) IsZero() bool { return e.V.Sign() == 0 }

@@ -113,33 +113,39 @@ func (e *Pairing) GTOne() GT { return GT{v: e.Curve.F.E2One()} }
 func (e *Pairing) GTExpSecret(g GT, k ec.Scalar) GT {
 	digits := e.Curve.RecodeSecretScalar(k)
 	var tbl [8]ff.E2 // tbl[j] = g^(2j+1)
+	var g2, acc, sel ff.E2
 	tbl[0] = g.v
-	g2 := g.v.Square()
+	g2.SetSquare(&g.v)
 	for j := 1; j < len(tbl); j++ {
-		tbl[j] = tbl[j-1].Mul(g2)
+		tbl[j].SetMul(&tbl[j-1], &g2)
 	}
-	acc := selE2Signed(&tbl, digits[len(digits)-1])
+	selE2Signed(&acc, &tbl, digits[len(digits)-1])
 	for i := len(digits) - 2; i >= 0; i-- {
-		acc = acc.Square().Square().Square().Square()
-		acc = acc.Mul(selE2Signed(&tbl, digits[i]))
+		for s := 0; s < 4; s++ {
+			acc.SetSquare(&acc)
+		}
+		selE2Signed(&sel, &tbl, digits[i])
+		acc.SetMul(&acc, &sel)
 	}
 	return GT{v: acc}
 }
 
-// selE2Signed returns tbl[(|d|−1)/2] conjugated when d < 0, scanning the
+// selE2Signed sets z = tbl[(|d|−1)/2], conjugated when d < 0, scanning the
 // whole table under an arithmetic mask — the μ_q analogue of ec's
 // selectSigned.
-func selE2Signed(tbl *[8]ff.E2, d int64) ff.E2 {
+func selE2Signed(z *ff.E2, tbl *[8]ff.E2, d int64) {
 	m := d >> 63 // all ones iff d < 0
 	abs := uint64((d ^ m) - m)
 	idx := (abs - 1) >> 1
-	e := tbl[0]
+	*z = tbl[0]
 	for j := 1; j < len(tbl); j++ {
 		x := uint64(j) ^ idx
 		hit := 1 - ((x | -x) >> 63) // 1 iff j == idx
-		e = ff.SelectE2(hit, tbl[j], e)
+		z.SetSelect(hit, &tbl[j], z)
 	}
-	return ff.SelectE2(uint64(m)&1, e.Conjugate(), e)
+	var neg ff.Element
+	neg.SetNeg(&z.B)
+	z.B.SetSelect(uint64(m)&1, &neg, &z.B)
 }
 
 // lineCoeffs are the projective coefficients of one Miller-loop line:
@@ -150,8 +156,11 @@ type lineCoeffs struct {
 	a, b, c ff.Element
 }
 
-func (l lineCoeffs) at(xq, yq ff.Element) ff.E2 {
-	return ff.NewE2(l.a.Add(l.b.Mul(xq)), l.c.Mul(yq))
+// at sets v to the line's value at φ(Q) for Q = (xq, yq).
+func (l *lineCoeffs) at(v *ff.E2, xq, yq *ff.Element) {
+	v.A.SetMul(&l.b, xq)
+	v.A.SetAdd(&l.a, &v.A)
+	v.B.SetMul(&l.c, yq)
 }
 
 // millerStep is one iteration of the Miller loop: always a tangent
@@ -170,52 +179,74 @@ type g1Jac struct {
 	x, y, z ff.Element
 }
 
-// tangentStep doubles t with the a = 1 formulas and returns the tangent
-// line at the pre-doubling t. With x_T = X/Z², y_T = Y/Z³ and
+// tangentStep doubles t in place with the a = 1 formulas and sets line to
+// the tangent at the pre-doubling t. With x_T = X/Z², y_T = Y/Z³ and
 // M = 3X² + Z⁴ the affine tangent value λ·(x_Q + x_T) − y_T scaled by
 // C = 2YZ³ is (M·X − 2Y²) + (M·Z²)·x_Q, giving A = M·X − 2Y², B = M·Z²,
 // C = Z'·Z² where Z' = 2YZ is also the doubled point's Z.
-func tangentStep(t g1Jac) (lineCoeffs, g1Jac) {
-	ySq := t.y.Square()
-	zSq := t.z.Square()
-	m := t.x.Square().MulInt64(3).Add(zSq.Square())
-	z3 := t.y.Mul(t.z).Double()
-	line := lineCoeffs{
-		a: m.Mul(t.x).Sub(ySq.Double()),
-		b: m.Mul(zSq),
-		c: z3.Mul(zSq),
-	}
-	s := t.x.Mul(ySq).MulInt64(4)
-	x3 := m.Square().Sub(s.Double())
-	y3 := m.Mul(s.Sub(x3)).Sub(ySq.Square().MulInt64(8))
-	return line, g1Jac{x: x3, y: y3, z: z3}
+func tangentStep(line *lineCoeffs, t *g1Jac) {
+	var ySq, zSq, m, s ff.Element
+	ySq.SetSquare(&t.y)
+	zSq.SetSquare(&t.z)
+	m.SetSquare(&t.x)
+	s.SetDouble(&m)
+	m.SetAdd(&m, &s) // 3X²
+	s.SetSquare(&zSq)
+	m.SetAdd(&m, &s) // M = 3X² + Z⁴
+	t.z.SetMul(&t.y, &t.z)
+	t.z.SetDouble(&t.z) // Z' = 2YZ
+	line.a.SetMul(&m, &t.x)
+	s.SetDouble(&ySq)
+	line.a.SetSub(&line.a, &s)
+	line.b.SetMul(&m, &zSq)
+	line.c.SetMul(&t.z, &zSq)
+	s.SetMul(&t.x, &ySq)
+	s.SetDouble(&s)
+	s.SetDouble(&s) // S = 4·X·Y²
+	t.x.SetSquare(&m)
+	zSq.SetDouble(&s)
+	t.x.SetSub(&t.x, &zSq) // X' = M² − 2S
+	s.SetSub(&s, &t.x)
+	t.y.SetMul(&m, &s)
+	ySq.SetSquare(&ySq)
+	ySq.SetDouble(&ySq)
+	ySq.SetDouble(&ySq)
+	ySq.SetDouble(&ySq)
+	t.y.SetSub(&t.y, &ySq) // Y' = M(S − X') − 8Y⁴
 }
 
-// chordStep adds the affine base point p to t (mixed addition) and
-// returns the chord line through both. With H = x_p·Z² − X, R = y_p·Z³ − Y
-// the affine chord value scaled by C = Z3·Z² (Z3 = Z·H) is
+// chordStep adds the affine base point p to t in place (mixed addition)
+// and sets line to the chord through both. With H = x_p·Z² − X,
+// R = y_p·Z³ − Y the affine chord value scaled by C = Z3·Z² (Z3 = Z·H) is
 // (R·X − H·Y) + (R·Z²)·x_Q. A vertical chord (H = 0, the final
 // T = −P step of the loop) degenerates gracefully: C = 0 puts the value
 // in F_p, where the final exponentiation kills it, and Z3 = 0 marks the
 // sum as infinity.
-func chordStep(t g1Jac, p ec.Point) (lineCoeffs, g1Jac) {
-	z1Sq := t.z.Square()
-	u2 := p.X.Mul(z1Sq)
-	s2 := p.Y.Mul(z1Sq).Mul(t.z)
-	h := u2.Sub(t.x)
-	r := s2.Sub(t.y)
-	z3 := t.z.Mul(h)
-	line := lineCoeffs{
-		a: r.Mul(t.x).Sub(h.Mul(t.y)),
-		b: r.Mul(z1Sq),
-		c: z3.Mul(z1Sq),
-	}
-	hSq := h.Square()
-	hCu := hSq.Mul(h)
-	v := t.x.Mul(hSq)
-	x3 := r.Square().Sub(hCu).Sub(v.Double())
-	y3 := r.Mul(v.Sub(x3)).Sub(t.y.Mul(hCu))
-	return line, g1Jac{x: x3, y: y3, z: z3}
+func chordStep(line *lineCoeffs, t *g1Jac, p *ec.Point) {
+	var z1Sq, h, r, v, hCu ff.Element
+	z1Sq.SetSquare(&t.z)
+	h.SetMul(&p.X, &z1Sq)
+	h.SetSub(&h, &t.x) // H
+	r.SetMul(&p.Y, &z1Sq)
+	r.SetMul(&r, &t.z)
+	r.SetSub(&r, &t.y) // R
+	t.z.SetMul(&t.z, &h)
+	line.a.SetMul(&r, &t.x)
+	v.SetMul(&h, &t.y)
+	line.a.SetSub(&line.a, &v)
+	line.b.SetMul(&r, &z1Sq)
+	line.c.SetMul(&t.z, &z1Sq)
+	z1Sq.SetSquare(&h) // H²
+	hCu.SetMul(&z1Sq, &h)
+	v.SetMul(&t.x, &z1Sq) // V = X·H²
+	t.x.SetSquare(&r)
+	t.x.SetSub(&t.x, &hCu)
+	z1Sq.SetDouble(&v)
+	t.x.SetSub(&t.x, &z1Sq) // X3 = R² − H³ − 2V
+	hCu.SetMul(&t.y, &hCu)
+	v.SetSub(&v, &t.x)
+	t.y.SetMul(&r, &v)
+	t.y.SetSub(&t.y, &hCu) // Y3 = R·(V − X3) − Y·H³
 }
 
 // G1Precomp caches the Miller-loop line coefficients of a fixed first
@@ -244,16 +275,14 @@ func (e *Pairing) G1Precomp(p ec.Point) *G1Precomp {
 		return &G1Precomp{e: e, inf: true}
 	}
 	q := e.Curve.Q
-	steps := make([]millerStep, 0, q.BitLen()-1)
+	steps := make([]millerStep, q.BitLen()-1)
 	t := g1Jac{x: p.X, y: p.Y, z: e.Curve.F.One()}
-	for i := q.BitLen() - 2; i >= 0; i-- {
-		var st millerStep
-		st.tan, t = tangentStep(t)
-		if q.Bit(i) == 1 {
-			st.hasChord = true
-			st.chord, t = chordStep(t, p)
+	for s := range steps {
+		tangentStep(&steps[s].tan, &t)
+		if q.Bit(len(steps)-1-s) == 1 {
+			steps[s].hasChord = true
+			chordStep(&steps[s].chord, &t, &p)
 		}
-		steps = append(steps, st)
 	}
 	return &G1Precomp{e: e, steps: steps}
 }
@@ -262,12 +291,16 @@ func (e *Pairing) G1Precomp(p ec.Point) *G1Precomp {
 // numerators in F_p².
 func (pre *G1Precomp) miller(q ec.Point) ff.E2 {
 	f := pre.e.Curve.F.E2One()
-	for _, st := range pre.steps {
-		f = f.Square()
-		f = f.Mul(st.tan.at(q.X, q.Y))
+	var line ff.E2
+	for s := range pre.steps {
+		st := &pre.steps[s]
+		f.SetSquare(&f)
+		st.tan.at(&line, &q.X, &q.Y)
+		f.SetMul(&f, &line)
 		//mwslint:declassify chord presence follows the bits of the public group order q, not the (possibly secret) point the steps were built from
 		if st.hasChord {
-			f = f.Mul(st.chord.at(q.X, q.Y))
+			st.chord.at(&line, &q.X, &q.Y)
+			f.SetMul(&f, &line)
 		}
 	}
 	return f
@@ -310,12 +343,13 @@ func (pre *G1Precomp) PairProduct(qs ...ec.Point) GT {
 	}
 	f := pre.e.Curve.F.E2One()
 	live := false
-	for _, q := range qs {
-		if q.Inf {
+	for i := range qs {
+		if qs[i].Inf {
 			continue
 		}
 		obsv.AddPairing()
-		f = f.Mul(pre.miller(q))
+		m := pre.miller(qs[i])
+		f.SetMul(&f, &m)
 		live = true
 	}
 	if !live {
@@ -368,13 +402,16 @@ func (e *Pairing) PairProduct(ps, qs []ec.Point) GT {
 		return e.GTOne()
 	}
 	f := e.Curve.F.E2One()
+	var line ff.E2
 	for s := range pres[0].steps {
-		f = f.Square()
+		f.SetSquare(&f)
 		for i, pre := range pres {
-			st := pre.steps[s]
-			f = f.Mul(st.tan.at(live[i].X, live[i].Y))
+			st, q := &pre.steps[s], &live[i]
+			st.tan.at(&line, &q.X, &q.Y)
+			f.SetMul(&f, &line)
 			if st.hasChord {
-				f = f.Mul(st.chord.at(live[i].X, live[i].Y))
+				st.chord.at(&line, &q.X, &q.Y)
+				f.SetMul(&f, &line)
 			}
 		}
 	}
@@ -415,11 +452,18 @@ func (e *Pairing) finalExpBy(f ff.E2, k *big.Int) ff.E2 {
 	p := a.Double()              // V_1
 	v0, v1 := e.two, p           // (V_j, V_{j+1}) at j = 0
 	for i := k.BitLen() - 1; i >= 0; i-- {
-		cross := v0.Mul(v1).Sub(p) // V_{2j+1}
+		// One of the pair becomes the cross term V_{2j+1} = V_j·V_{j+1} − V_1,
+		// first, while both are intact; the other its own square − 2.
 		if k.Bit(i) == 1 {
-			v0, v1 = cross, v1.Square().Sub(e.two)
+			v0.SetMul(&v0, &v1)
+			v0.SetSub(&v0, &p)
+			v1.SetSquare(&v1)
+			v1.SetSub(&v1, &e.two)
 		} else {
-			v0, v1 = v0.Square().Sub(e.two), cross
+			v1.SetMul(&v0, &v1)
+			v1.SetSub(&v1, &p)
+			v0.SetSquare(&v0)
+			v0.SetSub(&v0, &e.two)
 		}
 	}
 	return ff.NewE2(v0.Mul(e.half), a.Mul(v0).Sub(v1).Mul(inv2b))
