@@ -22,6 +22,7 @@ import (
 
 	"mwskit/internal/attr"
 	"mwskit/internal/bfibe"
+	"mwskit/internal/fanout"
 	"mwskit/internal/ibs"
 	"mwskit/internal/macauth"
 	"mwskit/internal/obsv"
@@ -206,18 +207,11 @@ func (s *Service) Extract(ctx context.Context, req *wire.ExtractRequest) (*wire.
 	if err != nil {
 		return nil, err
 	}
-
-	extractCtx, extSp := obsv.StartSpan(ctx, "ibe.extract")
-	extSp.SetAttr("items", fmt.Sprintf("%d", len(req.Items)))
-	defer extSp.End()
-	resp := &wire.ExtractResponse{SealedKeys: make([][]byte, len(req.Items))}
+	// Authorize the whole request, in order, before any secret arithmetic:
+	// an ungranted AID or a malformed nonce at item k is refused without
+	// the k extractions ahead of it.
+	identities := make([][]byte, len(req.Items))
 	for i, item := range req.Items {
-		// Each extraction is a scalar multiplication in G1; honor the
-		// request deadline between items so a huge batch cannot pin the
-		// server past its budget.
-		if em := wire.CtxErr(extractCtx); em != nil {
-			return nil, em
-		}
 		a, ok := tk.AttributeByAID(attr.ID(item.AID))
 		if !ok {
 			// The RC asked for an AID its ticket does not grant.
@@ -227,19 +221,36 @@ func (s *Service) Extract(ctx context.Context, req *wire.ExtractRequest) (*wire.
 		if err != nil {
 			return nil, &wire.ErrorMsg{Code: wire.CodeBadRequest, Message: err.Error()}
 		}
-		identity := attr.Identity(a, nonce)
-		sk, err := s.master.Extract(s.params, identity)
+		identities[i] = attr.Identity(a, nonce)
+	}
+
+	extractCtx, extSp := obsv.StartSpan(ctx, "ibe.extract")
+	extSp.SetAttr("items", fmt.Sprintf("%d", len(req.Items)))
+	extSp.SetAttr("workers", fmt.Sprintf("%d", fanout.Workers(len(identities))))
+	defer extSp.End()
+	// Each extraction is a hash-to-point and a secret scalar
+	// multiplication in G1, independent of the others, so they spread
+	// across the host's cores; the request deadline is honored between
+	// items so a huge batch cannot pin the server past its budget.
+	resp := &wire.ExtractResponse{SealedKeys: make([][]byte, len(identities))}
+	err = fanout.Each(extractCtx, len(identities), func(_ context.Context, i int) error {
+		sk, err := s.master.Extract(s.params, identities[i])
 		if err != nil {
-			extSp.SetErr(err)
 			s.cfg.Logger.Error("keyserver: extract", "err", err)
-			return nil, &wire.ErrorMsg{Code: wire.CodeInternal, Message: "extract failure"}
+			return &wire.ErrorMsg{Code: wire.CodeInternal, Message: "extract failure"}
 		}
-		sealed, err := ticket.SealExtractedKey(tk.SessionKey, bfibe.MarshalPrivateKey(s.params, sk))
+		resp.SealedKeys[i], err = ticket.SealExtractedKey(tk.SessionKey, bfibe.MarshalPrivateKey(s.params, sk))
 		if err != nil {
-			extSp.SetErr(err)
-			return nil, &wire.ErrorMsg{Code: wire.CodeInternal, Message: "seal failure"}
+			return &wire.ErrorMsg{Code: wire.CodeInternal, Message: "seal failure"}
 		}
-		resp.SealedKeys[i] = sealed
+		return nil
+	})
+	if err != nil {
+		extSp.SetErr(err)
+		if em := wire.CtxErr(ctx); em != nil {
+			return nil, em
+		}
+		return nil, err
 	}
 	s.cfg.Logger.Debug("keyserver: extract", "rc", req.RC, "keys", len(req.Items))
 	return resp, nil

@@ -14,6 +14,7 @@ import (
 
 	"mwskit/internal/attr"
 	"mwskit/internal/bfibe"
+	"mwskit/internal/obsv"
 	"mwskit/internal/pairing"
 	"mwskit/internal/storage"
 	"mwskit/internal/ticket"
@@ -179,6 +180,76 @@ func TestExtractRejectsUngrantedAID(t *testing.T) {
 	})
 	if code := wireCode(t, err); code != wire.CodeAuth {
 		t.Fatalf("code = %d, want CodeAuth", code)
+	}
+}
+
+// grantedItems returns n extract items under AID 1, each with its own
+// nonce.
+func grantedItems(t *testing.T, n int) []wire.ExtractItem {
+	t.Helper()
+	items := make([]wire.ExtractItem, n)
+	for i := range items {
+		nonce, err := attr.NewNonce(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items[i] = wire.ExtractItem{AID: 1, Nonce: nonce[:]}
+	}
+	return items
+}
+
+// TestExtractAuthorizesBeforeExtracting: an ungranted AID at the end of a
+// request is refused before the PKG spends a secret scalar multiplication
+// on the granted items ahead of it.
+func TestExtractAuthorizesBeforeExtracting(t *testing.T) {
+	s, key, clock := newTestPKG(t)
+	tb, sk := mintTicket(t, key, "rc", []attr.Binding{{Identity: "rc", Attribute: "A1", AID: 1}}, clock.Now())
+	items := append(grantedItems(t, 7), wire.ExtractItem{AID: 99, Nonce: make([]byte, attr.NonceLen)})
+	before := obsv.CounterMap()["scalar_mult_secret"]
+	_, err := s.Extract(context.Background(), &wire.ExtractRequest{
+		RC: "rc", TicketBlob: tb, Authenticator: authBlob(t, sk, "rc", clock.Now()), Items: items,
+	})
+	var em *wire.ErrorMsg
+	if !errors.As(err, &em) || em.Code != wire.CodeAuth || em.Message != "AID 99 not granted" {
+		t.Fatalf("err = %v, want CodeAuth \"AID 99 not granted\"", err)
+	}
+	if d := obsv.CounterMap()["scalar_mult_secret"] - before; d != 0 {
+		t.Fatalf("%d secret scalar multiplications before the refusal, want 0", d)
+	}
+}
+
+// expiringCtx reports its deadline as passed once expired() holds: a
+// request whose budget runs out at a chosen point of the batch.
+type expiringCtx struct {
+	context.Context
+	expired func() bool
+}
+
+func (c expiringCtx) Err() error {
+	if c.expired() {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestExtractDeadlineMidBatch: a deadline that passes after the first
+// extraction ends the request with CodeTimeout and leaves the rest of the
+// batch unextracted.
+func TestExtractDeadlineMidBatch(t *testing.T) {
+	s, key, clock := newTestPKG(t)
+	tb, sk := mintTicket(t, key, "rc", []attr.Binding{{Identity: "rc", Attribute: "A1", AID: 1}}, clock.Now())
+	const n = 32
+	before := obsv.CounterMap()["scalar_mult_secret"]
+	extracted := func() uint64 { return obsv.CounterMap()["scalar_mult_secret"] - before }
+	ctx := expiringCtx{Context: context.Background(), expired: func() bool { return extracted() > 0 }}
+	resp, err := s.Extract(ctx, &wire.ExtractRequest{
+		RC: "rc", TicketBlob: tb, Authenticator: authBlob(t, sk, "rc", clock.Now()), Items: grantedItems(t, n),
+	})
+	if resp != nil || wireCode(t, err) != wire.CodeTimeout {
+		t.Fatalf("resp %v, err %v: want CodeTimeout", resp, err)
+	}
+	if d := extracted(); d == 0 || d >= n {
+		t.Fatalf("%d of %d items extracted, want the batch cut off after the first", d, n)
 	}
 }
 

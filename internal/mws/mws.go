@@ -25,10 +25,12 @@ import (
 	"log/slog"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mwskit/internal/attr"
 	"mwskit/internal/bfibe"
+	"mwskit/internal/fanout"
 	"mwskit/internal/ibs"
 	"mwskit/internal/macauth"
 	"mwskit/internal/obsv"
@@ -186,6 +188,9 @@ func New(cfg Config) (*Service, error) {
 	s.router = s.buildRouter()
 	return s, nil
 }
+
+// errLimitReached ends a limited search's fan-out; it never leaves Retrieve.
+var errLimitReached = errors.New("mws: search limit reached")
 
 // anyTagMatches tests a message's PEKS tags against a search's trapdoor.
 // UnmarshalTag is where a stored tag's point is curve- and order-checked,
@@ -521,19 +526,34 @@ func (s *Service) Retrieve(ctx context.Context, req *wire.RetrieveRequest) (*wir
 			return nil, &wire.ErrorMsg{Code: wire.CodeBadRequest, Message: "malformed trapdoor"}
 		}
 		s.searches.Inc()
-		filtered := msgs[:0:0]
-		for _, m := range msgs {
-			// Each tag test costs a pairing; honor the request deadline
-			// between messages so a huge backlog cannot pin the server.
-			if em := wire.CtxErr(ctx); em != nil {
-				peksSp.End()
-				return nil, em
+		peksSp.SetAttr("workers", strconv.Itoa(fanout.Workers(len(msgs))))
+		// Each tag test costs a pairing: messages are tested across the
+		// host's cores, honoring the deadline between messages so a huge
+		// backlog cannot pin the server. Reaching a limit stops new
+		// claims; every claimed message is below the highest claim and
+		// finishes, so the first Limit matches in seq order are found.
+		matched := make([]bool, len(msgs))
+		var found atomic.Int64
+		err = fanout.Each(ctx, len(msgs), func(_ context.Context, i int) error {
+			if !s.anyTagMatches(msgs[i].Tags, tester) {
+				return nil
 			}
-			if s.anyTagMatches(m.Tags, tester) {
+			matched[i] = true
+			if req.Limit > 0 && found.Add(1) >= int64(req.Limit) {
+				return errLimitReached
+			}
+			return nil
+		})
+		if err != nil && err != errLimitReached {
+			// Nothing but the deadline fails the filter.
+			peksSp.SetErr(err)
+			peksSp.End()
+			return nil, wire.CtxErr(ctx)
+		}
+		filtered := msgs[:0:0]
+		for i, m := range msgs {
+			if matched[i] && (req.Limit == 0 || len(filtered) < int(req.Limit)) {
 				filtered = append(filtered, m)
-				if req.Limit > 0 && len(filtered) == int(req.Limit) {
-					break
-				}
 			}
 		}
 		msgs = filtered

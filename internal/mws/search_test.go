@@ -5,9 +5,12 @@ import (
 	"context"
 	"crypto/rand"
 	"log/slog"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"mwskit/internal/attr"
 	"mwskit/internal/bfibe"
 	"mwskit/internal/device"
 	"mwskit/internal/macauth"
@@ -22,39 +25,91 @@ import (
 // tags a search tested and how many it could not decode, which is what an
 // operator needs when a search matched nothing. The tags themselves stay
 // out of the logs.
-func TestSearchCountsUndecodableTags(t *testing.T) {
+// searchEnv is a warehouse with keyword search enabled, one MAC device
+// and one client granted ELECTRIC-X.
+type searchEnv struct {
+	s      *Service
+	params *bfibe.Params
+	master *bfibe.MasterKey
+	clock  *fakeClock
+	login  func() []byte
+	logs   bytes.Buffer
+	dev    *device.Device
+	macKey []byte
+}
+
+var garbageTag = []byte("GARBAGE-TAG-BYTES")
+
+func newSearchEnv(t *testing.T) *searchEnv {
+	t.Helper()
 	params, master, err := bfibe.Setup(pairing.ParamsTest.MustSystem(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := &fakeClock{t: time.Unix(1278000000, 0)}
-	var logs bytes.Buffer
-	s, err := New(Config{
+	e := &searchEnv{params: params, master: master, clock: &fakeClock{t: time.Unix(1278000000, 0)}}
+	e.s, err = New(Config{
 		Dir:       t.TempDir(),
 		MWSPKGKey: make([]byte, 32),
 		Sync:      wal.SyncNever,
-		Now:       clock.Now,
+		Now:       e.clock.Now,
 		IBEParams: params,
-		Logger:    slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug})),
+		Logger:    slog.New(slog.NewTextHandler(&e.logs, &slog.HandlerOptions{Level: slog.LevelDebug})),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
-	macKey, err := s.RegisterDevice("meter-1")
-	if err != nil {
+	t.Cleanup(func() { e.s.Close() })
+	if e.macKey, err = e.s.RegisterDevice("meter-1"); err != nil {
 		t.Fatal(err)
 	}
-	d, err := device.New("meter-1", macKey, params, device.WithClock(clock.Now))
-	if err != nil {
+	if e.dev, err = device.New("meter-1", e.macKey, params, device.WithClock(e.clock.Now)); err != nil {
 		t.Fatal(err)
 	}
-	login := enrollRC(t, s, clock, "c-services", []byte("pw"))
-	if _, err := s.Grant("c-services", "ELECTRIC-X"); err != nil {
+	e.login = enrollRC(t, e.s, e.clock, "c-services", []byte("pw"))
+	if _, err := e.s.Grant("c-services", "ELECTRIC-X"); err != nil {
 		t.Fatal(err)
 	}
+	return e
+}
 
-	garbage := []byte("GARBAGE-TAG-BYTES")
+// deposit stores one message tagged with keywords, an undecodable tag
+// ahead of them if garbage is set, and returns its sequence number.
+func (e *searchEnv) deposit(t *testing.T, keywords []string, garbage bool) uint64 {
+	t.Helper()
+	req, err := e.dev.PrepareTaggedDeposit("ELECTRIC-X", []byte("m"), keywords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if garbage {
+		req.Tags = append([][]byte{garbageTag}, req.Tags...)
+		req.MAC = macauth.Compute(e.macKey, req.MACParts()...)
+	}
+	seq, err := e.s.Deposit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.clock.Advance(time.Second)
+	return seq
+}
+
+func (e *searchEnv) trapdoor(t *testing.T, keyword string) *peks.Trapdoor {
+	t.Helper()
+	td, err := peks.NewTrapdoor(e.params, e.master, keyword)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return td
+}
+
+func (e *searchEnv) search(ctx context.Context, td *peks.Trapdoor, limit uint32) (*wire.RetrieveResponse, error) {
+	return e.s.Retrieve(ctx, &wire.RetrieveRequest{
+		RC: "c-services", AuthBlob: e.login(), Limit: limit, Trapdoor: peks.MarshalTrapdoor(e.params, td),
+	})
+}
+
+func TestSearchCountsUndecodableTags(t *testing.T) {
+	e := newSearchEnv(t)
+	s := e.s
 	var seqs []uint64
 	for _, m := range []struct {
 		keywords []string
@@ -65,29 +120,10 @@ func TestSearchCountsUndecodableTags(t *testing.T) {
 		{garbage: true},
 		{keywords: []string{"reading"}},
 	} {
-		req, err := d.PrepareTaggedDeposit("ELECTRIC-X", []byte("m"), m.keywords)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.garbage {
-			req.Tags = append([][]byte{garbage}, req.Tags...)
-			req.MAC = macauth.Compute(macKey, req.MACParts()...)
-		}
-		seq, err := s.Deposit(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqs = append(seqs, seq)
-		clock.Advance(time.Second)
+		seqs = append(seqs, e.deposit(t, m.keywords, m.garbage))
 	}
 
-	td, err := peks.NewTrapdoor(params, master, "outage")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := s.Retrieve(context.Background(), &wire.RetrieveRequest{
-		RC: "c-services", AuthBlob: login(), Trapdoor: peks.MarshalTrapdoor(params, td),
-	})
+	resp, err := e.search(context.Background(), e.trapdoor(t, "outage"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +139,14 @@ func TestSearchCountsUndecodableTags(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if bytes.Contains(logs.Bytes(), garbage) {
+	if bytes.Contains(e.logs.Bytes(), garbageTag) {
 		t.Error("tag bytes reached the log")
 	}
 
 	// A malformed trapdoor is refused before any tag is touched.
-	clock.Advance(time.Second)
+	e.clock.Advance(time.Second)
 	_, err = s.Retrieve(context.Background(), &wire.RetrieveRequest{
-		RC: "c-services", AuthBlob: login(), Trapdoor: []byte{4, 1, 2, 3},
+		RC: "c-services", AuthBlob: e.login(), Trapdoor: []byte{4, 1, 2, 3},
 	})
 	if wireCode(t, err) != wire.CodeBadRequest {
 		t.Fatalf("malformed trapdoor: %v", err)
@@ -118,4 +154,121 @@ func TestSearchCountsUndecodableTags(t *testing.T) {
 	if got := s.StatsRegistry().Counter("peks_searches").Value(); got != 1 {
 		t.Errorf("a refused trapdoor counted as a search (%d)", got)
 	}
+}
+
+// tagCounts is what a search's filter adds to the two tag counters.
+type tagCounts struct{ tested, undecodable uint64 }
+
+func (e *searchEnv) tagCounts() tagCounts {
+	return tagCounts{
+		tested:      e.s.StatsRegistry().Counter("peks_tags_tested").Value(),
+		undecodable: e.s.StatsRegistry().Counter("peks_tags_undecodable").Value(),
+	}
+}
+
+// sequentialFilter is the filter's definition, one message after the
+// other: the matching seqs in order, the tag counts the loop has reached
+// at each match, and its counts over the whole corpus.
+func (e *searchEnv) sequentialFilter(td *peks.Trapdoor) (matches []uint64, atMatch []tagCounts, total tagCounts) {
+	for _, m := range e.s.Store().ScanAttributes(attr.Set{"ELECTRIC-X"}, 0, 0) {
+		for _, raw := range m.Tags {
+			tag, err := peks.UnmarshalTag(e.params, raw)
+			if err != nil {
+				total.undecodable++
+				continue
+			}
+			total.tested++
+			if peks.Test(e.params, tag, td) {
+				matches = append(matches, m.Seq)
+				atMatch = append(atMatch, total)
+				break
+			}
+		}
+	}
+	return matches, atMatch, total
+}
+
+// TestSearchLimitReturnsFirstMatchesInSeqOrder pins a limited search
+// against the sequential filter: the result is the first Limit matches
+// in sequence order whatever the number of workers. With one worker the
+// tag counters are the loop's to the digit; with several, an unlimited
+// search's still are (every message is tested once), and a limited one
+// may also test messages other workers claimed before the limit was
+// reached. How many is the schedule's choice — about GOMAXPROCS − 1 when
+// the workers keep pace, more when one is descheduled mid-message and the
+// others run ahead — so only the range is held.
+func TestSearchLimitReturnsFirstMatchesInSeqOrder(t *testing.T) {
+	e := newSearchEnv(t)
+	const n = 24
+	for i := 0; i < n; i++ {
+		keywords := [][]string{{"outage"}, {"reading"}, {"reading", "outage"}}[i%3]
+		e.deposit(t, keywords, i%4 == 1)
+	}
+	td := e.trapdoor(t, "outage")
+	want, atMatch, total := e.sequentialFilter(td)
+	if len(want) != 16 {
+		t.Fatalf("corpus has %d matches, want 16", len(want))
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for limit := 0; limit <= len(want); limit++ {
+			before := e.tagCounts()
+			resp, err := e.search(context.Background(), td, uint32(limit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]uint64, len(resp.Items))
+			for i, it := range resp.Items {
+				got[i] = it.Seq
+			}
+			wantSeqs, seq := want, total
+			if limit > 0 {
+				wantSeqs, seq = want[:limit], atMatch[limit-1]
+			}
+			if !slices.Equal(got, wantSeqs) {
+				t.Fatalf("GOMAXPROCS %d, Limit %d: seqs %v, want %v", procs, limit, got, wantSeqs)
+			}
+			now := e.tagCounts()
+			c := tagCounts{now.tested - before.tested, now.undecodable - before.undecodable}
+			if procs == 1 || limit == 0 {
+				if c != seq {
+					t.Errorf("GOMAXPROCS %d, Limit %d: counted %+v, the loop counts %+v", procs, limit, c, seq)
+				}
+			} else if c.tested < seq.tested || c.tested > total.tested ||
+				c.undecodable < seq.undecodable || c.undecodable > total.undecodable {
+				t.Errorf("GOMAXPROCS %d, Limit %d: counted %+v, want between the loop's %+v and the corpus's %+v",
+					procs, limit, c, seq, total)
+			}
+			e.clock.Advance(time.Second)
+		}
+	}
+
+	// A deadline that passes once the first tag has been tested ends the
+	// search with CodeTimeout, the rest of the corpus untested.
+	runtime.GOMAXPROCS(2)
+	before := e.tagCounts()
+	ctx := expiringCtx{Context: context.Background(), expired: func() bool { return e.tagCounts().tested > before.tested }}
+	resp, err := e.search(ctx, td, 0)
+	if resp != nil || wireCode(t, err) != wire.CodeTimeout {
+		t.Fatalf("resp %v, err %v: want CodeTimeout", resp, err)
+	}
+	if tested := e.tagCounts().tested - before.tested; tested >= total.tested {
+		t.Fatalf("%d tags tested after the deadline passed, the whole corpus has %d", tested, total.tested)
+	}
+}
+
+// expiringCtx reports its deadline as passed once expired() holds: a
+// request whose budget runs out at a chosen point of the filter.
+type expiringCtx struct {
+	context.Context
+	expired func() bool
+}
+
+func (c expiringCtx) Err() error {
+	if c.expired() {
+		return context.DeadlineExceeded
+	}
+	return nil
 }

@@ -15,12 +15,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
 	"mwskit/internal/attr"
 	"mwskit/internal/bfibe"
+	"mwskit/internal/fanout"
 	"mwskit/internal/obsv"
 	"mwskit/internal/symenc"
 	"mwskit/internal/ticket"
@@ -249,14 +249,14 @@ func (c *Client) decryptWith(env *Envelope, d *bfibe.Decapsulator) (*Message, er
 }
 
 // DecryptRetrieval decrypts every message in a retrieval with the
-// extracted keys, in deposit order, fanning the pairing work across a
-// GOMAXPROCS-wide worker pool. The pairing's Miller-loop lines are
-// precomputed once per key (bfibe.Decapsulator, built inside the pool on
-// the key's first message) and shared by all messages under that key —
-// the batch-decryption shape the multi-pairing layer exists for — so each
+// extracted keys, in deposit order, fanning the pairing work across the
+// host's cores (fanout.Each). The pairing's Miller-loop lines are
+// precomputed once per key (bfibe.Decapsulator, built on the key's first
+// message) and shared by all messages under that key — the
+// batch-decryption shape the multi-pairing layer exists for — so each
 // message pays only its point's validation, the F_p² accumulation, the
 // final exponentiation, and an AEAD open. The first failure (a missing
-// key, a bad point, a forged ciphertext) cancels the remaining work.
+// key, a bad point, a forged ciphertext) stops the remaining work.
 func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[keyIndex]*bfibe.PrivateKey) ([]*Message, error) {
 	if len(r.Items) == 0 {
 		return nil, nil
@@ -264,8 +264,6 @@ func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[ke
 	_, decSp := obsv.StartSpan(ctx, "ibe.decapsulate")
 	decSp.SetAttr("messages", fmt.Sprintf("%d", len(r.Items)))
 	defer decSp.End()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	// One Decapsulator per distinct key: every message of an (attribute,
 	// nonce) group reuses its key's precomputed lines, built by whichever
@@ -277,64 +275,21 @@ func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[ke
 			return c.params.NewDecapsulator(sk)
 		})
 	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(r.Items) {
-		workers = len(r.Items)
-	}
 	out := make([]*Message, len(r.Items))
-	idx := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err; cancel() })
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				env := &r.Items[i]
-				decap, ok := decaps[keyIndexOf(env.AID, env.Nonce)]
-				if !ok {
-					fail(fmt.Errorf("rclient: missing key for message %d", env.Seq))
-					return
-				}
-				d, err := decap()
-				if err != nil {
-					fail(err)
-					return
-				}
-				m, err := c.decryptWith(env, d)
-				if err != nil {
-					fail(err)
-					return
-				}
-				out[i] = m
-			}
-		}()
-	}
-feed:
-	for i := range r.Items {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
+	err := fanout.Each(ctx, len(r.Items), func(_ context.Context, i int) error {
+		env := &r.Items[i]
+		decap, ok := decaps[keyIndexOf(env.AID, env.Nonce)]
+		if !ok {
+			return fmt.Errorf("rclient: missing key for message %d", env.Seq)
 		}
-	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+		d, err := decap()
+		if err != nil {
+			return err
+		}
+		out[i], err = c.decryptWith(env, d)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -82,12 +82,12 @@ fi
 # internal/obsv, and obsv imports nothing of ours — that is what lets ff,
 # ec, pairing and wal hook into it without an import cycle. internal/codec,
 # the one length-prefixed codec under wire, storage and ticket, is a leaf
-# of the same kind.
+# of the same kind, and so is internal/fanout, the one worker pool.
 if go list ./... | grep -qx 'mwskit/internal/metrics'; then
 	echo "mwskit/internal/metrics is back: telemetry types live in internal/obsv" >&2
 	exit 1
 fi
-for leaf in obsv codec; do
+for leaf in obsv codec fanout; do
 	leaf_deps=$(go list -deps ./internal/$leaf | grep '^mwskit/' | grep -vx "mwskit/internal/$leaf" || true)
 	if [ -n "$leaf_deps" ]; then
 		echo "internal/$leaf must import only the standard library, found: $leaf_deps" >&2
@@ -103,7 +103,23 @@ if git grep -nE '\.Do\((wire\.)?Frame\{' -- internal cmd examples ':!*_test.go' 
 	exit 1
 fi
 
+# One worker pool (DESIGN.md §9 "One fan-out per request"): a request's
+# independent items spread across cores through internal/fanout alone,
+# so no other non-test code sizes a pool by GOMAXPROCS. bench/ reads it
+# only to describe the host it measured on.
+pools=$(grep -rn --include='*.go' --exclude='*_test.go' 'runtime\.GOMAXPROCS' internal cmd examples experiments |
+	grep -v '^internal/fanout/' || true)
+if [ -n "$pools" ]; then
+	echo "runtime.GOMAXPROCS outside internal/fanout (spread a batch with fanout.Each): $pools" >&2
+	exit 1
+fi
+
 go test -race ./...
+
+# The fan-out and its four callers again at one worker (the sequential
+# schedule exactly) and at four (more workers than a 2-vCPU runner has
+# cores).
+go test -race -cpu 1,4 ./internal/fanout ./internal/keyserver ./internal/mws ./internal/rclient ./internal/device
 
 # The examples are closure roots — an internal/ package may be kept alive
 # by one alone — so each is run, not just built; a scenario that breaks
