@@ -14,10 +14,11 @@ import (
 	"mwskit/internal/lint"
 )
 
-// TestSeededCrossPackageViolation seeds a module where plaintext
-// decrypted in one package is persisted by another two calls away, and
-// asserts the binary exits 1 in both output modes, with -json emitting
-// one parseable object per line.
+// TestSeededCrossPackageViolation seeds a module where a session key
+// decapsulated in one package reaches a branch in another two calls
+// away, and asserts the binary exits 1 in both output modes, with -json
+// emitting one parseable object per line: the diagnostics first and one
+// trailing summary object last.
 func TestSeededCrossPackageViolation(t *testing.T) {
 	tmp := t.TempDir()
 	write := func(rel, content string) {
@@ -31,70 +32,56 @@ func TestSeededCrossPackageViolation(t *testing.T) {
 		}
 	}
 	write("go.mod", "module scratchtaint\n\ngo 1.24\n")
-	write("symenc/symenc.go", `// Package symenc mimics the symmetric layer's shape.
-package symenc
+	write("bfibe/bfibe.go", `// Package bfibe mimics the IBE layer's shape.
+package bfibe
 
-// Open decrypts blob.
-func Open(key, ciphertext, aad []byte) ([]byte, error) { return ciphertext, nil }
+// Decapsulate recovers the session key a ciphertext carries.
+func Decapsulate(sk, ct []byte) ([]byte, error) { return ct, nil }
 `)
 	write("storage/storage.go", `// Package storage mimics the storage layer's shape.
 package storage
 
-// Put persists one record.
-func Put(rec []byte) error { _ = rec; return nil }
+// Shard picks the shard a record lands on from its first byte.
+func Shard(rec []byte) int {
+	if rec[0]&1 == 1 {
+		return 1
+	}
+	return 0
+}
 `)
-	write("mws/mws.go", `// Package mws seeds the cross-package violation: Open output reaches
-// a storage write through two intermediate calls.
+	write("mws/mws.go", `// Package mws seeds the cross-package violation: a decapsulated
+// session key reaches a storage branch through two intermediate calls.
 package mws
 
 import (
+	"scratchtaint/bfibe"
 	"scratchtaint/storage"
-	"scratchtaint/symenc"
 )
 
-func decrypt(key, blob []byte) []byte {
-	pt, _ := symenc.Open(key, blob, nil)
-	return pt
+// Handle is deliberately broken: it shards on the session key.
+func Handle(sk, ct []byte) int {
+	key, _ := bfibe.Decapsulate(sk, ct)
+	return place(key)
 }
 
-// Handle is deliberately broken: it persists what decrypt returned.
-func Handle(key, blob []byte) error {
-	return persist(decrypt(key, blob))
-}
-
-func persist(rec []byte) error {
-	return storage.Put(rec)
+func place(rec []byte) int {
+	return storage.Shard(rec)
 }
 `)
 
-	runLint := func(args ...string) (string, int) {
-		t.Helper()
-		cmd := exec.Command("go", append([]string{"run", "./cmd/mwslint", "-C", tmp}, args...)...)
-		cmd.Dir = "../.."
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			return string(out), 0
-		}
-		ee, ok := err.(*exec.ExitError)
-		if !ok {
-			t.Fatalf("running mwslint: %v\n%s", err, out)
-		}
-		return string(out), ee.ExitCode()
-	}
-
-	out, code := runLint("./...")
+	out, code := runLintIn(t, tmp, "./...")
 	if code != 1 {
 		t.Fatalf("mwslint exit code = %d, want 1; output:\n%s", code, out)
 	}
-	if !strings.Contains(out, "plainflow") {
-		t.Fatalf("mwslint output does not name plainflow:\n%s", out)
+	if !strings.Contains(out, "ctflow") || !strings.Contains(out, "storage.go") {
+		t.Fatalf("mwslint output does not name ctflow in storage.go:\n%s", out)
 	}
 
-	out, code = runLint("-json", "./...")
+	out, code = runLintIn(t, tmp, "-json", "./...")
 	if code != 1 {
 		t.Fatalf("mwslint -json exit code = %d, want 1; output:\n%s", code, out)
 	}
-	sawPlainflow := false
+	sawCTFlow := false
 	sawSummary := false
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		if !strings.HasPrefix(line, "{") {
@@ -127,12 +114,12 @@ func persist(rec []byte) error {
 		if d.File == "" || d.Line == 0 || d.Analyzer == "" || d.Message == "" {
 			t.Fatalf("incomplete JSON diagnostic: %q", line)
 		}
-		if d.Analyzer == "plainflow" {
-			sawPlainflow = true
+		if d.Analyzer == "ctflow" && strings.HasSuffix(d.File, "storage.go") {
+			sawCTFlow = true
 		}
 	}
-	if !sawPlainflow {
-		t.Fatalf("-json output has no plainflow diagnostic:\n%s", out)
+	if !sawCTFlow {
+		t.Fatalf("-json output has no ctflow diagnostic in storage.go:\n%s", out)
 	}
 	if !sawSummary {
 		t.Fatalf("-json output has no trailing summary object:\n%s", out)

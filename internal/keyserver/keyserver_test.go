@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"mwskit/internal/attr"
@@ -165,6 +166,34 @@ func TestExtractHappyPath(t *testing.T) {
 	}
 	if !bytes.Equal(wantKey, gotKey) {
 		t.Fatal("extracted key cannot decapsulate")
+	}
+}
+
+// TestExtractSealFailureCarriesNoKey: an extracted key leaves the PKG
+// only sealed under the session key. When the seal fails — here its nonce
+// draw, with crypto/rand's reader failing for this one request — the
+// refusal is a bare "seal failure": an error frame crosses the network
+// unsealed, so it must carry nothing of the key.
+func TestExtractSealFailureCarriesNoKey(t *testing.T) {
+	s, key, clock := newTestPKG(t)
+	bindings := []attr.Binding{{Identity: "rc", Attribute: "ELECTRIC-X", AID: 1}}
+	tb, sk := mintTicket(t, key, "rc", bindings, clock.Now())
+	nonce, _ := attr.NewNonce(rand.Reader)
+	req := &wire.ExtractRequest{
+		RC:            "rc",
+		TicketBlob:    tb,
+		Authenticator: authBlob(t, sk, "rc", clock.Now()),
+		Items:         []wire.ExtractItem{{AID: 1, Nonce: nonce[:]}},
+	}
+
+	entropy := rand.Reader
+	rand.Reader = iotest.ErrReader(errors.New("entropy source down"))
+	_, err := s.Extract(context.Background(), req)
+	rand.Reader = entropy
+
+	var em *wire.ErrorMsg
+	if !errors.As(err, &em) || em.Code != wire.CodeInternal || em.Message != "seal failure" {
+		t.Fatalf("Extract with a failing seal = %v, want a bare CodeInternal \"seal failure\"", err)
 	}
 }
 

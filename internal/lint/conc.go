@@ -1,6 +1,6 @@
 // conc.go is the concurrency abstract-interpretation layer under the
-// lockorder, lockheld, atomicmix, and goleak analyzers. It mirrors the
-// taint engine's architecture — per-function transfer summaries iterated
+// lockorder and lockheld analyzers. It mirrors the taint engine's
+// architecture — per-function transfer summaries iterated
 // to a global fixpoint, then a reporting replay — but tracks lock sets
 // instead of label sets, and flow-sensitively: the walker carries the
 // set of abstract mutexes held at each program point through branches,
@@ -21,58 +21,38 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"path/filepath"
 	"sync"
 )
 
-// concKeyKind classifies how stable an abstract identity is.
-type concKeyKind int
-
-const (
-	concKeyNone   concKeyKind = iota
-	concKeyField              // pkgTail.Type.field — stable program-wide
-	concKeyPkgVar             // pkgTail.var — stable program-wide
-	concKeyLocal              // funcKey.var — stable within one function
-)
-
-// concRef is the abstract identity of a mutex, channel, or counter
-// expression: a canonical key, how trustworthy it is, and the import
-// path of the declaring package (so analyzers can tell in-program
-// objects from external ones like time.Ticker.C).
-type concRef struct {
-	key  string
-	kind concKeyKind
-	path string
-}
-
-// concRefOf derives the abstract identity of e. Struct fields key by the
-// named type that declares them (deref'd through pointers), package-level
-// variables by their package, and locals by the enclosing function key.
-func concRefOf(pkg *Package, fnKey string, e ast.Expr) concRef {
+// lockKey derives the abstract identity of the mutex expression e, or ""
+// when it has none: pkgTail.Type.field for a struct field (keyed by the
+// named type that declares it, through pointers), pkgTail.var for a
+// package-level variable, and fnKey.var for a local.
+func lockKey(pkg *Package, fnKey string, e ast.Expr) string {
 	info := pkg.Info
 	switch x := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		if id, ok := x.X.(*ast.Ident); ok {
 			if pn := pkgNameOf(info, id); pn != nil {
-				p := pn.Imported().Path()
-				return concRef{key: pkgTailOf(p) + "." + x.Sel.Name, kind: concKeyPkgVar, path: p}
+				return pkgTailOf(pn.Imported().Path()) + "." + x.Sel.Name
 			}
 		}
 		v, ok := info.Uses[x.Sel].(*types.Var)
 		if !ok || !v.IsField() {
-			return concRef{}
+			return ""
 		}
 		tv, ok := info.Types[x.X]
 		if !ok {
-			return concRef{}
+			return ""
 		}
 		named := namedOf(tv.Type)
 		if named == nil || named.Obj().Pkg() == nil {
-			return concRef{}
+			return ""
 		}
 		tn := named.Obj()
-		p := tn.Pkg().Path()
-		return concRef{key: pkgTailOf(p) + "." + tn.Name() + "." + x.Sel.Name, kind: concKeyField, path: p}
+		return pkgTailOf(tn.Pkg().Path()) + "." + tn.Name() + "." + x.Sel.Name
 	case *ast.Ident:
 		obj := info.Uses[x]
 		if obj == nil {
@@ -80,15 +60,14 @@ func concRefOf(pkg *Package, fnKey string, e ast.Expr) concRef {
 		}
 		v, ok := obj.(*types.Var)
 		if !ok || v.Pkg() == nil {
-			return concRef{}
+			return ""
 		}
-		p := v.Pkg().Path()
 		if v.Parent() == v.Pkg().Scope() {
-			return concRef{key: pkgTailOf(p) + "." + v.Name(), kind: concKeyPkgVar, path: p}
+			return pkgTailOf(v.Pkg().Path()) + "." + v.Name()
 		}
-		return concRef{key: fnKey + "." + v.Name(), kind: concKeyLocal, path: p}
+		return fnKey + "." + v.Name()
 	}
-	return concRef{}
+	return ""
 }
 
 // pkgTailOf returns the final segment of an import path.
@@ -133,24 +112,15 @@ func concFuncKey(fn *types.Func) string {
 // concFunc is one function body under analysis.
 type concFunc struct {
 	key  string
-	fn   *types.Func
 	decl *ast.FuncDecl
 	pkg  *Package
 }
 
-// concIndex maps canonical function keys to declarations across the
-// loaded program.
-type concIndex struct {
-	prog    *Program
-	byKey   map[string]*concFunc
-	ordered []*concFunc
-	inProg  map[string]bool // import paths loaded from source
-}
-
-func buildConcIndex(prog *Program) *concIndex {
-	idx := &concIndex{prog: prog, byKey: make(map[string]*concFunc), inProg: make(map[string]bool)}
+// concFuncs lists every function body of the loaded program in load
+// order.
+func concFuncs(prog *Program) []*concFunc {
+	var funcs []*concFunc
 	for _, pkg := range prog.Packages {
-		idx.inProg[pkg.Path] = true
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -161,13 +131,11 @@ func buildConcIndex(prog *Program) *concIndex {
 				if !ok {
 					continue
 				}
-				cf := &concFunc{key: concFuncKey(fn), fn: fn, decl: fd, pkg: pkg}
-				idx.byKey[cf.key] = cf
-				idx.ordered = append(idx.ordered, cf)
+				funcs = append(funcs, &concFunc{key: concFuncKey(fn), decl: fd, pkg: pkg})
 			}
 		}
 	}
-	return idx
+	return funcs
 }
 
 // lockOp classifies a call as a sync.Mutex/RWMutex operation.
@@ -248,12 +216,6 @@ func blockingCall(callee *types.Func) string {
 	return ""
 }
 
-// heldLock records where a currently-held lock was acquired.
-type heldLock struct {
-	pos  token.Pos
-	read bool
-}
-
 // lockSummary is the interprocedural abstract of one function: the locks
 // it may acquire (transitively, with a witness position), the locks it
 // leaves held for or releases on behalf of the caller, and whether it
@@ -263,24 +225,23 @@ type lockSummary struct {
 	heldAtExit map[string]token.Pos
 	releases   map[string]bool
 	blockDesc  string
-	blockPos   token.Pos
 }
 
 // lockHooks receives walker events during the reporting replay.
 type lockHooks struct {
 	// onAcquire fires for a direct Lock/RLock with the held set *before*
 	// the acquisition.
-	onAcquire func(key string, read bool, pos token.Pos, held map[string]heldLock)
+	onAcquire func(key string, pos token.Pos, held map[string]token.Pos)
 	// onCalleeAcquires fires at a call site whose callee may acquire
 	// locks, before those locks merge into the held set.
-	onCalleeAcquires func(cs *lockSummary, callee string, pos token.Pos, held map[string]heldLock)
+	onCalleeAcquires func(cs *lockSummary, pos token.Pos, held map[string]token.Pos)
 	// onBlock fires for a blocking operation with the current held set.
-	onBlock func(desc string, pos token.Pos, held map[string]heldLock)
+	onBlock func(desc string, pos token.Pos, held map[string]token.Pos)
 }
 
 // lockEngine owns the per-function summaries for one loaded program.
 type lockEngine struct {
-	idx     *concIndex
+	funcs   []*concFunc
 	sums    map[string]*lockSummary
 	changed bool
 }
@@ -288,9 +249,9 @@ type lockEngine struct {
 // newLockEngine builds empty summaries and iterates every function to a
 // global fixpoint. All summary components only grow, so this terminates;
 // the cap is a safety net.
-func newLockEngine(idx *concIndex) *lockEngine {
-	e := &lockEngine{idx: idx, sums: make(map[string]*lockSummary)}
-	for _, cf := range idx.ordered {
+func newLockEngine(funcs []*concFunc) *lockEngine {
+	e := &lockEngine{funcs: funcs, sums: make(map[string]*lockSummary)}
+	for _, cf := range funcs {
 		e.sums[cf.key] = &lockSummary{
 			acquires:   make(map[string]token.Pos),
 			heldAtExit: make(map[string]token.Pos),
@@ -299,7 +260,7 @@ func newLockEngine(idx *concIndex) *lockEngine {
 	}
 	for range 64 {
 		e.changed = false
-		for _, cf := range idx.ordered {
+		for _, cf := range funcs {
 			e.walk(cf, nil)
 		}
 		if !e.changed {
@@ -309,24 +270,22 @@ func newLockEngine(idx *concIndex) *lockEngine {
 	return e
 }
 
-// concState caches one program's index and engine so the four analyzers
-// share a single fixpoint instead of each paying for their own.
+// concState caches one program's lock engine so the two analyzers share
+// a single fixpoint instead of each paying for their own.
 var concState struct {
 	sync.Mutex
 	prog *Program
-	idx  *concIndex
 	eng  *lockEngine
 }
 
-// concFor returns the (cached) index and lock engine for prog.
-func concFor(prog *Program) (*concIndex, *lockEngine) {
+// concFor returns the (cached) lock engine for prog.
+func concFor(prog *Program) *lockEngine {
 	concState.Lock()
 	defer concState.Unlock()
 	if concState.prog != prog {
-		idx := buildConcIndex(prog)
-		concState.prog, concState.idx, concState.eng = prog, idx, newLockEngine(idx)
+		concState.prog, concState.eng = prog, newLockEngine(concFuncs(prog))
 	}
-	return concState.idx, concState.eng
+	return concState.eng
 }
 
 // walk runs the flow-sensitive walker over cf, updating its summary;
@@ -334,7 +293,7 @@ func concFor(prog *Program) (*concIndex, *lockEngine) {
 func (e *lockEngine) walk(cf *concFunc, hooks *lockHooks) {
 	w := &lockWalker{
 		eng: e, cf: cf, sum: e.sums[cf.key], hooks: hooks,
-		held: make(map[string]heldLock), deferred: make(map[string]bool),
+		held: make(map[string]token.Pos), deferred: make(map[string]bool),
 	}
 	if !w.stmts(cf.decl.Body.List) {
 		w.exit()
@@ -349,18 +308,15 @@ type lockWalker struct {
 	cf       *concFunc
 	sum      *lockSummary // nil for goroutine-literal walks
 	hooks    *lockHooks
-	held     map[string]heldLock
-	deferred map[string]bool // shared across forks: defers fire at exit
+	held     map[string]token.Pos // lock key → where it was acquired
+	deferred map[string]bool      // shared across forks: defers fire at exit
 }
 
 // fork clones the walker with a copied held set for one branch; the
 // deferred map is intentionally shared.
 func (w *lockWalker) fork() *lockWalker {
 	c := *w
-	c.held = make(map[string]heldLock, len(w.held))
-	for k, v := range w.held {
-		c.held[k] = v
-	}
+	c.held = maps.Clone(w.held)
 	return &c
 }
 
@@ -400,7 +356,7 @@ func (w *lockWalker) exit() {
 			continue
 		}
 		if _, ok := w.sum.heldAtExit[k]; !ok {
-			w.sum.heldAtExit[k] = v.pos
+			w.sum.heldAtExit[k] = v
 			w.eng.changed = true
 		}
 	}
@@ -591,7 +547,7 @@ func (w *lockWalker) goStmt(s *ast.GoStmt) {
 	if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
 		gw := &lockWalker{
 			eng: w.eng, cf: w.cf, hooks: w.hooks,
-			held: make(map[string]heldLock), deferred: make(map[string]bool),
+			held: make(map[string]token.Pos), deferred: make(map[string]bool),
 		}
 		if !gw.stmts(lit.Body.List) {
 			gw.exit()
@@ -609,8 +565,8 @@ func (w *lockWalker) deferStmt(s *ast.DeferStmt) {
 	}
 	info := w.cf.pkg.Info
 	if op, recv := lockCall(info, s.Call); op == lockOpUnlock || op == lockOpRUnlock {
-		if ref := concRefOf(w.cf.pkg, w.cf.key, recv); ref.key != "" {
-			w.deferred[ref.key] = true
+		if key := lockKey(w.cf.pkg, w.cf.key, recv); key != "" {
+			w.deferred[key] = true
 		}
 		return
 	}
@@ -618,8 +574,8 @@ func (w *lockWalker) deferStmt(s *ast.DeferStmt) {
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				if op, recv := lockCall(info, call); op == lockOpUnlock || op == lockOpRUnlock {
-					if ref := concRefOf(w.cf.pkg, w.cf.key, recv); ref.key != "" {
-						w.deferred[ref.key] = true
+					if key := lockKey(w.cf.pkg, w.cf.key, recv); key != "" {
+						w.deferred[key] = true
 					}
 				}
 			}
@@ -663,8 +619,7 @@ func (w *lockWalker) expr(e ast.Expr) {
 func (w *lockWalker) call(call *ast.CallExpr) {
 	info := w.cf.pkg.Info
 	if op, recv := lockCall(info, call); op != lockOpNone {
-		ref := concRefOf(w.cf.pkg, w.cf.key, recv)
-		key := ref.key
+		key := lockKey(w.cf.pkg, w.cf.key, recv)
 		if key == "" {
 			// Unkeyable receiver (e.g. a function-call result): give it a
 			// per-function identity so balance still tracks.
@@ -672,9 +627,8 @@ func (w *lockWalker) call(call *ast.CallExpr) {
 		}
 		switch op {
 		case lockOpLock, lockOpRLock:
-			read := op == lockOpRLock
 			if w.hooks != nil && w.hooks.onAcquire != nil {
-				w.hooks.onAcquire(key, read, call.Pos(), w.held)
+				w.hooks.onAcquire(key, call.Pos(), w.held)
 			}
 			if w.sum != nil {
 				if _, ok := w.sum.acquires[key]; !ok {
@@ -683,7 +637,7 @@ func (w *lockWalker) call(call *ast.CallExpr) {
 				}
 			}
 			if _, ok := w.held[key]; !ok {
-				w.held[key] = heldLock{pos: call.Pos(), read: read}
+				w.held[key] = call.Pos()
 			}
 		case lockOpUnlock, lockOpRUnlock:
 			if _, ok := w.held[key]; ok {
@@ -711,7 +665,7 @@ func (w *lockWalker) call(call *ast.CallExpr) {
 		w.blockRoot("call to "+callee.Name()+", which may block ("+cs.blockDesc+")", cs.blockDesc, call.Pos())
 	}
 	if w.hooks != nil && w.hooks.onCalleeAcquires != nil && len(cs.acquires) > 0 {
-		w.hooks.onCalleeAcquires(cs, callee.Name(), call.Pos(), w.held)
+		w.hooks.onCalleeAcquires(cs, call.Pos(), w.held)
 	}
 	if w.sum != nil {
 		for k := range cs.acquires {
@@ -726,7 +680,7 @@ func (w *lockWalker) call(call *ast.CallExpr) {
 	}
 	for k := range cs.heldAtExit {
 		if _, ok := w.held[k]; !ok {
-			w.held[k] = heldLock{pos: call.Pos()}
+			w.held[k] = call.Pos()
 		}
 	}
 }
@@ -745,7 +699,6 @@ func (w *lockWalker) blockRoot(display, root string, pos token.Pos) {
 	}
 	if w.sum != nil && w.sum.blockDesc == "" {
 		w.sum.blockDesc = root
-		w.sum.blockPos = pos
 		w.eng.changed = true
 	}
 }

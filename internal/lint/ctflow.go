@@ -7,14 +7,13 @@ import (
 )
 
 // ctflow is the constant-time discipline verifier: a secret-dependence
-// analysis that is one more taintSpec of the engine in taint.go. The
-// engine (numericTaint mode: secret bits, digits, and indices are
-// exactly what a timing channel leaks) computes which parameters and
-// results of every function carry key material, then replays each body
-// under the flow-sensitive environment policy — branch forks with union
-// merges, strong updates on plain assignments, every loop interpreted
-// until its environment stops growing — and this file's site sinks and
-// call sinks report five violation classes:
+// analysis that is the taintSpec of the engine in taint.go. The engine
+// computes which parameters and results of every function carry key
+// material, then replays each body under the flow-sensitive environment
+// policy — branch forks with union merges, strong updates on plain
+// assignments, every loop interpreted until its environment stops
+// growing — and this file's site sinks and call sinks report five
+// violation classes:
 //
 //  1. secret-dependent branch conditions (if/switch/select tags),
 //  2. secret-indexed loads and stores (table lookups, slice offsets,
@@ -80,9 +79,6 @@ const (
 	ctSymKey            // symmetric session/MAC key bytes
 )
 
-// ctAll selects every ctflow label.
-const ctAll = labels(1)<<(ctSymKey+1) - 1
-
 // ctCryptoPkgs are the package tails whose key-named []byte parameters
 // are seeded as key material. Storage and wire packages are excluded on
 // purpose: a KV lookup key is not a cryptographic key.
@@ -131,7 +127,6 @@ func ctFieldRead(pkg *Package, info *types.Info, sel *ast.SelectorExpr, containe
 
 func ctSpec() *taintSpec {
 	return &taintSpec{
-		name: "ctflow",
 		labelDesc: []string{
 			"IBE master-key material",
 			"an extracted identity private key",
@@ -141,8 +136,7 @@ func ctSpec() *taintSpec {
 		// internal/ff bodies are skipped: the fixed-limb core is
 		// constant-time by construction, and its big.Int boundary (the Exp
 		// schedules, NewElement) is accounted at call sites.
-		reportIn:      func(path string) bool { return !pathEndsIn(path, "ff") },
-		flowSensitive: true,
+		reportIn: func(path string) bool { return !pathEndsIn(path, "ff") },
 		siteSinks: [numSiteKinds]string{
 			siteBranch:    "branch condition depends on %s; constant-time code must not branch on secrets",
 			siteLoopBound: "loop bound depends on %s; the iteration count leaks the secret",
@@ -150,17 +144,13 @@ func ctSpec() *taintSpec {
 			siteAlloc:     "allocation size depends on %s; secret-length allocations leak through the allocator",
 			siteCompare:   "variable-time string comparison on %s; compare secrets with crypto/subtle.ConstantTimeCompare",
 		},
-		numericTaint:    true,
-		declassify:      true,
-		crossPkg:        true,
-		callSiteSources: true,
-		seedParam:       ctSeedParam,
-		sourceExpr:      ctSourceExpr,
-		sourceCall:      ctSourceCall,
-		sanitizes:       ctSanitizes,
-		passthrough:     ctPassthrough,
-		fieldRead:       ctFieldRead,
-		sinkCall:        ctSinkCall,
+		seedParam:   ctSeedParam,
+		sourceExpr:  ctSourceExpr,
+		sourceCall:  ctSourceCall,
+		sanitizes:   ctSanitizes,
+		passthrough: ctPassthrough,
+		fieldRead:   ctFieldRead,
+		sinkCall:    ctSinkCall,
 	}
 }
 
@@ -299,13 +289,13 @@ func ctPassthrough(fn *types.Func) bool {
 // secret exponents belong in pairing.GTExpSecret or ec.ScalarMultSecret),
 // NewElement and FromInt64 reduce their input with math/big, and String
 // formats the value it is called on.
-func ctSinkCall(_ *sinkCtx, fn *types.Func) []sinkArg {
+func ctSinkCall(fn *types.Func) *sinkArg {
 	every := func(int) bool { return true }
 	argOnly := func(i int) bool { return i == 1 }
 	recvOnly := func(i int) bool { return i == 0 }
-	sink := func(desc string, operands func(int) bool) []sinkArg {
-		return []sinkArg{{operands: operands, mask: ctAll,
-			message: "%s flows into variable-time " + desc + "; use crypto/subtle or fixed-limb arithmetic"}}
+	sink := func(desc string, operands func(int) bool) *sinkArg {
+		return &sinkArg{operands: operands,
+			message: "%s flows into variable-time " + desc + "; use crypto/subtle or fixed-limb arithmetic"}
 	}
 	name := fn.Name()
 	if pkg := fn.Pkg(); pkg != nil {

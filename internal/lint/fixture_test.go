@@ -24,15 +24,10 @@ var fixtures = map[string][]string{
 	"secretlog":     {"./testdata/src/kdf"},
 	"spanattr":      {"./testdata/src/spanattr/mws"},
 	"ctxflow":       {"./testdata/src/ctxflow"},
-	"plainflow":     {"./testdata/src/plainflow/symenc", "./testdata/src/plainflow/storage", "./testdata/src/plainflow/wire", "./testdata/src/plainflow/mws"},
-	"noncereuse":    {"./testdata/src/noncereuse/symenc", "./testdata/src/noncereuse/enc"},
-	"keyzero":       {"./testdata/src/keyzero/kdf", "./testdata/src/keyzero/symenc", "./testdata/src/keyzero/ticket"},
 	"vartime":       {"./testdata/src/vartime/ec", "./testdata/src/vartime/kdf", "./testdata/src/vartime/pairing", "./testdata/src/vartime/bfibe", "./testdata/src/vartime/tpkg", "./testdata/src/vartime/use"},
 	"ctflow":        {"./testdata/src/ctflow/bfibe", "./testdata/src/ctflow/ff", "./testdata/src/ctflow/ec", "./testdata/src/ctflow/app"},
 	"lockorder":     {"./testdata/src/lockorder/locks", "./testdata/src/lockorder/alpha", "./testdata/src/lockorder/beta"},
 	"lockheld":      {"./testdata/src/lockheld/storage"},
-	"atomicmix":     {"./testdata/src/atomicmix/counter", "./testdata/src/atomicmix/reader"},
-	"goleak":        {"./testdata/src/goleak/storage"},
 	"ignoremulti":   {"./testdata/src/ignoremulti/storage"},
 }
 
@@ -147,15 +142,10 @@ func TestRandSourceFixture(t *testing.T)        { checkFixture(t, "randsource") 
 func TestSecretLogFixture(t *testing.T)         { checkFixture(t, "secretlog") }
 func TestSecretLogSpanAttrFixture(t *testing.T) { checkFixture(t, "spanattr") }
 func TestCtxFlowFixture(t *testing.T)           { checkFixture(t, "ctxflow") }
-func TestPlainFlowFixture(t *testing.T)         { checkFixture(t, "plainflow") }
-func TestNonceReuseFixture(t *testing.T)        { checkFixture(t, "noncereuse") }
-func TestKeyZeroFixture(t *testing.T)           { checkFixture(t, "keyzero") }
 func TestVarTimeFixture(t *testing.T)           { checkFixture(t, "vartime") }
 func TestCTFlowFixture(t *testing.T)            { checkFixture(t, "ctflow") }
 func TestLockOrderFixture(t *testing.T)         { checkFixture(t, "lockorder") }
 func TestLockHeldFixture(t *testing.T)          { checkFixture(t, "lockheld") }
-func TestAtomicMixFixture(t *testing.T)         { checkFixture(t, "atomicmix") }
-func TestGoLeakFixture(t *testing.T)            { checkFixture(t, "goleak") }
 
 // TestCTFlowDeclassifyReported pins the declassification record: the
 // fixture's one //mwslint:declassify directive must surface in the

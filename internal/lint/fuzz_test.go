@@ -25,7 +25,7 @@ func FuzzDirectiveParser(f *testing.F) {
 	f.Add("//mwslint:ignore  ctflow\ttab separated")
 	f.Add("//mwslint:ignore nosuch unknown analyzer")
 
-	known := func(name string) bool { return name == "ctflow" || name == "plainflow" }
+	known := func(name string) bool { return name == "ctflow" || name == "lockheld" }
 
 	f.Fuzz(func(t *testing.T, text string) {
 		pd := parseDirectiveText(text, known)
@@ -78,8 +78,8 @@ func FuzzDirectiveParser(f *testing.F) {
 }
 
 // TestDataflowConverges is the robustness net under the one dataflow
-// interpreter: every whole-program analyzer — each taintSpec among them —
-// runs over every fixture package and over the whole tree (tier-1 runs
+// interpreter: every whole-program analyzer — ctflow's taint engine among
+// them — runs over every fixture package and over the whole tree (tier-1 runs
 // this under -race). A panic fails the test by itself; a fixpoint cut
 // short by safetyCap surfaces as the engine's own diagnostic.
 func TestDataflowConverges(t *testing.T) {

@@ -176,15 +176,6 @@ func collectDirectives(prog *Program, analyzers []*Analyzer) *directiveSet {
 	return ds
 }
 
-// collectDeclassify is the lighter scan the taint engine needs mid-run:
-// just the declassified-line coverage (and the declaration record), with
-// validation left to collectDirectives so each malformed directive is
-// diagnosed exactly once.
-func collectDeclassify(prog *Program) (map[declassKey]string, []Declassification) {
-	ds := collectDirectives(prog, nil)
-	return ds.declass, ds.declared
-}
-
 // stmtExtent is the line span of one simple statement or declaration.
 type stmtExtent struct {
 	start, end int

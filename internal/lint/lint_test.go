@@ -57,15 +57,22 @@ func Nonce() int64 { return rand.Int63() }
 }
 
 // TestCheckScriptWiresTheGates guards the tier-1 wiring: scripts/check.sh
-// must keep running mwslint and the gofmt cleanliness check, or the suite
-// silently stops gating merges.
+// must keep running mwslint, the gofmt cleanliness check, the typed-atomics
+// guard and the gate holding mwslint to the size of the crypto core, or
+// the suite silently stops gating merges.
 func TestCheckScriptWiresTheGates(t *testing.T) {
 	b, err := os.ReadFile("../../scripts/check.sh")
 	if err != nil {
 		t.Fatalf("reading check.sh: %v", err)
 	}
 	script := string(b)
-	for _, gate := range []string{"cmd/mwslint", "gofmt -l"} {
+	for _, gate := range []string{
+		"cmd/mwslint",
+		"gofmt -l",
+		`'atomic\.(Add|Load|Store|Swap|CompareAndSwap)[A-Za-z0-9]*\('`,
+		"scripts/loc.sh internal/lint",
+		"scripts/loc.sh internal/ff internal/ec internal/pairing internal/bfibe",
+	} {
 		if !strings.Contains(script, gate) {
 			t.Errorf("scripts/check.sh no longer runs %q", gate)
 		}

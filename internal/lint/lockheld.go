@@ -37,7 +37,7 @@ func scopedLockKey(k string) bool {
 }
 
 func runLockHeld(pass *ProgramPass) {
-	idx, eng := concFor(pass.Prog)
+	eng := concFor(pass.Prog)
 	fset := pass.Prog.Fset
 	type site struct {
 		pos  token.Pos
@@ -45,7 +45,7 @@ func runLockHeld(pass *ProgramPass) {
 	}
 	seen := make(map[site]bool)
 	hooks := &lockHooks{
-		onBlock: func(desc string, pos token.Pos, held map[string]heldLock) {
+		onBlock: func(desc string, pos token.Pos, held map[string]token.Pos) {
 			keys := make([]string, 0, len(held))
 			for k := range held {
 				if scopedLockKey(k) {
@@ -58,11 +58,11 @@ func runLockHeld(pass *ProgramPass) {
 					continue
 				}
 				seen[site{pos, k}] = true
-				pass.Reportf(pos, "blocking operation (%s) while %s is held (acquired at %s)", desc, k, shortPos(fset, held[k].pos))
+				pass.Reportf(pos, "blocking operation (%s) while %s is held (acquired at %s)", desc, k, shortPos(fset, held[k]))
 			}
 		},
 	}
-	for _, cf := range idx.ordered {
+	for _, cf := range eng.funcs {
 		eng.walk(cf, hooks)
 	}
 }

@@ -26,7 +26,7 @@ type lockEdge struct {
 }
 
 func runLockOrder(pass *ProgramPass) {
-	idx, eng := concFor(pass.Prog)
+	eng := concFor(pass.Prog)
 
 	var edges []lockEdge
 	seen := make(map[string]bool)
@@ -39,22 +39,22 @@ func runLockOrder(pass *ProgramPass) {
 		edges = append(edges, lockEdge{from: from, to: to, pos: pos, heldPos: heldPos})
 	}
 	hooks := &lockHooks{
-		onAcquire: func(key string, read bool, pos token.Pos, held map[string]heldLock) {
-			for h, info := range held {
-				addEdge(h, key, pos, info.pos)
+		onAcquire: func(key string, pos token.Pos, held map[string]token.Pos) {
+			for h, heldPos := range held {
+				addEdge(h, key, pos, heldPos)
 			}
 		},
-		onCalleeAcquires: func(cs *lockSummary, callee string, pos token.Pos, held map[string]heldLock) {
+		onCalleeAcquires: func(cs *lockSummary, pos token.Pos, held map[string]token.Pos) {
 			// A callee acquisition of a lock the caller already holds
 			// lands as a self-edge: a self-deadlock at this call site.
-			for h, info := range held {
+			for h, heldPos := range held {
 				for k := range cs.acquires {
-					addEdge(h, k, pos, info.pos)
+					addEdge(h, k, pos, heldPos)
 				}
 			}
 		},
 	}
-	for _, cf := range idx.ordered {
+	for _, cf := range eng.funcs {
 		eng.walk(cf, hooks)
 	}
 

@@ -7,54 +7,47 @@ import (
 	"maps"
 )
 
-// This file is the interprocedural dataflow substrate of mwslint: a
-// def-use/taint engine over the already-type-checked ASTs, and the only
-// statement/expression/call interpreter of the label-dataflow analyzers.
-// Analyzers (plainflow, noncereuse, keyzero, ctflow) describe their
-// sources, sinks, and sanitizers in a taintSpec; the engine computes
-// per-function transfer summaries, builds a static call graph over the
-// loaded program, and iterates both to a fixpoint, so taint introduced
-// in one package is observed at a sink two or more calls away in
-// another. A final replay of every body reports the sinks.
+// This file is the interprocedural dataflow substrate of ctflow: a
+// def-use/taint engine over the already-type-checked ASTs. ctflow
+// describes its sources, sinks and sanitizers in a taintSpec; the engine
+// computes per-function transfer summaries, builds a static call graph
+// over the loaded program, and iterates both to a fixpoint, so taint
+// introduced in one package is observed at a sink two or more calls away
+// in another. A final replay of every body reports the sinks.
 //
 // The lattice is a bitset. The low sourceLabelBits bits are the spec's
-// source labels ("decrypted plaintext", "key material", ...); the
-// remaining bits track, symbolically, "flows from parameter j of the
-// function under analysis". A function's summary is the label set of
-// each result with every parameter seeded by its own parameter bit, so
-// a caller can translate parameter bits into the taint of its concrete
-// arguments. Concrete incoming taint per parameter (paramIn) is the
-// other half of the fixpoint: every call site with a tainted argument
-// widens the callee's paramIn until the program stabilizes.
+// source labels ("IBE master-key material", ...); the remaining bits
+// track, symbolically, "flows from parameter j of the function under
+// analysis". A function's summary is the label set of each result with
+// every parameter seeded by its own parameter bit, so a caller can
+// translate parameter bits into the taint of its concrete arguments.
+// Concrete incoming taint per parameter (paramIn) is the other half of
+// the fixpoint: every call site with a tainted argument widens the
+// callee's paramIn until the program stabilizes.
 //
 // The intraprocedural transfer is object-granular: taint sticks to the
 // *types.Var it touches (a field write taints the whole struct, a slice
-// of a tainted slice stays tainted). The one walker runs under one of
-// two environment policies (see env). The summary pass is sticky, i.e.
-// flow-insensitive: taint is never killed by reassignment — only a
-// configured sanitizer produces clean values — and the body is re-walked
-// until nothing grows. That over-approximates, but for the invariants
-// mwslint enforces a false flow is an annotation (//mwslint:ignore)
-// while a missed flow is a stored plaintext, so the summaries err
-// monotonically on the side of taint. The reporting replay of the three
-// storage analyzers walks that converged sticky environment once more
-// with sinks on; a spec that sets flowSensitive (ctflow) replays from a
-// fresh environment that forks at branches, joins by union,
-// strong-updates on plain assignments to a bare identifier, and
-// iterates each loop until its head environment stops growing. Values
-// of boolean and numeric types never carry taint unless the spec asks
-// (a length or timestamp parsed out of a secret is metadata, not the
-// secret), which is what keeps the over-approximation tolerable in
-// practice.
+// of a tainted slice stays tainted). The one walker runs under two
+// environment policies, both constants of the engine (see env). The
+// summary pass is sticky, i.e. flow-insensitive: taint is never killed
+// by reassignment — only a sanitizer produces clean values — and the
+// body is re-walked until nothing grows. The reporting replay is
+// flow-sensitive: it starts from a fresh environment that forks at
+// branches, joins by union, strong-updates on plain assignments to a
+// bare identifier, and iterates each loop until its head environment
+// stops growing, so a branch on a variable that was overwritten or
+// declassified is not a finding. Every type carries taint — a bit,
+// digit or table index derived from a secret is exactly what a timing
+// channel leaks.
 //
 // Known blind spots, accepted for a stdlib-only engine: dynamic calls
 // (interface methods, stored func values) propagate no taint into their
 // targets' parameters — sources *inside* such targets are still seen,
 // and spec hooks match interface callees by name/package so the symenc
-// Scheme methods act as sources/sanitizers at every call site; channels
-// and global variables propagate only within a single function; and a
-// store through a local alias (st := &tbl[i]; f(&st.x, secret)) taints
-// the alias, not tbl — kernels pass &tbl[i].x itself.
+// Scheme methods act as sanitizers at every call site; channels and
+// global variables propagate only within a single function; and a store
+// through a local alias (st := &tbl[i]; f(&st.x, secret)) taints the
+// alias, not tbl — kernels pass &tbl[i].x itself.
 
 // labels is the taint lattice element: a bitset of source labels plus
 // symbolic parameter bits.
@@ -81,20 +74,13 @@ func paramLabel(i int) labels {
 // source labels.
 func sourceBits(t labels) labels { return t & (labels(1)<<sourceLabelBits - 1) }
 
-// sinkArg marks one parameter position of a call as a sink.
+// sinkArg marks a call as a sink in the expanded operands it selects
+// (receiver first for methods): callees that are variable-time in an
+// operand, receiver included, rather than in one parameter slot.
 type sinkArg struct {
-	// param is the signature parameter index (receivers are addressed by
-	// the engine, not the spec).
-	param int
-	// mask selects which source labels violate this sink.
-	mask labels
 	// message is the diagnostic; it may contain one %s verb, filled with
 	// the description of the first offending label.
-	message string
-	// operands, when set, replaces param: the sink is the union of the
-	// expanded operands it selects (receiver first for methods) and is
-	// reported at the call — for callees that are variable-time in an
-	// operand, receiver included, rather than in one parameter slot.
+	message  string
 	operands func(i int) bool
 }
 
@@ -112,102 +98,46 @@ const (
 	numSiteKinds
 )
 
-// sinkCtx gives spec hooks the package context of the call site, so
-// boundary sinks ("a call *into* store from outside") can tell crossing
-// flows from internal plumbing.
-type sinkCtx struct {
-	callerPkg *Package
-	info      *types.Info
-}
-
-// taintSpec configures one taint analysis: its source labels and the
+// taintSpec configures the taint analysis: its source labels and the
 // hooks classifying calls and expressions as sources, sanitizers, and
-// sinks. Nil hooks are simply unused.
+// sinks. Every hook is required.
 type taintSpec struct {
-	name string
 	// labelDesc describes each source label, indexed by label bit.
 	labelDesc []string
-	// reportIn limits sink reporting to the packages it accepts (nil =
-	// report everywhere). Summaries are still computed over the whole
-	// program.
+	// reportIn limits sink reporting to the packages it accepts.
+	// Summaries are still computed over the whole program.
 	reportIn func(pkgPath string) bool
-	// flowSensitive selects the environment policy of the reporting
-	// replay (the summary pass is always sticky); see env. ctflow sets
-	// it: a branch on a variable that was overwritten or declassified is
-	// not a timing leak. The storage analyzers do not: their finding sets
-	// were calibrated on sticky replays, and a flow-sensitive one reports
-	// keyserver.Trapdoor's err.Error() reply, where err was := reassigned
-	// from a call on the decrypted keyword (the plainflow fixture's
-	// FrameParseError pins the shape).
-	flowSensitive bool
 	// siteSinks turns the sites of a kind into sinks for every source
 	// label: the message (one %s verb, as in sinkArg) is reported where
 	// tainted data decides a branch, bounds a loop, indexes memory, sizes
-	// an allocation or is compared as a string. An empty message leaves
-	// the kind alone.
+	// an allocation or is compared as a string.
 	siteSinks [numSiteKinds]string
-	// numericTaint lets boolean and numeric values carry taint. The
-	// default (false) treats them as metadata — right for the storage
-	// invariants, where a length parsed out of a secret is not the
-	// secret. ctflow sets it: a bit, digit, or table index derived from
-	// a secret scalar is exactly what a timing channel leaks.
-	numericTaint bool
-	// declassify honors //mwslint:declassify directives: expressions on
-	// covered lines evaluate clean. Only ctflow sets it — declassifying
-	// a timing flow must not also launder a plaintext-storage flow.
-	declassify bool
-	// crossPkg resolves callee summaries across package boundaries (see
-	// taintEngine.facts). Only ctflow sets it so far; the legacy
-	// analyzers keep the package-local resolution they were calibrated
-	// against.
-	crossPkg bool
-	// callSiteSources drops the concrete source bits of a callee summary's
-	// retOut when translating it at a call site, keeping only the
-	// parameter-bit substitution. The flow-insensitive fixpoint seeds each
-	// body with the union of every call site's taint, so retOut source
-	// bits are context-insensitive: once one caller passes a private key
-	// into ec.IsOnCurve, its result would read as "private key" at every
-	// other call site. Specs that set this must re-establish genuinely
-	// secret-producing calls at the call site via sourceCall (generators)
-	// or sourceExpr (key-typed results). Only ctflow sets it.
-	callSiteSources bool
 	// passthrough reports that the callee's results carry the union of
 	// its argument taint, skipping both its summary and sanitizer
 	// classification (hash-into-scalar helpers whose body launders
 	// through a digest but whose output is as secret as its inputs).
 	passthrough func(callee *types.Func) bool
-	// fieldRead, when set, filters the taint a struct-field read inherits
-	// from its container (containerTaint is the container's labels). The
-	// default object-granular behavior — any field of a tainted struct is
-	// fully tainted — is right for the storage invariants but floods
-	// ctflow: a service struct wired with a master key would turn every
-	// config-field branch into a "branches on the master key" finding.
+	// fieldRead filters the taint a struct-field read inherits from its
+	// container (containerTaint is the container's labels): a service
+	// struct wired with a master key must not turn every config-field
+	// branch into a "branches on the master key" finding.
 	fieldRead func(pkg *Package, info *types.Info, sel *ast.SelectorExpr, containerTaint labels) labels
 	// seedParam returns labels a parameter carries at entry regardless of
 	// call sites (e.g. "a []byte parameter named key is key material").
 	seedParam func(fn *types.Func, v *types.Var) labels
-	// sourceExpr returns labels for a non-call expression (constants...).
+	// sourceExpr returns labels for a non-call expression (key-typed
+	// values).
 	sourceExpr func(info *types.Info, e ast.Expr) labels
-	// sourceCall returns labels for result i of a resolved call.
+	// sourceCall returns labels for result i of a resolved call. A
+	// callee summary's concrete source bits are context-insensitive (see
+	// call), so a genuinely secret-producing call is labeled here, at
+	// the call site.
 	sourceCall func(callee *types.Func) map[int]labels
-	// sourceArgs marks signature parameter positions of a call whose
-	// argument objects become tainted at the call site (e.g. the
-	// plaintext handed to Seal is, by definition, plaintext).
-	sourceArgs func(callee *types.Func) map[int]labels
 	// sanitizes reports that the callee's results are clean regardless of
 	// argument taint (encryption: ciphertext out, whatever went in).
 	sanitizes func(callee *types.Func) bool
-	// sinkCall lists the sink parameters of a resolved call.
-	sinkCall func(cx *sinkCtx, callee *types.Func) []sinkArg
-	// sinkComposite classifies a composite literal type as a sink for its
-	// element values, returning a zero mask when it is not one.
-	sinkComposite func(cx *sinkCtx, typ types.Type) (labels, string)
-	// sinkReturn inspects a return site of fn during the report pass.
-	// taints are concretized per-result labels; exprs are the returned
-	// expressions aligned with results (nil for bare returns, the single
-	// call expression repeated for tail calls); wiped holds objects
-	// zeroed anywhere in the function.
-	sinkReturn func(fn *types.Func, pkg *Package, ret *ast.ReturnStmt, taints []labels, exprs []ast.Expr, wiped map[types.Object]bool, report func(token.Pos, string))
+	// sinkCall returns the sink a resolved call is, or nil.
+	sinkCall func(callee *types.Func) *sinkArg
 }
 
 // describe renders the first set label of t for a %s message verb.
@@ -258,8 +188,8 @@ type taintEngine struct {
 	byKey   map[string]*funcFacts
 	ordered []*funcFacts // deterministic iteration order
 	changed bool
-	// declass indexes //mwslint:declassify coverage when the spec honors
-	// it; expressions on covered lines evaluate clean.
+	// declass indexes //mwslint:declassify coverage; expressions on
+	// covered lines evaluate clean.
 	declass map[declassKey]string
 	// pass receives the diagnostics.
 	pass *ProgramPass
@@ -306,9 +236,9 @@ func (e *taintEngine) reportf(pos token.Pos, format string, args ...any) {
 // then replays every function once more with sink reporting enabled.
 func runTaint(pass *ProgramPass, spec *taintSpec) {
 	prog := pass.Prog
-	e := &taintEngine{spec: spec, prog: prog, pass: pass, byKey: make(map[string]*funcFacts), reported: make(map[reportKey]bool)}
-	if spec.declassify {
-		e.declass, _ = collectDeclassify(prog)
+	e := &taintEngine{
+		spec: spec, prog: prog, pass: pass, byKey: make(map[string]*funcFacts), reported: make(map[reportKey]bool),
+		declass: collectDirectives(prog, nil).declass,
 	}
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
@@ -333,7 +263,7 @@ func runTaint(pass *ProgramPass, spec *taintSpec) {
 		return e.changed
 	})
 	for _, fa := range e.ordered {
-		if spec.reportIn == nil || spec.reportIn(fa.pkg.Path) {
+		if spec.reportIn(fa.pkg.Path) {
 			e.analyze(fa, true)
 		}
 	}
@@ -364,10 +294,8 @@ func (e *taintEngine) addFunc(fn *types.Func, decl *ast.FuncDecl, pkg *Package) 
 		fa.params = append(fa.params, sig.Params().At(i))
 	}
 	fa.paramIn = make([]labels, len(fa.params))
-	if e.spec.seedParam != nil {
-		for i, v := range fa.params {
-			fa.paramIn[i] = sourceBits(e.spec.seedParam(fn, v))
-		}
+	for i, v := range fa.params {
+		fa.paramIn[i] = sourceBits(e.spec.seedParam(fn, v))
 	}
 	fa.retOut = make([]labels, sig.Results().Len())
 	fa.paramOut = make([]labels, len(fa.params))
@@ -375,20 +303,10 @@ func (e *taintEngine) addFunc(fn *types.Func, decl *ast.FuncDecl, pkg *Package) 
 	e.ordered = append(e.ordered, fa)
 }
 
-// facts resolves the funcFacts for a callee across package boundaries,
-// or nil for external, interface, and unresolved callees.
-//
-// Cross-package resolution is gated per spec: the legacy analyzers were
-// calibrated when the object-keyed map silently failed across packages
-// (callees resolved to the conservative argument-union fallback), and
-// turning full summaries on changes their finding sets wholesale.
-// ctflow opts in; migrating the others is a recalibration item on the
-// ROADMAP.
-func (e *taintEngine) facts(caller *Package, fn *types.Func) *funcFacts {
+// facts resolves the funcFacts for a callee in any loaded package, or
+// nil for external, interface, and unresolved callees.
+func (e *taintEngine) facts(fn *types.Func) *funcFacts {
 	if fn == nil {
-		return nil
-	}
-	if !e.spec.crossPkg && fn.Pkg() != caller.Types {
 		return nil
 	}
 	return e.byKey[concFuncKey(fn)]
@@ -397,30 +315,23 @@ func (e *taintEngine) facts(caller *Package, fn *types.Func) *funcFacts {
 // analyze runs the intraprocedural transfer for one function. The
 // summary pass (report false) walks the body under the sticky policy to
 // a local fixpoint, propagating into the summary and callee paramIn. The
-// reporting replay walks once with sinks enabled: over that converged
-// sticky environment, or, for a flow-sensitive spec, from a fresh one
-// holding only the parameters.
+// reporting replay walks once with sinks enabled, flow-sensitively, from
+// a fresh environment holding only the parameters.
 func (e *taintEngine) analyze(fa *funcFacts, report bool) {
-	b := &bodyState{engine: e, fa: fa, info: fa.pkg.Info, retTaint: make([]labels, len(fa.retOut))}
-	b.env = &env{obj: make(map[types.Object]labels), flow: report && e.spec.flowSensitive}
+	b := &bodyState{engine: e, fa: fa, info: fa.pkg.Info, retTaint: make([]labels, len(fa.retOut)), report: report}
+	b.env = &env{obj: make(map[types.Object]labels), flow: report}
 	for i, p := range fa.params {
 		b.setObj(p, fa.paramIn[i]|paramLabel(i))
 	}
-	if !b.env.flow {
-		e.fixpoint(fa.decl.Pos(), func() bool {
-			b.localChanged = false
-			b.stmt(fa.decl.Body)
-			return b.localChanged
-		})
-	}
 	if report {
-		b.report = true
-		if e.spec.sinkReturn != nil {
-			b.wiped = collectWiped(fa.decl.Body, fa.pkg.Info)
-		}
 		b.stmt(fa.decl.Body)
 		return
 	}
+	e.fixpoint(fa.decl.Pos(), func() bool {
+		b.localChanged = false
+		b.stmt(fa.decl.Body)
+		return b.localChanged
+	})
 	for i, t := range b.retTaint {
 		if t&^fa.retOut[i] != 0 {
 			fa.retOut[i] |= t
@@ -447,12 +358,13 @@ func storesReachCaller(t types.Type) bool {
 
 // env maps in-scope objects to the labels they hold (parameter bits
 // included); a missing object is clean. It implements both environment
-// policies of the walker. Sticky (flow false): one map for the whole
-// body, fork and join are the identity, nothing is ever killed, and the
-// caller re-walks until no object grows. Flow-sensitive (flow true):
-// fork clones at a control-flow split, join unions at the merge, and a
-// plain assignment to a bare identifier replaces what it held, so an
-// overwritten or declassified variable really goes clean.
+// policies of the walker. Sticky (flow false, the summary pass): one map
+// for the whole body, fork and join are the identity, nothing is ever
+// killed, and the caller re-walks until no object grows. Flow-sensitive
+// (flow true, the reporting replay): fork clones at a control-flow
+// split, join unions at the merge, and a plain assignment to a bare
+// identifier replaces what it held, so an overwritten or declassified
+// variable really goes clean.
 type env struct {
 	obj  map[types.Object]labels
 	flow bool
@@ -501,7 +413,6 @@ type bodyState struct {
 	// sticky policy re-walks the body until it stays false.
 	localChanged bool
 	report       bool
-	wiped        map[types.Object]bool
 }
 
 // concretize substitutes the current function's parameter bits with the
@@ -526,47 +437,8 @@ func (b *bodyState) site(k siteKind, at ast.Expr, t labels) {
 	}
 }
 
-// taintableType reports whether values of t can carry taint. Booleans
-// and numbers are metadata (lengths, timestamps, comparison results),
-// and so are the time package's types (a timestamp parsed out of an
-// authenticator is scheduling metadata, not the secret); everything
-// else — slices, strings, structs, pointers, interfaces — can hold
-// secret bytes.
-func taintableType(t types.Type) bool {
-	if t == nil {
-		return true
-	}
-	if named, ok := t.(*types.Named); ok {
-		if obj := named.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "time" {
-			return false
-		}
-	}
-	if basic, ok := t.Underlying().(*types.Basic); ok {
-		return basic.Info()&(types.IsBoolean|types.IsNumeric) == 0
-	}
-	return true
-}
-
-// taintable applies the spec's numeric-taint mode on top of the base
-// type filter: ctflow tracks secret bits and indices, the storage
-// invariants do not.
-func (b *bodyState) taintable(t types.Type) bool {
-	return b.engine.spec.numericTaint || taintableType(t)
-}
-
-// filterByType clears taint on expressions whose type cannot carry it.
-func (b *bodyState) filterByType(e ast.Expr, t labels) labels {
-	if t == 0 {
-		return 0
-	}
-	if tv, ok := b.info.Types[e]; ok && tv.Type != nil && !b.taintable(tv.Type) {
-		return 0
-	}
-	return t
-}
-
 func (b *bodyState) setObj(o types.Object, t labels) {
-	if o == nil || t == 0 || !b.taintable(o.Type()) {
+	if o == nil || t == 0 {
 		return
 	}
 	if b.env.add(o, t) {
@@ -840,42 +712,24 @@ func (b *bodyState) ret(s *ast.ReturnStmt) {
 		}
 		return
 	}
-	n := len(b.retTaint)
-	taints := make([]labels, n)
-	exprs := make([]ast.Expr, n)
 	switch {
 	case len(s.Results) == 0:
 		// Bare return: named results carry whatever they hold.
 		res := b.fa.sig.Results()
-		for i := range n {
+		for i := range b.retTaint {
 			if v := res.At(i); v.Name() != "" {
-				taints[i] = b.env.obj[v]
+				b.retTaint[i] |= b.env.obj[v]
 			}
 		}
-	case len(s.Results) == n:
+	case len(s.Results) == len(b.retTaint):
 		for i, e := range s.Results {
-			taints[i] = b.expr(e)
-			exprs[i] = e
+			b.retTaint[i] |= b.expr(e)
 		}
 	case len(s.Results) == 1:
 		// Tail call: return f() with f multi-valued.
-		ts := b.exprMulti(s.Results[0], n)
-		copy(taints, ts)
-		for i := range exprs {
-			exprs[i] = s.Results[0]
+		for i, t := range b.exprMulti(s.Results[0], len(b.retTaint)) {
+			b.retTaint[i] |= t
 		}
-	}
-	for i := range n {
-		b.retTaint[i] |= taints[i]
-	}
-	if b.report && b.engine.spec.sinkReturn != nil {
-		conc := make([]labels, n)
-		for i := range n {
-			conc[i] = b.concretize(taints[i])
-		}
-		b.engine.spec.sinkReturn(b.fa.fn, b.fa.pkg, s, conc, exprs, b.wiped, func(pos token.Pos, msg string) {
-			b.engine.reportf(pos, "%s", msg)
-		})
 	}
 }
 
@@ -901,7 +755,7 @@ func (b *bodyState) expr(e ast.Expr) labels {
 			t = 0
 		} else {
 			t = b.expr(v.X)
-			if b.engine.spec.fieldRead != nil && t != 0 {
+			if t != 0 {
 				if sel, ok := b.info.Selections[v]; ok && sel.Kind() == types.FieldVal {
 					t = b.engine.spec.fieldRead(b.fa.pkg, b.info, v, t)
 				}
@@ -941,7 +795,9 @@ func (b *bodyState) expr(e ast.Expr) labels {
 	case *ast.TypeAssertExpr:
 		t = b.expr(v.X)
 	case *ast.CompositeLit:
-		t = b.composite(v)
+		for _, el := range v.Elts {
+			t |= b.expr(el)
+		}
 	case *ast.CallExpr:
 		for _, r := range b.call(v) {
 			t |= r
@@ -957,36 +813,11 @@ func (b *bodyState) expr(e ast.Expr) labels {
 		b.expr(v.Key)
 		t = b.expr(v.Value)
 	}
-	if b.engine.spec.sourceExpr != nil {
-		t |= b.engine.spec.sourceExpr(b.info, e)
-	}
-	t = b.filterByType(e, t)
+	t |= b.engine.spec.sourceExpr(b.info, e)
 	// Declassification: an expression on a covered line is, by the
 	// analyst's explicit claim, public from here on.
 	if t != 0 && b.engine.declassified(e.Pos()) {
 		return 0
-	}
-	return t
-}
-
-func (b *bodyState) composite(lit *ast.CompositeLit) labels {
-	var t labels
-	elts := make([]labels, len(lit.Elts))
-	for i, el := range lit.Elts {
-		elts[i] = b.expr(el)
-		t |= elts[i]
-	}
-	if b.report && b.engine.spec.sinkComposite != nil {
-		if tv, ok := b.info.Types[lit]; ok && tv.Type != nil {
-			cx := &sinkCtx{callerPkg: b.fa.pkg, info: b.info}
-			if mask, msg := b.engine.spec.sinkComposite(cx, tv.Type); mask != 0 {
-				for i, el := range lit.Elts {
-					if eff := b.concretize(elts[i]) & mask; eff != 0 {
-						b.engine.reportf(el.Pos(), msg, b.engine.spec.describe(eff))
-					}
-				}
-			}
-		}
 	}
 	return t
 }
@@ -1025,19 +856,19 @@ func staticCallee(info *types.Info, c *ast.CallExpr) *types.Func {
 }
 
 // call evaluates a call expression, returning per-result taint and, as
-// side effects: argument evaluation, source-argument marking, sink
-// checking, and interprocedural propagation into the callee's paramIn.
+// side effects: argument evaluation, sink checking, and interprocedural
+// propagation into the callee's paramIn.
 func (b *bodyState) call(c *ast.CallExpr) []labels {
 	info := b.info
 	spec := b.engine.spec
 
-	// Type conversion: taint passes through, subject to the type filter.
+	// Type conversion: taint passes through.
 	if tv, ok := info.Types[c.Fun]; ok && tv.IsType() {
 		var t labels
 		for _, a := range c.Args {
 			t |= b.expr(a)
 		}
-		return []labels{b.filterByType(c, t)}
+		return []labels{t}
 	}
 
 	// Builtins.
@@ -1063,8 +894,10 @@ func (b *bodyState) call(c *ast.CallExpr) []labels {
 	recvOffset := len(args)
 	args = append(args, c.Args...)
 	argTaint := make([]labels, len(args))
+	var union labels
 	for i, a := range args {
 		argTaint[i] = b.expr(a)
+		union |= argTaint[i]
 	}
 	// f(g()) with g multi-valued: every parameter sees the union of g's
 	// results (argTaint already holds that union; spreadAll makes the
@@ -1107,33 +940,17 @@ func (b *bodyState) call(c *ast.CallExpr) []labels {
 		return t
 	}
 
-	// Source arguments: the call marks its argument objects tainted.
-	if callee != nil && spec.sourceArgs != nil {
-		for j, lab := range spec.sourceArgs(callee) {
-			if i := j + recvOffset; i < len(args) {
-				b.setObj(b.rootObj(args[i]), lab)
-				argTaint[i] |= lab
-			}
-		}
-	}
-
-	// Sinks.
-	if b.report && callee != nil && spec.sinkCall != nil {
-		cx := &sinkCtx{callerPkg: b.fa.pkg, info: info}
-		for _, s := range spec.sinkCall(cx, callee) {
-			t, pos := sigParamTaint(s.param), c.Pos()
-			if s.operands != nil {
-				t = 0
-				for i, at := range argTaint {
-					if s.operands(i) {
-						t |= at
-					}
+	// Sinks, reported at the call.
+	if b.report && callee != nil {
+		if s := spec.sinkCall(callee); s != nil {
+			var t labels
+			for i, at := range argTaint {
+				if s.operands(i) {
+					t |= at
 				}
-			} else if i := s.param + recvOffset; i < len(args) {
-				pos = args[i].Pos()
 			}
-			if eff := b.concretize(t) & s.mask; eff != 0 {
-				b.engine.reportf(pos, s.message, spec.describe(eff))
+			if eff := b.concretize(t); eff != 0 {
+				b.engine.reportf(c.Pos(), s.message, spec.describe(eff))
 			}
 		}
 	}
@@ -1148,19 +965,12 @@ func (b *bodyState) call(c *ast.CallExpr) []labels {
 	}
 	out := make([]labels, max(nres, 1))
 
-	if callee != nil && spec.passthrough != nil && spec.passthrough(callee) {
+	if callee != nil && spec.passthrough(callee) {
 		// The callee's output is exactly as secret as its inputs; its body
 		// (typically a digest) is neither a launderer nor a summary worth
 		// consulting.
-		var t labels
-		for _, at := range argTaint {
-			t |= at
-		}
 		for i := range out {
-			out[i] = t
-		}
-		if nres == 1 {
-			out[0] = b.filterByType(c, out[0])
+			out[i] = union
 		}
 		return out
 	}
@@ -1171,7 +981,7 @@ func (b *bodyState) call(c *ast.CallExpr) []labels {
 	// still computes on the secret arguments and must be analyzed with
 	// them (ec.ScalarMultSecret's ladder sees the secret scalar regardless
 	// of its output being a public commitment).
-	fa := b.engine.facts(b.fa.pkg, callee)
+	fa := b.engine.facts(callee)
 	if fa != nil {
 		for j := range fa.params {
 			var t labels
@@ -1190,20 +1000,21 @@ func (b *bodyState) call(c *ast.CallExpr) []labels {
 		}
 	}
 
-	if callee != nil && spec.sanitizes != nil && spec.sanitizes(callee) {
+	if callee != nil && spec.sanitizes(callee) {
 		return out
 	}
 
 	if fa != nil {
-		// Translate the callee summary: source bits pass through,
-		// parameter bits substitute this site's argument taint. Under
-		// callSiteSources the source bits are dropped as context-
-		// insensitive (see the taintSpec field).
+		// Translate the callee summary: parameter bits substitute this
+		// site's argument taint, and concrete source bits are dropped. The
+		// flow-insensitive fixpoint seeds each body with the union of every
+		// call site's taint, so those bits are context-insensitive: once
+		// one caller passes a private key into ec.IsOnCurve, its result
+		// would read as "private key" at every other call site. Genuinely
+		// secret-producing calls are labeled at the site instead, by
+		// sourceCall (generators) or sourceExpr (key-typed results).
 		translate := func(ro labels) labels {
-			t := sourceBits(ro)
-			if spec.callSiteSources {
-				t = 0
-			}
+			var t labels
 			for j := range fa.params {
 				if pb := paramLabel(j); pb != 0 && ro&pb != 0 {
 					if j < fa.recvOffset {
@@ -1231,24 +1042,17 @@ func (b *bodyState) call(c *ast.CallExpr) []labels {
 	} else {
 		// Unresolved or external callee: conservatively, every result
 		// carries the union of the argument (and receiver) taint.
-		var t labels
-		for _, at := range argTaint {
-			t |= at
-		}
 		for i := range out {
-			out[i] = t
+			out[i] = union
 		}
 	}
 
-	if callee != nil && spec.sourceCall != nil {
+	if callee != nil {
 		for i, lab := range spec.sourceCall(callee) {
 			if i < len(out) {
 				out[i] |= lab
 			}
 		}
-	}
-	if nres == 1 {
-		out[0] = b.filterByType(c, out[0])
 	}
 	return out
 }
@@ -1277,7 +1081,7 @@ func (b *bodyState) builtin(name string, c *ast.CallExpr) []labels {
 		for _, a := range c.Args {
 			t |= b.expr(a)
 		}
-		return []labels{b.filterByType(c, t)}
+		return []labels{t}
 	case "make":
 		for _, size := range c.Args[1:] { // after the type operand
 			b.site(siteAlloc, size, b.expr(size))
@@ -1298,68 +1102,6 @@ func (b *bodyState) builtin(name string, c *ast.CallExpr) []labels {
 		}
 		return []labels{0}
 	}
-}
-
-// collectWiped finds objects the function zeroizes: explicit calls to a
-// wipe/zero helper, the clear builtin, or a range loop storing zero
-// bytes into the slice. keyzero treats a wiped slice as safe to return.
-func collectWiped(body *ast.BlockStmt, info *types.Info) map[types.Object]bool {
-	wiped := make(map[types.Object]bool)
-	mark := func(e ast.Expr) {
-		if id := identOf(e); id != nil {
-			if o := info.Uses[id]; o != nil {
-				wiped[o] = true
-			}
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.CallExpr:
-			name := ""
-			switch f := ast.Unparen(v.Fun).(type) {
-			case *ast.Ident:
-				name = f.Name
-			case *ast.SelectorExpr:
-				name = f.Sel.Name
-			}
-			if isWipeName(name) || name == "clear" {
-				for _, a := range v.Args {
-					mark(a)
-				}
-			}
-		case *ast.RangeStmt:
-			// for i := range k { k[i] = 0 }
-			if target := identOf(v.X); target != nil {
-				ast.Inspect(v.Body, func(m ast.Node) bool {
-					as, ok := m.(*ast.AssignStmt)
-					if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-						return true
-					}
-					ix, ok := as.Lhs[0].(*ast.IndexExpr)
-					if !ok {
-						return true
-					}
-					base := identOf(ix.X)
-					lit, isLit := as.Rhs[0].(*ast.BasicLit)
-					if base != nil && base.Name == target.Name && isLit && lit.Value == "0" {
-						mark(v.X)
-					}
-					return true
-				})
-			}
-		}
-		return true
-	})
-	return wiped
-}
-
-// isWipeName matches the helper names keyzero accepts as zeroization.
-func isWipeName(name string) bool {
-	switch name {
-	case "Wipe", "wipe", "Zero", "zero", "Zeroize", "zeroize", "Scrub", "scrub":
-		return true
-	}
-	return false
 }
 
 // calleePkgEndsIn reports whether the callee is declared in a package

@@ -3,7 +3,10 @@ package macauth
 import (
 	"bytes"
 	"crypto/rand"
+	"errors"
+	"io"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"mwskit/internal/storage"
@@ -81,6 +84,26 @@ func TestKeyServiceRegisterAndLookup(t *testing.T) {
 	}
 	if _, err := ks.Register("", rand.Reader); err == nil {
 		t.Fatal("empty device ID accepted")
+	}
+}
+
+// TestRegisterFailedDrawReturnsNoKey: a key draw that cannot fill the
+// key — a reader that runs dry after 5 bytes, or one that errors —
+// returns a nil key with the error, never the partly filled slice, and
+// registers nothing.
+func TestRegisterFailedDrawReturnsNoKey(t *testing.T) {
+	ks, _ := openKeyService(t, t.TempDir())
+	for name, r := range map[string]io.Reader{
+		"short":    io.LimitReader(rand.Reader, 5),
+		"erroring": iotest.ErrReader(errors.New("entropy source down")),
+	} {
+		key, err := ks.Register("meter-1", r)
+		if err == nil || key != nil {
+			t.Fatalf("%s reader: Register = %d-byte key, %v; want no key and an error", name, len(key), err)
+		}
+		if _, ok := ks.Key("meter-1"); ok {
+			t.Fatalf("%s reader: a failed draw registered a key", name)
+		}
 	}
 }
 

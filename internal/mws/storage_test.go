@@ -2,6 +2,8 @@ package mws
 
 import (
 	"context"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,4 +188,38 @@ func TestAutoCompaction(t *testing.T) {
 	}
 	// StartAutoCompact is idempotent-replaceable and Close stops it.
 	s.StartAutoCompact(time.Hour, 50)
+}
+
+// waitSweeps polls until exactly want goroutines run StartAutoCompact's
+// sweep loop (matched by its closure's name, which inlining may prefix).
+// A stopped sweep closes its done channel a hair before it returns, so an
+// instantaneous count can still see it.
+func waitSweeps(t *testing.T, want int) {
+	t.Helper()
+	count := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "StartAutoCompact.func")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for count() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d auto-compact sweeps running, want %d", count(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAutoCompactExitsOnClose pins what TestAutoCompaction only claims:
+// a second StartAutoCompact stops the sweep it replaces, and Close stops
+// the last one, so no sweep goroutine outlives the service.
+func TestAutoCompactExitsOnClose(t *testing.T) {
+	s, _ := newStorageService(t, t.TempDir(), storage.Options{})
+	waitSweeps(t, 0)
+	s.StartAutoCompact(time.Hour, 50)
+	s.StartAutoCompact(time.Hour, 50)
+	waitSweeps(t, 1)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitSweeps(t, 0)
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
+	"errors"
+	"io"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"mwskit/internal/attr"
@@ -241,6 +244,25 @@ func TestAuthenticatorWrongSessionKey(t *testing.T) {
 	}
 	if _, err := OpenAuthenticator(sk2, blob, now, time.Minute); err == nil {
 		t.Fatal("authenticator opened under the wrong session key")
+	}
+}
+
+// TestNewSessionKeyFailureReturnsNoKey: a draw that cannot fill the key —
+// a reader that runs dry after 5 bytes, or one that errors — returns a
+// nil key with the error, never the partly filled slice, so a caller that
+// ignores the error has no half-random key to go on with.
+func TestNewSessionKeyFailureReturnsNoKey(t *testing.T) {
+	for name, r := range map[string]io.Reader{
+		"short":    io.LimitReader(rand.Reader, 5),
+		"erroring": iotest.ErrReader(errors.New("entropy source down")),
+	} {
+		k, err := NewSessionKey(r)
+		if err == nil {
+			t.Fatalf("%s reader: NewSessionKey succeeded", name)
+		}
+		if k != nil {
+			t.Fatalf("%s reader: NewSessionKey returned a %d-byte key alongside %v", name, len(k), err)
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -171,6 +173,43 @@ func TestSlowHandlerCutOff(t *testing.T) {
 	r.handle(TParams, func(ctx context.Context, f Frame) Frame { return Frame{Type: TParamsResp} })
 	if resp, err := c.Do(Frame{Type: TParams}); err != nil || resp.Type != TParamsResp {
 		t.Fatalf("post-timeout request: %+v, %v", resp, err)
+	}
+}
+
+// TestAbandonedHandlerExits: a handler cut off by WithTimeout finishes on
+// its own goroutine, and that goroutine must then exit instead of
+// blocking forever on handing its late reply to a caller that has already
+// answered.
+func TestAbandonedHandlerExits(t *testing.T) {
+	release := make(chan struct{})
+	h := WithTimeout(time.Millisecond)(HandlerFunc(func(ctx context.Context, f Frame) Frame {
+		<-ctx.Done()
+		<-release
+		return Frame{Type: TPong}
+	}))
+	if em := decodeError(t, h.Handle(context.Background(), Frame{Type: TPing})); em.Code != CodeTimeout {
+		t.Fatalf("cut-off handler code = %d, want CodeTimeout", em.Code)
+	}
+	close(release)
+
+	// Count the goroutines running one of WithTimeout's closures (one dump
+	// block each; inlining may prefix the closure's name with its caller's).
+	running := func() int {
+		buf := make([]byte, 1<<20)
+		n := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "WithTimeout.func") {
+				n++
+			}
+		}
+		return n
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for running() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d abandoned handler goroutines still running", running())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

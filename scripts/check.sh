@@ -114,6 +114,25 @@ if [ -n "$pools" ]; then
 	exit 1
 fi
 
+# Typed atomics only (DESIGN.md §12): a word updated through a sync/atomic
+# function can also be read or written plainly, and the race detector only
+# sees the schedules tests happen to run. atomic.Uint64 and its siblings
+# make that mix unwritable, so no non-test code calls the function forms.
+fnatomics=$(grep -rnE --include='*.go' --exclude='*_test.go' 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)[A-Za-z0-9]*\(' internal cmd examples experiments || true)
+if [ -n "$fnatomics" ]; then
+	echo "function-form sync/atomic call (use a typed atomic such as atomic.Uint64): $fnatomics" >&2
+	exit 1
+fi
+
+# mwslint no larger than what it guards (ROADMAP aim 2): internal/lint's
+# non-test lines stay at or under those of the crypto core.
+lint_loc=$(scripts/loc.sh internal/lint | awk 'END { print $1 }')
+core_loc=$(scripts/loc.sh internal/ff internal/ec internal/pairing internal/bfibe | awk 'END { print $1 }')
+if [ "$lint_loc" -gt "$core_loc" ]; then
+	echo "internal/lint is $lint_loc lines, more than the $core_loc of ff+ec+pairing+bfibe it guards" >&2
+	exit 1
+fi
+
 go test -race ./...
 
 # The fan-out and its four callers again at one worker (the sequential
