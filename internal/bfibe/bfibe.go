@@ -173,11 +173,11 @@ func (p *Params) gID(id []byte) (pairing.GT, error) {
 // --- KEM (the paper's hybrid usage) ---
 
 // Encapsulation carries the key-transport point U = rP that the depositing
-// client stores next to the symmetric ciphertext. It is a validated point
-// by construction: the only makers are Encapsulate (rP with r ∈ [1, q−1])
-// and UnmarshalEncapsulation (curve check, order-q check, infinity
-// refused), so a holder of one may pair it with a private key without
-// checking again. The zero value came from neither and is refused.
+// client stores next to the symmetric ciphertext. Its point is finite and
+// on the curve by construction: the only makers are Encapsulate (rP with
+// r ∈ [1, q−1]) and UnmarshalEncapsulation (curve check, infinity
+// refused), so a holder may pair it with a private key without checking
+// again. The zero value came from neither and is refused.
 type Encapsulation struct {
 	u ec.Point
 }
@@ -206,14 +206,14 @@ func (p *Params) Encapsulate(id []byte, keyLen int, rng io.Reader) (*Encapsulati
 }
 
 // Decapsulate recomputes the symmetric key from U and the identity's
-// private key: KDF(ê(d_ID, U)) = KDF(ê(Q_ID, sP)^r) by bilinearity. U was
-// validated when enc was made (see Encapsulation); nothing is re-checked.
+// private key: KDF(ê(d_ID, U)) = KDF(ê(Q_ID, sP)^r) by bilinearity. It is
+// the one-shot form of Decapsulator, and refuses what that refuses.
 func (p *Params) Decapsulate(sk *PrivateKey, enc *Encapsulation, keyLen int) ([]byte, error) {
-	if sk == nil || !enc.checked() {
-		return nil, errors.New("bfibe: nil key or encapsulation")
+	d, err := p.NewDecapsulator(sk)
+	if err != nil {
+		return nil, err
 	}
-	shared := p.Sys.Pair(sk.D, enc.u)
-	return kdf.SessionKey(shared.Bytes(), keyLen), nil
+	return d.Decapsulate(enc, keyLen)
 }
 
 // Decapsulator amortizes the pairing cost of one private key across many
@@ -237,12 +237,17 @@ func (p *Params) NewDecapsulator(sk *PrivateKey) (*Decapsulator, error) {
 }
 
 // Decapsulate recomputes the symmetric key from U using the precomputed
-// key lines, relying like Params.Decapsulate on enc's validation.
+// key lines, relying on enc's validation (see Encapsulation). A pairing
+// value of 1 is refused: for an order-q key it means U has no G1 part —
+// (0, 0), or a point of order dividing h — and no encapsulation made it.
 func (d *Decapsulator) Decapsulate(enc *Encapsulation, keyLen int) ([]byte, error) {
 	if !enc.checked() {
 		return nil, errors.New("bfibe: nil encapsulation")
 	}
 	shared := d.pre.Pair(enc.u)
+	if shared.IsOne() {
+		return nil, errors.New("bfibe: encapsulation point has no order-q part")
+	}
 	return kdf.SessionKey(shared.Bytes(), keyLen), nil
 }
 
@@ -280,9 +285,6 @@ func (p *Params) DecryptBasic(sk *PrivateKey, ct *CiphertextBasic) ([]byte, erro
 	}
 	if ct.U.Inf || !p.Sys.Curve.IsOnCurve(ct.U) {
 		return nil, errors.New("bfibe: ciphertext point off curve")
-	}
-	if !p.Sys.Curve.ScalarBaseOrderCheck(ct.U) {
-		return nil, errors.New("bfibe: ciphertext point not in the order-q subgroup")
 	}
 	pad := p.Sys.Pair(sk.D, ct.U)
 	return kdf.Mask("mwskit/bfibe/h2", pad.Bytes(), ct.V), nil
@@ -327,15 +329,13 @@ func (p *Params) EncryptFull(id, msg []byte, rng io.Reader) (*CiphertextFull, er
 }
 
 // DecryptFull inverts EncryptFull, rejecting any ciphertext whose
-// re-derived randomness does not reproduce U (the FO validity check).
+// re-derived randomness does not reproduce U (the FO validity check),
+// which also refuses every U outside G1: r·P is always in it.
 func (p *Params) DecryptFull(sk *PrivateKey, ct *CiphertextFull) ([]byte, error) {
 	if sk == nil || ct == nil {
 		return nil, ErrDecrypt
 	}
 	if ct.U.Inf || !p.Sys.Curve.IsOnCurve(ct.U) || len(ct.V) != sigmaLen {
-		return nil, ErrDecrypt
-	}
-	if !p.Sys.Curve.ScalarBaseOrderCheck(ct.U) {
 		return nil, ErrDecrypt
 	}
 	pad := p.Sys.Pair(sk.D, ct.U)

@@ -17,7 +17,7 @@ var (
 	tMaster   *MasterKey
 )
 
-func testSetup(t *testing.T) (*Params, *MasterKey) {
+func testSetup(t testing.TB) (*Params, *MasterKey) {
 	t.Helper()
 	setupOnce.Do(func() {
 		sys := pairing.ParamsTest.MustSystem()

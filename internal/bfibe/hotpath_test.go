@@ -29,7 +29,7 @@ func freshParams(t *testing.T) (*Params, *MasterKey) {
 // offSubgroupU finds an on-curve point outside the order-q subgroup on
 // the test curve. The cofactor is large, so the first on-curve point hit
 // by scanning small x values is overwhelmingly likely to be off-subgroup.
-func offSubgroupU(t *testing.T, c *ec.Curve) ec.Point {
+func offSubgroupU(t testing.TB, c *ec.Curve) ec.Point {
 	t.Helper()
 	for x := int64(1); x < 10000; x++ {
 		xe := c.F.FromInt64(x)
@@ -50,50 +50,129 @@ func offSubgroupU(t *testing.T, c *ec.Curve) ec.Point {
 	return ec.Point{}
 }
 
-// TestDecapsulationRejectsOffSubgroupPoint seeds every decryption path
-// with an on-curve point outside G1 and demands rejection: such a point
-// pairs into a small subgroup and would probe the private key (the
-// invalid-point attack). For the KEM the rejection lives in the decoder,
-// the only way bytes become an *Encapsulation; the decapsulation paths
-// refuse what no maker produced (nil, the zero value).
-func TestDecapsulationRejectsOffSubgroupPoint(t *testing.T) {
+// torsionPoints returns T = q·S for an on-curve S outside G1 — a point of
+// order dividing h, with no G1 part — and the 2-torsion point (0, 0).
+func torsionPoints(t testing.TB, c *ec.Curve) (tors, two ec.Point) {
+	t.Helper()
+	tors = c.ScalarMult(offSubgroupU(t, c), c.Q)
+	two, err := c.NewPoint(c.F.Zero(), c.F.Zero())
+	if err != nil || tors.Inf {
+		t.Fatalf("torsion points: %v, q·S = %v", err, tors)
+	}
+	return tors, two
+}
+
+// TestDecapsulationOffSubgroupEqualsProjection holds the rule for points
+// that are only ever second pairing arguments (DESIGN.md §9): the decoder
+// checks the curve and refuses ∞ but not the order, because an on-curve
+// U + T with T of order dividing h decapsulates to exactly U's key — it
+// probes nothing U does not. A point with no G1 part (T alone, (0, 0))
+// decodes and is refused at decapsulation, whose pairing value is 1;
+// FullIdent's re-encryption check refuses U + T; and a private key, a
+// first argument, keeps its order check.
+func TestDecapsulationOffSubgroupEqualsProjection(t *testing.T) {
 	p, mk := testSetup(t)
-	sk, err := mk.Extract(p, []byte("victim"))
+	c := p.Sys.Curve
+	id := []byte("victim")
+	sk, err := mk.Extract(p, id)
 	if err != nil {
 		t.Fatal(err)
-	}
-	bad := offSubgroupU(t, p.Sys.Curve)
-
-	for what, b := range map[string][]byte{
-		"an off-subgroup point": p.Sys.Curve.Bytes(bad),
-		"the identity":          p.Sys.Curve.Bytes(p.Sys.Curve.Infinity()),
-	} {
-		if _, err := UnmarshalEncapsulation(p, b); err == nil {
-			t.Errorf("UnmarshalEncapsulation accepted %s", what)
-		}
 	}
 	dec, err := p.NewDecapsulator(sk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for what, enc := range map[string]*Encapsulation{"nil": nil, "the zero value": {}} {
-		if _, err := p.Decapsulate(sk, enc, 16); err == nil {
-			t.Errorf("Decapsulate accepted %s", what)
+	tors, two := torsionPoints(t, c)
+	enc, key, err := p.Encapsulate(id, 16, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shifted, err := UnmarshalEncapsulation(p, c.Bytes(c.Add(enc.u, tors)))
+	if err != nil {
+		t.Fatalf("U + T refused: %v", err)
+	}
+	for what, decap := range map[string]func(*Encapsulation) ([]byte, error){
+		"Decapsulate":  func(e *Encapsulation) ([]byte, error) { return p.Decapsulate(sk, e, 16) },
+		"Decapsulator": func(e *Encapsulation) ([]byte, error) { return dec.Decapsulate(e, 16) },
+	} {
+		if got, err := decap(shifted); err != nil || !bytes.Equal(got, key) {
+			t.Errorf("%s(U + T) = %x, %v; want U's key %x", what, got, err, key)
 		}
-		if _, err := dec.Decapsulate(enc, 16); err == nil {
-			t.Errorf("Decapsulator accepted %s", what)
+		for name, pt := range map[string]ec.Point{"q·S": tors, "(0, 0)": two} {
+			pure, err := UnmarshalEncapsulation(p, c.Bytes(pt))
+			if err != nil {
+				t.Fatalf("%s refused by the decoder: %v", name, err)
+			}
+			if _, err := decap(pure); err == nil {
+				t.Errorf("%s accepted %s, a point with no G1 part", what, name)
+			}
+		}
+		for name, e := range map[string]*Encapsulation{"nil": nil, "the zero value": {}} {
+			if _, err := decap(e); err == nil {
+				t.Errorf("%s accepted %s", what, name)
+			}
 		}
 	}
-	if _, err := p.DecryptBasic(sk, &CiphertextBasic{U: bad, V: []byte("xx")}); err == nil {
-		t.Error("DecryptBasic accepted an off-subgroup U")
+	offCurve := c.Bytes(ec.Point{X: enc.u.X, Y: enc.u.Y.Add(c.F.One())})
+	for what, b := range map[string][]byte{"an off-curve point": offCurve, "the identity": c.Bytes(c.Infinity())} {
+		if _, err := UnmarshalEncapsulation(p, b); err == nil {
+			t.Errorf("UnmarshalEncapsulation accepted %s", what)
+		}
 	}
-	ctf := &CiphertextFull{U: bad, V: make([]byte, sigmaLen), W: []byte("yy")}
-	if _, err := p.DecryptFull(sk, ctf); err == nil {
-		t.Error("DecryptFull accepted an off-subgroup U")
+
+	msg := []byte("basic")
+	ctb, err := p.EncryptBasic(id, msg, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got, err := p.DecryptBasic(sk, &CiphertextBasic{U: c.Add(ctb.U, tors), V: ctb.V}); err != nil || !bytes.Equal(got, msg) {
+		t.Errorf("DecryptBasic(U + T) = %q, %v; want U's plaintext", got, err)
+	}
+	ctf, err := p.EncryptFull(id, msg, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctf.U = c.Add(ctf.U, tors)
+	if back, err := UnmarshalCiphertextFull(p, MarshalCiphertextFull(p, ctf)); err != nil {
+		t.Errorf("UnmarshalCiphertextFull refused U + T: %v", err)
+	} else if _, err := p.DecryptFull(sk, back); err != ErrDecrypt {
+		t.Errorf("DecryptFull(U + T) = %v, want ErrDecrypt", err)
+	}
+	bad := offSubgroupU(t, c)
 	if _, err := UnmarshalPrivateKey(p, MarshalPrivateKey(p, &PrivateKey{ID: []byte("x"), D: bad})); err == nil {
 		t.Error("UnmarshalPrivateKey accepted an off-subgroup point")
 	}
+}
+
+// FuzzUnmarshalEncapsulation: the decoder a receiving client runs on every
+// message never panics, and whatever it accepts is the canonical encoding
+// of a finite point on the curve.
+func FuzzUnmarshalEncapsulation(f *testing.F) {
+	p, _ := testSetup(f)
+	enc, _, err := p.Encapsulate([]byte("fuzz"), 16, rand.Reader)
+	if err != nil {
+		f.Fatal(err)
+	}
+	good := MarshalEncapsulation(p, enc)
+	tors, two := torsionPoints(f, p.Sys.Curve)
+	f.Add(good)
+	f.Add(good[:len(good)-1])
+	f.Add(p.Sys.Curve.Bytes(ec.Point{X: enc.u.X, Y: enc.u.Y.Add(p.Sys.Curve.F.One())}))
+	f.Add(p.Sys.Curve.Bytes(tors))
+	f.Add(p.Sys.Curve.Bytes(two))
+	f.Add([]byte{0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := UnmarshalEncapsulation(p, b)
+		if err != nil {
+			return
+		}
+		if got.u.Inf || !p.Sys.Curve.IsOnCurve(got.u) {
+			t.Fatalf("accepted a malformed point: %x", b)
+		}
+		if !bytes.Equal(MarshalEncapsulation(p, got), b) {
+			t.Fatalf("accepted a non-canonical encoding: %x", b)
+		}
+	})
 }
 
 // TestGIDCacheHitCorrectness proves a cache hit yields the same working
@@ -356,9 +435,10 @@ func benchPerMsg(b *testing.B) (*Params, *MasterKey, *Decapsulator, []byte) {
 	return p, mk, d, MarshalEncapsulation(p, enc)
 }
 
-// BenchmarkUnmarshalEncapsulation times the decoder with its exact order-q
-// check (one public multiplication by q) — per retrieved message, and what
-// no bench/ rung times (ROADMAP 1(b)).
+// BenchmarkUnmarshalEncapsulation times the decoder — the canonical
+// encoding and the curve equation, no multiplication by q since U is only
+// ever a second pairing argument — per retrieved message, and what no
+// bench/ rung times.
 func BenchmarkUnmarshalEncapsulation(b *testing.B) {
 	p, _, _, raw := benchPerMsg(b)
 	b.ResetTimer()

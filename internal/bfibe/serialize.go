@@ -1,6 +1,7 @@
 package bfibe
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,11 +9,10 @@ import (
 	"mwskit/internal/pairing"
 )
 
-// Wire encodings for the bfibe types. Layout is length-prefixed
-// big-endian; all decoders validate full order-q subgroup membership via
-// ec.SubgroupPointFromBytes — every point decoded here later meets
-// secret material (a private key in a pairing, the master scalar), so
-// curve membership alone would leave the small-subgroup door open.
+// Wire encodings for the bfibe types, length-prefixed big-endian. Every
+// point decoded is canonical and on the curve; P_pub and private keys,
+// first pairing arguments, are also order-checked. U, only ever a second
+// argument, is not: its part of order dividing h pairs to 1 (DESIGN.md §9).
 
 // MarshalParams encodes the public parameters (P_pub only — the pairing
 // system itself is negotiated out of band as a named preset, mirroring
@@ -52,13 +52,11 @@ func UnmarshalPrivateKey(p *Params, b []byte) (*PrivateKey, error) {
 	if uint32(len(b)-4) < idLen {
 		return nil, errors.New("bfibe: private key: truncated identity")
 	}
-	id := make([]byte, idLen)
-	copy(id, b[4:4+idLen])
 	d, err := p.Sys.Curve.SubgroupPointFromBytes(b[4+idLen:])
 	if err != nil {
 		return nil, fmt.Errorf("bfibe: private key: %w", err)
 	}
-	return &PrivateKey{ID: id, D: d}, nil
+	return &PrivateKey{ID: bytes.Clone(b[4 : 4+idLen]), D: d}, nil
 }
 
 // MarshalEncapsulation encodes the key-transport point U (the rP the
@@ -67,13 +65,13 @@ func MarshalEncapsulation(p *Params, e *Encapsulation) []byte {
 	return p.Sys.Curve.Bytes(e.u)
 }
 
-// UnmarshalEncapsulation decodes U. This is the one place an encapsulation
-// point from the wire or from storage is validated — on the curve, of
-// order q, not the identity — and Decapsulate relies on it: an on-curve
-// point outside G1 pairs into a small subgroup and probes the private key
-// (the invalid-point attack); honest encapsulations are always rP ∈ G1.
+// UnmarshalEncapsulation decodes U, the one place an encapsulation point
+// from the wire or from storage is validated: on the curve, not the
+// identity. An off-curve point would be an invalid-curve probe of the
+// private key; an on-curve U outside G1 decapsulates to the key of its G1
+// projection, and one without a G1 part is refused by Decapsulate.
 func UnmarshalEncapsulation(p *Params, b []byte) (*Encapsulation, error) {
-	u, err := p.Sys.Curve.SubgroupPointFromBytes(b)
+	u, err := p.Sys.Curve.PointFromBytes(b)
 	if err != nil {
 		return nil, fmt.Errorf("bfibe: encapsulation: %w", err)
 	}
@@ -103,15 +101,11 @@ func UnmarshalCiphertextFull(p *Params, b []byte) (*CiphertextFull, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bfibe: ciphertext: %w", err)
 	}
-	pt, err := p.Sys.Curve.SubgroupPointFromBytes(u)
+	pt, err := p.Sys.Curve.PointFromBytes(u)
 	if err != nil {
 		return nil, fmt.Errorf("bfibe: ciphertext: %w", err)
 	}
-	w := make([]byte, len(rest))
-	copy(w, rest)
-	vCopy := make([]byte, len(v))
-	copy(vCopy, v)
-	return &CiphertextFull{U: pt, V: vCopy, W: w}, nil
+	return &CiphertextFull{U: pt, V: bytes.Clone(v), W: bytes.Clone(rest)}, nil
 }
 
 // MarshalMasterKey encodes the master scalar for PKG persistence,

@@ -276,10 +276,11 @@ func (c *Curve) PointFromBytes(b []byte) (Point, error) {
 
 // SubgroupPointFromBytes decodes like PointFromBytes and additionally
 // rejects finite points outside the order-q subgroup. Wire boundaries
-// where attacker-supplied bytes become group elements that later meet
-// secret material (decapsulation points, signature points, trapdoors)
-// must use this decoder: an off-subgroup point fed into a pairing with a
-// private key is the classic invalid-point/small-subgroup probe.
+// where bytes become a point that is walked as a *first* pairing argument
+// or a signature component (P_pub, private keys, trapdoors, IBS points)
+// use this decoder: the pairing's Miller walk is exception-free only for
+// order q. A point only ever paired as a second argument needs only
+// PointFromBytes, its off-subgroup part pairing to 1 (DESIGN.md §9).
 func (c *Curve) SubgroupPointFromBytes(b []byte) (Point, error) {
 	p, err := c.PointFromBytes(b)
 	if err != nil {

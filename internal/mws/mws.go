@@ -193,10 +193,10 @@ func New(cfg Config) (*Service, error) {
 var errLimitReached = errors.New("mws: search limit reached")
 
 // anyTagMatches tests a message's PEKS tags against a search's trapdoor.
-// UnmarshalTag is where a stored tag's point is curve- and order-checked,
-// once, before it meets the trapdoor. Undecodable tags are counted and
-// skipped rather than failing the whole retrieval; only counts leave this
-// function, never tag bytes.
+// UnmarshalTag curve-checks a stored tag's point once (a second pairing
+// argument needs no order check, DESIGN.md §9). Undecodable tags are
+// counted and skipped rather than failing the whole retrieval; only
+// counts leave this function, never tag bytes.
 func (s *Service) anyTagMatches(tags [][]byte, t *peks.Tester) bool {
 	for _, raw := range tags {
 		tag, err := peks.UnmarshalTag(s.cfg.IBEParams, raw)

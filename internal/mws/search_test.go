@@ -13,7 +13,10 @@ import (
 	"mwskit/internal/attr"
 	"mwskit/internal/bfibe"
 	"mwskit/internal/device"
+	"mwskit/internal/ec"
+	"mwskit/internal/kdf"
 	"mwskit/internal/macauth"
+	"mwskit/internal/obsv"
 	"mwskit/internal/pairing"
 	"mwskit/internal/peks"
 	"mwskit/internal/wal"
@@ -271,4 +274,94 @@ func (c expiringCtx) Err() error {
 		return context.DeadlineExceeded
 	}
 	return nil
+}
+
+// TestSearchOpCounts pins a search's arithmetic to the digit: over N
+// decodable tags it costs exactly one public scalar multiplication — the
+// trapdoor's order check, a first pairing argument — and N pairings. The
+// stored tags' points, only ever second arguments, are curve-checked
+// without a multiplication by q.
+func TestSearchOpCounts(t *testing.T) {
+	e := newSearchEnv(t)
+	tags := 0
+	for i := 0; i < 12; i++ {
+		keywords := [][]string{{"reading"}, {"reading", "billing"}}[i%2]
+		e.deposit(t, keywords, false)
+		tags += len(keywords)
+	}
+	td := e.trapdoor(t, "outage") // matches nothing, so every tag is tested
+	before := obsv.CounterMap()
+	resp, err := e.search(context.Background(), td, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := obsv.CounterMap()
+	if len(resp.Items) != 0 {
+		t.Fatalf("search matched %d messages, want none", len(resp.Items))
+	}
+	mults := after["scalar_mult_public"] - before["scalar_mult_public"]
+	pairings := after["pairing_ops"] - before["pairing_ops"]
+	if mults != 1 || pairings != uint64(tags) {
+		t.Errorf("search over %d tags: %d public scalar mults and %d pairings; want 1 and %d", tags, mults, pairings, tags)
+	}
+}
+
+// TestSearchWildcardTagMatchesNothing stores the wildcard tags of
+// internal/peks's TestWildcardTagMatchesNothing — check value H(1), the
+// hash of the pairing value of a point with no G1 part, over ∞, (0, 0)
+// and q·S — beside an honest tag, and searches for several keywords. The
+// wildcard message matches none of them: its tag over ∞ counts as
+// undecodable and the other two as tested, never as a match.
+func TestSearchWildcardTagMatchesNothing(t *testing.T) {
+	e := newSearchEnv(t)
+	c := e.params.Sys.Curve
+	h1 := kdf.Stream("mwskit/peks/h/v1", e.params.Sys.GTOne().Bytes(), 32)
+	two, err := c.NewPoint(c.F.Zero(), c.F.Zero())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tors := c.Infinity()
+	for x := int64(1); tors.Inf; x++ {
+		xe := c.F.FromInt64(x)
+		if y, ok := xe.Square().Mul(xe).Add(xe).Sqrt(); ok {
+			s, err := c.NewPoint(xe, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tors = c.ScalarMult(s, c.Q)
+		}
+	}
+	req, err := e.dev.PrepareTaggedDeposit("ELECTRIC-X", []byte("everywhere"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []ec.Point{c.Infinity(), two, tors} {
+		req.Tags = append(req.Tags, peks.MarshalTag(e.params, &peks.Tag{U: u, C: h1}))
+	}
+	req.MAC = macauth.Compute(e.macKey, req.MACParts()...)
+	if _, err := e.s.Deposit(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	e.clock.Advance(time.Second)
+	honest := e.deposit(t, []string{"outage"}, false)
+
+	for _, kw := range []string{"outage", "alert", "billing-cycle-7"} {
+		before := e.tagCounts()
+		resp, err := e.search(context.Background(), e.trapdoor(t, kw), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := e.tagCounts()
+		var seqs []uint64
+		for _, it := range resp.Items {
+			seqs = append(seqs, it.Seq)
+		}
+		if want := map[bool][]uint64{true: {honest}}[kw == "outage"]; !slices.Equal(seqs, want) {
+			t.Errorf("search for %q returned seqs %v, want %v", kw, seqs, want)
+		}
+		if got := (tagCounts{now.tested - before.tested, now.undecodable - before.undecodable}); got != (tagCounts{3, 1}) {
+			t.Errorf("search for %q counted %+v; want the two finite wildcard tags and the honest one tested, ∞ undecodable", kw, got)
+		}
+		e.clock.Advance(time.Second)
+	}
 }

@@ -363,11 +363,12 @@ func (pre *G1Precomp) PairProduct(qs ...ec.Point) GT {
 // G1: the Miller walk over its multiples is exception-free only then (see
 // G1Precomp). The second may be any point of E(F_p) — it is only ever
 // evaluated at, and its component of order dividing h = (p+1)/q pairs
-// to 1 — so ê(P, Q) = ê(P, Q′) for the G1 component Q′ of Q. That is a
-// property of the function, not a licence to skip validation: second
-// arguments decoded from the wire (encapsulation and tag points) are still
-// order-checked by their decoders, because a point outside G1 there is an
-// attacker's choice (DESIGN.md §9).
+// to 1 — so ê(P, Q) = ê(P, Q′) for the G1 component Q′ of Q, and the
+// value is 1 exactly when Q′ = ∞. The decoders rely on it: a point only
+// ever paired as a second argument (an encapsulation or tag point) is
+// curve-checked, not order-checked, since an off-subgroup Q probes
+// nothing Q′ does not; a first argument keeps its order check
+// (DESIGN.md §9, checked against a reference pairing in refpair_test.go).
 func (e *Pairing) Pair(p, q ec.Point) GT {
 	obsv.AddPairing()
 	//mwslint:declassify infinity tags are public wire structure; extracted private keys are never the identity, so the branch outcome is fixed for secret operands

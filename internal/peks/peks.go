@@ -19,6 +19,7 @@
 package peks
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"errors"
 	"fmt"
@@ -113,13 +114,15 @@ func NewTester(p *bfibe.Params, td *Trapdoor) (*Tester, error) {
 }
 
 // Test reports whether the tag encrypts the tester's keyword;
-// constant-time on the check value.
+// constant-time on the check value. A pairing value of 1 (a U with no G1
+// part, whose H(1) would match every trapdoor) never matches.
 func (t *Tester) Test(tag *Tag) bool {
 	if tag == nil || len(tag.C) != tagHashLen || !t.p.Sys.Curve.IsOnCurve(tag.U) {
 		return false
 	}
-	want := kdf.Stream("mwskit/peks/h/v1", t.pre.Pair(tag.U).Bytes(), tagHashLen)
-	return subtle.ConstantTimeCompare(want, tag.C) == 1
+	v := t.pre.Pair(tag.U)
+	want := kdf.Stream("mwskit/peks/h/v1", v.Bytes(), tagHashLen)
+	return !v.IsOne() && subtle.ConstantTimeCompare(want, tag.C) == 1
 }
 
 // Test reports whether the tag encrypts the trapdoor's keyword: the
@@ -138,7 +141,8 @@ func MarshalTag(p *bfibe.Params, tag *Tag) []byte {
 	return append(out, tag.C...)
 }
 
-// UnmarshalTag decodes a tag, validating the point.
+// UnmarshalTag decodes a tag: a full check value and a finite point on the
+// curve, not order-checked as only ever a second pairing argument (DESIGN.md §9).
 func UnmarshalTag(p *bfibe.Params, b []byte) (*Tag, error) {
 	if len(b) < 4 {
 		return nil, errors.New("peks: truncated tag")
@@ -147,16 +151,17 @@ func UnmarshalTag(p *bfibe.Params, b []byte) (*Tag, error) {
 	if n < 0 || len(b)-4 < n {
 		return nil, errors.New("peks: truncated tag point")
 	}
-	u, err := p.Sys.Curve.SubgroupPointFromBytes(b[4 : 4+n])
+	if len(b)-4-n != tagHashLen {
+		return nil, errors.New("peks: bad check length")
+	}
+	u, err := p.Sys.Curve.PointFromBytes(b[4 : 4+n])
+	if err == nil && u.Inf {
+		err = errors.New("point at infinity")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("peks: tag point: %w", err)
 	}
-	c := make([]byte, len(b)-4-n)
-	copy(c, b[4+n:])
-	if len(c) != tagHashLen {
-		return nil, errors.New("peks: bad check length")
-	}
-	return &Tag{U: u, C: c}, nil
+	return &Tag{U: u, C: bytes.Clone(b[4+n:])}, nil
 }
 
 // MarshalTrapdoor encodes a trapdoor point.

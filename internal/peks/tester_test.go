@@ -13,6 +13,7 @@ import (
 
 	"mwskit/internal/bfibe"
 	"mwskit/internal/ec"
+	"mwskit/internal/kdf"
 	"mwskit/internal/pairing"
 )
 
@@ -172,7 +173,7 @@ func TestTesterAgreesWithTest(t *testing.T) {
 
 // FuzzUnmarshalTag: the decoder the warehouse runs on every stored tag
 // of every search never panics, and whatever it accepts is a canonical
-// encoding of an order-q point plus a full-length check value.
+// encoding of a finite point on the curve plus a full-length check value.
 func FuzzUnmarshalTag(f *testing.F) {
 	p, _ := env(f)
 	tag, err := NewTag(p, "fuzz", rand.Reader)
@@ -182,6 +183,7 @@ func FuzzUnmarshalTag(f *testing.F) {
 	good := MarshalTag(p, tag)
 	f.Add(good)
 	f.Add(good[:len(good)-1])
+	f.Add(MarshalTag(p, &Tag{U: ec.Point{X: tag.U.X, Y: tag.U.Y.Add(p.Sys.Curve.F.One())}, C: tag.C}))
 	f.Add([]byte{0, 0, 0, 1, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -189,11 +191,127 @@ func FuzzUnmarshalTag(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(got.C) != tagHashLen || !p.Sys.Curve.ScalarBaseOrderCheck(got.U) {
+		if len(got.C) != tagHashLen || got.U.Inf || !p.Sys.Curve.IsOnCurve(got.U) {
 			t.Fatalf("accepted a malformed tag: %x", b)
 		}
 		if !bytes.Equal(MarshalTag(p, got), b) {
 			t.Fatalf("accepted a non-canonical encoding: %x", b)
 		}
 	})
+}
+
+// wildcardTags are three tags whose check value is H(1), the hash of the
+// pairing value of a point with no G1 part, over ∞, the 2-torsion point
+// (0, 0) and q·S (S on the curve outside G1, so q·S has order dividing h).
+// Were pairing value 1 accepted, each would match every trapdoor: a device
+// could put its message into every keyword search.
+func wildcardTags(t testing.TB, p *bfibe.Params) []namedTag {
+	t.Helper()
+	c := p.Sys.Curve
+	h1 := kdf.Stream("mwskit/peks/h/v1", p.Sys.GTOne().Bytes(), tagHashLen)
+	two, err := c.NewPoint(c.F.Zero(), c.F.Zero())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tors := c.Infinity()
+	for x := int64(1); tors.Inf; x++ {
+		xe := c.F.FromInt64(x)
+		if y, ok := xe.Square().Mul(xe).Add(xe).Sqrt(); ok {
+			s, err := c.NewPoint(xe, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tors = c.ScalarMult(s, c.Q)
+		}
+	}
+	return []namedTag{{"∞", &Tag{U: c.Infinity(), C: h1}}, {"(0, 0)", &Tag{U: two, C: h1}}, {"q·S", &Tag{U: tors, C: h1}}}
+}
+
+type namedTag struct {
+	name string
+	tag  *Tag
+}
+
+// TestWildcardTagMatchesNothing: no wildcard tag matches any trapdoor,
+// neither as built nor as the warehouse decodes it from storage — where
+// ∞ does not decode at all, and the two finite points decode (they are on
+// the curve) and then fail Tester.Test and Test on their pairing value 1.
+// internal/mws's TestSearchWildcardTagMatchesNothing runs the same tags
+// through a search.
+func TestWildcardTagMatchesNothing(t *testing.T) {
+	p, m := env(t)
+	for _, w := range wildcardTags(t, p) {
+		name, tag := w.name, w.tag
+		stored, err := UnmarshalTag(p, MarshalTag(p, tag))
+		if name == "∞" {
+			if err == nil {
+				t.Errorf("UnmarshalTag accepted the tag over ∞")
+			}
+			stored = tag
+		} else if err != nil {
+			t.Fatalf("UnmarshalTag refused the tag over %s, an on-curve point: %v", name, err)
+		}
+		for _, kw := range []string{"outage", "alert", "billing-cycle-7"} {
+			td, err := NewTrapdoor(p, m, kw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tester, err := NewTester(p, td)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tester.Test(stored) || Test(p, stored, td) {
+				t.Errorf("the tag over %s matched the trapdoor for %q", name, kw)
+			}
+		}
+	}
+}
+
+// BenchmarkUnmarshalTag is the warehouse's per-stored-tag decode on bf80:
+// the curve check alone, no multiplication by q.
+func BenchmarkUnmarshalTag(b *testing.B) {
+	p, _, raw := benchTag(b)
+	for b.Loop() {
+		if _, err := UnmarshalTag(p, raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTesterTest is the per-stored-tag pairing on bf80: one
+// precomputed-line pairing against the trapdoor and the hash compare.
+func BenchmarkTesterTest(b *testing.B) {
+	p, tester, raw := benchTag(b)
+	tag, err := UnmarshalTag(p, raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		if !tester.Test(tag) {
+			b.Fatal("match failed")
+		}
+	}
+}
+
+// benchTag is the warehouse's search fixture on the paper-scale preset: a
+// trapdoor's Tester and one stored tag for its keyword.
+func benchTag(b *testing.B) (*bfibe.Params, *Tester, []byte) {
+	b.Helper()
+	p, m, err := bfibe.Setup(pairing.ParamsBF80.MustSystem(), rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tag, err := NewTag(p, "outage", rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	td, err := NewTrapdoor(p, m, "outage")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tester, err := NewTester(p, td)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p, tester, MarshalTag(p, tag)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -148,31 +149,35 @@ func TestDecryptRetrievalSharedKeys(t *testing.T) {
 	}
 }
 
-// TestDecryptRetrievalOffSubgroupPointFails: an envelope whose U is on
-// the curve but outside G1 — the invalid-point probe of the private key —
-// is refused by the decoder and fails the page; no plaintext of the other
-// envelopes is handed back.
+// TestDecryptRetrievalOffSubgroupPointFails: an envelope whose U is moved
+// off G1 by a point T of order dividing h decodes (U is only ever a
+// second pairing argument) and decapsulates to U's own key, but the
+// ciphertext's AAD binds U's bytes, so the AEAD open fails and with it
+// the page; no plaintext of any envelope is handed back.
 func TestDecryptRetrievalOffSubgroupPointFails(t *testing.T) {
 	c, r, keys, _ := buildEpochRetrieval(t, 6, 2)
 	curve := c.params.Sys.Curve
-	var bad []byte
-	for x := int64(1); bad == nil; x++ {
+	tors := curve.Infinity()
+	for x := int64(1); tors.Inf; x++ {
 		xe := curve.F.FromInt64(x)
-		y, ok := xe.Square().Mul(xe).Add(xe).Sqrt()
-		if !ok || y.IsZero() {
-			continue
-		}
-		pt, err := curve.NewPoint(xe, y)
-		if err == nil && !curve.ScalarBaseOrderCheck(pt) {
-			bad = curve.Bytes(pt)
+		if y, ok := xe.Square().Mul(xe).Add(xe).Sqrt(); ok {
+			s, err := curve.NewPoint(xe, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tors = curve.ScalarMult(s, curve.Q)
 		}
 	}
-	r.Items[4].U = bad
+	u, err := curve.PointFromBytes(r.Items[4].U)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Items[4].U = curve.Bytes(curve.Add(u, tors))
 	msgs, err := c.DecryptRetrieval(context.Background(), r, keys)
 	if err == nil || msgs != nil {
 		t.Fatalf("off-subgroup U did not fail the page: %v, %v", msgs, err)
 	}
-	if !strings.Contains(err.Error(), "order-q subgroup") {
-		t.Fatalf("page failed for another reason: %v", err)
+	if !errors.Is(err, symenc.ErrAuth) || !strings.Contains(err.Error(), "message 4") {
+		t.Fatalf("page failed for another reason than message 4's AEAD open: %v", err)
 	}
 }

@@ -175,28 +175,26 @@ func (c *Client) FetchKeysContext(ctx context.Context, pkg *wire.Client, r *Retr
 	if len(er.SealedKeys) != len(items) {
 		return nil, nil, fmt.Errorf("rclient: got %d keys for %d items", len(er.SealedKeys), len(items))
 	}
+	// Keys, first pairing arguments, keep their order-q check: open on every core.
 	_, openSp := obsv.StartSpan(ctx, "keys.open")
-	keys := make(map[keyIndex]*bfibe.PrivateKey, len(items))
-	for i, sealed := range er.SealedKeys {
-		sk, err := c.openKey(r.SessionKey, sealed)
-		if err != nil {
-			openSp.SetErr(err)
-			openSp.End()
-			return nil, nil, err
+	opened := make([]*bfibe.PrivateKey, len(items))
+	err = fanout.Each(ctx, len(items), func(_ context.Context, i int) error {
+		raw, err := ticket.OpenExtractedKey(r.SessionKey, er.SealedKeys[i])
+		if err == nil {
+			opened[i], err = bfibe.UnmarshalPrivateKey(c.params, raw)
 		}
+		return err
+	})
+	openSp.SetErr(err)
+	openSp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	keys := make(map[keyIndex]*bfibe.PrivateKey, len(items))
+	for i, sk := range opened {
 		keys[keyIndexOf(items[i].AID, items[i].Nonce)] = sk
 	}
-	openSp.End()
 	return keys, items, nil
-}
-
-// openKey opens one sealed extraction and decodes the private key sI in it.
-func (c *Client) openKey(sessionKey, sealed []byte) (*bfibe.PrivateKey, error) {
-	raw, err := ticket.OpenExtractedKey(sessionKey, sealed)
-	if err != nil {
-		return nil, err
-	}
-	return bfibe.UnmarshalPrivateKey(c.params, raw)
 }
 
 // Message is a fully decrypted warehouse message.
@@ -219,8 +217,7 @@ func (c *Client) Decrypt(env *Envelope, sk *bfibe.PrivateKey) (*Message, error) 
 
 // decryptWith opens one envelope through a prepared Decapsulator, so
 // batch callers amortize the key's pairing precomputation.
-// UnmarshalEncapsulation is where the envelope's U is curve- and
-// order-checked, once, before it meets the key.
+// UnmarshalEncapsulation curve-checks U; the AAD binds U's bytes.
 func (c *Client) decryptWith(env *Envelope, d *bfibe.Decapsulator) (*Message, error) {
 	// An unlinked scheme is symenc.ErrUnknownScheme: resume with fromSeq = Seq + 1.
 	scheme, err := symenc.ByName(env.Scheme)
