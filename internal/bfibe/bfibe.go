@@ -46,8 +46,8 @@ type Params struct {
 	gid gidCache
 
 	// ppub holds the Miller lines of P_pub, the fixed argument of every
-	// g_ID, built by the first PairIdentity (≈ 130 KB on bf80) so Params
-	// literals keep working.
+	// g_ID and of IBS verification, built on first use (≈ 88 KB on bf80)
+	// so Params literals keep working.
 	ppubOnce sync.Once
 	ppub     *pairing.G1Precomp
 }
@@ -143,8 +143,7 @@ func (p *Params) PairIdentity(id []byte) (pairing.GT, error) {
 	if err != nil {
 		return pairing.GT{}, err
 	}
-	p.ppubOnce.Do(func() { p.ppub = p.Sys.G1Precomp(p.PPub) })
-	if g := p.ppub.PairCofactor(r); !g.IsOne() {
+	if g := p.PPubLines().PairCofactor(r); !g.IsOne() {
 		return g, nil
 	}
 	q, err := p.HashIdentity(id)
@@ -152,6 +151,12 @@ func (p *Params) PairIdentity(id []byte) (pairing.GT, error) {
 		return pairing.GT{}, err
 	}
 	return p.Sys.Pair(q, p.PPub), nil
+}
+
+// PPubLines returns P_pub's pairing lines, built once per Params.
+func (p *Params) PPubLines() *pairing.G1Precomp {
+	p.ppubOnce.Do(func() { p.ppub = p.Sys.G1Precomp(p.PPub) })
+	return p.ppub
 }
 
 // gID returns g_ID = ê(Q_ID, P_pub), the value whose r-th power keys a

@@ -144,6 +144,51 @@ func TestDecapsulationOffSubgroupEqualsProjection(t *testing.T) {
 	}
 }
 
+// TestFirstArgumentOutsideG1: a private key whose point is on the curve
+// but outside G1 — (0, 0), q·S of order dividing h, or G + q·S, none of
+// which extraction makes and none of which NewDecapsulator checks for —
+// never panics: Decapsulate and a Decapsulator refuse every encapsulation
+// (the pairing value is 1), DecryptFull fails its validity check, and
+// DecryptBasic returns no error but no plaintext either.
+func TestFirstArgumentOutsideG1(t *testing.T) {
+	p, _ := testSetup(t)
+	c := p.Sys.Curve
+	id := []byte("victim")
+	tors, two := torsionPoints(t, c)
+	enc, _, err := p.Encapsulate(id, 16, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("basic")
+	ctb, err := p.EncryptBasic(id, msg, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctf, err := p.EncryptFull(id, msg, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]ec.Point{"(0, 0)": two, "q·S": tors, "G + q·S": c.Add(p.Sys.G1(), tors)} {
+		sk := &PrivateKey{ID: id, D: d}
+		dec, err := p.NewDecapsulator(sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key, err := dec.Decapsulate(enc, 16); err == nil {
+			t.Errorf("a Decapsulator over %s returned key %x", name, key)
+		}
+		if key, err := p.Decapsulate(sk, enc, 16); err == nil {
+			t.Errorf("Decapsulate with a key over %s returned key %x", name, key)
+		}
+		if _, err := p.DecryptFull(sk, ctf); err != ErrDecrypt {
+			t.Errorf("DecryptFull with a key over %s = %v, want ErrDecrypt", name, err)
+		}
+		if got, err := p.DecryptBasic(sk, ctb); err != nil || bytes.Equal(got, msg) {
+			t.Errorf("DecryptBasic with a key over %s = %q, %v", name, got, err)
+		}
+	}
+}
+
 // FuzzUnmarshalEncapsulation: the decoder a receiving client runs on every
 // message never panics, and whatever it accepts is the canonical encoding
 // of a finite point on the curve.

@@ -23,12 +23,18 @@ type Field struct {
 	pl  limbs  // p, little-endian limbs
 	m0  uint64 // −p⁻¹ mod 2⁶⁴, the Montgomery reduction factor
 	r2  limbs  // R² mod p, R = 2^(64n); toMont multiplier
+	r3  limbs  // R³ mod p, which carries a safegcd inverse back into Montgomery form
 	one limbs  // R mod p, the Montgomery form of 1
+
+	// p for the safegcd inversion (inv.go): signed-62 limb count and
+	// limbs, p⁻¹ mod 2⁶², and the number of 59-divstep batches.
+	k62, invBatches int
+	p62             s62
+	pInv62          uint64
 
 	// Public exponents driving the fixed powering chains. Exponent bits
 	// are read branch-by-branch, which is fine precisely because the
 	// modulus (and so each of these) is public.
-	pMinus2     *big.Int // Fermat inversion exponent
 	pMinus1Div2 *big.Int // (p−1)/2, exponent of the Euler criterion
 	pPlus1Div4  *big.Int // (p+1)/4, square-root exponent for p ≡ 3 (mod 4)
 }
@@ -55,7 +61,8 @@ func NewField(p *big.Int) (*Field, error) {
 		p:           new(big.Int).Set(p),
 		n:           (p.BitLen() + 63) / 64,
 		byteLen:     (p.BitLen() + 7) / 8,
-		pMinus2:     new(big.Int).Sub(p, big.NewInt(2)),
+		k62:         p.BitLen()/62 + 1,
+		invBatches:  invBatchCount(p.BitLen()),
 		pMinus1Div2: new(big.Int).Rsh(pm1, 1),
 		pPlus1Div4:  new(big.Int).Rsh(pp1, 2),
 	}
@@ -67,9 +74,12 @@ func NewField(p *big.Int) (*Field, error) {
 		inv *= 2 - f.pl[0]*inv
 	}
 	f.m0 = -inv
+	f.pInv62 = inv & m62
+	f.p62 = toS62(&f.pl, f.k62)
 	r := new(big.Int).Lsh(one, uint(64*f.n))
 	f.one = f.limbsOfBig(new(big.Int).Mod(r, p))
 	f.r2 = f.limbsOfBig(new(big.Int).Mod(new(big.Int).Mul(r, r), p))
+	f.r3 = f.limbsOfBig(new(big.Int).Exp(r, big.NewInt(3), p))
 	return f, nil
 }
 
@@ -305,7 +315,7 @@ func (e Element) Double() Element { e.SetAdd(&e, &e); return e }
 
 // expMont raises a Montgomery-form base to a public exponent with a fixed
 // 4-bit window: the square/multiply schedule depends only on the exponent
-// (all of which — p−2, (p±1)/…, caller-supplied public k — are public),
+// (all of which — (p±1)/…, caller-supplied public k — are public),
 // never on the base.
 func (f *Field) expMont(base *limbs, k *big.Int) limbs {
 	if k.Sign() == 0 {
@@ -333,16 +343,17 @@ func (f *Field) expMont(base *limbs, k *big.Int) limbs {
 	return r
 }
 
-// Inv returns e⁻¹ by Fermat inversion (e^(p−2), a fixed chain driven by
-// the public modulus — constant-time in e, unlike the extended-Euclidean
-// ModInverse it replaces). It panics if e is zero, mirroring integer
-// division by zero: inverting zero is always a programming error at call
-// sites.
+// Inv returns e⁻¹ by safegcd (inv.go): a fixed number of divstep
+// batches set by the public modulus, constant-time in e. It panics if e
+// is zero, mirroring integer division by zero: inverting zero is always a
+// programming error at call sites.
 func (e Element) Inv() Element {
 	if e.IsZero() {
 		panic("ff: inverse of zero")
 	}
-	return Element{f: e.f, v: e.f.expMont(&e.v, e.f.pMinus2)}
+	z := Element{f: e.f}
+	e.f.invMont(&z.v, &e.v)
+	return z
 }
 
 // Exp returns e^k for a non-negative exponent k. Constant-time in the

@@ -10,8 +10,9 @@ import "math/bits"
 // a z that aliases any of its inputs. All routines in
 // this file are constant-time with respect to limb *values*: no branch,
 // memory index, or loop bound depends on them. The only inputs that may
-// steer control flow are the limb count n and, in expMont, the bits of
-// a public exponent.
+// steer control flow are the limb count n, the modulus-fixed divstep batch
+// count of the safegcd inversion (inv.go) and, in expMont, the bits of a
+// public exponent.
 
 // MaxLimbs is the widest supported modulus: 16×64 = 1024 bits, sized for
 // the bf112 preset. Using a fixed array keeps elements off the heap —

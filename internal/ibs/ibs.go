@@ -22,6 +22,7 @@ import (
 
 	"mwskit/internal/bfibe"
 	"mwskit/internal/ec"
+	"mwskit/internal/pairing"
 )
 
 // Signature is a Cha–Cheon signature (U, V) ∈ G1².
@@ -78,12 +79,12 @@ func Verify(p *bfibe.Params, identity, msg []byte, sig *Signature) bool {
 	c := p.Sys.Curve
 	h := p.HashToScalar(hashDomain, msg, c.Bytes(sig.U))
 	rhs := c.Add(sig.U, c.ScalarMultSecret(q, h))
-	// ê(P, V) = ê(P_pub, rhs)  ⇔  ê(P, V)·ê(−P_pub, rhs) = 1, which a
-	// multi-pairing decides with one shared final exponentiation instead
-	// of two full pairings.
+	// ê(P, V) = ê(P_pub, rhs)  ⇔  ê(P, V)·ê(P_pub, −rhs) = 1, which a
+	// multi-pairing decides with one shared final exponentiation, against
+	// the lines of P and P_pub both kept from earlier calls.
 	return p.Sys.PairProduct(
-		[]ec.Point{p.Sys.G1(), p.PPub.Neg()},
-		[]ec.Point{sig.V, rhs},
+		[]*pairing.G1Precomp{p.Sys.G1Lines(), p.PPubLines()},
+		[]ec.Point{sig.V, rhs.Neg()},
 	).IsOne()
 }
 

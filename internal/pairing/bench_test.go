@@ -39,6 +39,20 @@ func BenchmarkPrecompPair(b *testing.B) {
 	}
 }
 
+// BenchmarkG1Precomp is the cost a fixed first argument pays once: the
+// Miller walk and the batch inversion that normalises its lines. It is
+// the dearer half of the precomputed form, repaid after about five
+// evaluations (PrecompPair against Pair).
+func BenchmarkG1Precomp(b *testing.B) {
+	sys, p, _ := benchPoints(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkPre = sys.G1Precomp(p)
+	}
+}
+
+var sinkPre *G1Precomp
+
 // BenchmarkPairCofactor is the cold-deposit shape: a fixed first argument
 // against a hashed curve point, cofactor included. "cleared" is what it
 // replaced (clear h on the curve, then a full pairing) and "exp" the

@@ -34,11 +34,10 @@ func TestG1PrecompMatchesPair(t *testing.T) {
 	}
 }
 
-// TestPairProductMatchesProductOfPairs checks both multi-pairing entry
-// points — the shared-first-argument G1Precomp.PairProduct and the
-// general lockstep PairProduct — against the plain product of Pair
-// results, including identity terms and the signature-verification shape
-// ê(P, Q)·ê(−P, Q) = 1.
+// TestPairProductMatchesProductOfPairs checks the lockstep PairProduct
+// over precomputed first arguments against the plain product of Pair
+// results, including identity terms on either side and the
+// signature-verification shape ê(P, Q)·ê(P, −Q) = 1.
 func TestPairProductMatchesProductOfPairs(t *testing.T) {
 	s := testSystem(t)
 	g := s.G1()
@@ -47,29 +46,23 @@ func TestPairProductMatchesProductOfPairs(t *testing.T) {
 		return s.Curve.ScalarMult(g, k)
 	}
 
-	p := newPt()
-	qs := []ec.Point{newPt(), newPt(), s.Curve.Infinity(), newPt()}
+	ps := []ec.Point{newPt(), newPt(), newPt(), s.Curve.Infinity(), newPt()}
+	qs := []ec.Point{newPt(), s.Curve.Infinity(), newPt(), newPt(), newPt()}
+	ps[4] = ps[0] // the same lines may appear twice
+	pres := make([]*G1Precomp, len(ps))
 	want := s.GTOne()
-	for _, q := range qs {
-		want = want.Mul(s.Pair(p, q))
-	}
-	if got := s.G1Precomp(p).PairProduct(qs...); !got.Equal(want) {
-		t.Fatal("G1Precomp.PairProduct ≠ product of Pair results")
-	}
-
-	ps := []ec.Point{newPt(), newPt(), newPt(), s.Curve.Infinity()}
-	qs = []ec.Point{newPt(), s.Curve.Infinity(), newPt(), newPt()}
-	want = s.GTOne()
 	for i := range ps {
+		pres[i] = s.G1Precomp(ps[i])
 		want = want.Mul(s.Pair(ps[i], qs[i]))
 	}
-	if got := s.PairProduct(ps, qs); !got.Equal(want) {
+	if got := s.PairProduct(pres, qs); !got.Equal(want) {
 		t.Fatal("PairProduct ≠ product of Pair results")
 	}
 
-	q := newPt()
-	if !s.PairProduct([]ec.Point{p, p.Neg()}, []ec.Point{q, q}).IsOne() {
-		t.Fatal("ê(P,Q)·ê(−P,Q) ≠ 1")
+	p, q := newPt(), newPt()
+	pre := s.G1Precomp(p)
+	if !s.PairProduct([]*G1Precomp{pre, pre}, []ec.Point{q, q.Neg()}).IsOne() {
+		t.Fatal("ê(P,Q)·ê(P,−Q) ≠ 1")
 	}
 	if !s.PairProduct(nil, nil).IsOne() {
 		t.Fatal("empty product ≠ 1")

@@ -14,16 +14,16 @@
 // killed by the (p−1) part, so vertical-line denominators are eliminated
 // and the Miller loop multiplies only line numerators.
 //
-// The Miller loop runs in Jacobian coordinates with no per-step field
-// inversion: each step emits the projective line coefficients (A, B, C)
-// such that C·(line value at φ(Q)) = (A + B·x_Q) + (C·y_Q)·i, and the
-// F_p scale C is absorbed by the final exponentiation. The coefficients
-// depend only on the first argument, so they are precomputable
-// (G1Precomp) and shareable across evaluations against many second
-// arguments — the batch-decryption shape, where one private key meets a
-// retrieval's worth of encapsulation points. Products of pairings
-// (PairProduct) run their Miller loops in lockstep under a single shared
-// final exponentiation.
+// The Miller walk runs in Jacobian coordinates: each step emits line
+// coefficients (A, B, C) with C·(line value at φ(Q)) = (A + B·x_Q) +
+// (C·y_Q)·i. They depend only on the first argument, so G1Precomp builds
+// them once per first argument — one private key against a retrieval's
+// encapsulation points, one trapdoor against every stored tag — and one
+// batch inversion divides out each F_p scale C, which the final
+// exponentiation would kill anyway, leaving (a + b·x_Q) + y_Q·i. An
+// evaluation multiplies each step's tangent and chord together before
+// they meet the accumulator. Products of pairings (PairProduct) run their
+// Miller loops in lockstep under a single shared final exponentiation.
 //
 // This package replaces the PBC C library used by the paper's prototype.
 package pairing
@@ -148,28 +148,41 @@ func selE2Signed(z *ff.E2, tbl *[8]ff.E2, d int64) {
 	z.B.SetSelect(uint64(m)&1, &neg, &z.B)
 }
 
-// lineCoeffs are the projective coefficients of one Miller-loop line:
-// the line through the relevant multiples of P, scaled by an F_p factor
-// the final exponentiation kills, evaluates at the distorted point
-// φ(Q) = (−x_Q, i·y_Q) to (a + b·x_Q) + (c·y_Q)·i.
-type lineCoeffs struct {
-	a, b, c ff.Element
-}
-
-// at sets v to the line's value at φ(Q) for Q = (xq, yq).
-func (l *lineCoeffs) at(v *ff.E2, xq, yq *ff.Element) {
-	v.A.SetMul(&l.b, xq)
-	v.A.SetAdd(&l.a, &v.A)
-	v.B.SetMul(&l.c, yq)
+// line is one normalised Miller-loop line: the line through the relevant
+// multiples of P divided by its F_p scale C (which the final
+// exponentiation would kill anyway), so at the distorted point
+// φ(Q) = (−x_Q, i·y_Q) it is worth (a + b·x_Q) + y_Q·i.
+type line struct {
+	a, b ff.Element
 }
 
 // millerStep is one iteration of the Miller loop: always a tangent
 // (doubling) line, plus a chord (addition) line on the set bits of q.
 // Whether the chord is present follows the public bits of q.
 type millerStep struct {
-	tan      lineCoeffs
-	chord    lineCoeffs
+	tan      line
+	chord    line
 	hasChord bool
+}
+
+// at sets v to the step's value at φ(Q), Q = (x, y): A_t + y·i for the
+// tangent alone (A_t = a_t + b_t·x), else tangent times chord,
+// (A_t·A_c − y²) + y·(A_t + A_c)·i, with ySq = y² given once per Q.
+func (st *millerStep) at(v *ff.E2, x, y, ySq *ff.Element) {
+	v.A.SetMul(&st.tan.b, x)
+	v.A.SetAdd(&v.A, &st.tan.a)
+	//mwslint:declassify chord presence follows the bits of the public group order q, not the (possibly secret) point the steps were built from
+	if !st.hasChord {
+		v.B = *y
+		return
+	}
+	var ac ff.Element
+	ac.SetMul(&st.chord.b, x)
+	ac.SetAdd(&ac, &st.chord.a)
+	v.B.SetAdd(&v.A, &ac)
+	v.B.SetMul(&v.B, y)
+	v.A.SetMul(&v.A, &ac)
+	v.A.SetSub(&v.A, ySq)
 }
 
 // g1Jac is a minimal local Jacobian point for the precomputation walk:
@@ -179,12 +192,12 @@ type g1Jac struct {
 	x, y, z ff.Element
 }
 
-// tangentStep doubles t in place with the a = 1 formulas and sets line to
-// the tangent at the pre-doubling t. With x_T = X/Z², y_T = Y/Z³ and
-// M = 3X² + Z⁴ the affine tangent value λ·(x_Q + x_T) − y_T scaled by
-// C = 2YZ³ is (M·X − 2Y²) + (M·Z²)·x_Q, giving A = M·X − 2Y², B = M·Z²,
+// tangentStep doubles t in place with the a = 1 formulas and sets l and
+// scale to the tangent at the pre-doubling t. With x_T = X/Z², y_T = Y/Z³
+// and M = 3X² + Z⁴ the affine tangent value λ·(x_Q + x_T) − y_T scaled by
+// C = 2YZ³ is (M·X − 2Y²) + (M·Z²)·x_Q, giving a = M·X − 2Y², b = M·Z²,
 // C = Z'·Z² where Z' = 2YZ is also the doubled point's Z.
-func tangentStep(line *lineCoeffs, t *g1Jac) {
+func tangentStep(l *line, scale *ff.Element, t *g1Jac) {
 	var ySq, zSq, m, s ff.Element
 	ySq.SetSquare(&t.y)
 	zSq.SetSquare(&t.z)
@@ -195,11 +208,11 @@ func tangentStep(line *lineCoeffs, t *g1Jac) {
 	m.SetAdd(&m, &s) // M = 3X² + Z⁴
 	t.z.SetMul(&t.y, &t.z)
 	t.z.SetDouble(&t.z) // Z' = 2YZ
-	line.a.SetMul(&m, &t.x)
+	l.a.SetMul(&m, &t.x)
 	s.SetDouble(&ySq)
-	line.a.SetSub(&line.a, &s)
-	line.b.SetMul(&m, &zSq)
-	line.c.SetMul(&t.z, &zSq)
+	l.a.SetSub(&l.a, &s)
+	l.b.SetMul(&m, &zSq)
+	scale.SetMul(&t.z, &zSq)
 	s.SetMul(&t.x, &ySq)
 	s.SetDouble(&s)
 	s.SetDouble(&s) // S = 4·X·Y²
@@ -216,13 +229,10 @@ func tangentStep(line *lineCoeffs, t *g1Jac) {
 }
 
 // chordStep adds the affine base point p to t in place (mixed addition)
-// and sets line to the chord through both. With H = x_p·Z² − X,
+// and sets l and scale to the chord through both. With H = x_p·Z² − X,
 // R = y_p·Z³ − Y the affine chord value scaled by C = Z3·Z² (Z3 = Z·H) is
-// (R·X − H·Y) + (R·Z²)·x_Q. A vertical chord (H = 0, the final
-// T = −P step of the loop) degenerates gracefully: C = 0 puts the value
-// in F_p, where the final exponentiation kills it, and Z3 = 0 marks the
-// sum as infinity.
-func chordStep(line *lineCoeffs, t *g1Jac, p *ec.Point) {
+// (R·X − H·Y) + (R·Z²)·x_Q.
+func chordStep(l *line, scale *ff.Element, t *g1Jac, p *ec.Point) {
 	var z1Sq, h, r, v, hCu ff.Element
 	z1Sq.SetSquare(&t.z)
 	h.SetMul(&p.X, &z1Sq)
@@ -231,11 +241,11 @@ func chordStep(line *lineCoeffs, t *g1Jac, p *ec.Point) {
 	r.SetMul(&r, &t.z)
 	r.SetSub(&r, &t.y) // R
 	t.z.SetMul(&t.z, &h)
-	line.a.SetMul(&r, &t.x)
+	l.a.SetMul(&r, &t.x)
 	v.SetMul(&h, &t.y)
-	line.a.SetSub(&line.a, &v)
-	line.b.SetMul(&r, &z1Sq)
-	line.c.SetMul(&t.z, &z1Sq)
+	l.a.SetSub(&l.a, &v)
+	l.b.SetMul(&r, &z1Sq)
+	scale.SetMul(&t.z, &z1Sq)
 	z1Sq.SetSquare(&h) // H²
 	hCu.SetMul(&z1Sq, &h)
 	v.SetMul(&t.x, &z1Sq) // V = X·H²
@@ -249,59 +259,99 @@ func chordStep(line *lineCoeffs, t *g1Jac, p *ec.Point) {
 	t.y.SetSub(&t.y, &hCu) // Y3 = R·(V − X3) − Y·H³
 }
 
-// G1Precomp caches the Miller-loop line coefficients of a fixed first
-// argument P. The coefficients depend only on P and q, so one walk of the
-// loop (all point arithmetic, no F_p² work) serves any number of
-// evaluations against second arguments — e.g. one private key d_ID
-// against every encapsulation point of a retrieval batch. Immutable and
-// safe for concurrent use.
+// G1Precomp caches the normalised Miller-loop lines of a fixed first
+// argument P. The lines depend only on P and q, so one walk of the loop
+// (all point arithmetic, no F_p² work) serves any number of evaluations
+// against second arguments — e.g. one private key d_ID against every
+// encapsulation point of a retrieval batch. Immutable and safe for
+// concurrent use.
 //
 // The walk is exception-free for P of prime order q: intermediate
-// multiples kP (0 < k < q) never hit infinity, the chord operands 2jP and
-// P are never equal (2j is even, 1 is odd, both below q), and the only
-// vertical chord is the final T = −P step, which chordStep handles
-// without branching.
+// multiples kP (0 < k < q) are never ∞ or 2-torsion, so no line scale
+// vanishes, and the chord operands 2jP and P are never equal (2j is even,
+// 1 is odd, both below q). The final chord, through T = −P, is vertical:
+// its value lies in F_p, which the final exponentiation kills, so it is
+// not stored. All scales are inverted at once (Montgomery's trick).
+//
+// For a finite P outside G1 some scale is zero (T met ∞ or a 2-torsion
+// point) or the walk ends at (q−1)P ≠ −P, as qP = ∞ only in G1. A mask
+// folds both without branching and makes the precomputation pair to 1
+// with everything, which Decapsulate and Tester.Test refuse.
 type G1Precomp struct {
 	e     *Pairing
 	steps []millerStep
-	inf   bool
+	// one marks P = ∞ or P outside G1: every pairing against it is 1.
+	one bool
 }
 
-// G1Precomp builds the line-coefficient cache for a fixed first argument.
-// P must lie in the order-q subgroup, like every first argument to Pair.
+// G1Precomp builds the line cache for a fixed first argument. P must lie
+// in the order-q subgroup, like every first argument to Pair; a finite P
+// outside it yields a precomputation that pairs to 1.
 func (e *Pairing) G1Precomp(p ec.Point) *G1Precomp {
 	//mwslint:declassify infinity tag is public wire structure; extracted private keys are never the identity, so the branch outcome is fixed for secret first arguments
 	if p.Inf {
-		return &G1Precomp{e: e, inf: true}
+		return &G1Precomp{e: e, one: true}
 	}
 	q := e.Curve.Q
 	steps := make([]millerStep, q.BitLen()-1)
+	lines := make([]*line, 0, 2*len(steps))
+	scales := make([]ff.Element, 0, 2*len(steps))
+	var scale ff.Element
+	var last line // the final, vertical chord: checked, not kept
 	t := g1Jac{x: p.X, y: p.Y, z: e.Curve.F.One()}
 	for s := range steps {
-		tangentStep(&steps[s].tan, &t)
-		if q.Bit(len(steps)-1-s) == 1 {
-			steps[s].hasChord = true
-			chordStep(&steps[s].chord, &t, &p)
+		st := &steps[s]
+		tangentStep(&st.tan, &scale, &t)
+		lines, scales = append(lines, &st.tan), append(scales, scale)
+		if s == len(steps)-1 { // q is odd: the last step has a chord
+			chordStep(&last, &scale, &t, &p)
+		} else if q.Bit(len(steps)-1-s) == 1 {
+			st.hasChord = true
+			chordStep(&st.chord, &scale, &t, &p)
+			lines, scales = append(lines, &st.chord), append(scales, scale)
 		}
+	}
+	// T = −P exactly when the last chord is vertical (scale 0) and not a
+	// tangent at T = P or through ∞ (b = R·Z² ≠ 0).
+	bad := (1 ^ scale.IsZeroBit()) | last.b.IsZeroBit()
+	// Montgomery's trick: prefix products, one Inv (1 stands in for a zero
+	// product), and a walk back peeling each scale's inverse off the rest.
+	prefix := make([]ff.Element, len(scales))
+	prefix[0] = scales[0]
+	for i := 1; i < len(scales); i++ {
+		prefix[i].SetMul(&prefix[i-1], &scales[i])
+	}
+	one, inv := e.Curve.F.One(), prefix[len(prefix)-1]
+	zero := inv.IsZeroBit()
+	inv.SetSelect(zero, &one, &inv)
+	inv = inv.Inv()
+	for i := len(scales) - 1; i >= 0; i-- {
+		cInv := inv
+		if i > 0 {
+			cInv.SetMul(&inv, &prefix[i-1])
+			inv.SetMul(&inv, &scales[i])
+		}
+		lines[i].a.SetMul(&lines[i].a, &cInv)
+		lines[i].b.SetMul(&lines[i].b, &cInv)
+	}
+	//mwslint:declassify the mask is set only for a first argument outside G1, and every private key and trapdoor is made in G1 by extraction, so its outcome is fixed for every honest secret
+	if zero|bad == 1 {
+		return &G1Precomp{e: e, one: true}
 	}
 	return &G1Precomp{e: e, steps: steps}
 }
 
-// miller evaluates the cached Miller function at φ(Q), accumulating line
-// numerators in F_p².
+// miller evaluates the cached Miller function at φ(Q), accumulating the
+// steps' line values in F_p².
 func (pre *G1Precomp) miller(q ec.Point) ff.E2 {
 	f := pre.e.Curve.F.E2One()
-	var line ff.E2
+	var v ff.E2
+	var ySq ff.Element
+	ySq.SetSquare(&q.Y)
 	for s := range pre.steps {
-		st := &pre.steps[s]
 		f.SetSquare(&f)
-		st.tan.at(&line, &q.X, &q.Y)
-		f.SetMul(&f, &line)
-		//mwslint:declassify chord presence follows the bits of the public group order q, not the (possibly secret) point the steps were built from
-		if st.hasChord {
-			st.chord.at(&line, &q.X, &q.Y)
-			f.SetMul(&f, &line)
-		}
+		pre.steps[s].at(&v, &q.X, &q.Y, &ySq)
+		f.SetMul(&f, &v)
 	}
 	return f
 }
@@ -310,7 +360,7 @@ func (pre *G1Precomp) miller(q ec.Point) ff.E2 {
 // must have order q; Q may be any point of E(F_p) (see Pairing.Pair).
 func (pre *G1Precomp) Pair(q ec.Point) GT {
 	obsv.AddPairing()
-	if pre.inf || q.Inf {
+	if pre.one || q.Inf {
 		return pre.e.GTOne()
 	}
 	return GT{v: pre.e.finalExp(pre.miller(q))}
@@ -328,92 +378,57 @@ func (pre *G1Precomp) Pair(q ec.Point) GT {
 // or attacker-chosen.
 func (pre *G1Precomp) PairCofactor(r ec.Point) GT {
 	obsv.AddPairing()
-	if pre.inf || r.Inf {
+	if pre.one || r.Inf {
 		return pre.e.GTOne()
 	}
 	return GT{v: pre.e.finalExpBy(pre.miller(r), pre.e.cofactorExp)}
 }
 
-// PairProduct evaluates Π_i ê(P, Q_i) under a single shared final
-// exponentiation: the Miller accumulators multiply together before the
-// exponentiation, which runs once for the whole product.
-func (pre *G1Precomp) PairProduct(qs ...ec.Point) GT {
-	if pre.inf {
-		return pre.e.GTOne()
-	}
-	f := pre.e.Curve.F.E2One()
-	live := false
-	for i := range qs {
-		if qs[i].Inf {
-			continue
-		}
-		obsv.AddPairing()
-		m := pre.miller(qs[i])
-		f.SetMul(&f, &m)
-		live = true
-	}
-	if !live {
-		return pre.e.GTOne()
-	}
-	return GT{v: pre.e.finalExp(f)}
-}
-
 // Pair computes the modified Tate pairing ê(P, Q); pairing with the
 // identity returns 1. The FIRST argument must lie in the order-q subgroup
-// G1: the Miller walk over its multiples is exception-free only then (see
-// G1Precomp). The second may be any point of E(F_p) — it is only ever
-// evaluated at, and its component of order dividing h = (p+1)/q pairs
-// to 1 — so ê(P, Q) = ê(P, Q′) for the G1 component Q′ of Q, and the
-// value is 1 exactly when Q′ = ∞. The decoders rely on it: a point only
-// ever paired as a second argument (an encapsulation or tag point) is
-// curve-checked, not order-checked, since an off-subgroup Q probes
-// nothing Q′ does not; a first argument keeps its order check
-// (DESIGN.md §9, checked against a reference pairing in refpair_test.go).
-func (e *Pairing) Pair(p, q ec.Point) GT {
-	obsv.AddPairing()
-	//mwslint:declassify infinity tags are public wire structure; extracted private keys are never the identity, so the branch outcome is fixed for secret operands
-	if p.Inf || q.Inf {
-		return e.GTOne()
-	}
-	return GT{v: e.finalExp(e.G1Precomp(p).miller(q))}
-}
+// G1, the only place its Miller walk is exception-free (a P outside it
+// pairs to 1, see G1Precomp). The second may be any point of E(F_p) — it
+// is only ever evaluated at, and its component of order dividing
+// h = (p+1)/q pairs to 1 — so ê(P, Q) = ê(P, Q′) for the G1 component Q′
+// of Q, and the value is 1 exactly when Q′ = ∞. The decoders rely on it:
+// a point only ever paired as a second argument (an encapsulation or tag
+// point) is curve-checked, not order-checked, since an off-subgroup Q
+// probes nothing Q′ does not (DESIGN.md §9, checked against a reference
+// pairing in refpair_test.go).
+func (e *Pairing) Pair(p, q ec.Point) GT { return e.G1Precomp(p).Pair(q) }
 
-// PairProduct computes Π_i ê(P_i, Q_i) with the Miller loops run in
-// lockstep — one shared F_p² squaring chain — and a single shared final
-// exponentiation. A product of n pairings costs n Miller line
-// evaluations but only one squaring chain and one exponentiation,
-// against n of each for separate Pair calls. Identity pairs contribute
-// the unit factor. The canonical caller is signature verification, which
-// decides ê(P1, Q1) = ê(P2, Q2) as PairProduct((P1, Q1), (−P2, Q2)).IsOne().
-func (e *Pairing) PairProduct(ps, qs []ec.Point) GT {
-	if len(ps) != len(qs) {
+// PairProduct computes Π_i ê(P_i, Q_i) over precomputed first arguments
+// with the Miller loops run in lockstep — one shared F_p² squaring chain —
+// and a single shared final exponentiation. A product of n pairings costs
+// n line evaluations per step but only one squaring chain and one
+// exponentiation, against n of each for separate Pair calls. Terms whose
+// precomputation pairs to 1 or whose Q is ∞ contribute the unit factor.
+// The canonical caller is signature verification, which decides
+// ê(P1, Q1) = ê(P2, Q2) as PairProduct((P1, Q1), (P2, −Q2)).IsOne()
+// against lines it keeps.
+func (e *Pairing) PairProduct(pres []*G1Precomp, qs []ec.Point) GT {
+	if len(pres) != len(qs) {
 		panic("pairing: PairProduct operand length mismatch")
 	}
-	pres := make([]*G1Precomp, 0, len(ps))
-	live := make([]ec.Point, 0, len(ps))
-	for i, p := range ps {
-		if p.Inf || qs[i].Inf {
+	live, ySq := make([]int, 0, len(pres)), make([]ff.Element, len(pres))
+	for i, pre := range pres {
+		if pre.one || qs[i].Inf {
 			continue
 		}
 		obsv.AddPairing()
-		pres = append(pres, e.G1Precomp(p))
-		live = append(live, qs[i])
+		live = append(live, i)
+		ySq[i].SetSquare(&qs[i].Y)
 	}
-	if len(pres) == 0 {
+	if len(live) == 0 {
 		return e.GTOne()
 	}
 	f := e.Curve.F.E2One()
-	var line ff.E2
-	for s := range pres[0].steps {
+	var v ff.E2
+	for s := range pres[live[0]].steps {
 		f.SetSquare(&f)
-		for i, pre := range pres {
-			st, q := &pre.steps[s], &live[i]
-			st.tan.at(&line, &q.X, &q.Y)
-			f.SetMul(&f, &line)
-			if st.hasChord {
-				st.chord.at(&line, &q.X, &q.Y)
-				f.SetMul(&f, &line)
-			}
+		for _, i := range live {
+			pres[i].steps[s].at(&v, &qs[i].X, &qs[i].Y, &ySq[i])
+			f.SetMul(&f, &v)
 		}
 	}
 	return GT{v: e.finalExp(f)}
@@ -473,16 +488,13 @@ func (e *Pairing) finalExpBy(f ff.E2, k *big.Int) ff.E2 {
 // finalExpNoImag is finalExpBy for an accumulator with a zero coordinate,
 // where g = conj(f)/f is ±1 and there is no Im(g) to divide by: f ∈ F_p
 // gives g = 1, f ∈ i·F_p gives g = −1 and the result is (−1)^k.
-// f = 0 has no inverse and panics as f.Inv() always did; no pairing of
-// curve points produces it.
+// f = 0, which no pairing of a G1 first argument produces, yields 1,
+// the value Decapsulate and Tester.Test refuse.
 //
 //mwslint:declassify reached only through finalExpBy's declassified branch, whose outcome no private key influences
 func (e *Pairing) finalExpNoImag(f ff.E2, k *big.Int) ff.E2 {
 	one := e.Curve.F.E2One()
-	switch {
-	case f.IsZero():
-		panic("ff: inverse of zero in F_p²")
-	case f.A.IsZero() && k.Bit(0) == 1:
+	if !f.IsZero() && f.A.IsZero() && k.Bit(0) == 1 {
 		return one.Neg()
 	}
 	return one

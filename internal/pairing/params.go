@@ -60,13 +60,15 @@ func (pp *Params) Validate() error {
 }
 
 // System is the runtime form of Params: the instantiated field, curve and
-// pairing, plus the decoded generator. Immutable (the comb table is
-// built at most once) and concurrency-safe.
+// pairing, plus the decoded generator. Immutable (the comb table and the
+// generator's pairing lines are built at most once) and concurrency-safe.
 type System struct {
 	*Pairing
-	g        ec.Point
-	combOnce sync.Once
-	comb     *ec.Comb
+	g         ec.Point
+	combOnce  sync.Once
+	comb      *ec.Comb
+	linesOnce sync.Once
+	lines     *G1Precomp
 }
 
 // System instantiates the runtime objects for the parameter set.
@@ -107,6 +109,13 @@ func (s *System) G1() ec.Point { return s.g }
 func (s *System) G1Comb() *ec.Comb {
 	s.combOnce.Do(func() { s.comb = s.Curve.NewComb(s.g) })
 	return s.comb
+}
+
+// G1Lines returns the generator's pairing lines, built on first use: the
+// fixed first argument of ê(P, V) in signature verification.
+func (s *System) G1Lines() *G1Precomp {
+	s.linesOnce.Do(func() { s.lines = s.G1Precomp(s.g) })
+	return s.lines
 }
 
 // RandomScalar returns a uniformly random scalar in [1, q−1], non-zero

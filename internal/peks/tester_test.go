@@ -267,6 +267,41 @@ func TestWildcardTagMatchesNothing(t *testing.T) {
 	}
 }
 
+// TestFirstArgumentOutsideG1: a trapdoor on the curve but outside G1 —
+// (0, 0), q·S of order dividing h, G + q·S, or the honest trapdoor plus
+// q·S — passes NewTester's curve check and then matches nothing, neither
+// the honest tag nor a wildcard, without panicking: its pairing value is
+// 1 against every tag.
+func TestFirstArgumentOutsideG1(t *testing.T) {
+	p, m := env(t)
+	c := p.Sys.Curve
+	tag, err := NewTag(p, "outage", rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest, err := NewTrapdoor(p, m, "outage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The wildcard tags' points are ∞, (0, 0) and q·S; all three tags,
+	// the finite ones as trapdoor points too.
+	wild := wildcardTags(t, p)
+	two, tors := wild[1].tag.U, wild[2].tag.U
+	tags := append([]namedTag{{"an honest tag", tag}}, wild...)
+	for name, pt := range map[string]ec.Point{"(0, 0)": two, "q·S": tors, "G + q·S": c.Add(p.Sys.G1(), tors), "T_W + q·S": c.Add(honest.T, tors)} {
+		td := &Trapdoor{T: pt}
+		tester, err := NewTester(p, td)
+		if err != nil {
+			t.Fatalf("NewTester refused %s, an on-curve point: %v", name, err)
+		}
+		for _, tg := range tags {
+			if tester.Test(tg.tag) || Test(p, tg.tag, td) {
+				t.Errorf("the trapdoor over %s matched %s", name, tg.name)
+			}
+		}
+	}
+}
+
 // BenchmarkUnmarshalTag is the warehouse's per-stored-tag decode on bf80:
 // the curve check alone, no multiplication by q.
 func BenchmarkUnmarshalTag(b *testing.B) {
