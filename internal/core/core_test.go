@@ -342,7 +342,9 @@ func TestRevocationEndToEnd(t *testing.T) {
 // future messages, because every message carries a fresh nonce whose AID
 // resolution the hoarded ticket does provide — but the MWS never hands the
 // revoked RC the new message envelopes in the first place, and old
-// private keys are useless against new nonces.
+// private keys are useless against new nonces. The client's key cache
+// changes none of this: once the first page has been decrypted its key
+// is cached, yet the fresh nonce misses the cache and goes to the PKG.
 func TestStaleTicketCannotExtractNewNonces(t *testing.T) {
 	dep := newTestDeployment(t)
 	mwsConn, pkgConn := dialBoth(t, dep)
@@ -366,6 +368,15 @@ func TestStaleTicketCannotExtractNewNonces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The first page goes through the full pipeline, which caches its key:
+	// fetching the page's keys again sends no request.
+	time.Sleep(10 * time.Millisecond)
+	if msgs, err := rc.RetrieveAndDecrypt(mwsConn, pkgConn, 0, 0); err != nil || len(msgs) != 1 {
+		t.Fatalf("first page: %v, %d msgs", err, len(msgs))
+	}
+	if _, asked, err := rc.FetchKeys(pkgConn, ret); err != nil || asked != nil {
+		t.Fatalf("first page's key not cached: asked the PKG for %d keys, %v", len(asked), err)
+	}
 	// Now a new message arrives with a fresh nonce.
 	if _, err := sd.Deposit(mwsConn, "A1", []byte("second")); err != nil {
 		t.Fatal(err)
@@ -380,11 +391,28 @@ func TestStaleTicketCannotExtractNewNonces(t *testing.T) {
 	}
 	// The old private key (for the old nonce) must fail against the new
 	// message: decryption errors out.
-	var oldKey = func() (k interface{ ID() }) { return nil }
-	_ = oldKey
 	for _, sk := range keys {
 		if _, err := rc.Decrypt(&ret2.Items[0], sk); err == nil {
 			t.Fatal("old per-message key decrypted a new message — nonce freshness broken")
+		}
+	}
+	// The fresh nonce misses the cache and reaches the PKG, which extracts
+	// its key: a key that is none of the hoarded ones and opens the message.
+	keys2, asked, err := rc.FetchKeys(pkgConn, ret2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(asked) != 1 || len(keys2) != 1 {
+		t.Fatalf("fresh nonce: asked the PKG for %d keys, got %d", len(asked), len(keys2))
+	}
+	for _, sk := range keys2 {
+		for _, old := range keys {
+			if sk.D.Equal(old.D) {
+				t.Fatal("the fresh nonce was served a hoarded key")
+			}
+		}
+		if m, err := rc.Decrypt(&ret2.Items[0], sk); err != nil || string(m.Payload) != "second" {
+			t.Fatalf("the fresh nonce's own key: %v", err)
 		}
 	}
 }

@@ -32,6 +32,14 @@ func buildEpochRetrieval(t *testing.T, n, epochs int) (*Client, *Retrieval, map[
 	if err != nil {
 		t.Fatal(err)
 	}
+	r, keys, payloads := sealPage(t, params, master, n, epochs)
+	return c, r, keys, payloads
+}
+
+// sealPage plays the devices, the MWS and the PKG offline: n messages
+// round-robin over epochs fresh nonces, and the key of each identity.
+func sealPage(tb testing.TB, params *bfibe.Params, master *bfibe.MasterKey, n, epochs int) (*Retrieval, map[keyIndex]*bfibe.PrivateKey, [][]byte) {
+	tb.Helper()
 	scheme := symenc.Default()
 	r := &Retrieval{}
 	keys := make(map[keyIndex]*bfibe.PrivateKey)
@@ -40,7 +48,7 @@ func buildEpochRetrieval(t *testing.T, n, epochs int) (*Client, *Retrieval, map[
 	for i := range nonces {
 		var err error
 		if nonces[i], err = attr.NewNonce(rand.Reader); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -50,17 +58,13 @@ func buildEpochRetrieval(t *testing.T, n, epochs int) (*Client, *Retrieval, map[
 		identity := attr.Identity(a, nonce)
 		enc, key, err := params.Encapsulate(identity, scheme.KeyLen(), rand.Reader)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		u := bfibe.MarshalEncapsulation(params, enc)
 		aad := wire.MessageAAD("meter", 1278000000, nonce[:], u)
 		ct, err := scheme.Seal(key, payloads[i], aad)
 		if err != nil {
-			t.Fatal(err)
-		}
-		sk, err := master.Extract(params, identity)
-		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		aid := uint64(i % epochs % 3) // a few AIDs, one per nonce
 		r.Items = append(r.Items, Envelope{
@@ -73,9 +77,24 @@ func buildEpochRetrieval(t *testing.T, n, epochs int) (*Client, *Retrieval, map[
 			DeviceID:   "meter",
 			Timestamp:  1278000000,
 		})
-		keys[keyIndexOf(aid, nonce[:])] = sk
+		ki := mustKeyIndex(tb, &r.Items[i])
+		if keys[ki] == nil {
+			if keys[ki], err = master.Extract(params, identity); err != nil {
+				tb.Fatal(err)
+			}
+		}
 	}
-	return c, r, keys, payloads
+	return r, keys, payloads
+}
+
+// mustKeyIndex is keyIndexOf for an envelope a test built well formed.
+func mustKeyIndex(tb testing.TB, env *Envelope) keyIndex {
+	tb.Helper()
+	ki, err := keyIndexOf(env)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ki
 }
 
 func TestDecryptRetrievalParallelOrder(t *testing.T) {
@@ -104,7 +123,7 @@ func TestDecryptRetrievalParallelOrder(t *testing.T) {
 
 func TestDecryptRetrievalMissingKey(t *testing.T) {
 	c, r, keys, _ := buildRetrieval(t, 4)
-	delete(keys, keyIndexOf(r.Items[2].AID, r.Items[2].Nonce))
+	delete(keys, mustKeyIndex(t, &r.Items[2]))
 	if _, err := c.DecryptRetrieval(context.Background(), r, keys); err == nil {
 		t.Fatal("missing key did not fail the batch")
 	}

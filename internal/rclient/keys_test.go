@@ -5,7 +5,10 @@ import (
 	"crypto/rand"
 	"errors"
 	"log/slog"
+	"maps"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,52 +21,83 @@ import (
 	"mwskit/internal/wire"
 )
 
-// pageKeys seals a retrieval's keys as the PKG would answer FetchKeys: in
-// the order of each (AID, nonce)'s first appearance, marshalled and sealed
-// under a fresh session key, which it sets on r.
-func pageKeys(t *testing.T, c *Client, r *Retrieval, keys map[keyIndex]*bfibe.PrivateKey) [][]byte {
-	t.Helper()
+// pageKeys seals a retrieval's keys as the PKG would answer FetchKeys:
+// each identity's key marshalled and sealed under a fresh session key,
+// which it sets on r. The identities come back in order of first
+// appearance, the order a FetchKeys with nothing cached requests them in.
+func pageKeys(tb testing.TB, c *Client, r *Retrieval, keys map[keyIndex]*bfibe.PrivateKey) ([]keyIndex, map[keyIndex][]byte) {
+	tb.Helper()
 	var err error
 	if r.SessionKey, err = ticket.NewSessionKey(rand.Reader); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	var sealed [][]byte
-	seen := make(map[keyIndex]bool)
-	for _, it := range r.Items {
-		k := keyIndexOf(it.AID, it.Nonce)
-		if seen[k] {
+	var order []keyIndex
+	sealed := make(map[keyIndex][]byte)
+	for i := range r.Items {
+		k := mustKeyIndex(tb, &r.Items[i])
+		if sealed[k] != nil {
 			continue
 		}
-		seen[k] = true
-		s, err := ticket.SealExtractedKey(r.SessionKey, bfibe.MarshalPrivateKey(c.params, keys[k]))
-		if err != nil {
-			t.Fatal(err)
+		order = append(order, k)
+		if sealed[k], err = ticket.SealExtractedKey(r.SessionKey, bfibe.MarshalPrivateKey(c.params, keys[k])); err != nil {
+			tb.Fatal(err)
 		}
-		sealed = append(sealed, s)
 	}
-	return sealed
+	return order, sealed
 }
 
-// fakePKG answers every Extract with the given sealed keys: the key server
-// of these tests, doing no arithmetic of its own.
-func fakePKG(t testing.TB, sealed [][]byte) *wire.Client {
-	t.Helper()
+// fakePKG is the key server of these tests, doing no arithmetic of its
+// own: it answers each Extract with the sealed key it holds for every
+// requested identity, in request order, and notes what it was asked.
+type fakePKG struct {
+	conn   *wire.Client
+	sealed map[keyIndex][]byte
+
+	mu       sync.Mutex
+	requests int
+	asked    []keyIndex
+}
+
+func newFakePKG(tb testing.TB, sealed map[keyIndex][]byte) *fakePKG {
+	tb.Helper()
+	f := &fakePKG{sealed: sealed}
 	r := wire.NewRouter()
-	wire.Route(r, wire.OpExtract, func(context.Context, *wire.ExtractRequest) (*wire.ExtractResponse, error) {
-		return &wire.ExtractResponse{SealedKeys: sealed}, nil
+	wire.Route(r, wire.OpExtract, func(_ context.Context, req *wire.ExtractRequest) (*wire.ExtractResponse, error) {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.requests++
+		resp := &wire.ExtractResponse{}
+		for _, it := range req.Items {
+			k, err := keyIndexOf(&Envelope{AID: it.AID, Nonce: it.Nonce})
+			if err != nil {
+				return nil, err
+			}
+			f.asked = append(f.asked, k)
+			resp.SealedKeys = append(resp.SealedKeys, f.sealed[k])
+		}
+		return resp, nil
 	})
 	srv := wire.NewServer(r, slog.New(slog.DiscardHandler))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	conn, err := wire.Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
+	tb.Cleanup(func() { srv.Close() })
+	if f.conn, err = wire.Dial(addr.String()); err != nil {
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { conn.Close() })
-	return conn
+	tb.Cleanup(func() { f.conn.Close() })
+	return f
+}
+
+// take returns the extract requests and the identities asked for since
+// the last take.
+func (f *fakePKG) take() (requests int, asked []keyIndex) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	requests, asked = f.requests, f.asked
+	f.requests, f.asked = 0, nil
+	return requests, asked
 }
 
 // TestFetchKeysFailsAtLowestBadIndex: the keys of a page open across the
@@ -75,11 +109,11 @@ func fakePKG(t testing.TB, sealed [][]byte) *wire.Client {
 // round.
 func TestFetchKeysFailsAtLowestBadIndex(t *testing.T) {
 	c, r, keys, _ := buildEpochRetrieval(t, 24, 8)
-	good := pageKeys(t, c, r, keys)
-	if len(good) != 8 {
-		t.Fatalf("fixture has %d keys, want 8", len(good))
+	order, good := pageKeys(t, c, r, keys)
+	if len(order) != 8 {
+		t.Fatalf("fixture has %d keys, want 8", len(order))
 	}
-	got, _, err := c.FetchKeysContext(context.Background(), fakePKG(t, good), r)
+	got, _, err := c.FetchKeysContext(context.Background(), newFakePKG(t, good).conn, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +124,7 @@ func TestFetchKeysFailsAtLowestBadIndex(t *testing.T) {
 	}
 
 	tampered := func(i int) []byte {
-		b := append([]byte(nil), good[i]...)
+		b := append([]byte(nil), good[order[i]]...)
 		b[len(b)-1] ^= 1
 		return b
 	}
@@ -125,9 +159,9 @@ func TestFetchKeysFailsAtLowestBadIndex(t *testing.T) {
 		{"off-subgroup key", 3, 5, func(int) []byte { return offSubgroup() }, tampered,
 			func(err error) bool { return strings.Contains(err.Error(), "order-q subgroup") }},
 	} {
-		sealed := append([][]byte(nil), good...)
-		sealed[tc.at], sealed[tc.later] = tc.bad(tc.at), tc.other(tc.later)
-		got, items, err := c.FetchKeysContext(context.Background(), fakePKG(t, sealed), r)
+		sealed := maps.Clone(good)
+		sealed[order[tc.at]], sealed[order[tc.later]] = tc.bad(tc.at), tc.other(tc.later)
+		got, items, err := c.FetchKeysContext(context.Background(), newFakePKG(t, sealed).conn, r)
 		if err == nil || got != nil || items != nil {
 			t.Fatalf("%s at %d: fetch returned %d keys, err %v", tc.first, tc.at, len(got), err)
 		}
@@ -141,35 +175,76 @@ func TestFetchKeysFailsAtLowestBadIndex(t *testing.T) {
 // fetched, to the digit: n messages under k keys take exactly k public
 // scalar multiplications — the private keys' order checks, first pairing
 // arguments — and n pairings. Encapsulation points, only ever second
-// arguments, are curve-checked without a multiplication by q.
+// arguments, are curve-checked without a multiplication by q. A second
+// page on the same client under the same identities takes its keys and
+// their lines from the client's cache: no extract request, no order
+// check, no G1Precomp (the cache holds the very Decapsulators it held
+// before the page), and the same n pairings.
 func TestPageOpCounts(t *testing.T) {
 	const n, k = 48, 6
 	c, r, keys, payloads := buildEpochRetrieval(t, n, k)
-	pkg := fakePKG(t, pageKeys(t, c, r, keys))
-	before := obsv.CounterMap()
-	got, _, err := c.FetchKeysContext(context.Background(), pkg, r)
-	if err != nil {
-		t.Fatal(err)
+	_, sealed := pageKeys(t, c, r, keys)
+	pkg := newFakePKG(t, sealed)
+	for _, row := range []struct {
+		page                      string
+		requests, mults, pairings uint64
+	}{
+		{"first page", 1, k, n},
+		{"second page", 0, 0, n},
+	} {
+		lines := cachedLines(t, c)
+		before := obsv.CounterMap()
+		got, _, err := c.FetchKeysContext(context.Background(), pkg.conn, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs, err := c.DecryptRetrieval(context.Background(), r, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := obsv.CounterMap()
+		if len(msgs) != len(payloads) {
+			t.Fatalf("%s: decrypted %d of %d messages", row.page, len(msgs), len(payloads))
+		}
+		mults := after["scalar_mult_public"] - before["scalar_mult_public"]
+		pairings := after["pairing_ops"] - before["pairing_ops"]
+		if mults != row.mults || pairings != row.pairings {
+			t.Errorf("%s, %d messages under %d keys: %d public scalar mults and %d pairings; want %d and %d",
+				row.page, n, k, mults, pairings, row.mults, row.pairings)
+		}
+		if requests, _ := pkg.take(); uint64(requests) != row.requests {
+			t.Errorf("%s: %d extract requests, want %d", row.page, requests, row.requests)
+		}
+		if row.requests == 0 && !maps.Equal(cachedLines(t, c), lines) {
+			t.Errorf("%s built Miller lines for keys the cache held", row.page)
+		}
 	}
-	msgs, err := c.DecryptRetrieval(context.Background(), r, got)
-	if err != nil {
-		t.Fatal(err)
+	if held := len(cachedLines(t, c)); held != k {
+		t.Errorf("cache holds %d keys after two pages under %d", held, k)
 	}
-	after := obsv.CounterMap()
-	if len(msgs) != len(payloads) {
-		t.Fatalf("decrypted %d of %d messages", len(msgs), len(payloads))
+}
+
+// cachedLines is what c's key cache holds: each identity's Decapsulator.
+func cachedLines(t *testing.T, c *Client) map[keyIndex]*bfibe.Decapsulator {
+	t.Helper()
+	c.keys.mu.Lock()
+	held := slices.Collect(maps.Values(c.keys.byKey))
+	c.keys.mu.Unlock()
+	lines := make(map[keyIndex]*bfibe.Decapsulator, len(held))
+	for _, e := range held {
+		d, err := e.lines()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[e.ki] = d
 	}
-	mults := after["scalar_mult_public"] - before["scalar_mult_public"]
-	pairings := after["pairing_ops"] - before["pairing_ops"]
-	if mults != k || pairings != n {
-		t.Errorf("%d-message page under %d keys: %d public scalar mults and %d pairings; want %d and %d",
-			n, k, mults, pairings, k, n)
-	}
+	return lines
 }
 
 // BenchmarkFetchKeysPage is a page's key fetch on bf80 against a fake PKG
 // on loopback: 48 sealed keys — rc-drain's rclient.keys_per_page — opened
-// and order-checked, the work of the client's keys.open span.
+// and order-checked, the work of the client's keys.open span. Nothing is
+// decrypted, so no key enters the cache and every fetch asks the PKG.
 func BenchmarkFetchKeysPage(b *testing.B) {
 	p, mk, err := bfibe.Setup(pairing.ParamsBF80.MustSystem(), rand.Reader)
 	if err != nil {
@@ -180,8 +255,8 @@ func BenchmarkFetchKeysPage(b *testing.B) {
 	if r.SessionKey, err = ticket.NewSessionKey(rand.Reader); err != nil {
 		b.Fatal(err)
 	}
-	sealed := make([][]byte, 48)
-	for i := range sealed {
+	sealed := make(map[keyIndex][]byte)
+	for range 48 {
 		nonce, err := attr.NewNonce(rand.Reader)
 		if err != nil {
 			b.Fatal(err)
@@ -190,15 +265,46 @@ func BenchmarkFetchKeysPage(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if sealed[i], err = ticket.SealExtractedKey(r.SessionKey, bfibe.MarshalPrivateKey(p, sk)); err != nil {
-			b.Fatal(err)
-		}
 		r.Items = append(r.Items, Envelope{AID: 1, Nonce: nonce[:]})
-	}
-	pkg := fakePKG(b, sealed)
-	for b.Loop() {
-		if _, _, err := c.FetchKeysContext(context.Background(), pkg, r); err != nil {
+		if sealed[mustKeyIndex(b, &r.Items[len(r.Items)-1])], err = ticket.SealExtractedKey(r.SessionKey, bfibe.MarshalPrivateKey(p, sk)); err != nil {
 			b.Fatal(err)
 		}
+	}
+	pkg := newFakePKG(b, sealed)
+	for b.Loop() {
+		if _, _, err := c.FetchKeysContext(context.Background(), pkg.conn, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRetrievalPageWarm is rc-drain's steady-state page on bf80 with
+// the retrieval already in hand: 256 messages under 48 keys the client's
+// cache holds, fetched without an extract frame and decrypted with the
+// cached lines — 256 precomputed-line pairings and AEAD opens.
+func BenchmarkRetrievalPageWarm(b *testing.B) {
+	p, mk, err := bfibe.Setup(pairing.ParamsBF80.MustSystem(), rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := &Client{id: "rc", params: p, now: time.Now}
+	r, keys, _ := sealPage(b, p, mk, 256, 48)
+	_, sealed := pageKeys(b, c, r, keys)
+	pkg := newFakePKG(b, sealed)
+	page := func() {
+		got, _, err := c.FetchKeysContext(context.Background(), pkg.conn, r)
+		if err == nil {
+			_, err = c.DecryptRetrieval(context.Background(), r, got)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	page() // the cold page fills the cache
+	for b.Loop() {
+		page()
+	}
+	if requests, _ := pkg.take(); requests != 1 {
+		b.Fatalf("%d extract requests, want the cold page's 1", requests)
 	}
 }

@@ -28,7 +28,7 @@ import (
 	"mwskit/internal/wire"
 )
 
-// Client is a receiving client. Immutable after construction.
+// Client is a receiving client; only its concurrency-safe key cache changes after New.
 type Client struct {
 	id      string
 	credKey []byte
@@ -36,6 +36,7 @@ type Client struct {
 	params  *bfibe.Params
 	rand    io.Reader
 	now     func() time.Time
+	keys    keyCache
 }
 
 // Option customizes a Client.
@@ -135,9 +136,9 @@ func (c *Client) retrieve(ctx context.Context, mws *wire.Client, fromSeq uint64,
 	return &Retrieval{Items: rr.Items, SessionKey: tok.SessionKey, TicketBlob: tok.TicketBlob}, nil
 }
 
-// FetchKeys runs the RC–PKG phase for the given retrieval: one extract
-// request covering the distinct (AID, Nonce) pairs, returning the private
-// keys indexed identically to the request items it derives.
+// FetchKeys runs the RC–PKG phase for the given retrieval: a key for each
+// distinct (AID, Nonce) pair, from the client's key cache or else from one
+// extract request, whose items it returns (nil if none was sent).
 func (c *Client) FetchKeys(pkg *wire.Client, r *Retrieval) (map[keyIndex]*bfibe.PrivateKey, []wire.ExtractItem, error) {
 	return c.FetchKeysContext(background(), pkg, r)
 }
@@ -150,18 +151,28 @@ func (c *Client) FetchKeysContext(ctx context.Context, pkg *wire.Client, r *Retr
 	// within one nonce epoch shares a key by design (WithNonceEpoch(64)
 	// gives about 48 keys per 256-message page), and each extraction
 	// costs the PKG a hash-to-point and a secret scalar multiplication.
-	seen := make(map[keyIndex]int)
+	keys := make(map[keyIndex]*bfibe.PrivateKey)
+	var want []keyIndex
 	var items []wire.ExtractItem
-	for _, it := range r.Items {
-		k := keyIndexOf(it.AID, it.Nonce)
-		if _, ok := seen[k]; ok {
+	for i := range r.Items {
+		it := &r.Items[i]
+		k, err := keyIndexOf(it)
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, ok := keys[k]; ok {
 			continue
 		}
-		seen[k] = len(items)
+		if e := c.keys.get(k); e != nil {
+			keys[k] = e.sk
+			continue
+		}
+		keys[k] = nil
+		want = append(want, k)
 		items = append(items, wire.ExtractItem{AID: it.AID, Nonce: it.Nonce})
 	}
 	if len(items) == 0 {
-		return map[keyIndex]*bfibe.PrivateKey{}, nil, nil
+		return keys, nil, nil
 	}
 	authBlob, err := ticket.SealAuthenticator(r.SessionKey, &ticket.Authenticator{RC: c.id, Timestamp: c.now()})
 	if err != nil {
@@ -190,9 +201,8 @@ func (c *Client) FetchKeysContext(ctx context.Context, pkg *wire.Client, r *Retr
 	if err != nil {
 		return nil, nil, err
 	}
-	keys := make(map[keyIndex]*bfibe.PrivateKey, len(items))
 	for i, sk := range opened {
-		keys[keyIndexOf(items[i].AID, items[i].Nonce)] = sk
+		keys[want[i]] = sk
 	}
 	return keys, items, nil
 }
@@ -247,13 +257,14 @@ func (c *Client) decryptWith(env *Envelope, d *bfibe.Decapsulator) (*Message, er
 
 // DecryptRetrieval decrypts every message in a retrieval with the
 // extracted keys, in deposit order, fanning the pairing work across the
-// host's cores (fanout.Each). The pairing's Miller-loop lines are
-// precomputed once per key (bfibe.Decapsulator, built on the key's first
-// message) and shared by all messages under that key — the
-// batch-decryption shape the multi-pairing layer exists for — so each
-// message pays only its point's validation, the F_p² accumulation, the
-// final exponentiation, and an AEAD open. The first failure (a missing
-// key, a bad point, a forged ciphertext) stops the remaining work.
+// host's cores (fanout.Each). Each key's Miller-loop lines
+// (bfibe.Decapsulator) are built once and shared by its messages, and by
+// later pages while the client's key cache holds the key, so a message
+// pays only its point's validation, the F_p² accumulation, the final
+// exponentiation, and an AEAD open. A handed key other than the cached
+// one is used as handed; a key is cached once it opens an envelope, and
+// a failed open drops its identity. The first failure (a missing key, a
+// bad point, a forged ciphertext) stops the remaining work.
 func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[keyIndex]*bfibe.PrivateKey) ([]*Message, error) {
 	if len(r.Items) == 0 {
 		return nil, nil
@@ -262,29 +273,39 @@ func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[ke
 	decSp.SetAttr("messages", fmt.Sprintf("%d", len(r.Items)))
 	defer decSp.End()
 
-	// One Decapsulator per distinct key: every message of an (attribute,
-	// nonce) group reuses its key's precomputed lines, built by whichever
-	// worker first meets a message under that key. The map is read-only
-	// once the workers start.
-	decaps := make(map[keyIndex]func() (*bfibe.Decapsulator, error), len(keys))
+	// One entry per distinct key, read-only once the workers start.
+	entries := make(map[keyIndex]*keyEntry, len(keys))
 	for ki, sk := range keys {
-		decaps[ki] = sync.OnceValues(func() (*bfibe.Decapsulator, error) {
-			return c.params.NewDecapsulator(sk)
-		})
+		e := c.keys.get(ki)
+		//mwslint:declassify pointer identity: the comparison reads two addresses, never a key's value
+		if e == nil || e.sk != sk {
+			e = &keyEntry{ki: ki, sk: sk, lines: sync.OnceValues(func() (*bfibe.Decapsulator, error) {
+				return c.params.NewDecapsulator(sk)
+			})}
+		}
+		entries[ki] = e
 	}
 	out := make([]*Message, len(r.Items))
 	err := fanout.Each(ctx, len(r.Items), func(_ context.Context, i int) error {
 		env := &r.Items[i]
-		decap, ok := decaps[keyIndexOf(env.AID, env.Nonce)]
-		if !ok {
-			return fmt.Errorf("rclient: missing key for message %d", env.Seq)
-		}
-		d, err := decap()
+		ki, err := keyIndexOf(env)
 		if err != nil {
 			return err
 		}
-		out[i], err = c.decryptWith(env, d)
-		return err
+		e, ok := entries[ki]
+		if !ok {
+			return fmt.Errorf("rclient: missing key for message %d", env.Seq)
+		}
+		d, err := e.lines()
+		if err == nil {
+			out[i], err = c.decryptWith(env, d)
+		}
+		if err != nil {
+			c.keys.evict(ki)
+			return err
+		}
+		c.keys.admit(e)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -306,9 +327,6 @@ func (c *Client) RetrieveAndDecryptContext(ctx context.Context, mws, pkg *wire.C
 	if err != nil {
 		return nil, err
 	}
-	if len(r.Items) == 0 {
-		return nil, nil
-	}
 	keys, _, err := c.FetchKeysContext(ctx, pkg, r)
 	if err != nil {
 		return nil, err
@@ -322,8 +340,68 @@ type keyIndex struct {
 	nonce attr.Nonce
 }
 
-func keyIndexOf(aid uint64, nonce []byte) keyIndex {
-	var n attr.Nonce
-	copy(n[:], nonce)
-	return keyIndex{aid: aid, nonce: n}
+// keyIndexOf is the index of an envelope's key. It is exact: a nonce that
+// is not attr.NonceLen bytes is refused, never padded or cut to fit.
+func keyIndexOf(env *Envelope) (keyIndex, error) {
+	n, err := attr.NonceFromBytes(env.Nonce)
+	if err != nil {
+		return keyIndex{}, fmt.Errorf("rclient: message %d: %w", env.Seq, err)
+	}
+	return keyIndex{aid: env.AID, nonce: n}, nil
+}
+
+// keyCacheSize bounds the key cache: a 256-message page has at most 128
+// identities that cover two or more messages; ≈ 11 MB of bf80 lines.
+const keyCacheSize = 128
+
+// keyEntry is a private key and its lines, built once, outside the lock.
+type keyEntry struct {
+	ki    keyIndex
+	sk    *bfibe.PrivateKey
+	lines func() (*bfibe.Decapsulator, error)
+	used  uint64 // the cache's clock when it last opened an envelope; under its lock
+}
+
+// keyCache is a client's bounded, concurrency-safe LRU of keys that have
+// opened an envelope (DESIGN.md §9). The zero value is ready to use.
+type keyCache struct {
+	mu    sync.Mutex
+	clock uint64
+	byKey map[keyIndex]*keyEntry
+}
+
+// get returns the entry cached for ki, or nil.
+func (kc *keyCache) get(ki keyIndex) *keyEntry {
+	kc.mu.Lock()
+	defer kc.mu.Unlock()
+	return kc.byKey[ki]
+}
+
+// admit caches e as most recently used, dropping the least recently used
+// entry past the bound (a scan of at most keyCacheSize+1 entries).
+func (kc *keyCache) admit(e *keyEntry) {
+	kc.mu.Lock()
+	defer kc.mu.Unlock()
+	if kc.byKey == nil {
+		kc.byKey = make(map[keyIndex]*keyEntry)
+	}
+	kc.clock++
+	e.used = kc.clock
+	kc.byKey[e.ki] = e
+	if len(kc.byKey) > keyCacheSize {
+		var lru *keyEntry
+		for _, c := range kc.byKey {
+			if lru == nil || c.used < lru.used {
+				lru = c
+			}
+		}
+		delete(kc.byKey, lru.ki)
+	}
+}
+
+// evict drops identity ki from the cache.
+func (kc *keyCache) evict(ki keyIndex) {
+	kc.mu.Lock()
+	defer kc.mu.Unlock()
+	delete(kc.byKey, ki)
 }

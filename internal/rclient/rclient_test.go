@@ -24,7 +24,7 @@ var (
 	envRSA  *rsa.PrivateKey
 )
 
-func env(t *testing.T) (*bfibe.Params, *bfibe.MasterKey, *rsa.PrivateKey) {
+func env(t testing.TB) (*bfibe.Params, *bfibe.MasterKey, *rsa.PrivateKey) {
 	t.Helper()
 	envOnce.Do(func() {
 		sys := pairing.ParamsTest.MustSystem()
@@ -201,16 +201,41 @@ func TestUnknownSchemeIsLocated(t *testing.T) {
 	}
 }
 
+// TestKeyIndexOf: the index of an envelope's key is exact, since it is a
+// lookup key across pages. A 15-byte nonce must not be padded into the
+// index of its zero-padded twin, nor a 17-byte one cut: only
+// attr.NonceLen bytes index, anything else is refused with the message's
+// seq — and FetchKeys refuses the page before it deduplicates, let alone
+// asks the PKG.
 func TestKeyIndexOf(t *testing.T) {
 	n1 := bytes.Repeat([]byte{1}, attr.NonceLen)
 	n2 := bytes.Repeat([]byte{2}, attr.NonceLen)
-	if keyIndexOf(1, n1) != keyIndexOf(1, n1) {
+	ki := func(aid uint64, nonce []byte) keyIndex {
+		return mustKeyIndex(t, &Envelope{AID: aid, Nonce: nonce})
+	}
+	if ki(1, n1) != ki(1, n1) {
 		t.Fatal("identical inputs produced different indices")
 	}
-	if keyIndexOf(1, n1) == keyIndexOf(2, n1) {
+	if ki(1, n1) == ki(2, n1) {
 		t.Fatal("AID not part of the index")
 	}
-	if keyIndexOf(1, n1) == keyIndexOf(1, n2) {
+	if ki(1, n1) == ki(1, n2) {
 		t.Fatal("nonce not part of the index")
+	}
+
+	short := n1[:attr.NonceLen-1]
+	padded := append(append([]byte(nil), short...), 0)
+	ki(1, padded) // the twin itself is a well-formed nonce
+	for _, nonce := range [][]byte{short, append(append([]byte(nil), n1...), 0), nil} {
+		_, err := keyIndexOf(&Envelope{Seq: 41, AID: 1, Nonce: nonce})
+		if err == nil || !strings.Contains(err.Error(), "message 41") {
+			t.Fatalf("%d-byte nonce: %v, want a refusal naming message 41", len(nonce), err)
+		}
+	}
+	c := &Client{id: "rc"}
+	r := &Retrieval{Items: []Envelope{{Seq: 40, AID: 1, Nonce: padded}, {Seq: 41, AID: 1, Nonce: short}}}
+	// A nil PKG connection: any request would panic.
+	if keys, _, err := c.FetchKeys(nil, r); err == nil || keys != nil || !strings.Contains(err.Error(), "message 41") {
+		t.Fatalf("page with a short nonce and its padded twin: %d keys, %v", len(keys), err)
 	}
 }
