@@ -32,11 +32,10 @@ type Field struct {
 	p62             s62
 	pInv62          uint64
 
-	// Public exponents driving the fixed powering chains. Exponent bits
+	// The public exponent driving Sqrt's fixed powering chain. Its bits
 	// are read branch-by-branch, which is fine precisely because the
-	// modulus (and so each of these) is public.
-	pMinus1Div2 *big.Int // (p−1)/2, exponent of the Euler criterion
-	pPlus1Div4  *big.Int // (p+1)/4, square-root exponent for p ≡ 3 (mod 4)
+	// modulus (and so the exponent) is public.
+	pPlus1Div4 *big.Int // (p+1)/4, square-root exponent for p ≡ 3 (mod 4)
 }
 
 // NewField constructs the prime field F_p. p must be an odd prime with
@@ -55,16 +54,13 @@ func NewField(p *big.Int) (*Field, error) {
 		return nil, fmt.Errorf("ff: modulus of %d bits exceeds the %d-bit limb budget", p.BitLen(), 64*MaxLimbs)
 	}
 	one := big.NewInt(1)
-	pm1 := new(big.Int).Sub(p, one)
-	pp1 := new(big.Int).Add(p, one)
 	f := &Field{
-		p:           new(big.Int).Set(p),
-		n:           (p.BitLen() + 63) / 64,
-		byteLen:     (p.BitLen() + 7) / 8,
-		k62:         p.BitLen()/62 + 1,
-		invBatches:  invBatchCount(p.BitLen()),
-		pMinus1Div2: new(big.Int).Rsh(pm1, 1),
-		pPlus1Div4:  new(big.Int).Rsh(pp1, 2),
+		p:          new(big.Int).Set(p),
+		n:          (p.BitLen() + 63) / 64,
+		byteLen:    (p.BitLen() + 7) / 8,
+		k62:        p.BitLen()/62 + 1,
+		invBatches: invBatchCount(p.BitLen()),
+		pPlus1Div4: new(big.Int).Rsh(new(big.Int).Add(p, one), 2),
 	}
 	f.pl = f.limbsOfBig(p)
 	// m0 = −p⁻¹ mod 2⁶⁴ by Newton iteration: p0 is its own inverse mod 8,
@@ -120,9 +116,6 @@ func (f *Field) BitLen() int { return f.p.BitLen() }
 
 // ByteLen returns the length of the fixed-width byte encoding of an element.
 func (f *Field) ByteLen() int { return f.byteLen }
-
-// Limbs returns the public limb count of the field.
-func (f *Field) Limbs() int { return f.n }
 
 // Element is a residue in F_p, held in Montgomery form (v = a·R mod p).
 // The zero value is usable only as the destination of a Set method (so is
@@ -246,10 +239,15 @@ func (e Element) IsOne() bool { return eqN(&e.v, &e.f.one, e.f.n) == 1 }
 func (e Element) Equal(x Element) bool { return eqN(&e.v, &x.v, e.f.n) == 1 }
 
 // SetAdd sets z = x + y: the sum, then p subtracted under a mask when it
-// carried out or reached p.
+// carried out or reached p. 8-limb fields (bf80) run the straight-line
+// modAdd8 that gen_mont8.go emits; other widths run the limb loops.
 func (z *Element) SetAdd(x, y *Element) {
 	f := x.f
 	z.f = f
+	if f.n == 8 {
+		modAdd8(&z.v, &x.v, &y.v, &f.pl)
+		return
+	}
 	c := addN(&z.v, &x.v, &y.v, f.n)
 	subMaskedN(&z.v, &f.pl, c|geN(&z.v, &f.pl, f.n), f.n)
 }
@@ -258,10 +256,14 @@ func (z *Element) SetAdd(x, y *Element) {
 func (z *Element) SetDouble(x *Element) { z.SetAdd(x, x) }
 
 // SetSub sets z = x − y: the difference, then p added back under a mask
-// when it borrowed.
+// when it borrowed; modSub8 on 8-limb fields, like SetAdd.
 func (z *Element) SetSub(x, y *Element) {
 	f := x.f
 	z.f = f
+	if f.n == 8 {
+		modSub8(&z.v, &x.v, &y.v, &f.pl)
+		return
+	}
 	addMaskedN(&z.v, &f.pl, subN(&z.v, &x.v, &y.v, f.n), f.n)
 }
 
@@ -315,7 +317,7 @@ func (e Element) Double() Element { e.SetAdd(&e, &e); return e }
 
 // expMont raises a Montgomery-form base to a public exponent with a fixed
 // 4-bit window: the square/multiply schedule depends only on the exponent
-// (all of which — (p±1)/…, caller-supplied public k — are public),
+// (all of which — (p+1)/4, caller-supplied public k — are public),
 // never on the base.
 func (f *Field) expMont(base *limbs, k *big.Int) limbs {
 	if k.Sign() == 0 {
@@ -361,20 +363,6 @@ func (e Element) Inv() Element {
 // constant-schedule paths (pairing.GTExpSecret, ec.ScalarMultSecret).
 func (e Element) Exp(k *big.Int) Element {
 	return Element{f: e.f, v: e.f.expMont(&e.v, k)}
-}
-
-// Legendre returns the Legendre symbol (e/p): 1 if e is a non-zero square,
-// −1 if a non-square, 0 if e is zero. The Euler-criterion powering is
-// constant-time in e; only the trichotomy result branches.
-func (e Element) Legendre() int {
-	if e.IsZero() {
-		return 0
-	}
-	r := e.f.expMont(&e.v, e.f.pMinus1Div2)
-	if eqN(&r, &e.f.one, e.f.n) == 1 {
-		return 1
-	}
-	return -1
 }
 
 // Sqrt returns a square root of e and true, or the zero element and false

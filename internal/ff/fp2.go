@@ -23,12 +23,6 @@ func NewE2(a, b Element) E2 {
 	return E2{A: a, B: b}
 }
 
-// E2FromBase embeds an F_p element into F_p².
-func E2FromBase(a Element) E2 { return E2{A: a, B: a.f.Zero()} }
-
-// E2Zero returns the additive identity of F_p².
-func (f *Field) E2Zero() E2 { return E2{A: f.Zero(), B: f.Zero()} }
-
 // E2One returns the multiplicative identity of F_p².
 func (f *Field) E2One() E2 { return E2{A: f.One(), B: f.Zero()} }
 
@@ -43,22 +37,6 @@ func (f *Field) E2Random(r io.Reader) (E2, error) {
 		return E2{}, err
 	}
 	return E2{A: a, B: b}, nil
-}
-
-// E2FromBytes decodes the 2·ByteLen fixed-width encoding produced by Bytes.
-func (f *Field) E2FromBytes(b []byte) (E2, error) {
-	if len(b) != 2*f.byteLen {
-		return E2{}, fmt.Errorf("ff: F_p² encoding must be %d bytes, got %d", 2*f.byteLen, len(b))
-	}
-	a, err := f.FromBytes(b[:f.byteLen])
-	if err != nil {
-		return E2{}, err
-	}
-	bb, err := f.FromBytes(b[f.byteLen:])
-	if err != nil {
-		return E2{}, err
-	}
-	return E2{A: a, B: bb}, nil
 }
 
 // Bytes returns the concatenated fixed-width encodings of the two parts.

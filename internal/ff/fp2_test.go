@@ -2,10 +2,36 @@ package ff
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
 )
+
+// E2FromBase, E2Zero and E2FromBytes have no caller outside this
+// package's tests, so they live here rather than in fp2.go.
+
+// E2FromBase embeds an F_p element into F_p².
+func E2FromBase(a Element) E2 { return E2{A: a, B: a.f.Zero()} }
+
+// E2Zero returns the additive identity of F_p².
+func (f *Field) E2Zero() E2 { return E2{A: f.Zero(), B: f.Zero()} }
+
+// E2FromBytes decodes the 2·ByteLen fixed-width encoding produced by Bytes.
+func (f *Field) E2FromBytes(b []byte) (E2, error) {
+	if len(b) != 2*f.byteLen {
+		return E2{}, fmt.Errorf("ff: F_p² encoding must be %d bytes, got %d", 2*f.byteLen, len(b))
+	}
+	a, err := f.FromBytes(b[:f.byteLen])
+	if err != nil {
+		return E2{}, err
+	}
+	bb, err := f.FromBytes(b[f.byteLen:])
+	if err != nil {
+		return E2{}, err
+	}
+	return E2{A: a, B: bb}, nil
+}
 
 func e2FromInts(f *Field, a, b int64) E2 {
 	return NewE2(f.FromInt64(a), f.FromInt64(b))

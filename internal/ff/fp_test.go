@@ -13,6 +13,20 @@ import (
 // property tests fast.
 var testPrime = big.NewInt(2305843009213693951)
 
+// Legendre returns the Legendre symbol (e/p) by Euler's criterion
+// e^((p−1)/2), with (p−1)/2 = p >> 1 for odd p: 1 if e is a non-zero
+// square, −1 if a non-square, 0 if e is zero. Only tests call it, so it
+// lives here rather than in fp.go.
+func (e Element) Legendre() int {
+	if e.IsZero() {
+		return 0
+	}
+	if e.Exp(new(big.Int).Rsh(e.f.p, 1)).IsOne() {
+		return 1
+	}
+	return -1
+}
+
 func testField(t *testing.T) *Field {
 	t.Helper()
 	f, err := NewField(testPrime)

@@ -6,7 +6,8 @@
 //
 //   - mont8.go: portable pure-Go unrolling (montMul8Go). Go cannot keep
 //     two carry chains in the one flags register, so this version spills;
-//     it is the fallback for non-amd64 and pre-ADX processors.
+//     it is the fallback for non-amd64 and pre-ADX processors. Beside it
+//     sit modAdd8 and modSub8, one carry chain each, so Go is enough.
 //   - mont8_amd64.s: MULX/ADCX/ADOX assembly (montMul8ADX) that runs the
 //     product chain in OF and the carry-propagation chain in CF
 //     simultaneously, with the nine accumulator limbs held in registers.
@@ -108,6 +109,37 @@ func genGo() {
 	for j := 0; j < 8; j++ {
 		w("\tz[%d] = t%d ^ (mask & (t%d ^ d%d))", j, j, j, j)
 	}
+	w("}")
+
+	// SetAdd's and SetSub's limb loops specialized to n = 8.
+	each := func(f string) { // one line per limb; %[1]d is the limb index
+		for j := 0; j < 8; j++ {
+			w(f, j)
+		}
+	}
+	w("")
+	w("// modAdd8 sets z = x + y mod m for an 8-limb modulus m and x, y < m: the")
+	w("// sum, then m subtracted under a mask when the sum carried out of limb 7")
+	w("// or reached m. The carry term matters when m fills all 512 bits (bf80),")
+	w("// where x + y can exceed 2⁵¹². z may alias x, y or both; constant-time.")
+	w("func modAdd8(z, x, y, m *limbs) {")
+	w("\tvar s0, s1, s2, s3, s4, s5, s6, s7, d0, d1, d2, d3, d4, d5, d6, d7, c, b uint64")
+	each("\ts%[1]d, c = bits.Add64(x[%[1]d], y[%[1]d], c)")
+	each("\td%[1]d, b = bits.Sub64(s%[1]d, m[%[1]d], b)")
+	w("\tmask := -(c | (b ^ 1))")
+	each("\tz[%[1]d] = s%[1]d ^ (mask & (s%[1]d ^ d%[1]d))")
+	w("}")
+	w("")
+	w("// modSub8 sets z = x − y mod m for an 8-limb modulus m and x, y < m: the")
+	w("// difference, then m added back under the borrow mask. z may alias x, y")
+	w("// or both; constant-time.")
+	w("func modSub8(z, x, y, m *limbs) {")
+	w("\tvar d0, d1, d2, d3, d4, d5, d6, d7, b, c uint64")
+	each("\td%[1]d, b = bits.Sub64(x[%[1]d], y[%[1]d], b)")
+	w("\tmask := -b")
+	w("\t// Masked before the chain: an AND between two ADCs clobbers the carry.")
+	w("\ta0, a1, a2, a3, a4, a5, a6, a7 := m[0]&mask, m[1]&mask, m[2]&mask, m[3]&mask, m[4]&mask, m[5]&mask, m[6]&mask, m[7]&mask")
+	each("\tz[%[1]d], c = bits.Add64(d%[1]d, a%[1]d, c)")
 	w("}")
 
 	src, err := format.Source(b.Bytes())

@@ -9,13 +9,18 @@ import (
 
 // Differential tests: every limb operation is cross-checked against a
 // math/big reference over several limb widths (1, 5, 8, 16), on random
-// operands and on the edge operands 0, 1, p−1. The 8-limb width also
-// cross-checks the amd64 ADX kernel against the portable Go unrolling.
+// operands and on the edge operands 0, 1, p−1. Two moduli have 8 limbs:
+// bf80, which fills all 512 bits, and a 480-bit one with slack, so the
+// straight-line 8-limb kernels run with and without a carry out of limb 7.
+// The 8-limb width also cross-checks the amd64 ADX kernel against the
+// portable Go unrolling, and the 8-limb add and subtract against the limb
+// loops that remain the body for every other width.
 
 // diffFields returns fields spanning the supported limb widths: the
 // 1-limb Mersenne test prime, the moduli of the three presets (test at 5
-// limbs, bf80 at 8 — the ADX kernel —, bf112 at 16; entries 1–3) and a
-// prime just below 2¹⁰²⁴ whose top limb is all ones.
+// limbs, bf80 at 8 — the ADX kernel —, bf112 at 16; entries 1–3), a
+// prime just below 2¹⁰²⁴ whose top limb is all ones and a prime just below
+// 2⁴⁸⁰, an 8-limb modulus whose top limb has 32 bits of slack.
 func diffFields(t testing.TB) []*Field {
 	t.Helper()
 	ps := []string{
@@ -35,13 +40,16 @@ func diffFields(t testing.TB) []*Field {
 		}
 		fs = append(fs, MustField(p))
 	}
-	// A full-width 1024-bit prime ≡ 3 (mod 4) exercises MaxLimbs.
-	p := new(big.Int).Lsh(big.NewInt(1), 1024)
-	p.Sub(p, big.NewInt(1))
-	for !p.ProbablyPrime(20) || p.Bit(1) == 0 {
-		p.Sub(p, big.NewInt(2))
+	// A full-width 1024-bit prime ≡ 3 (mod 4) exercises MaxLimbs; a
+	// 480-bit one gives modAdd8 a modulus where x + y never carries out.
+	for _, bits := range []uint{1024, 480} {
+		p := new(big.Int).Lsh(big.NewInt(1), bits)
+		p.Sub(p, big.NewInt(1))
+		for !p.ProbablyPrime(20) || p.Bit(1) == 0 {
+			p.Sub(p, big.NewInt(2))
+		}
+		fs = append(fs, MustField(p))
 	}
-	fs = append(fs, MustField(p))
 	return fs
 }
 
@@ -245,6 +253,72 @@ func TestMontMul8KernelsAgree(t *testing.T) {
 		if viaGo != viaDispatch || viaGo != viaLoop {
 			t.Fatalf("kernel disagreement on %v × %v:\n go=%v\ndis=%v\nloop=%v", av, bv, viaGo, viaDispatch, viaLoop)
 		}
+	}
+}
+
+// TestAddSub8KernelsAgree cross-checks the straight-line modAdd8 and
+// modSub8 against the limb loops SetAdd and SetSub run at every other
+// width, on both 8-limb moduli of diffFields: bf80, where (p−1)+(p−1)
+// carries out of limb 7, and the 480-bit one, where nothing can. Besides
+// 200 random pairs it runs the edges (p−1)+(p−1), x + y = p exactly, x − x
+// and 0 − (p−1), each kernel in every aliasing shape.
+func TestAddSub8KernelsAgree(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(37))
+	loopAdd := func(z, x, y, m *limbs) {
+		c := addN(z, x, y, 8)
+		subMaskedN(z, m, c|geN(z, m, 8), 8)
+	}
+	loopSub := func(z, x, y, m *limbs) { addMaskedN(z, m, subN(z, x, y, 8), 8) }
+	kernels := []struct {
+		name       string
+		fast, loop func(z, x, y, m *limbs)
+	}{{"modAdd8", modAdd8, loopAdd}, {"modSub8", modSub8, loopSub}}
+	var checked int
+	for _, f := range diffFields(t) {
+		if f.n != 8 {
+			continue
+		}
+		checked++
+		p := f.P()
+		pm1 := new(big.Int).Sub(p, big.NewInt(1))
+		half := new(big.Int).Rsh(p, 1)
+		pairs := [][2]*big.Int{
+			{pm1, pm1},                        // (p−1)+(p−1); (p−1)−(p−1)
+			{big.NewInt(1), pm1},              // x + y = p
+			{half, new(big.Int).Sub(p, half)}, // x + y = p
+			{half, half},                      // x − x
+			{big.NewInt(0), pm1},              // 0 − (p−1)
+		}
+		ops := diffOperands(f, rng, 200)
+		for i, xv := range ops {
+			pairs = append(pairs, [2]*big.Int{xv, ops[(i*5+1)%len(ops)]})
+		}
+		for _, pr := range pairs {
+			x, y := f.limbsOfBig(pr[0]), f.limbsOfBig(pr[1])
+			for _, k := range kernels {
+				var want, wantXX limbs
+				k.loop(&want, &x, &y, &f.pl)
+				k.loop(&wantXX, &x, &x, &f.pl)
+				var z limbs
+				zx, zy, zxx := x, y, x
+				k.fast(&z, &x, &y, &f.pl)
+				k.fast(&zx, &zx, &y, &f.pl)
+				k.fast(&zy, &x, &zy, &f.pl)
+				k.fast(&zxx, &zxx, &zxx, &f.pl)
+				for _, got := range []struct {
+					shape   string
+					z, want limbs
+				}{{"fresh z", z, want}, {"z = x", zx, want}, {"z = y", zy, want}, {"z = x = y", zxx, wantXX}} {
+					if got.z != got.want {
+						t.Fatalf("p=%d bits: %s(%v, %v) with %s:\n kernel=%v\n  loops=%v",
+							p.BitLen(), k.name, pr[0], pr[1], got.shape, got.z, got.want)
+					}
+				}
+			}
+		}
+	}
+	if checked != 2 {
+		t.Fatalf("diffFields has %d 8-limb moduli, want 2", checked)
 	}
 }
 
