@@ -468,9 +468,8 @@ func TestCrossClientIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bob replays Alice's item identifiers through his own ticket.
-	forged := *bobRet
-	forged.Items = aliceRet.Items
-	_, _, err = bob.FetchKeys(pkgConn, &forged)
+	bobRet.Items = aliceRet.Items
+	_, _, err = bob.FetchKeys(pkgConn, bobRet)
 	var em *wire.ErrorMsg
 	if !errors.As(err, &em) || em.Code != wire.CodeAuth {
 		t.Fatalf("PKG honored a foreign AID through bob's ticket: %v", err)

@@ -22,6 +22,15 @@ func presetSystems(t testing.TB) map[string]*System {
 	return out
 }
 
+// finalExpRef is the final exponentiation finalExp replaced: the easy
+// part f^(p−1) = conj(f)·f⁻¹ via Frobenius, then square-and-multiply in
+// F_p² with the public exponent (p+1)/q. It is the independent reference
+// the differential tests and BenchmarkFinalExp compare finalExp against.
+func (e *Pairing) finalExpRef(f ff.E2) ff.E2 {
+	g := f.Conjugate().Mul(f.Inv())
+	return g.Exp(e.pPlus1DivQ)
+}
+
 // TestGoldenPairingVectors pins pairing outputs to the bytes the parent
 // commit (square-and-multiply final exponentiation) produced; see
 // testdata/README.md. Stored tag check values and session keys are hashes

@@ -30,6 +30,7 @@ package pairing
 
 import (
 	"math/big"
+	"slices"
 
 	"mwskit/internal/ec"
 	"mwskit/internal/ff"
@@ -42,9 +43,6 @@ type GT struct {
 	v ff.E2
 }
 
-// E2 returns the underlying F_p² element.
-func (g GT) E2() ff.E2 { return g.v }
-
 // Bytes returns the canonical fixed-width encoding of the element, used
 // as KDF input by the IBE layer. The encoding runs on the constant-time
 // ff byte codec.
@@ -55,27 +53,6 @@ func (g GT) Equal(h GT) bool { return g.v.Equal(h.v) }
 
 // IsOne reports whether g is the group identity.
 func (g GT) IsOne() bool { return g.v.IsOne() }
-
-// Mul returns g·h in the target group.
-func (g GT) Mul(h GT) GT { return GT{v: g.v.Mul(h.v)} }
-
-// Exp returns g^k by public square-and-multiply: the branch pattern
-// follows the bits of k, so this is for PUBLIC exponents only (test
-// scalars, protocol constants). Secret exponents — encapsulation
-// randomness above all — must go through Pairing.GTExpSecret, mirroring
-// the ScalarMult/ScalarMultSecret split in ec. Negative exponents use the
-// group inverse (the conjugate, since elements of μ_q satisfy
-// g^(p+1) = g·g^p = norm = 1).
-func (g GT) Exp(k *big.Int) GT {
-	if k.Sign() < 0 {
-		inv := g.v.Conjugate() // g ∈ μ_{p+1} ⇒ g⁻¹ = conj(g)
-		return GT{v: inv.Exp(new(big.Int).Neg(k))}
-	}
-	return GT{v: g.v.Exp(k)}
-}
-
-// Inv returns g⁻¹.
-func (g GT) Inv() GT { return GT{v: g.v.Conjugate()} }
 
 // Pairing holds a curve plus the precomputed final-exponentiation data.
 // Immutable and safe for concurrent use.
@@ -90,13 +67,32 @@ type Pairing struct {
 	// two and half are the F_p constants 2 and 1/2 of the Lucas ladder in
 	// finalExp.
 	two, half ff.Element
+	// naf is q in non-adjacent form, most significant digit first: the
+	// digits of the Miller walk (G1Precomp).
+	naf []int8
 }
 
 // New builds a Pairing for the given curve.
 func New(c *ec.Curve) *Pairing {
 	hModQ := new(big.Int).Mod(c.H, c.Q)
 	two := c.F.FromInt64(2)
-	return &Pairing{Curve: c, pPlus1DivQ: c.H, cofactorExp: hModQ.Mul(hModQ, c.H), two: two, half: two.Inv()}
+	return &Pairing{Curve: c, pPlus1DivQ: c.H, cofactorExp: hModQ.Mul(hModQ, c.H), two: two, half: two.Inv(), naf: nafDigits(c.Q)}
+}
+
+// nafDigits returns k > 0 in non-adjacent form, most significant digit
+// first: digits in {−1, 0, 1}, about a third of them non-zero.
+func nafDigits(k *big.Int) []int8 {
+	var d []int8
+	for k = new(big.Int).Set(k); k.Sign() > 0; k.Rsh(k, 1) {
+		var di int8
+		if k.Bit(0) == 1 {
+			di = 1 - 2*int8(k.Bit(1)) // k ≡ 1 (mod 4) → 1, k ≡ 3 → −1
+			k.Sub(k, big.NewInt(int64(di)))
+		}
+		d = append(d, di)
+	}
+	slices.Reverse(d)
+	return d
 }
 
 // GTOne returns the identity of the target group.
@@ -157,8 +153,9 @@ type line struct {
 }
 
 // millerStep is one iteration of the Miller loop: always a tangent
-// (doubling) line, plus a chord (addition) line on the set bits of q.
-// Whether the chord is present follows the public bits of q.
+// (doubling) line, plus a chord (addition) line through ±P on the
+// non-zero digits of q's NAF. Whether the chord is present follows those
+// public digits.
 type millerStep struct {
 	tan      line
 	chord    line
@@ -171,7 +168,7 @@ type millerStep struct {
 func (st *millerStep) at(v *ff.E2, x, y, ySq *ff.Element) {
 	v.A.SetMul(&st.tan.b, x)
 	v.A.SetAdd(&v.A, &st.tan.a)
-	//mwslint:declassify chord presence follows the bits of the public group order q, not the (possibly secret) point the steps were built from
+	//mwslint:declassify chord presence follows the public signed digits of the group order q, not the (possibly secret) point the steps were built from
 	if !st.hasChord {
 		v.B = *y
 		return
@@ -266,15 +263,21 @@ func chordStep(l *line, scale *ff.Element, t *g1Jac, p *ec.Point) {
 // encapsulation point of a retrieval batch. Immutable and safe for
 // concurrent use.
 //
-// The walk is exception-free for P of prime order q: intermediate
-// multiples kP (0 < k < q) are never ∞ or 2-torsion, so no line scale
-// vanishes, and the chord operands 2jP and P are never equal (2j is even,
-// 1 is odd, both below q). The final chord, through T = −P, is vertical:
-// its value lies in F_p, which the final exponentiation kills, so it is
-// not stored. All scales are inverted at once (Montgomery's trick).
+// The walk follows q's NAF: a tangent per digit below the leading one,
+// and a chord through dP on each digit d = ±1. A −P chord adds the
+// vertical through P to the Miller function, whose value lies in F_p and
+// dies in the final exponentiation: the pairing is the binary walk's.
+//
+// The walk is exception-free for P of prime order q. A prefix k of q's
+// NAF with i ≥ 1 digits after it lies within 2/3 of q/2^i, so
+// 0 < k < q/2 + 1: kP is never ∞ or 2-torsion, no line scale vanishes,
+// and the chord operands 2kP and dP meet (2k ≡ ±1 mod q) only at the
+// last digit, where 2k + d = q. That chord, through −dP and dP, is
+// vertical: its value lies in F_p, so it is not stored. All scales are
+// inverted at once (Montgomery's trick).
 //
 // For a finite P outside G1 some scale is zero (T met ∞ or a 2-torsion
-// point) or the walk ends at (q−1)P ≠ −P, as qP = ∞ only in G1. A mask
+// point) or the last chord is not vertical, as qP = ∞ only in G1. A mask
 // folds both without branching and makes the precomputation pair to 1
 // with everything, which Decapsulate and Tester.Test refuse.
 type G1Precomp struct {
@@ -292,27 +295,32 @@ func (e *Pairing) G1Precomp(p ec.Point) *G1Precomp {
 	if p.Inf {
 		return &G1Precomp{e: e, one: true}
 	}
-	q := e.Curve.Q
-	steps := make([]millerStep, q.BitLen()-1)
+	steps := make([]millerStep, len(e.naf)-1)
 	lines := make([]*line, 0, 2*len(steps))
 	scales := make([]ff.Element, 0, 2*len(steps))
 	var scale ff.Element
 	var last line // the final, vertical chord: checked, not kept
 	t := g1Jac{x: p.X, y: p.Y, z: e.Curve.F.One()}
+	neg := p // −P, negated without branching on p
+	neg.Y.SetNeg(&p.Y)
 	for s := range steps {
 		st := &steps[s]
 		tangentStep(&st.tan, &scale, &t)
 		lines, scales = append(lines, &st.tan), append(scales, scale)
-		if s == len(steps)-1 { // q is odd: the last step has a chord
-			chordStep(&last, &scale, &t, &p)
-		} else if q.Bit(len(steps)-1-s) == 1 {
+		d, add := e.naf[s+1], &p
+		if d < 0 {
+			add = &neg
+		}
+		if s == len(steps)-1 { // q is odd: the last digit is ±1
+			chordStep(&last, &scale, &t, add)
+		} else if d != 0 {
 			st.hasChord = true
-			chordStep(&st.chord, &scale, &t, &p)
+			chordStep(&st.chord, &scale, &t, add)
 			lines, scales = append(lines, &st.chord), append(scales, scale)
 		}
 	}
-	// T = −P exactly when the last chord is vertical (scale 0) and not a
-	// tangent at T = P or through ∞ (b = R·Z² ≠ 0).
+	// T = −dP for the last digit d exactly when the last chord is vertical
+	// (scale 0) and not a tangent at T = dP or through ∞ (b = R·Z² ≠ 0).
 	bad := (1 ^ scale.IsZeroBit()) | last.b.IsZeroBit()
 	// Montgomery's trick: prefix products, one Inv (1 stands in for a zero
 	// product), and a walk back peeling each scale's inverse off the rest.
@@ -498,13 +506,4 @@ func (e *Pairing) finalExpNoImag(f ff.E2, k *big.Int) ff.E2 {
 		return one.Neg()
 	}
 	return one
-}
-
-// finalExpRef is the final exponentiation finalExp replaced: the easy
-// part f^(p−1) = conj(f)·f⁻¹ via Frobenius, then square-and-multiply in
-// F_p² with the public exponent (p+1)/q. It survives unexported as the
-// independent reference the differential tests compare finalExp against.
-func (e *Pairing) finalExpRef(f ff.E2) ff.E2 {
-	g := f.Conjugate().Mul(f.Inv())
-	return g.Exp(e.pPlus1DivQ)
 }

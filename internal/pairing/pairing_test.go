@@ -22,6 +22,31 @@ func testSystem(t *testing.T) *System {
 	return sysVal
 }
 
+// E2, Mul, Inv and Exp are the target-group arithmetic only the tests
+// use: the protocol layers compare and encode pairing values, nothing
+// more.
+
+// E2 returns the underlying F_p² element.
+func (g GT) E2() ff.E2 { return g.v }
+
+// Mul returns g·h in the target group.
+func (g GT) Mul(h GT) GT { return GT{v: g.v.Mul(h.v)} }
+
+// Inv returns g⁻¹, the conjugate.
+func (g GT) Inv() GT { return GT{v: g.v.Conjugate()} }
+
+// Exp returns g^k by public square-and-multiply, the reference the
+// constant-time GTExpSecret and the bilinearity tests compare against:
+// the branch pattern follows the bits of k, so it is for public
+// exponents only. Negative exponents use the group inverse, the
+// conjugate, since elements of μ_q satisfy g^(p+1) = norm = 1.
+func (g GT) Exp(k *big.Int) GT {
+	if k.Sign() < 0 {
+		return GT{v: g.v.Conjugate().Exp(new(big.Int).Neg(k))}
+	}
+	return GT{v: g.v.Exp(k)}
+}
+
 func TestPresetsValidate(t *testing.T) {
 	for name, pp := range Presets {
 		name, pp := name, pp

@@ -21,16 +21,30 @@ import (
 	"mwskit/internal/wire"
 )
 
-// pageKeys seals a retrieval's keys as the PKG would answer FetchKeys:
-// each identity's key marshalled and sealed under a fresh session key,
-// which it sets on r. The identities come back in order of first
-// appearance, the order a FetchKeys with nothing cached requests them in.
-func pageKeys(tb testing.TB, c *Client, r *Retrieval, keys map[keyIndex]*bfibe.PrivateKey) ([]keyIndex, map[keyIndex][]byte) {
+// sealToken gives r a PKG token sealed to c's RSA key, as the warehouse
+// seals one, carrying a fresh session key, which it returns.
+func sealToken(tb testing.TB, c *Client, r *Retrieval) []byte {
 	tb.Helper()
-	var err error
-	if r.SessionKey, err = ticket.NewSessionKey(rand.Reader); err != nil {
+	session, err := ticket.NewSessionKey(rand.Reader)
+	if err != nil {
 		tb.Fatal(err)
 	}
+	tok := &ticket.Token{SessionKey: session, TicketBlob: []byte("ticket")}
+	if r.tokenBlob, err = ticket.SealToken(rand.Reader, &c.priv.PublicKey, tok); err != nil {
+		tb.Fatal(err)
+	}
+	return session
+}
+
+// pageKeys seals a retrieval's keys as the PKG would answer FetchKeys:
+// each identity's key marshalled and sealed under the session key of a
+// fresh token, which it sets on r. The identities come back in order of
+// first appearance, the order a FetchKeys with nothing cached requests
+// them in.
+func pageKeys(tb testing.TB, c *Client, r *Retrieval, keys map[keyIndex]*bfibe.PrivateKey) ([]keyIndex, map[keyIndex][]byte) {
+	tb.Helper()
+	session := sealToken(tb, c, r)
+	var err error
 	var order []keyIndex
 	sealed := make(map[keyIndex][]byte)
 	for i := range r.Items {
@@ -39,7 +53,7 @@ func pageKeys(tb testing.TB, c *Client, r *Retrieval, keys map[keyIndex]*bfibe.P
 			continue
 		}
 		order = append(order, k)
-		if sealed[k], err = ticket.SealExtractedKey(r.SessionKey, bfibe.MarshalPrivateKey(c.params, keys[k])); err != nil {
+		if sealed[k], err = ticket.SealExtractedKey(session, bfibe.MarshalPrivateKey(c.params, keys[k])); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -48,7 +62,8 @@ func pageKeys(tb testing.TB, c *Client, r *Retrieval, keys map[keyIndex]*bfibe.P
 
 // fakePKG is the key server of these tests, doing no arithmetic of its
 // own: it answers each Extract with the sealed key it holds for every
-// requested identity, in request order, and notes what it was asked.
+// requested identity, in request order, and notes what it was asked. It
+// refuses every Trapdoor, counting it as a request.
 type fakePKG struct {
 	conn   *wire.Client
 	sealed map[keyIndex][]byte
@@ -77,17 +92,32 @@ func newFakePKG(tb testing.TB, sealed map[keyIndex][]byte) *fakePKG {
 		}
 		return resp, nil
 	})
+	wire.Route(r, wire.OpTrapdoor, func(context.Context, *wire.TrapdoorRequest) (*wire.TrapdoorResponse, error) {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.requests++
+		return nil, errors.New("fake PKG: no trapdoors")
+	})
+	f.conn = serveFake(tb, r)
+	return f
+}
+
+// serveFake serves r on loopback for the test and returns a connection
+// to it.
+func serveFake(tb testing.TB, r *wire.Router) *wire.Client {
+	tb.Helper()
 	srv := wire.NewServer(r, slog.New(slog.DiscardHandler))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { srv.Close() })
-	if f.conn, err = wire.Dial(addr.String()); err != nil {
+	conn, err := wire.Dial(addr.String())
+	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { f.conn.Close() })
-	return f
+	tb.Cleanup(func() { conn.Close() })
+	return conn
 }
 
 // take returns the extract requests and the identities asked for since
@@ -110,6 +140,10 @@ func (f *fakePKG) take() (requests int, asked []keyIndex) {
 func TestFetchKeysFailsAtLowestBadIndex(t *testing.T) {
 	c, r, keys, _ := buildEpochRetrieval(t, 24, 8)
 	order, good := pageKeys(t, c, r, keys)
+	tok, err := c.credentials(context.Background(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(order) != 8 {
 		t.Fatalf("fixture has %d keys, want 8", len(order))
 	}
@@ -140,7 +174,7 @@ func TestFetchKeysFailsAtLowestBadIndex(t *testing.T) {
 			if err != nil || curve.ScalarBaseOrderCheck(pt) {
 				continue
 			}
-			s, err := ticket.SealExtractedKey(r.SessionKey, bfibe.MarshalPrivateKey(c.params, &bfibe.PrivateKey{ID: []byte("x"), D: pt}))
+			s, err := ticket.SealExtractedKey(tok.SessionKey, bfibe.MarshalPrivateKey(c.params, &bfibe.PrivateKey{ID: []byte("x"), D: pt}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,11 +284,10 @@ func BenchmarkFetchKeysPage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := &Client{id: "rc", params: p, now: time.Now}
+	_, _, rsaKey := env(b)
+	c := &Client{id: "rc", priv: rsaKey, params: p, now: time.Now}
 	r := &Retrieval{}
-	if r.SessionKey, err = ticket.NewSessionKey(rand.Reader); err != nil {
-		b.Fatal(err)
-	}
+	session := sealToken(b, c, r)
 	sealed := make(map[keyIndex][]byte)
 	for range 48 {
 		nonce, err := attr.NewNonce(rand.Reader)
@@ -266,7 +299,7 @@ func BenchmarkFetchKeysPage(b *testing.B) {
 			b.Fatal(err)
 		}
 		r.Items = append(r.Items, Envelope{AID: 1, Nonce: nonce[:]})
-		if sealed[mustKeyIndex(b, &r.Items[len(r.Items)-1])], err = ticket.SealExtractedKey(r.SessionKey, bfibe.MarshalPrivateKey(p, sk)); err != nil {
+		if sealed[mustKeyIndex(b, &r.Items[len(r.Items)-1])], err = ticket.SealExtractedKey(session, bfibe.MarshalPrivateKey(p, sk)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -281,17 +314,21 @@ func BenchmarkFetchKeysPage(b *testing.B) {
 // BenchmarkRetrievalPageWarm is rc-drain's steady-state page on bf80 with
 // the retrieval already in hand: 256 messages under 48 keys the client's
 // cache holds, fetched without an extract frame and decrypted with the
-// cached lines — 256 precomputed-line pairings and AEAD opens.
+// cached lines — 256 precomputed-line pairings and AEAD opens. Each warm
+// page is a new retrieval, as each of rc-drain's is, whose token is
+// corrupt: the benchmark fails if a warm page unwraps its token, as it
+// fails on a second extract request.
 func BenchmarkRetrievalPageWarm(b *testing.B) {
 	p, mk, err := bfibe.Setup(pairing.ParamsBF80.MustSystem(), rand.Reader)
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := &Client{id: "rc", params: p, now: time.Now}
-	r, keys, _ := sealPage(b, p, mk, 256, 48)
-	_, sealed := pageKeys(b, c, r, keys)
+	_, _, rsaKey := env(b)
+	c := &Client{id: "rc", priv: rsaKey, params: p, now: time.Now}
+	cold, keys, _ := sealPage(b, p, mk, 256, 48)
+	_, sealed := pageKeys(b, c, cold, keys)
 	pkg := newFakePKG(b, sealed)
-	page := func() {
+	page := func(r *Retrieval) {
 		got, _, err := c.FetchKeysContext(context.Background(), pkg.conn, r)
 		if err == nil {
 			_, err = c.DecryptRetrieval(context.Background(), r, got)
@@ -300,9 +337,10 @@ func BenchmarkRetrievalPageWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	page() // the cold page fills the cache
+	page(cold) // the cold page fills the cache
+	corrupt := corruptToken(cold.tokenBlob)
 	for b.Loop() {
-		page()
+		page(&Retrieval{Items: cold.Items, tokenBlob: corrupt})
 	}
 	if requests, _ := pkg.take(); requests != 1 {
 		b.Fatalf("%d extract requests, want the cold page's 1", requests)

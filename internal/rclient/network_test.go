@@ -153,7 +153,7 @@ func TestFetchKeysDeduplicates(t *testing.T) {
 		t.Fatalf("keys=%d items=%d", len(keys), len(items))
 	}
 	// Empty retrieval short-circuits without a PKG round trip.
-	empty := &Retrieval{SessionKey: ret.SessionKey, TicketBlob: ret.TicketBlob}
+	empty := &Retrieval{tokenBlob: ret.tokenBlob}
 	keys2, items2, err := h.rc.FetchKeys(h.pkgConn, empty)
 	if err != nil {
 		t.Fatal(err)

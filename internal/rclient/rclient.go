@@ -1,9 +1,9 @@
 // Package rclient implements the receiving-client side of the protocol
 // (§V.C/D, MWS–RC and RC–PKG phases): authenticate to the Gatekeeper,
 // receive encrypted messages plus a PKG token, unwrap the token with the
-// client's RSA key, present ticket + authenticator to the PKG to obtain
-// the per-message private keys sI, and finally decapsulate and decrypt
-// each message.
+// client's RSA key when the PKG is first needed, present ticket +
+// authenticator to the PKG to obtain the per-message private keys sI,
+// and finally decapsulate and decrypt each message.
 //
 // Throughout, the client handles attributes only as opaque AIDs; the
 // actual attribute strings stay inside the sealed ticket (§V.D).
@@ -85,15 +85,38 @@ func (c *Client) ID() string { return c.id }
 type Envelope = wire.MessageItem
 
 // Retrieval is the result of the MWS–RC phase: the encrypted messages and
-// the credentials needed for the RC–PKG phase.
+// the PKG token, sealed to the retrieving client's RSA key, that carries
+// the credentials of the RC–PKG phase. The token is unwrapped once, by
+// the first FetchKeys or FetchTrapdoor that sends the PKG a frame: a
+// search, or a page whose keys the client's cache holds, never pays for
+// the RSA decryption.
 type Retrieval struct {
-	Items      []Envelope
-	SessionKey []byte
-	TicketBlob []byte
+	Items []Envelope
+
+	tokenBlob []byte
+	tokenOnce sync.Once
+	token     *ticket.Token
+	tokenErr  error
 }
 
-// Retrieve runs the MWS–RC phase: authenticate, fetch messages after the
-// cursor, and unwrap the PKG token.
+// credentials returns r's session key and ticket, unwrapping the token on
+// first use. The first caller's context carries the token.open span, so
+// it lands in the trace of the PKG call that needed it.
+func (c *Client) credentials(ctx context.Context, r *Retrieval) (*ticket.Token, error) {
+	r.tokenOnce.Do(func() {
+		_, sp := obsv.StartSpan(ctx, "token.open")
+		r.token, r.tokenErr = ticket.OpenToken(c.priv, r.tokenBlob)
+		sp.SetErr(r.tokenErr)
+		sp.End()
+		if r.tokenErr != nil {
+			r.tokenErr = fmt.Errorf("rclient: token: %w", r.tokenErr)
+		}
+	})
+	return r.token, r.tokenErr
+}
+
+// Retrieve runs the MWS–RC phase: authenticate and fetch messages after
+// the cursor, keeping the PKG token sealed until it is needed.
 func (c *Client) Retrieve(mws *wire.Client, fromSeq uint64, limit uint32) (*Retrieval, error) {
 	return c.RetrieveContext(background(), mws, fromSeq, limit)
 }
@@ -108,8 +131,7 @@ func background() context.Context {
 
 // RetrieveContext is Retrieve under a request context: when the context
 // carries a trace span, the current trace rides the retrieve frame so
-// the warehouse's spans stitch to the client's, and the token unwrap
-// lands as its own child span.
+// the warehouse's spans stitch to the client's.
 func (c *Client) RetrieveContext(ctx context.Context, mws *wire.Client, fromSeq uint64, limit uint32) (*Retrieval, error) {
 	return c.retrieve(ctx, mws, fromSeq, limit, nil)
 }
@@ -126,14 +148,7 @@ func (c *Client) retrieve(ctx context.Context, mws *wire.Client, fromSeq uint64,
 	if err != nil {
 		return nil, err
 	}
-	_, tokSp := obsv.StartSpan(ctx, "token.open")
-	tok, err := ticket.OpenToken(c.priv, rr.TokenBlob)
-	tokSp.SetErr(err)
-	tokSp.End()
-	if err != nil {
-		return nil, fmt.Errorf("rclient: token: %w", err)
-	}
-	return &Retrieval{Items: rr.Items, SessionKey: tok.SessionKey, TicketBlob: tok.TicketBlob}, nil
+	return &Retrieval{Items: rr.Items, tokenBlob: rr.TokenBlob}, nil
 }
 
 // FetchKeys runs the RC–PKG phase for the given retrieval: a key for each
@@ -145,7 +160,8 @@ func (c *Client) FetchKeys(pkg *wire.Client, r *Retrieval) (map[keyIndex]*bfibe.
 
 // FetchKeysContext is FetchKeys under a request context: the current
 // trace (if any) rides the extract frame so the PKG's spans stitch to
-// the client's.
+// the client's, and the token unwrap, if this call is the first to need
+// it, lands as its own child span.
 func (c *Client) FetchKeysContext(ctx context.Context, pkg *wire.Client, r *Retrieval) (map[keyIndex]*bfibe.PrivateKey, []wire.ExtractItem, error) {
 	// Deduplicate (AID, nonce) pairs: every message a device deposits
 	// within one nonce epoch shares a key by design (WithNonceEpoch(64)
@@ -174,12 +190,16 @@ func (c *Client) FetchKeysContext(ctx context.Context, pkg *wire.Client, r *Retr
 	if len(items) == 0 {
 		return keys, nil, nil
 	}
-	authBlob, err := ticket.SealAuthenticator(r.SessionKey, &ticket.Authenticator{RC: c.id, Timestamp: c.now()})
+	tok, err := c.credentials(ctx, r)
+	if err != nil {
+		return nil, nil, err
+	}
+	authBlob, err := ticket.SealAuthenticator(tok.SessionKey, &ticket.Authenticator{RC: c.id, Timestamp: c.now()})
 	if err != nil {
 		return nil, nil, err
 	}
 	er, err := wire.Call(ctx, pkg, wire.OpExtract,
-		&wire.ExtractRequest{RC: c.id, TicketBlob: r.TicketBlob, Authenticator: authBlob, Items: items})
+		&wire.ExtractRequest{RC: c.id, TicketBlob: tok.TicketBlob, Authenticator: authBlob, Items: items})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -190,7 +210,7 @@ func (c *Client) FetchKeysContext(ctx context.Context, pkg *wire.Client, r *Retr
 	_, openSp := obsv.StartSpan(ctx, "keys.open")
 	opened := make([]*bfibe.PrivateKey, len(items))
 	err = fanout.Each(ctx, len(items), func(_ context.Context, i int) error {
-		raw, err := ticket.OpenExtractedKey(r.SessionKey, er.SealedKeys[i])
+		raw, err := ticket.OpenExtractedKey(tok.SessionKey, er.SealedKeys[i])
 		if err == nil {
 			opened[i], err = bfibe.UnmarshalPrivateKey(c.params, raw)
 		}

@@ -16,22 +16,28 @@ func (c *Client) FetchTrapdoor(pkg *wire.Client, r *Retrieval, keyword string) (
 }
 
 // FetchTrapdoorContext is FetchTrapdoor under a request context: the
-// current trace (if any) rides the trapdoor frame to the PKG.
+// current trace (if any) rides the trapdoor frame to the PKG, and the
+// token unwrap, if this call is the first to need it, lands as its own
+// child span.
 func (c *Client) FetchTrapdoorContext(ctx context.Context, pkg *wire.Client, r *Retrieval, keyword string) ([]byte, error) {
-	sealedKw, err := ticket.SealTrapdoorPayload(r.SessionKey, []byte(keyword))
+	tok, err := c.credentials(ctx, r)
 	if err != nil {
 		return nil, err
 	}
-	authBlob, err := ticket.SealAuthenticator(r.SessionKey, &ticket.Authenticator{RC: c.id, Timestamp: c.now()})
+	sealedKw, err := ticket.SealTrapdoorPayload(tok.SessionKey, []byte(keyword))
+	if err != nil {
+		return nil, err
+	}
+	authBlob, err := ticket.SealAuthenticator(tok.SessionKey, &ticket.Authenticator{RC: c.id, Timestamp: c.now()})
 	if err != nil {
 		return nil, err
 	}
 	tr, err := wire.Call(ctx, pkg, wire.OpTrapdoor,
-		&wire.TrapdoorRequest{RC: c.id, TicketBlob: r.TicketBlob, Authenticator: authBlob, SealedKeyword: sealedKw})
+		&wire.TrapdoorRequest{RC: c.id, TicketBlob: tok.TicketBlob, Authenticator: authBlob, SealedKeyword: sealedKw})
 	if err != nil {
 		return nil, err
 	}
-	trapdoor, err := ticket.OpenTrapdoorPayload(r.SessionKey, tr.SealedTrapdoor)
+	trapdoor, err := ticket.OpenTrapdoorPayload(tok.SessionKey, tr.SealedTrapdoor)
 	if err != nil {
 		return nil, fmt.Errorf("rclient: sealed trapdoor: %w", err)
 	}
