@@ -196,30 +196,6 @@ func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 	return c.fromJacobian(&r)
 }
 
-// scalarMultBinary is the textbook double-and-add ScalarMult replaced.
-// It survives unexported as the independent reference the multiplier
-// cross-check tests compare ScalarMult, ScalarMultSecret, and Comb.Mul
-// against.
-func (c *Curve) scalarMultBinary(p Point, k *big.Int) Point {
-	if p.Inf || k.Sign() == 0 {
-		return c.Infinity()
-	}
-	kk := k
-	if k.Sign() < 0 {
-		kk = new(big.Int).Neg(k)
-		p = p.Neg()
-	}
-	j := c.toJacobian(p)
-	r := c.jacInfinity()
-	for i := kk.BitLen() - 1; i >= 0; i-- {
-		jacDouble(&r, &r)
-		if kk.Bit(i) == 1 {
-			c.jacAdd(&r, &r, &j)
-		}
-	}
-	return c.fromJacobian(&r)
-}
-
 // ScalarBaseOrderCheck reports whether p lies in the order-q subgroup.
 func (c *Curve) ScalarBaseOrderCheck(p Point) bool {
 	return c.ScalarMult(p, c.Q).Inf

@@ -80,25 +80,6 @@ func BenchmarkFp2Square(b *testing.B) {
 	}
 }
 
-func BenchmarkFp2Inv(b *testing.B) {
-	x, y := benchElems(b)
-	e := NewE2(x, y)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.Inv()
-	}
-}
-
-func BenchmarkFp2Exp(b *testing.B) {
-	x, y := benchElems(b)
-	e := NewE2(x, y)
-	exp, _ := new(big.Int).SetString("1120670043750042761784702932102626593805650752633", 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.Exp(exp)
-	}
-}
-
 // The in-place forms the curve and pairing kernels are written on.
 func BenchmarkFpSetMul(b *testing.B) {
 	x, y := benchElems(b)
@@ -121,5 +102,40 @@ func BenchmarkFpSetSub(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x.SetSub(&x, &y)
+	}
+}
+
+// benchLanes fills a lane vector with exact forms of random bf80 elements;
+// it skips the benchmark where the lane kernel cannot run.
+func benchLanes(b *testing.B) *Lanes {
+	b.Helper()
+	if !benchField.HasLanes() {
+		b.Skip("no AVX-512 IFMA lane kernel on this host")
+	}
+	var l Lanes
+	for j := range LaneWidth {
+		x, _ := benchElems(b)
+		l.SetRaw(j, &x)
+	}
+	benchField.LaneExact(&l, &l)
+	return &l
+}
+
+// BenchmarkLaneMul is one lane product: eight bf80 multiplications, to
+// set against eight BenchmarkFpMul.
+func BenchmarkLaneMul(b *testing.B) {
+	x, y := benchLanes(b), benchLanes(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchField.LaneMul(x, x, y)
+	}
+}
+
+// BenchmarkLaneAdd is eight bf80 additions, to set against eight FpAdd.
+func BenchmarkLaneAdd(b *testing.B) {
+	x, y := benchLanes(b), benchLanes(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchField.LaneAdd(x, x, y)
 	}
 }

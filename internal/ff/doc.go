@@ -15,4 +15,9 @@
 // pairing kernels call; the value methods (x.Mul(y)) are wrappers over it
 // that return a fresh element, so a value shared across goroutines is
 // never written unless someone passes its address as a destination.
+//
+// Lanes (lane.go) is a second representation for batched work: eight
+// elements of one field side by side, multiplied, added and subtracted
+// by one AVX-512 IFMA instruction stream where the processor has it
+// (Field.HasLanes). Only pairing.G1Precomp.PairBatch uses it.
 package ff

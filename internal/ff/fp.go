@@ -36,6 +36,8 @@ type Field struct {
 	// are read branch-by-branch, which is fine precisely because the
 	// modulus (and so the exponent) is public.
 	pPlus1Div4 *big.Int // (p+1)/4, square-root exponent for p ≡ 3 (mod 4)
+
+	lane laneConsts // the lane kernel's modulus and conversions (lane.go)
 }
 
 // NewField constructs the prime field F_p. p must be an odd prime with
@@ -76,6 +78,7 @@ func NewField(p *big.Int) (*Field, error) {
 	f.one = f.limbsOfBig(new(big.Int).Mod(r, p))
 	f.r2 = f.limbsOfBig(new(big.Int).Mod(new(big.Int).Mul(r, r), p))
 	f.r3 = f.limbsOfBig(new(big.Int).Exp(r, big.NewInt(3), p))
+	f.initLane()
 	return f, nil
 }
 

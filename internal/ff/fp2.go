@@ -3,7 +3,6 @@ package ff
 import (
 	"fmt"
 	"io"
-	"math/big"
 )
 
 // E2 is an element of F_p² = F_p[i]/(i²+1), stored as A + B·i. Like
@@ -110,35 +109,6 @@ func (x E2) Conjugate() E2 { x.B.SetNeg(&x.B); return x }
 
 // Mul returns x · y.
 func (x E2) Mul(y E2) E2 { x.SetMul(&x, &y); return x }
-
-// Norm returns a² + b² ∈ F_p, the field norm of x.
-func (x E2) Norm() Element { return x.A.Square().Add(x.B.Square()) }
-
-// Inv returns x⁻¹ = conj(x)/norm(x). It panics if x is zero.
-func (x E2) Inv() E2 {
-	n := x.Norm()
-	if n.IsZero() {
-		panic("ff: inverse of zero in F_p²")
-	}
-	ni := n.Inv()
-	return E2{A: x.A.Mul(ni), B: x.B.Neg().Mul(ni)}
-}
-
-// Exp returns x^k for a non-negative exponent, by square-and-multiply.
-func (x E2) Exp(k *big.Int) E2 {
-	f := x.A.f
-	if k.Sign() == 0 {
-		return f.E2One()
-	}
-	r := f.E2One()
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		r.SetSquare(&r)
-		if k.Bit(i) == 1 {
-			r.SetMul(&r, &x)
-		}
-	}
-	return r
-}
 
 // String implements fmt.Stringer.
 func (x E2) String() string { return fmt.Sprintf("(%s + %s·i)", x.A, x.B) }

@@ -43,6 +43,40 @@ func e2Add(x, y E2) E2 { x.SetAdd(&x, &y); return x }
 
 func e2Square(x E2) E2 { x.SetSquare(&x); return x }
 
+// Norm, Inv and Exp are the textbook F_p² norm, inverse and power, which nothing
+// outside the tests calls since the Lucas-ladder final exponentiation;
+// they stay here as the field-law tests' references (internal/pairing's
+// tests keep their own, e2Inv and e2Exp).
+
+// Norm returns a² + b² ∈ F_p, the field norm of x.
+func (x E2) Norm() Element { return x.A.Square().Add(x.B.Square()) }
+
+// Inv returns x⁻¹ = conj(x)/norm(x). It panics if x is zero.
+func (x E2) Inv() E2 {
+	n := x.Norm()
+	if n.IsZero() {
+		panic("ff: inverse of zero in F_p²")
+	}
+	ni := n.Inv()
+	return E2{A: x.A.Mul(ni), B: x.B.Neg().Mul(ni)}
+}
+
+// Exp returns x^k for a non-negative exponent, by square-and-multiply.
+func (x E2) Exp(k *big.Int) E2 {
+	f := x.A.f
+	if k.Sign() == 0 {
+		return f.E2One()
+	}
+	r := f.E2One()
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		r.SetSquare(&r)
+		if k.Bit(i) == 1 {
+			r.SetMul(&r, &x)
+		}
+	}
+	return r
+}
+
 func TestE2Identities(t *testing.T) {
 	f := testField(t)
 	if !f.E2Zero().IsZero() {

@@ -2,7 +2,7 @@
 
 // Command gen_mont8 emits the unrolled CIOS Montgomery multiplication
 // for 8-limb (512-bit) moduli — the bf80 deployment hot path — in two
-// forms:
+// forms, and the AVX-512 IFMA lane kernel beside them:
 //
 //   - mont8.go: portable pure-Go unrolling (montMul8Go). Go cannot keep
 //     two carry chains in the one flags register, so this version spills;
@@ -11,6 +11,10 @@
 //   - mont8_amd64.s: MULX/ADCX/ADOX assembly (montMul8ADX) that runs the
 //     product chain in OF and the carry-propagation chain in CF
 //     simultaneously, with the nine accumulator limbs held in registers.
+//   - mont8_amd64.s also holds the lane kernel (laneMulIFMA and its
+//     siblings, see lane.go): eight elements of any field of at most 8
+//     limbs, limb-major in ten 52-bit limbs, multiplied, added and
+//     subtracted eight at a time with VPMADD52LUQ/VPMADD52HUQ.
 //
 // Regenerate with:
 //
@@ -264,6 +268,7 @@ func genAsm() {
 		w("\tMOVQ %s, %d(SI)", t[j], 8*j)
 	}
 	w("\tRET")
+	genLaneAsm(w)
 	w("")
 	w("// func cpuidx(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)")
 	w("TEXT ·cpuidx(SB), NOSPLIT, $0-24")
@@ -275,9 +280,172 @@ func genAsm() {
 	w("\tMOVL CX, ecx+16(FP)")
 	w("\tMOVL DX, edx+20(FP)")
 	w("\tRET")
+	w("")
+	w("// func xgetbv() (eax, edx uint32)")
+	w("TEXT ·xgetbv(SB), NOSPLIT, $0-8")
+	w("\tMOVL $0, CX")
+	w("\tXGETBV")
+	w("\tMOVL AX, eax+0(FP)")
+	w("\tMOVL DX, edx+4(FP)")
+	w("\tRET")
 
 	if err := os.WriteFile("mont8_amd64.s", b.Bytes(), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// The lane kernel's registers. A lane vector (ff.Lanes) is ten ZMM words,
+// limb i of all eight lanes at offset 64·i; a LaneConst is ten scalar
+// limbs, broadcast to every lane; laneMod holds p's ten limbs at 0–72 and
+// −p⁻¹ mod 2⁵² at 80.
+//
+//	Z0–Z9   x's limbs, then the subtraction's d limbs
+//	Z10–Z19 the accumulator t, renamed one limb down per round
+//	Z20     y[i], the round's multiplier
+//	Z21     q, the round's Montgomery quotient
+//	Z22     −p⁻¹ mod 2⁵² in every lane
+//	Z23     carries and the final sign mask
+//	Z24     2⁵² − 1 in every lane
+//	Z25     p's limb masked by the sign (subtraction)
+//	SI, DX, DI, R8 = &x, &y, &m, &z
+func genLaneAsm(w func(string, ...any)) {
+	z := func(i int) string { return fmt.Sprintf("Z%d", i) }
+	prologue := func(name, yType string) {
+		w("")
+		w("// func %s(z, x *Lanes, y *%s, m *laneMod)", name, yType)
+		w("TEXT ·%s(SB), NOSPLIT, $0-32", name)
+		w("\tMOVQ z+0(FP), R8")
+		w("\tMOVQ x+8(FP), SI")
+		w("\tMOVQ y+16(FP), DX")
+		w("\tMOVQ m+24(FP), DI")
+		w("\tMOVQ $0xfffffffffffff, AX")
+		w("\tVPBROADCASTQ AX, Z24")
+	}
+	// carry propagates limb j's excess above 52 bits into limb j+1, for
+	// j = 0…8, leaving limbs 0–8 in [0, 2⁵²). shift is VPSRLQ for
+	// non-negative limbs and VPSRAQ when a limb may have borrowed.
+	carry := func(t []string, shift string) {
+		for j := 0; j < 9; j++ {
+			w("\t%s $52, %s, Z23", shift, t[j])
+			w("\tVPANDQ Z24, %s, %s", t[j], t[j])
+			w("\tVPADDQ Z23, %s, %s", t[j+1], t[j+1])
+		}
+	}
+	// reduceStore stores t − p where that is non-negative and t otherwise:
+	// t is normalised and below 2p, so the result is t mod p.
+	reduceStore := func(t []string) {
+		w("\tVPSUBQ.BCST 0(DI), %s, Z0", t[0])
+		for j := 1; j < 10; j++ {
+			w("\tVPSRAQ $52, %s, Z23", z(j-1))
+			w("\tVPANDQ Z24, %s, %s", z(j-1), z(j-1))
+			w("\tVPSUBQ.BCST %d(DI), %s, %s", 8*j, t[j], z(j))
+			w("\tVPADDQ Z23, %s, %s", z(j), z(j))
+		}
+		w("\tVPSRAQ $63, Z9, Z23")
+		w("\tVPTESTMQ Z23, Z23, K1") // lanes where t < p keep t
+		for j := 0; j < 10; j++ {
+			w("\tVPBLENDMQ %s, %s, K1, %s", t[j], z(j), z(j))
+			w("\tVMOVDQU64 %s, %d(R8)", z(j), 64*j)
+		}
+		w("\tVZEROUPPER")
+		w("\tRET")
+	}
+
+	// Multiplication, word-by-word Montgomery in radix 2⁵²: per round,
+	// t += x·y[i] + q·p with q = t₀·(−p⁻¹) mod 2⁵², whose low halves land
+	// on limb j and high halves on limb j+1; t₀ is then divisible by 2⁵²,
+	// so its carry moves up and the limbs rename one down (the >>52).
+	// Each limb collects at most four 52-bit halves a round, so after ten
+	// rounds every limb is below 2⁵⁸. t < 2p because x, y < p < R/4.
+	// y[i] is a ZMM word 64 bytes apart, or a scalar limb 8 bytes apart
+	// broadcast to every lane.
+	for _, v := range []struct {
+		name, yType, load string
+		stride            int
+	}{
+		{"laneMulIFMA", "Lanes", "VMOVDQU64 %d(DX), Z20", 64},
+		{"laneMulConstIFMA", "LaneConst", "VPBROADCASTQ %d(DX), Z20", 8},
+	} {
+		prologue(v.name, v.yType)
+		w("\tVPBROADCASTQ 80(DI), Z22")
+		for j := 0; j < 10; j++ {
+			w("\tVMOVDQU64 %d(SI), %s", 64*j, z(j))
+			w("\tVPXORQ %s, %s, %s", z(10+j), z(10+j), z(10+j))
+		}
+		t := make([]string, 10)
+		for j := range t {
+			t[j] = z(10 + j)
+		}
+		for i := 0; i < 10; i++ {
+			w("")
+			w("\t// round %d: t = (t + x·y[%d] + q·p) >> 52", i, i)
+			w("\t"+v.load, v.stride*i)
+			w("\tVPMADD52LUQ Z20, Z0, %s", t[0])
+			w("\tVPXORQ Z21, Z21, Z21")
+			w("\tVPMADD52LUQ Z22, %s, Z21", t[0])
+			for j := 1; j < 10; j++ {
+				w("\tVPMADD52LUQ Z20, %s, %s", z(j), t[j])
+			}
+			for j := 0; j < 10; j++ {
+				w("\tVPMADD52LUQ.BCST %d(DI), Z21, %s", 8*j, t[j])
+			}
+			w("\tVPSRLQ $52, %s, Z23", t[0])
+			w("\tVPXORQ %s, %s, %s", t[0], t[0], t[0])
+			t = append(t[1:], t[0])
+			w("\tVPADDQ Z23, %s, %s", t[0], t[0])
+			for j := 0; j < 10; j++ {
+				w("\tVPMADD52HUQ Z20, %s, %s", z(j), t[j])
+			}
+			for j := 0; j < 10; j++ {
+				w("\tVPMADD52HUQ.BCST %d(DI), Z21, %s", 8*j, t[j])
+			}
+		}
+		w("")
+		w("\t// normalise, then subtract p where t ≥ p")
+		carry(t, "VPSRLQ")
+		reduceStore(t)
+	}
+
+	// Addition: limb sums below 2⁵³, normalised, then reduced like a
+	// product.
+	t := make([]string, 10)
+	for j := range t {
+		t[j] = z(10 + j)
+	}
+	for _, v := range []struct {
+		name, yType, op string
+		stride          int
+	}{
+		{"laneAddIFMA", "Lanes", "VPADDQ %d(DX), %s, %s", 64},
+		{"laneAddConstIFMA", "LaneConst", "VPADDQ.BCST %d(DX), %s, %s", 8},
+	} {
+		prologue(v.name, v.yType)
+		for j := 0; j < 10; j++ {
+			w("\tVMOVDQU64 %d(SI), %s", 64*j, t[j])
+			w("\t"+v.op, v.stride*j, t[j], t[j])
+		}
+		carry(t, "VPSRLQ")
+		reduceStore(t)
+	}
+
+	// Subtraction: limb differences, borrows propagated by arithmetic
+	// shifts, then p added back in the lanes whose top limb went negative.
+	prologue("laneSubIFMA", "Lanes")
+	for j := 0; j < 10; j++ {
+		w("\tVMOVDQU64 %d(SI), %s", 64*j, t[j])
+		w("\tVPSUBQ %d(DX), %s, %s", 64*j, t[j], t[j])
+	}
+	carry(t, "VPSRAQ")
+	w("\tVPSRAQ $63, %s, Z23", t[9])
+	for j := 0; j < 10; j++ {
+		w("\tVPANDQ.BCST %d(DI), Z23, Z25", 8*j)
+		w("\tVPADDQ Z25, %s, %s", t[j], t[j])
+	}
+	carry(t, "VPSRLQ")
+	for j := 0; j < 10; j++ {
+		w("\tVMOVDQU64 %s, %d(R8)", t[j], 64*j)
+	}
+	w("\tVZEROUPPER")
+	w("\tRET")
 }

@@ -19,3 +19,21 @@ var mont8Kernels = func() map[string]func() (restore func()) {
 	}
 	return ks
 }()
+
+// laneKernels forces the lane kernel off, and on where this processor can
+// run it; the returned func restores the dispatch. Like mont8Kernels, its
+// users must not be parallel.
+var laneKernels = func() map[string]func() (restore func()) {
+	force := func(on bool) func() func() {
+		return func() func() {
+			was := useIFMA
+			useIFMA = on
+			return func() { useIFMA = was }
+		}
+	}
+	ks := map[string]func() func(){"off": force(false)}
+	if useIFMA {
+		ks["ifma"] = force(true)
+	}
+	return ks
+}()

@@ -192,24 +192,45 @@ func New(cfg Config) (*Service, error) {
 // errLimitReached ends a limited search's fan-out; it never leaves Retrieve.
 var errLimitReached = errors.New("mws: search limit reached")
 
-// anyTagMatches tests a message's PEKS tags against a search's trapdoor.
+// searchChunk is how many messages an unlimited search claims at once:
+// one lane batch of pairings (pairing.G1Precomp.PairBatch).
+const searchChunk = 8
+
+// matchTags tests a chunk of messages' PEKS tags against a search's
+// trapdoor in rounds: round k tests tag k of every message that has not
+// matched yet, all in one TestBatch, so each message still stops at its
+// first match and the counters read as the message-by-message loop's.
 // UnmarshalTag curve-checks a stored tag's point once (a second pairing
 // argument needs no order check, DESIGN.md §9). Undecodable tags are
 // counted and skipped rather than failing the whole retrieval; only
 // counts leave this function, never tag bytes.
-func (s *Service) anyTagMatches(tags [][]byte, t *peks.Tester) bool {
-	for _, raw := range tags {
-		tag, err := peks.UnmarshalTag(s.cfg.IBEParams, raw)
-		if err != nil {
-			s.tagsUndecodable.Inc()
-			continue
+func (s *Service) matchTags(msgs []*storage.Message, matched []bool, t *peks.Tester) {
+	rounds := 0
+	for _, m := range msgs {
+		rounds = max(rounds, len(m.Tags))
+	}
+	tags := make([]*peks.Tag, 0, len(msgs))
+	who := make([]int, 0, len(msgs))
+	hit := make([]bool, len(msgs))
+	for k := range rounds {
+		tags, who = tags[:0], who[:0]
+		for i, m := range msgs {
+			if matched[i] || k >= len(m.Tags) {
+				continue
+			}
+			tag, err := peks.UnmarshalTag(s.cfg.IBEParams, m.Tags[k])
+			if err != nil {
+				s.tagsUndecodable.Inc()
+				continue
+			}
+			tags, who = append(tags, tag), append(who, i)
 		}
-		s.tagsTested.Inc()
-		if t.Test(tag) {
-			return true
+		s.tagsTested.Add(uint64(len(tags)))
+		t.TestBatch(tags, hit[:len(tags)])
+		for n, i := range who {
+			matched[i] = hit[n]
 		}
 	}
-	return false
 }
 
 // Close releases all stores. The storage provider owns every underlying
@@ -526,20 +547,25 @@ func (s *Service) Retrieve(ctx context.Context, req *wire.RetrieveRequest) (*wir
 			return nil, &wire.ErrorMsg{Code: wire.CodeBadRequest, Message: "malformed trapdoor"}
 		}
 		s.searches.Inc()
-		peksSp.SetAttr("workers", strconv.Itoa(fanout.Workers(len(msgs))))
-		// Each tag test costs a pairing: messages are tested across the
-		// host's cores, honoring the deadline between messages so a huge
-		// backlog cannot pin the server. Reaching a limit stops new
-		// claims; every claimed message is below the highest claim and
-		// finishes, so the first Limit matches in seq order are found.
+		// Each tag test costs a pairing: chunks of messages are tested
+		// across the host's cores, a chunk's tags a lane batch at a time,
+		// honoring the deadline between chunks so a huge backlog cannot
+		// pin the server. A limited search claims one message at a time:
+		// reaching the limit stops new claims, every claimed message is
+		// below the highest claim and finishes, so the first Limit matches
+		// in seq order are found and few messages past them are tested.
 		matched := make([]bool, len(msgs))
+		chunk := searchChunk
+		if req.Limit > 0 {
+			chunk = 1
+		}
+		claims := (len(msgs) + chunk - 1) / chunk
+		peksSp.SetAttr("workers", strconv.Itoa(fanout.Workers(claims)))
 		var found atomic.Int64
-		err = fanout.Each(ctx, len(msgs), func(_ context.Context, i int) error {
-			if !s.anyTagMatches(msgs[i].Tags, tester) {
-				return nil
-			}
-			matched[i] = true
-			if req.Limit > 0 && found.Add(1) >= int64(req.Limit) {
+		err = fanout.Each(ctx, claims, func(_ context.Context, c int) error {
+			lo, hi := c*chunk, min((c+1)*chunk, len(msgs))
+			s.matchTags(msgs[lo:hi], matched[lo:hi], tester)
+			if req.Limit > 0 && matched[lo] && found.Add(1) >= int64(req.Limit) {
 				return errLimitReached
 			}
 			return nil

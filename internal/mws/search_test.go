@@ -204,7 +204,7 @@ func TestSearchLimitReturnsFirstMatchesInSeqOrder(t *testing.T) {
 	e := newSearchEnv(t)
 	const n = 24
 	for i := 0; i < n; i++ {
-		keywords := [][]string{{"outage"}, {"reading"}, {"reading", "outage"}}[i%3]
+		keywords := [][]string{{"outage", "reading"}, {"reading"}, {"reading", "outage"}}[i%3]
 		e.deposit(t, keywords, i%4 == 1)
 	}
 	td := e.trapdoor(t, "outage")

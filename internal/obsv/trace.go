@@ -85,10 +85,6 @@ func newID() uint64 {
 	}
 }
 
-// NewTraceID mints a fresh trace identifier for a client originating a
-// request (smartdev, rcclient).
-func NewTraceID() uint64 { return newID() }
-
 // Tracer owns a service's span ring and slow-request policy. A nil
 // *Tracer is valid and disables tracing at every call site.
 type Tracer struct {

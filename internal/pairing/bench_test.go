@@ -2,6 +2,7 @@ package pairing
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -36,6 +37,48 @@ func BenchmarkPrecompPair(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkGT = pre.Pair(q)
+	}
+}
+
+// BenchmarkPairBatch is one lane batch: eight points against one
+// precomputation, a search chunk's tag round. On a host with AVX-512 IFMA
+// it reads ≈ 0.3 × eight PrecompPair; ≈ 8 × means the lane kernel did not
+// run. The sub-benchmarks below eight locate laneCrossover: the fewest
+// points whose lane batch beats as many PrecompPair.
+func BenchmarkPairBatch(b *testing.B) {
+	sys, p, _ := benchPoints(b)
+	pre := sys.G1Precomp(p)
+	qs := make([]ec.Point, 8)
+	for i := range qs {
+		_, _, qs[i] = benchPoints(b)
+	}
+	out := make([]GT, len(qs))
+	pre.PairBatch(qs, out) // build the lane lines outside the timer
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pre.PairBatch(qs, out)
+	}
+}
+
+// BenchmarkLaneBatch times the lane path itself for 1–4 points, which
+// PairBatch sends to the Pair loop below laneCrossover.
+func BenchmarkLaneBatch(b *testing.B) {
+	sys, p, _ := benchPoints(b)
+	if !sys.Curve.F.HasLanes() {
+		b.Skip("no AVX-512 IFMA lane kernel on this host")
+	}
+	pre := sys.G1Precomp(p)
+	qs := make([]ec.Point, 4)
+	for i := range qs {
+		_, _, qs[i] = benchPoints(b)
+	}
+	out := make([]GT, len(qs))
+	for n := 1; n <= len(qs); n++ {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pre.pairLanes(qs[:n], out[:n])
+			}
+		})
 	}
 }
 

@@ -27,8 +27,32 @@ func presetSystems(t testing.TB) map[string]*System {
 // F_p² with the public exponent (p+1)/q. It is the independent reference
 // the differential tests and BenchmarkFinalExp compare finalExp against.
 func (e *Pairing) finalExpRef(f ff.E2) ff.E2 {
-	g := f.Conjugate().Mul(f.Inv())
-	return g.Exp(e.pPlus1DivQ)
+	g := f.Conjugate().Mul(e2Inv(f))
+	return e2Exp(g, e.pPlus1DivQ)
+}
+
+// e2Inv returns x⁻¹ = conj(x)/(a² + b²) for x = a + b·i; it panics if x
+// is zero. It and e2Exp are the textbook F_p² inverse and power the
+// references here are written with.
+func e2Inv(x ff.E2) ff.E2 {
+	n := x.A.Square().Add(x.B.Square())
+	if n.IsZero() {
+		panic("pairing: inverse of zero in F_p²")
+	}
+	ni := n.Inv()
+	return ff.NewE2(x.A.Mul(ni), x.B.Neg().Mul(ni))
+}
+
+// e2Exp returns x^k for k ≥ 0 by square-and-multiply.
+func e2Exp(x ff.E2, k *big.Int) ff.E2 {
+	r := x.A.Field().E2One()
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		r.SetSquare(&r)
+		if k.Bit(i) == 1 {
+			r.SetMul(&r, &x)
+		}
+	}
+	return r
 }
 
 // TestGoldenPairingVectors pins pairing outputs to the bytes the parent
@@ -81,7 +105,7 @@ func TestGoldenPairingVectors(t *testing.T) {
 }
 
 // TestFinalExpMatchesReference: the Lucas final exponentiation equals
-// the conj(f)·f⁻¹ then E2.Exp routine it replaced on random F_p² values,
+// the conj(f)·f⁻¹ then square-and-multiply routine it replaced on random F_p² values,
 // none of which is a Miller value of anything — the identity holds on all
 // of F_p²*, not only on accumulators of valid points.
 func TestFinalExpMatchesReference(t *testing.T) {
@@ -108,7 +132,8 @@ func TestFinalExpMatchesReference(t *testing.T) {
 
 // TestFinalExpDegenerate: accumulators in F_p or i·F_p map to g = ±1,
 // where the ladder's closing division by Im(g) is undefined; they must
-// take the explicit branch and return what the reference returns.
+// take the explicit branch and return what the reference returns, and
+// finalExpLanes must mask in the same values.
 func TestFinalExpDegenerate(t *testing.T) {
 	for name, sys := range presetSystems(t) {
 		F := sys.Curve.F
@@ -145,11 +170,22 @@ func TestFinalExpDegenerate(t *testing.T) {
 			t.Errorf("odd exponent: finalExp(%v) = %v, reference %v", f, got, want)
 		}
 	}
+	// The lane path folds the same cases in by masks, zero included.
+	if F.HasLanes() {
+		seven := F.FromInt64(7)
+		checkFinalExpLanes(t, tiny, [ff.LaneWidth]ff.E2{
+			ff.NewE2(F.Zero(), seven), ff.NewE2(seven, F.Zero()), ff.NewE2(F.Zero(), F.Zero()), F.E2One(),
+			F.E2One().Neg(), ff.NewE2(F.Zero(), seven.Neg()), ff.NewE2(seven, seven), ff.NewE2(F.One(), seven),
+		})
+	}
 }
 
 // FuzzFinalExp is the differential target for the CI fuzz smoke: any
 // non-zero F_p² value, decoded from fuzzer bytes on the test preset, must
-// come out of the Lucas ladder exactly as out of the reference.
+// come out of the Lucas ladder exactly as out of the reference. Where the
+// lane kernel runs, the value, its two zero-coordinate projections, zero
+// and its negation and conjugate fill a lane batch, which must match
+// finalExp lane for lane.
 func FuzzFinalExp(f *testing.F) {
 	sys := ParamsTest.MustSystem()
 	F := sys.Curve.F
@@ -166,6 +202,12 @@ func FuzzFinalExp(f *testing.F) {
 			F.NewElement(new(big.Int).SetBytes(b[:F.ByteLen()])),
 			F.NewElement(new(big.Int).SetBytes(b[F.ByteLen():])),
 		)
+		if F.HasLanes() {
+			checkFinalExpLanes(t, sys.Pairing, [ff.LaneWidth]ff.E2{
+				x, ff.NewE2(x.A, F.Zero()), ff.NewE2(F.Zero(), x.B), F.E2One(),
+				ff.NewE2(F.Zero(), F.Zero()), x.Neg(), x.Conjugate(), ff.NewE2(F.Zero(), x.B.Neg()),
+			})
+		}
 		if x.IsZero() {
 			return
 		}

@@ -31,6 +31,7 @@ package pairing
 import (
 	"math/big"
 	"slices"
+	"sync"
 
 	"mwskit/internal/ec"
 	"mwskit/internal/ff"
@@ -70,6 +71,10 @@ type Pairing struct {
 	// naf is q in non-adjacent form, most significant digit first: the
 	// digits of the Miller walk (G1Precomp).
 	naf []int8
+	// laneTwo and laneHalf are two and half in exact lane form, built by
+	// laneConsts on the first lane batch (PairBatch).
+	laneOnce          sync.Once
+	laneTwo, laneHalf ff.Lanes
 }
 
 // New builds a Pairing for the given curve.
@@ -285,6 +290,10 @@ type G1Precomp struct {
 	steps []millerStep
 	// one marks P = ∞ or P outside G1: every pairing against it is 1.
 	one bool
+	// lanes are the steps' lines as lane constants, built by laneLines on
+	// the first lane batch (PairBatch).
+	laneOnce sync.Once
+	lanes    []ff.LaneConst
 }
 
 // G1Precomp builds the line cache for a fixed first argument. P must lie

@@ -42,9 +42,9 @@ func (g GT) Inv() GT { return GT{v: g.v.Conjugate()} }
 // conjugate, since elements of μ_q satisfy g^(p+1) = norm = 1.
 func (g GT) Exp(k *big.Int) GT {
 	if k.Sign() < 0 {
-		return GT{v: g.v.Conjugate().Exp(new(big.Int).Neg(k))}
+		return GT{v: e2Exp(g.v.Conjugate(), new(big.Int).Neg(k))}
 	}
-	return GT{v: g.v.Exp(k)}
+	return GT{v: e2Exp(g.v, k)}
 }
 
 func TestPresetsValidate(t *testing.T) {

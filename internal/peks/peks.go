@@ -114,13 +114,44 @@ func NewTester(p *bfibe.Params, td *Trapdoor) (*Tester, error) {
 }
 
 // Test reports whether the tag encrypts the tester's keyword;
-// constant-time on the check value. A pairing value of 1 (a U with no G1
-// part, whose H(1) would match every trapdoor) never matches.
+// constant-time on the check value (matches).
 func (t *Tester) Test(tag *Tag) bool {
-	if tag == nil || len(tag.C) != tagHashLen || !t.p.Sys.Curve.IsOnCurve(tag.U) {
-		return false
+	return t.wellFormed(tag) && matches(t.pre.Pair(tag.U), tag)
+}
+
+// TestBatch sets out[i] = t.Test(tags[i]) for every tag. The well-formed
+// tags are paired together (pairing.G1Precomp.PairBatch), eight to an
+// instruction stream where the lane kernel runs: one call tests a search
+// chunk's round of tags.
+func (t *Tester) TestBatch(tags []*Tag, out []bool) {
+	if len(out) != len(tags) {
+		panic("peks: TestBatch operand length mismatch")
 	}
-	v := t.pre.Pair(tag.U)
+	us := make([]ec.Point, 0, len(tags))
+	idx := make([]int, 0, len(tags))
+	for i, tag := range tags {
+		out[i] = false
+		if t.wellFormed(tag) {
+			us, idx = append(us, tag.U), append(idx, i)
+		}
+	}
+	vs := make([]pairing.GT, len(us))
+	t.pre.PairBatch(us, vs)
+	for k, i := range idx {
+		out[i] = matches(vs[k], tags[i])
+	}
+}
+
+// wellFormed reports whether a tag can be tested at all: a full check
+// value and a point on the curve.
+func (t *Tester) wellFormed(tag *Tag) bool {
+	return tag != nil && len(tag.C) == tagHashLen && t.p.Sys.Curve.IsOnCurve(tag.U)
+}
+
+// matches compares the tag's check value with H(v) in constant time. A
+// pairing value of 1 (a U with no G1 part, whose H(1) would match every
+// trapdoor) never matches.
+func matches(v pairing.GT, tag *Tag) bool {
 	want := kdf.Stream("mwskit/peks/h/v1", v.Bytes(), tagHashLen)
 	return !v.IsOne() && subtle.ConstantTimeCompare(want, tag.C) == 1
 }

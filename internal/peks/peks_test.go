@@ -233,3 +233,50 @@ func BenchmarkPEKSTest(b *testing.B) {
 		}
 	}
 }
+
+// TestTestBatchMatchesTest: TestBatch answers as Test does tag by tag,
+// over matching and other keywords' tags, a tag with a short check value,
+// one whose point is off the curve, a nil tag and a tag over ∞, for every
+// batch length from 1 to 12 (across a lane width).
+func TestTestBatchMatchesTest(t *testing.T) {
+	p, m := env(t)
+	td, err := NewTrapdoor(p, m, "outage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tester, err := NewTester(p, td)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tags []*Tag
+	for i := range 12 {
+		kw := []string{"outage", "reading", "billing"}[i%3]
+		tag, err := NewTag(p, kw, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch i {
+		case 4:
+			tag.C = tag.C[:8]
+		case 6:
+			tag.U.Y = tag.U.Y.Add(tag.U.Y)
+		case 9:
+			tag = nil
+		case 11:
+			tag.U = p.Sys.Curve.Infinity()
+		}
+		tags = append(tags, tag)
+	}
+	for n := 1; n <= len(tags); n++ {
+		got := make([]bool, n)
+		tester.TestBatch(tags[:n], got)
+		for i, tag := range tags[:n] {
+			if want := tester.Test(tag); got[i] != want {
+				t.Fatalf("batch of %d, tag %d: TestBatch %v, Test %v", n, i, got[i], want)
+			}
+		}
+		if n == len(tags) && !(got[0] && got[3] && !got[1] && !got[4] && !got[6]) {
+			t.Fatalf("batch verdicts %v: want matches at 0 and 3, none for the other keywords or the malformed tags", got)
+		}
+	}
+}
