@@ -135,7 +135,7 @@ type series struct {
 	labels []Label // sorted by key
 	gauge  bool
 	v      atomic.Int64
-	read   func() int64 // GaugeFunc's reader: Export reports it in place of v
+	read   func() int64 // GaugeFunc's or CounterFunc's reader: Export reports it in place of v
 }
 
 // Counter is a monotonically increasing series, safe for concurrent use.
@@ -266,6 +266,12 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 // for concurrent use. A series registered before keeps its first reader.
 func (r *Registry) GaugeFunc(name string, read func() int64, labels ...Label) {
 	r.lookup(true, name, labels, read)
+}
+
+// CounterFunc is GaugeFunc for a running total its owner already keeps
+// (a log's sync count).
+func (r *Registry) CounterFunc(name string, read func() int64, labels ...Label) {
+	r.lookup(false, name, labels, read)
 }
 
 // OpSample is one operation's totals, latency summary, and error-code

@@ -3,6 +3,7 @@ package policy
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"mwskit/internal/attr"
 	"mwskit/internal/storage"
@@ -236,5 +237,82 @@ func TestPolicyDurability(t *testing.T) {
 	}
 	if aid != 4 {
 		t.Fatalf("post-recovery AID = %d, want 4", aid)
+	}
+}
+
+// ackGatedKV applies each Put and Delete to the store at once but holds
+// its acknowledgement until the test releases it: the window in which a
+// storage mutation is visible in the KV and not yet durable.
+type ackGatedKV struct {
+	storage.KV
+	applied, release chan struct{}
+}
+
+func (g *ackGatedKV) gate(err error) error {
+	g.applied <- struct{}{}
+	<-g.release
+	return err
+}
+
+func (g *ackGatedKV) Put(key string, value []byte) error { return g.gate(g.KV.Put(key, value)) }
+func (g *ackGatedKV) Delete(key string) error            { return g.gate(g.KV.Delete(key)) }
+
+// TestLookupsFollowAcks: policy changes its index only once the store
+// has acknowledged the mutation. While a grant's commit is outstanding no
+// lookup reports the binding, and once Revoke returns the binding is gone
+// from every lookup: a revoke is in force no later than its ack.
+func TestLookupsFollowAcks(t *testing.T) {
+	kv, err := storage.OpenKV(t.TempDir(), storage.SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	g := &ackGatedKV{KV: kv, applied: make(chan struct{}), release: make(chan struct{})}
+	db, err := New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id, a = "C-Services", attr.Attribute("ELECTRIC-APT-SV-CA")
+
+	// A lookup racing an unacknowledged mutation either waits for it or
+	// sees the state before it.
+	lookup := make(chan bool, 1)
+	granted := make(chan attr.ID, 1)
+	go func() {
+		aid, err := db.Grant(id, a)
+		if err != nil {
+			t.Error(err)
+		}
+		granted <- aid
+	}()
+	<-g.applied // the AID counter
+	g.release <- struct{}{}
+	<-g.applied // the grant row: in the KV, not yet acknowledged
+	go func() { lookup <- db.HasAttribute(id, a) }()
+	select {
+	case saw := <-lookup:
+		if saw {
+			t.Fatal("lookup saw a grant whose commit had not returned")
+		}
+	case <-time.After(20 * time.Millisecond):
+	}
+	g.release <- struct{}{}
+	aid := <-granted
+	if !db.HasAttribute(id, a) {
+		t.Fatal("acknowledged grant missing from lookups")
+	}
+
+	revoked := make(chan error, 1)
+	go func() { revoked <- db.Revoke(id, a) }()
+	<-g.applied // the grant row is gone from the KV; the ack is held
+	g.release <- struct{}{}
+	if err := <-revoked; err != nil {
+		t.Fatal(err)
+	}
+	if db.HasAttribute(id, a) || len(db.BindingsFor(id)) != 0 || len(db.Table()) != 0 {
+		t.Fatal("binding still visible after Revoke returned")
+	}
+	if _, ok := db.ByAID(aid); ok {
+		t.Fatal("revoked AID still resolves after Revoke returned")
 	}
 }

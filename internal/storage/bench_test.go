@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mwskit/internal/attr"
+	"mwskit/internal/obsv"
 )
 
 func benchMessage(a attr.Attribute) *Message {
@@ -86,23 +87,32 @@ func BenchmarkScanAttribute(b *testing.B) {
 	}
 }
 
+// BenchmarkKV: Put and Get at SyncNever, then Put at SyncAlways — one
+// writer (one fsync per Put, the registration path) and 16 per processor
+// on one part, where Puts that land during an fsync share the next one:
+// fsyncs/op below 1 is the group commit.
 func BenchmarkKV(b *testing.B) {
-	kv, err := OpenKV(b.TempDir(), SyncNever)
-	if err != nil {
-		b.Fatal(err)
+	open := func(b *testing.B, sync SyncPolicy) CloserKV {
+		kv, err := OpenKV(b.TempDir(), sync)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return kv
 	}
-	defer kv.Close()
 	val := make([]byte, 64)
-	for i := 0; i < 1000; i++ {
-		if err := kv.Put(fmt.Sprintf("key-%d", i), val); err != nil {
+	put := func(b *testing.B, kv KV, i int) {
+		if err := kv.Put(fmt.Sprintf("key-%d", i%1000), val); err != nil {
 			b.Fatal(err)
 		}
 	}
+	kv := open(b, SyncNever)
+	defer kv.Close()
+	for i := 0; i < 1000; i++ {
+		put(b, kv, i)
+	}
 	b.Run("Put", func(b *testing.B) {
 		for i := 0; b.Loop(); i++ {
-			if err := kv.Put(fmt.Sprintf("key-%d", i%1000), val); err != nil {
-				b.Fatal(err)
-			}
+			put(b, kv, i)
 		}
 	})
 	b.Run("Get", func(b *testing.B) {
@@ -111,6 +121,29 @@ func BenchmarkKV(b *testing.B) {
 				b.Fatal("miss")
 			}
 		}
+	})
+	b.Run("PutSyncAlways", func(b *testing.B) {
+		kv := open(b, SyncAlways)
+		defer kv.Close()
+		for i := 0; b.Loop(); i++ {
+			put(b, kv, i)
+		}
+	})
+	b.Run("PutParallelSyncAlways", func(b *testing.B) {
+		kv := open(b, SyncAlways)
+		defer kv.Close()
+		var next atomic.Int64
+		before := obsv.CounterMap()["wal_fsyncs"]
+		b.SetParallelism(16)
+		b.RunParallel(func(pb *testing.PB) {
+			for i := int(next.Add(1)); pb.Next(); i += 16 {
+				if err := kv.Put(fmt.Sprintf("key-%d", i%1000), val); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		b.ReportMetric(float64(obsv.CounterMap()["wal_fsyncs"]-before)/float64(b.N), "fsyncs/op")
 	})
 }
 

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -183,4 +185,130 @@ func TestShardedTornTailRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestKVCrashMidCommit is TestShardedCrashMidGroupCommit for a striped
+// KV: writers Put and Delete across its parts, a Compact runs while they
+// do, and at an arbitrary moment after it the directory is snapshotted
+// without any shutdown. Every mutation acknowledged before the snapshot
+// must hold in the reopened copy: an acked Put is there with its value,
+// an acked Delete has taken its key. Keys are never reused, so nothing
+// later can undo an acked mutation.
+func TestKVCrashMidCommit(t *testing.T) {
+	dir := t.TempDir()
+	p, err := Open(Config{Dir: dir, Sync: SyncAlways, Options: Options{Shards: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv, err := p.KV("policy")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const workers = 4
+	var (
+		mu                     sync.Mutex
+		puts, dels, deleteSent = map[string]bool{}, map[string]bool{}, map[string]bool{}
+		stop                   = make(chan struct{})
+		wg                     sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				key := fmt.Sprintf("w%d-%05d", w, i)
+				if err := kv.Put(key, []byte("v-"+key)); err != nil {
+					t.Errorf("put %s: %v", key, err)
+					return
+				}
+				mu.Lock()
+				puts[key] = true
+				mu.Unlock()
+				if i%3 != 2 {
+					continue
+				}
+				prev := fmt.Sprintf("w%d-%05d", w, i-1)
+				mu.Lock()
+				deleteSent[prev] = true
+				mu.Unlock()
+				if err := kv.Delete(prev); err != nil {
+					t.Errorf("delete %s: %v", prev, err)
+					return
+				}
+				mu.Lock()
+				dels[prev] = true
+				mu.Unlock()
+			}
+		}()
+	}
+
+	stopWorkers := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopWorkers()
+	// waitAcked polls until at least n puts and n/4 deletes are acked: a
+	// slow disk stretches the run instead of leaving it vacuous.
+	waitAcked := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+			mu.Lock()
+			np, nd := len(puts), len(dels)
+			mu.Unlock()
+			if np >= n && nd >= n/4 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d puts and %d deletes acked in 30s", np, nd)
+			}
+		}
+	}
+
+	// Compact while mutations are in flight, let more land after it, then
+	// "crash": the snapshot is the post-kill disk state.
+	waitAcked(20)
+	if _, err := p.Compact(0); err != nil {
+		t.Fatalf("Compact under load: %v", err)
+	}
+	mu.Lock()
+	n := len(puts)
+	mu.Unlock()
+	waitAcked(n + 20)
+	mu.Lock()
+	ackedPuts, ackedDels := maps.Clone(puts), maps.Clone(dels)
+	mu.Unlock()
+	crashDir := t.TempDir()
+	copyTree(t, dir, crashDir)
+
+	stopWorkers()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(Config{Dir: crashDir, Sync: SyncAlways})
+	if err != nil {
+		t.Fatalf("recovery open: %v", err)
+	}
+	defer re.Close()
+	rekv, err := re.KV("policy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := range ackedPuts {
+		if deleteSent[key] {
+			continue
+		}
+		if v, ok := rekv.Get(key); !ok || string(v) != "v-"+key {
+			t.Fatalf("acked put %s lost in crash (got %q, %v)", key, v, ok)
+		}
+	}
+	for key := range ackedDels {
+		if _, ok := rekv.Get(key); ok {
+			t.Fatalf("acked delete of %s undone by crash", key)
+		}
+	}
+	t.Logf("kv crash recovery: %d acked puts and %d acked deletes all held", len(ackedPuts), len(ackedDels))
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 
@@ -39,11 +38,9 @@ type kv struct {
 // survives crashes with at most the in-flight operation lost. Without
 // one (the memory backend) it is just the map.
 type kvPart struct {
-	mu   sync.RWMutex
-	m    map[string][]byte
-	log  *wal.Log // nil = volatile
-	dir  string
-	sync SyncPolicy
+	mu  sync.RWMutex
+	m   map[string][]byte
+	log *wal.Log // nil = volatile
 	// mutations counts logged operations since the last compaction, used
 	// by the compaction heuristic.
 	mutations uint64
@@ -72,7 +69,7 @@ func openKVPart(dir string, sync SyncPolicy) (*kvPart, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &kvPart{m: make(map[string][]byte), log: log, dir: dir, sync: sync}
+	p := &kvPart{m: make(map[string][]byte), log: log}
 	err = log.Iterate(func(_ uint64, payload []byte) error {
 		obsv.AddStoreReadBytes(len(payload))
 		return p.applyRecord(payload)
@@ -123,111 +120,70 @@ func (p *kvPart) get(key string) ([]byte, bool) {
 }
 
 func (p *kvPart) put(key string, value []byte) error {
-	val := make([]byte, len(value))
-	copy(val, value)
-	var record []byte
-	if p.log != nil {
-		record = encodeKVPut(key, value)
-		obsv.AddStoreWriteBytes(len(record))
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.log != nil {
-		//mwslint:ignore lockheld the durable append must run under p.mu so WAL order matches the order mutations land in p.m; ack implies on stable storage
-		if _, err := p.log.Append(record); err != nil {
-			return err
-		}
-	}
-	p.m[key] = val
-	p.mutations++
-	return nil
+	return p.mutate(key, append([]byte{}, value...), func() []byte { return encodeKVPut(key, value) })
 }
 
 func (p *kvPart) delete(key string) error {
+	return p.mutate(key, nil, func() []byte { return encodeKVDelete(key) })
+}
+
+// mutate applies a put of val to key, or a delete when val is nil, under
+// p.mu and commits it after releasing p.mu: the mutation is visible to
+// Get before it is durable, and acknowledged only once it is.
+func (p *kvPart) mutate(key string, val []byte, encode func() []byte) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.m[key]; !ok {
-		return nil
+	//mwslint:ignore lockheld the append runs under p.mu so WAL order matches the order mutations land in p.m; the commit waits for its fsync after p.mu is released
+	log, err := p.mutateLocked(key, val, encode)
+	p.mu.Unlock()
+	if err != nil || log == nil {
+		return err
+	}
+	return log.Commit()
+}
+
+// mutateLocked logs the mutation to the part's log, if it has one, and
+// applies it to the map, returning the log to commit it on. Deleting an
+// absent key is a no-op. Callers hold p.mu.
+func (p *kvPart) mutateLocked(key string, val []byte, encode func() []byte) (*wal.Log, error) {
+	if _, ok := p.m[key]; val == nil && !ok {
+		return nil, nil
 	}
 	if p.log != nil {
-		//mwslint:ignore lockheld the durable append must run under p.mu so WAL order matches the order mutations land in p.m; ack implies on stable storage
-		if _, err := p.log.Append(encodeKVDelete(key)); err != nil {
-			return err
+		record := encode()
+		obsv.AddStoreWriteBytes(len(record))
+		if _, err := p.log.Append(record); err != nil {
+			return nil, err
 		}
 	}
-	delete(p.m, key)
+	if val == nil {
+		delete(p.m, key)
+	} else {
+		p.m[key] = val
+	}
 	p.mutations++
-	return nil
+	return p.log, nil
 }
 
 // compact rewrites the log so it contains exactly one Put per live key,
-// bounding recovery time after long churn. The part remains usable
-// afterwards; on any error the original data is untouched.
+// bounding recovery time after long churn. It is the log's own Rewrite,
+// so the part keeps its log for life: a Put that appended before
+// compaction took p.mu commits on it as usual, and a closed part stays
+// closed (wal.ErrClosed).
 func (p *kvPart) compact() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.log == nil {
-		p.mutations = uint64(len(p.m))
-		return nil
-	}
-	tmpDir := p.dir + ".compact"
-	//mwslint:ignore lockheld compaction rewrites the log with writers excluded; the whole rewrite-and-swap runs under p.mu by design
-	if err := writeCompacted(tmpDir, p.m); err != nil {
-		os.RemoveAll(tmpDir)
-		return err
-	}
-	//mwslint:ignore lockheld the old log must be closed with writers excluded before the directory swap
-	if err := p.log.Close(); err != nil {
-		return err
-	}
-	swapErr := replaceDir(p.dir, tmpDir)
-	// Reopen whichever log now sits at p.dir — the rewritten one, or the
-	// original if the swap failed — under the policy the part was opened
-	// with.
-	log, err := wal.Open(wal.Options{Dir: p.dir, Sync: p.sync})
-	if err != nil {
-		return errors.Join(swapErr, err)
-	}
-	p.log = log
-	if swapErr == nil {
-		p.mutations = uint64(len(p.m))
-	}
-	return swapErr
-}
-
-// writeCompacted writes one Put per entry of m into a fresh log at dir
-// and seals it.
-func writeCompacted(dir string, m map[string][]byte) error {
-	if err := os.RemoveAll(dir); err != nil {
-		return fmt.Errorf("storage: compact cleanup: %w", err)
-	}
-	log, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncNever})
-	if err != nil {
-		return err
-	}
-	for k, v := range m {
-		if _, err := log.Append(encodeKVPut(k, v)); err != nil {
-			log.Close()
+	if p.log != nil {
+		records := make([][]byte, 0, len(p.m))
+		for k, v := range p.m {
+			records = append(records, encodeKVPut(k, v))
+		}
+		//mwslint:ignore lockheld compaction rewrites the log with writers excluded, so the rewrite holds exactly p.m; its fsync runs under p.mu by design
+		if err := p.log.Rewrite(records); err != nil {
 			return err
 		}
 	}
-	return log.Close()
-}
-
-// replaceDir moves src over dst by way of dst.old, putting dst back if
-// src cannot take its place.
-func replaceDir(dst, src string) error {
-	old := dst + ".old"
-	if err := os.RemoveAll(old); err != nil {
-		return err
-	}
-	if err := os.Rename(dst, old); err != nil {
-		return fmt.Errorf("storage: compact swap: %w", err)
-	}
-	if err := os.Rename(src, dst); err != nil {
-		return errors.Join(fmt.Errorf("storage: compact swap: %w", err), os.Rename(old, dst))
-	}
-	return os.RemoveAll(old)
+	p.mutations = uint64(len(p.m))
+	return nil
 }
 
 func (p *kvPart) close() error {

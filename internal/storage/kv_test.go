@@ -2,13 +2,17 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"mwskit/internal/obsv"
+	"mwskit/internal/wal"
 )
 
 // kvVariants are the ways a kv comes to exist: standalone through OpenKV
@@ -233,25 +237,177 @@ func TestKVCompact(t *testing.T) {
 	}
 }
 
-// TestKVCompactKeepsSyncPolicy: a KV opened SyncNever must not start
-// fsyncing every Put once it has been compacted.
+// TestKVCompactKeepsSyncPolicy: each sequential Put or Delete costs
+// exactly one fsync at SyncAlways and none at SyncNever, before and after
+// a compaction — a KV opened SyncNever must not start fsyncing every Put
+// once it has been compacted.
 func TestKVCompactKeepsSyncPolicy(t *testing.T) {
-	kv, err := OpenKV(t.TempDir(), SyncNever)
+	for _, tc := range []struct {
+		name  string
+		sync  SyncPolicy
+		perOp uint64
+	}{{"SyncNever", SyncNever, 0}, {"SyncAlways", SyncAlways, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			kv, err := OpenKV(t.TempDir(), tc.sync)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer kv.Close()
+			churn := func(phase string) {
+				t.Helper()
+				before := obsv.CounterMap()["wal_fsyncs"]
+				for i := 0; i < 20; i++ {
+					mustPut(t, kv, fmt.Sprintf("k%d", i), []byte("v"))
+				}
+				for i := 0; i < 20; i += 2 {
+					if err := kv.Delete(fmt.Sprintf("k%d", i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := obsv.CounterMap()["wal_fsyncs"] - before; got != 30*tc.perOp {
+					t.Fatalf("%s: %d fsyncs for 20 Puts and 10 Deletes, want %d", phase, got, 30*tc.perOp)
+				}
+			}
+			churn("fresh")
+			if err := kv.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			churn("compacted")
+		})
+	}
+}
+
+// TestKVClosedStaysClosed: once closed, a durable KV refuses Put, Delete
+// and Compact with wal.ErrClosed and changes nothing on disk: no log is
+// reopened and no compaction directory appears.
+func TestKVClosedStaysClosed(t *testing.T) {
+	for _, v := range kvVariants {
+		if !v.keep {
+			continue
+		}
+		t.Run(v.name, func(t *testing.T) {
+			dir := t.TempDir()
+			kv, closeFn := v.open(t, dir)
+			mustPut(t, kv, "k", []byte("v"))
+			if err := closeFn(); err != nil {
+				t.Fatal(err)
+			}
+			before := treeContents(t, dir)
+			if err := kv.Compact(); !errors.Is(err, wal.ErrClosed) {
+				t.Errorf("Compact after Close = %v, want wal.ErrClosed", err)
+			}
+			if err := kv.Put("k2", []byte("v")); !errors.Is(err, wal.ErrClosed) {
+				t.Errorf("Put after Close = %v, want wal.ErrClosed", err)
+			}
+			if err := kv.Delete("k"); !errors.Is(err, wal.ErrClosed) {
+				t.Errorf("Delete after Close = %v, want wal.ErrClosed", err)
+			}
+			if after := treeContents(t, dir); !reflect.DeepEqual(before, after) {
+				t.Errorf("closed KV changed its directory: %d files before, %d after", len(before), len(after))
+			}
+			filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+				if ext := filepath.Ext(path); ext == ".compact" || ext == ".old" {
+					t.Errorf("closed KV left %s behind", path)
+				}
+				return err
+			})
+		})
+	}
+}
+
+// TestProviderCompactRacesClose runs Provider.Compact against
+// Provider.Close: compaction either finishes first or meets closed parts
+// and reports wal.ErrClosed, and no part is reopened behind Close.
+func TestProviderCompactRacesClose(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		dir := t.TempDir()
+		p, err := Open(Config{Dir: dir, Sync: SyncAlways, Options: Options{Shards: 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kv, err := p.KV("policy")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 64; k++ {
+			mustPut(t, kv, fmt.Sprintf("k%d", k%16), []byte{byte(k)})
+		}
+		compacted := make(chan error, 1)
+		go func() {
+			_, err := p.Compact(0)
+			compacted <- err
+		}()
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-compacted; err != nil && !errors.Is(err, wal.ErrClosed) {
+			t.Fatalf("Compact racing Close: %v", err)
+		}
+		if err := kv.Put("late", nil); !errors.Is(err, wal.ErrClosed) {
+			t.Fatalf("Put after Close = %v, want wal.ErrClosed", err)
+		}
+		re, err := Open(Config{Dir: dir, Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rekv, err := re.KV("policy")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rekv.Len() != 16 {
+			t.Fatalf("reopened after Compact raced Close: %d keys, want 16", rekv.Len())
+		}
+		re.Close()
+	}
+}
+
+// TestKVCompactInterrupted: a compaction that stops after its rewritten
+// segment is synced but before every old segment is removed — restored
+// here by copying the old segments back — replays to the same contents.
+func TestKVCompactInterrupted(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "kv")
+	kv, err := OpenKV(dir, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer kv.Close()
-	mustPut(t, kv, "k", []byte("v"))
+	for round := 0; round < 5; round++ {
+		for i := 0; i < 10; i++ {
+			mustPut(t, kv, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("r%d", round)))
+		}
+		if err := kv.Delete(fmt.Sprintf("k%d", round)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := kvContents(kv)
+	old := treeContents(t, dir)
 	if err := kv.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	before := obsv.CounterMap()["wal_fsyncs"]
-	for i := 0; i < 20; i++ {
-		mustPut(t, kv, fmt.Sprintf("k%d", i), []byte("v"))
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if got := obsv.CounterMap()["wal_fsyncs"] - before; got != 0 {
-		t.Fatalf("%d fsyncs for 20 Puts on a compacted SyncNever KV, want 0", got)
+	for path, data := range old {
+		if err := os.WriteFile(path, []byte(data), 0o600); err != nil {
+			t.Fatal(err)
+		}
 	}
+	re, err := OpenKV(dir, SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := kvContents(re); !reflect.DeepEqual(got, want) {
+		t.Fatalf("old segments beside the rewritten one replay to %v, want %v", got, want)
+	}
+}
+
+func kvContents(kv KV) map[string]string {
+	out := make(map[string]string)
+	kv.Range(func(k string, v []byte) bool {
+		out[k] = string(v)
+		return true
+	})
+	return out
 }
 
 // TestKVPropertyModelCheck: a kv behaves exactly like a map under any

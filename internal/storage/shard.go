@@ -20,7 +20,7 @@ import (
 // every KV database partitioned across independent shards keyed by
 // attribute (resp. key) digest. Deposits toward different shards touch
 // disjoint locks and disjoint files, and same-shard deposits share
-// fsyncs through the shard's group committer.
+// fsyncs through their log's group commit.
 //
 // Sequence numbers are drawn from one provider-wide counter under the
 // shard lock, so they are unique and increasing globally and strictly
@@ -37,31 +37,35 @@ type provider struct {
 }
 
 // shard is one message partition: an in-memory index in front of an
-// optional WAL and its group committer.
+// optional WAL.
 type shard struct {
 	mu     sync.RWMutex
-	log    *wal.Log   // nil = volatile
-	gc     *committer // nil when there is nothing to fsync (no log, or SyncNever)
+	log    *wal.Log // nil = volatile
 	msgs   map[uint64]*Message
 	byAttr map[attr.Attribute][]uint64 // seqs in append order (strictly increasing)
 
 	// Telemetry: series labeled shard="i" in the provider's registry, so
 	// the daemons' /metrics endpoint exposes per-shard load. Resolved
 	// once, so the hot path pays a few atomic adds.
-	appends, fsyncs, writeBytes *obsv.Counter
-	messages                    *obsv.Gauge
+	appends, writeBytes *obsv.Counter
+	messages            *obsv.Gauge
 }
 
-func newShard(i int, reg *obsv.Registry) *shard {
+// register resolves the shard's series once its log (if any) is open.
+func (sh *shard) register(i int, reg *obsv.Registry) {
 	l := obsv.L("shard", strconv.Itoa(i))
-	return &shard{
-		msgs:       make(map[uint64]*Message),
-		byAttr:     make(map[attr.Attribute][]uint64),
-		appends:    reg.Counter("storage_shard_appends", l),
-		fsyncs:     reg.Counter("storage_shard_fsyncs", l),
-		writeBytes: reg.Counter("storage_shard_write_bytes", l),
-		messages:   reg.Gauge("storage_shard_messages", l),
+	sh.appends = reg.Counter("storage_shard_appends", l)
+	reg.CounterFunc("storage_shard_fsyncs", sh.fsyncs, l) // the log's own sync count
+	sh.writeBytes = reg.Counter("storage_shard_write_bytes", l)
+	sh.messages = reg.Gauge("storage_shard_messages", l)
+	sh.messages.Set(int64(len(sh.msgs)))
+}
+
+func (sh *shard) fsyncs() int64 {
+	if sh.log == nil {
+		return 0
 	}
+	return int64(sh.log.Syncs())
 }
 
 func shardDir(dir string, i int) string {
@@ -88,7 +92,7 @@ func newProvider(dir string, sync SyncPolicy, nshard int, reg *obsv.Registry) (*
 		reg = obsv.NewRegistry() // nobody's /metrics: ShardStats alone reads it
 	}
 	for i := 0; i < nshard; i++ {
-		sh := newShard(i, reg)
+		sh := &shard{msgs: make(map[uint64]*Message), byAttr: make(map[attr.Attribute][]uint64)}
 		p.shards = append(p.shards, sh)
 		if dir != "" {
 			top, err := sh.openLog(shardMessagesDir(dir, i), sync)
@@ -98,30 +102,16 @@ func newProvider(dir string, sync SyncPolicy, nshard int, reg *obsv.Registry) (*
 			}
 			p.nextSeq.Store(max(p.nextSeq.Load(), top))
 		}
-		sh.messages.Set(int64(len(sh.msgs)))
+		sh.register(i, reg)
 	}
 	return p, nil
 }
 
-// openLog puts a WAL (and, unless sync is SyncNever, a group committer)
-// under the shard and replays it into the index, returning the lowest
-// sequence number above every replayed one.
+// openLog puts a WAL under the shard and replays it into the index,
+// returning the lowest sequence number above every replayed one.
 func (sh *shard) openLog(dir string, sync SyncPolicy) (top uint64, err error) {
-	// The shard WALs are opened SyncNever in every policy: under
-	// SyncNever durability is the OS's problem, and otherwise the group
-	// committer issues the fsyncs itself so that concurrent appends can
-	// share them.
-	if sh.log, err = wal.Open(wal.Options{Dir: dir, Sync: wal.SyncNever}); err != nil {
+	if sh.log, err = wal.Open(wal.Options{Dir: dir, Sync: sync}); err != nil {
 		return 0, err
-	}
-	if sync != SyncNever {
-		sh.gc = newCommitter(func() error {
-			err := sh.log.Sync()
-			if err == nil {
-				sh.fsyncs.Inc()
-			}
-			return err
-		})
 	}
 	err = sh.log.Iterate(func(_ uint64, record []byte) error {
 		obsv.AddStoreReadBytes(len(record))
@@ -142,9 +132,6 @@ func (sh *shard) openLog(dir string, sync SyncPolicy) (top uint64, err error) {
 func (p *provider) closeShards() error {
 	var errs []error
 	for _, sh := range p.shards {
-		if sh.gc != nil {
-			sh.gc.close()
-		}
 		if sh.log != nil {
 			errs = append(errs, sh.log.Close())
 		}
@@ -179,13 +166,14 @@ func (p *provider) Append(ctx context.Context, m *Message) (uint64, error) {
 	seq := p.nextSeq.Add(1) - 1
 	cp.Seq = seq
 	written := 0
-	if sh.log != nil {
+	log := sh.log
+	if log != nil {
 		frame := frameShardRecord(seq, cp.encode())
 		written = len(frame)
 		obsv.AddStoreWriteBytes(written)
 		_, sp := obsv.StartSpan(ctx, "wal.append")
-		//mwslint:ignore lockheld the frame must enter the WAL under sh.mu so log order matches sequence order; the group committer fsyncs outside this lock
-		_, err := sh.log.Append(frame)
+		//mwslint:ignore lockheld the frame must enter the WAL under sh.mu so log order matches sequence order; the commit waits for its fsync outside this lock
+		_, err := log.Append(frame)
 		sp.SetErr(err)
 		sp.End()
 		if err != nil {
@@ -201,8 +189,8 @@ func (p *provider) Append(ctx context.Context, m *Message) (uint64, error) {
 
 	// Durability outside the lock: other appenders to this shard can
 	// write their records while we wait for the shared fsync.
-	if sh.gc != nil {
-		if err := sh.gc.wait(); err != nil {
+	if log != nil {
+		if err := log.Commit(); err != nil {
 			return 0, err
 		}
 	}
@@ -307,7 +295,7 @@ func (p *provider) ShardStats() []ShardStat {
 			Shard:      i,
 			Messages:   int(sh.messages.Value()),
 			Appends:    sh.appends.Value(),
-			Fsyncs:     sh.fsyncs.Value(),
+			Fsyncs:     uint64(sh.fsyncs()),
 			WriteBytes: sh.writeBytes.Value(),
 		}
 	}

@@ -6,12 +6,12 @@
 // package supplies.
 //
 // There is one engine. A provider is N shards keyed by the recipient
-// attribute's digest, each an in-memory index in front of its own WAL
-// with a group-commit fsync loop — deposits for different utilities
-// never contend, and same-shard deposits amortize durability cost — and
-// every named KV database is striped across the same shards by key
-// digest. One shard is the unpartitioned store; the memory backend is
-// the same engine with no logs under it, for tests and simulation.
+// attribute's digest, each an in-memory index in front of its own WAL —
+// deposits for different utilities never contend, and same-shard
+// deposits share fsyncs through the WAL's group commit — and every named
+// KV database is striped across the same shards by key digest. One
+// shard is the unpartitioned store; the memory backend is the same
+// engine with no logs under it, for tests and simulation.
 package storage
 
 import (
@@ -113,9 +113,9 @@ type Provider interface {
 	Close() error
 }
 
-// ShardStat is a point-in-time sample of one partition. The counters are
-// the partition's Options.Metrics series when a registry was given, so
-// they run for as long as that registry has: compare two samples.
+// ShardStat is a point-in-time sample of one partition. Appends and
+// WriteBytes run for as long as the Options.Metrics registry has, Fsyncs
+// since the shard's log was opened: compare two samples.
 type ShardStat struct {
 	Shard      int
 	Messages   int
@@ -174,8 +174,7 @@ type meta struct {
 // That is the only layout: a directory holding WAL segments in any other
 // first-level subdirectory is refused with ErrUnknownLayout, untouched.
 func Open(cfg Config) (Provider, error) {
-	// The shard logs are always opened SyncNever (the group committer
-	// owns their fsyncs), so wal.Open's own check never sees cfg.Sync.
+	// Refused before the marker is written, and by the memory backend.
 	if cfg.Sync != SyncAlways && cfg.Sync != SyncNever {
 		return nil, fmt.Errorf("storage: undefined sync policy %d", cfg.Sync)
 	}

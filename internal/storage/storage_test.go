@@ -590,6 +590,23 @@ func TestOpenConfigErrors(t *testing.T) {
 	}
 }
 
+// TestOpenUndefinedSyncPolicyWritesNothing: an undefined policy is
+// refused before the marker is written, so a fresh directory is left
+// as it was, free to be opened with any shard count; the memory
+// backend refuses it too.
+func TestOpenUndefinedSyncPolicyWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Open(Config{Dir: dir, Sync: SyncNever + 1, Options: Options{Shards: 2}}); err == nil {
+		t.Fatal("Open: undefined sync policy must fail")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("a refused Open left %d entries in a fresh directory (first %s)", len(entries), entries[0].Name())
+	}
+	if _, err := Open(Config{Sync: SyncNever + 1, Options: Options{Backend: BackendMemory}}); err == nil {
+		t.Fatal("memory backend: undefined sync policy must fail")
+	}
+}
+
 // treeContents maps every file under dir to its bytes.
 func treeContents(t *testing.T, dir string) map[string]string {
 	t.Helper()

@@ -1,18 +1,13 @@
-package storage
+package wal
 
-import (
-	"sync"
+import "sync"
 
-	"mwskit/internal/wal"
-)
-
-// committer implements group commit for one shard's WAL: concurrent
-// appenders share fsyncs instead of paying one each. An appender's
-// record hits the OS before it calls wait (the WAL append happens under
-// the shard lock, strictly before registration), and wait only returns
-// after a sync that started after registration — so an acknowledged
-// append is always on stable storage, while K concurrent same-shard
-// deposits cost one fsync instead of K.
+// committer implements group commit for one log: concurrent appenders
+// share fsyncs instead of paying one each. An appender's record hits the
+// OS before it calls wait (Append returns only after the write), and
+// wait only returns after a sync that started after registration — so
+// an acknowledged append is always on stable storage, while K concurrent
+// appenders cost one fsync instead of K.
 //
 // Batching is sync-coupled: waiters that register while a sync is in
 // flight are picked up together by the next one (the flush loop keeps
@@ -41,7 +36,7 @@ func (c *committer) wait() error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return wal.ErrClosed
+		return ErrClosed
 	}
 	c.waiters = append(c.waiters, ch)
 	if !c.flushing {
@@ -77,10 +72,8 @@ func (c *committer) flush() {
 }
 
 // close marks the committer closed — subsequent waits fail fast — and
-// then blocks until the in-flight flush goroutine (if any) has drained
-// its batch and exited. Waiting matters: the provider closes the WAL
-// right after, and an undrained flush would race its final sync against
-// that close (and leak the goroutine besides).
+// then blocks until the flush in flight (if any) has drained its batch,
+// so no flush goroutine outlives the log.
 func (c *committer) close() {
 	c.mu.Lock()
 	c.closed = true

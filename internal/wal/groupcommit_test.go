@@ -1,12 +1,10 @@
-package storage
+package wal
 
 import (
 	"runtime"
 	"sync"
 	"testing"
 	"time"
-
-	"mwskit/internal/wal"
 )
 
 // gatedSync is a committer sync function the test holds the gate of:
@@ -113,8 +111,8 @@ func TestCommitterBatchesWaiters(t *testing.T) {
 
 // TestCommitterCloseDrainsInflightFlush closes the committer while a
 // flush round is parked in its sync: close must block until that round
-// drains its waiter and the flush goroutine exits, so the provider can
-// close the WAL without racing the final Sync.
+// drains its waiter and the flush goroutine exits, so no goroutine
+// outlives the log that Close shuts.
 func TestCommitterCloseDrainsInflightFlush(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	g := newGatedSync()
@@ -152,8 +150,8 @@ func TestCommitterCloseDrainsInflightFlush(t *testing.T) {
 	c.mu.Unlock()
 	waitForGoroutines(t, baseline)
 
-	if err := c.wait(); err != wal.ErrClosed {
-		t.Errorf("wait after close = %v, want wal.ErrClosed", err)
+	if err := c.wait(); err != ErrClosed {
+		t.Errorf("wait after close = %v, want ErrClosed", err)
 	}
 }
 
@@ -162,9 +160,9 @@ func TestCommitterCloseDrainsInflightFlush(t *testing.T) {
 // and no goroutine outlives the committer.
 func TestCommitterCloseIdle(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	log, err := wal.Open(wal.Options{Dir: t.TempDir(), Sync: wal.SyncNever})
+	log, err := Open(Options{Dir: t.TempDir(), Sync: SyncNever})
 	if err != nil {
-		t.Fatalf("wal.Open: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	defer log.Close()
 	c := newCommitter(log.Sync)

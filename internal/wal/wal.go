@@ -12,6 +12,10 @@
 // the segment exceeds the configured size. Recovery scans every segment
 // in order and truncates the first torn or corrupt record, so a crash
 // mid-append loses at most the record being written.
+//
+// Append only writes; durability is Commit's job. A caller appends under
+// its own lock, so that log order is its order, and calls Commit after
+// releasing it: concurrent committers share one fsync (group commit).
 package wal
 
 import (
@@ -26,19 +30,21 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mwskit/internal/obsv"
 )
 
-// SyncPolicy controls when appends reach stable storage.
+// SyncPolicy controls what Commit waits for.
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append (durable, slowest).
+	// SyncAlways makes Commit wait for an fsync (durable).
 	SyncAlways SyncPolicy = iota
-	// SyncNever leaves syncing to the OS (fast, loses recent writes on
-	// power failure but never corrupts: recovery truncates torn tails).
+	// SyncNever leaves syncing to the OS and Commit returns at once
+	// (fast, loses recent writes on power failure but never corrupts:
+	// recovery truncates torn tails).
 	SyncNever
 )
 
@@ -82,6 +88,10 @@ type Log struct {
 	activeSize int64
 	nextSeq    uint64 // sequence number of the next record appended
 	closed     bool
+	closeErr   error // Close's final fsync result, what Commit reports after it
+
+	gc    *committer // nil under SyncNever
+	syncs atomic.Uint64
 }
 
 // Open opens (or creates) the log in opts.Dir, recovering from any torn
@@ -103,33 +113,32 @@ func Open(opts Options) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{opts: o}
+	if o.Sync == SyncAlways {
+		l.gc = newCommitter(l.Sync)
+	}
 	if len(ids) == 0 {
 		if err := l.openSegment(0); err != nil {
 			return nil, err
 		}
 		return l, nil
 	}
-	// Count records in all but the last segment; recover the last.
-	for _, id := range ids[:len(ids)-1] {
-		n, _, err := scanSegment(l.segmentPath(id), nil)
-		if err != nil {
+	// Count every segment's records; the last one's may end torn.
+	var validLen int64
+	for _, id := range ids {
+		var n uint64
+		if n, validLen, err = scanSegment(l.segmentPath(id), nil); err != nil {
 			return nil, err
 		}
 		l.nextSeq += n
 	}
 	last := ids[len(ids)-1]
-	n, validLen, err := scanSegment(l.segmentPath(last), nil)
-	if err != nil {
-		return nil, err
-	}
-	l.nextSeq += n
-	// Truncate any torn tail before reopening for append.
-	if err := truncateTo(l.segmentPath(last), validLen); err != nil {
-		return nil, err
-	}
 	f, err := os.OpenFile(l.segmentPath(last), os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open segment: %w", err)
+	}
+	if err := f.Truncate(validLen); err != nil { // drop any torn tail
+		f.Close()
+		return nil, fmt.Errorf("wal: truncate: %w", err)
 	}
 	l.active, l.activeID, l.activeSize = f, last, validLen
 	return l, nil
@@ -149,11 +158,8 @@ func (l *Log) openSegment(id uint64) error {
 }
 
 // Append writes one record and returns its sequence number (0-based,
-// monotonically increasing across segments).
+// increasing across segments; Rewrite restarts it at 0).
 func (l *Log) Append(payload []byte) (uint64, error) {
-	if len(payload) > maxRecordLen {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -164,6 +170,14 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
+	}
+	return l.writeLocked(payload)
+}
+
+// writeLocked frames payload onto the active segment. Callers hold l.mu.
+func (l *Log) writeLocked(payload []byte) (uint64, error) {
+	if len(payload) > maxRecordLen {
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
 	}
 	start := time.Now()
 	frame := make([]byte, headerLen+len(payload))
@@ -179,21 +193,70 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.activeSize += int64(len(frame))
 	seq := l.nextSeq
 	l.nextSeq++
-	if l.opts.Sync == SyncAlways {
-		//mwslint:ignore lockheld fsync under l.mu is the SyncAlways contract: an acked append is on stable storage before the next one enters the log
-		if err := l.syncActiveLocked(); err != nil {
-			return 0, fmt.Errorf("wal: sync: %w", err)
-		}
-	}
 	return seq, nil
 }
 
-// syncActiveLocked syncs the active segment, feeding the fsync-latency
-// telemetry. Callers hold l.mu.
-func (l *Log) syncActiveLocked() error {
-	start := time.Now()
-	err := l.active.Sync()
-	obsv.ObserveWALFsync(time.Since(start))
+// Commit makes every record appended before the call durable. Under
+// SyncAlways it returns once a sync that started after the call, shared
+// with concurrent callers, has completed; under SyncNever, at once. After
+// Close it reports Close's final fsync, which covered every record.
+func (l *Log) Commit() error {
+	if l.gc == nil {
+		return nil
+	}
+	if err := l.gc.wait(); err != ErrClosed {
+		return err
+	}
+	return l.closeErr // written before the close could be reported
+}
+
+// Rewrite replaces the log's records with records, which must stand for
+// every record appended before the call (no append may run during it),
+// for a log whose replay converges: any suffix of the old segments
+// followed by records replays to what records alone do — true of a map
+// logged as puts and deletes, rewritten as one put per live key. The
+// old segments are synced first, since a Commit may then sync the fresh
+// one alone and a torn old tail would replay as a prefix; records go to
+// the fresh segment, synced and named durably before the old segments
+// are removed oldest first. Sequence numbers restart at 0.
+func (l *Log) Rewrite(records [][]byte) error {
+	err := l.Sync()
+	l.mu.Lock()
+	old, first := l.active, l.activeID+1
+	if err == nil && l.closed {
+		err = ErrClosed
+	} else if err == nil {
+		err = l.openSegment(first)
+	}
+	if err == nil {
+		old.Close() // synced above, and records hold its content
+		l.nextSeq = 0
+		for i := 0; i < len(records) && err == nil; i++ {
+			_, err = l.writeLocked(records[i])
+		}
+	}
+	l.mu.Unlock()
+	if err == nil {
+		err = l.Sync()
+	}
+	if err == nil {
+		err = syncDir(l.opts.Dir)
+	}
+	ids, _ := segmentIDs(l.opts.Dir) // a segment left behind replays to the same state
+	for _, id := range ids {
+		if id < first && err == nil {
+			err = os.Remove(l.segmentPath(id))
+		}
+	}
+	return err
+}
+
+// syncDir makes dir's entries durable: a new file's name, or a removal.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = errors.Join(d.Sync(), d.Close())
+	}
 	return err
 }
 
@@ -207,16 +270,29 @@ func (l *Log) rotateLocked() error {
 	return l.openSegment(l.activeID + 1)
 }
 
-// Sync forces buffered appends to stable storage.
+// Sync forces every record appended so far to stable storage. The fsync
+// runs outside l.mu, so appends go on while the disk works.
 func (l *Log) Sync() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	f, closed := l.active, l.closed
+	l.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	//mwslint:ignore lockheld explicit Sync must flush everything appended before it, which requires excluding writers for the fsync
-	return l.syncActiveLocked()
+	start := time.Now()
+	err := f.Sync()
+	if errors.Is(err, os.ErrClosed) {
+		return l.Sync() // rotation, Rewrite or Close shut f meanwhile, syncing it first
+	}
+	obsv.ObserveWALFsync(time.Since(start))
+	if err == nil {
+		l.syncs.Add(1)
+	}
+	return err
 }
+
+// Syncs reports how many fsyncs Sync and Commit have run.
+func (l *Log) Syncs() uint64 { return l.syncs.Load() }
 
 // Len returns the number of intact records in the log.
 func (l *Log) Len() uint64 {
@@ -226,31 +302,22 @@ func (l *Log) Len() uint64 {
 }
 
 // Iterate replays every record in append order. The payload slice is
-// only valid for the duration of the callback. Iteration reads committed
-// segments from disk, so it observes everything appended before the call.
+// only valid for the duration of the callback. Iteration reads the
+// segments from disk, which show every appended record, synced or not.
 func (l *Log) Iterate(fn func(seq uint64, payload []byte) error) error {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	closed := l.closed
+	l.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	// Flush so the scan below sees all appended bytes.
-	//mwslint:ignore lockheld the pre-iteration flush must exclude writers so the on-disk scan observes a clean prefix; the scan itself runs unlocked
-	if err := l.active.Sync(); err != nil {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: iterate sync: %w", err)
-	}
-	dir := l.opts.Dir
-	l.mu.Unlock()
-
-	ids, err := segmentIDs(dir)
+	ids, err := segmentIDs(l.opts.Dir)
 	if err != nil {
 		return err
 	}
 	var seq uint64
 	for _, id := range ids {
-		path := filepath.Join(dir, fmt.Sprintf("%016x.wal", id))
-		_, _, err := scanSegment(path, func(payload []byte) error {
+		_, _, err := scanSegment(l.segmentPath(id), func(payload []byte) error {
 			err := fn(seq, payload)
 			seq++
 			return err
@@ -262,20 +329,23 @@ func (l *Log) Iterate(fn func(seq uint64, payload []byte) error) error {
 	return nil
 }
 
-// Close syncs and closes the active segment.
+// Close syncs and closes the active segment, then waits out any commit
+// in flight.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
 	//mwslint:ignore lockheld the final fsync runs with writers excluded; after closed is set no new appends can enter
-	if err := l.active.Sync(); err != nil {
-		l.active.Close()
-		return err
+	l.closeErr = l.active.Sync()
+	err := errors.Join(l.closeErr, l.active.Close())
+	l.mu.Unlock()
+	if l.gc != nil {
+		l.gc.close()
 	}
-	return l.active.Close()
+	return err
 }
 
 // segmentIDs lists segment numbers in ascending order.
@@ -339,15 +409,4 @@ func scanSegment(path string, fn func(payload []byte) error) (count uint64, vali
 		count++
 		validLen += int64(headerLen) + int64(n)
 	}
-}
-
-func truncateTo(path string, n int64) error {
-	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	if info.Size() == n {
-		return nil
-	}
-	return os.Truncate(path, n)
 }

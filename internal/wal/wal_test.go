@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+
+	"mwskit/internal/obsv"
 )
 
 func openTestLog(t *testing.T, opts Options) *Log {
@@ -355,5 +358,195 @@ func TestForeignFilesIgnored(t *testing.T) {
 	defer l.Close()
 	if _, err := l.Append([]byte("works")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func walFsyncs() uint64 { return obsv.CounterMap()["wal_fsyncs"] }
+
+// TestIterateWithoutSync: Iterate returns records that were appended and
+// never synced, and runs no fsync of its own to see them.
+func TestIterateWithoutSync(t *testing.T) {
+	l := openTestLog(t, Options{Sync: SyncNever})
+	for i := 0; i < 50; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("unsynced-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := walFsyncs()
+	n := 0
+	if err := l.Iterate(func(seq uint64, p []byte) error {
+		if want := fmt.Sprintf("unsynced-%02d", seq); string(p) != want {
+			t.Fatalf("record %d = %q, want %q", seq, p, want)
+		}
+		n++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 50 {
+		t.Fatalf("Iterate returned %d of 50 unsynced records", n)
+	}
+	if got := walFsyncs() - before; got != 0 {
+		t.Fatalf("Iterate ran %d fsyncs, want 0", got)
+	}
+}
+
+// TestCommitSyncPolicy: a sequential Append+Commit costs exactly one
+// fsync under SyncAlways and none under SyncNever, and Append alone
+// never syncs.
+func TestCommitSyncPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		sync SyncPolicy
+		want uint64
+	}{{SyncAlways, 1}, {SyncNever, 0}} {
+		l := openTestLog(t, Options{Sync: tc.sync})
+		before := walFsyncs()
+		for i := 0; i < 10; i++ {
+			if _, err := l.Append([]byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := walFsyncs() - before; got != 0 {
+			t.Fatalf("policy %d: 10 Appends ran %d fsyncs, want 0", tc.sync, got)
+		}
+		before = walFsyncs()
+		for i := 0; i < 10; i++ {
+			if _, err := l.Append([]byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := walFsyncs() - before; got != 10*tc.want || l.Syncs() != 10*tc.want {
+			t.Fatalf("policy %d: 10 commits cost %d fsyncs (Syncs %d), want %d", tc.sync, got, l.Syncs(), 10*tc.want)
+		}
+	}
+}
+
+// TestCommitAfterClose: a record appended before Close is covered by
+// Close's final fsync, so a Commit that only gets to run afterwards
+// reports that fsync's result rather than ErrClosed.
+func TestCommitAfterClose(t *testing.T) {
+	l := openTestLog(t, Options{Sync: SyncAlways})
+	if _, err := l.Append([]byte("before close")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatalf("Commit after a clean Close = %v, want nil", err)
+	}
+}
+
+// TestCommitRacesRotationAndClose: committers run against a log that
+// rotates on every record and is closed under them. Every record whose
+// Append succeeded commits without error: a sync that finds its segment
+// shut by rotation or Close was covered by that segment's own fsync.
+func TestCommitRacesRotationAndClose(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, SegmentSize: 1, Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var acked [8]int
+	for g := range acked {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				if _, err := l.Append([]byte(fmt.Sprintf("g%d-%03d", g, i))); err == ErrClosed {
+					return
+				} else if err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+				if err := l.Commit(); err != nil {
+					t.Errorf("commit of an appended record: %v", err)
+					return
+				}
+				acked[g]++
+			}
+		}()
+	}
+	for l.Len() < 200 && !t.Failed() {
+		runtime.Gosched()
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	re, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	total := 0
+	for _, n := range acked {
+		total += n
+	}
+	if re.Len() < uint64(total) {
+		t.Fatalf("reopened log holds %d records, fewer than the %d committed", re.Len(), total)
+	}
+}
+
+func iterateAll(t *testing.T, l *Log) []string {
+	t.Helper()
+	var out []string
+	if err := l.Iterate(func(_ uint64, p []byte) error {
+		out = append(out, string(p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRewrite: the log's records become exactly the rewritten ones, the
+// segments that held the old ones are gone, and appends that follow land
+// after them, across a reopen too. Rewrite costs two fsyncs: the old
+// segment's unsynced tail, then the fresh segment. Without the first, a
+// Commit that syncs only the fresh segment could ack a record that a
+// crash then tears off the old tail, and replay would return a key the
+// record deleted.
+func TestRewrite(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, SegmentSize: 64, Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("old-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, syncs := walFsyncs(), l.Syncs()
+	if err := l.Rewrite([][]byte{[]byte("new-a"), []byte("new-b")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := walFsyncs() - before; got != 2 || l.Syncs()-syncs != 2 {
+		t.Fatalf("Rewrite of unsynced appends ran %d fsyncs (Syncs +%d), want 2: the old segment, then the new", got, l.Syncs()-syncs)
+	}
+	if _, err := l.Append([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	want := "[new-a new-b after]"
+	if got := fmt.Sprint(iterateAll(t, l)); got != want {
+		t.Fatalf("after Rewrite: %s, want %s", got, want)
+	}
+	if ids, _ := segmentIDs(dir); len(ids) != 1 {
+		t.Fatalf("%d segments after Rewrite, want 1", len(ids))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Rewrite(nil); err != ErrClosed {
+		t.Fatalf("Rewrite after Close = %v, want ErrClosed", err)
+	}
+	re := openTestLog(t, Options{Dir: dir})
+	if got := fmt.Sprint(iterateAll(t, re)); got != want {
+		t.Fatalf("reopened: %s, want %s", got, want)
 	}
 }
