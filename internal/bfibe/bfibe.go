@@ -224,11 +224,13 @@ func (p *Params) Decapsulate(sk *PrivateKey, enc *Encapsulation, keyLen int) ([]
 // Decapsulator amortizes the pairing cost of one private key across many
 // decapsulations: the Miller-loop line coefficients of d_ID — everything
 // in ê(d_ID, ·) that does not depend on the encapsulation point — are
-// computed once, so each Decapsulate pays only the F_p² accumulation and
-// the final exponentiation. Retrieval batches, where one identity key
-// decrypts many messages of a nonce epoch, are the intended caller
-// (rclient.DecryptRetrieval builds one per key in the batch). Immutable
-// and safe for concurrent use by the batch worker pool.
+// computed once, so each message pays only the F_p² accumulation and the
+// final exponentiation, and a batch runs up to eight of those in one
+// instruction stream (DecapsulateBatch). Retrieval pages, where one identity key decrypts
+// many messages of a nonce epoch, are the intended caller:
+// rclient.DecryptRetrieval keeps one per key and hands it each run of
+// that key's messages. Immutable and safe for concurrent use by the
+// page's worker pool.
 type Decapsulator struct {
 	pre *pairing.G1Precomp
 }
@@ -242,18 +244,48 @@ func (p *Params) NewDecapsulator(sk *PrivateKey) (*Decapsulator, error) {
 }
 
 // Decapsulate recomputes the symmetric key from U using the precomputed
-// key lines, relying on enc's validation (see Encapsulation). A pairing
-// value of 1 is refused: for an order-q key it means U has no G1 part —
-// (0, 0), or a point of order dividing h — and no encapsulation made it.
+// key lines: DecapsulateBatch of one.
 func (d *Decapsulator) Decapsulate(enc *Encapsulation, keyLen int) ([]byte, error) {
-	if !enc.checked() {
-		return nil, errors.New("bfibe: nil encapsulation")
+	keys, errs := d.DecapsulateBatch([]*Encapsulation{enc}, []int{keyLen})
+	return keys[0], errs[0]
+}
+
+// DecapsulateBatch recomputes the symmetric key of each encapsulation,
+// keyLens[i] bytes for encs[i], and returns them in order with one error
+// slot each. Each encapsulation is checked on its own and relies on its
+// maker's validation (see Encapsulation): a nil or zero one is refused
+// before any pairing, and a pairing value of 1 is refused — for an
+// order-q key it means U has no G1 part, (0, 0) or a point of order
+// dividing h, and no encapsulation made it. A refused encapsulation has a
+// nil key and its error, and changes no other key. The accepted points
+// are paired together against the key's lines
+// (pairing.G1Precomp.PairBatch): eight to an instruction stream where the
+// field has the lane kernel, so a run of one key's messages costs about
+// as much as one or two of them.
+func (d *Decapsulator) DecapsulateBatch(encs []*Encapsulation, keyLens []int) ([][]byte, []error) {
+	if len(keyLens) != len(encs) {
+		panic("bfibe: DecapsulateBatch operand length mismatch")
 	}
-	shared := d.pre.Pair(enc.u)
-	if shared.IsOne() {
-		return nil, errors.New("bfibe: encapsulation point has no order-q part")
+	keys, errs := make([][]byte, len(encs)), make([]error, len(encs))
+	us := make([]ec.Point, 0, len(encs))
+	idx := make([]int, 0, len(encs))
+	for i, enc := range encs {
+		if !enc.checked() {
+			errs[i] = errors.New("bfibe: nil encapsulation")
+			continue
+		}
+		us, idx = append(us, enc.u), append(idx, i)
 	}
-	return kdf.SessionKey(shared.Bytes(), keyLen), nil
+	shared := make([]pairing.GT, len(us))
+	d.pre.PairBatch(us, shared)
+	for k, i := range idx {
+		if shared[k].IsOne() {
+			errs[i] = errors.New("bfibe: encapsulation point has no order-q part")
+			continue
+		}
+		keys[i] = kdf.SessionKey(shared[k].Bytes(), keyLens[i])
+	}
+	return keys, errs
 }
 
 // --- BasicIdent ---

@@ -435,6 +435,73 @@ func TestPairIdentityFallback(t *testing.T) {
 	}
 }
 
+// TestDecapsulateBatch: a batch under one key equals per-message
+// Decapsulate, and the key Encapsulate gave, message for message, at
+// every run length from 1 to 17 — across the lane crossover and two lane
+// widths — with AES-128 and AES-256 key lengths mixed in one run. A nil
+// encapsulation, the zero value, or one whose pairing is 1, in mid-run,
+// is refused alone: its neighbours' keys come out unchanged, and a nil
+// one is refused before any pairing.
+func TestDecapsulateBatch(t *testing.T) {
+	p, mk := testSetup(t)
+	id := []byte("batch")
+	sk, err := mk.Extract(p, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := p.NewDecapsulator(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const most = 2*ff.LaneWidth + 1
+	encs, want, lens := make([]*Encapsulation, most), make([][]byte, most), make([]int, most)
+	for i := range encs {
+		lens[i] = 16 + 16*(i%2)
+		if encs[i], want[i], err = p.Encapsulate(id, lens[i], rand.Reader); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 1; n <= most; n++ {
+		keys, errs := d.DecapsulateBatch(encs[:n], lens[:n])
+		for i := range n {
+			single, err := d.Decapsulate(encs[i], lens[i])
+			if errs[i] != nil || err != nil || !bytes.Equal(keys[i], single) || !bytes.Equal(keys[i], want[i]) {
+				t.Fatalf("run of %d, message %d: batch %x (%v), single %x (%v), want %x", n, i, keys[i], errs[i], single, err, want[i])
+			}
+		}
+	}
+
+	tors, _ := torsionPoints(t, p.Sys.Curve)
+	noG1, err := UnmarshalEncapsulation(p, p.Sys.Curve.Bytes(tors))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := ff.LaneWidth + 3
+	mid := run / 2
+	for name, bad := range map[string]*Encapsulation{"nil": nil, "the zero value": {}, "q·S": noG1} {
+		mixed := append(append(append([]*Encapsulation{}, encs[:mid]...), bad), encs[mid+1:run]...)
+		var keys [][]byte
+		var errs []error
+		pairings, _ := opCounts(func() { keys, errs = d.DecapsulateBatch(mixed, lens[:run]) })
+		wantPairings := uint64(run - 1)
+		if bad == noG1 {
+			wantPairings = uint64(run)
+		}
+		if pairings != wantPairings {
+			t.Errorf("%s in mid-run: %d pairings, want %d", name, pairings, wantPairings)
+		}
+		for i := range run {
+			if i == mid {
+				if errs[i] == nil || keys[i] != nil {
+					t.Errorf("%s in mid-run accepted: %x", name, keys[i])
+				}
+			} else if errs[i] != nil || !bytes.Equal(keys[i], want[i]) {
+				t.Errorf("%s in mid-run changed message %d: %x (%v), want %x", name, i, keys[i], errs[i], want[i])
+			}
+		}
+	}
+}
+
 var sinkKey []byte
 
 // BenchmarkEncapsulateCold is Encapsulate on the paper-scale preset with
@@ -507,6 +574,30 @@ func BenchmarkDecapsulatorPerMsg(b *testing.B) {
 		if sinkKey, err = d.Decapsulate(enc, 16); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecapsulatorBatch is a lane batch's worth of the same: eight
+// encapsulations under one key in one DecapsulateBatch, a page's run of
+// one key's messages. Where the lane kernel runs it reads about two
+// BenchmarkDecapsulatorPerMsg, not eight.
+func BenchmarkDecapsulatorBatch(b *testing.B) {
+	p, _, d, raw := benchPerMsg(b)
+	enc, err := UnmarshalEncapsulation(p, raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	encs, lens := make([]*Encapsulation, ff.LaneWidth), make([]int, ff.LaneWidth)
+	for i := range encs {
+		encs[i], lens[i] = enc, 16
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keys, errs := d.DecapsulateBatch(encs, lens)
+		if errs[0] != nil {
+			b.Fatal(errs[0])
+		}
+		sinkKey = keys[0]
 	}
 }
 

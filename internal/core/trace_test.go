@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"log/slog"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -180,6 +182,10 @@ func TestTracedSearchKeepsItsTrace(t *testing.T) {
 		}
 		if found == nil {
 			t.Errorf("no %s span under the client's trace %d", hop.span, traceID)
+		} else if hop.span == "peks.filter" && !slices.ContainsFunc(found.Attrs, func(a obsv.Label) bool {
+			return a.Key == "lanes" && a.Value == strconv.FormatBool(dep.Params().Sys.Curve.F.HasLanes())
+		}) {
+			t.Errorf("peks.filter span lacks the lane verdict: %+v", found.Attrs)
 		} else if hop.isRoot && (clientSpans[hop.rpcSpan] == 0 || found.ParentID != clientSpans[hop.rpcSpan]) {
 			t.Errorf("%s root parent = %d, want the client's %s span %d", hop.span, found.ParentID, hop.rpcSpan, clientSpans[hop.rpcSpan])
 		}

@@ -4,9 +4,10 @@ import "math/big"
 
 // The lane kernel: LaneWidth elements of one field multiplied, added or
 // subtracted by a single instruction stream (AVX-512 IFMA, emitted by
-// gen_mont8.go into mont8_amd64.s). An element spans ten 52-bit limbs, so
-// the kernel serves every field of at most laneMaxLimbs 64-bit limbs, in
-// Montgomery form with R' = 2⁵²⁰. Lane arithmetic is exact and reduced:
+// gen_mont8.go into mont8_amd64.s; under -tags lanego, where IFMA is
+// absent, the portable Go kernel of lane_go.go). An element spans ten
+// 52-bit limbs, so the kernel serves every field of at most laneMaxLimbs
+// 64-bit limbs, in Montgomery form with R' = 2⁵²⁰. Lane arithmetic is exact and reduced:
 // every output is the canonical residue in [0, p), whatever the lane
 // holds, with no branch and no lane-dependent memory access.
 //
@@ -82,25 +83,26 @@ func split52(v *big.Int) LaneConst {
 }
 
 // HasLanes reports whether the lane methods run for this field: the
-// processor and OS provide AVX-512 IFMA and the modulus has at most
-// laneMaxLimbs limbs. Both are fixed for the process; the lane methods
+// processor and OS provide AVX-512 IFMA, or the build carries the
+// portable kernel (lane_go.go, -tags lanego), and the modulus has at most
+// laneMaxLimbs limbs. All are fixed for the process; the lane methods
 // must not be called when it is false.
-func (f *Field) HasLanes() bool { return useIFMA && f.n <= laneMaxLimbs }
+func (f *Field) HasLanes() bool { return (useIFMA || laneGo) && f.n <= laneMaxLimbs }
 
 // LaneMul sets z = x·y lane by lane. z may alias x, y or both.
-func (f *Field) LaneMul(z, x, y *Lanes) { laneMulIFMA(z, x, y, &f.lane.mod) }
+func (f *Field) LaneMul(z, x, y *Lanes) { laneMul(z, x, y, &f.lane.mod) }
 
 // LaneMulConst sets z = x·c in every lane. z may alias x.
-func (f *Field) LaneMulConst(z, x *Lanes, c *LaneConst) { laneMulConstIFMA(z, x, c, &f.lane.mod) }
+func (f *Field) LaneMulConst(z, x *Lanes, c *LaneConst) { laneMulConst(z, x, c, &f.lane.mod) }
 
 // LaneAdd sets z = x + y lane by lane. z may alias x, y or both.
-func (f *Field) LaneAdd(z, x, y *Lanes) { laneAddIFMA(z, x, y, &f.lane.mod) }
+func (f *Field) LaneAdd(z, x, y *Lanes) { laneAdd(z, x, y, &f.lane.mod) }
 
 // LaneAddConst sets z = x + c in every lane. z may alias x.
-func (f *Field) LaneAddConst(z, x *Lanes, c *LaneConst) { laneAddConstIFMA(z, x, c, &f.lane.mod) }
+func (f *Field) LaneAddConst(z, x *Lanes, c *LaneConst) { laneAddConst(z, x, c, &f.lane.mod) }
 
 // LaneSub sets z = x − y lane by lane. z may alias x, y or both.
-func (f *Field) LaneSub(z, x, y *Lanes) { laneSubIFMA(z, x, y, &f.lane.mod) }
+func (f *Field) LaneSub(z, x, y *Lanes) { laneSub(z, x, y, &f.lane.mod) }
 
 // SetRaw sets lane j of z to e's Montgomery limbs regrouped into 52-bit
 // limbs: the lane value e·R/R'. Constant-time in e.

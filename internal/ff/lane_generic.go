@@ -2,8 +2,9 @@
 
 package ff
 
-// useIFMA is false off amd64: HasLanes reports no lane kernel, so callers
-// keep to the scalar path and the stubs below are never reached.
+// useIFMA is false off amd64: HasLanes reports lanes only under -tags
+// lanego, whose portable kernel then runs, so the stubs below are never
+// reached.
 const useIFMA = false
 
 func laneMulIFMA(z, x, y *Lanes, m *laneMod)                 { panic("ff: no lane kernel") }

@@ -119,18 +119,21 @@ func checkLaneOps(t *testing.T, f *Field, xs, ys []*big.Int) {
 	check("add of a constant", &z, xs, bcast, laneOps[1].want)
 }
 
-// TestLaneKernel cross-checks the lane kernel against math/big, and its
-// exact-form round trip against the scalar Montgomery multiplication —
-// montMul8Go on the 8-limb fields —, on edge and random operands. With the
-// kernel forced off no field reports lanes; on a host without AVX-512 IFMA
-// that is the only state, and the test says so.
+// TestLaneKernel cross-checks each lane kernel the build and host have —
+// the AVX-512 IFMA assembly, the portable Go kernel under -tags lanego —
+// against math/big, the two against each other limb for limb where both
+// run, and the exact-form round trip against the scalar Montgomery
+// multiplication — montMul8Go on the 8-limb fields —, on edge and random
+// operands. With the kernels forced off no field reports lanes; on a
+// default build without AVX-512 IFMA that is the only state, and the
+// test says so.
 func TestLaneKernel(t *testing.T) {
-	t.Logf("AVX-512 IFMA lane kernel available: %v", useIFMA)
+	t.Logf("AVX-512 IFMA lane kernel available: %v; portable Go kernel linked: %v", useIFMA, laneGo)
 	for name, force := range laneKernels {
 		t.Run(name, func(t *testing.T) {
 			defer force()()
 			for _, f := range diffFields(t) {
-				if want := name == "ifma" && f.n <= laneMaxLimbs; f.HasLanes() != want {
+				if want := name != "off" && f.n <= laneMaxLimbs; f.HasLanes() != want {
 					t.Fatalf("%d-limb field: HasLanes() = %v with the kernel %s", f.n, f.HasLanes(), name)
 				}
 			}
@@ -148,9 +151,41 @@ func TestLaneKernel(t *testing.T) {
 			}
 		})
 	}
-	if !useIFMA {
-		t.Skip("no AVX-512 IFMA on this host: only the forced-off dispatch was checked")
+	goKernel, hasGo := laneKernels["go"]
+	ifmaKernel, hasIFMA := laneKernels["ifma"]
+	if hasGo && hasIFMA {
+		rng := mrand.New(mrand.NewSource(41))
+		for _, f := range laneFields(t) {
+			ops := laneOperands(f, rng, 11)
+			xs, ys := ops[:LaneWidth], ops[LaneWidth:2*LaneWidth]
+			restore := goKernel()
+			want := laneOutputs(f, xs, ys)
+			restore()
+			restore = ifmaKernel()
+			got := laneOutputs(f, xs, ys)
+			restore()
+			if got != want {
+				t.Fatalf("p=%d bits: the Go and IFMA kernels disagree", f.BitLen())
+			}
+		}
 	}
+	if len(laneKernels) == 1 {
+		t.Skip("no lane kernel on this host or build: only the forced-off dispatch was checked")
+	}
+}
+
+// laneOutputs runs the five kernel operations on the operand lanes xs,
+// ys (and ys[0] as the broadcast constant) under the current dispatch.
+func laneOutputs(f *Field, xs, ys []*big.Int) [5]Lanes {
+	var out [5]Lanes
+	x, y := rawLanes(xs), rawLanes(ys)
+	c := split52(ys[0])
+	f.LaneMul(&out[0], x, y)
+	f.LaneMulConst(&out[1], x, &c)
+	f.LaneAdd(&out[2], x, y)
+	f.LaneAddConst(&out[3], x, &c)
+	f.LaneSub(&out[4], x, y)
+	return out
 }
 
 // checkLaneRoundTrip moves Elements into exact lane form and back around
@@ -215,8 +250,8 @@ func FuzzLaneMul(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		if !useIFMA {
-			t.Skip("no AVX-512 IFMA on this host")
+		if !fs[0].HasLanes() {
+			t.Skip("no lane kernel on this host or build")
 		}
 		for _, fld := range fs {
 			p := fld.P()

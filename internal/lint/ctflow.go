@@ -33,7 +33,7 @@ import (
 // (every expression of those types is key material, so struct fields
 // reached through untainted receivers are still seen), secret scalars
 // from pairing.System.RandomScalar, session keys from kdf.SessionKey /
-// bfibe.Encapsulate / Decapsulate / ticket.NewSessionKey /
+// bfibe.Encapsulate / Decapsulate / DecapsulateBatch / ticket.NewSessionKey /
 // macauth.Register/Key, and key-named []byte parameters in the crypto
 // packages.
 //
@@ -197,7 +197,9 @@ func ctSourceExpr(info *types.Info, e ast.Expr) labels {
 	return 0
 }
 
-// ctByteResults labels every []byte result of fn's signature.
+// ctByteResults labels every result of fn's signature that holds a
+// []byte: the byte slice itself, or a slice, array or pointer of them at
+// any depth — a batch's keys as much as one key.
 func ctByteResults(fn *types.Func, lab labels) map[int]labels {
 	sig := calleeSig(fn)
 	if sig == nil {
@@ -205,11 +207,29 @@ func ctByteResults(fn *types.Func, lab labels) map[int]labels {
 	}
 	out := make(map[int]labels)
 	for i := range sig.Results().Len() {
-		if isByteSlice(sig.Results().At(i).Type()) {
+		if holdsByteSlice(sig.Results().At(i).Type()) {
 			out[i] = lab
 		}
 	}
 	return out
+}
+
+// holdsByteSlice reports whether t is a []byte, or a slice, array or
+// pointer whose elements hold one.
+func holdsByteSlice(t types.Type) bool {
+	for !isByteSlice(t) {
+		switch u := t.Underlying().(type) {
+		case *types.Slice:
+			t = u.Elem()
+		case *types.Array:
+			t = u.Elem()
+		case *types.Pointer:
+			t = u.Elem()
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 func ctSourceCall(fn *types.Func) map[int]labels {
@@ -219,7 +239,7 @@ func ctSourceCall(fn *types.Func) map[int]labels {
 		return map[int]labels{0: srcLabel(ctScalar)}
 	case name == "SessionKey" && calleePkgEndsIn(fn, "kdf"):
 		return map[int]labels{0: srcLabel(ctSymKey)}
-	case (name == "Encapsulate" || name == "Decapsulate") && calleePkgEndsIn(fn, "bfibe"):
+	case (name == "Encapsulate" || name == "Decapsulate" || name == "DecapsulateBatch") && calleePkgEndsIn(fn, "bfibe"):
 		return ctByteResults(fn, srcLabel(ctSymKey))
 	case name == "NewSessionKey" && calleePkgEndsIn(fn, "ticket"):
 		return ctByteResults(fn, srcLabel(ctSymKey))

@@ -29,3 +29,29 @@ func CrossIndex(sk *bfibe.PrivateKey) int {
 func CrossClean(sk *bfibe.PrivateKey) int {
 	return len(sk.ID)
 }
+
+// BranchOnDecapsulated branches on a session key from the single form of
+// decapsulation: class 1. Its error is public.
+func BranchOnDecapsulated(d *bfibe.Decapsulator, enc *bfibe.Encapsulation) int {
+	key, err := d.Decapsulate(enc, 16)
+	if err != nil {
+		return -1
+	}
+	if key[0] == 0 { // want "branch condition depends on symmetric key material"
+		return 1
+	}
+	return 0
+}
+
+// BranchOnBatchKey is the same through the batch form: its keys are a
+// [][]byte, labelled like one key, and its errors stay public.
+func BranchOnBatchKey(d *bfibe.Decapsulator, encs []*bfibe.Encapsulation) int {
+	keys, errs := d.DecapsulateBatch(encs, []int{16})
+	if errs[0] != nil {
+		return -1
+	}
+	if keys[0][0] == 0 { // want "branch condition depends on symmetric key material"
+		return 1
+	}
+	return 0
+}

@@ -1,0 +1,16 @@
+package bfibe
+
+// Encapsulation and Decapsulator mirror the real KEM's receiving side:
+// the keys their two methods return are session keys by the callee's
+// name, one key or a batch of them, whatever the body does.
+type Encapsulation struct{}
+
+type Decapsulator struct{}
+
+func (d *Decapsulator) Decapsulate(enc *Encapsulation, keyLen int) ([]byte, error) {
+	return make([]byte, keyLen), nil
+}
+
+func (d *Decapsulator) DecapsulateBatch(encs []*Encapsulation, keyLens []int) ([][]byte, []error) {
+	return make([][]byte, len(encs)), make([]error, len(encs))
+}

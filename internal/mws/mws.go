@@ -561,6 +561,7 @@ func (s *Service) Retrieve(ctx context.Context, req *wire.RetrieveRequest) (*wir
 		}
 		claims := (len(msgs) + chunk - 1) / chunk
 		peksSp.SetAttr("workers", strconv.Itoa(fanout.Workers(claims)))
+		peksSp.SetAttr("lanes", strconv.FormatBool(s.cfg.IBEParams.Sys.Curve.F.HasLanes()))
 		var found atomic.Int64
 		err = fanout.Each(ctx, claims, func(_ context.Context, c int) error {
 			lo, hi := c*chunk, min((c+1)*chunk, len(msgs))

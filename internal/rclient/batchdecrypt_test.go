@@ -6,11 +6,15 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"mwskit/internal/attr"
 	"mwskit/internal/bfibe"
+	"mwskit/internal/fanout"
+	"mwskit/internal/ff"
+	"mwskit/internal/obsv"
 	"mwskit/internal/symenc"
 	"mwskit/internal/wire"
 )
@@ -38,9 +42,13 @@ func buildEpochRetrieval(t *testing.T, n, epochs int) (*Client, *Retrieval, map[
 
 // sealPage plays the devices, the MWS and the PKG offline: n messages
 // round-robin over epochs fresh nonces, and the key of each identity.
-func sealPage(tb testing.TB, params *bfibe.Params, master *bfibe.MasterKey, n, epochs int) (*Retrieval, map[keyIndex]*bfibe.PrivateKey, [][]byte) {
+// Message i is sealed under schemes[i % len(schemes)], or the default
+// scheme when none is given.
+func sealPage(tb testing.TB, params *bfibe.Params, master *bfibe.MasterKey, n, epochs int, schemes ...symenc.Scheme) (*Retrieval, map[keyIndex]*bfibe.PrivateKey, [][]byte) {
 	tb.Helper()
-	scheme := symenc.Default()
+	if len(schemes) == 0 {
+		schemes = []symenc.Scheme{symenc.Default()}
+	}
 	r := &Retrieval{}
 	keys := make(map[keyIndex]*bfibe.PrivateKey)
 	payloads := make([][]byte, n)
@@ -53,6 +61,7 @@ func sealPage(tb testing.TB, params *bfibe.Params, master *bfibe.MasterKey, n, e
 	}
 	for i := 0; i < n; i++ {
 		payloads[i] = []byte(fmt.Sprintf("reading-%d", i))
+		scheme := schemes[i%len(schemes)]
 		a := attr.Attribute("ELECTRIC-X")
 		nonce := nonces[i%epochs]
 		identity := attr.Identity(a, nonce)
@@ -121,11 +130,17 @@ func TestDecryptRetrievalParallelOrder(t *testing.T) {
 	}
 }
 
+// TestDecryptRetrievalMissingKey: a page with a message whose key is
+// missing fails, before any pairing, naming that message.
 func TestDecryptRetrievalMissingKey(t *testing.T) {
 	c, r, keys, _ := buildRetrieval(t, 4)
 	delete(keys, mustKeyIndex(t, &r.Items[2]))
-	if _, err := c.DecryptRetrieval(context.Background(), r, keys); err == nil {
-		t.Fatal("missing key did not fail the batch")
+	before := obsv.CounterMap()["pairing_ops"]
+	if _, err := c.DecryptRetrieval(context.Background(), r, keys); err == nil || !strings.Contains(err.Error(), "message 2") {
+		t.Fatalf("missing key did not fail the batch at message 2: %v", err)
+	}
+	if n := obsv.CounterMap()["pairing_ops"] - before; n != 0 {
+		t.Fatalf("a page missing a key paid %d pairings", n)
 	}
 }
 
@@ -198,5 +213,66 @@ func TestDecryptRetrievalOffSubgroupPointFails(t *testing.T) {
 	}
 	if !errors.Is(err, symenc.ErrAuth) || !strings.Contains(err.Error(), "message 4") {
 		t.Fatalf("page failed for another reason than message 4's AEAD open: %v", err)
+	}
+}
+
+// TestDecryptRetrievalSplitsLongRuns: 20 messages under one key are cut
+// into three runs (8, 8 and 4 messages), each its own fan-out task and
+// lane batch, and come back in deposit order. The ibe.decapsulate span
+// reports the runs, the workers and the lane verdict.
+func TestDecryptRetrievalSplitsLongRuns(t *testing.T) {
+	n := 2*ff.LaneWidth + 4
+	c, r, keys, payloads := buildEpochRetrieval(t, n, 1)
+	tr := obsv.NewTracer("rc", 16, 0, nil)
+	ctx, root := tr.StartRoot(context.Background(), "page")
+	msgs, err := c.DecryptRetrieval(ctx, r, keys)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range msgs {
+		if m == nil || m.Seq != uint64(i) || !bytes.Equal(m.Payload, payloads[i]) {
+			t.Fatalf("message %d out of order or corrupted: %+v", i, m)
+		}
+	}
+	want := map[string]string{
+		"messages": strconv.Itoa(n),
+		"batches":  "3",
+		"workers":  strconv.Itoa(fanout.Workers(3)),
+		"lanes":    strconv.FormatBool(c.params.Sys.Curve.F.HasLanes()),
+	}
+	for _, s := range tr.Snapshot(0, root.Context().TraceID) {
+		if s.Name != "ibe.decapsulate" {
+			continue
+		}
+		for _, a := range s.Attrs {
+			if w, ok := want[a.Key]; ok && a.Value == w {
+				delete(want, a.Key)
+			}
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("ibe.decapsulate span lacks %v", want)
+	}
+}
+
+// TestDecryptRetrievalMixedKeyLengths: AES-128-GCM and AES-256-GCM
+// messages alternate under one key, so each of its runs decapsulates
+// 16- and 32-byte keys side by side; the page decrypts.
+func TestDecryptRetrievalMixedKeyLengths(t *testing.T) {
+	params, master, rsaKey := env(t)
+	c, err := New("rc", []byte("pw"), rsaKey, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, keys, payloads := sealPage(t, params, master, 12, 1, symenc.AES128GCM, symenc.AES256GCM)
+	msgs, err := c.DecryptRetrieval(context.Background(), r, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range msgs {
+		if !bytes.Equal(m.Payload, payloads[i]) {
+			t.Fatalf("message %d (%s) decrypted to %q", i, r.Items[i].Scheme, m.Payload)
+		}
 	}
 }

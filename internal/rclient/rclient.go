@@ -15,12 +15,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 
 	"mwskit/internal/attr"
 	"mwskit/internal/bfibe"
 	"mwskit/internal/fanout"
+	"mwskit/internal/ff"
 	"mwskit/internal/obsv"
 	"mwskit/internal/symenc"
 	"mwskit/internal/ticket"
@@ -242,49 +244,77 @@ func (c *Client) Decrypt(env *Envelope, sk *bfibe.PrivateKey) (*Message, error) 
 	if err != nil {
 		return nil, err
 	}
-	return c.decryptWith(env, d)
-}
-
-// decryptWith opens one envelope through a prepared Decapsulator, so
-// batch callers amortize the key's pairing precomputation.
-// UnmarshalEncapsulation curve-checks U; the AAD binds U's bytes.
-func (c *Client) decryptWith(env *Envelope, d *bfibe.Decapsulator) (*Message, error) {
-	// An unlinked scheme is symenc.ErrUnknownScheme: resume with fromSeq = Seq + 1.
-	scheme, err := symenc.ByName(env.Scheme)
-	if err != nil {
-		return nil, fmt.Errorf("rclient: message %d: %w", env.Seq, err)
-	}
-	enc, err := bfibe.UnmarshalEncapsulation(c.params, env.U)
-	if err != nil {
-		return nil, fmt.Errorf("rclient: message %d: %w", env.Seq, err)
-	}
-	key, err := d.Decapsulate(enc, scheme.KeyLen())
+	msgs, err := c.openRun(d, []*Envelope{env})
 	if err != nil {
 		return nil, err
 	}
-	aad := wire.MessageAAD(env.DeviceID, env.Timestamp, env.Nonce, env.U)
-	payload, err := scheme.Open(key, env.Ciphertext, aad)
-	if err != nil {
-		return nil, fmt.Errorf("rclient: message %d: %w", env.Seq, err)
+	return msgs[0], nil
+}
+
+// openRun opens a run of envelopes under one key, returning their
+// messages in order: each point is decoded (UnmarshalEncapsulation
+// curve-checks U), the run is decapsulated in one batch
+// (bfibe.Decapsulator.DecapsulateBatch), and then each AEAD is opened,
+// its AAD binding U's bytes. The first failing envelope, in run order, is
+// the error, naming its message.
+func (c *Client) openRun(d *bfibe.Decapsulator, envs []*Envelope) ([]*Message, error) {
+	schemes := make([]symenc.Scheme, len(envs))
+	encs := make([]*bfibe.Encapsulation, len(envs))
+	lens := make([]int, len(envs))
+	for i, env := range envs {
+		// An unlinked scheme is symenc.ErrUnknownScheme: resume with fromSeq = Seq + 1.
+		scheme, err := symenc.ByName(env.Scheme)
+		if err == nil {
+			encs[i], err = bfibe.UnmarshalEncapsulation(c.params, env.U)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("rclient: message %d: %w", env.Seq, err)
+		}
+		schemes[i], lens[i] = scheme, scheme.KeyLen()
 	}
-	return &Message{
-		Seq:       env.Seq,
-		DeviceID:  env.DeviceID,
-		Timestamp: env.Timestamp,
-		Payload:   payload,
-	}, nil
+	keys, errs := d.DecapsulateBatch(encs, lens)
+	msgs := make([]*Message, len(envs))
+	for i, env := range envs {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("rclient: message %d: %w", env.Seq, errs[i])
+		}
+		aad := wire.MessageAAD(env.DeviceID, env.Timestamp, env.Nonce, env.U)
+		payload, err := schemes[i].Open(keys[i], env.Ciphertext, aad)
+		if err != nil {
+			return nil, fmt.Errorf("rclient: message %d: %w", env.Seq, err)
+		}
+		msgs[i] = &Message{
+			Seq:       env.Seq,
+			DeviceID:  env.DeviceID,
+			Timestamp: env.Timestamp,
+			Payload:   payload,
+		}
+	}
+	return msgs, nil
+}
+
+// keyRun is a run of one key's messages in a page, at most ff.LaneWidth
+// of them in deposit order: the envelopes and their indices in the page.
+type keyRun struct {
+	e    *keyEntry
+	envs []*Envelope
+	idx  []int
 }
 
 // DecryptRetrieval decrypts every message in a retrieval with the
-// extracted keys, in deposit order, fanning the pairing work across the
-// host's cores (fanout.Each). Each key's Miller-loop lines
-// (bfibe.Decapsulator) are built once and shared by its messages, and by
-// later pages while the client's key cache holds the key, so a message
-// pays only its point's validation, the F_p² accumulation, the final
-// exponentiation, and an AEAD open. A handed key other than the cached
-// one is used as handed; a key is cached once it opens an envelope, and
-// a failed open drops its identity. The first failure (a missing key, a
-// bad point, a forged ciphertext) stops the remaining work.
+// extracted keys, returning them in deposit order. The page is grouped by
+// key before any pairing, so a missing key fails it without one; each
+// key's messages are cut into runs of up to ff.LaneWidth, and the runs
+// are spread across the host's cores (fanout.Each). A run decodes its
+// points, decapsulates them in one lane batch
+// (bfibe.Decapsulator.DecapsulateBatch) and opens each AEAD. Each key's
+// Miller-loop lines (bfibe.Decapsulator) are built once and shared by its
+// runs, and by later pages while the client's key cache holds the key. A
+// handed key other than the cached one is used as handed; a key is
+// cached once one of its runs has opened, and a failure in any of its
+// runs drops its identity. The first failure (a bad point, a forged
+// ciphertext) stops the remaining work, its error names the message, and
+// no plaintext of the page is returned.
 func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[keyIndex]*bfibe.PrivateKey) ([]*Message, error) {
 	if len(r.Items) == 0 {
 		return nil, nil
@@ -305,28 +335,59 @@ func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[ke
 		}
 		entries[ki] = e
 	}
-	out := make([]*Message, len(r.Items))
-	err := fanout.Each(ctx, len(r.Items), func(_ context.Context, i int) error {
+	// The page's runs: each key's messages in deposit order, cut at
+	// ff.LaneWidth, keys in the order of their first message.
+	var runs []keyRun
+	open := make(map[keyIndex]int) // the key's last run, in runs
+	for i := range r.Items {
 		env := &r.Items[i]
 		ki, err := keyIndexOf(env)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		e, ok := entries[ki]
 		if !ok {
-			return fmt.Errorf("rclient: missing key for message %d", env.Seq)
+			return nil, fmt.Errorf("rclient: missing key for message %d", env.Seq)
 		}
-		d, err := e.lines()
+		k, ok := open[ki]
+		if !ok || len(runs[k].idx) == ff.LaneWidth {
+			k = len(runs)
+			open[ki] = k
+			runs = append(runs, keyRun{e: e})
+		}
+		runs[k].envs = append(runs[k].envs, env)
+		runs[k].idx = append(runs[k].idx, i)
+	}
+	decSp.SetAttr("batches", strconv.Itoa(len(runs)))
+	decSp.SetAttr("workers", strconv.Itoa(fanout.Workers(len(runs))))
+	decSp.SetAttr("lanes", strconv.FormatBool(c.params.Sys.Curve.F.HasLanes()))
+
+	out := make([]*Message, len(r.Items))
+	failed := make([]bool, len(runs))
+	err := fanout.Each(ctx, len(runs), func(_ context.Context, k int) error {
+		run := &runs[k]
+		d, err := run.e.lines()
+		var msgs []*Message
 		if err == nil {
-			out[i], err = c.decryptWith(env, d)
+			msgs, err = c.openRun(d, run.envs)
 		}
 		if err != nil {
-			c.keys.evict(ki)
+			failed[k] = true
 			return err
 		}
-		c.keys.admit(e)
+		for j, i := range run.idx {
+			out[i] = msgs[j]
+		}
+		c.keys.admit(run.e)
 		return nil
 	})
+	// Evicted once every run has finished, so a run of the same key that
+	// opened meanwhile cannot put it back.
+	for k, f := range failed {
+		if f {
+			c.keys.evict(runs[k].e.ki)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +432,9 @@ func keyIndexOf(env *Envelope) (keyIndex, error) {
 }
 
 // keyCacheSize bounds the key cache: a 256-message page has at most 128
-// identities that cover two or more messages; ≈ 11 MB of bf80 lines.
+// identities that cover two or more messages; ≈ 11 MB of bf80 lines,
+// plus ≈ 34 KB a key of the same lines in lane form once a run of two or
+// more of its messages has been paired on the lane kernel (≈ 4.4 MB).
 const keyCacheSize = 128
 
 // keyEntry is a private key and its lines, built once, outside the lock.

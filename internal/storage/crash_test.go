@@ -67,23 +67,31 @@ func TestShardedCrashMidGroupCommit(t *testing.T) {
 		}()
 	}
 
-	// Let deposits flow, then "crash": snapshot the directory while
-	// appends and group commits are mid-flight. Acked-before-snapshot is
-	// the durability contract; the snapshot IS the post-kill disk state.
-	time.Sleep(20 * time.Millisecond)
-	mu.Lock()
-	ackedAtCrash := append([]uint64(nil), acked...)
-	mu.Unlock()
+	stopWorkers := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopWorkers()
+	// Let deposits flow until some are acknowledged — polled, so a slow
+	// disk stretches the run instead of leaving it vacuous — then "crash":
+	// snapshot the directory while appends and group commits are
+	// mid-flight. Acked-before-snapshot is the durability contract; the
+	// snapshot IS the post-kill disk state.
+	var ackedAtCrash []uint64
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		ackedAtCrash = append(ackedAtCrash[:0], acked...)
+		mu.Unlock()
+		if len(ackedAtCrash) >= 20 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d deposits acknowledged in 30s; the crash point would be vacuous", len(ackedAtCrash))
+		}
+	}
 	crashDir := t.TempDir()
 	copyTree(t, dir, crashDir)
 
-	close(stop)
-	wg.Wait()
+	stopWorkers()
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if len(ackedAtCrash) == 0 {
-		t.Fatal("no deposits acknowledged before the crash point; test is vacuous")
 	}
 
 	re, err := Open(Config{Dir: crashDir, Sync: SyncAlways})
