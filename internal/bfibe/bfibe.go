@@ -226,10 +226,11 @@ func (p *Params) Decapsulate(sk *PrivateKey, enc *Encapsulation, keyLen int) ([]
 // in ê(d_ID, ·) that does not depend on the encapsulation point — are
 // computed once, so each message pays only the F_p² accumulation and the
 // final exponentiation, and a batch runs up to eight of those in one
-// instruction stream (DecapsulateBatch). Retrieval pages, where one identity key decrypts
-// many messages of a nonce epoch, are the intended caller:
-// rclient.DecryptRetrieval keeps one per key and hands it each run of
-// that key's messages. Immutable and safe for concurrent use by the
+// instruction stream whatever their keys (DecapsulateBatch). Retrieval
+// pages, where one identity key decrypts many messages of a nonce epoch,
+// are the intended caller: rclient.DecryptRetrieval keeps one per key and
+// hands each chunk of eight messages in page order to DecapsulateBatch
+// with each message's key. Immutable and safe for concurrent use by the
 // page's worker pool.
 type Decapsulator struct {
 	pre *pairing.G1Precomp
@@ -246,27 +247,28 @@ func (p *Params) NewDecapsulator(sk *PrivateKey) (*Decapsulator, error) {
 // Decapsulate recomputes the symmetric key from U using the precomputed
 // key lines: DecapsulateBatch of one.
 func (d *Decapsulator) Decapsulate(enc *Encapsulation, keyLen int) ([]byte, error) {
-	keys, errs := d.DecapsulateBatch([]*Encapsulation{enc}, []int{keyLen})
+	keys, errs := DecapsulateBatch([]*Decapsulator{d}, []*Encapsulation{enc}, []int{keyLen})
 	return keys[0], errs[0]
 }
 
 // DecapsulateBatch recomputes the symmetric key of each encapsulation,
-// keyLens[i] bytes for encs[i], and returns them in order with one error
-// slot each. Each encapsulation is checked on its own and relies on its
-// maker's validation (see Encapsulation): a nil or zero one is refused
-// before any pairing, and a pairing value of 1 is refused — for an
-// order-q key it means U has no G1 part, (0, 0) or a point of order
-// dividing h, and no encapsulation made it. A refused encapsulation has a
-// nil key and its error, and changes no other key. The accepted points
-// are paired together against the key's lines
-// (pairing.G1Precomp.PairBatch): eight to an instruction stream where the
-// field has the lane kernel, so a run of one key's messages costs about
-// as much as one or two of them.
-func (d *Decapsulator) DecapsulateBatch(encs []*Encapsulation, keyLens []int) ([][]byte, []error) {
-	if len(keyLens) != len(encs) {
+// keyLens[i] bytes for encs[i] under ds[i]'s key, and returns them in
+// order with one error slot each. The keys may differ and may repeat.
+// Each encapsulation is checked on its own and relies on its maker's
+// validation (see Encapsulation): a nil or zero one is refused before any
+// pairing, and a pairing value of 1 is refused — for an order-q key it
+// means U has no G1 part, (0, 0) or a point of order dividing h, and no
+// encapsulation made it. A refused encapsulation has a nil key and its
+// error, and changes no other key. The accepted points are paired
+// together, each against its key's lines (pairing.PairBatch): eight to an
+// instruction stream where the field has the lane kernel, so eight
+// messages cost about as much as one or two of them.
+func DecapsulateBatch(ds []*Decapsulator, encs []*Encapsulation, keyLens []int) ([][]byte, []error) {
+	if len(ds) != len(encs) || len(keyLens) != len(encs) {
 		panic("bfibe: DecapsulateBatch operand length mismatch")
 	}
 	keys, errs := make([][]byte, len(encs)), make([]error, len(encs))
+	pres := make([]*pairing.G1Precomp, 0, len(encs))
 	us := make([]ec.Point, 0, len(encs))
 	idx := make([]int, 0, len(encs))
 	for i, enc := range encs {
@@ -274,10 +276,10 @@ func (d *Decapsulator) DecapsulateBatch(encs []*Encapsulation, keyLens []int) ([
 			errs[i] = errors.New("bfibe: nil encapsulation")
 			continue
 		}
-		us, idx = append(us, enc.u), append(idx, i)
+		pres, us, idx = append(pres, ds[i].pre), append(us, enc.u), append(idx, i)
 	}
 	shared := make([]pairing.GT, len(us))
-	d.pre.PairBatch(us, shared)
+	pairing.PairBatch(pres, us, shared)
 	for k, i := range idx {
 		if shared[k].IsOne() {
 			errs[i] = errors.New("bfibe: encapsulation point has no order-q part")

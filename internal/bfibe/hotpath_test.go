@@ -435,68 +435,79 @@ func TestPairIdentityFallback(t *testing.T) {
 	}
 }
 
-// TestDecapsulateBatch: a batch under one key equals per-message
-// Decapsulate, and the key Encapsulate gave, message for message, at
-// every run length from 1 to 17 — across the lane crossover and two lane
-// widths — with AES-128 and AES-256 key lengths mixed in one run. A nil
-// encapsulation, the zero value, or one whose pairing is 1, in mid-run,
-// is refused alone: its neighbours' keys come out unchanged, and a nil
-// one is refused before any pairing.
+// TestDecapsulateBatch: a batch under one key, and one whose messages'
+// keys are mixed and repeated, equals per-message Decapsulate, and the key
+// Encapsulate gave, message for message, at every length from 1 to 17 —
+// across the lane crossover and two lane widths — with AES-128 and
+// AES-256 key lengths mixed in one batch. A nil encapsulation, the zero
+// value, or one whose pairing is 1, in mid-batch, is refused alone: its
+// neighbours' keys, its own key's and the other keys', come out
+// unchanged, and a nil one is refused before any pairing.
 func TestDecapsulateBatch(t *testing.T) {
 	p, mk := testSetup(t)
-	id := []byte("batch")
-	sk, err := mk.Extract(p, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := p.NewDecapsulator(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const most = 2*ff.LaneWidth + 1
-	encs, want, lens := make([]*Encapsulation, most), make([][]byte, most), make([]int, most)
-	for i := range encs {
-		lens[i] = 16 + 16*(i%2)
-		if encs[i], want[i], err = p.Encapsulate(id, lens[i], rand.Reader); err != nil {
+	var ids [3][]byte
+	var keyDs [3]*Decapsulator
+	for k := range ids {
+		ids[k] = []byte(fmt.Sprintf("batch-%d", k))
+		sk, err := mk.Extract(p, ids[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keyDs[k], err = p.NewDecapsulator(sk); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for n := 1; n <= most; n++ {
-		keys, errs := d.DecapsulateBatch(encs[:n], lens[:n])
-		for i := range n {
-			single, err := d.Decapsulate(encs[i], lens[i])
-			if errs[i] != nil || err != nil || !bytes.Equal(keys[i], single) || !bytes.Equal(keys[i], want[i]) {
-				t.Fatalf("run of %d, message %d: batch %x (%v), single %x (%v), want %x", n, i, keys[i], errs[i], single, err, want[i])
+	const most = 2*ff.LaneWidth + 1
+	for kind, keyOf := range map[string]func(i int) int{
+		"one key":    func(int) int { return 0 },
+		"mixed keys": func(i int) int { return (i*i + i/3) % 3 },
+	} {
+		ds := make([]*Decapsulator, most)
+		encs, want, lens := make([]*Encapsulation, most), make([][]byte, most), make([]int, most)
+		for i := range encs {
+			var err error
+			ds[i], lens[i] = keyDs[keyOf(i)], 16+16*(i%2)
+			if encs[i], want[i], err = p.Encapsulate(ids[keyOf(i)], lens[i], rand.Reader); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
-
-	tors, _ := torsionPoints(t, p.Sys.Curve)
-	noG1, err := UnmarshalEncapsulation(p, p.Sys.Curve.Bytes(tors))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := ff.LaneWidth + 3
-	mid := run / 2
-	for name, bad := range map[string]*Encapsulation{"nil": nil, "the zero value": {}, "q·S": noG1} {
-		mixed := append(append(append([]*Encapsulation{}, encs[:mid]...), bad), encs[mid+1:run]...)
-		var keys [][]byte
-		var errs []error
-		pairings, _ := opCounts(func() { keys, errs = d.DecapsulateBatch(mixed, lens[:run]) })
-		wantPairings := uint64(run - 1)
-		if bad == noG1 {
-			wantPairings = uint64(run)
-		}
-		if pairings != wantPairings {
-			t.Errorf("%s in mid-run: %d pairings, want %d", name, pairings, wantPairings)
-		}
-		for i := range run {
-			if i == mid {
-				if errs[i] == nil || keys[i] != nil {
-					t.Errorf("%s in mid-run accepted: %x", name, keys[i])
+		for n := 1; n <= most; n++ {
+			keys, errs := DecapsulateBatch(ds[:n], encs[:n], lens[:n])
+			for i := range n {
+				single, err := ds[i].Decapsulate(encs[i], lens[i])
+				if errs[i] != nil || err != nil || !bytes.Equal(keys[i], single) || !bytes.Equal(keys[i], want[i]) {
+					t.Fatalf("%s, batch of %d, message %d: batch %x (%v), single %x (%v), want %x", kind, n, i, keys[i], errs[i], single, err, want[i])
 				}
-			} else if errs[i] != nil || !bytes.Equal(keys[i], want[i]) {
-				t.Errorf("%s in mid-run changed message %d: %x (%v), want %x", name, i, keys[i], errs[i], want[i])
+			}
+		}
+
+		tors, _ := torsionPoints(t, p.Sys.Curve)
+		noG1, err := UnmarshalEncapsulation(p, p.Sys.Curve.Bytes(tors))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := ff.LaneWidth + 3
+		mid := run / 2
+		for name, bad := range map[string]*Encapsulation{"nil": nil, "the zero value": {}, "q·S": noG1} {
+			mixed := append(append(append([]*Encapsulation{}, encs[:mid]...), bad), encs[mid+1:run]...)
+			var keys [][]byte
+			var errs []error
+			pairings, _ := opCounts(func() { keys, errs = DecapsulateBatch(ds[:run], mixed, lens[:run]) })
+			wantPairings := uint64(run - 1)
+			if bad == noG1 {
+				wantPairings = uint64(run)
+			}
+			if pairings != wantPairings {
+				t.Errorf("%s, %s in mid-batch: %d pairings, want %d", kind, name, pairings, wantPairings)
+			}
+			for i := range run {
+				if i == mid {
+					if errs[i] == nil || keys[i] != nil {
+						t.Errorf("%s, %s in mid-batch accepted: %x", kind, name, keys[i])
+					}
+				} else if errs[i] != nil || !bytes.Equal(keys[i], want[i]) {
+					t.Errorf("%s, %s in mid-batch changed message %d: %x (%v), want %x", kind, name, i, keys[i], errs[i], want[i])
+				}
 			}
 		}
 	}
@@ -578,26 +589,43 @@ func BenchmarkDecapsulatorPerMsg(b *testing.B) {
 }
 
 // BenchmarkDecapsulatorBatch is a lane batch's worth of the same: eight
-// encapsulations under one key in one DecapsulateBatch, a page's run of
-// one key's messages. Where the lane kernel runs it reads about two
+// encapsulations in one DecapsulateBatch, under one key (keys=1, a
+// search's broadcast lines) or each under its own (keys=8, a page chunk's
+// gathered lines). Where the lane kernel runs both read about two
 // BenchmarkDecapsulatorPerMsg, not eight.
 func BenchmarkDecapsulatorBatch(b *testing.B) {
-	p, _, d, raw := benchPerMsg(b)
+	p, mk, d, raw := benchPerMsg(b)
 	enc, err := UnmarshalEncapsulation(p, raw)
 	if err != nil {
 		b.Fatal(err)
 	}
-	encs, lens := make([]*Encapsulation, ff.LaneWidth), make([]int, ff.LaneWidth)
-	for i := range encs {
-		encs[i], lens[i] = enc, 16
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		keys, errs := d.DecapsulateBatch(encs, lens)
-		if errs[0] != nil {
-			b.Fatal(errs[0])
+	for _, nkeys := range []int{1, ff.LaneWidth} {
+		ds := make([]*Decapsulator, ff.LaneWidth)
+		encs, lens := make([]*Encapsulation, ff.LaneWidth), make([]int, ff.LaneWidth)
+		for i := range encs {
+			ds[i], encs[i], lens[i] = d, enc, 16
+			if i%nkeys != 0 {
+				// Another key's lines; its keys come out wrong, at the same cost.
+				sk, err := mk.Extract(p, []byte(fmt.Sprintf("bench-%d", i)))
+				if err == nil {
+					ds[i], err = p.NewDecapsulator(sk)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
-		sinkKey = keys[0]
+		b.Run(fmt.Sprintf("keys=%d", nkeys), func(b *testing.B) {
+			DecapsulateBatch(ds, encs, lens) // build the lane lines outside the timer
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				keys, errs := DecapsulateBatch(ds, encs, lens)
+				if errs[0] != nil {
+					b.Fatal(errs[0])
+				}
+				sinkKey = keys[0]
+			}
+		})
 	}
 }
 

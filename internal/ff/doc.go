@@ -19,5 +19,5 @@
 // Lanes (lane.go) is a second representation for batched work: eight
 // elements of one field side by side, multiplied, added and subtracted
 // by one AVX-512 IFMA instruction stream where the processor has it
-// (Field.HasLanes). Only pairing.G1Precomp.PairBatch uses it.
+// (Field.HasLanes). Only pairing.PairBatch uses it.
 package ff

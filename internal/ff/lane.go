@@ -115,6 +115,14 @@ func (z *Lanes) SetRaw(j int, e *Element) {
 	}
 }
 
+// SetConst sets lane j of z to c: a lane batch over several
+// precomputations gathers each lane's line coefficient by lane index.
+func (z *Lanes) SetConst(j int, c *LaneConst) {
+	for i := range z {
+		z[i][j] = c[i]
+	}
+}
+
 // LaneConst returns e's raw copy as a broadcast constant, SetRaw's lane
 // value in every lane.
 func (e *Element) LaneConst() LaneConst {

@@ -8,7 +8,7 @@ import "math/bits"
 // lane at a time, under its contract — operands below p, outputs the
 // canonical residue, no branch or memory access that depends on a lane's
 // value. Built only with -tags lanego, so that hosts without AVX-512 IFMA
-// run the lane paths (pairing.G1Precomp.PairBatch and its callers) in
+// run the lane paths (pairing.PairBatch and its callers) in
 // tests; no default build links it, and where IFMA is present it stays
 // the kernel that runs.
 

@@ -46,7 +46,7 @@ func BranchOnDecapsulated(d *bfibe.Decapsulator, enc *bfibe.Encapsulation) int {
 // BranchOnBatchKey is the same through the batch form: its keys are a
 // [][]byte, labelled like one key, and its errors stay public.
 func BranchOnBatchKey(d *bfibe.Decapsulator, encs []*bfibe.Encapsulation) int {
-	keys, errs := d.DecapsulateBatch(encs, []int{16})
+	keys, errs := bfibe.DecapsulateBatch([]*bfibe.Decapsulator{d}, encs, []int{16})
 	if errs[0] != nil {
 		return -1
 	}

@@ -1,8 +1,8 @@
 package bfibe
 
 // Encapsulation and Decapsulator mirror the real KEM's receiving side:
-// the keys their two methods return are session keys by the callee's
-// name, one key or a batch of them, whatever the body does.
+// the keys Decapsulate and DecapsulateBatch return are session keys by
+// the callee's name, one key or a batch of them, whatever the body does.
 type Encapsulation struct{}
 
 type Decapsulator struct{}
@@ -11,6 +11,6 @@ func (d *Decapsulator) Decapsulate(enc *Encapsulation, keyLen int) ([]byte, erro
 	return make([]byte, keyLen), nil
 }
 
-func (d *Decapsulator) DecapsulateBatch(encs []*Encapsulation, keyLens []int) ([][]byte, []error) {
+func DecapsulateBatch(ds []*Decapsulator, encs []*Encapsulation, keyLens []int) ([][]byte, []error) {
 	return make([][]byte, len(encs)), make([]error, len(encs))
 }

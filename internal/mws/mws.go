@@ -193,7 +193,7 @@ func New(cfg Config) (*Service, error) {
 var errLimitReached = errors.New("mws: search limit reached")
 
 // searchChunk is how many messages an unlimited search claims at once:
-// one lane batch of pairings (pairing.G1Precomp.PairBatch).
+// one lane batch of pairings (pairing.PairBatch).
 const searchChunk = 8
 
 // matchTags tests a chunk of messages' PEKS tags against a search's

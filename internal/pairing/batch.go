@@ -1,6 +1,8 @@
 package pairing
 
 import (
+	"slices"
+
 	"mwskit/internal/ec"
 	"mwskit/internal/ff"
 	"mwskit/internal/obsv"
@@ -8,46 +10,52 @@ import (
 
 // laneCrossover is the fewest points a lane batch takes: below it the
 // Pair loop is faster. A bf80 lane batch costs about 1.9 PrecompPair
-// whether one lane or eight is busy, so one point reads 1.88× its Pair
+// whether one lane or eight is busy, and whether its lanes share one
+// precomputation or gather up to eight, so one point reads 1.88× its Pair
 // and two read 0.95× theirs (BenchmarkLaneBatch against
 // BenchmarkPrecompPair at -cpu 1, DESIGN.md §9).
 const laneCrossover = 2
 
-// PairBatch sets out[i] = pre.Pair(qs[i]) for every i, bit for bit. Where
-// the field has the lane kernel (ff.Field.HasLanes), each run of up to
-// ff.LaneWidth points, if it holds at least laneCrossover of them, runs
-// its Miller loops and final exponentiations side by side, one point a
-// lane; otherwise, and for a precomputation that pairs to 1, PairBatch is
-// the Pair loop. The lanes follow the public digits of q and bits of the
-// final exponent and the public count of points, never a point's value:
-// a point at infinity, an unused lane and an accumulator with a zero
-// coordinate run the same instructions as any other and are folded in
-// by a mask at the end. obsv counts one pairing per point.
-func (pre *G1Precomp) PairBatch(qs []ec.Point, out []GT) {
-	if len(qs) != len(out) {
+// PairBatch sets out[i] = pres[i].Pair(qs[i]) for every i, bit for bit.
+// The precomputations come from one Pairing, and any of them may repeat.
+// Where the field has the lane kernel (ff.Field.HasLanes), each run of up
+// to ff.LaneWidth points in order, if it holds at least laneCrossover of
+// them and a precomputation that does not pair to 1, runs its Miller
+// loops and final exponentiations side by side, one point a lane;
+// otherwise PairBatch is the Pair loop. A run whose points share one
+// precomputation (a search's trapdoor) reads each line as a broadcast
+// constant; a run over several (a page's keys) gathers each lane's line
+// by lane index. The lanes follow the public digits of q and bits of the
+// final exponent, the public count of points and which of them share a
+// precomputation, never a point's or a line's value: a point at infinity,
+// a precomputation that pairs to 1, an unused lane and an accumulator
+// with a zero coordinate run the same instructions as any other and are
+// folded in by a mask at the end. obsv counts one pairing per point.
+func PairBatch(pres []*G1Precomp, qs []ec.Point, out []GT) {
+	if len(pres) != len(qs) || len(qs) != len(out) {
 		panic("pairing: PairBatch operand length mismatch")
 	}
-	lanes := !pre.one && pre.e.Curve.F.HasLanes()
 	for len(qs) > 0 {
 		n := min(len(qs), ff.LaneWidth)
-		if lanes && n >= laneCrossover {
-			pre.pairLanes(qs[:n], out[:n])
+		live := slices.IndexFunc(pres[:n], func(pre *G1Precomp) bool { return !pre.one })
+		if n >= laneCrossover && live >= 0 && pres[live].e.Curve.F.HasLanes() {
+			pairLanes(pres[live], pres[:n], qs[:n], out[:n])
 		} else {
 			for i := range n {
-				out[i] = pre.Pair(qs[i])
+				out[i] = pres[i].Pair(qs[i])
 			}
 		}
-		qs, out = qs[n:], out[n:]
+		pres, qs, out = pres[n:], qs[n:], out[n:]
 	}
 }
 
-// laneLines returns the precomputation's lines as broadcast lane
-// constants, built on first use: per step the tangent's a and b, then the
-// chord's where there is one. They are raw copies (ff.Element.LaneConst),
-// worth the coefficient times one fixed F_p scale; y_Q enters with the
-// same scale and x_Q exactly, so every line value — and the accumulator —
-// is off by an F_p factor the final exponentiation kills. 214 bf80 lines
-// take 34 KB.
+// laneLines returns the precomputation's lines as lane constants,
+// broadcast or gathered by pairLanes, built on first use: per step the
+// tangent's a and b, then the chord's where there is one. They are raw
+// copies (ff.Element.LaneConst), worth the coefficient times one fixed
+// F_p scale; y_Q enters with the same scale and x_Q exactly, so every
+// line value — and the accumulator — is off by an F_p factor the final
+// exponentiation kills. 214 bf80 lines take 34 KB.
 func (pre *G1Precomp) laneLines() []ff.LaneConst {
 	pre.laneOnce.Do(func() {
 		n := 0
@@ -86,47 +94,74 @@ func (e *Pairing) laneConsts() (two, half *ff.Lanes) {
 }
 
 // pairLanes is PairBatch's lane path for 1 ≤ len(qs) ≤ ff.LaneWidth
-// points: pre.miller lane by lane, then finalExpLanes.
-func (pre *G1Precomp) pairLanes(qs []ec.Point, out []GT) {
-	e := pre.e
+// points, qs[j] against pres[j]: miller lane by lane, then finalExpLanes.
+// live is one of pres that does not pair to 1.
+func pairLanes(live *G1Precomp, pres []*G1Precomp, qs []ec.Point, out []GT) {
+	e := live.e
 	f := e.Curve.F
-	lines := pre.laneLines()
-	// x_Q exact; y_Q, like the lines, a raw copy. Q = ∞ (whose coordinates
-	// have no field) and an unused lane keep (0, 0): every line value is
+	// Each lane's lines: its own precomputation's, or live's for an unused
+	// lane and one whose precomputation pairs to 1. Those keep Q = (0, 0),
+	// like Q = ∞ (whose coordinates have no field): every line value is
 	// then in F_p, so the accumulator has no imaginary part and
-	// finalExpLanes gives the lane 1, Pair's value for ∞.
+	// finalExpLanes gives the lane 1, Pair's value. x_Q exact; y_Q, like
+	// the lines, a raw copy.
+	lines := live.laneLines()
+	var src [ff.LaneWidth][]ff.LaneConst
+	shared := true
 	var x, y, ySq ff.Lanes
-	for j, q := range qs {
+	for j := range src {
+		src[j] = lines
+		if j >= len(qs) {
+			continue
+		}
 		obsv.AddPairing()
-		if !q.Inf {
-			x.SetRaw(j, &q.X)
-			y.SetRaw(j, &q.Y)
+		if pres[j].one {
+			continue
+		}
+		src[j], shared = pres[j].laneLines(), shared && pres[j] == live
+		if !qs[j].Inf {
+			x.SetRaw(j, &qs[j].X)
+			y.SetRaw(j, &qs[j].Y)
 		}
 	}
 	f.LaneExact(&x, &x)
 	f.LaneMul(&ySq, &y, &y)
+	// lineAt sets z = a + b·x_Q for the line whose coefficients are at k
+	// and k+1: broadcast where the lanes share their lines, else gathered.
+	var ca, cb ff.Lanes
+	lineAt := func(z *ff.Lanes, k int) {
+		if shared {
+			f.LaneMulConst(z, &x, &lines[k+1])
+			f.LaneAddConst(z, z, &lines[k])
+			return
+		}
+		for j := range src {
+			ca.SetConst(j, &src[j][k])
+			cb.SetConst(j, &src[j][k+1])
+		}
+		f.LaneMul(z, &x, &cb)
+		f.LaneAdd(z, z, &ca)
+	}
 
 	// The Miller loop: millerStep.at and the F_p² square and Karatsuba
-	// product of pre.miller, on lanes.
+	// product of miller, on lanes.
 	var fa, fb, va, vb, t, u ff.Lanes
 	one := f.One()
 	for j := range ff.LaneWidth {
 		fa.SetRaw(j, &one)
 	}
 	k := 0
-	for s := range pre.steps {
+	for s := range live.steps {
 		f.LaneAdd(&t, &fa, &fb)
 		f.LaneSub(&u, &fa, &fb)
 		f.LaneMul(&fb, &fa, &fb)
 		f.LaneAdd(&fb, &fb, &fb)
 		f.LaneMul(&fa, &t, &u)
-		f.LaneMulConst(&va, &x, &lines[k+1])
-		f.LaneAddConst(&va, &va, &lines[k])
+		lineAt(&va, k)
 		k += 2
 		vi := &y
-		if pre.steps[s].hasChord {
-			f.LaneMulConst(&t, &x, &lines[k+1])
-			f.LaneAddConst(&t, &t, &lines[k])
+		if live.steps[s].hasChord {
+			lineAt(&t, k)
 			k += 2
 			f.LaneAdd(&vb, &va, &t)
 			f.LaneMul(&vb, &vb, &y)

@@ -1,6 +1,7 @@
 package pairing
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,9 +13,12 @@ import (
 // TestPairBatchMatchesPair checks PairBatch against the Pair loop, bit for
 // bit, for every batch size from 1 to 17 — across the crossover and two
 // lane widths — on every preset, over subgroup points mixed with ∞,
-// points with no G1 part and hashed points outside G1, and for
-// precomputations over ∞ and over a point outside G1, which pair to 1.
-// Where the field has no lane kernel it checks the loop against itself.
+// points with no G1 part and hashed points outside G1. The points meet
+// one precomputation (the broadcast lines), precomputations over ∞ and
+// over a point outside G1, which pair to 1, alone and beside a key's, and
+// three keys mixed and repeated with those two in mixed lanes (the
+// gathered lines), one chunk led by a lane that pairs to 1. Where the
+// field has no lane kernel it checks the loop against itself.
 func TestPairBatchMatchesPair(t *testing.T) {
 	for name, sys := range presetSystems(t) {
 		c := sys.Curve
@@ -33,14 +37,26 @@ func TestPairBatchMatchesPair(t *testing.T) {
 				pts = append(pts, c.ScalarMult(g, randBig(t, sys)))
 			}
 		}
-		for _, p := range []ec.Point{c.ScalarMult(g, randBig(t, sys)), c.Infinity(), torsionPoint(t, c)} {
-			pre := sys.G1Precomp(p)
+		var keys [3]*G1Precomp
+		for k := range keys {
+			keys[k] = sys.G1Precomp(c.ScalarMult(g, randBig(t, sys)))
+		}
+		a, b, d := keys[0], keys[1], keys[2]
+		inf, tors := sys.G1Precomp(c.Infinity()), sys.G1Precomp(torsionPoint(t, c))
+		for kind, cycle := range map[string][]*G1Precomp{
+			"one key":       {a},
+			"∞":             {inf},
+			"outside G1":    {tors},
+			"one key and 1": {a, inf, a, a, tors},
+			"mixed":         {inf, a, b, a, tors, d, b},
+		} {
+			pres := slices.Repeat(cycle, len(pts)/len(cycle)+1)[:len(pts)]
 			for n := 1; n <= len(pts); n++ {
 				out := make([]GT, n)
-				pre.PairBatch(pts[:n], out)
+				PairBatch(pres[:n], pts[:n], out)
 				for i, q := range pts[:n] {
-					if want := pre.Pair(q); !out[i].Equal(want) {
-						t.Fatalf("%s: batch of %d, point %d: PairBatch %x, Pair %x", name, n, i, out[i].Bytes(), want.Bytes())
+					if want := pres[i].Pair(q); !out[i].Equal(want) {
+						t.Fatalf("%s, %s: batch of %d, point %d: PairBatch %x, Pair %x", name, kind, n, i, out[i].Bytes(), want.Bytes())
 					}
 				}
 			}
@@ -48,19 +64,25 @@ func TestPairBatchMatchesPair(t *testing.T) {
 	}
 }
 
-// TestPairBatchCountsPairings: one obsv pairing per point, on either path.
+// TestPairBatchCountsPairings: one obsv pairing per point, on either path,
+// under one key or several.
 func TestPairBatchCountsPairings(t *testing.T) {
 	sys := ParamsTest.MustSystem()
-	pre := sys.G1Precomp(sys.G1())
+	one, other := sys.G1Precomp(sys.G1()), sys.G1Precomp(sys.Curve.Double(sys.G1()))
 	for _, n := range []int{1, laneCrossover, ff.LaneWidth + 1} {
 		qs := make([]ec.Point, n)
 		for i := range qs {
 			qs[i] = sys.G1()
 		}
-		before := obsv.CounterMap()["pairing_ops"]
-		pre.PairBatch(qs, make([]GT, n))
-		if got := obsv.CounterMap()["pairing_ops"] - before; got != uint64(n) {
-			t.Errorf("batch of %d: %d pairings counted", n, got)
+		for kind, pres := range map[string][]*G1Precomp{
+			"one key":  slices.Repeat([]*G1Precomp{one}, n),
+			"two keys": slices.Repeat([]*G1Precomp{one, other}, n)[:n],
+		} {
+			before := obsv.CounterMap()["pairing_ops"]
+			PairBatch(pres, qs, make([]GT, n))
+			if got := obsv.CounterMap()["pairing_ops"] - before; got != uint64(n) {
+				t.Errorf("%s, batch of %d: %d pairings counted", kind, n, got)
+			}
 		}
 	}
 }
@@ -101,7 +123,7 @@ func TestPairBatchConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pre.PairBatch(qs, outs[w])
+			PairBatch(slices.Repeat([]*G1Precomp{pre}, len(qs)), qs, outs[w])
 		}()
 	}
 	wg.Wait()

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	"slices"
 	"testing"
 
 	"mwskit/internal/ec"
@@ -52,11 +53,12 @@ func BenchmarkPairBatch(b *testing.B) {
 	for i := range qs {
 		_, _, qs[i] = benchPoints(b)
 	}
+	pres := slices.Repeat([]*G1Precomp{pre}, len(qs))
 	out := make([]GT, len(qs))
-	pre.PairBatch(qs, out) // build the lane lines outside the timer
+	PairBatch(pres, qs, out) // build the lane lines outside the timer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pre.PairBatch(qs, out)
+		PairBatch(pres, qs, out)
 	}
 }
 
@@ -72,11 +74,12 @@ func BenchmarkLaneBatch(b *testing.B) {
 	for i := range qs {
 		_, _, qs[i] = benchPoints(b)
 	}
+	pres := slices.Repeat([]*G1Precomp{pre}, len(qs))
 	out := make([]GT, len(qs))
 	for n := 1; n <= len(qs); n++ {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pre.pairLanes(qs[:n], out[:n])
+				pairLanes(pre, pres[:n], qs[:n], out[:n])
 			}
 		})
 	}

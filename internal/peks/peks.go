@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"mwskit/internal/bfibe"
 	"mwskit/internal/ec"
@@ -120,7 +121,7 @@ func (t *Tester) Test(tag *Tag) bool {
 }
 
 // TestBatch sets out[i] = t.Test(tags[i]) for every tag. The well-formed
-// tags are paired together (pairing.G1Precomp.PairBatch), eight to an
+// tags are paired together (pairing.PairBatch), eight to an
 // instruction stream where the lane kernel runs: one call tests a search
 // chunk's round of tags.
 func (t *Tester) TestBatch(tags []*Tag, out []bool) {
@@ -136,7 +137,7 @@ func (t *Tester) TestBatch(tags []*Tag, out []bool) {
 		}
 	}
 	vs := make([]pairing.GT, len(us))
-	t.pre.PairBatch(us, vs)
+	pairing.PairBatch(slices.Repeat([]*pairing.G1Precomp{t.pre}, len(us)), us, vs)
 	for k, i := range idx {
 		out[i] = matches(vs[k], tags[i])
 	}

@@ -216,13 +216,14 @@ func TestDecryptRetrievalOffSubgroupPointFails(t *testing.T) {
 	}
 }
 
-// TestDecryptRetrievalSplitsLongRuns: 20 messages under one key are cut
-// into three runs (8, 8 and 4 messages), each its own fan-out task and
-// lane batch, and come back in deposit order. The ibe.decapsulate span
-// reports the runs, the workers and the lane verdict.
+// TestDecryptRetrievalSplitsLongRuns: 20 messages over 3 keys are cut in
+// deposit order into three chunks (8, 8 and 4 messages) whatever their
+// keys, each its own fan-out task and lane batch, and come back in
+// deposit order. The ibe.decapsulate span reports the chunks, the page's
+// distinct keys, the workers and the lane verdict.
 func TestDecryptRetrievalSplitsLongRuns(t *testing.T) {
 	n := 2*ff.LaneWidth + 4
-	c, r, keys, payloads := buildEpochRetrieval(t, n, 1)
+	c, r, keys, payloads := buildEpochRetrieval(t, n, 3)
 	tr := obsv.NewTracer("rc", 16, 0, nil)
 	ctx, root := tr.StartRoot(context.Background(), "page")
 	msgs, err := c.DecryptRetrieval(ctx, r, keys)
@@ -238,6 +239,7 @@ func TestDecryptRetrievalSplitsLongRuns(t *testing.T) {
 	want := map[string]string{
 		"messages": strconv.Itoa(n),
 		"batches":  "3",
+		"keys":     "3",
 		"workers":  strconv.Itoa(fanout.Workers(3)),
 		"lanes":    strconv.FormatBool(c.params.Sys.Curve.F.HasLanes()),
 	}

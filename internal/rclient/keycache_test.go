@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"testing"
 
 	"mwskit/internal/bfibe"
+	"mwskit/internal/ff"
 	"mwskit/internal/symenc"
 )
 
@@ -108,6 +111,38 @@ func TestKeyCacheAdmitsOnlyOpenedKeys(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestKeyCacheMixedChunk: a forged message under key A, in a lane batch
+// with key B's messages, fails the page and drops A, after every chunk
+// has returned, so the next page asks the PKG for A again; B, whose
+// messages opened, is never dropped, and the next page takes it from the
+// cache.
+func TestKeyCacheMixedChunk(t *testing.T) {
+	c, r, keys, _ := buildEpochRetrieval(t, 3*ff.LaneWidth, 2)
+	order, sealed := pageKeys(t, c, r, keys)
+	a, b := mustKeyIndex(t, &r.Items[1]), mustKeyIndex(t, &r.Items[0])
+	pkg := newFakePKG(t, sealed)
+	if _, err := drain(c, pkg, r); err != nil {
+		t.Fatal(err)
+	}
+	wantAsked(t, "first page", pkg, order)
+	r.Items[ff.LaneWidth+1].Ciphertext[0] ^= 1
+	for page := range 2 {
+		if _, err := drain(c, pkg, r); !errors.Is(err, symenc.ErrAuth) || !strings.Contains(err.Error(), fmt.Sprintf("message %d", ff.LaneWidth+1)) {
+			t.Fatalf("page %d with a forged message: %v", page, err)
+		}
+		held := cachedLines(t, c)
+		if _, ok := held[a]; ok {
+			t.Fatalf("page %d kept the forged message's key", page)
+		}
+		if _, ok := held[b]; !ok {
+			t.Fatalf("page %d dropped the key whose messages opened", page)
+		}
+		if page > 0 {
+			wantAsked(t, "page after the forged one", pkg, []keyIndex{a})
+		}
+	}
 }
 
 // TestKeyCacheFreshNoncesMiss: under the paper's epoch 1 every message

@@ -244,20 +244,19 @@ func (c *Client) Decrypt(env *Envelope, sk *bfibe.PrivateKey) (*Message, error) 
 	if err != nil {
 		return nil, err
 	}
-	msgs, err := c.openRun(d, []*Envelope{env})
-	if err != nil {
+	msgs := make([]*Message, 1)
+	if _, err := c.openChunk([]*bfibe.Decapsulator{d}, []*Envelope{env}, msgs); err != nil {
 		return nil, err
 	}
 	return msgs[0], nil
 }
 
-// openRun opens a run of envelopes under one key, returning their
-// messages in order: each point is decoded (UnmarshalEncapsulation
-// curve-checks U), the run is decapsulated in one batch
-// (bfibe.Decapsulator.DecapsulateBatch), and then each AEAD is opened,
-// its AAD binding U's bytes. The first failing envelope, in run order, is
-// the error, naming its message.
-func (c *Client) openRun(d *bfibe.Decapsulator, envs []*Envelope) ([]*Message, error) {
+// openChunk opens envs[i] under ds[i] into out[i]: each point is decoded
+// (UnmarshalEncapsulation curve-checks U), the chunk is decapsulated in
+// one batch (bfibe.DecapsulateBatch), and then each AEAD is opened, its
+// AAD binding U's bytes. The first failing envelope, in order, is the
+// error, naming its message, and its index is returned with it.
+func (c *Client) openChunk(ds []*bfibe.Decapsulator, envs []*Envelope, out []*Message) (int, error) {
 	schemes := make([]symenc.Scheme, len(envs))
 	encs := make([]*bfibe.Encapsulation, len(envs))
 	lens := make([]int, len(envs))
@@ -268,53 +267,44 @@ func (c *Client) openRun(d *bfibe.Decapsulator, envs []*Envelope) ([]*Message, e
 			encs[i], err = bfibe.UnmarshalEncapsulation(c.params, env.U)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("rclient: message %d: %w", env.Seq, err)
+			return i, fmt.Errorf("rclient: message %d: %w", env.Seq, err)
 		}
 		schemes[i], lens[i] = scheme, scheme.KeyLen()
 	}
-	keys, errs := d.DecapsulateBatch(encs, lens)
-	msgs := make([]*Message, len(envs))
+	keys, errs := bfibe.DecapsulateBatch(ds, encs, lens)
 	for i, env := range envs {
 		if errs[i] != nil {
-			return nil, fmt.Errorf("rclient: message %d: %w", env.Seq, errs[i])
+			return i, fmt.Errorf("rclient: message %d: %w", env.Seq, errs[i])
 		}
 		aad := wire.MessageAAD(env.DeviceID, env.Timestamp, env.Nonce, env.U)
 		payload, err := schemes[i].Open(keys[i], env.Ciphertext, aad)
 		if err != nil {
-			return nil, fmt.Errorf("rclient: message %d: %w", env.Seq, err)
+			return i, fmt.Errorf("rclient: message %d: %w", env.Seq, err)
 		}
-		msgs[i] = &Message{
+		out[i] = &Message{
 			Seq:       env.Seq,
 			DeviceID:  env.DeviceID,
 			Timestamp: env.Timestamp,
 			Payload:   payload,
 		}
 	}
-	return msgs, nil
-}
-
-// keyRun is a run of one key's messages in a page, at most ff.LaneWidth
-// of them in deposit order: the envelopes and their indices in the page.
-type keyRun struct {
-	e    *keyEntry
-	envs []*Envelope
-	idx  []int
+	return 0, nil
 }
 
 // DecryptRetrieval decrypts every message in a retrieval with the
-// extracted keys, returning them in deposit order. The page is grouped by
-// key before any pairing, so a missing key fails it without one; each
-// key's messages are cut into runs of up to ff.LaneWidth, and the runs
-// are spread across the host's cores (fanout.Each). A run decodes its
-// points, decapsulates them in one lane batch
-// (bfibe.Decapsulator.DecapsulateBatch) and opens each AEAD. Each key's
-// Miller-loop lines (bfibe.Decapsulator) are built once and shared by its
-// runs, and by later pages while the client's key cache holds the key. A
-// handed key other than the cached one is used as handed; a key is
-// cached once one of its runs has opened, and a failure in any of its
-// runs drops its identity. The first failure (a bad point, a forged
-// ciphertext) stops the remaining work, its error names the message, and
-// no plaintext of the page is returned.
+// extracted keys, returning them in deposit order. Every message's key is
+// resolved before any pairing, so a missing key fails the page without
+// one. The page is then cut in deposit order into chunks of
+// ff.LaneWidth, whatever their keys, and the chunks are spread across the
+// host's cores (fanout.Each). A chunk decodes its points, decapsulates
+// them in one lane batch, each under its own key (bfibe.DecapsulateBatch),
+// and opens each AEAD. Each key's Miller-loop lines (bfibe.Decapsulator)
+// are built once and shared by its chunks, and by later pages while the
+// client's key cache holds the key. A handed key other than the cached
+// one is used as handed; a key is cached once a chunk holding it has
+// opened, and the key of a failing message loses its identity. The first
+// failure (a bad point, a forged ciphertext) stops the remaining work,
+// its error names the message, and no plaintext of the page is returned.
 func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[keyIndex]*bfibe.PrivateKey) ([]*Message, error) {
 	if len(r.Items) == 0 {
 		return nil, nil
@@ -323,22 +313,10 @@ func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[ke
 	decSp.SetAttr("messages", fmt.Sprintf("%d", len(r.Items)))
 	defer decSp.End()
 
-	// One entry per distinct key, read-only once the workers start.
-	entries := make(map[keyIndex]*keyEntry, len(keys))
-	for ki, sk := range keys {
-		e := c.keys.get(ki)
-		//mwslint:declassify pointer identity: the comparison reads two addresses, never a key's value
-		if e == nil || e.sk != sk {
-			e = &keyEntry{ki: ki, sk: sk, lines: sync.OnceValues(func() (*bfibe.Decapsulator, error) {
-				return c.params.NewDecapsulator(sk)
-			})}
-		}
-		entries[ki] = e
-	}
-	// The page's runs: each key's messages in deposit order, cut at
-	// ff.LaneWidth, keys in the order of their first message.
-	var runs []keyRun
-	open := make(map[keyIndex]int) // the key's last run, in runs
+	// Each message's entry, one per distinct key; read-only once the
+	// workers start.
+	entries := make(map[keyIndex]*keyEntry)
+	ents := make([]*keyEntry, len(r.Items))
 	for i := range r.Items {
 		env := &r.Items[i]
 		ki, err := keyIndexOf(env)
@@ -347,45 +325,55 @@ func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[ke
 		}
 		e, ok := entries[ki]
 		if !ok {
-			return nil, fmt.Errorf("rclient: missing key for message %d", env.Seq)
+			sk, ok := keys[ki]
+			if !ok {
+				return nil, fmt.Errorf("rclient: missing key for message %d", env.Seq)
+			}
+			e = c.keys.get(ki)
+			//mwslint:declassify pointer identity: the comparison reads two addresses, never a key's value
+			if e == nil || e.sk != sk {
+				e = &keyEntry{ki: ki, sk: sk, lines: sync.OnceValues(func() (*bfibe.Decapsulator, error) {
+					return c.params.NewDecapsulator(sk)
+				})}
+			}
+			entries[ki] = e
 		}
-		k, ok := open[ki]
-		if !ok || len(runs[k].idx) == ff.LaneWidth {
-			k = len(runs)
-			open[ki] = k
-			runs = append(runs, keyRun{e: e})
-		}
-		runs[k].envs = append(runs[k].envs, env)
-		runs[k].idx = append(runs[k].idx, i)
+		ents[i] = e
 	}
-	decSp.SetAttr("batches", strconv.Itoa(len(runs)))
-	decSp.SetAttr("workers", strconv.Itoa(fanout.Workers(len(runs))))
+	chunks := (len(r.Items) + ff.LaneWidth - 1) / ff.LaneWidth
+	decSp.SetAttr("keys", strconv.Itoa(len(entries)))
+	decSp.SetAttr("batches", strconv.Itoa(chunks))
+	decSp.SetAttr("workers", strconv.Itoa(fanout.Workers(chunks)))
 	decSp.SetAttr("lanes", strconv.FormatBool(c.params.Sys.Curve.F.HasLanes()))
 
 	out := make([]*Message, len(r.Items))
-	failed := make([]bool, len(runs))
-	err := fanout.Each(ctx, len(runs), func(_ context.Context, k int) error {
-		run := &runs[k]
-		d, err := run.e.lines()
-		var msgs []*Message
-		if err == nil {
-			msgs, err = c.openRun(d, run.envs)
+	failed := make([]*keyEntry, chunks) // the key of a chunk's failing message
+	err := fanout.Each(ctx, chunks, func(_ context.Context, k int) error {
+		lo, hi := k*ff.LaneWidth, min(len(r.Items), (k+1)*ff.LaneWidth)
+		ds := make([]*bfibe.Decapsulator, hi-lo)
+		envs := make([]*Envelope, hi-lo)
+		for j := range ds {
+			d, err := ents[lo+j].lines()
+			if err != nil {
+				failed[k] = ents[lo+j]
+				return err
+			}
+			ds[j], envs[j] = d, &r.Items[lo+j]
 		}
-		if err != nil {
-			failed[k] = true
+		if j, err := c.openChunk(ds, envs, out[lo:hi]); err != nil {
+			failed[k] = ents[lo+j]
 			return err
 		}
-		for j, i := range run.idx {
-			out[i] = msgs[j]
+		for _, e := range ents[lo:hi] {
+			c.keys.admit(e)
 		}
-		c.keys.admit(run.e)
 		return nil
 	})
-	// Evicted once every run has finished, so a run of the same key that
-	// opened meanwhile cannot put it back.
-	for k, f := range failed {
-		if f {
-			c.keys.evict(runs[k].e.ki)
+	// Evicted once every chunk has finished, so a chunk holding the same
+	// key that opened meanwhile cannot put it back.
+	for _, e := range failed {
+		if e != nil {
+			c.keys.evict(e.ki)
 		}
 	}
 	if err != nil {
@@ -433,8 +421,8 @@ func keyIndexOf(env *Envelope) (keyIndex, error) {
 
 // keyCacheSize bounds the key cache: a 256-message page has at most 128
 // identities that cover two or more messages; ≈ 11 MB of bf80 lines,
-// plus ≈ 34 KB a key of the same lines in lane form once a run of two or
-// more of its messages has been paired on the lane kernel (≈ 4.4 MB).
+// plus ≈ 34 KB a key of the same lines in lane form once a chunk holding
+// one of its messages has run on the lane kernel (≈ 4.4 MB).
 const keyCacheSize = 128
 
 // keyEntry is a private key and its lines, built once, outside the lock.
