@@ -71,12 +71,9 @@ func MarshalEncapsulation(p *Params, e *Encapsulation) []byte {
 // private key; an on-curve U outside G1 decapsulates to the key of its G1
 // projection, and one without a G1 part is refused by Decapsulate.
 func UnmarshalEncapsulation(p *Params, b []byte) (*Encapsulation, error) {
-	u, err := p.Sys.Curve.PointFromBytes(b)
+	u, err := p.Sys.Curve.FinitePointFromBytes(b)
 	if err != nil {
 		return nil, fmt.Errorf("bfibe: encapsulation: %w", err)
-	}
-	if u.Inf {
-		return nil, errors.New("bfibe: encapsulation: point at infinity")
 	}
 	return &Encapsulation{u: u}, nil
 }

@@ -250,6 +250,18 @@ func (c *Curve) PointFromBytes(b []byte) (Point, error) {
 	return c.NewPoint(x, y)
 }
 
+// FinitePointFromBytes decodes like PointFromBytes and refuses ∞: the
+// decoder of a point that is only ever a second pairing argument (an
+// encapsulation or tag point), or a first one whose Miller walk checks
+// its order (a trapdoor, peks.NewTester; DESIGN.md §9).
+func (c *Curve) FinitePointFromBytes(b []byte) (Point, error) {
+	p, err := c.PointFromBytes(b)
+	if err == nil && p.Inf {
+		err = errors.New("ec: point at infinity")
+	}
+	return p, err
+}
+
 // SubgroupPointFromBytes decodes like PointFromBytes and additionally
 // rejects finite points outside the order-q subgroup. Wire boundaries
 // where bytes become a point that is walked as a *first* pairing argument

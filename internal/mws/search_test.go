@@ -277,10 +277,11 @@ func (c expiringCtx) Err() error {
 }
 
 // TestSearchOpCounts pins a search's arithmetic to the digit: over N
-// decodable tags it costs exactly one public scalar multiplication — the
-// trapdoor's order check, a first pairing argument — and N pairings. The
-// stored tags' points, only ever second arguments, are curve-checked
-// without a multiplication by q.
+// decodable tags it costs no public scalar multiplication and N
+// pairings. The trapdoor, a first pairing argument, is order-checked by
+// the walk that builds its lines (peks.NewTester); the stored tags'
+// points, only ever second arguments, are curve-checked without a
+// multiplication by q.
 func TestSearchOpCounts(t *testing.T) {
 	e := newSearchEnv(t)
 	tags := 0
@@ -301,8 +302,58 @@ func TestSearchOpCounts(t *testing.T) {
 	}
 	mults := after["scalar_mult_public"] - before["scalar_mult_public"]
 	pairings := after["pairing_ops"] - before["pairing_ops"]
-	if mults != 1 || pairings != uint64(tags) {
-		t.Errorf("search over %d tags: %d public scalar mults and %d pairings; want 1 and %d", tags, mults, pairings, tags)
+	if mults != 0 || pairings != uint64(tags) {
+		t.Errorf("search over %d tags: %d public scalar mults and %d pairings; want 0 and %d", tags, mults, pairings, tags)
+	}
+}
+
+// torsionPoint returns q·S for the first on-curve S with x = 1, 2, …
+// outside G1: a finite point of order dividing h, with no G1 part.
+func torsionPoint(t *testing.T, c *ec.Curve) ec.Point {
+	t.Helper()
+	tors := c.Infinity()
+	for x := int64(1); tors.Inf; x++ {
+		xe := c.F.FromInt64(x)
+		if y, ok := xe.Square().Mul(xe).Add(xe).Sqrt(); ok {
+			s, err := c.NewPoint(xe, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tors = c.ScalarMult(s, c.Q)
+		}
+	}
+	return tors
+}
+
+// TestSearchRefusesTrapdoorOutsideG1: a trapdoor that decodes — a
+// canonical point on the curve — but lies outside G1 (the honest
+// trapdoor plus q·S, or (0, 0)) is refused as malformed, like one that
+// does not decode, before any tag is paired, and counts as no search.
+func TestSearchRefusesTrapdoorOutsideG1(t *testing.T) {
+	e := newSearchEnv(t)
+	e.deposit(t, []string{"outage"}, false)
+	c := e.params.Sys.Curve
+	two, err := c.NewPoint(c.F.Zero(), c.F.Zero())
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := e.trapdoor(t, "outage")
+	for what, pt := range map[string]ec.Point{"T_W + q·S": c.Add(honest.T, torsionPoint(t, c)), "(0, 0)": two} {
+		before := obsv.CounterMap()
+		_, err := e.search(context.Background(), &peks.Trapdoor{T: pt}, 0)
+		if wireCode(t, err) != wire.CodeBadRequest {
+			t.Fatalf("trapdoor %s: %v", what, err)
+		}
+		if pairings := obsv.CounterMap()["pairing_ops"] - before["pairing_ops"]; pairings != 0 {
+			t.Errorf("trapdoor %s: %d pairings before the refusal", what, pairings)
+		}
+		e.clock.Advance(time.Second)
+	}
+	if got := e.s.StatsRegistry().Counter("peks_searches").Value(); got != 0 {
+		t.Errorf("a refused trapdoor counted as a search (%d)", got)
+	}
+	if resp, err := e.search(context.Background(), honest, 0); err != nil || len(resp.Items) != 1 {
+		t.Fatalf("the honest trapdoor: %v", err)
 	}
 }
 
@@ -320,17 +371,7 @@ func TestSearchWildcardTagMatchesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tors := c.Infinity()
-	for x := int64(1); tors.Inf; x++ {
-		xe := c.F.FromInt64(x)
-		if y, ok := xe.Square().Mul(xe).Add(xe).Sqrt(); ok {
-			s, err := c.NewPoint(xe, y)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tors = c.ScalarMult(s, c.Q)
-		}
-	}
+	tors := torsionPoint(t, c)
 	req, err := e.dev.PrepareTaggedDeposit("ELECTRIC-X", []byte("everywhere"), nil)
 	if err != nil {
 		t.Fatal(err)

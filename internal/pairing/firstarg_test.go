@@ -35,7 +35,9 @@ func torsionPoint(t testing.TB, c *ec.Curve) ec.Point {
 // neither panics nor pairs to anything but 1, through G1Precomp's Pair
 // and PairCofactor, the one-shot Pair and a PairProduct term, on every
 // preset. On the two toy curves of refpair_test.go the walk's mask is
-// checked on every finite point: it fires exactly outside G1.
+// checked on every finite point: it fires exactly outside G1, and
+// PairsToOne, which peks.NewTester reads as a trapdoor's order check,
+// reports it.
 func TestFirstArgumentOutsideG1(t *testing.T) {
 	for name, sys := range presetSystems(t) {
 		c := sys.Curve
@@ -49,7 +51,7 @@ func TestFirstArgumentOutsideG1(t *testing.T) {
 		want := sys.Pair(g, g)
 		for what, p := range map[string]ec.Point{"(0, 0)": two, "q·S": tors, "G + q·S": c.Add(g, tors)} {
 			pre := sys.G1Precomp(p)
-			if !pre.Pair(g).IsOne() || !pre.Pair(r).IsOne() || !pre.PairCofactor(r).IsOne() || !sys.Pair(p, g).IsOne() {
+			if !pre.PairsToOne() || !pre.Pair(g).IsOne() || !pre.Pair(r).IsOne() || !pre.PairCofactor(r).IsOne() || !sys.Pair(p, g).IsOne() {
 				t.Errorf("%s: a first argument %s pairs to something other than 1", name, what)
 			}
 			if got := sys.PairProduct([]*G1Precomp{pre, sys.G1Lines()}, []ec.Point{g, g}); !got.Equal(want) {
@@ -70,8 +72,9 @@ func TestFirstArgumentOutsideG1(t *testing.T) {
 			if !inG1 {
 				outside++
 			}
-			if e.G1Precomp(pt).Pair(g).IsOne() == inG1 {
-				t.Fatalf("p = %d: first argument %v (in G1: %v) pairs to 1 = %v against the generator", p, pt, inG1, !inG1)
+			if pre := e.G1Precomp(pt); pre.Pair(g).IsOne() == inG1 || pre.PairsToOne() == inG1 {
+				t.Fatalf("p = %d: first argument %v (in G1: %v) pairs to 1 = %v against the generator, PairsToOne %v",
+					p, pt, inG1, pre.Pair(g).IsOne(), pre.PairsToOne())
 			}
 		}
 		if want := int(p+1) - 263; outside != want {

@@ -358,6 +358,10 @@ func (e *Pairing) G1Precomp(p ec.Point) *G1Precomp {
 	return &G1Precomp{e: e, steps: steps}
 }
 
+// PairsToOne reports whether the walk's mask fired: P is ∞ or outside G1,
+// and every pairing against pre is 1.
+func (pre *G1Precomp) PairsToOne() bool { return pre.one }
+
 // miller evaluates the cached Miller function at φ(Q), accumulating the
 // steps' line values in F_p².
 func (pre *G1Precomp) miller(q ec.Point) ff.E2 {

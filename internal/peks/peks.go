@@ -105,13 +105,16 @@ type Tester struct {
 	pre *pairing.G1Precomp
 }
 
-// NewTester validates the trapdoor and precomputes its pairing lines. The
-// warehouse builds one per search.
+// NewTester validates the trapdoor and precomputes its pairing lines, whose
+// walk is its order check (PairsToOne). The warehouse builds one per search.
 func NewTester(p *bfibe.Params, td *Trapdoor) (*Tester, error) {
 	if td == nil || !p.Sys.Curve.IsOnCurve(td.T) {
 		return nil, errors.New("peks: trapdoor point off curve")
 	}
-	return &Tester{p: p, pre: p.Sys.G1Precomp(td.T)}, nil
+	if pre := p.Sys.G1Precomp(td.T); !pre.PairsToOne() {
+		return &Tester{p: p, pre: pre}, nil
+	}
+	return nil, errors.New("peks: trapdoor point not in the order-q subgroup")
 }
 
 // Test reports whether the tag encrypts the tester's keyword;
@@ -186,10 +189,7 @@ func UnmarshalTag(p *bfibe.Params, b []byte) (*Tag, error) {
 	if len(b)-4-n != tagHashLen {
 		return nil, errors.New("peks: bad check length")
 	}
-	u, err := p.Sys.Curve.PointFromBytes(b[4 : 4+n])
-	if err == nil && u.Inf {
-		err = errors.New("point at infinity")
-	}
+	u, err := p.Sys.Curve.FinitePointFromBytes(b[4 : 4+n])
 	if err != nil {
 		return nil, fmt.Errorf("peks: tag point: %w", err)
 	}
@@ -201,9 +201,9 @@ func MarshalTrapdoor(p *bfibe.Params, td *Trapdoor) []byte {
 	return p.Sys.Curve.Bytes(td.T)
 }
 
-// UnmarshalTrapdoor decodes and validates a trapdoor.
+// UnmarshalTrapdoor decodes a finite curve point; NewTester checks its order.
 func UnmarshalTrapdoor(p *bfibe.Params, b []byte) (*Trapdoor, error) {
-	t, err := p.Sys.Curve.SubgroupPointFromBytes(b)
+	t, err := p.Sys.Curve.FinitePointFromBytes(b)
 	if err != nil {
 		return nil, fmt.Errorf("peks: trapdoor: %w", err)
 	}

@@ -269,9 +269,10 @@ func TestWildcardTagMatchesNothing(t *testing.T) {
 
 // TestFirstArgumentOutsideG1: a trapdoor on the curve but outside G1 —
 // (0, 0), q·S of order dividing h, G + q·S, or the honest trapdoor plus
-// q·S — passes NewTester's curve check and then matches nothing, neither
-// the honest tag nor a wildcard, without panicking: its pairing value is
-// 1 against every tag.
+// q·S — decodes (UnmarshalTrapdoor checks the curve, not the order) and
+// is then refused by NewTester, whose walk masks it, without panicking;
+// the one-shot Test matches nothing under it, neither the honest tag nor
+// a wildcard. The honest trapdoor passes both and matches its tag.
 func TestFirstArgumentOutsideG1(t *testing.T) {
 	p, m := env(t)
 	c := p.Sys.Curve
@@ -283,21 +284,94 @@ func TestFirstArgumentOutsideG1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if tester, err := NewTester(p, honest); err != nil || !tester.Test(tag) {
+		t.Fatalf("the honest trapdoor: %v", err)
+	}
 	// The wildcard tags' points are ∞, (0, 0) and q·S; all three tags,
 	// the finite ones as trapdoor points too.
 	wild := wildcardTags(t, p)
 	two, tors := wild[1].tag.U, wild[2].tag.U
 	tags := append([]namedTag{{"an honest tag", tag}}, wild...)
 	for name, pt := range map[string]ec.Point{"(0, 0)": two, "q·S": tors, "G + q·S": c.Add(p.Sys.G1(), tors), "T_W + q·S": c.Add(honest.T, tors)} {
-		td := &Trapdoor{T: pt}
-		tester, err := NewTester(p, td)
+		td, err := UnmarshalTrapdoor(p, MarshalTrapdoor(p, &Trapdoor{T: pt}))
 		if err != nil {
-			t.Fatalf("NewTester refused %s, an on-curve point: %v", name, err)
+			t.Fatalf("UnmarshalTrapdoor refused %s, an on-curve point: %v", name, err)
+		}
+		if _, err := NewTester(p, td); err == nil {
+			t.Errorf("NewTester accepted %s, a point outside G1", name)
 		}
 		for _, tg := range tags {
-			if tester.Test(tg.tag) || Test(p, tg.tag, td) {
+			if Test(p, tg.tag, td) {
 				t.Errorf("the trapdoor over %s matched %s", name, tg.name)
 			}
+		}
+	}
+}
+
+// TestUnmarshalTrapdoor: the decoder takes the canonical encoding of a
+// finite point on the curve, in G1 or not, and refuses ∞, a point off the
+// curve and a malformed encoding. NewTester refuses ∞ too.
+func TestUnmarshalTrapdoor(t *testing.T) {
+	p, m := env(t)
+	c := p.Sys.Curve
+	td, err := NewTrapdoor(p, m, "outage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := MarshalTrapdoor(p, td)
+	outside := MarshalTrapdoor(p, &Trapdoor{T: c.Add(td.T, wildcardTags(t, p)[2].tag.U)})
+	offCurve := MarshalTrapdoor(p, &Trapdoor{T: ec.Point{X: td.T.X, Y: td.T.Y.Add(c.F.One())}})
+	outOfRange := bytes.Clone(good)
+	for i := 1; i < 1+c.F.ByteLen(); i++ {
+		outOfRange[i] = 0xff
+	}
+	for _, row := range []struct {
+		what string
+		b    []byte
+		ok   bool
+	}{
+		{"the honest trapdoor", good, true},
+		{"a point outside G1", outside, true},
+		{"∞", MarshalTrapdoor(p, &Trapdoor{T: c.Infinity()}), false},
+		{"an off-curve point", offCurve, false},
+		{"a truncated encoding", good[:len(good)-1], false},
+		{"a compressed-point encoding", append([]byte{2}, good[1:]...), false},
+		{"an x of p or more", outOfRange, false},
+		{"nothing", nil, false},
+	} {
+		got, err := UnmarshalTrapdoor(p, row.b)
+		if (err == nil) != row.ok {
+			t.Errorf("UnmarshalTrapdoor(%s): %v, want ok %v", row.what, err, row.ok)
+		}
+		if err == nil && !bytes.Equal(MarshalTrapdoor(p, got), row.b) {
+			t.Errorf("UnmarshalTrapdoor(%s) does not round-trip", row.what)
+		}
+	}
+	if _, err := NewTester(p, &Trapdoor{T: c.Infinity()}); err == nil {
+		t.Error("NewTester accepted ∞")
+	}
+}
+
+// BenchmarkNewTester is the warehouse's per-search trapdoor work on bf80:
+// the decode, curve-checked only, and the walk that builds the Tester's
+// lines and checks the trapdoor's order — ≈ pairing's BenchmarkG1Precomp.
+func BenchmarkNewTester(b *testing.B) {
+	p, m, err := bfibe.Setup(pairing.ParamsBF80.MustSystem(), rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	td, err := NewTrapdoor(p, m, "outage")
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw := MarshalTrapdoor(p, td)
+	for b.Loop() {
+		td, err := UnmarshalTrapdoor(p, raw)
+		if err == nil {
+			_, err = NewTester(p, td)
+		}
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }

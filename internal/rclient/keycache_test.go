@@ -195,14 +195,26 @@ func TestKeyCacheBounded(t *testing.T) {
 	}
 	wantAsked(t, "second page", pkg, dropped)
 
-	var kc keyCache
+	var kc lru[keyIndex, *keyEntry]
 	for i := range keyCacheSize {
-		kc.admit(&keyEntry{ki: keyIndex{aid: uint64(i)}})
+		kc.put(keyIndex{aid: uint64(i)}, &keyEntry{}, keyCacheSize)
 	}
-	kc.admit(kc.get(keyIndex{aid: 0}))
-	kc.admit(&keyEntry{ki: keyIndex{aid: keyCacheSize}})
-	if len(kc.byKey) != keyCacheSize || kc.get(keyIndex{aid: 0}) == nil || kc.get(keyIndex{aid: 1}) != nil {
+	kc.put(keyIndex{aid: 0}, &keyEntry{}, keyCacheSize) // admitted again: the most recently used
+	kc.put(keyIndex{aid: keyCacheSize}, &keyEntry{}, keyCacheSize)
+	_, kept := kc.get(keyIndex{aid: 0})
+	_, held1 := kc.get(keyIndex{aid: 1})
+	if len(kc.byKey) != keyCacheSize || !kept || held1 {
 		t.Fatal("the cache did not drop its least recently used key")
+	}
+	// An evicted key leaves the use order too: past the bound the cache
+	// drops the least recently used key it holds, not the evicted one.
+	kc.evict(keyIndex{aid: 2})
+	kc.put(keyIndex{aid: keyCacheSize + 1}, &keyEntry{}, keyCacheSize)
+	kc.put(keyIndex{aid: keyCacheSize + 2}, &keyEntry{}, keyCacheSize)
+	_, held3 := kc.get(keyIndex{aid: 3})
+	_, held4 := kc.get(keyIndex{aid: 4})
+	if len(kc.byKey) != keyCacheSize || held3 || !held4 {
+		t.Fatal("after an eviction the cache did not drop its least recently used key")
 	}
 }
 

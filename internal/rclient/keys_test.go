@@ -266,11 +266,11 @@ func cachedLines(t *testing.T, c *Client) map[keyIndex]*bfibe.Decapsulator {
 	c.keys.mu.Unlock()
 	lines := make(map[keyIndex]*bfibe.Decapsulator, len(held))
 	for _, e := range held {
-		d, err := e.lines()
+		d, err := e.v.lines()
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines[e.ki] = d
+		lines[e.v.ki] = d
 	}
 	return lines
 }

@@ -30,15 +30,16 @@ import (
 	"mwskit/internal/wire"
 )
 
-// Client is a receiving client; only its concurrency-safe key cache changes after New.
+// Client is a receiving client; only its concurrency-safe caches change after New.
 type Client struct {
-	id      string
-	credKey []byte
-	priv    *rsa.PrivateKey
-	params  *bfibe.Params
-	rand    io.Reader
-	now     func() time.Time
-	keys    keyCache
+	id        string
+	credKey   []byte
+	priv      *rsa.PrivateKey
+	params    *bfibe.Params
+	rand      io.Reader
+	now       func() time.Time
+	keys      lru[keyIndex, *keyEntry]
+	trapdoors lru[string, []byte]
 }
 
 // Option customizes a Client.
@@ -181,7 +182,7 @@ func (c *Client) FetchKeysContext(ctx context.Context, pkg *wire.Client, r *Retr
 		if _, ok := keys[k]; ok {
 			continue
 		}
-		if e := c.keys.get(k); e != nil {
+		if e, ok := c.keys.get(k); ok {
 			keys[k] = e.sk
 			continue
 		}
@@ -329,7 +330,7 @@ func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[ke
 			if !ok {
 				return nil, fmt.Errorf("rclient: missing key for message %d", env.Seq)
 			}
-			e = c.keys.get(ki)
+			e, _ = c.keys.get(ki)
 			//mwslint:declassify pointer identity: the comparison reads two addresses, never a key's value
 			if e == nil || e.sk != sk {
 				e = &keyEntry{ki: ki, sk: sk, lines: sync.OnceValues(func() (*bfibe.Decapsulator, error) {
@@ -365,7 +366,7 @@ func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[ke
 			return err
 		}
 		for _, e := range ents[lo:hi] {
-			c.keys.admit(e)
+			c.keys.put(e.ki, e, keyCacheSize)
 		}
 		return nil
 	})
@@ -430,49 +431,76 @@ type keyEntry struct {
 	ki    keyIndex
 	sk    *bfibe.PrivateKey
 	lines func() (*bfibe.Decapsulator, error)
-	used  uint64 // the cache's clock when it last opened an envelope; under its lock
 }
 
-// keyCache is a client's bounded, concurrency-safe LRU of keys that have
-// opened an envelope (DESIGN.md §9). The zero value is ready to use.
-type keyCache struct {
+// lru is a client's bounded, concurrency-safe least-recently-used map,
+// the type of its key cache and of its trapdoor cache (DESIGN.md §9).
+// Each cache passes its own bound to put. The zero value is ready to use.
+type lru[K comparable, V any] struct {
 	mu    sync.Mutex
-	clock uint64
-	byKey map[keyIndex]*keyEntry
+	byKey map[K]*lruEntry[K, V]
+	ring  lruEntry[K, V] // ring.next is the most recently used entry, ring.prev the least
 }
 
-// get returns the entry cached for ki, or nil.
-func (kc *keyCache) get(ki keyIndex) *keyEntry {
-	kc.mu.Lock()
-	defer kc.mu.Unlock()
-	return kc.byKey[ki]
+// lruEntry is a cached value in its cache's ring, in order of use.
+type lruEntry[K comparable, V any] struct {
+	k          K
+	v          V
+	prev, next *lruEntry[K, V]
 }
 
-// admit caches e as most recently used, dropping the least recently used
-// entry past the bound (a scan of at most keyCacheSize+1 entries).
-func (kc *keyCache) admit(e *keyEntry) {
-	kc.mu.Lock()
-	defer kc.mu.Unlock()
-	if kc.byKey == nil {
-		kc.byKey = make(map[keyIndex]*keyEntry)
+// get returns the value cached for k, as most recently used.
+func (c *lru[K, V]) get(k K) (v V, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.byKey[k]; ok {
+		c.front(e)
+		return e.v, true
 	}
-	kc.clock++
-	e.used = kc.clock
-	kc.byKey[e.ki] = e
-	if len(kc.byKey) > keyCacheSize {
-		var lru *keyEntry
-		for _, c := range kc.byKey {
-			if lru == nil || c.used < lru.used {
-				lru = c
-			}
-		}
-		delete(kc.byKey, lru.ki)
+	return v, false
+}
+
+// put caches v under k as most recently used, dropping the least recently
+// used entry past bound.
+func (c *lru[K, V]) put(k K, v V, bound int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.byKey == nil {
+		c.byKey = make(map[K]*lruEntry[K, V])
+		c.ring.prev, c.ring.next = &c.ring, &c.ring
+	}
+	e, ok := c.byKey[k]
+	if !ok {
+		e = &lruEntry[K, V]{k: k}
+		c.byKey[k] = e
+	}
+	e.v = v
+	c.front(e)
+	if len(c.byKey) > bound {
+		c.drop(c.ring.prev)
 	}
 }
 
-// evict drops identity ki from the cache.
-func (kc *keyCache) evict(ki keyIndex) {
-	kc.mu.Lock()
-	defer kc.mu.Unlock()
-	delete(kc.byKey, ki)
+// evict drops k from the cache.
+func (c *lru[K, V]) evict(k K) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.byKey[k]; ok {
+		c.drop(e)
+	}
+}
+
+// front moves e, held or new, to the front of the ring. Callers hold c.mu.
+func (c *lru[K, V]) front(e *lruEntry[K, V]) {
+	if e.next != nil {
+		e.prev.next, e.next.prev = e.next, e.prev
+	}
+	e.prev, e.next = &c.ring, c.ring.next
+	e.next.prev, c.ring.next = e, e
+}
+
+// drop unlinks e from the ring and its key from the map. Callers hold c.mu.
+func (c *lru[K, V]) drop(e *lruEntry[K, V]) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	delete(c.byKey, e.k)
 }

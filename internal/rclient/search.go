@@ -1,6 +1,7 @@
 package rclient
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -8,9 +9,16 @@ import (
 	"mwskit/internal/wire"
 )
 
+// trapdoorCacheSize bounds the trapdoor cache: a trapdoor is one point
+// (129 bytes on bf80), so a full cache is ≈ 33 KB and its keywords.
+const trapdoorCacheSize = 256
+
 // FetchTrapdoor obtains a PEKS keyword trapdoor from the PKG using the
 // credentials of an earlier Retrieve. The keyword travels sealed under
-// the RC–PKG session key in both directions.
+// the RC–PKG session key in both directions. T_W is deterministic, so a
+// keyword whose trapdoor the client holds, opened from an earlier reply,
+// is answered from its bounded trapdoor cache: no PKG frame, no token
+// unwrap. The returned bytes are the caller's own.
 func (c *Client) FetchTrapdoor(pkg *wire.Client, r *Retrieval, keyword string) ([]byte, error) {
 	return c.FetchTrapdoorContext(background(), pkg, r, keyword)
 }
@@ -20,6 +28,9 @@ func (c *Client) FetchTrapdoor(pkg *wire.Client, r *Retrieval, keyword string) (
 // token unwrap, if this call is the first to need it, lands as its own
 // child span.
 func (c *Client) FetchTrapdoorContext(ctx context.Context, pkg *wire.Client, r *Retrieval, keyword string) ([]byte, error) {
+	if td, ok := c.trapdoors.get(keyword); ok {
+		return bytes.Clone(td), nil
+	}
 	tok, err := c.credentials(ctx, r)
 	if err != nil {
 		return nil, err
@@ -41,7 +52,8 @@ func (c *Client) FetchTrapdoorContext(ctx context.Context, pkg *wire.Client, r *
 	if err != nil {
 		return nil, fmt.Errorf("rclient: sealed trapdoor: %w", err)
 	}
-	return trapdoor, nil
+	c.trapdoors.put(keyword, trapdoor, trapdoorCacheSize)
+	return bytes.Clone(trapdoor), nil
 }
 
 // Search runs a keyword-filtered retrieval: the MWS tests each message's

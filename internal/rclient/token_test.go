@@ -3,6 +3,7 @@ package rclient
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -120,7 +121,8 @@ func TestTokenUnwrapsOnce(t *testing.T) {
 				return err
 			},
 			func(ctx context.Context) error {
-				_, err := h.rc.FetchTrapdoorContext(ctx, h.pkgConn, r, "kw")
+				// A keyword per round: the client's cache holds the last one.
+				_, err := h.rc.FetchTrapdoorContext(ctx, h.pkgConn, r, fmt.Sprintf("kw-%d", round))
 				return err
 			},
 		} {

@@ -88,10 +88,13 @@ type Log struct {
 	activeSize int64
 	nextSeq    uint64 // sequence number of the next record appended
 	closed     bool
-	closeErr   error // Close's final fsync result, what Commit reports after it
+	closeErr   error  // Close's final fsync result, what Commit reports after it
+	created    uint64 // segments this log has created
+	named      uint64 // of them, how many a directory fsync has covered
 
-	gc    *committer // nil under SyncNever
-	syncs atomic.Uint64
+	gc       *committer // nil under SyncNever
+	syncs    atomic.Uint64
+	dirSyncs atomic.Uint64 // directory fsyncs run
 }
 
 // Open opens (or creates) the log in opts.Dir, recovering from any torn
@@ -148,12 +151,15 @@ func (l *Log) segmentPath(id uint64) string {
 	return filepath.Join(l.opts.Dir, fmt.Sprintf("%016x.wal", id))
 }
 
+// openSegment creates segment id as the active one. Its name is durable
+// once the next Sync has fsynced the directory.
 func (l *Log) openSegment(id uint64) error {
 	f, err := os.OpenFile(l.segmentPath(id), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
 	l.active, l.activeID, l.activeSize = f, id, 0
+	l.created++
 	return nil
 }
 
@@ -217,8 +223,8 @@ func (l *Log) Commit() error {
 // logged as puts and deletes, rewritten as one put per live key. The
 // old segments are synced first, since a Commit may then sync the fresh
 // one alone and a torn old tail would replay as a prefix; records go to
-// the fresh segment, synced and named durably before the old segments
-// are removed oldest first. Sequence numbers restart at 0.
+// the fresh segment, synced and named durably (Sync) before the old
+// segments are removed oldest first. Sequence numbers restart at 0.
 func (l *Log) Rewrite(records [][]byte) error {
 	err := l.Sync()
 	l.mu.Lock()
@@ -239,9 +245,6 @@ func (l *Log) Rewrite(records [][]byte) error {
 	if err == nil {
 		err = l.Sync()
 	}
-	if err == nil {
-		err = syncDir(l.opts.Dir)
-	}
 	ids, _ := segmentIDs(l.opts.Dir) // a segment left behind replays to the same state
 	for _, id := range ids {
 		if id < first && err == nil {
@@ -251,9 +254,10 @@ func (l *Log) Rewrite(records [][]byte) error {
 	return err
 }
 
-// syncDir makes dir's entries durable: a new file's name, or a removal.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+// syncDir makes the log directory's entries durable: a new segment's name.
+func (l *Log) syncDir() error {
+	l.dirSyncs.Add(1)
+	d, err := os.Open(l.opts.Dir)
 	if err == nil {
 		err = errors.Join(d.Sync(), d.Close())
 	}
@@ -270,11 +274,13 @@ func (l *Log) rotateLocked() error {
 	return l.openSegment(l.activeID + 1)
 }
 
-// Sync forces every record appended so far to stable storage. The fsync
-// runs outside l.mu, so appends go on while the disk works.
+// Sync forces every record appended so far to stable storage: the active
+// segment's fsync and, after a segment was created since the last one,
+// the directory's, which makes the segment's name durable (fsync(2)). The
+// fsyncs run outside l.mu, so appends go on while the disk works.
 func (l *Log) Sync() error {
 	l.mu.Lock()
-	f, closed := l.active, l.closed
+	f, closed, created, named := l.active, l.closed, l.created, l.named
 	l.mu.Unlock()
 	if closed {
 		return ErrClosed
@@ -287,6 +293,13 @@ func (l *Log) Sync() error {
 	obsv.ObserveWALFsync(time.Since(start))
 	if err == nil {
 		l.syncs.Add(1)
+	}
+	if err == nil && named < created {
+		if err = l.syncDir(); err == nil {
+			l.mu.Lock()
+			l.named = max(l.named, created)
+			l.mu.Unlock()
+		}
 	}
 	return err
 }
@@ -329,7 +342,8 @@ func (l *Log) Iterate(fn func(seq uint64, payload []byte) error) error {
 	return nil
 }
 
-// Close syncs and closes the active segment, then waits out any commit
+// Close syncs and closes the active segment, fsyncing the directory too
+// if a segment was created since the last Sync, then waits out any commit
 // in flight.
 func (l *Log) Close() error {
 	l.mu.Lock()
@@ -338,12 +352,24 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	//mwslint:ignore lockheld the final fsync runs with writers excluded; after closed is set no new appends can enter
-	l.closeErr = l.active.Sync()
+	//mwslint:ignore lockheld the final fsyncs run with writers excluded; after closed is set no new appends can enter
+	l.closeErr = l.syncFinalLocked()
 	err := errors.Join(l.closeErr, l.active.Close())
 	l.mu.Unlock()
 	if l.gc != nil {
 		l.gc.close()
+	}
+	return err
+}
+
+// syncFinalLocked is Close's final fsync of the active segment and, if a
+// segment was created since the last Sync, of the directory, so that a
+// Commit reporting it covers the segment's name. Callers hold l.mu.
+func (l *Log) syncFinalLocked() error {
+	err := l.active.Sync()
+	if err == nil && l.named < l.created {
+		err = l.syncDir()
+		l.named = l.created
 	}
 	return err
 }

@@ -424,6 +424,60 @@ func TestCommitSyncPolicy(t *testing.T) {
 	}
 }
 
+// TestCommitNamesNewSegments: a segment's name is durable before a
+// record in it is acked. Open on an empty directory and each rotation
+// create a segment, and the commit that follows fsyncs the directory once
+// for it, or Close does if no Sync came first; a commit within a
+// segment, or into a segment that a reopen found, fsyncs no directory.
+func TestCommitNamesNewSegments(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, SegmentSize: 3 * (headerLen + 4), Sync: SyncAlways}
+	l, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(l *Log, i int) {
+		t.Helper()
+		if _, err := l.Append([]byte(fmt.Sprintf("r%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 9 { // three records a segment: rotations before records 3 and 6
+		commit(l, i)
+		if got, want := l.dirSyncs.Load(), uint64(1+i/3); got != want {
+			t.Fatalf("after commit %d: %d directory fsyncs, want %d, one per created segment", i, got, want)
+		}
+	}
+	// A rotation that Close, not a Sync, answers: Close names the fourth
+	// segment before a Commit can report its fsync.
+	if _, err := l.Append([]byte("r009")); err != nil {
+		t.Fatal(err)
+	}
+	if ids, _ := segmentIDs(dir); len(ids) != 4 {
+		t.Fatalf("%d segments, want 4", len(ids))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.dirSyncs.Load(); got != 4 {
+		t.Fatalf("after a rotation and Close: %d directory fsyncs, want 4", got)
+	}
+	opts.SegmentSize = 1 << 20
+	re := openTestLog(t, opts)
+	for i := 10; i < 13; i++ {
+		commit(re, i)
+	}
+	if got := re.dirSyncs.Load(); got != 0 {
+		t.Fatalf("commits into a reopened segment ran %d directory fsyncs, want 0", got)
+	}
+}
+
 // TestCommitAfterClose: a record appended before Close is covered by
 // Close's final fsync, so a Commit that only gets to run afterwards
 // reports that fsync's result rather than ErrClosed.
