@@ -12,6 +12,7 @@
 // Administer (against the same -dir, while the server is stopped):
 //
 //	mwsd -dir /var/lib/mws register-device meter-001
+//	mwsd -dir /var/lib/mws revoke-device meter-001
 //	mwsd -dir /var/lib/mws register-client c-services -password-file pw.txt -pubkey rc.pem
 //	mwsd -dir /var/lib/mws grant c-services ELECTRIC-APTCOMPLEX-SV-CA
 //	mwsd -dir /var/lib/mws revoke c-services ELECTRIC-APTCOMPLEX-SV-CA
@@ -170,6 +171,14 @@ func main() {
 			die(logger, "register-device", err)
 		}
 		fmt.Printf("device %s registered; MAC key (deliver out of band):\n%s\n", args[1], hex.EncodeToString(key))
+	case "revoke-device":
+		if len(args) != 2 {
+			die(logger, "usage", errors.New("revoke-device <device-id>"))
+		}
+		if err := svc.RevokeDevice(args[1]); err != nil {
+			die(logger, "revoke-device", err)
+		}
+		fmt.Printf("device %s revoked; its deposits now fail authentication\n", args[1])
 	case "register-client":
 		if len(args) != 2 || *passwordFile == "" || *pubKeyFile == "" {
 			die(logger, "usage", errors.New("register-client <id> -password-file f -pubkey f.pem"))

@@ -108,16 +108,16 @@ func TestSegmentedDepositEndToEnd(t *testing.T) {
 		t.Helper()
 		msgs, err := rc.RetrieveAndDecrypt(mwsConn, pkgConn, 0, 0)
 		if err != nil {
-			t.Fatalf("%s: %v", rc.ID(), err)
+			t.Fatal(err)
 		}
 		as := NewAssembler()
 		for _, m := range msgs {
 			env, ok := Unwrap(m.Payload)
 			if !ok {
-				t.Fatalf("%s: non-segment payload", rc.ID())
+				t.Fatal("non-segment payload")
 			}
 			if env.Group != group {
-				t.Fatalf("%s: wrong group", rc.ID())
+				t.Fatal("wrong group")
 			}
 			if err := as.Add(env); err != nil {
 				t.Fatal(err)

@@ -90,7 +90,7 @@ func TestCombinedKeyDecrypts(t *testing.T) {
 		t.Fatal(err)
 	}
 	identity := []byte("threshold-identity")
-	ct, err := p.EncryptFull(identity, []byte("secret"), rand.Reader)
+	enc, key, err := p.Encapsulate(identity, 16, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +106,12 @@ func TestCombinedKeyDecrypts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := p.DecryptFull(sk, ct)
+	got, err := p.Decapsulate(sk, enc, 16)
 	if err != nil {
-		t.Fatalf("threshold-extracted key failed to decrypt: %v", err)
+		t.Fatalf("threshold-extracted key failed to decapsulate: %v", err)
 	}
-	if string(pt) != "secret" {
-		t.Fatal("plaintext mismatch")
+	if !bytes.Equal(got, key) {
+		t.Fatal("session key mismatch")
 	}
 }
 
@@ -125,7 +125,7 @@ func TestUnderThresholdFails(t *testing.T) {
 	direct, _ := m.Extract(p, identity)
 
 	// Two of three shares: Combine succeeds mechanically but the key is
-	// wrong, and decryption of a FullIdent ciphertext fails.
+	// wrong, and it decapsulates another session key.
 	pa, _ := shares[0].PartialExtract(p, identity)
 	pb, _ := shares[1].PartialExtract(p, identity)
 	under, err := Combine(p, identity, []Partial{pa, pb})
@@ -135,12 +135,12 @@ func TestUnderThresholdFails(t *testing.T) {
 	if under.D.Equal(direct.D) {
 		t.Fatal("t−1 shares reconstructed the key — threshold property broken")
 	}
-	ct, err := p.EncryptFull(identity, []byte("m"), rand.Reader)
+	enc, key, err := p.Encapsulate(identity, 16, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.DecryptFull(under, ct); err == nil {
-		t.Fatal("under-threshold key decrypted a ciphertext")
+	if got, err := p.Decapsulate(under, enc, 16); err == nil && bytes.Equal(got, key) {
+		t.Fatal("under-threshold key recovered the session key")
 	}
 }
 

@@ -1,16 +1,14 @@
 // Package bfibe implements Boneh–Franklin identity-based encryption over
-// the pairing in internal/pairing, in the three forms the paper relies on:
-//
-//   - BasicIdent — the CPA-secure scheme of BF'01 §4.1, exactly the
-//     C = (rP, M ⊕ H2(ê(Q_ID, sP)^r)) construction the paper's §IV recaps.
-//   - FullIdent — the CCA-secure Fujisaki–Okamoto strengthening (BF'01 §4.2).
-//   - KEM — the hybrid usage the paper's protocol actually deploys (§V.D):
-//     the pairing value K = ê(sP, rI) keys a symmetric cipher (DES in the
-//     prototype), with rP shipped alongside the ciphertext so the receiver
-//     recomputes K = ê(rP, sI) from the PKG-issued private key sI.
+// the pairing in internal/pairing in the one form the paper's protocol
+// deploys (§V.D), a KEM: the pairing value K = ê(sP, rI) keys a symmetric
+// cipher (DES in the prototype), with rP shipped alongside the ciphertext
+// so the receiver recomputes K = ê(rP, sI) from the PKG-issued private key
+// sI. BF'01's BasicIdent and FullIdent, which the paper only recaps (§IV),
+// are built from this package's exported API in experiments/ (DESIGN.md
+// §2, keep-or-move table).
 //
 // The four BF algorithms map to the package API as Setup, Extract
-// (MasterKey.Extract), Encrypt*/Encapsulate, Decrypt*/Decapsulate.
+// (MasterKey.Extract), Encapsulate and Decapsulate.
 package bfibe
 
 import (
@@ -18,9 +16,12 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"mwskit/internal/ec"
 	"mwskit/internal/kdf"
+	"mwskit/internal/lru"
+	"mwskit/internal/obsv"
 	"mwskit/internal/pairing"
 )
 
@@ -28,22 +29,31 @@ import (
 // consumers of the curve.
 const identityDomain = "mwskit/bfibe/id/v1"
 
-// sigmaLen is the length of the Fujisaki–Okamoto seed σ in FullIdent.
-const sigmaLen = 32
+// defaultGIDCacheCap bounds the g_ID cache until SetGIDCacheCap is
+// called. A deployment's working set is one identity per (attribute,
+// nonce epoch) per depositing device, so a few hundred entries covers a
+// large fleet; each entry is one GT element (two field elements) plus its
+// identity-digest key.
+const defaultGIDCacheCap = 256
 
 // Params are the public system parameters the PKG publishes after Setup:
 // the pairing system (field, curve, base point P) and P_pub = sP.
 //
-// Params also owns the g_ID hot-path cache (gidcache.go) and P_pub's
-// pairing lines, so it must be handled by pointer once in use; every
-// constructor in this package and its callers already does.
+// Params also owns the g_ID hot-path cache and P_pub's pairing lines, so
+// it must be handled by pointer once in use; every constructor in this
+// package and its callers already does.
 type Params struct {
 	Sys  *pairing.System
 	PPub ec.Point // sP, the public master key
 
-	// gid caches g_ID = ê(Q_ID, P_pub) per identity digest so repeat
-	// deposits to the same attribute ‖ nonce identity skip the pairing.
-	gid gidCache
+	// gid caches g_ID = ê(Q_ID, P_pub) per identity so repeat deposits to
+	// the same attribute ‖ nonce identity skip the pairing. An identity is
+	// a fixed-length digest (kdf.AttributeDigest of attribute ‖ nonce), so
+	// its bytes are the key, and a GT value is immutable, so concurrent
+	// encryptors share a cached one without copying. gidCap is the bound
+	// SetGIDCacheCap set, nil for the default.
+	gid    lru.Cache[string, pairing.GT]
+	gidCap atomic.Pointer[int]
 
 	// ppub holds the Miller lines of P_pub, the fixed argument of every
 	// g_ID and of IBS verification, built on first use (≈ 88 KB on bf80)
@@ -55,18 +65,15 @@ type Params struct {
 // InvalidateIdentity drops the cached g_ID for one identity. Devices call
 // it on nonce rotation: the retired attribute ‖ nonce digest will never
 // be encrypted to again, so its pairing value is dead weight.
-func (p *Params) InvalidateIdentity(id []byte) { p.gid.invalidate(id) }
+func (p *Params) InvalidateIdentity(id []byte) { p.gid.Evict(string(id)) }
 
-// FlushGIDCache empties the g_ID cache.
-func (p *Params) FlushGIDCache() { p.gid.flush() }
-
-// GIDCacheLen reports the number of cached g_ID values.
-func (p *Params) GIDCacheLen() int { return p.gid.size() }
-
-// SetGIDCacheCap bounds the g_ID cache (default 256 entries); n ≤ 0
-// disables caching entirely, which benchmarks use to measure the
-// uncached path.
-func (p *Params) SetGIDCacheCap(n int) { p.gid.setCap(n) }
+// SetGIDCacheCap bounds the g_ID cache (default 256 entries), dropping the
+// least recently used entries past n; n ≤ 0 disables caching and drops
+// everything held, which benchmarks use to measure the uncached path.
+func (p *Params) SetGIDCacheCap(n int) {
+	p.gidCap.Store(&n)
+	p.gid.Trim(n)
+}
 
 // MasterKey is the PKG's master secret s ∈ [1, q−1]. It never leaves the
 // PKG; Setup and UnmarshalMasterKey are its only makers.
@@ -105,10 +112,11 @@ func (p *Params) HashIdentity(id []byte) (ec.Point, error) {
 	return p.Sys.Curve.HashToSubgroup(identityDomain, id)
 }
 
-// HashToScalar hashes the inputs into [1, q−1]: H3 of the Fujisaki–Okamoto
-// transform (r = H3(σ, M)) and the IBS challenge. kdf expands the inputs
-// to 64 bits beyond q's size and the curve reduces them on limbs, so a
-// scalar derived from a secret σ is never a math/big value.
+// HashToScalar hashes the inputs into [1, q−1]: the IBS challenge, and H3
+// of FullIdent's Fujisaki–Okamoto transform (r = H3(σ, M), experiments/).
+// kdf expands the inputs to 64 bits beyond q's size and the curve reduces
+// them on limbs, so a scalar derived from a secret σ is never a math/big
+// value.
 func (p *Params) HashToScalar(domain string, parts ...[]byte) ec.Scalar {
 	c := p.Sys.Curve
 	return c.ScalarFromWide(kdf.ScalarSeed(domain, c.ScalarLen()+8, parts...))
@@ -164,14 +172,26 @@ func (p *Params) PPubLines() *pairing.G1Precomp {
 // encrypted to before (one deposit per message within a nonce epoch hits
 // this), computing and caching it otherwise.
 func (p *Params) gID(id []byte) (pairing.GT, error) {
-	if g, ok := p.gid.get(id); ok {
-		return g, nil
+	bound := defaultGIDCacheCap
+	if n := p.gidCap.Load(); n != nil {
+		bound = *n
 	}
+	if bound > 0 {
+		if g, ok := p.gid.Get(string(id)); ok {
+			obsv.GIDCacheHit()
+			return g, nil
+		}
+	}
+	obsv.GIDCacheMiss()
 	g, err := p.PairIdentity(id)
 	if err != nil {
 		return pairing.GT{}, err
 	}
-	p.gid.put(id, g)
+	if bound > 0 {
+		for range p.gid.Put(string(id), g, bound) {
+			obsv.GIDCacheEvict()
+		}
+	}
 	return g, nil
 }
 
@@ -288,102 +308,4 @@ func DecapsulateBatch(ds []*Decapsulator, encs []*Encapsulation, keyLens []int) 
 		keys[i] = kdf.SessionKey(shared[k].Bytes(), keyLens[i])
 	}
 	return keys, errs
-}
-
-// --- BasicIdent ---
-
-// CiphertextBasic is a BasicIdent ciphertext (U, V) = (rP, M ⊕ H2(g_ID^r)).
-type CiphertextBasic struct {
-	U ec.Point
-	V []byte
-}
-
-// EncryptBasic encrypts msg for id under the CPA-secure BasicIdent scheme.
-func (p *Params) EncryptBasic(id, msg []byte, rng io.Reader) (*CiphertextBasic, error) {
-	g, err := p.gID(id)
-	if err != nil {
-		return nil, err
-	}
-	r, err := p.Sys.RandomScalar(rng)
-	if err != nil {
-		return nil, err
-	}
-	u := p.Sys.G1Comb().Mul(r)
-	pad := p.Sys.GTExpSecret(g, r)
-	return &CiphertextBasic{
-		U: u,
-		V: kdf.Mask("mwskit/bfibe/h2", pad.Bytes(), msg),
-	}, nil
-}
-
-// DecryptBasic inverts EncryptBasic with the identity's private key:
-// M = V ⊕ H2(ê(d_ID, U)).
-func (p *Params) DecryptBasic(sk *PrivateKey, ct *CiphertextBasic) ([]byte, error) {
-	if sk == nil || ct == nil {
-		return nil, errors.New("bfibe: nil key or ciphertext")
-	}
-	if ct.U.Inf || !p.Sys.Curve.IsOnCurve(ct.U) {
-		return nil, errors.New("bfibe: ciphertext point off curve")
-	}
-	pad := p.Sys.Pair(sk.D, ct.U)
-	return kdf.Mask("mwskit/bfibe/h2", pad.Bytes(), ct.V), nil
-}
-
-// --- FullIdent ---
-
-// CiphertextFull is a FullIdent ciphertext
-// (U, V, W) = (rP, σ ⊕ H2(g_ID^r), M ⊕ H4(σ)) with r = H3(σ, M).
-type CiphertextFull struct {
-	U ec.Point
-	V []byte // masked σ, fixed sigmaLen bytes
-	W []byte // masked message
-}
-
-// ErrDecrypt is returned when a FullIdent ciphertext fails its validity
-// check. The error is deliberately unspecific: distinguishing failure
-// causes would hand a chosen-ciphertext adversary an oracle.
-var ErrDecrypt = errors.New("bfibe: decryption failed")
-
-// EncryptFull encrypts msg for id under the CCA-secure FullIdent scheme
-// (Fujisaki–Okamoto transform over BasicIdent).
-func (p *Params) EncryptFull(id, msg []byte, rng io.Reader) (*CiphertextFull, error) {
-	g, err := p.gID(id)
-	if err != nil {
-		return nil, err
-	}
-	sigma := make([]byte, sigmaLen)
-	if _, err := io.ReadFull(rng, sigma); err != nil {
-		return nil, fmt.Errorf("bfibe: sigma: %w", err)
-	}
-	// r is secret (it determines the pad), so even this hash-derived
-	// scalar takes the constant-schedule fixed-base path.
-	r := p.HashToScalar("mwskit/bfibe/h3", sigma, msg)
-	u := p.Sys.G1Comb().Mul(r)
-	pad := p.Sys.GTExpSecret(g, r)
-	return &CiphertextFull{
-		U: u,
-		V: kdf.Mask("mwskit/bfibe/h2", pad.Bytes(), sigma),
-		W: kdf.Mask("mwskit/bfibe/h4", sigma, msg),
-	}, nil
-}
-
-// DecryptFull inverts EncryptFull, rejecting any ciphertext whose
-// re-derived randomness does not reproduce U (the FO validity check),
-// which also refuses every U outside G1: r·P is always in it.
-func (p *Params) DecryptFull(sk *PrivateKey, ct *CiphertextFull) ([]byte, error) {
-	if sk == nil || ct == nil {
-		return nil, ErrDecrypt
-	}
-	if ct.U.Inf || !p.Sys.Curve.IsOnCurve(ct.U) || len(ct.V) != sigmaLen {
-		return nil, ErrDecrypt
-	}
-	pad := p.Sys.Pair(sk.D, ct.U)
-	sigma := kdf.Mask("mwskit/bfibe/h2", pad.Bytes(), ct.V)
-	msg := kdf.Mask("mwskit/bfibe/h4", sigma, ct.W)
-	r := p.HashToScalar("mwskit/bfibe/h3", sigma, msg)
-	uCheck := p.Sys.G1Comb().Mul(r)
-	if !uCheck.Equal(ct.U) {
-		return nil, ErrDecrypt
-	}
-	return msg, nil
 }

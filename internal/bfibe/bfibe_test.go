@@ -181,134 +181,9 @@ func TestKEMFreshness(t *testing.T) {
 	}
 }
 
-func TestBasicIdentRoundTrip(t *testing.T) {
-	p, mk := testSetup(t)
-	id := []byte("basic@id")
-	sk, err := mk.Extract(p, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, msg := range [][]byte{
-		[]byte(""),
-		[]byte("x"),
-		[]byte("meter-reading: 42.7 kWh"),
-		bytes.Repeat([]byte("long "), 1000),
-	} {
-		ct, err := p.EncryptBasic(id, msg, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := p.DecryptBasic(sk, ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, msg) {
-			t.Fatalf("BasicIdent round trip failed for %d-byte message", len(msg))
-		}
-	}
-}
-
-func TestBasicIdentWrongKeyGarbles(t *testing.T) {
-	p, mk := testSetup(t)
-	msg := []byte("secret meter data")
-	ct, err := p.EncryptBasic([]byte("intended"), msg, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrong, err := mk.Extract(p, []byte("eavesdropper"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.DecryptBasic(wrong, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, msg) {
-		t.Fatal("wrong identity decrypted a BasicIdent ciphertext")
-	}
-}
-
-func TestFullIdentRoundTrip(t *testing.T) {
-	p, mk := testSetup(t)
-	id := []byte("full@id")
-	sk, err := mk.Extract(p, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, msg := range [][]byte{
-		[]byte(""),
-		[]byte("m"),
-		[]byte("reading=1234;unit=kWh;ts=1278000000"),
-		bytes.Repeat([]byte{0xAB}, 4096),
-	} {
-		ct, err := p.EncryptFull(id, msg, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := p.DecryptFull(sk, ct)
-		if err != nil {
-			t.Fatalf("DecryptFull: %v", err)
-		}
-		if !bytes.Equal(got, msg) {
-			t.Fatal("FullIdent round trip mismatch")
-		}
-	}
-}
-
-// TestFullIdentRejectsTampering: every ciphertext the FO check refuses
-// yields an error and no plaintext — bytes released beside the error
-// would be the chosen-ciphertext decryption oracle the check exists to
-// close.
-func TestFullIdentRejectsTampering(t *testing.T) {
-	p, mk := testSetup(t)
-	id := []byte("full@id")
-	sk, err := mk.Extract(p, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := []byte("authentic message")
-	reject := func(t *testing.T, sk *PrivateKey, ct *CiphertextFull) {
-		t.Helper()
-		if pt, err := p.DecryptFull(sk, ct); err == nil || pt != nil {
-			t.Fatalf("DecryptFull = %q, %v; want no plaintext and an error", pt, err)
-		}
-	}
-
-	t.Run("FlippedW", func(t *testing.T) {
-		ct, _ := p.EncryptFull(id, msg, rand.Reader)
-		ct.W[0] ^= 1
-		reject(t, sk, ct)
-	})
-	t.Run("FlippedV", func(t *testing.T) {
-		ct, _ := p.EncryptFull(id, msg, rand.Reader)
-		ct.V[3] ^= 0x80
-		reject(t, sk, ct)
-	})
-	t.Run("SwappedU", func(t *testing.T) {
-		ct1, _ := p.EncryptFull(id, msg, rand.Reader)
-		ct2, _ := p.EncryptFull(id, msg, rand.Reader)
-		ct1.U = ct2.U
-		reject(t, sk, ct1)
-	})
-	t.Run("WrongKey", func(t *testing.T) {
-		ct, _ := p.EncryptFull(id, msg, rand.Reader)
-		wrong, _ := mk.Extract(p, []byte("other"))
-		reject(t, wrong, ct)
-	})
-	t.Run("NilInputs", func(t *testing.T) {
-		reject(t, nil, nil)
-	})
-	t.Run("ShortV", func(t *testing.T) {
-		ct, _ := p.EncryptFull(id, msg, rand.Reader)
-		ct.V = ct.V[:5]
-		reject(t, sk, ct)
-	})
-}
-
 // TestHashToScalarMatchesBigReference holds H3 to the value earlier
 // versions computed in math/big, (seed mod (q−1)) + 1 over the same
-// expansion: FullIdent ciphertexts and IBS signatures made before still
-// check.
+// expansion: IBS signatures made before still check.
 func TestHashToScalarMatchesBigReference(t *testing.T) {
 	p, _ := testSetup(t)
 	c := p.Sys.Curve
@@ -400,34 +275,6 @@ func TestEncapsulationSerialization(t *testing.T) {
 	}
 	if !back.u.Equal(enc.u) {
 		t.Fatal("encapsulation round trip mismatch")
-	}
-}
-
-func TestCiphertextFullSerialization(t *testing.T) {
-	p, mk := testSetup(t)
-	id := []byte("wire@id")
-	sk, _ := mk.Extract(p, id)
-	msg := []byte("over the wire")
-	ct, err := p.EncryptFull(id, msg, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := MarshalCiphertextFull(p, ct)
-	back, err := UnmarshalCiphertextFull(p, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.DecryptFull(sk, back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatal("deserialized ciphertext failed to decrypt")
-	}
-	for cut := 1; cut < 8; cut++ {
-		if _, err := UnmarshalCiphertextFull(p, b[:len(b)/cut/2]); err == nil {
-			t.Fatal("truncated ciphertext accepted")
-		}
 	}
 }
 

@@ -67,9 +67,9 @@ func torsionPoints(t testing.TB, c *ec.Curve) (tors, two ec.Point) {
 // checks the curve and refuses ∞ but not the order, because an on-curve
 // U + T with T of order dividing h decapsulates to exactly U's key — it
 // probes nothing U does not. A point with no G1 part (T alone, (0, 0))
-// decodes and is refused at decapsulation, whose pairing value is 1;
-// FullIdent's re-encryption check refuses U + T; and a private key, a
-// first argument, keeps its order check.
+// decodes and is refused at decapsulation, whose pairing value is 1; and
+// a private key, a first argument, keeps its order check. (BasicIdent and
+// FullIdent under the same points: experiments/'s TestIdentOutsideG1.)
 func TestDecapsulationOffSubgroupEqualsProjection(t *testing.T) {
 	p, mk := testSetup(t)
 	c := p.Sys.Curve
@@ -120,24 +120,6 @@ func TestDecapsulationOffSubgroupEqualsProjection(t *testing.T) {
 		}
 	}
 
-	msg := []byte("basic")
-	ctb, err := p.EncryptBasic(id, msg, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := p.DecryptBasic(sk, &CiphertextBasic{U: c.Add(ctb.U, tors), V: ctb.V}); err != nil || !bytes.Equal(got, msg) {
-		t.Errorf("DecryptBasic(U + T) = %q, %v; want U's plaintext", got, err)
-	}
-	ctf, err := p.EncryptFull(id, msg, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctf.U = c.Add(ctf.U, tors)
-	if back, err := UnmarshalCiphertextFull(p, MarshalCiphertextFull(p, ctf)); err != nil {
-		t.Errorf("UnmarshalCiphertextFull refused U + T: %v", err)
-	} else if _, err := p.DecryptFull(sk, back); err != ErrDecrypt {
-		t.Errorf("DecryptFull(U + T) = %v, want ErrDecrypt", err)
-	}
 	bad := offSubgroupU(t, c)
 	if _, err := UnmarshalPrivateKey(p, MarshalPrivateKey(p, &PrivateKey{ID: []byte("x"), D: bad})); err == nil {
 		t.Error("UnmarshalPrivateKey accepted an off-subgroup point")
@@ -148,23 +130,13 @@ func TestDecapsulationOffSubgroupEqualsProjection(t *testing.T) {
 // but outside G1 — (0, 0), q·S of order dividing h, or G + q·S, none of
 // which extraction makes and none of which NewDecapsulator checks for —
 // never panics: Decapsulate and a Decapsulator refuse every encapsulation
-// (the pairing value is 1), DecryptFull fails its validity check, and
-// DecryptBasic returns no error but no plaintext either.
+// (the pairing value is 1).
 func TestFirstArgumentOutsideG1(t *testing.T) {
 	p, _ := testSetup(t)
 	c := p.Sys.Curve
 	id := []byte("victim")
 	tors, two := torsionPoints(t, c)
 	enc, _, err := p.Encapsulate(id, 16, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := []byte("basic")
-	ctb, err := p.EncryptBasic(id, msg, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctf, err := p.EncryptFull(id, msg, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +151,6 @@ func TestFirstArgumentOutsideG1(t *testing.T) {
 		}
 		if key, err := p.Decapsulate(sk, enc, 16); err == nil {
 			t.Errorf("Decapsulate with a key over %s returned key %x", name, key)
-		}
-		if _, err := p.DecryptFull(sk, ctf); err != ErrDecrypt {
-			t.Errorf("DecryptFull with a key over %s = %v, want ErrDecrypt", name, err)
-		}
-		if got, err := p.DecryptBasic(sk, ctb); err != nil || bytes.Equal(got, msg) {
-			t.Errorf("DecryptBasic with a key over %s = %q, %v", name, got, err)
 		}
 	}
 }
@@ -220,9 +186,39 @@ func FuzzUnmarshalEncapsulation(f *testing.F) {
 	})
 }
 
+// gidTraffic runs f and returns the g_ID cache traffic it caused, from
+// the process-wide counters; callers must not run in parallel with other
+// encryptors.
+func gidTraffic(f func()) (hits, misses, evictions uint64) {
+	before := obsv.CounterMap()
+	f()
+	after := obsv.CounterMap()
+	delta := func(name string) uint64 { return after[name] - before[name] }
+	return delta("gid_cache_hits"), delta("gid_cache_misses"), delta("gid_cache_evictions")
+}
+
+// wantGIDTraffic runs f and fails unless it caused exactly the given
+// g_ID cache hits, misses and evictions.
+func wantGIDTraffic(t *testing.T, what string, hits, misses, evictions uint64, f func()) {
+	t.Helper()
+	if h, m, e := gidTraffic(f); h != hits || m != misses || e != evictions {
+		t.Fatalf("%s: %d hits, %d misses, %d evictions; want %d, %d, %d", what, h, m, e, hits, misses, evictions)
+	}
+}
+
+// encapsulate is Encapsulate of a 16-byte key, failing t on error.
+func encapsulate(t *testing.T, p *Params, id []byte) (*Encapsulation, []byte) {
+	t.Helper()
+	enc, key, err := p.Encapsulate(id, 16, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc, key
+}
+
 // TestGIDCacheHitCorrectness proves a cache hit yields the same working
-// keys as a cold encapsulation: encapsulate twice to one identity and
-// decapsulate both.
+// keys as a cold encapsulation: encapsulate twice to one identity — a
+// miss, then a hit — and decapsulate both.
 func TestGIDCacheHitCorrectness(t *testing.T) {
 	p, mk := freshParams(t)
 	id := []byte("ELECTRIC-APT-SV-CA||nonce-7")
@@ -230,24 +226,10 @@ func TestGIDCacheHitCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if n := p.GIDCacheLen(); n != 0 {
-		t.Fatalf("fresh params cache len = %d", n)
-	}
-	enc1, key1, err := p.Encapsulate(id, 24, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := p.GIDCacheLen(); n != 1 {
-		t.Fatalf("after first encapsulation cache len = %d, want 1", n)
-	}
-	enc2, key2, err := p.Encapsulate(id, 24, rand.Reader) // cache hit
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := p.GIDCacheLen(); n != 1 {
-		t.Fatalf("after cached encapsulation cache len = %d, want 1", n)
-	}
+	var enc1, enc2 *Encapsulation
+	var key1, key2 []byte
+	wantGIDTraffic(t, "first encapsulation", 0, 1, 0, func() { enc1, key1 = encapsulate(t, p, id) })
+	wantGIDTraffic(t, "second encapsulation", 1, 0, 0, func() { enc2, key2 = encapsulate(t, p, id) })
 	if bytes.Equal(key1, key2) {
 		t.Fatal("two encapsulations derived the same session key")
 	}
@@ -255,7 +237,7 @@ func TestGIDCacheHitCorrectness(t *testing.T) {
 		enc *Encapsulation
 		key []byte
 	}{{enc1, key1}, {enc2, key2}} {
-		got, err := p.Decapsulate(sk, pair.enc, 24)
+		got, err := p.Decapsulate(sk, pair.enc, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,49 +248,39 @@ func TestGIDCacheHitCorrectness(t *testing.T) {
 }
 
 // TestGIDCacheBoundAndInvalidation covers the LRU bound, per-identity
-// invalidation, full flush, and the cache-disabled mode.
+// invalidation, shrinking the bound, and the cache-disabled mode, each
+// read off the cache's hit, miss and eviction counters.
 func TestGIDCacheBoundAndInvalidation(t *testing.T) {
 	p, _ := freshParams(t)
 	p.SetGIDCacheCap(2)
-	ids := [][]byte{[]byte("id-a"), []byte("id-b"), []byte("id-c")}
-	for _, id := range ids {
-		if _, _, err := p.Encapsulate(id, 16, rand.Reader); err != nil {
-			t.Fatal(err)
+	a, b, c := []byte("id-a"), []byte("id-b"), []byte("id-c")
+	wantGIDTraffic(t, "three identities under bound 2", 0, 3, 1, func() {
+		for _, id := range [][]byte{a, b, c} {
+			encapsulate(t, p, id)
 		}
-	}
-	if n := p.GIDCacheLen(); n != 2 {
-		t.Fatalf("cache len = %d, want LRU bound 2", n)
-	}
+	})
+	// id-a was evicted (least recent), id-b and id-c are held.
+	wantGIDTraffic(t, "the held identities", 2, 0, 0, func() { encapsulate(t, p, b); encapsulate(t, p, c) })
 
-	// id-a was evicted (least recent); invalidating a live entry shrinks.
-	p.InvalidateIdentity([]byte("id-c"))
-	if n := p.GIDCacheLen(); n != 1 {
-		t.Fatalf("after invalidate cache len = %d, want 1", n)
-	}
-	// Invalidating an absent identity is a no-op.
+	// Invalidating a held identity drops it without an eviction, so it
+	// comes back in the slot it freed; an absent identity is a no-op.
+	p.InvalidateIdentity(c)
 	p.InvalidateIdentity([]byte("never-seen"))
-	if n := p.GIDCacheLen(); n != 1 {
-		t.Fatalf("after no-op invalidate cache len = %d, want 1", n)
-	}
+	wantGIDTraffic(t, "after invalidating id-c", 1, 1, 0, func() { encapsulate(t, p, c); encapsulate(t, p, b) })
 
-	p.FlushGIDCache()
-	if n := p.GIDCacheLen(); n != 0 {
-		t.Fatalf("after flush cache len = %d, want 0", n)
-	}
+	// A smaller bound drops the least recently used entry at once.
+	p.SetGIDCacheCap(1)
+	wantGIDTraffic(t, "under bound 1", 1, 1, 1, func() { encapsulate(t, p, b); encapsulate(t, p, c) })
 
-	// Cap 0 disables caching but encryption keeps working.
+	// Cap 0 drops what the cache holds and disables it; encryption keeps
+	// working.
 	p.SetGIDCacheCap(0)
-	if _, _, err := p.Encapsulate(ids[0], 16, rand.Reader); err != nil {
-		t.Fatal(err)
-	}
-	if n := p.GIDCacheLen(); n != 0 {
-		t.Fatalf("disabled cache holds %d entries", n)
-	}
+	wantGIDTraffic(t, "disabled", 0, 2, 0, func() { encapsulate(t, p, a); encapsulate(t, p, a) })
 }
 
 // TestGIDCacheConcurrent hammers the cache under -race: encryptors over a
 // small identity working set interleaved with rotations (invalidate),
-// flushes, capacity changes, and size readers.
+// disabling (which drops everything held) and capacity changes.
 func TestGIDCacheConcurrent(t *testing.T) {
 	p, mk := freshParams(t)
 	ids := make([][]byte, 8)
@@ -352,12 +324,11 @@ func TestGIDCacheConcurrent(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			p.InvalidateIdentity(ids[i%len(ids)])
 			if i%10 == 0 {
-				p.FlushGIDCache()
+				p.SetGIDCacheCap(0)
 			}
 			if i%17 == 0 {
 				p.SetGIDCacheCap(4 + i%5)
 			}
-			_ = p.GIDCacheLen()
 		}
 	}()
 	wg.Wait()
@@ -426,7 +397,7 @@ func TestPairIdentityFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := sys.Pair(q, p.PPub); !got.Equal(want) || got.IsOne() {
+		if want := sys.Pair(q, p.PPub); !bytes.Equal(got.Bytes(), want.Bytes()) || got.IsOne() {
 			t.Fatalf("identity %d: PairIdentity ≠ Pair(H1(id), P_pub)", i)
 		}
 	}

@@ -78,33 +78,6 @@ func UnmarshalEncapsulation(p *Params, b []byte) (*Encapsulation, error) {
 	return &Encapsulation{u: u}, nil
 }
 
-// MarshalCiphertextFull encodes (U, V, W).
-func MarshalCiphertextFull(p *Params, ct *CiphertextFull) []byte {
-	u := p.Sys.Curve.Bytes(ct.U)
-	out := make([]byte, 0, 4+len(u)+4+len(ct.V)+len(ct.W))
-	out = appendChunk(out, u)
-	out = appendChunk(out, ct.V)
-	out = append(out, ct.W...)
-	return out
-}
-
-// UnmarshalCiphertextFull decodes (U, V, W), validating the point.
-func UnmarshalCiphertextFull(p *Params, b []byte) (*CiphertextFull, error) {
-	u, rest, err := readChunk(b)
-	if err != nil {
-		return nil, fmt.Errorf("bfibe: ciphertext: %w", err)
-	}
-	v, rest, err := readChunk(rest)
-	if err != nil {
-		return nil, fmt.Errorf("bfibe: ciphertext: %w", err)
-	}
-	pt, err := p.Sys.Curve.PointFromBytes(u)
-	if err != nil {
-		return nil, fmt.Errorf("bfibe: ciphertext: %w", err)
-	}
-	return &CiphertextFull{U: pt, V: bytes.Clone(v), W: bytes.Clone(rest)}, nil
-}
-
 // MarshalMasterKey encodes the master scalar for PKG persistence,
 // big-endian at the curve's fixed scalar width.
 func MarshalMasterKey(sys *pairing.System, mk *MasterKey) []byte {
@@ -128,22 +101,4 @@ func UnmarshalMasterKey(sys *pairing.System, b []byte) (*MasterKey, error) {
 		return nil, errors.New("bfibe: master key is zero")
 	}
 	return &MasterKey{s: s}, nil
-}
-
-func appendChunk(dst, chunk []byte) []byte {
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(chunk)))
-	dst = append(dst, lenBuf[:]...)
-	return append(dst, chunk...)
-}
-
-func readChunk(b []byte) (chunk, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, errors.New("truncated chunk header")
-	}
-	n := binary.BigEndian.Uint32(b)
-	if uint32(len(b)-4) < n {
-		return nil, nil, errors.New("truncated chunk body")
-	}
-	return b[4 : 4+n], b[4+n:], nil
 }

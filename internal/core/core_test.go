@@ -223,14 +223,14 @@ func TestFigure1Scenario(t *testing.T) {
 		t.Helper()
 		msgs, err := rc.RetrieveAndDecrypt(mwsConn, pkgConn, 0, 0)
 		if err != nil {
-			t.Fatalf("%s: %v", rc.ID(), err)
+			t.Fatal(err)
 		}
 		if len(msgs) != wantCount {
-			t.Fatalf("%s: got %d messages, want %d", rc.ID(), len(msgs), wantCount)
+			t.Fatalf("got %d messages, want %d", len(msgs), wantCount)
 		}
 		for _, m := range msgs {
 			if !wantDevices[m.DeviceID] {
-				t.Fatalf("%s: received message from unauthorized device %s", rc.ID(), m.DeviceID)
+				t.Fatalf("received message from unauthorized device %s", m.DeviceID)
 			}
 		}
 	}

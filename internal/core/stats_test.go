@@ -23,8 +23,8 @@ func TestStatsCoverEveryRoute(t *testing.T) {
 		types  []wire.Type
 		prefix string
 	}{
-		{"mws", mwsConn, routed(dep.MWS, wire.Ops()), "mws."},
-		{"pkg", pkgConn, routed(dep.PKG, wire.Ops()), "pkg."},
+		{"mws", mwsConn, routed(dep.MWS, declaredOps()), "mws."},
+		{"pkg", pkgConn, routed(dep.PKG, declaredOps()), "pkg."},
 	}
 	for _, svc := range services {
 		if len(svc.types) < 3 {
@@ -65,6 +65,19 @@ func TestStatsCoverEveryRoute(t *testing.T) {
 	}
 }
 
+// declaredOps is the op table as the frame types show it: internal/wire's
+// TestOpTable holds every request type odd and named by the table, with
+// its response the next type, so the odd named types are its requests.
+func declaredOps() []wire.OpInfo {
+	var ops []wire.OpInfo
+	for t := wire.Type(1); t < 255; t += 2 {
+		if name := t.String(); !strings.HasPrefix(name, "Type(") {
+			ops = append(ops, wire.OpInfo{Name: name, RespName: (t + 1).String(), Req: t, Resp: t + 1})
+		}
+	}
+	return ops
+}
+
 // routed returns the request types of the ops a service answers with
 // anything other than the router's "unsupported frame type" refusal. The
 // probe payload is empty, so most answers are decode errors — which still
@@ -102,11 +115,11 @@ func TestEveryOpIsRouted(t *testing.T) {
 		}
 		return names
 	}
-	if names := unrouted(wire.Ops()); len(names) != 0 {
+	if names := unrouted(declaredOps()); len(names) != 0 {
 		t.Fatalf("ops declared in the table but served by neither the MWS nor the PKG: %v", names)
 	}
 	orphan := wire.OpInfo{Name: "Orphan", RespName: "OrphanResp", Req: 201, Resp: 202}
-	if names := unrouted(append(wire.Ops(), orphan)); len(names) != 1 || names[0] != "Orphan" {
+	if names := unrouted(append(declaredOps(), orphan)); len(names) != 1 || names[0] != "Orphan" {
 		t.Fatalf("seeded unrouted op not reported: got %v", names)
 	}
 }

@@ -2,7 +2,6 @@ package device
 
 import (
 	"context"
-	"errors"
 
 	"mwskit/internal/attr"
 	"mwskit/internal/fanout"
@@ -13,13 +12,6 @@ import (
 type BatchItem struct {
 	Attribute attr.Attribute
 	Payload   []byte
-}
-
-// BatchResult pairs a batch item's index with its warehouse-assigned
-// sequence number.
-type BatchResult struct {
-	Index int
-	Seq   uint64
 }
 
 // PrepareDeposits runs the client-side cryptography for a batch of
@@ -44,29 +36,4 @@ func (d *Device) PrepareDeposits(ctx context.Context, items []BatchItem) ([]*wir
 		return nil, err
 	}
 	return reqs, nil
-}
-
-// DepositBatch prepares a batch in parallel and ships the requests over
-// one MWS connection (the wire client serializes frames internally), in
-// item order. Results carry the warehouse sequence numbers.
-func (d *Device) DepositBatch(ctx context.Context, mws *wire.Client, items []BatchItem) ([]BatchResult, error) {
-	if mws == nil {
-		return nil, errors.New("device: nil MWS client")
-	}
-	reqs, err := d.PrepareDeposits(ctx, items)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]BatchResult, 0, len(reqs))
-	for i, req := range reqs {
-		if err := ctx.Err(); err != nil {
-			return results, err
-		}
-		seq, err := d.send(ctx, mws, req)
-		if err != nil {
-			return results, err
-		}
-		results = append(results, BatchResult{Index: i, Seq: seq})
-	}
-	return results, nil
 }

@@ -11,10 +11,11 @@ import (
 	"mwskit/internal/obsv"
 	"mwskit/internal/pairing"
 	"mwskit/internal/pkgparams"
+	"mwskit/internal/wire"
 )
 
 // isolatedParams builds a Params instance not shared with other tests so
-// g_ID cache lengths can be asserted exactly.
+// its g_ID cache traffic can be asserted exactly.
 func isolatedParams(t *testing.T) *bfibe.Params {
 	t.Helper()
 	sys := pairing.ParamsTest.MustSystem()
@@ -23,6 +24,20 @@ func isolatedParams(t *testing.T) *bfibe.Params {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// gidTraffic runs f and returns the g_ID cache's hits, misses and
+// evictions during it, from the process-wide counters.
+func gidTraffic(f func()) [3]uint64 {
+	names := [3]string{"gid_cache_hits", "gid_cache_misses", "gid_cache_evictions"}
+	before := obsv.CounterMap()
+	f()
+	after := obsv.CounterMap()
+	var d [3]uint64
+	for i, n := range names {
+		d[i] = after[n] - before[n]
+	}
+	return d
 }
 
 func TestNonceEpochDefaultIsFreshPerMessage(t *testing.T) {
@@ -46,50 +61,43 @@ func TestNonceEpochDefaultIsFreshPerMessage(t *testing.T) {
 
 func TestNonceEpochReuseAndRotation(t *testing.T) {
 	params := isolatedParams(t)
+	// Bound 1: the rotation below puts its new identity in without an
+	// eviction only if the retired one was invalidated first.
+	params.SetGIDCacheCap(1)
 	d, err := New("meter-1", testKey(), params, WithNonceEpoch(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var nonces [][]byte
-	for i := 0; i < 3; i++ {
-		req, err := d.PrepareDeposit("ELECTRIC-X", []byte("r"))
-		if err != nil {
-			t.Fatal(err)
+	// One attribute, one nonce → one g_ID, computed once.
+	if got := gidTraffic(func() {
+		for i := 0; i < 3; i++ {
+			req, err := d.PrepareDeposit("ELECTRIC-X", []byte("r"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			nonces = append(nonces, req.Nonce)
 		}
-		nonces = append(nonces, req.Nonce)
+	}); got != [3]uint64{2, 1, 0} {
+		t.Fatalf("an epoch of same-identity deposits: g_ID hits, misses, evictions = %v, want [2 1 0]", got)
 	}
 	if !bytes.Equal(nonces[0], nonces[1]) || !bytes.Equal(nonces[1], nonces[2]) {
 		t.Fatal("epoch-3 device did not reuse its nonce within the epoch")
-	}
-	// One attribute, one nonce → exactly one cached g_ID.
-	if n := params.GIDCacheLen(); n != 1 {
-		t.Fatalf("cache len = %d after an epoch of same-identity deposits, want 1", n)
 	}
 
 	// Fourth deposit crosses the epoch boundary: fresh nonce, and the
 	// retired identity's cache entry is invalidated before the new one
 	// lands.
-	req, err := d.PrepareDeposit("ELECTRIC-X", []byte("r"))
-	if err != nil {
-		t.Fatal(err)
+	var req *wire.DepositRequest
+	if got := gidTraffic(func() {
+		if req, err = d.PrepareDeposit("ELECTRIC-X", []byte("r")); err != nil {
+			t.Fatal(err)
+		}
+	}); got != [3]uint64{0, 1, 0} {
+		t.Fatalf("the rotating deposit: g_ID hits, misses, evictions = %v, want [0 1 0] (retired identity invalidated)", got)
 	}
 	if bytes.Equal(req.Nonce, nonces[0]) {
 		t.Fatal("nonce not rotated at epoch boundary")
-	}
-	if n := params.GIDCacheLen(); n != 1 {
-		t.Fatalf("cache len = %d after rotation, want 1 (old entry invalidated)", n)
-	}
-
-	// Forced rotation also changes the nonce immediately.
-	if err := d.RotateNonce(); err != nil {
-		t.Fatal(err)
-	}
-	req2, err := d.PrepareDeposit("ELECTRIC-X", []byte("r"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(req2.Nonce, req.Nonce) {
-		t.Fatal("RotateNonce did not change the nonce")
 	}
 }
 
@@ -213,16 +221,17 @@ func TestDepositBatchOverNetwork(t *testing.T) {
 	for i := range items {
 		items[i] = BatchItem{Attribute: "A1", Payload: []byte(fmt.Sprintf("m%d", i))}
 	}
-	results, err := d.DepositBatch(context.Background(), h.mwsConn, items)
+	reqs, err := d.PrepareDeposits(context.Background(), items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(items) {
-		t.Fatalf("got %d results, want %d", len(results), len(items))
-	}
-	for i, r := range results {
-		if r.Index != i || r.Seq != uint64(i) {
-			t.Fatalf("result %d = %+v, want in-order seq", i, r)
+	for i, req := range reqs {
+		seq, err := d.send(context.Background(), h.mwsConn, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq != uint64(i) {
+			t.Fatalf("item %d acknowledged as seq %d, want in-order seqs", i, seq)
 		}
 	}
 	if got := h.mwsSvc.MessageCount(); got != len(items) {

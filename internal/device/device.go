@@ -153,14 +153,6 @@ func (d *Device) rotateLocked() error {
 	return nil
 }
 
-// RotateNonce forces an immediate nonce rotation, ending the current
-// epoch early (e.g. on a schedule, or after a suspected compromise).
-func (d *Device) RotateNonce() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.rotateLocked()
-}
-
 // ID returns the device identity.
 func (d *Device) ID() string { return d.id }
 

@@ -9,17 +9,12 @@ import (
 	"mwskit/internal/wire"
 )
 
-// PrepareTaggedDeposit is PrepareDeposit plus PEKS keyword tags: each
-// keyword is encrypted into a searchable tag the warehouse can match
-// against PKG-issued trapdoors without ever learning the keyword
-// (related work [1], searchable encrypted audit logs).
-func (d *Device) PrepareTaggedDeposit(a attr.Attribute, payload []byte, keywords []string) (*wire.DepositRequest, error) {
-	return d.PrepareTaggedDepositContext(background(), a, payload, keywords)
-}
-
-// PrepareTaggedDepositContext is PrepareTaggedDeposit with a caller
-// context; tracing spans started under ctx cover the PEKS tag
-// generation along with the encapsulation stages.
+// PrepareTaggedDepositContext is PrepareDepositContext plus PEKS keyword
+// tags: each keyword is encrypted into a searchable tag the warehouse can
+// match against PKG-issued trapdoors without ever learning the keyword
+// (related work [1], searchable encrypted audit logs). Tracing spans
+// started under ctx cover the tag generation along with the
+// encapsulation stages.
 func (d *Device) PrepareTaggedDepositContext(ctx context.Context, a attr.Attribute, payload []byte, keywords []string) (*wire.DepositRequest, error) {
 	if len(keywords) > wire.MaxTags {
 		return nil, fmt.Errorf("device: %d keywords exceeds limit %d", len(keywords), wire.MaxTags)

@@ -70,9 +70,6 @@ func (c *Curve) NewComb(base Point) *Comb {
 	return t
 }
 
-// Base returns the point the table was built for.
-func (t *Comb) Base() Point { return t.base }
-
 // Mul returns k·base with a scalar-independent operation schedule:
 // one table selection per digit of the recoding and one addition fewer, for
 // every k. Suitable for secret scalars.

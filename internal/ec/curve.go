@@ -143,9 +143,6 @@ func (c *Curve) Double(p Point) Point {
 	return Point{X: x3, Y: y3}
 }
 
-// Sub returns p − q.
-func (c *Curve) Sub(p, q Point) Point { return c.Add(p, q.Neg()) }
-
 // ScalarMult returns k·p for any integer k (negative k uses −p), using a
 // width-4 sliding window over Jacobian coordinates: odd multiples up to
 // 15p are precomputed, then each window of set bits costs one addition

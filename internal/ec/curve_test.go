@@ -119,7 +119,7 @@ func TestGroupLaws(t *testing.T) {
 		}
 	})
 	t.Run("SubInvertsAdd", func(t *testing.T) {
-		if !c.Sub(c.Add(p, q), q).Equal(p) {
+		if !c.Add(c.Add(p, q), q.Neg()).Equal(p) {
 			t.Error("(P+Q)−Q != P")
 		}
 	})

@@ -84,8 +84,8 @@ func TestMultipliersAtInfinity(t *testing.T) {
 	if !comb.Mul(scalarOf(t, c, big.NewInt(5))).Inf {
 		t.Error("Comb over ∞ must return ∞")
 	}
-	if !comb.Base().Inf {
-		t.Error("Comb.Base() lost the base point")
+	if !comb.base.Inf {
+		t.Error("the comb lost its base point")
 	}
 }
 

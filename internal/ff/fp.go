@@ -114,9 +114,6 @@ func limbsOfBytes(b []byte) limbs {
 // P returns a copy of the modulus.
 func (f *Field) P() *big.Int { return new(big.Int).Set(f.p) }
 
-// BitLen returns the bit length of the modulus.
-func (f *Field) BitLen() int { return f.p.BitLen() }
-
 // ByteLen returns the length of the fixed-width byte encoding of an element.
 func (f *Field) ByteLen() int { return f.byteLen }
 

@@ -50,18 +50,6 @@ func (x E2) IsOne() bool { return x.A.IsOne() && x.B.IsZero() }
 // Equal reports whether x == y.
 func (x E2) Equal(y E2) bool { return x.A.Equal(y.A) && x.B.Equal(y.B) }
 
-// SetAdd sets z = x + y.
-func (z *E2) SetAdd(x, y *E2) {
-	z.A.SetAdd(&x.A, &y.A)
-	z.B.SetAdd(&x.B, &y.B)
-}
-
-// SetSub sets z = x − y.
-func (z *E2) SetSub(x, y *E2) {
-	z.A.SetSub(&x.A, &y.A)
-	z.B.SetSub(&x.B, &y.B)
-}
-
 // SetNeg sets z = −x.
 func (z *E2) SetNeg(x *E2) {
 	z.A.SetNeg(&x.A)
@@ -103,9 +91,6 @@ func (z *E2) SetSelect(v uint64, a, b *E2) {
 
 // Neg returns −x.
 func (x E2) Neg() E2 { x.SetNeg(&x); return x }
-
-// Conjugate returns A − B·i, which equals x^p when p ≡ 3 (mod 4).
-func (x E2) Conjugate() E2 { x.B.SetNeg(&x.B); return x }
 
 // Mul returns x · y.
 func (x E2) Mul(y E2) E2 { x.SetMul(&x, &y); return x }

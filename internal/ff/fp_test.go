@@ -205,7 +205,7 @@ func TestInvZeroPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("p = %d bits: Inv of zero did not panic", f.BitLen())
+					t.Errorf("p = %d bits: Inv of zero did not panic", f.p.BitLen())
 				}
 			}()
 			f.Zero().Inv()

@@ -49,12 +49,6 @@ type e2Op struct {
 }
 
 var e2Ops = []e2Op{
-	{"Add", (*E2).SetAdd, nil, func(x, y bigE2) bigE2 {
-		return bigE2{new(big.Int).Add(x.a, y.a), new(big.Int).Add(x.b, y.b)}
-	}},
-	{"Sub", (*E2).SetSub, nil, func(x, y bigE2) bigE2 {
-		return bigE2{new(big.Int).Sub(x.a, y.a), new(big.Int).Sub(x.b, y.b)}
-	}},
 	{"Mul", (*E2).SetMul, E2.Mul, func(x, y bigE2) bigE2 { // (ac − bd) + (ad + bc)·i
 		ac, bd := new(big.Int).Mul(x.a, y.a), new(big.Int).Mul(x.b, y.b)
 		ad, bc := new(big.Int).Mul(x.a, y.b), new(big.Int).Mul(x.b, y.a)
@@ -82,11 +76,11 @@ func checkElem(t testing.TB, what string, z *Element, want *big.Int) {
 		t.Fatalf("%s: result has no field", what)
 	}
 	if got, w := z.BigInt(), new(big.Int).Mod(want, f.p); got.Cmp(w) != 0 {
-		t.Fatalf("p=%d bits: %s = %v, want %v", f.BitLen(), what, got, w)
+		t.Fatalf("p=%d bits: %s = %v, want %v", f.p.BitLen(), what, got, w)
 	}
 	for i := f.n; i < MaxLimbs; i++ {
 		if z.v[i] != 0 {
-			t.Fatalf("p=%d bits: %s left limb %d = %#x past the field's %d", f.BitLen(), what, i, z.v[i], f.n)
+			t.Fatalf("p=%d bits: %s left limb %d = %#x past the field's %d", f.p.BitLen(), what, i, z.v[i], f.n)
 		}
 	}
 }
@@ -109,11 +103,11 @@ func checkElemOp(t testing.TB, f *Field, op elemOp, xv, yv *big.Int) {
 	op.set(&z, &x, &y)
 	checkElem(t, op.name+" into a fresh z", &z, want)
 	if !x.Equal(f.NewElement(xv)) || !y.Equal(f.NewElement(yv)) {
-		t.Fatalf("p=%d bits: %s wrote to an operand it does not alias", f.BitLen(), op.name)
+		t.Fatalf("p=%d bits: %s wrote to an operand it does not alias", f.p.BitLen(), op.name)
 	}
 	if op.val != nil {
 		if v := op.val(x, y); !v.Equal(z) {
-			t.Fatalf("p=%d bits: value %s = %v, in place %v", f.BitLen(), op.name, v, z)
+			t.Fatalf("p=%d bits: value %s = %v, in place %v", f.p.BitLen(), op.name, v, z)
 		}
 	}
 
@@ -139,11 +133,11 @@ func checkE2Op(t testing.TB, f *Field, op e2Op, xv, yv bigE2) {
 	op.set(&z, &x, &y)
 	checkE2(t, "E2 "+op.name+" into a fresh z", &z, want)
 	if !x.Equal(f.e2FromBig(xv)) || !y.Equal(f.e2FromBig(yv)) {
-		t.Fatalf("p=%d bits: E2 %s wrote to an operand it does not alias", f.BitLen(), op.name)
+		t.Fatalf("p=%d bits: E2 %s wrote to an operand it does not alias", f.p.BitLen(), op.name)
 	}
 	if op.val != nil {
 		if v := op.val(x, y); !v.Equal(z) {
-			t.Fatalf("p=%d bits: value E2 %s = %v, in place %v", f.BitLen(), op.name, v, z)
+			t.Fatalf("p=%d bits: value E2 %s = %v, in place %v", f.p.BitLen(), op.name, v, z)
 		}
 	}
 

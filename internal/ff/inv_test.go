@@ -25,14 +25,14 @@ func checkInv(t *testing.T, f *Field, v *big.Int) {
 	inv := x.Inv()
 	want := new(big.Int).ModInverse(new(big.Int).Mod(v, f.p), f.p)
 	if got := inv.BigInt(); got.Cmp(want) != 0 {
-		t.Fatalf("p = %d bits: Inv(%v) = %v, want %v", f.BitLen(), v, got, want)
+		t.Fatalf("p = %d bits: Inv(%v) = %v, want %v", f.p.BitLen(), v, got, want)
 	}
 	if !x.Mul(inv).IsOne() {
-		t.Fatalf("p = %d bits: %v·Inv(%v) ≠ 1", f.BitLen(), v, v)
+		t.Fatalf("p = %d bits: %v·Inv(%v) ≠ 1", f.p.BitLen(), v, v)
 	}
 	for i := f.n; i < MaxLimbs; i++ {
 		if inv.v[i] != 0 {
-			t.Fatalf("p = %d bits: Inv(%v) wrote limb %d above the field's %d", f.BitLen(), v, i, f.n)
+			t.Fatalf("p = %d bits: Inv(%v) wrote limb %d above the field's %d", f.p.BitLen(), v, i, f.n)
 		}
 	}
 }
@@ -82,7 +82,7 @@ func TestInvEdgeValues(t *testing.T) {
 		ones := new(big.Int).Lsh(big.NewInt(1), uint(64*(f.n-1)))
 		ones.Sub(ones, big.NewInt(1))
 		if ones.Sign() == 0 {
-			ones.SetUint64(1<<uint(f.BitLen()-1) - 1) // one limb: the low bits below p's top bit
+			ones.SetUint64(1<<uint(f.p.BitLen()-1) - 1) // one limb: the low bits below p's top bit
 		}
 		for _, v := range []*big.Int{big.NewInt(1), big.NewInt(2), pm1, new(big.Int).Rsh(pm1, 1), ones} {
 			checkInv(t, f, v)
@@ -96,7 +96,7 @@ func TestInvEdgeValues(t *testing.T) {
 			x.v[0] = f.pl[0] - 1
 		}
 		if inv := x.Inv(); !x.Mul(inv).IsOne() {
-			t.Fatalf("p = %d bits: all-ones Montgomery limbs: x·Inv(x) ≠ 1", f.BitLen())
+			t.Fatalf("p = %d bits: all-ones Montgomery limbs: x·Inv(x) ≠ 1", f.p.BitLen())
 		}
 	}
 }
@@ -113,7 +113,7 @@ func TestInvBatchCount(t *testing.T) {
 		"bf112": {2956, 51, 17},
 	} {
 		f := fields[name]
-		d := f.BitLen()
+		d := f.p.BitLen()
 		if steps := (49*d + 80) / 17; steps != want.steps {
 			t.Errorf("%s: Theorem 11.2 gives %d divsteps for d = %d, want %d", name, steps, d, want.steps)
 		}
@@ -145,7 +145,7 @@ func FuzzInv(f *testing.F) {
 			}
 			inv := x.Inv()
 			if !inv.Inv().Equal(x) || !x.Mul(inv).IsOne() {
-				t.Fatalf("p = %d bits: Inv fails on %v", fld.BitLen(), v)
+				t.Fatalf("p = %d bits: Inv fails on %v", fld.p.BitLen(), v)
 			}
 		}
 	})

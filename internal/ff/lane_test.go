@@ -165,7 +165,7 @@ func TestLaneKernel(t *testing.T) {
 			got := laneOutputs(f, xs, ys)
 			restore()
 			if got != want {
-				t.Fatalf("p=%d bits: the Go and IFMA kernels disagree", f.BitLen())
+				t.Fatalf("p=%d bits: the Go and IFMA kernels disagree", f.p.BitLen())
 			}
 		}
 	}
@@ -206,7 +206,7 @@ func checkLaneRoundTrip(t *testing.T, f *Field, xs, ys []*big.Int) {
 	f.LaneElements(&back, &x)
 	for j := range back {
 		if !back[j].Equal(ex[j]) {
-			t.Fatalf("p=%d bits: lane %d round trip %v, want %v", f.BitLen(), j, back[j], ex[j])
+			t.Fatalf("p=%d bits: lane %d round trip %v, want %v", f.p.BitLen(), j, back[j], ex[j])
 		}
 	}
 	f.LaneExact(&y, &y)
@@ -218,7 +218,7 @@ func checkLaneRoundTrip(t *testing.T, f *Field, xs, ys []*big.Int) {
 			montMul8Go(&want.v, &ex[j].v, &ey[j].v, &f.pl, f.m0)
 		}
 		if !back[j].Equal(want) {
-			t.Fatalf("p=%d bits: lane %d product %v, scalar %v", f.BitLen(), j, back[j], want)
+			t.Fatalf("p=%d bits: lane %d product %v, scalar %v", f.p.BitLen(), j, back[j], want)
 		}
 	}
 	f.LaneInv(&z, &x)
@@ -233,7 +233,7 @@ func checkLaneRoundTrip(t *testing.T, f *Field, xs, ys []*big.Int) {
 			want = ex[j].Inv()
 		}
 		if !back[j].Equal(want) {
-			t.Fatalf("p=%d bits: lane %d inverse %v, want %v", f.BitLen(), j, back[j], want)
+			t.Fatalf("p=%d bits: lane %d inverse %v, want %v", f.p.BitLen(), j, back[j], want)
 		}
 	}
 }

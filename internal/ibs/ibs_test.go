@@ -1,6 +1,7 @@
 package ibs
 
 import (
+	"bytes"
 	"crypto/rand"
 	"sync"
 	"testing"
@@ -142,18 +143,18 @@ func TestSignatureSerialization(t *testing.T) {
 }
 
 func TestOneKeyServesEncryptionAndSigning(t *testing.T) {
-	// The same extracted d_ID both decrypts and signs — the property that
+	// The same extracted d_ID both decapsulates and signs — the property that
 	// lets a PKG-registered device sign without extra key material.
 	p, m := env(t)
 	id := []byte("device:dual-use")
 	sk, _ := m.Extract(p, id)
 
-	ct, err := p.EncryptFull(id, []byte("secret"), rand.Reader)
+	enc, key, err := p.Encapsulate(id, 16, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt, err := p.DecryptFull(sk, ct); err != nil || string(pt) != "secret" {
-		t.Fatalf("decryption leg failed: %v", err)
+	if got, err := p.Decapsulate(sk, enc, 16); err != nil || !bytes.Equal(got, key) {
+		t.Fatalf("decapsulation leg failed: %v", err)
 	}
 	sig, err := Sign(p, sk, []byte("signed"), rand.Reader)
 	if err != nil {

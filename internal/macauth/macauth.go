@@ -102,9 +102,6 @@ func (ks *KeyService) Revoke(deviceID string) error {
 	return ks.kv.Delete(deviceID)
 }
 
-// Devices lists registered device IDs, sorted.
-func (ks *KeyService) Devices() []string { return ks.kv.Keys() }
-
 // replaySet holds one window's accepted MACs as SHA-256 digests cut to 128
 // bits: one entry size for device HMACs and sealed RC authenticators alike.
 type replaySet map[[16]byte]struct{}

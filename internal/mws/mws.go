@@ -250,7 +250,8 @@ func (s *Service) RegisterDevice(deviceID string) ([]byte, error) {
 	return s.devices.Register(deviceID, s.cfg.Rand)
 }
 
-// RevokeDevice removes a device's MAC key; its future deposits fail.
+// RevokeDevice removes a device's MAC key; its future deposits fail
+// (`mwsd revoke-device`).
 func (s *Service) RevokeDevice(deviceID string) error {
 	return s.devices.Revoke(deviceID)
 }
@@ -272,11 +273,6 @@ func (s *Service) Grant(clientID string, a attr.Attribute) (attr.ID, error) {
 // Revoke removes a client's access to an attribute (§III iii).
 func (s *Service) Revoke(clientID string, a attr.Attribute) error {
 	return s.policies.Revoke(clientID, a)
-}
-
-// RevokeAllAccess removes every grant a client holds.
-func (s *Service) RevokeAllAccess(clientID string) error {
-	return s.policies.RevokeAll(clientID)
 }
 
 // SetRules replaces the XACML-style rule layer at runtime (an

@@ -406,53 +406,6 @@ func TestRetrieveAfterRevocation(t *testing.T) {
 	}
 }
 
-// TestRevokeAllAccess is the paper's §III(iii) bulk revocation: every grant
-// the client holds is gone, its next retrieval sees nothing, and another
-// client's grant on the same attribute is untouched.
-func TestRevokeAllAccess(t *testing.T) {
-	s, clock := newTestService(t)
-	d := registerTestDevice(t, s, clock, "meter-1")
-	login := enrollRC(t, s, clock, "c-services", []byte("pw"))
-	otherLogin := enrollRC(t, s, clock, "e-and-g", []byte("pw2"))
-	for _, g := range []struct {
-		rc string
-		a  attr.Attribute
-	}{{"c-services", "ELECTRIC-X"}, {"c-services", "WATER-X"}, {"e-and-g", "ELECTRIC-X"}} {
-		if _, err := s.Grant(g.rc, g.a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, a := range []attr.Attribute{"ELECTRIC-X", "WATER-X"} {
-		req, _ := d.PrepareDeposit(a, []byte("m"))
-		if _, err := s.Deposit(context.Background(), req); err != nil {
-			t.Fatal(err)
-		}
-		clock.Advance(time.Second)
-	}
-	if err := s.RevokeAllAccess("c-services"); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range s.PolicyTable() {
-		if b.Identity == "c-services" {
-			t.Fatalf("grant survived RevokeAllAccess: %+v", b)
-		}
-	}
-	resp, err := s.Retrieve(context.Background(), &wire.RetrieveRequest{RC: "c-services", AuthBlob: login()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Items) != 0 {
-		t.Fatalf("revoked RC still sees %d messages", len(resp.Items))
-	}
-	resp, err = s.Retrieve(context.Background(), &wire.RetrieveRequest{RC: "e-and-g", AuthBlob: otherLogin()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Items) != 1 {
-		t.Fatalf("bystander RC sees %d messages, want 1", len(resp.Items))
-	}
-}
-
 func TestGrantRequiresRegisteredClient(t *testing.T) {
 	s, _ := newTestService(t)
 	if _, err := s.Grant("unregistered", "A1"); err == nil {

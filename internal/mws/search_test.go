@@ -79,7 +79,7 @@ func newSearchEnv(t *testing.T) *searchEnv {
 // ahead of them if garbage is set, and returns its sequence number.
 func (e *searchEnv) deposit(t *testing.T, keywords []string, garbage bool) uint64 {
 	t.Helper()
-	req, err := e.dev.PrepareTaggedDeposit("ELECTRIC-X", []byte("m"), keywords)
+	req, err := e.dev.PrepareTaggedDepositContext(context.Background(), "ELECTRIC-X", []byte("m"), keywords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestSearchWildcardTagMatchesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	tors := torsionPoint(t, c)
-	req, err := e.dev.PrepareTaggedDeposit("ELECTRIC-X", []byte("everywhere"), nil)
+	req, err := e.dev.PrepareTaggedDepositContext(context.Background(), "ELECTRIC-X", []byte("everywhere"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

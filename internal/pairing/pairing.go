@@ -49,9 +49,6 @@ type GT struct {
 // ff byte codec.
 func (g GT) Bytes() []byte { return g.v.Bytes() }
 
-// Equal reports whether two target-group elements are the same.
-func (g GT) Equal(h GT) bool { return g.v.Equal(h.v) }
-
 // IsOne reports whether g is the group identity.
 func (g GT) IsOne() bool { return g.v.IsOne() }
 

@@ -22,9 +22,9 @@ func testSystem(t *testing.T) *System {
 	return sysVal
 }
 
-// E2, Mul, Inv and Exp are the target-group arithmetic only the tests
-// use: the protocol layers compare and encode pairing values, nothing
-// more.
+// E2, Equal, Mul, Inv and Exp are the target-group arithmetic only the
+// tests use: the protocol layers test pairing values for 1 and encode
+// them, nothing more.
 
 // E2 returns the underlying F_p² element.
 func (g GT) E2() ff.E2 { return g.v }
@@ -32,8 +32,14 @@ func (g GT) E2() ff.E2 { return g.v }
 // Mul returns g·h in the target group.
 func (g GT) Mul(h GT) GT { return GT{v: g.v.Mul(h.v)} }
 
+// Equal reports whether two target-group elements are the same.
+func (g GT) Equal(h GT) bool { return g.v.Equal(h.v) }
+
 // Inv returns g⁻¹, the conjugate.
-func (g GT) Inv() GT { return GT{v: g.v.Conjugate()} }
+func (g GT) Inv() GT { return GT{v: conj(g.v)} }
+
+// conj returns A − B·i, the p-th power of A + B·i.
+func conj(x ff.E2) ff.E2 { return ff.NewE2(x.A, x.B.Neg()) }
 
 // Exp returns g^k by public square-and-multiply, the reference the
 // constant-time GTExpSecret and the bilinearity tests compare against:
@@ -42,7 +48,7 @@ func (g GT) Inv() GT { return GT{v: g.v.Conjugate()} }
 // conjugate, since elements of μ_q satisfy g^(p+1) = norm = 1.
 func (g GT) Exp(k *big.Int) GT {
 	if k.Sign() < 0 {
-		return GT{v: e2Exp(g.v.Conjugate(), new(big.Int).Neg(k))}
+		return GT{v: e2Exp(conj(g.v), new(big.Int).Neg(k))}
 	}
 	return GT{v: e2Exp(g.v, k)}
 }

@@ -159,28 +159,6 @@ func (db *DB) revokeLocked(identity string, a attr.Attribute, aid attr.ID) error
 	return nil
 }
 
-// RevokeAll removes every grant the identity holds (e.g. the paper's
-// "C-Services discontinues its service" scenario).
-func (db *DB) RevokeAll(identity string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	grants := db.byIdentity[identity]
-	for a, aid := range grants {
-		if err := db.revokeLocked(identity, a, aid); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// HasAttribute reports whether the identity currently holds the attribute.
-func (db *DB) HasAttribute(identity string, a attr.Attribute) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	_, ok := db.byIdentity[identity][a]
-	return ok
-}
-
 // BindingsFor returns the identity's current grants sorted by AID — the
 // rows of Table 1 restricted to one identity.
 func (db *DB) BindingsFor(identity string) []attr.Binding {
@@ -195,25 +173,6 @@ func (db *DB) BindingsFor(identity string) []attr.Binding {
 	return out
 }
 
-// AttributesFor returns just the attribute set of the identity's grants.
-func (db *DB) AttributesFor(identity string) attr.Set {
-	bindings := db.BindingsFor(identity)
-	out := make(attr.Set, len(bindings))
-	for i, b := range bindings {
-		out[i] = b.Attribute
-	}
-	return out
-}
-
-// ByAID resolves an attribute ID back to its grant — the substitution the
-// PKG performs when a client presents AID ‖ Nonce (§V.D, RC–PKG phase).
-func (db *DB) ByAID(aid attr.ID) (attr.Binding, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	b, ok := db.byAID[aid]
-	return b, ok
-}
-
 // Table returns every grant sorted by AID: the full Table 1.
 func (db *DB) Table() []attr.Binding {
 	db.mu.RLock()
@@ -223,18 +182,6 @@ func (db *DB) Table() []attr.Binding {
 		out = append(out, b)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].AID < out[j].AID })
-	return out
-}
-
-// Identities returns the identities holding at least one grant, sorted.
-func (db *DB) Identities() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.byIdentity))
-	for id := range db.byIdentity {
-		out = append(out, id)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -118,21 +119,36 @@ func TestGrantValidation(t *testing.T) {
 	}
 }
 
+// has reports whether identity holds a among its bindings.
+func has(db *DB, identity string, a attr.Attribute) bool {
+	return slices.ContainsFunc(db.BindingsFor(identity), func(b attr.Binding) bool { return b.Attribute == a })
+}
+
+// rowOf finds the Table 1 row of an attribute ID.
+func rowOf(db *DB, aid attr.ID) (attr.Binding, bool) {
+	rows := db.Table()
+	i := slices.IndexFunc(rows, func(b attr.Binding) bool { return b.AID == aid })
+	if i < 0 {
+		return attr.Binding{}, false
+	}
+	return rows[i], true
+}
+
 func TestHasAttributeAndRevoke(t *testing.T) {
 	db := openTestDB(t)
 	if _, err := db.Grant("C-Services", "ELECTRIC-APT-SV-CA"); err != nil {
 		t.Fatal(err)
 	}
-	if !db.HasAttribute("C-Services", "ELECTRIC-APT-SV-CA") {
+	if !has(db, "C-Services", "ELECTRIC-APT-SV-CA") {
 		t.Fatal("granted attribute not found")
 	}
-	if db.HasAttribute("C-Services", "WATER-APT-SV-CA") {
+	if has(db, "C-Services", "WATER-APT-SV-CA") {
 		t.Fatal("ungranted attribute reported")
 	}
 	if err := db.Revoke("C-Services", "ELECTRIC-APT-SV-CA"); err != nil {
 		t.Fatal(err)
 	}
-	if db.HasAttribute("C-Services", "ELECTRIC-APT-SV-CA") {
+	if has(db, "C-Services", "ELECTRIC-APT-SV-CA") {
 		t.Fatal("revoked attribute still present")
 	}
 	// Revoking again is a no-op.
@@ -141,42 +157,21 @@ func TestHasAttributeAndRevoke(t *testing.T) {
 	}
 }
 
-func TestRevokeAll(t *testing.T) {
-	db := openTestDB(t)
-	for _, a := range []attr.Attribute{"ELECTRIC-X", "WATER-X", "GAS-X"} {
-		if _, err := db.Grant("C-Services", a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := db.Grant("Other", "ELECTRIC-X"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.RevokeAll("C-Services"); err != nil {
-		t.Fatal(err)
-	}
-	if len(db.BindingsFor("C-Services")) != 0 {
-		t.Fatal("RevokeAll left grants behind")
-	}
-	if !db.HasAttribute("Other", "ELECTRIC-X") {
-		t.Fatal("RevokeAll removed another identity's grant")
-	}
-}
-
 func TestByAID(t *testing.T) {
 	db := openTestDB(t)
 	aid, _ := db.Grant("rc1", "ATTR-1")
-	b, ok := db.ByAID(aid)
+	b, ok := rowOf(db, aid)
 	if !ok || b.Identity != "rc1" || b.Attribute != "ATTR-1" {
-		t.Fatalf("ByAID = %+v, %v", b, ok)
+		t.Fatalf("row of AID %d = %+v, %v", aid, b, ok)
 	}
-	if _, ok := db.ByAID(999); ok {
+	if _, ok := rowOf(db, 999); ok {
 		t.Fatal("unknown AID resolved")
 	}
 	// Revocation kills AID resolution (so stale tickets cannot extract).
 	if err := db.Revoke("rc1", "ATTR-1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := db.ByAID(aid); ok {
+	if _, ok := rowOf(db, aid); ok {
 		t.Fatal("revoked AID still resolves")
 	}
 }
@@ -194,20 +189,6 @@ func TestBindingsSortedByAID(t *testing.T) {
 			t.Fatal("bindings not sorted by AID")
 		}
 	}
-	set := db.AttributesFor("rc")
-	if len(set) != 3 || !set.Contains("Z-ATTR") {
-		t.Fatalf("AttributesFor = %v", set)
-	}
-}
-
-func TestIdentities(t *testing.T) {
-	db := openTestDB(t)
-	db.Grant("b-co", "A1")
-	db.Grant("a-co", "A1")
-	ids := db.Identities()
-	if len(ids) != 2 || ids[0] != "a-co" || ids[1] != "b-co" {
-		t.Fatalf("Identities = %v", ids)
-	}
 }
 
 func TestPolicyDurability(t *testing.T) {
@@ -222,10 +203,10 @@ func TestPolicyDurability(t *testing.T) {
 	}
 
 	db2, _ := openDB(t, dir)
-	if !db2.HasAttribute("IDRC1", "A1") || db2.HasAttribute("IDRC1", "A2") {
+	if !has(db2, "IDRC1", "A1") || has(db2, "IDRC1", "A2") {
 		t.Fatal("grants not recovered correctly")
 	}
-	if !db2.HasAttribute("IDRC2", "A1") {
+	if !has(db2, "IDRC2", "A1") {
 		t.Fatal("IDRC2 grant lost")
 	}
 	// AID counter must not rewind: a new grant gets a fresh AID, not a
@@ -288,7 +269,7 @@ func TestLookupsFollowAcks(t *testing.T) {
 	<-g.applied // the AID counter
 	g.release <- struct{}{}
 	<-g.applied // the grant row: in the KV, not yet acknowledged
-	go func() { lookup <- db.HasAttribute(id, a) }()
+	go func() { lookup <- has(db, id, a) }()
 	select {
 	case saw := <-lookup:
 		if saw {
@@ -298,7 +279,7 @@ func TestLookupsFollowAcks(t *testing.T) {
 	}
 	g.release <- struct{}{}
 	aid := <-granted
-	if !db.HasAttribute(id, a) {
+	if !has(db, id, a) {
 		t.Fatal("acknowledged grant missing from lookups")
 	}
 
@@ -309,10 +290,10 @@ func TestLookupsFollowAcks(t *testing.T) {
 	if err := <-revoked; err != nil {
 		t.Fatal(err)
 	}
-	if db.HasAttribute(id, a) || len(db.BindingsFor(id)) != 0 || len(db.Table()) != 0 {
+	if has(db, id, a) || len(db.BindingsFor(id)) != 0 || len(db.Table()) != 0 {
 		t.Fatal("binding still visible after Revoke returned")
 	}
-	if _, ok := db.ByAID(aid); ok {
+	if _, ok := rowOf(db, aid); ok {
 		t.Fatal("revoked AID still resolves after Revoke returned")
 	}
 }

@@ -179,24 +179,6 @@ func Parse(text string) (*Set, error) {
 	return set, nil
 }
 
-// Format renders the set back to the textual form Parse accepts.
-func (s *Set) Format() string {
-	var b strings.Builder
-	for _, r := range s.Rules {
-		b.WriteString(r.Effect.String())
-		fmt.Fprintf(&b, " identity=%s attribute=%s", orStar(r.Identity), orStar(r.Attribute))
-		if !r.NotBefore.IsZero() {
-			fmt.Fprintf(&b, " after=%s", r.NotBefore.Format(time.RFC3339))
-		}
-		if !r.NotAfter.IsZero() {
-			fmt.Fprintf(&b, " before=%s", r.NotAfter.Format(time.RFC3339))
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "default %s\n", s.Default)
-	return b.String()
-}
-
 // Validate sanity-checks the rule set.
 func (s *Set) Validate() error {
 	for i, r := range s.Rules {

@@ -48,16 +48,16 @@ func TestKeyCachePerClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkg.take()
-	held := cachedLines(t, a)
+	held := cachedLines(t, a, r)
 	b, _, _, _ := buildEpochRetrieval(t, 1, 1)
-	if held := len(cachedLines(t, b)); held != 0 {
+	if held := len(cachedLines(t, b, r)); held != 0 {
 		t.Fatalf("a new client holds %d keys", held)
 	}
 	if _, err := drain(b, pkg, r); err != nil {
 		t.Fatal(err)
 	}
 	wantAsked(t, "second client", pkg, order)
-	if len(held) != len(order) || !maps.Equal(cachedLines(t, a), held) {
+	if len(held) != len(order) || !maps.Equal(cachedLines(t, a, r), held) {
 		t.Fatal("the first client's cache changed under the second's page")
 	}
 }
@@ -76,7 +76,7 @@ func TestKeyCacheAdmitsOnlyOpenedKeys(t *testing.T) {
 			t.Fatalf("tampered page: %v", err)
 		}
 		pkg.take()
-		if _, held := cachedLines(t, c)[order[3]]; held {
+		if _, held := cachedLines(t, c, r)[order[3]]; held {
 			t.Fatal("the tampered envelope's key was admitted")
 		}
 		r.Items[3].Ciphertext[0] ^= 1
@@ -95,7 +95,7 @@ func TestKeyCacheAdmitsOnlyOpenedKeys(t *testing.T) {
 		if _, _, err := c.FetchKeysContext(context.Background(), pkg.conn, r); err != nil {
 			t.Fatal(err)
 		}
-		if held := len(cachedLines(t, c)); held != 0 {
+		if held := len(cachedLines(t, c, r)); held != 0 {
 			t.Fatalf("fetching alone cached %d keys that have opened nothing", held)
 		}
 		pkg.take()
@@ -103,7 +103,7 @@ func TestKeyCacheAdmitsOnlyOpenedKeys(t *testing.T) {
 			if _, err := drain(c, pkg, r); !errors.Is(err, symenc.ErrAuth) {
 				t.Fatalf("page %d under a wrong key: %v", page, err)
 			}
-			if _, held := cachedLines(t, c)[order[1]]; held {
+			if _, held := cachedLines(t, c, r)[order[1]]; held {
 				t.Fatalf("page %d admitted the wrong key", page)
 			}
 			if _, asked := pkg.take(); !slices.Contains(asked, order[1]) {
@@ -132,7 +132,7 @@ func TestKeyCacheMixedChunk(t *testing.T) {
 		if _, err := drain(c, pkg, r); !errors.Is(err, symenc.ErrAuth) || !strings.Contains(err.Error(), fmt.Sprintf("message %d", ff.LaneWidth+1)) {
 			t.Fatalf("page %d with a forged message: %v", page, err)
 		}
-		held := cachedLines(t, c)
+		held := cachedLines(t, c, r)
 		if _, ok := held[a]; ok {
 			t.Fatalf("page %d kept the forged message's key", page)
 		}
@@ -168,9 +168,8 @@ func TestKeyCacheFreshNoncesMiss(t *testing.T) {
 
 // TestKeyCacheBounded: a page of more identities than the cache holds
 // leaves it at capacity, and the same page again asks the PKG for the
-// keys it dropped and no others. Which keys go is the least recently
-// used: a key that opened an envelope again since it was admitted
-// outlives one that did not.
+// keys it dropped and no others. That the keys to go are the least
+// recently used is internal/lru's TestCacheDropsLeastRecentlyUsed.
 func TestKeyCacheBounded(t *testing.T) {
 	const n = keyCacheSize + 8
 	c, r, keys, _ := buildRetrieval(t, n)
@@ -180,7 +179,7 @@ func TestKeyCacheBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkg.take()
-	held := cachedLines(t, c)
+	held := cachedLines(t, c, r)
 	if len(held) != keyCacheSize {
 		t.Fatalf("cache holds %d keys after %d identities, want %d", len(held), n, keyCacheSize)
 	}
@@ -194,28 +193,6 @@ func TestKeyCacheBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantAsked(t, "second page", pkg, dropped)
-
-	var kc lru[keyIndex, *keyEntry]
-	for i := range keyCacheSize {
-		kc.put(keyIndex{aid: uint64(i)}, &keyEntry{}, keyCacheSize)
-	}
-	kc.put(keyIndex{aid: 0}, &keyEntry{}, keyCacheSize) // admitted again: the most recently used
-	kc.put(keyIndex{aid: keyCacheSize}, &keyEntry{}, keyCacheSize)
-	_, kept := kc.get(keyIndex{aid: 0})
-	_, held1 := kc.get(keyIndex{aid: 1})
-	if len(kc.byKey) != keyCacheSize || !kept || held1 {
-		t.Fatal("the cache did not drop its least recently used key")
-	}
-	// An evicted key leaves the use order too: past the bound the cache
-	// drops the least recently used key it holds, not the evicted one.
-	kc.evict(keyIndex{aid: 2})
-	kc.put(keyIndex{aid: keyCacheSize + 1}, &keyEntry{}, keyCacheSize)
-	kc.put(keyIndex{aid: keyCacheSize + 2}, &keyEntry{}, keyCacheSize)
-	_, held3 := kc.get(keyIndex{aid: 3})
-	_, held4 := kc.get(keyIndex{aid: 4})
-	if len(kc.byKey) != keyCacheSize || held3 || !held4 {
-		t.Fatal("after an eviction the cache did not drop its least recently used key")
-	}
 }
 
 // TestDecryptRetrievalUsesHandedKey: DecryptRetrieval handed a key for an
@@ -228,7 +205,7 @@ func TestDecryptRetrievalUsesHandedKey(t *testing.T) {
 	if _, err := drain(c, newFakePKG(t, sealed), r); err != nil {
 		t.Fatal(err)
 	}
-	if held := len(cachedLines(t, c)); held != 2 {
+	if held := len(cachedLines(t, c, r)); held != 2 {
 		t.Fatalf("cache holds %d keys, want 2", held)
 	}
 	wrong := maps.Clone(keys)
@@ -236,7 +213,7 @@ func TestDecryptRetrievalUsesHandedKey(t *testing.T) {
 	if _, err := c.DecryptRetrieval(context.Background(), r, wrong); !errors.Is(err, symenc.ErrAuth) {
 		t.Fatalf("page under a handed wrong key: %v", err)
 	}
-	if _, held := cachedLines(t, c)[order[0]]; held {
+	if _, held := cachedLines(t, c, r)[order[0]]; held {
 		t.Fatal("a failed open left its identity in the cache")
 	}
 	copied := maps.Clone(keys)

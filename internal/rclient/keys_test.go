@@ -6,7 +6,6 @@ import (
 	"errors"
 	"log/slog"
 	"maps"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -226,7 +225,7 @@ func TestPageOpCounts(t *testing.T) {
 		{"first page", 1, k, n},
 		{"second page", 0, 0, n},
 	} {
-		lines := cachedLines(t, c)
+		lines := cachedLines(t, c, r)
 		before := obsv.CounterMap()
 		got, _, err := c.FetchKeysContext(context.Background(), pkg.conn, r)
 		if err != nil {
@@ -249,28 +248,29 @@ func TestPageOpCounts(t *testing.T) {
 		if requests, _ := pkg.take(); uint64(requests) != row.requests {
 			t.Errorf("%s: %d extract requests, want %d", row.page, requests, row.requests)
 		}
-		if row.requests == 0 && !maps.Equal(cachedLines(t, c), lines) {
+		if row.requests == 0 && !maps.Equal(cachedLines(t, c, r), lines) {
 			t.Errorf("%s built Miller lines for keys the cache held", row.page)
 		}
 	}
-	if held := len(cachedLines(t, c)); held != k {
+	if held := len(cachedLines(t, c, r)); held != k {
 		t.Errorf("cache holds %d keys after two pages under %d", held, k)
 	}
 }
 
-// cachedLines is what c's key cache holds: each identity's Decapsulator.
-func cachedLines(t *testing.T, c *Client) map[keyIndex]*bfibe.Decapsulator {
+// cachedLines is what c's key cache holds of r's identities: each one's
+// Decapsulator. The probe refreshes each key it finds, in page order.
+func cachedLines(t *testing.T, c *Client, r *Retrieval) map[keyIndex]*bfibe.Decapsulator {
 	t.Helper()
-	c.keys.mu.Lock()
-	held := slices.Collect(maps.Values(c.keys.byKey))
-	c.keys.mu.Unlock()
-	lines := make(map[keyIndex]*bfibe.Decapsulator, len(held))
-	for _, e := range held {
-		d, err := e.v.lines()
-		if err != nil {
-			t.Fatal(err)
+	lines := make(map[keyIndex]*bfibe.Decapsulator)
+	for i := range r.Items {
+		k := mustKeyIndex(t, &r.Items[i])
+		if e, ok := c.keys.Get(k); ok {
+			d, err := e.lines()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines[k] = d
 		}
-		lines[e.v.ki] = d
 	}
 	return lines
 }

@@ -23,6 +23,7 @@ import (
 	"mwskit/internal/bfibe"
 	"mwskit/internal/fanout"
 	"mwskit/internal/ff"
+	"mwskit/internal/lru"
 	"mwskit/internal/obsv"
 	"mwskit/internal/symenc"
 	"mwskit/internal/ticket"
@@ -38,8 +39,8 @@ type Client struct {
 	params    *bfibe.Params
 	rand      io.Reader
 	now       func() time.Time
-	keys      lru[keyIndex, *keyEntry]
-	trapdoors lru[string, []byte]
+	keys      lru.Cache[keyIndex, *keyEntry]
+	trapdoors lru.Cache[string, []byte]
 }
 
 // Option customizes a Client.
@@ -80,9 +81,6 @@ func New(id string, password []byte, priv *rsa.PrivateKey, params *bfibe.Params,
 	}
 	return c, nil
 }
-
-// ID returns the client identity.
-func (c *Client) ID() string { return c.id }
 
 // Envelope is one retrieved-but-not-yet-decrypted message.
 type Envelope = wire.MessageItem
@@ -182,7 +180,7 @@ func (c *Client) FetchKeysContext(ctx context.Context, pkg *wire.Client, r *Retr
 		if _, ok := keys[k]; ok {
 			continue
 		}
-		if e, ok := c.keys.get(k); ok {
+		if e, ok := c.keys.Get(k); ok {
 			keys[k] = e.sk
 			continue
 		}
@@ -330,7 +328,7 @@ func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[ke
 			if !ok {
 				return nil, fmt.Errorf("rclient: missing key for message %d", env.Seq)
 			}
-			e, _ = c.keys.get(ki)
+			e, _ = c.keys.Get(ki)
 			//mwslint:declassify pointer identity: the comparison reads two addresses, never a key's value
 			if e == nil || e.sk != sk {
 				e = &keyEntry{ki: ki, sk: sk, lines: sync.OnceValues(func() (*bfibe.Decapsulator, error) {
@@ -366,7 +364,7 @@ func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[ke
 			return err
 		}
 		for _, e := range ents[lo:hi] {
-			c.keys.put(e.ki, e, keyCacheSize)
+			c.keys.Put(e.ki, e, keyCacheSize)
 		}
 		return nil
 	})
@@ -374,7 +372,7 @@ func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[ke
 	// key that opened meanwhile cannot put it back.
 	for _, e := range failed {
 		if e != nil {
-			c.keys.evict(e.ki)
+			c.keys.Evict(e.ki)
 		}
 	}
 	if err != nil {
@@ -431,76 +429,4 @@ type keyEntry struct {
 	ki    keyIndex
 	sk    *bfibe.PrivateKey
 	lines func() (*bfibe.Decapsulator, error)
-}
-
-// lru is a client's bounded, concurrency-safe least-recently-used map,
-// the type of its key cache and of its trapdoor cache (DESIGN.md §9).
-// Each cache passes its own bound to put. The zero value is ready to use.
-type lru[K comparable, V any] struct {
-	mu    sync.Mutex
-	byKey map[K]*lruEntry[K, V]
-	ring  lruEntry[K, V] // ring.next is the most recently used entry, ring.prev the least
-}
-
-// lruEntry is a cached value in its cache's ring, in order of use.
-type lruEntry[K comparable, V any] struct {
-	k          K
-	v          V
-	prev, next *lruEntry[K, V]
-}
-
-// get returns the value cached for k, as most recently used.
-func (c *lru[K, V]) get(k K) (v V, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.byKey[k]; ok {
-		c.front(e)
-		return e.v, true
-	}
-	return v, false
-}
-
-// put caches v under k as most recently used, dropping the least recently
-// used entry past bound.
-func (c *lru[K, V]) put(k K, v V, bound int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.byKey == nil {
-		c.byKey = make(map[K]*lruEntry[K, V])
-		c.ring.prev, c.ring.next = &c.ring, &c.ring
-	}
-	e, ok := c.byKey[k]
-	if !ok {
-		e = &lruEntry[K, V]{k: k}
-		c.byKey[k] = e
-	}
-	e.v = v
-	c.front(e)
-	if len(c.byKey) > bound {
-		c.drop(c.ring.prev)
-	}
-}
-
-// evict drops k from the cache.
-func (c *lru[K, V]) evict(k K) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.byKey[k]; ok {
-		c.drop(e)
-	}
-}
-
-// front moves e, held or new, to the front of the ring. Callers hold c.mu.
-func (c *lru[K, V]) front(e *lruEntry[K, V]) {
-	if e.next != nil {
-		e.prev.next, e.next.prev = e.next, e.prev
-	}
-	e.prev, e.next = &c.ring, c.ring.next
-	e.next.prev, c.ring.next = e, e
-}
-
-// drop unlinks e from the ring and its key from the map. Callers hold c.mu.
-func (c *lru[K, V]) drop(e *lruEntry[K, V]) {
-	e.prev.next, e.next.prev = e.next, e.prev
-	delete(c.byKey, e.k)
 }

@@ -59,7 +59,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ID() != "rc" {
+	if c.id != "rc" {
 		t.Error("ID lost")
 	}
 }

@@ -28,7 +28,7 @@ func (c *Client) FetchTrapdoor(pkg *wire.Client, r *Retrieval, keyword string) (
 // token unwrap, if this call is the first to need it, lands as its own
 // child span.
 func (c *Client) FetchTrapdoorContext(ctx context.Context, pkg *wire.Client, r *Retrieval, keyword string) ([]byte, error) {
-	if td, ok := c.trapdoors.get(keyword); ok {
+	if td, ok := c.trapdoors.Get(keyword); ok {
 		return bytes.Clone(td), nil
 	}
 	tok, err := c.credentials(ctx, r)
@@ -52,7 +52,7 @@ func (c *Client) FetchTrapdoorContext(ctx context.Context, pkg *wire.Client, r *
 	if err != nil {
 		return nil, fmt.Errorf("rclient: sealed trapdoor: %w", err)
 	}
-	c.trapdoors.put(keyword, trapdoor, trapdoorCacheSize)
+	c.trapdoors.Put(keyword, trapdoor, trapdoorCacheSize)
 	return bytes.Clone(trapdoor), nil
 }
 

@@ -184,15 +184,6 @@ func (f *Fleet) Round() []Emission {
 	return out
 }
 
-// Emissions generates n messages by cycling through the fleet.
-func (f *Fleet) Emissions(n int) []Emission {
-	out := make([]Emission, n)
-	for i := 0; i < n; i++ {
-		out[i] = f.Meters[i%len(f.Meters)].Next()
-	}
-	return out
-}
-
 // Attributes returns the distinct attributes the fleet encrypts toward.
 func (f *Fleet) Attributes() attr.Set {
 	seen := make(map[attr.Attribute]bool)

@@ -127,26 +127,3 @@ func (db *DB) Exists(identity string) bool {
 	_, ok := db.Credential(identity)
 	return ok
 }
-
-// Remove deletes a registration. Removing an absent identity is a no-op.
-func (db *DB) Remove(identity string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.kv.Delete(credKeyKey(identity)); err != nil {
-		return err
-	}
-	return db.kv.Delete(pubKeyKey(identity))
-}
-
-// Identities lists registered identities, sorted.
-func (db *DB) Identities() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var out []string
-	for _, k := range db.kv.Keys() {
-		if strings.HasPrefix(k, "cred/") {
-			out = append(out, strings.TrimPrefix(k, "cred/"))
-		}
-	}
-	return out
-}

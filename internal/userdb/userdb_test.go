@@ -99,6 +99,17 @@ func TestDuplicateRegistrationRejected(t *testing.T) {
 	}
 }
 
+// Remove deletes a registration, as an operator would by hand: no
+// binary offers it. Removing an absent identity is a no-op.
+func (db *DB) Remove(identity string) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.kv.Delete(credKeyKey(identity)); err != nil {
+		return err
+	}
+	return db.kv.Delete(pubKeyKey(identity))
+}
+
 func TestRemove(t *testing.T) {
 	db := openTestDB(t)
 	key := testKey(t)
@@ -138,20 +149,6 @@ func TestCredentialKeyProperties(t *testing.T) {
 	e := CredentialKey("idX", []byte("pw"))
 	if bytes.Equal(d, e) {
 		t.Fatal("credential boundary ambiguity")
-	}
-}
-
-func TestIdentitiesList(t *testing.T) {
-	db := openTestDB(t)
-	key := testKey(t)
-	for _, id := range []string{"zeta", "alpha"} {
-		if err := db.Register(id, []byte("pw"), &key.PublicKey); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids := db.Identities()
-	if len(ids) != 2 || ids[0] != "alpha" || ids[1] != "zeta" {
-		t.Fatalf("Identities = %v", ids)
 	}
 }
 

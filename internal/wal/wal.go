@@ -307,13 +307,6 @@ func (l *Log) Sync() error {
 // Syncs reports how many fsyncs Sync and Commit have run.
 func (l *Log) Syncs() uint64 { return l.syncs.Load() }
 
-// Len returns the number of intact records in the log.
-func (l *Log) Len() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq
-}
-
 // Iterate replays every record in append order. The payload slice is
 // only valid for the duration of the callback. Iteration reads the
 // segments from disk, which show every appended record, synced or not.

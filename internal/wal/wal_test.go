@@ -12,6 +12,13 @@ import (
 	"mwskit/internal/obsv"
 )
 
+// Len returns the number of intact records in the log.
+func (l *Log) Len() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.nextSeq
+}
+
 func openTestLog(t *testing.T, opts Options) *Log {
 	t.Helper()
 	if opts.Dir == "" {

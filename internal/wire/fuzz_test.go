@@ -16,7 +16,7 @@ func TestDecodersNeverPanic(t *testing.T) {
 	decoders := map[string]func([]byte) error{
 		"ErrorMsg": func(b []byte) error { _, err := UnmarshalErrorMsg(b); return err },
 	}
-	for _, op := range Ops() {
+	for _, op := range ops {
 		decoders[op.Name+"Request"] = op.DecodeReq
 		decoders[op.Name+"Response"] = op.DecodeResp
 	}
@@ -37,7 +37,7 @@ func TestDecodersNeverPanic(t *testing.T) {
 // random bytes.
 func TestDecodersSurviveMutatedValidInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, op := range Ops() {
+	for _, op := range ops {
 		s := sampleOf(t, op)
 		for _, side := range []struct {
 			valid  []byte

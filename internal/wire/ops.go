@@ -23,7 +23,7 @@ type Op[Req, Resp Message] struct {
 }
 
 // OpInfo is an Op with its message types erased: one row of the table
-// behind Ops, Type.String and the tests that hold every exchange to the
+// behind Type.String and the tests that hold every exchange to the
 // protocol's conventions.
 type OpInfo struct {
 	Name, RespName string // Type.String() of the request and the response type
@@ -70,9 +70,6 @@ func declare[Req, Resp Message](req Type, name string, resp Type, respName strin
 	typeNames[req], typeNames[resp] = name, respName
 	return op
 }
-
-// Ops returns the op table, in declaration order.
-func Ops() []OpInfo { return append([]OpInfo(nil), ops...) }
 
 // String implements fmt.Stringer for log lines, span names and metric
 // labels: the name the op table gives the type.

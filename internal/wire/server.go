@@ -233,16 +233,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// Addr returns the bound address, or nil before Listen.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener == nil {
-		return nil
-	}
-	return s.listener.Addr()
-}
-
 // ConnCount reports the number of live connections.
 func (s *Server) ConnCount() int {
 	s.mu.Lock()

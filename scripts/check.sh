@@ -42,6 +42,27 @@ if [ -n "$orphans$leaks" ]; then
 	exit 1
 fi
 
+# Every exported name has a production caller (ROADMAP aim 2: an
+# abstraction needs a second user to stay, so it needs a first): each
+# exported function or method declared in non-test internal/ code is named,
+# outside comments and its own declaration, by non-test Go outside
+# experiments/ and testdata. The match is by name, so a same-named method
+# of another type keeps a name alive (DESIGN.md §2 records what a
+# type-checked pass found beyond it). Allowed: the Must* constructors,
+# test fixtures shared across packages, which a _test.go file cannot export.
+set +x
+uncalled=$(git grep --no-index --exclude-standard -oE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*' -- 'internal/*.go' ':!*_test.go' ':!*/testdata/*' |
+	sed -E 's/:func (\([^)]*\) )?/ /' | grep -vE ' (MustField|MustCurve|MustSystem)$' | while read -r file name; do
+		git grep --no-index --exclude-standard -hwE "$name" -- '*.go' ':!*_test.go' ':!experiments' ':!*/testdata/*' |
+			grep -vE "^[[:space:]]*//|^func (\([^)]*\) )?$name\b" | grep -qw "$name" || echo "$file:$name"
+	done)
+set -x
+if [ -n "$uncalled" ]; then
+	echo "exported with no production caller (wire it, move it to a test or experiments/, or delete it):" >&2
+	echo "$uncalled" >&2
+	exit 1
+fi
+
 # Each binary links only its role (DESIGN.md §2 has the reason for every
 # row). A binary's closure here is its first-party packages plus what they
 # import directly: the standard library reaches crypto/des by itself
@@ -82,12 +103,14 @@ fi
 # internal/obsv, and obsv imports nothing of ours — that is what lets ff,
 # ec, pairing and wal hook into it without an import cycle. internal/codec,
 # the one length-prefixed codec under wire, storage and ticket, is a leaf
-# of the same kind, and so is internal/fanout, the one worker pool.
+# of the same kind, and so are internal/fanout, the one worker pool, and
+# internal/lru, the one bounded cache (the g_ID cache, the RC's key and
+# trapdoor caches).
 if go list ./... | grep -qx 'mwskit/internal/metrics'; then
 	echo "mwskit/internal/metrics is back: telemetry types live in internal/obsv" >&2
 	exit 1
 fi
-for leaf in obsv codec fanout; do
+for leaf in obsv codec fanout lru; do
 	leaf_deps=$(go list -deps ./internal/$leaf | grep '^mwskit/' | grep -vx "mwskit/internal/$leaf" || true)
 	if [ -n "$leaf_deps" ]; then
 		echo "internal/$leaf must import only the standard library, found: $leaf_deps" >&2
