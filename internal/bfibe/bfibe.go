@@ -32,9 +32,31 @@ const identityDomain = "mwskit/bfibe/id/v1"
 // defaultGIDCacheCap bounds the g_ID cache until SetGIDCacheCap is
 // called. A deployment's working set is one identity per (attribute,
 // nonce epoch) per depositing device, so a few hundred entries covers a
-// large fleet; each entry is one GT element (two field elements) plus its
-// identity-digest key.
+// large fleet. Each entry is one GT element (two field elements) plus its
+// identity-digest key; an identity hit gidTableUses times also holds a
+// fixed-base table, ≈ 91 KB on bf80, under the same bound, so 256 hot
+// identities hold ≈ 23 MB of tables at most.
 const defaultGIDCacheCap = 256
+
+// gidTableUses is the cache hit at which an identity's g_ID gets its
+// fixed-base table (pairing.GTComb). On bf80 (pairing's BenchmarkGTComb,
+// -cpu 1) a build costs B = 200–220 µs, and a table exponentiation
+// 21–31 µs against GTExpSecret's 52–69 µs, so each later use saves
+// S ≈ 36 µs and a build repays itself after B/S ≈ 6 uses (4–10 over the
+// spread of those runs). Building once an identity has been hit about
+// B/S times — renting until the rent paid equals the price — keeps the
+// loss on an identity that goes cold right after its build within one
+// build. 8, the middle of that spread, is also above the ≈ 5 deposits an
+// identity gets in the benchmark set-ups, so those never build; a nonce
+// epoch of 64 deposits runs its last 56 from the table.
+const gidTableUses = 8
+
+// gidHot is the state of an identity the g_ID cache has hit: its hit
+// count and, from the gidTableUses-th hit on, its g_ID's table.
+type gidHot struct {
+	hits atomic.Int32
+	comb atomic.Pointer[pairing.GTComb]
+}
 
 // Params are the public system parameters the PKG publishes after Setup:
 // the pairing system (field, curve, base point P) and P_pub = sP.
@@ -55,6 +77,13 @@ type Params struct {
 	gid    lru.Cache[string, pairing.GT]
 	gidCap atomic.Pointer[int]
 
+	// hot holds the identities the cache has hit, under the same bound,
+	// so a miss — every deposit at a fresh nonce — touches it not at all.
+	// hotMu makes the entry of a first hit once per identity, so two
+	// racing hits cannot each count towards a table of their own.
+	hot   lru.Cache[string, *gidHot]
+	hotMu sync.Mutex
+
 	// ppub holds the Miller lines of P_pub, the fixed argument of every
 	// g_ID and of IBS verification, built on first use (≈ 88 KB on bf80)
 	// so Params literals keep working.
@@ -62,17 +91,23 @@ type Params struct {
 	ppub     *pairing.G1Precomp
 }
 
-// InvalidateIdentity drops the cached g_ID for one identity. Devices call
-// it on nonce rotation: the retired attribute ‖ nonce digest will never
-// be encrypted to again, so its pairing value is dead weight.
-func (p *Params) InvalidateIdentity(id []byte) { p.gid.Evict(string(id)) }
+// InvalidateIdentity drops the cached g_ID for one identity, and its
+// table if it has one. Devices call it on nonce rotation: the retired
+// attribute ‖ nonce digest will never be encrypted to again, so its
+// pairing value is dead weight.
+func (p *Params) InvalidateIdentity(id []byte) {
+	p.gid.Evict(string(id))
+	p.hot.Evict(string(id))
+}
 
-// SetGIDCacheCap bounds the g_ID cache (default 256 entries), dropping the
-// least recently used entries past n; n ≤ 0 disables caching and drops
-// everything held, which benchmarks use to measure the uncached path.
+// SetGIDCacheCap bounds the g_ID cache (default 256 entries) and its
+// tables, dropping the least recently used entries past n; n ≤ 0 disables
+// caching and drops everything held, which benchmarks use to measure the
+// uncached path.
 func (p *Params) SetGIDCacheCap(n int) {
 	p.gidCap.Store(&n)
 	p.gid.Trim(n)
+	p.hot.Trim(n)
 }
 
 // MasterKey is the PKG's master secret s ∈ [1, q−1]. It never leaves the
@@ -170,8 +205,9 @@ func (p *Params) PPubLines() *pairing.G1Precomp {
 // gID returns g_ID = ê(Q_ID, P_pub), the value whose r-th power keys a
 // ciphertext for the identity — from the cache when the identity was
 // encrypted to before (one deposit per message within a nonce epoch hits
-// this), computing and caching it otherwise.
-func (p *Params) gID(id []byte) (pairing.GT, error) {
+// this), computing and caching it otherwise — and, on a hit, g_ID's
+// fixed-base table once the identity has one (gidComb).
+func (p *Params) gID(id []byte) (pairing.GT, *pairing.GTComb, error) {
 	bound := defaultGIDCacheCap
 	if n := p.gidCap.Load(); n != nil {
 		bound = *n
@@ -179,20 +215,45 @@ func (p *Params) gID(id []byte) (pairing.GT, error) {
 	if bound > 0 {
 		if g, ok := p.gid.Get(string(id)); ok {
 			obsv.GIDCacheHit()
-			return g, nil
+			return g, p.gidComb(id, g, bound), nil
 		}
 	}
 	obsv.GIDCacheMiss()
 	g, err := p.PairIdentity(id)
 	if err != nil {
-		return pairing.GT{}, err
+		return pairing.GT{}, nil, err
 	}
 	if bound > 0 {
 		for range p.gid.Put(string(id), g, bound) {
 			obsv.GIDCacheEvict()
 		}
 	}
-	return g, nil
+	return g, nil, nil
+}
+
+// gidComb counts a cache hit on id and returns the table of its g_ID once
+// it has one. The hit that brings the count to gidTableUses builds it;
+// the hits before, and those that overtake the build, return nil and
+// exponentiate by GTExpSecret's window.
+func (p *Params) gidComb(id []byte, g pairing.GT, bound int) *pairing.GTComb {
+	h, ok := p.hot.Get(string(id))
+	if !ok {
+		p.hotMu.Lock()
+		if h, ok = p.hot.Get(string(id)); !ok {
+			h = new(gidHot)
+			p.hot.Put(string(id), h, bound)
+		}
+		p.hotMu.Unlock()
+	}
+	if t := h.comb.Load(); t != nil {
+		return t
+	}
+	if h.hits.Add(1) != gidTableUses {
+		return nil
+	}
+	t := p.Sys.NewGTComb(g)
+	h.comb.Store(t)
+	return t
 }
 
 // --- KEM (the paper's hybrid usage) ---
@@ -216,7 +277,7 @@ func (e *Encapsulation) checked() bool { return e != nil && e.u.X.Field() != nil
 // the paper's K = ê(sP, rI) with I = Q_ID (identity point hashed from
 // the attribute digest).
 func (p *Params) Encapsulate(id []byte, keyLen int, rng io.Reader) (*Encapsulation, []byte, error) {
-	g, err := p.gID(id)
+	g, comb, err := p.gID(id)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -225,8 +286,14 @@ func (p *Params) Encapsulate(id []byte, keyLen int, rng io.Reader) (*Encapsulati
 		return nil, nil, err
 	}
 	u := p.Sys.G1Comb().Mul(r)
-	// r keys the pad, so the exponentiation takes the constant-time path.
-	shared := p.Sys.GTExpSecret(g, r)
+	// r keys the pad, so the exponentiation takes a constant-time path:
+	// a hot identity's table, else the variable-base window.
+	var shared pairing.GT
+	if comb != nil {
+		shared = comb.ExpSecret(r)
+	} else {
+		shared = p.Sys.GTExpSecret(g, r)
+	}
 	return &Encapsulation{u: u}, kdf.SessionKey(shared.Bytes(), keyLen), nil
 }
 

@@ -114,7 +114,7 @@ func checkFixture(t *testing.T, name string) {
 	t.Helper()
 	prog := loadNamedFixture(t, name)
 	wants := collectWants(t, prog)
-	diags := lint.RunProgram(prog, lint.DefaultAnalyzers())
+	diags := lint.RunProgramReport(prog, lint.DefaultAnalyzers()).Diags
 
 	for _, d := range diags {
 		k := lineKey{d.Pos.Filename, d.Pos.Line}
@@ -210,7 +210,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 	}
 	var got []string
 	for name := range fixtures {
-		for _, d := range lint.RunProgram(loadNamedFixture(t, name), lint.DefaultAnalyzers()) {
+		for _, d := range lint.RunProgramReport(loadNamedFixture(t, name), lint.DefaultAnalyzers()).Diags {
 			if rel, err := filepath.Rel(wd, d.Pos.Filename); err == nil {
 				d.Pos.Filename = filepath.ToSlash(rel)
 			}
@@ -254,7 +254,7 @@ func countByAnalyzer(diags []lint.Diagnostic) map[string]int {
 
 func TestIgnoreSuppressesWithReason(t *testing.T) {
 	prog := loadFixture(t, "./testdata/src/ignoreok")
-	diags := lint.RunProgram(prog, lint.DefaultAnalyzers())
+	diags := lint.RunProgramReport(prog, lint.DefaultAnalyzers()).Diags
 	if len(diags) != 0 {
 		t.Fatalf("justified ignore should fully suppress; got %v", diags)
 	}
@@ -262,7 +262,7 @@ func TestIgnoreSuppressesWithReason(t *testing.T) {
 
 func TestIgnoreDirectives(t *testing.T) {
 	prog := loadFixture(t, "./testdata/src/ignorebad")
-	diags := lint.RunProgram(prog, lint.DefaultAnalyzers())
+	diags := lint.RunProgramReport(prog, lint.DefaultAnalyzers()).Diags
 
 	counts := countByAnalyzer(diags)
 	if counts["mwslint"] != 2 {
@@ -292,7 +292,7 @@ func TestIgnoreDirectives(t *testing.T) {
 // depends on.
 func TestDiagnosticString(t *testing.T) {
 	prog := loadFixture(t, "./testdata/src/randsource")
-	diags := lint.RunProgram(prog, lint.DefaultAnalyzers())
+	diags := lint.RunProgramReport(prog, lint.DefaultAnalyzers()).Diags
 	if len(diags) != 1 {
 		t.Fatalf("want exactly 1 diagnostic, got %v", diags)
 	}

@@ -195,18 +195,9 @@ type Report struct {
 	Timings      []AnalyzerTiming
 }
 
-// Run loads the packages matching patterns (relative to dir) and runs the
-// analyzers over them, returning the surviving diagnostics sorted by
-// position. See RunProgram for the suppression semantics.
-func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	rep, err := RunReport(dir, patterns, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Diags, nil
-}
-
-// RunReport is Run with the full Report.
+// RunReport loads the packages matching patterns (relative to dir) and
+// runs the analyzers over them. See RunProgramReport for the suppression
+// semantics.
 func RunReport(dir string, patterns []string, analyzers []*Analyzer) (*Report, error) {
 	prog, err := Load(dir, patterns)
 	if err != nil {
@@ -215,15 +206,12 @@ func RunReport(dir string, patterns []string, analyzers []*Analyzer) (*Report, e
 	return RunProgramReport(prog, analyzers), nil
 }
 
-// RunProgram runs the analyzers over an already-loaded program. Findings
-// annotated with a valid //mwslint:ignore directive are dropped; invalid
-// directives (missing reason, unknown analyzer) surface as diagnostics of
-// the pseudo-analyzer "mwslint".
-func RunProgram(prog *Program, analyzers []*Analyzer) []Diagnostic {
-	return RunProgramReport(prog, analyzers).Diags
-}
-
-// RunProgramReport is RunProgram plus the suppression and timing record.
+// RunProgramReport runs the analyzers over an already-loaded program and
+// returns the surviving diagnostics sorted by position, with the
+// suppression and timing record. Findings annotated with a valid
+// //mwslint:ignore directive are dropped; invalid directives (missing
+// reason, unknown analyzer) surface as diagnostics of the pseudo-analyzer
+// "mwslint".
 func RunProgramReport(prog *Program, analyzers []*Analyzer) *Report {
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }

@@ -14,11 +14,11 @@ import (
 // must produce zero unsuppressed diagnostics. Any new finding must be
 // fixed or carry a justified //mwslint:ignore.
 func TestRepoIsLintClean(t *testing.T) {
-	diags, err := lint.Run("../..", []string{"./..."}, lint.DefaultAnalyzers())
+	rep, err := lint.RunReport("../..", []string{"./..."}, lint.DefaultAnalyzers())
 	if err != nil {
-		t.Fatalf("lint.Run: %v", err)
+		t.Fatalf("lint.RunReport: %v", err)
 	}
-	for _, d := range diags {
+	for _, d := range rep.Diags {
 		t.Errorf("lint finding in checked-in tree: %s", d)
 	}
 }

@@ -1,6 +1,7 @@
 // Package lru is the one bounded, concurrency-safe least-recently-used
 // map of the tree: a receiving client's key and trapdoor caches (rclient)
-// and the depositor's g_ID cache (bfibe) are each a Cache (DESIGN.md §9).
+// and the depositor's g_ID cache and its hot identities' tables (bfibe)
+// are each a Cache (DESIGN.md §9).
 // It imports only the standard library, so the crypto core can use it.
 package lru
 

@@ -140,3 +140,29 @@ func BenchmarkFinalExp(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkGTComb times a fixed-base table for one pairing value beside
+// the variable-base window it replaces, on bf80: exp is GTComb.ExpSecret,
+// window is GTExpSecret on the same base and build is NewGTComb. The
+// ratios build/window and window−exp give bfibe's gidTableUses.
+func BenchmarkGTComb(b *testing.B) {
+	sys, p, q := benchPoints(b)
+	g := sys.Pair(p, q)
+	k, _ := sys.RandomScalar(rand.Reader)
+	t := sys.NewGTComb(g)
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			t = sys.NewGTComb(g)
+		}
+	})
+	b.Run("exp", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkGT = t.ExpSecret(k)
+		}
+	})
+	b.Run("window", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkGT = sys.GTExpSecret(g, k)
+		}
+	})
+}

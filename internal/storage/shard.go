@@ -42,7 +42,7 @@ type shard struct {
 	mu     sync.RWMutex
 	log    *wal.Log // nil = volatile
 	msgs   map[uint64]*Message
-	byAttr map[attr.Attribute][]uint64 // seqs in append order (strictly increasing)
+	byAttr map[attr.Attribute][]*Message // append order, seqs strictly increasing; append-only
 
 	// Telemetry: series labeled shard="i" in the provider's registry, so
 	// the daemons' /metrics endpoint exposes per-shard load. Resolved
@@ -92,7 +92,7 @@ func newProvider(dir string, sync SyncPolicy, nshard int, reg *obsv.Registry) (*
 		reg = obsv.NewRegistry() // nobody's /metrics: ShardStats alone reads it
 	}
 	for i := 0; i < nshard; i++ {
-		sh := &shard{msgs: make(map[uint64]*Message), byAttr: make(map[attr.Attribute][]uint64)}
+		sh := &shard{msgs: make(map[uint64]*Message), byAttr: make(map[attr.Attribute][]*Message)}
 		p.shards = append(p.shards, sh)
 		if dir != "" {
 			top, err := sh.openLog(shardMessagesDir(dir, i), sync)
@@ -142,7 +142,7 @@ func (p *provider) closeShards() error {
 // index installs a replayed or appended message. Callers hold sh.mu.
 func (sh *shard) index(m *Message) {
 	sh.msgs[m.Seq] = m
-	sh.byAttr[m.Attribute] = append(sh.byAttr[m.Attribute], m.Seq)
+	sh.byAttr[m.Attribute] = append(sh.byAttr[m.Attribute], m)
 }
 
 func (p *provider) shardFor(a attr.Attribute) *shard {
@@ -214,42 +214,40 @@ func (p *provider) ScanAttribute(a attr.Attribute, fromSeq uint64, limit int) []
 }
 
 func (p *provider) ScanAttributes(set attr.Set, fromSeq uint64, limit int) []*Message {
-	// The shards are read one after another, so without a ceiling a
-	// result could hold seq s from a late-read shard but miss s' < s that
-	// was still in flight on an early-read one — and a reader tailing
-	// with cursor = last+1 would step over s' for good. Every sequence
-	// number below the counter's value now was drawn under a shard write
-	// lock that is held until the message is indexed, so the read locks
-	// taken below see it; anything at or above the ceiling waits for the
-	// next scan.
+	// Lists are read one after another, so without a ceiling a result
+	// could hold seq s from a late-read shard but miss s' < s still in
+	// flight on an early-read one, and a reader tailing with cursor =
+	// last+1 would step over s' for good. Every seq below the counter's
+	// value now was drawn under a shard write lock held until the message
+	// is indexed, so the read locks below see it; the rest waits for the
+	// next scan. Each list is append-only with increasing seqs, so its
+	// slice stays valid past the lock: binary search cuts it to [fromSeq,
+	// ceiling), and a merge by seq (the global deposit order) stops at limit.
 	ceiling := p.nextSeq.Load()
-	// Group the query attributes by shard so each partition is visited
-	// (and locked) once, then merge by sequence number — the global
-	// deposit order, since sequences are provider-wide.
-	byShard := make(map[*shard]attr.Set)
+	runs := make([][]*Message, 0, len(set))
 	for _, a := range set {
 		sh := p.shardFor(a)
-		byShard[sh] = append(byShard[sh], a)
+		sh.mu.RLock()
+		l := sh.byAttr[a]
+		sh.mu.RUnlock()
+		l = l[:sort.Search(len(l), func(i int) bool { return l[i].Seq >= ceiling })]
+		runs = append(runs, l[sort.Search(len(l), func(i int) bool { return l[i].Seq >= fromSeq }):])
 	}
 	var out []*Message
 	read := 0
-	for sh, attrs := range byShard {
-		sh.mu.RLock()
-		for _, a := range attrs {
-			for _, s := range sh.byAttr[a] {
-				if s < fromSeq || s >= ceiling {
-					continue
-				}
-				m := sh.msgs[s]
-				out = append(out, m)
-				read += len(m.U) + len(m.Ciphertext)
+	for limit <= 0 || len(out) < limit {
+		next := -1
+		for i, r := range runs {
+			if len(r) > 0 && (next < 0 || r[0].Seq < runs[next][0].Seq) {
+				next = i
 			}
 		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+		if next < 0 {
+			break
+		}
+		out = append(out, runs[next][0])
+		read += len(runs[next][0].U) + len(runs[next][0].Ciphertext)
+		runs[next] = runs[next][1:]
 	}
 	obsv.AddStoreReadBytes(read)
 	return out

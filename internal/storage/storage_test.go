@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	mrand "math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -360,6 +362,58 @@ func TestCursorPaginationProperty(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestScanAttributesMatchesSortAndCut: on random stores over 1 to 8
+// shards, ScanAttributes returns what gathering every match at or past
+// fromSeq, sorting it by seq and cutting it to limit returns, limit 0
+// (no cut) included.
+func TestScanAttributesMatchesSortAndCut(t *testing.T) {
+	rng := mrand.New(mrand.NewPCG(46, 1))
+	for trial := 0; trial < 12; trial++ {
+		shards := 1 + rng.IntN(8)
+		p, err := Open(Config{Dir: t.TempDir(), Sync: SyncNever, Options: Options{Shards: shards}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := rng.IntN(160)
+		var all []*Message
+		for i := 0; i < n; i++ {
+			m := testMessage(testAttr(rng.IntN(10)), i)
+			m.Seq = mustAppend(t, p, m)
+			all = append(all, m)
+		}
+		for q := 0; q < 60; q++ {
+			var set attr.Set
+			for _, i := range rng.Perm(10)[:1+rng.IntN(10)] {
+				set = append(set, testAttr(i))
+			}
+			from, limit := uint64(rng.IntN(n+2)), rng.IntN(n+2)
+			var want []uint64
+			for _, m := range all {
+				if m.Seq >= from && slices.Contains(set, m.Attribute) {
+					want = append(want, m.Seq)
+				}
+			}
+			slices.Sort(want)
+			if limit > 0 && len(want) > limit {
+				want = want[:limit]
+			}
+			var got []uint64
+			for _, m := range p.ScanAttributes(set, from, limit) {
+				if !slices.Contains(set, m.Attribute) {
+					t.Fatalf("shards %d: seq %d of %s is outside the set", shards, m.Seq, m.Attribute)
+				}
+				got = append(got, m.Seq)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("shards %d, %d messages, set %v, from %d, limit %d:\n got %v\nwant %v", shards, n, set, from, limit, got, want)
+			}
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestMessageTagsDurability(t *testing.T) {
