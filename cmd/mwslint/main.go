@@ -1,12 +1,8 @@
-// Command mwslint runs the project's static-analysis suite: the coding
-// invariants behind the paper's confidentiality argument (constant-time
-// tag comparison, CSPRNG-only randomness, no secrets in logs, context
-// propagation, wire op/route/codec consistency, the interprocedural
-// taint invariants — plaintext/private keys never reach storage or the
-// wire, no constant or reused nonces, key material wiped on error
-// paths — and the concurrency invariants: consistent lock ordering, no
-// blocking I/O under storage locks, no mixed atomic/plain access, no
-// leaked goroutines), enforced at build time.
+// Command mwslint runs the project's static-analysis suite (DESIGN.md
+// §8) at build time: constant-time tag comparison, CSPRNG-only
+// randomness, no secrets in logs, context propagation, constant-time
+// code on key material (ctflow), lock ordering, no blocking under
+// storage locks, and no exported internal/ name without a production use.
 //
 // Usage:
 //

@@ -19,6 +19,7 @@ import (
 	"math/big"
 	"os"
 	"testing"
+	"testing/quick"
 
 	"mwskit/internal/bfibe"
 	"mwskit/internal/ec"
@@ -28,6 +29,35 @@ import (
 
 // sigmaLen is the length of the Fujisaki–Okamoto seed σ in FullIdent.
 const sigmaLen = 32
+
+// mask XORs data with a kdf.Stream pad, returning a fresh slice. It is
+// its own inverse and is how BasicIdent/FullIdent blind σ and M.
+func mask(domain string, secret, data []byte) []byte {
+	pad := kdf.Stream(domain, secret, len(data))
+	out := make([]byte, len(data))
+	for i := range data {
+		out[i] = data[i] ^ pad[i]
+	}
+	return out
+}
+
+func TestMaskIsInvolution(t *testing.T) {
+	if err := quick.Check(func(secret, data []byte) bool {
+		masked := mask("d", secret, data)
+		return bytes.Equal(mask("d", secret, masked), data)
+	}, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestMaskDoesNotAliasInput(t *testing.T) {
+	data := []byte{1, 2, 3, 4}
+	orig := append([]byte(nil), data...)
+	_ = mask("d", []byte("s"), data)
+	if !bytes.Equal(data, orig) {
+		t.Fatal("mask mutated its input")
+	}
+}
 
 // ciphertextBasic is a BasicIdent ciphertext (U, V) = (rP, M ⊕ H2(g_ID^r)).
 type ciphertextBasic struct {
@@ -59,7 +89,7 @@ func encryptBasic(p *bfibe.Params, id, msg []byte, rng io.Reader) (*ciphertextBa
 		return nil, err
 	}
 	pad := p.Sys.GTExpSecret(g, r)
-	return &ciphertextBasic{U: p.Sys.G1Comb().Mul(r), V: kdf.Mask("mwskit/bfibe/h2", pad.Bytes(), msg)}, nil
+	return &ciphertextBasic{U: p.Sys.G1Comb().Mul(r), V: mask("mwskit/bfibe/h2", pad.Bytes(), msg)}, nil
 }
 
 // decryptBasic inverts encryptBasic with the identity's private key:
@@ -72,7 +102,7 @@ func decryptBasic(p *bfibe.Params, sk *bfibe.PrivateKey, ct *ciphertextBasic) ([
 		return nil, errors.New("basicident: ciphertext point off curve")
 	}
 	pad := p.Sys.Pair(sk.D, ct.U)
-	return kdf.Mask("mwskit/bfibe/h2", pad.Bytes(), ct.V), nil
+	return mask("mwskit/bfibe/h2", pad.Bytes(), ct.V), nil
 }
 
 // encryptFull encrypts msg for id under the CCA-secure FullIdent scheme
@@ -92,8 +122,8 @@ func encryptFull(p *bfibe.Params, id, msg []byte, rng io.Reader) (*ciphertextFul
 	pad := p.Sys.GTExpSecret(g, r)
 	return &ciphertextFull{
 		U: p.Sys.G1Comb().Mul(r),
-		V: kdf.Mask("mwskit/bfibe/h2", pad.Bytes(), sigma),
-		W: kdf.Mask("mwskit/bfibe/h4", sigma, msg),
+		V: mask("mwskit/bfibe/h2", pad.Bytes(), sigma),
+		W: mask("mwskit/bfibe/h4", sigma, msg),
 	}, nil
 }
 
@@ -108,8 +138,8 @@ func decryptFull(p *bfibe.Params, sk *bfibe.PrivateKey, ct *ciphertextFull) ([]b
 		return nil, errDecrypt
 	}
 	pad := p.Sys.Pair(sk.D, ct.U)
-	sigma := kdf.Mask("mwskit/bfibe/h2", pad.Bytes(), ct.V)
-	msg := kdf.Mask("mwskit/bfibe/h4", sigma, ct.W)
+	sigma := mask("mwskit/bfibe/h2", pad.Bytes(), ct.V)
+	msg := mask("mwskit/bfibe/h4", sigma, ct.W)
 	r := p.HashToScalar("mwskit/bfibe/h3", sigma, msg)
 	if !p.Sys.G1Comb().Mul(r).Equal(ct.U) {
 		return nil, errDecrypt

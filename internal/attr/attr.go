@@ -112,30 +112,5 @@ type Binding struct {
 // policy rows.
 type Set []Attribute
 
-// Validate validates every attribute and rejects duplicates.
-func (s Set) Validate() error {
-	seen := make(map[Attribute]struct{}, len(s))
-	for _, a := range s {
-		if err := a.Validate(); err != nil {
-			return err
-		}
-		if _, dup := seen[a]; dup {
-			return fmt.Errorf("attr: duplicate attribute %q", a)
-		}
-		seen[a] = struct{}{}
-	}
-	return nil
-}
-
-// Contains reports whether the set holds a.
-func (s Set) Contains(a Attribute) bool {
-	for _, x := range s {
-		if x == a {
-			return true
-		}
-	}
-	return false
-}
-
 // RandReader is the package's entropy source, swappable in tests.
 var RandReader io.Reader = rand.Reader

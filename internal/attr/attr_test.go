@@ -91,28 +91,6 @@ func TestIdentityBinding(t *testing.T) {
 	}
 }
 
-func TestSetValidate(t *testing.T) {
-	good := Set{"A1", "A2", "A3"}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid set rejected: %v", err)
-	}
-	dup := Set{"A1", "A1"}
-	if err := dup.Validate(); err == nil {
-		t.Error("duplicate set accepted")
-	}
-	bad := Set{"A1", "bad attr"}
-	if err := bad.Validate(); err == nil {
-		t.Error("set with invalid attribute accepted")
-	}
-}
-
-func TestSetContains(t *testing.T) {
-	s := Set{"A1", "A2"}
-	if !s.Contains("A1") || s.Contains("A9") {
-		t.Error("Contains misbehaves")
-	}
-}
-
 func TestIDString(t *testing.T) {
 	if ID(42).String() != "42" {
 		t.Errorf("ID(42).String() = %q", ID(42).String())

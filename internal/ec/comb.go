@@ -89,7 +89,8 @@ func (t *Comb) Mul(k Scalar) Point {
 		return t.c.Infinity()
 	}
 	c := t.c
-	digits, safe := c.RecodeSecretScalar(k), (c.Q.BitLen()-1)/secretWindow-1
+	var buf SecretDigits
+	digits, safe := c.RecodeSecretScalar(k, &buf), (c.Q.BitLen()-1)/secretWindow-1
 	var r, e jacPoint
 	selectSigned(&r, t.tbl[:combRow], digits[0])
 	for i := 1; i < len(digits); i++ {

@@ -111,11 +111,11 @@ func (c *Curve) Add(p, q Point) Point {
 	if q.Inf {
 		return p
 	}
-	if p.X.Equal(q.X) {
-		if p.Y.Equal(q.Y.Neg()) {
-			return c.Infinity()
-		}
+	if p.Equal(q) {
 		return c.Double(p)
+	}
+	if p.X.Equal(q.X) { // q = −p
+		return c.Infinity()
 	}
 	// λ = (y2 − y1)/(x2 − x1)
 	lam := q.Y.Sub(p.Y).Mul(q.X.Sub(p.X).Inv())

@@ -206,13 +206,13 @@ func (c *Curve) RandomScalar(r io.Reader) (Scalar, error) {
 // own constant-schedule exponentiations in groups of order q
 // (pairing.GTExpSecret exponentiates in μ_q ⊂ F_p²*); the digits are
 // derived from the secret and must be consumed only by constant-time
-// evaluators.
-func (c *Curve) RecodeSecretScalar(k Scalar) []int64 {
+// evaluators. The digits are written into d and returned as d's prefix,
+// so a caller that keeps d on its stack recodes without allocating.
+func (c *Curve) RecodeSecretScalar(k Scalar, d *SecretDigits) []int64 {
 	ctx, kk := c.sc, k.l
 	var addq scLimbs
 	scSel(&addq, kk[0]&1, &ctx.q2, &ctx.q, ctx.n)
 	scAdd(&kk, &kk, &addq, ctx.n)
-	d := make([]int64, ctx.digits)
 	for i := 0; i < ctx.digits-1; i++ {
 		d[i] = int64(kk[0]&31) - 16
 		kk[0] &^= 31
@@ -220,5 +220,9 @@ func (c *Curve) RecodeSecretScalar(k Scalar) []int64 {
 		scShr4(&kk, ctx.n)
 	}
 	d[ctx.digits-1] = int64(kk[0])
-	return d
+	return d[:ctx.digits]
 }
+
+// SecretDigits has room for the recoding of any scalar a Curve holds
+// (at most scMaxLimbs limbs, one digit per window plus the carry).
+type SecretDigits [scMaxLimbs*64/secretWindow + 1]int64

@@ -82,7 +82,8 @@ func (c *Curve) ScalarMultSecret(p Point, k Scalar) Point {
 	if p.Inf {
 		return c.Infinity()
 	}
-	digits := c.RecodeSecretScalar(k)
+	var buf SecretDigits
+	digits := c.RecodeSecretScalar(k, &buf)
 	var tbl [combRow]jacPoint
 	base := c.toJacobian(p)
 	c.oddMultiples(tbl[:], &base)

@@ -117,7 +117,8 @@ func TestRecodeSignedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		digits := c.RecodeSecretScalar(scalarOf(t, c, k))
+		var buf SecretDigits
+		digits := c.RecodeSecretScalar(scalarOf(t, c, k), &buf)
 		if len(digits) != n {
 			t.Fatalf("RecodeSecretScalar(%v): %d digits, want %d", k, len(digits), n)
 		}

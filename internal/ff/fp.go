@@ -358,13 +358,6 @@ func (e Element) Inv() Element {
 	return z
 }
 
-// Exp returns e^k for a non-negative exponent k. Constant-time in the
-// base; variable-time in the exponent, so secret exponents must use the
-// constant-schedule paths (pairing.GTExpSecret, ec.ScalarMultSecret).
-func (e Element) Exp(k *big.Int) Element {
-	return Element{f: e.f, v: e.f.expMont(&e.v, k)}
-}
-
 // Sqrt returns a square root of e and true, or the zero element and false
 // if e is a non-residue. With p ≡ 3 (mod 4) the root is e^((p+1)/4),
 // computed by the fixed public-exponent chain; the residuosity outcome is

@@ -47,9 +47,6 @@ func (x E2) IsZero() bool { return x.A.IsZero() && x.B.IsZero() }
 // IsOne reports whether x is the multiplicative identity.
 func (x E2) IsOne() bool { return x.A.IsOne() && x.B.IsZero() }
 
-// Equal reports whether x == y.
-func (x E2) Equal(y E2) bool { return x.A.Equal(y.A) && x.B.Equal(y.B) }
-
 // SetNeg sets z = −x.
 func (z *E2) SetNeg(x *E2) {
 	z.A.SetNeg(&x.A)

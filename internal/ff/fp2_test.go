@@ -8,8 +8,11 @@ import (
 	"testing/quick"
 )
 
-// E2FromBase, E2Zero and E2FromBytes have no caller outside this
+// E2FromBase, E2Zero, E2FromBytes and Equal have no caller outside this
 // package's tests, so they live here rather than in fp2.go.
+
+// Equal reports whether x == y.
+func (x E2) Equal(y E2) bool { return x.A.Equal(y.A) && x.B.Equal(y.B) }
 
 // E2FromBase embeds an F_p element into F_p².
 func E2FromBase(a Element) E2 { return E2{A: a, B: a.f.Zero()} }

@@ -13,6 +13,13 @@ import (
 // property tests fast.
 var testPrime = big.NewInt(2305843009213693951)
 
+// Exp returns e^k for a non-negative exponent k, variable-time in k. Only
+// tests raise an element to an arbitrary power (Sqrt's exponent is
+// fixed), so it lives here rather than in fp.go.
+func (e Element) Exp(k *big.Int) Element {
+	return Element{f: e.f, v: e.f.expMont(&e.v, k)}
+}
+
 // Legendre returns the Legendre symbol (e/p) by Euler's criterion
 // e^((p−1)/2), with (p−1)/2 = p >> 1 for odd p: 1 if e is a non-zero
 // square, −1 if a non-square, 0 if e is zero. Only tests call it, so it

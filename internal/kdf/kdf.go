@@ -30,17 +30,6 @@ func Stream(domain string, secret []byte, n int) []byte {
 	return out[:n]
 }
 
-// Mask XORs data with a Stream-derived pad, returning a fresh slice. It
-// is its own inverse and is how BasicIdent/FullIdent blind σ and M.
-func Mask(domain string, secret, data []byte) []byte {
-	pad := Stream(domain, secret, len(data))
-	out := make([]byte, len(data))
-	for i := range data {
-		out[i] = data[i] ^ pad[i]
-	}
-	return out
-}
-
 // ScalarSeed hashes the length-framed inputs into n bytes for
 // ec.Curve.ScalarFromWide to reduce into [1, q−1] — together the H3 role
 // of the Fujisaki–Okamoto transform (r = H3(σ, M)) and the IBS

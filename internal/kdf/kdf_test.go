@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha1"
 	"testing"
-	"testing/quick"
 )
 
 func TestStreamDeterministic(t *testing.T) {
@@ -44,24 +43,6 @@ func TestStreamDomainSeparation(t *testing.T) {
 	c := Stream("domain-a", []byte("t"), 32)
 	if bytes.Equal(a, c) {
 		t.Fatal("different secrets produced the same stream")
-	}
-}
-
-func TestMaskIsInvolution(t *testing.T) {
-	if err := quick.Check(func(secret, data []byte) bool {
-		masked := Mask("d", secret, data)
-		return bytes.Equal(Mask("d", secret, masked), data)
-	}, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMaskDoesNotAliasInput(t *testing.T) {
-	data := []byte{1, 2, 3, 4}
-	orig := append([]byte(nil), data...)
-	_ = Mask("d", []byte("s"), data)
-	if !bytes.Equal(data, orig) {
-		t.Fatal("Mask mutated its input")
 	}
 }
 

@@ -40,10 +40,10 @@ import (
 // Declassification is explicit, three ways: crypto/* and hash stdlib
 // primitives launder (a digest or AEAD output is public even when the
 // input was secret; crypto/subtle comparison results are the sanctioned
-// way to turn a secret comparison public), symenc Seal/Open and
-// kdf.Mask launder at the module boundary, and //mwslint:declassify
-// <reason> marks a line whose values the analyst asserts are public
-// (mandatory reason, listed in the report).
+// way to turn a secret comparison public), symenc Seal/Open launder at
+// the module boundary, and //mwslint:declassify <reason> marks a line
+// whose values the analyst asserts are public (mandatory reason, listed
+// in the report).
 //
 // Precision decisions, deliberate:
 //   - The result of a secret-indexed load is clean: the leak is the
@@ -256,7 +256,7 @@ func ctSourceCall(fn *types.Func) map[int]labels {
 // the input was secret (subtle's int result is the sanctioned way to
 // branch on a secret comparison). At the module boundary, symenc
 // Seal/Open (ciphertext out / message plaintext out — neither is key
-// material) and kdf.Mask (pad-XOR output is ciphertext) launder too.
+// material) launder too.
 func ctSanitizes(fn *types.Func) bool {
 	if pkg := fn.Pkg(); pkg != nil {
 		p := pkg.Path()
@@ -276,13 +276,8 @@ func ctSanitizes(fn *types.Func) bool {
 	// consumer of a public key would light up. Key material typed as
 	// PrivateKey/MasterKey/Share is re-tainted by type regardless, so
 	// Extract's d = s·Q_ID stays secret.
-	if calleePkgEndsIn(fn, "ec") {
-		switch name {
-		case "ScalarMult", "ScalarMultSecret", "Mul": // Mul is Comb.Mul, fixed-base
-			return true
-		}
-	}
-	return name == "Mask" && calleePkgEndsIn(fn, "kdf")
+	// Mul is Comb.Mul, fixed-base.
+	return calleePkgEndsIn(fn, "ec") && (name == "ScalarMult" || name == "ScalarMultSecret" || name == "Mul")
 }
 
 // ctPassthrough: kdf.ScalarSeed and kdf.Stream hash their inputs, but the

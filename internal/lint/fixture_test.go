@@ -29,6 +29,7 @@ var fixtures = map[string][]string{
 	"lockorder":     {"./testdata/src/lockorder/locks", "./testdata/src/lockorder/alpha", "./testdata/src/lockorder/beta"},
 	"lockheld":      {"./testdata/src/lockheld/storage"},
 	"ignoremulti":   {"./testdata/src/ignoremulti/storage"},
+	"deadexport":    {"./testdata/src/deadexport/internal/store", "./testdata/src/deadexport/internal/svc", "./testdata/src/deadexport/cmd/tool", "./testdata/src/deadexport/experiments/exp"},
 }
 
 // loadFixture loads fixture packages (patterns relative to this package's
@@ -146,6 +147,7 @@ func TestVarTimeFixture(t *testing.T)           { checkFixture(t, "vartime") }
 func TestCTFlowFixture(t *testing.T)            { checkFixture(t, "ctflow") }
 func TestLockOrderFixture(t *testing.T)         { checkFixture(t, "lockorder") }
 func TestLockHeldFixture(t *testing.T)          { checkFixture(t, "lockheld") }
+func TestDeadExportFixture(t *testing.T)        { checkFixture(t, "deadexport") }
 
 // TestCTFlowDeclassifyReported pins the declassification record: the
 // fixture's one //mwslint:declassify directive must surface in the

@@ -112,6 +112,7 @@ func DefaultAnalyzers() []*Analyzer {
 		LockOrder,
 		LockHeld,
 		CTFlow,
+		DeadExport,
 	}
 }
 

@@ -50,7 +50,6 @@ type KV interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, value []byte) error
 	Delete(key string) error
-	Keys() []string
 }
 
 // KeyService is the key-management component the SDA consults (§V.B):

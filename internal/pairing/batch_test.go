@@ -99,7 +99,7 @@ func checkFinalExpLanes(t *testing.T, e *Pairing, fs [ff.LaneWidth]ff.E2) {
 	var out [ff.LaneWidth]ff.E2
 	e.finalExpLanes(&out, &fa, &fb)
 	for j := range fs {
-		if want := e.finalExp(fs[j]); !out[j].Equal(want) {
+		if want := e.finalExp(fs[j]); !e2Equal(out[j], want) {
 			t.Fatalf("lane %d: finalExpLanes(%v) = %v, finalExp %v", j, fs[j], out[j], want)
 		}
 	}

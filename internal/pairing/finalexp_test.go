@@ -150,7 +150,7 @@ func TestFinalExpDegenerate(t *testing.T) {
 			ff.NewE2(F.Zero(), r.Neg()),
 		} {
 			got, want := sys.finalExp(f), sys.finalExpRef(f)
-			if !got.Equal(want) {
+			if !e2Equal(got, want) {
 				t.Errorf("%s: finalExp(%v) = %v, reference %v", name, f, got, want)
 			}
 		}
@@ -166,7 +166,7 @@ func TestFinalExpDegenerate(t *testing.T) {
 	tiny.pPlus1DivQ = big.NewInt(263)
 	F := tiny.Curve.F
 	for _, f := range []ff.E2{ff.NewE2(F.Zero(), F.FromInt64(7)), ff.NewE2(F.FromInt64(7), F.Zero())} {
-		if got, want := tiny.finalExp(f), tiny.finalExpRef(f); !got.Equal(want) {
+		if got, want := tiny.finalExp(f), tiny.finalExpRef(f); !e2Equal(got, want) {
 			t.Errorf("odd exponent: finalExp(%v) = %v, reference %v", f, got, want)
 		}
 	}
@@ -211,7 +211,7 @@ func FuzzFinalExp(f *testing.F) {
 		if x.IsZero() {
 			return
 		}
-		if got, want := sys.finalExp(x), sys.finalExpRef(x); !got.Equal(want) {
+		if got, want := sys.finalExp(x), sys.finalExpRef(x); !e2Equal(got, want) {
 			t.Fatalf("finalExp(%v) = %v, reference %v", x, got, want)
 		}
 	})

@@ -40,7 +40,8 @@ func checkGTComb(t *testing.T, name string, e *Pairing, g GT, ks []*big.Int) {
 	t.Helper()
 	c := e.Curve
 	comb := e.NewGTComb(g)
-	if want := len(c.RecodeSecretScalar(ec.Scalar{})); len(comb.tbl) != want {
+	var buf ec.SecretDigits
+	if want := len(c.RecodeSecretScalar(ec.Scalar{}, &buf)); len(comb.tbl) != want {
 		t.Fatalf("%s: table of %d rows, want one per recoded digit (%d)", name, len(comb.tbl), want)
 	}
 	for _, k := range ks {
@@ -91,4 +92,31 @@ func TestGTCombEveryExponent(t *testing.T) {
 		checkGTComb(t, "q = 263", e, base, ks)
 		checkGTComb(t, "q = 263, inverse base", e, base.Inv(), ks)
 	}
+}
+
+// TestSecretKernelsDoNotAllocate: the four kernels that consume a secret
+// recoding keep its digits on their stack (ec.SecretDigits), on every
+// preset, so a secret exponentiation or multiplication allocates nothing.
+func TestSecretKernelsDoNotAllocate(t *testing.T) {
+	var sinkP ec.Point
+	for name, pp := range Presets {
+		sys := pp.MustSystem()
+		k, err := sys.RandomScalar(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, gt := sys.G1(), sys.Pair(sys.G1(), sys.G1())
+		comb, gtComb := sys.G1Comb(), sys.NewGTComb(gt)
+		for kernel, fn := range map[string]func(){
+			"Comb.Mul":         func() { sinkP = comb.Mul(k) },
+			"ScalarMultSecret": func() { sinkP = sys.Curve.ScalarMultSecret(g, k) },
+			"GTExpSecret":      func() { sinkGT = sys.GTExpSecret(gt, k) },
+			"GTComb.ExpSecret": func() { sinkGT = gtComb.ExpSecret(k) },
+		} {
+			if n := testing.AllocsPerRun(5, fn); n != 0 {
+				t.Errorf("%s: %s allocates %.0f times per call, want 0", name, kernel, n)
+			}
+		}
+	}
+	_ = sinkP
 }

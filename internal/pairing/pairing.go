@@ -109,7 +109,8 @@ func (e *Pairing) GTOne() GT { return GT{v: e.Curve.F.E2One()} }
 // this whenever the exponent is secret: the encapsulation randomness r
 // in g_ID^r is the canonical case.
 func (e *Pairing) GTExpSecret(g GT, k ec.Scalar) GT {
-	digits := e.Curve.RecodeSecretScalar(k)
+	var buf ec.SecretDigits
+	digits := e.Curve.RecodeSecretScalar(k, &buf)
 	var tbl [8]ff.E2
 	var acc, sel ff.E2
 	oddPowers(&tbl, &g.v)
@@ -158,7 +159,8 @@ type GTComb struct {
 // GTExpSecret; every pairing output does.
 func (e *Pairing) NewGTComb(g GT) *GTComb {
 	// The recoding's digit count is fixed by q; zero's shows it.
-	t := &GTComb{c: e.Curve, tbl: make([][8]ff.E2, len(e.Curve.RecodeSecretScalar(ec.Scalar{})))}
+	var buf ec.SecretDigits
+	t := &GTComb{c: e.Curve, tbl: make([][8]ff.E2, len(e.Curve.RecodeSecretScalar(ec.Scalar{}, &buf)))}
 	b := g.v
 	for i := range t.tbl {
 		oddPowers(&t.tbl[i], &b)
@@ -171,7 +173,8 @@ func (e *Pairing) NewGTComb(g GT) *GTComb {
 // digit count, every digit selected by a full masked scan of its row and
 // multiplied in, whatever k.
 func (t *GTComb) ExpSecret(k ec.Scalar) GT {
-	digits := t.c.RecodeSecretScalar(k)
+	var buf ec.SecretDigits
+	digits := t.c.RecodeSecretScalar(k, &buf)
 	var acc, sel ff.E2
 	selE2Signed(&acc, &t.tbl[0], digits[0])
 	for i := 1; i < len(digits); i++ {

@@ -33,7 +33,10 @@ func (g GT) E2() ff.E2 { return g.v }
 func (g GT) Mul(h GT) GT { return GT{v: g.v.Mul(h.v)} }
 
 // Equal reports whether two target-group elements are the same.
-func (g GT) Equal(h GT) bool { return g.v.Equal(h.v) }
+func (g GT) Equal(h GT) bool { return e2Equal(g.v, h.v) }
+
+// e2Equal compares two F_p² elements part by part.
+func e2Equal(x, y ff.E2) bool { return x.A.Equal(y.A) && x.B.Equal(y.B) }
 
 // Inv returns g⁻¹, the conjugate.
 func (g GT) Inv() GT { return GT{v: conj(g.v)} }

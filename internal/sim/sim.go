@@ -140,10 +140,9 @@ type Fleet struct {
 
 // FleetConfig sizes a fleet.
 type FleetConfig struct {
-	Seed      int64
-	Sites     []string // default: one site, "APTCOMPLEX-SV-CA"
-	PerSite   map[MeterKind]int
-	BodyExtra int // pad payloads by this many extra bytes (message-size sweeps)
+	Seed    int64
+	Sites   []string // default: one site, "APTCOMPLEX-SV-CA"
+	PerSite map[MeterKind]int
 }
 
 // NewFleet builds a fleet. With a zero PerSite map it creates one meter

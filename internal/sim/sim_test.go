@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -119,7 +120,7 @@ func TestFigure1Scenario(t *testing.T) {
 	if got := len(s.Companies["Water-and-Resources-Co"]); got != 1 {
 		t.Fatalf("W&R holds %d attributes, want 1", got)
 	}
-	if !s.Companies["Water-and-Resources-Co"].Contains("WATER-SITE-A") {
+	if !slices.Contains(s.Companies["Water-and-Resources-Co"], "WATER-SITE-A") {
 		t.Fatal("W&R missing the water attribute")
 	}
 	// Multi-site scales linearly.

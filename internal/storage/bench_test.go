@@ -81,7 +81,7 @@ func BenchmarkScanAttribute(b *testing.B) {
 		mustAppend(b, p, benchMessage(attr.Attribute(fmt.Sprintf("ATTR-%d", i%10))))
 	}
 	for b.Loop() {
-		if got := p.ScanAttribute("ATTR-3", 0, 0); len(got) != 1000 {
+		if got := p.ScanAttributes(attr.Set{"ATTR-3"}, 0, 0); len(got) != 1000 {
 			b.Fatalf("got %d", len(got))
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"mwskit/internal/codec"
@@ -207,28 +206,6 @@ func (k *kv) Put(key string, value []byte) error { return k.part(key).put(key, v
 // Delete durably removes key. Deleting an absent key is a no-op.
 func (k *kv) Delete(key string) error { return k.part(key).delete(key) }
 
-// Len returns the number of live keys.
-func (k *kv) Len() int {
-	n := 0
-	for _, p := range k.parts {
-		p.mu.RLock()
-		n += len(p.m)
-		p.mu.RUnlock()
-	}
-	return n
-}
-
-// Keys returns the live keys in sorted order.
-func (k *kv) Keys() []string {
-	var out []string
-	k.Range(func(key string, _ []byte) bool {
-		out = append(out, key)
-		return true
-	})
-	sort.Strings(out)
-	return out
-}
-
 // Range calls fn for each key/value pair (in unspecified order) until fn
 // returns false. The value slice must not be retained.
 func (k *kv) Range(fn func(key string, value []byte) bool) {
@@ -249,23 +226,6 @@ func (p *kvPart) rangeWhile(fn func(key string, value []byte) bool) bool {
 		}
 	}
 	return true
-}
-
-// Mutations reports logged operations since the last compaction.
-func (k *kv) Mutations() uint64 {
-	var n uint64
-	for _, p := range k.parts {
-		p.mu.RLock()
-		n += p.mutations
-		p.mu.RUnlock()
-	}
-	return n
-}
-
-// Compact compacts every part unconditionally.
-func (k *kv) Compact() error {
-	_, err := k.compact(0)
-	return err
 }
 
 // compact applies the compaction heuristic part by part (each part has

@@ -60,6 +60,31 @@ func forEachKV(t *testing.T, fn func(t *testing.T, kv KV)) {
 	}
 }
 
+// kvLen counts the live keys.
+func kvLen(k KV) int {
+	n := 0
+	k.Range(func(string, []byte) bool { n++; return true })
+	return n
+}
+
+// mutations sums the parts' counts of logged operations since their
+// last compaction, which the compaction heuristic reads.
+func mutations(k KV) uint64 {
+	var n uint64
+	for _, p := range k.(*kv).parts {
+		p.mu.RLock()
+		n += p.mutations
+		p.mu.RUnlock()
+	}
+	return n
+}
+
+// compactAll compacts every part unconditionally.
+func compactAll(k KV) error {
+	_, err := k.(*kv).compact(0)
+	return err
+}
+
 func mustPut(t *testing.T, kv KV, key string, value []byte) {
 	t.Helper()
 	if err := kv.Put(key, value); err != nil {
@@ -86,11 +111,11 @@ func TestKVPutGetDelete(t *testing.T) {
 		if _, ok := kv.Get("k1"); ok {
 			t.Fatal("deleted key still present")
 		}
-		muts := kv.Mutations()
+		muts := mutations(kv)
 		if err := kv.Delete("k1"); err != nil {
 			t.Fatal("double delete errored")
 		}
-		if kv.Mutations() != muts {
+		if mutations(kv) != muts {
 			t.Fatal("deleting an absent key was logged")
 		}
 	})
@@ -122,19 +147,13 @@ func TestKVKeysSortedAndRange(t *testing.T) {
 			mustPut(t, kv, k, []byte{byte(i)})
 		}
 		sort.Strings(want)
-		if keys := kv.Keys(); fmt.Sprint(keys) != fmt.Sprint(want) {
-			t.Fatalf("Keys() = %v", keys)
-		}
-		if kv.Len() != 30 {
-			t.Fatalf("Len = %d", kv.Len())
-		}
-		n := 0
-		kv.Range(func(string, []byte) bool { n++; return true })
-		if n != 30 {
-			t.Fatalf("Range visited %d keys", n)
+		var keys []string
+		kv.Range(func(k string, _ []byte) bool { keys = append(keys, k); return true })
+		if sort.Strings(keys); fmt.Sprint(keys) != fmt.Sprint(want) {
+			t.Fatalf("Range visited %v", keys)
 		}
 		// Early stop holds across part boundaries too.
-		n = 0
+		n := 0
 		kv.Range(func(string, []byte) bool { n++; return n < 3 })
 		if n != 3 {
 			t.Fatalf("early-stop Range visited %d keys", n)
@@ -201,14 +220,14 @@ func TestKVCompact(t *testing.T) {
 			if err := kv.Delete("k9"); err != nil {
 				t.Fatal(err)
 			}
-			if before := kv.Mutations(); before != 201 {
+			if before := mutations(kv); before != 201 {
 				t.Fatalf("mutations = %d, want 201", before)
 			}
-			if err := kv.Compact(); err != nil {
+			if err := compactAll(kv); err != nil {
 				t.Fatalf("Compact: %v", err)
 			}
-			if kv.Mutations() != 9 {
-				t.Fatalf("post-compact mutations = %d, want 9", kv.Mutations())
+			if mutations(kv) != 9 {
+				t.Fatalf("post-compact mutations = %d, want 9", mutations(kv))
 			}
 			for i := 0; i < 9; i++ {
 				if v, ok := kv.Get(fmt.Sprintf("k%d", i)); !ok || string(v) != "r19" {
@@ -230,8 +249,8 @@ func TestKVCompact(t *testing.T) {
 			if v, ok := kv2.Get("new"); !ok || string(v) != "post-compact" {
 				t.Fatal("post-compaction write lost across reopen")
 			}
-			if kv2.Len() != 10 || kv2.Mutations() != 10 {
-				t.Fatalf("post-compact reopen: Len = %d, Mutations = %d, want 10, 10", kv2.Len(), kv2.Mutations())
+			if kvLen(kv2) != 10 || mutations(kv2) != 10 {
+				t.Fatalf("post-compact reopen: Len = %d, Mutations = %d, want 10, 10", kvLen(kv2), mutations(kv2))
 			}
 		})
 	}
@@ -269,7 +288,7 @@ func TestKVCompactKeepsSyncPolicy(t *testing.T) {
 				}
 			}
 			churn("fresh")
-			if err := kv.Compact(); err != nil {
+			if err := compactAll(kv); err != nil {
 				t.Fatal(err)
 			}
 			churn("compacted")
@@ -293,7 +312,7 @@ func TestKVClosedStaysClosed(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := treeContents(t, dir)
-			if err := kv.Compact(); !errors.Is(err, wal.ErrClosed) {
+			if err := compactAll(kv); !errors.Is(err, wal.ErrClosed) {
 				t.Errorf("Compact after Close = %v, want wal.ErrClosed", err)
 			}
 			if err := kv.Put("k2", []byte("v")); !errors.Is(err, wal.ErrClosed) {
@@ -354,8 +373,8 @@ func TestProviderCompactRacesClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rekv.Len() != 16 {
-			t.Fatalf("reopened after Compact raced Close: %d keys, want 16", rekv.Len())
+		if kvLen(rekv) != 16 {
+			t.Fatalf("reopened after Compact raced Close: %d keys, want 16", kvLen(rekv))
 		}
 		re.Close()
 	}
@@ -380,7 +399,7 @@ func TestKVCompactInterrupted(t *testing.T) {
 	}
 	want := kvContents(kv)
 	old := treeContents(t, dir)
-	if err := kv.Compact(); err != nil {
+	if err := compactAll(kv); err != nil {
 		t.Fatal(err)
 	}
 	if err := kv.Close(); err != nil {
@@ -428,7 +447,7 @@ func TestKVPropertyModelCheck(t *testing.T) {
 				}
 				model[k] = value
 			}
-			if kv.Len() != len(model) {
+			if kvLen(kv) != len(model) {
 				return false
 			}
 			for mk, mv := range model {

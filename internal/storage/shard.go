@@ -36,12 +36,11 @@ type provider struct {
 	kvs map[string]*kv
 }
 
-// shard is one message partition: an in-memory index in front of an
-// optional WAL.
+// shard is one message partition: an in-memory index (byAttr alone,
+// DESIGN.md §11) in front of an optional WAL.
 type shard struct {
 	mu     sync.RWMutex
-	log    *wal.Log // nil = volatile
-	msgs   map[uint64]*Message
+	log    *wal.Log                      // nil = volatile
 	byAttr map[attr.Attribute][]*Message // append order, seqs strictly increasing; append-only
 
 	// Telemetry: series labeled shard="i" in the provider's registry, so
@@ -58,7 +57,11 @@ func (sh *shard) register(i int, reg *obsv.Registry) {
 	reg.CounterFunc("storage_shard_fsyncs", sh.fsyncs, l) // the log's own sync count
 	sh.writeBytes = reg.Counter("storage_shard_write_bytes", l)
 	sh.messages = reg.Gauge("storage_shard_messages", l)
-	sh.messages.Set(int64(len(sh.msgs)))
+	n := 0
+	for _, ms := range sh.byAttr {
+		n += len(ms)
+	}
+	sh.messages.Set(int64(n))
 }
 
 func (sh *shard) fsyncs() int64 {
@@ -92,7 +95,7 @@ func newProvider(dir string, sync SyncPolicy, nshard int, reg *obsv.Registry) (*
 		reg = obsv.NewRegistry() // nobody's /metrics: ShardStats alone reads it
 	}
 	for i := 0; i < nshard; i++ {
-		sh := &shard{msgs: make(map[uint64]*Message), byAttr: make(map[attr.Attribute][]*Message)}
+		sh := &shard{byAttr: make(map[attr.Attribute][]*Message)}
 		p.shards = append(p.shards, sh)
 		if dir != "" {
 			top, err := sh.openLog(shardMessagesDir(dir, i), sync)
@@ -141,7 +144,6 @@ func (p *provider) closeShards() error {
 
 // index installs a replayed or appended message. Callers hold sh.mu.
 func (sh *shard) index(m *Message) {
-	sh.msgs[m.Seq] = m
 	sh.byAttr[m.Attribute] = append(sh.byAttr[m.Attribute], m)
 }
 
@@ -197,22 +199,6 @@ func (p *provider) Append(ctx context.Context, m *Message) (uint64, error) {
 	return seq, nil
 }
 
-func (p *provider) Get(seq uint64) (*Message, bool) {
-	for _, sh := range p.shards {
-		sh.mu.RLock()
-		m, ok := sh.msgs[seq]
-		sh.mu.RUnlock()
-		if ok {
-			return m, true
-		}
-	}
-	return nil, false
-}
-
-func (p *provider) ScanAttribute(a attr.Attribute, fromSeq uint64, limit int) []*Message {
-	return p.ScanAttributes(attr.Set{a}, fromSeq, limit)
-}
-
 func (p *provider) ScanAttributes(set attr.Set, fromSeq uint64, limit int) []*Message {
 	// Lists are read one after another, so without a ceiling a result
 	// could hold seq s from a late-read shard but miss s' < s still in
@@ -254,32 +240,11 @@ func (p *provider) ScanAttributes(set attr.Set, fromSeq uint64, limit int) []*Me
 }
 
 func (p *provider) Count() int {
-	n := 0
+	n := int64(0)
 	for _, sh := range p.shards {
-		sh.mu.RLock()
-		n += len(sh.msgs)
-		sh.mu.RUnlock()
+		n += sh.messages.Value()
 	}
-	return n
-}
-
-func (p *provider) CountAttribute(a attr.Attribute) int {
-	sh := p.shardFor(a)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.byAttr[a])
-}
-
-func (p *provider) Attributes() []attr.Attribute {
-	var out []attr.Attribute
-	for _, sh := range p.shards {
-		sh.mu.RLock()
-		for a := range sh.byAttr {
-			out = append(out, a)
-		}
-		sh.mu.RUnlock()
-	}
-	return out
+	return int(n)
 }
 
 func (p *provider) Shards() int { return len(p.shards) }

@@ -51,14 +51,7 @@ type KV interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, value []byte) error
 	Delete(key string) error
-	Len() int
-	Keys() []string
 	Range(fn func(key string, value []byte) bool)
-	// Mutations reports logged operations since the last compaction — the
-	// compaction heuristic (live keys ≪ mutations ⇒ compact).
-	Mutations() uint64
-	// Compact rewrites the log to one Put per live key.
-	Compact() error
 }
 
 // CloserKV is a KV whose lifecycle the caller owns — what OpenKV returns
@@ -78,23 +71,15 @@ type Provider interface {
 	// number. The caller's Message.Seq is ignored. The append is durable
 	// to the configured sync policy before Append returns.
 	Append(ctx context.Context, m *Message) (uint64, error)
-	// Get returns the message with the given sequence number.
-	Get(seq uint64) (*Message, bool)
-	// ScanAttribute returns messages carrying the attribute with
-	// Seq ≥ fromSeq (inclusive cursor), oldest first, up to limit
-	// (0 = unlimited).
-	ScanAttribute(a attr.Attribute, fromSeq uint64, limit int) []*Message
-	// ScanAttributes merges ScanAttribute across a set, ordered by
-	// sequence number. A result is a gap-free prefix of what the set
-	// will ever hold from fromSeq on: no later scan returns a lower
-	// sequence number, so last+1 is a sound tail cursor.
+	// ScanAttributes returns the messages carrying any attribute of the
+	// set with Seq ≥ fromSeq (inclusive cursor), ordered by sequence
+	// number, up to limit (0 = unlimited). A result is a gap-free prefix
+	// of what the set will ever hold from fromSeq on: no later scan
+	// returns a lower sequence number, so last+1 is a sound tail cursor.
+	// It is the one way messages are read (PAPER.md §V.B).
 	ScanAttributes(set attr.Set, fromSeq uint64, limit int) []*Message
 	// Count returns the total number of stored messages.
 	Count() int
-	// CountAttribute returns the number of messages for one attribute.
-	CountAttribute(a attr.Attribute) int
-	// Attributes returns the distinct attributes present.
-	Attributes() []attr.Attribute
 	// KV opens (or returns) the named KV database. Names are single path
 	// elements ("devices", "policy", "users").
 	KV(name string) (KV, error)
@@ -135,7 +120,8 @@ type Options struct {
 	Shards int
 	// Metrics, when set, receives per-shard labeled series
 	// (storage_shard_appends, storage_shard_fsyncs,
-	// storage_shard_write_bytes, storage_shard_messages).
+	// storage_shard_write_bytes, storage_shard_messages). It serves one
+	// open provider: storage_shard_messages is what Count reads.
 	Metrics *obsv.Registry
 }
 

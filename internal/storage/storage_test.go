@@ -23,6 +23,39 @@ func testAttr(i int) attr.Attribute {
 	return attr.Attribute(fmt.Sprintf("UTILITY-%02d", i))
 }
 
+// testAttrs is the set of the first n test attributes.
+func testAttrs(n int) attr.Set {
+	set := make(attr.Set, n)
+	for i := range set {
+		set[i] = testAttr(i)
+	}
+	return set
+}
+
+// scan reads one attribute's messages the one way the engine serves
+// them, as a set of one.
+func scan(p Provider, a attr.Attribute, fromSeq uint64, limit int) []*Message {
+	return p.ScanAttributes(attr.Set{a}, fromSeq, limit)
+}
+
+// stored is the message with sequence number seq among a's.
+func stored(p Provider, a attr.Attribute, seq uint64) (*Message, bool) {
+	got := scan(p, a, seq, 1)
+	if len(got) == 0 || got[0].Seq != seq {
+		return nil, false
+	}
+	return got[0], true
+}
+
+// storedSeqs indexes by sequence number every message stored under set.
+func storedSeqs(p Provider, set attr.Set) map[uint64]*Message {
+	out := make(map[uint64]*Message)
+	for _, m := range p.ScanAttributes(set, 0, 0) {
+		out[m.Seq] = m
+	}
+	return out
+}
+
 func testMessage(a attr.Attribute, i int) *Message {
 	var n attr.Nonce
 	n[0] = byte(i)
@@ -94,8 +127,8 @@ func mustAppend(t testing.TB, p Provider, m *Message) uint64 {
 }
 
 // TestProviderRoundTrip exercises the full Provider surface over every
-// variant: append, point get, attribute scans with cursors and limits,
-// counts, KV, and (for the durable ones) persistence across reopen.
+// variant: append, attribute scans with cursors and limits, counts, KV,
+// and (for the durable ones) persistence across reopen.
 func TestProviderRoundTrip(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -123,45 +156,38 @@ func TestProviderRoundTrip(t *testing.T) {
 				if got := p.Count(); got != len(want) {
 					t.Fatalf("Count = %d, want %d", got, len(want))
 				}
+				// The attributes' index holds every message, and nothing
+				// past the top.
+				all := storedSeqs(p, testAttrs(attrs))
 				for seq, w := range want {
-					g, ok := p.Get(seq)
-					if !ok {
-						t.Fatalf("Get(%d) missing", seq)
-					}
-					sameMessage(t, w, g)
+					sameMessage(t, w, all[seq])
 				}
-				if _, ok := p.Get(uint64(len(want)) + 100); ok {
-					t.Fatal("Get returned a message that was never stored")
+				if len(all) != len(want) {
+					t.Fatalf("attribute index holds %d messages, want %d", len(all), len(want))
 				}
-				if got := len(p.Attributes()); got != attrs {
-					t.Fatalf("Attributes = %d, want %d", got, attrs)
+				if past := p.ScanAttributes(testAttrs(attrs), uint64(len(want)), 0); len(past) != 0 {
+					t.Fatalf("scan past the top returned %d messages never stored", len(past))
 				}
 				for a, ms := range byAttr {
-					if got := p.CountAttribute(a); got != len(ms) {
-						t.Fatalf("CountAttribute(%s) = %d, want %d", a, got, len(ms))
+					// A one-attribute set sees only its own messages.
+					got := scan(p, a, 0, 0)
+					if len(got) != len(ms) {
+						t.Fatalf("scan(%s) = %d msgs, want %d", a, len(got), len(ms))
 					}
-					scan := p.ScanAttribute(a, 0, 0)
-					if len(scan) != len(ms) {
-						t.Fatalf("ScanAttribute(%s) = %d msgs, want %d", a, len(scan), len(ms))
-					}
-					for i, g := range scan {
+					for i, g := range got {
 						sameMessage(t, ms[i], g)
-						if i > 0 && scan[i-1].Seq >= g.Seq {
-							t.Fatalf("scan out of order: %d then %d", scan[i-1].Seq, g.Seq)
+						if i > 0 && got[i-1].Seq >= g.Seq {
+							t.Fatalf("scan out of order: %d then %d", got[i-1].Seq, g.Seq)
 						}
 					}
 					// Cursor: resume at the third message (inclusive).
-					rest := p.ScanAttribute(a, ms[2].Seq, 0)
+					rest := scan(p, a, ms[2].Seq, 0)
 					if len(rest) != len(ms)-2 {
 						t.Fatalf("cursor scan = %d, want %d", len(rest), len(ms)-2)
 					}
 					sameMessage(t, ms[2], rest[0])
-					if lim := p.ScanAttribute(a, 0, 2); len(lim) != 2 {
+					if lim := scan(p, a, 0, 2); len(lim) != 2 {
 						t.Fatalf("limited scan = %d, want 2", len(lim))
-					}
-					// A one-attribute set sees only its own messages.
-					if only := p.ScanAttributes(attr.Set{a}, 0, 0); len(only) != len(ms) {
-						t.Fatalf("ScanAttributes({%s}) = %d, want %d", a, len(only), len(ms))
 					}
 				}
 				// Merged scan across two attributes, globally seq-ordered.
@@ -197,8 +223,8 @@ func TestProviderRoundTrip(t *testing.T) {
 			if err := kv.Delete("grant/3"); err != nil {
 				t.Fatal(err)
 			}
-			if kv.Len() != 19 {
-				t.Fatalf("kv.Len = %d, want 19", kv.Len())
+			if n := kvLen(kv); n != 19 {
+				t.Fatalf("kv holds %d keys, want 19", n)
 			}
 			if again, _ := p.KV("policy"); again != kv {
 				t.Fatal("second KV(policy) returned a different handle")
@@ -230,8 +256,8 @@ func TestProviderRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if kv2.Len() != 19 {
-				t.Fatalf("reopened kv.Len = %d, want 19", kv2.Len())
+			if n := kvLen(kv2); n != 19 {
+				t.Fatalf("reopened kv holds %d keys, want 19", n)
 			}
 			if _, ok := kv2.Get("grant/3"); ok {
 				t.Fatal("deleted key came back on reopen")
@@ -267,7 +293,7 @@ func TestAppendDoesNotAliasCaller(t *testing.T) {
 		m.Seq = 77 // ignored
 		seq := mustAppend(t, p, m)
 		m.DeviceID = "mutated"
-		got, _ := p.Get(seq)
+		got, _ := stored(p, "A1", seq)
 		if got.DeviceID != "meter-1" || got.Seq != seq {
 			t.Fatalf("Append aliased the caller's struct: %+v", got)
 		}
@@ -304,7 +330,7 @@ func TestProviderModelProperty(t *testing.T) {
 					want = append(want, mm)
 				}
 			}
-			got := p.ScanAttribute(a, 0, 0)
+			got := scan(p, a, 0, 0)
 			if len(got) != len(want) {
 				return false
 			}
@@ -313,8 +339,8 @@ func TestProviderModelProperty(t *testing.T) {
 					return false
 				}
 			}
-			// Random-access read agrees.
-			back, ok := p.Get(seq)
+			// A read at the new message's cursor agrees.
+			back, ok := stored(p, a, seq)
 			return ok && bytes.Equal(back.Ciphertext, body)
 		}, &quick.Config{MaxCount: 300}); err != nil {
 			t.Fatal(err)
@@ -336,7 +362,7 @@ func TestCursorPaginationProperty(t *testing.T) {
 		}
 		pages := map[string]func(cursor uint64) []*Message{
 			"set":  func(cursor uint64) []*Message { return p.ScanAttributes(set, cursor, 1) },
-			"attr": func(cursor uint64) []*Message { return p.ScanAttribute("A1", cursor, 1) },
+			"attr": func(cursor uint64) []*Message { return scan(p, "A1", cursor, 1) },
 		}
 		for name, page := range pages {
 			if err := quick.Check(func(start uint8) bool {
@@ -433,11 +459,11 @@ func TestMessageTagsDurability(t *testing.T) {
 			}
 			re := v.open(t, dir)
 			defer re.Close()
-			got, ok := re.Get(tagged)
+			got, ok := stored(re, "A1", tagged)
 			if !ok || !reflect.DeepEqual(got.Tags, m.Tags) {
 				t.Fatalf("tags not recovered: %+v", got)
 			}
-			if got, ok := re.Get(plain); !ok || got.Tags != nil {
+			if got, ok := stored(re, "A1", plain); !ok || got.Tags != nil {
 				t.Fatalf("tagless message corrupted: %+v", got)
 			}
 		})
@@ -521,17 +547,18 @@ func TestConcurrentAppends(t *testing.T) {
 			if re.Count() != workers*perWorker {
 				t.Fatalf("reopened Count = %d, want %d", re.Count(), workers*perWorker)
 			}
+			survived := storedSeqs(re, testAttrs(16))
 			for s := range seen {
-				if _, ok := re.Get(s); !ok {
+				if survived[s] == nil {
 					t.Fatalf("acked seq %d lost across reopen", s)
 				}
 			}
 			// Per-attribute scans are per-shard and must come back in strictly
 			// increasing sequence order (monotonic within the shard).
 			for i := 0; i < 16; i++ {
-				scan := re.ScanAttribute(testAttr(i), 0, 0)
-				for j := 1; j < len(scan); j++ {
-					if scan[j-1].Seq >= scan[j].Seq {
+				got := scan(re, testAttr(i), 0, 0)
+				for j := 1; j < len(got); j++ {
+					if got[j-1].Seq >= got[j].Seq {
 						t.Fatalf("attr %d scan not monotonic", i)
 					}
 				}
@@ -760,7 +787,7 @@ func TestCompactHeuristic(t *testing.T) {
 		if n, err := p.Compact(10); err != nil || n != 1 {
 			t.Fatalf("Compact above threshold = %d, %v; want 1 (the hot key's part), nil", n, err)
 		}
-		if muts := kv.Mutations(); muts != 1 {
+		if muts := mutations(kv); muts != 1 {
 			t.Fatalf("mutations after compaction = %d, want 1", muts)
 		}
 		if v, ok := kv.Get("hot"); !ok || v[0] != 99 {

@@ -32,21 +32,12 @@ func CredentialKey(identity string, password []byte) []byte {
 	return kdf.Stream("mwskit/userdb/cred/v1", append([]byte(identity+"\x00"), password...), CredentialKeyLen)
 }
 
-// Record is a registered retrieving client.
-type Record struct {
-	Identity      string
-	CredentialKey []byte         // password-derived shared key
-	PublicKey     *rsa.PublicKey // token-wrapping key (the paper's PubK_RC)
-}
-
 // KV is what the user database needs of a durable map. storage.KV
 // satisfies it; declaring it here keeps the storage engine out of the
 // receiving client, which derives its CredentialKey from this package.
 type KV interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, value []byte) error
-	Delete(key string) error
-	Keys() []string
 }
 
 // DB is the user database.

@@ -104,10 +104,11 @@ func TestDuplicateRegistrationRejected(t *testing.T) {
 func (db *DB) Remove(identity string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := db.kv.Delete(credKeyKey(identity)); err != nil {
+	kv := db.kv.(storage.KV) // the database's KV interface has no Delete
+	if err := kv.Delete(credKeyKey(identity)); err != nil {
 		return err
 	}
-	return db.kv.Delete(pubKeyKey(identity))
+	return kv.Delete(pubKeyKey(identity))
 }
 
 func TestRemove(t *testing.T) {

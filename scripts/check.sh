@@ -16,7 +16,9 @@ go vet ./...
 go build ./...
 
 # mwslint: the project's confidentiality- and concurrency-invariant
-# analyzers (see DESIGN.md "Static analysis"). Any unsuppressed finding
+# analyzers, and deadexport, which keeps every exported name of internal/
+# used by production code (see DESIGN.md "Static analysis" and §2's
+# "Exported-surface audit"). Any unsuppressed finding
 # fails the build, and so does a suppression count above the checked-in
 # baseline — silencing a finding is a reviewed change, not a drive-by.
 # The run is timed because the taint and lock analyzers iterate
@@ -39,27 +41,6 @@ orphans=$(go list ./internal/... | grep -vxF "$closure" || true)
 leaks=$(echo "$closure" | grep '^mwskit/experiments' || true)
 if [ -n "$orphans$leaks" ]; then
 	echo "outside the production closure: ${orphans:-none}; experiments linked into it: ${leaks:-none}" >&2
-	exit 1
-fi
-
-# Every exported name has a production caller (ROADMAP aim 2: an
-# abstraction needs a second user to stay, so it needs a first): each
-# exported function or method declared in non-test internal/ code is named,
-# outside comments and its own declaration, by non-test Go outside
-# experiments/ and testdata. The match is by name, so a same-named method
-# of another type keeps a name alive (DESIGN.md §2 records what a
-# type-checked pass found beyond it). Allowed: the Must* constructors,
-# test fixtures shared across packages, which a _test.go file cannot export.
-set +x
-uncalled=$(git grep --no-index --exclude-standard -oE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*' -- 'internal/*.go' ':!*_test.go' ':!*/testdata/*' |
-	sed -E 's/:func (\([^)]*\) )?/ /' | grep -vE ' (MustField|MustCurve|MustSystem)$' | while read -r file name; do
-		git grep --no-index --exclude-standard -hwE "$name" -- '*.go' ':!*_test.go' ':!experiments' ':!*/testdata/*' |
-			grep -vE "^[[:space:]]*//|^func (\([^)]*\) )?$name\b" | grep -qw "$name" || echo "$file:$name"
-	done)
-set -x
-if [ -n "$uncalled" ]; then
-	echo "exported with no production caller (wire it, move it to a test or experiments/, or delete it):" >&2
-	echo "$uncalled" >&2
 	exit 1
 fi
 
