@@ -24,7 +24,7 @@ func Workers(n int) int { return min(runtime.GOMAXPROCS(0), n) }
 // the sequential loop — check ctx, call fn, stop at the first error —
 // returns, and with one worker Each is that loop. A panic in fn stops
 // the claims too and is raised again on the caller's goroutine, where a
-// server's recovery middleware sees it. fn must be safe to call from
+// server's router recovers it. fn must be safe to call from
 // several goroutines at once.
 func Each(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	var (

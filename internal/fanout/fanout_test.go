@@ -289,7 +289,7 @@ func TestEachOneProcIsTheLoop(t *testing.T) {
 }
 
 // TestEachRepanicsOnCaller: a panic on any worker stops the claims and
-// reaches the caller's goroutine, where a recovery middleware can turn it
+// reaches the caller's goroutine, where the server's router can turn it
 // into an error reply instead of the process dying.
 func TestEachRepanicsOnCaller(t *testing.T) {
 	withProcs(t, 4)

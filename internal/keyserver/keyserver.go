@@ -137,7 +137,11 @@ func New(cfg Config) (*Service, error) {
 		s.master = mk
 		s.params = params
 	}
-	s.router = s.buildRouter()
+	s.router = wire.NewRouter(s.stats, s.cfg.Tracer, s.cfg.RequestTimeout, s.cfg.Logger,
+		wire.Bind(wire.OpParams, s.PublicParams),
+		wire.Bind(wire.OpExtract, s.Extract),
+		wire.Bind(wire.OpTrapdoor, s.Trapdoor),
+	)
 	return s, nil
 }
 
@@ -285,27 +289,6 @@ func (s *Service) Trapdoor(ctx context.Context, req *wire.TrapdoorRequest) (*wir
 	}
 	s.cfg.Logger.Debug("keyserver: trapdoor issued", "rc", req.RC)
 	return &wire.TrapdoorResponse{SealedTrapdoor: sealed}, nil
-}
-
-// buildRouter assembles the PKG's request pipeline: tracing outermost
-// (so the request span covers the whole pipeline), then instrumentation
-// (so it observes timeouts too), then the request deadline, then panic
-// recovery closest to the handler.
-func (s *Service) buildRouter() *wire.Router {
-	r := wire.NewRouter()
-	r.Use(
-		wire.Trace(s.cfg.Tracer),
-		wire.Instrument(s.stats),
-		wire.WithTimeout(s.cfg.RequestTimeout),
-		wire.Recover(s.cfg.Logger),
-	)
-	wire.RegisterPing(r)
-	wire.Route(r, wire.OpParams, s.PublicParams)
-	wire.Route(r, wire.OpExtract, s.Extract)
-	wire.Route(r, wire.OpTrapdoor, s.Trapdoor)
-	wire.RegisterStats(r, s.stats)
-	wire.RegisterTrace(r, s.cfg.Tracer)
-	return r
 }
 
 // Handle dispatches one frame through the pipeline, making *Service a

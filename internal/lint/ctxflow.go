@@ -11,7 +11,7 @@ import (
 // and the service layers check it at cancellation checkpoints. A
 // context.Background()/TODO() in library code severs that chain — the
 // downstream work outlives the request's deadline and the server's
-// shutdown, exactly the slow-handler leak the WithTimeout middleware
+// shutdown, exactly the slow-handler leak the router's deadline stage
 // exists to prevent. Legitimate roots (a server's base context, a
 // context-free convenience shim) must say so with an annotation.
 var CtxFlow = &Analyzer{

@@ -40,9 +40,8 @@ type sarifTool struct {
 }
 
 type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	Rules          []sarifRule `json:"rules"`
+	Name  string      `json:"name"`
+	Rules []sarifRule `json:"rules"`
 }
 
 type sarifRule struct {

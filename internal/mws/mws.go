@@ -185,7 +185,19 @@ func New(cfg Config) (*Service, error) {
 	for guard, g := range map[string]*macauth.ReplayGuard{"deposit": s.replay, "retrieve": s.rcReplay} {
 		stats.GaugeFunc("replay_guard_entries", func() int64 { return int64(g.Len()) }, obsv.L("guard", guard))
 	}
-	s.router = s.buildRouter()
+	// The SD-facing and RC-facing operations share one endpoint; the paper
+	// runs them as two servers (MWS-SD, MWS-Client), and cmd/mwsd can bind
+	// two listeners to the same Service to mirror that.
+	s.router = wire.NewRouter(s.stats, s.cfg.Tracer, s.cfg.RequestTimeout, s.cfg.Logger,
+		wire.Bind(wire.OpDeposit, func(ctx context.Context, req *wire.DepositRequest) (*wire.DepositResponse, error) {
+			seq, err := s.Deposit(ctx, req)
+			if err != nil {
+				return nil, err
+			}
+			return &wire.DepositResponse{Seq: seq}, nil
+		}),
+		wire.Bind(wire.OpRetrieve, s.Retrieve),
+	)
 	return s, nil
 }
 

@@ -75,8 +75,7 @@ type fakePKG struct {
 func newFakePKG(tb testing.TB, sealed map[keyIndex][]byte) *fakePKG {
 	tb.Helper()
 	f := &fakePKG{sealed: sealed}
-	r := wire.NewRouter()
-	wire.Route(r, wire.OpExtract, func(_ context.Context, req *wire.ExtractRequest) (*wire.ExtractResponse, error) {
+	f.conn = serveFake(tb, wire.Bind(wire.OpExtract, func(_ context.Context, req *wire.ExtractRequest) (*wire.ExtractResponse, error) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		f.requests++
@@ -90,22 +89,20 @@ func newFakePKG(tb testing.TB, sealed map[keyIndex][]byte) *fakePKG {
 			resp.SealedKeys = append(resp.SealedKeys, f.sealed[k])
 		}
 		return resp, nil
-	})
-	wire.Route(r, wire.OpTrapdoor, func(context.Context, *wire.TrapdoorRequest) (*wire.TrapdoorResponse, error) {
+	}), wire.Bind(wire.OpTrapdoor, func(context.Context, *wire.TrapdoorRequest) (*wire.TrapdoorResponse, error) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		f.requests++
 		return nil, errors.New("fake PKG: no trapdoors")
-	})
-	f.conn = serveFake(tb, r)
+	}))
 	return f
 }
 
-// serveFake serves r on loopback for the test and returns a connection
-// to it.
-func serveFake(tb testing.TB, r *wire.Router) *wire.Client {
+// serveFake serves routes on loopback for the test and returns a
+// connection to them.
+func serveFake(tb testing.TB, routes ...wire.Binding) *wire.Client {
 	tb.Helper()
-	srv := wire.NewServer(r, slog.New(slog.DiscardHandler))
+	srv := wire.NewServer(wire.NewRouter(obsv.NewRegistry(), nil, 0, nil, routes...), slog.New(slog.DiscardHandler))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)

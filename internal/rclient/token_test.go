@@ -24,11 +24,9 @@ func corruptToken(blob []byte) []byte {
 // resp, and checks no authenticator.
 func fakeMWS(tb testing.TB, resp *wire.RetrieveResponse) *wire.Client {
 	tb.Helper()
-	r := wire.NewRouter()
-	wire.Route(r, wire.OpRetrieve, func(context.Context, *wire.RetrieveRequest) (*wire.RetrieveResponse, error) {
+	return serveFake(tb, wire.Bind(wire.OpRetrieve, func(context.Context, *wire.RetrieveRequest) (*wire.RetrieveResponse, error) {
 		return resp, nil
-	})
-	return serveFake(tb, r)
+	}))
 }
 
 // TestTokenOpensOnFirstPKGCall: a retrieval keeps its PKG token sealed

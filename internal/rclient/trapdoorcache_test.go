@@ -28,8 +28,7 @@ type trapdoorPKG struct {
 func newTrapdoorPKG(tb testing.TB, session []byte) *trapdoorPKG {
 	tb.Helper()
 	f := &trapdoorPKG{}
-	r := wire.NewRouter()
-	wire.Route(r, wire.OpTrapdoor, func(_ context.Context, req *wire.TrapdoorRequest) (*wire.TrapdoorResponse, error) {
+	f.conn = serveFake(tb, wire.Bind(wire.OpTrapdoor, func(_ context.Context, req *wire.TrapdoorRequest) (*wire.TrapdoorResponse, error) {
 		kw, err := ticket.OpenTrapdoorPayload(session, req.SealedKeyword)
 		if err != nil {
 			return nil, err
@@ -45,8 +44,7 @@ func newTrapdoorPKG(tb testing.TB, session []byte) *trapdoorPKG {
 			sealed[len(sealed)-1] ^= 1
 		}
 		return &wire.TrapdoorResponse{SealedTrapdoor: sealed}, nil
-	})
-	f.conn = serveFake(tb, r)
+	}))
 	return f
 }
 

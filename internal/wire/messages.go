@@ -70,7 +70,6 @@ const (
 	CodeAuth        uint32 = 2 // authentication / authorization failure
 	CodeReplay      uint32 = 3 // replayed or stale message
 	CodeInternal    uint32 = 4 // server-side failure
-	CodeNotFound    uint32 = 5 // unknown entity
 	CodeTimeout     uint32 = 6 // request exceeded the server's deadline
 	CodeUnavailable uint32 = 7 // server overloaded or shutting down
 )

@@ -14,7 +14,7 @@ type Message interface{ Marshal() []byte }
 // Op declares one request/response exchange of the protocol — the paper's
 // Fig. 4 phases plus the operational ops — exactly once: its frame types,
 // their names and the decoders of both payloads. Servers register a
-// handler for an Op with Route, clients perform one with Call; neither
+// handler for an Op with Bind, clients perform one with Call; neither
 // repeats a frame type or names a decoder.
 type Op[Req, Resp Message] struct {
 	OpInfo

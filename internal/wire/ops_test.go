@@ -270,8 +270,7 @@ func newTap(t *testing.T, addr string) *tap {
 func TestCall(t *testing.T) {
 	frames, _ := goldenFrames(t)
 	seen := make(chan Frame, 8)
-	r := NewRouter()
-	r.handle(TDeposit, func(ctx context.Context, f Frame) Frame {
+	srv := NewServer(HandlerFunc(func(ctx context.Context, f Frame) Frame {
 		seen <- f
 		switch string(f.Payload) {
 		case "refuse":
@@ -280,8 +279,7 @@ func TestCall(t *testing.T) {
 			return Frame{Type: TPong}
 		}
 		return Frame{Type: TDepositResp, Payload: append([]byte("ack:"), f.Payload...)}
-	})
-	srv := NewServer(r, nil)
+	}), nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -350,14 +348,12 @@ func TestCall(t *testing.T) {
 // with the transport error, not return that late reply as its own answer.
 func TestClientBrokenAfterTimeout(t *testing.T) {
 	var calls int
-	r := NewRouter()
-	r.handle(TDeposit, func(ctx context.Context, f Frame) Frame {
+	srv := NewServer(HandlerFunc(func(ctx context.Context, f Frame) Frame {
 		if calls++; calls == 1 {
 			time.Sleep(150 * time.Millisecond)
 		}
 		return Frame{Type: TDepositResp, Payload: append([]byte("reply to "), f.Payload...)}
-	})
-	srv := NewServer(r, nil)
+	}), nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -1,112 +1,185 @@
 package wire
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
 	"mwskit/internal/obsv"
 )
 
-// Middleware wraps a Handler with cross-cutting behaviour (recovery,
-// deadlines, instrumentation). Middleware registered on a Router applies
-// to every route, in registration order: the first Use'd middleware is
-// outermost.
-type Middleware func(next Handler) Handler
-
-// Router dispatches request frames to the handlers registered for their
-// ops. Register one with Route (it owns unmarshal, marshal and error
-// mapping); attach middleware with Use. An unknown frame type yields a
-// CodeBadRequest error frame.
+// Router is the request pipeline of both services. Every request it
+// routes runs the same stages, outermost first: a root span, the op's
+// count and latency, the request deadline, panic recovery, and then the
+// op's typed route. The route table is fixed by NewRouter, so Handle
+// reads it without a lock. An unknown frame type is answered
+// CodeBadRequest before any stage runs: it is neither counted nor traced.
 type Router struct {
-	mu       sync.RWMutex
-	mws      []Middleware
-	routes   map[Type]Handler // as registered, pre-middleware
-	composed map[Type]Handler // with the middleware chain applied
+	routes  [256]route // by request type; nil where no op is bound
+	stats   *obsv.Registry
+	tracer  *obsv.Tracer
+	timeout time.Duration
+	logger  *slog.Logger
 }
 
-// NewRouter returns an empty router.
-func NewRouter() *Router {
-	return &Router{routes: make(map[Type]Handler), composed: make(map[Type]Handler)}
+// route answers one request: its response frame, or the refusal the
+// count and span stages read before the pipeline encodes it.
+type route func(ctx context.Context, f Frame) (Frame, *ErrorMsg)
+
+// reply is a route's result handed across the deadline stage's goroutine.
+type reply struct {
+	f  Frame
+	em *ErrorMsg
 }
 
-// Use appends middleware to the chain and rewraps every registered route.
-func (r *Router) Use(mws ...Middleware) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.mws = append(r.mws, mws...)
-	for t, h := range r.routes {
-		r.composed[t] = r.composeLocked(h)
-	}
+// Binding is one op's typed route, made by Bind for NewRouter.
+type Binding struct {
+	req   Type
+	route route
 }
 
-func (r *Router) composeLocked(h Handler) Handler {
-	for i := len(r.mws) - 1; i >= 0; i-- {
-		h = r.mws[i](h)
-	}
-	return h
-}
-
-// handle registers a raw frame handler for one request type; Route is
-// its only caller outside the tests.
-func (r *Router) handle(t Type, h HandlerFunc) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.routes[t] = h
-	r.composed[t] = r.composeLocked(h)
-}
-
-// Handle dispatches one frame through the middleware chain to its route.
-// It implements Handler, so a Router can be served directly by a Server.
-func (r *Router) Handle(ctx context.Context, f Frame) Frame {
-	r.mu.RLock()
-	h, ok := r.composed[f.Type]
-	r.mu.RUnlock()
-	if !ok {
-		return ErrorFrame(CodeBadRequest, "unsupported frame type %s", f.Type)
-	}
-	return h.Handle(ctx, f)
-}
-
-// Route registers the handler of one op: unmarshal the request payload
-// with the op's decoder, invoke the handler with the decoded message,
-// marshal the response under the op's response type. Handler errors map
-// to structured error frames: a *ErrorMsg is sent verbatim, context
-// deadline errors become CodeTimeout, context cancellation becomes
-// CodeUnavailable, and anything else is masked as CodeInternal so internal
-// detail never leaks to the peer.
-func Route[Req, Resp Message](r *Router, op *Op[Req, Resp], handle func(ctx context.Context, req Req) (Resp, error)) {
-	r.handle(op.Req, func(ctx context.Context, f Frame) Frame {
+// Bind makes the route of one op: unmarshal the request payload with the
+// op's decoder, invoke handle with the decoded message, marshal the
+// response under the op's response type. Handler errors map to
+// refusals: a *ErrorMsg is sent verbatim, context deadline errors become
+// CodeTimeout, context cancellation becomes CodeUnavailable, and anything
+// else is masked as CodeInternal so internal detail never leaks to the
+// peer.
+func Bind[Req, Resp Message](op *Op[Req, Resp], handle func(ctx context.Context, req Req) (Resp, error)) Binding {
+	return Binding{req: op.Req, route: func(ctx context.Context, f Frame) (Frame, *ErrorMsg) {
 		_, sp := obsv.StartSpan(ctx, "decode")
 		req, err := op.decodeReq(f.Payload)
 		sp.SetErr(err)
 		sp.End()
 		if err != nil {
-			return ErrorFrame(CodeBadRequest, "bad %s request: %v", op.Name, err)
+			return Frame{}, &ErrorMsg{Code: CodeBadRequest, Message: fmt.Sprintf("bad %s request: %v", op.Name, err)}
 		}
 		resp, err := handle(ctx, req)
 		if err != nil {
-			return errorToFrame(ctx, err)
+			return Frame{}, refusal(ctx, err)
 		}
-		return Frame{Type: op.Resp, Payload: resp.Marshal()}
-	})
+		return Frame{Type: op.Resp, Payload: resp.Marshal()}, nil
+	}}
 }
 
-// errorToFrame maps a handler error to a structured error frame.
-func errorToFrame(ctx context.Context, err error) Frame {
+// defaultTraceLimit bounds a TTrace reply when the request does not
+// choose.
+const defaultTraceLimit = 512
+
+// NewRouter builds the pipeline over the given routes plus the three every
+// service answers: Ping, Stats (stats as the TStats introspection op) and
+// Trace (the tracer's span ring as TTrace). stats counts every routed
+// request and must not be nil; a nil tracer records no spans; a
+// non-positive timeout installs no deadline; a nil logger discards.
+func NewRouter(stats *obsv.Registry, tracer *obsv.Tracer, timeout time.Duration, logger *slog.Logger, routes ...Binding) *Router {
+	if logger == nil {
+		logger = slog.New(slog.DiscardHandler)
+	}
+	r := &Router{stats: stats, tracer: tracer, timeout: timeout, logger: logger}
+	common := []Binding{
+		Bind(OpPing, func(context.Context, *Empty) (*Empty, error) { return nil, nil }),
+		Bind(OpStats, func(context.Context, *Empty) (*StatsResponse, error) {
+			return StatsFromRegistry(stats), nil
+		}),
+		Bind(OpTrace, func(ctx context.Context, req *TraceRequest) (*TraceResponse, error) {
+			limit := int(req.Limit)
+			if limit <= 0 || limit > maxTraceSpans {
+				limit = defaultTraceLimit
+			}
+			return &TraceResponse{Spans: tracer.Snapshot(limit, req.TraceID)}, nil
+		}),
+	}
+	for _, b := range append(common, routes...) {
+		if r.routes[b.req] != nil {
+			panic(fmt.Sprintf("wire: two routes for %s", b.req))
+		}
+		r.routes[b.req] = b.route
+	}
+	return r
+}
+
+// Handle runs one frame through the pipeline. It implements Handler, so a
+// Router can be served directly by a Server.
+func (r *Router) Handle(ctx context.Context, f Frame) Frame {
+	rt := r.routes[f.Type]
+	if rt == nil {
+		return ErrorFrame(CodeBadRequest, "unsupported frame type %s", f.Type)
+	}
+	// The root span inherits the trace ID a frame carries, so the server's
+	// stages stitch onto the client's trace, or mints one for untraced
+	// peers so the slow-request log still fires for them.
+	op := f.Type.String()
+	ctx, sp := r.tracer.StartRemote(ctx, op, f.Trace)
+	if sp != nil {
+		if p := Peer(ctx); p != nil {
+			sp.SetAttr("peer", p.String())
+		}
+	}
+	start := time.Now()
+	resp, em := r.withDeadline(ctx, f, rt)
+	var code uint32
+	if em != nil {
+		code = cmp.Or(em.Code, CodeInternal)
+		resp = Frame{Type: TError, Payload: em.Marshal()}
+		sp.SetErr(em)
+	}
+	r.stats.Observe(op, time.Since(start), code)
+	sp.End()
+	return resp
+}
+
+// withDeadline bounds one request: the route runs under a context
+// carrying the deadline, and if it has not returned when the deadline
+// passes, the caller is answered CodeTimeout at once while the abandoned
+// route winds down on its own goroutine (observing ctx.Err() at its next
+// checkpoint). A non-positive timeout runs the route in place.
+func (r *Router) withDeadline(ctx context.Context, f Frame, rt route) (Frame, *ErrorMsg) {
+	if r.timeout <= 0 {
+		return r.recovered(ctx, f, rt)
+	}
+	ctx, cancel := context.WithTimeout(ctx, r.timeout)
+	defer cancel()
+	done := make(chan reply, 1)
+	go func() {
+		resp, em := r.recovered(ctx, f, rt)
+		done <- reply{resp, em}
+	}()
+	select {
+	case res := <-done:
+		return res.f, res.em
+	case <-ctx.Done():
+		return Frame{}, CtxErr(ctx)
+	}
+}
+
+// recovered runs the route, turning a panic into a CodeInternal refusal
+// on whichever goroutine runs it, so neither the connection nor an
+// abandoned route can take the process down.
+func (r *Router) recovered(ctx context.Context, f Frame, rt route) (resp Frame, em *ErrorMsg) {
+	defer func() {
+		if p := recover(); p != nil {
+			r.logger.Error("wire: handler panic", "type", f.Type, "panic", p)
+			em = &ErrorMsg{Code: CodeInternal, Message: "internal error"}
+		}
+	}()
+	return rt(ctx, f)
+}
+
+// refusal maps a handler error to the refusal sent to the peer.
+func refusal(ctx context.Context, err error) *ErrorMsg {
 	var em *ErrorMsg
-	if errors.As(err, &em) {
-		return Frame{Type: TError, Payload: em.Marshal()}
+	switch {
+	case errors.As(err, &em):
+		return em
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded):
+		return &ErrorMsg{Code: CodeTimeout, Message: "request deadline exceeded"}
+	case errors.Is(err, context.Canceled) || errors.Is(ctx.Err(), context.Canceled):
+		return &ErrorMsg{Code: CodeUnavailable, Message: "request canceled"}
 	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return ErrorFrame(CodeTimeout, "request deadline exceeded")
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(ctx.Err(), context.Canceled) {
-		return ErrorFrame(CodeUnavailable, "request canceled")
-	}
-	return ErrorFrame(CodeInternal, "internal error")
+	return &ErrorMsg{Code: CodeInternal, Message: "internal error"}
 }
 
 // CtxErr converts a context's failure state into the matching *ErrorMsg,
@@ -122,112 +195,6 @@ func CtxErr(ctx context.Context) *ErrorMsg {
 		return &ErrorMsg{Code: CodeTimeout, Message: "request deadline exceeded"}
 	default:
 		return &ErrorMsg{Code: CodeUnavailable, Message: "request canceled"}
-	}
-}
-
-// Recover is middleware that converts a route panic into a CodeInternal
-// error frame, keeping the connection (and server) alive.
-func Recover(logger *slog.Logger) Middleware {
-	if logger == nil {
-		logger = slog.New(slog.DiscardHandler)
-	}
-	return func(next Handler) Handler {
-		return HandlerFunc(func(ctx context.Context, f Frame) (resp Frame) {
-			defer func() {
-				if r := recover(); r != nil {
-					logger.Error("wire: handler panic", "type", f.Type, "panic", r)
-					resp = ErrorFrame(CodeInternal, "internal error")
-				}
-			}()
-			return next.Handle(ctx, f)
-		})
-	}
-}
-
-// WithTimeout is middleware that bounds each request: the handler runs
-// under a context carrying the deadline, and if it has not returned when
-// the deadline passes, the client immediately receives a CodeTimeout error
-// frame while the abandoned handler goroutine winds down in the
-// background (observing ctx.Err() at its next checkpoint). A non-positive
-// d disables the bound.
-func WithTimeout(d time.Duration) Middleware {
-	return func(next Handler) Handler {
-		if d <= 0 {
-			return next
-		}
-		return HandlerFunc(func(ctx context.Context, f Frame) Frame {
-			ctx, cancel := context.WithTimeout(ctx, d)
-			defer cancel()
-			done := make(chan Frame, 1)
-			go func() {
-				defer func() {
-					if r := recover(); r != nil {
-						// The inner Recover middleware normally catches
-						// panics; this is a backstop so an abandoned
-						// goroutine can never crash the process.
-						done <- ErrorFrame(CodeInternal, "internal error")
-					}
-				}()
-				done <- next.Handle(ctx, f)
-			}()
-			select {
-			case resp := <-done:
-				return resp
-			case <-ctx.Done():
-				return errorToFrame(ctx, ctx.Err())
-			}
-		})
-	}
-}
-
-// Instrument is middleware recording per-op request counts, error counts,
-// and latency into reg, keyed by the request frame type's name. Error
-// responses are attributed to their structured code so the periodic stats
-// line can tell auth failures from timeouts; one whose payload carries no
-// usable code counts as CodeInternal.
-func Instrument(reg *obsv.Registry) Middleware {
-	return func(next Handler) Handler {
-		return HandlerFunc(func(ctx context.Context, f Frame) Frame {
-			start := time.Now()
-			resp := next.Handle(ctx, f)
-			var code uint32
-			if resp.Type == TError {
-				code = CodeInternal
-				if em, err := UnmarshalErrorMsg(resp.Payload); err == nil && em.Code != 0 {
-					code = em.Code
-				}
-			}
-			reg.Observe(f.Type.String(), time.Since(start), code)
-			return resp
-		})
-	}
-}
-
-// Trace is middleware that roots a server-side span tree for every
-// request: the span inherits the trace ID a frame carries (so the
-// server's stages stitch onto the client's trace) or mints one for
-// untraced peers so the slow-request log still fires for them. Install
-// it outermost — ahead of Instrument — so every stage, decode included,
-// lands inside the root span.
-func Trace(t *obsv.Tracer) Middleware {
-	return func(next Handler) Handler {
-		if t == nil {
-			return next
-		}
-		return HandlerFunc(func(ctx context.Context, f Frame) Frame {
-			ctx, sp := t.StartRemote(ctx, f.Type.String(), f.Trace)
-			if p := Peer(ctx); p != nil {
-				sp.SetAttr("peer", p.String())
-			}
-			resp := next.Handle(ctx, f)
-			if resp.Type == TError {
-				if em, err := UnmarshalErrorMsg(resp.Payload); err == nil {
-					sp.SetErr(em)
-				}
-			}
-			sp.End()
-			return resp
-		})
 	}
 }
 
@@ -252,32 +219,4 @@ func StatsFromRegistry(reg *obsv.Registry) *StatsResponse {
 		}
 	}
 	return resp
-}
-
-// RegisterPing answers the liveness op.
-func RegisterPing(r *Router) {
-	Route(r, OpPing, func(context.Context, *Empty) (*Empty, error) { return nil, nil })
-}
-
-// RegisterStats exposes reg on the router as the TStats introspection op.
-func RegisterStats(r *Router, reg *obsv.Registry) {
-	Route(r, OpStats, func(context.Context, *Empty) (*StatsResponse, error) {
-		return StatsFromRegistry(reg), nil
-	})
-}
-
-// defaultTraceLimit bounds a TTrace reply when the request does not
-// choose.
-const defaultTraceLimit = 512
-
-// RegisterTrace exposes the tracer's span ring on the router as the
-// TTrace introspection op.
-func RegisterTrace(r *Router, t *obsv.Tracer) {
-	Route(r, OpTrace, func(ctx context.Context, req *TraceRequest) (*TraceResponse, error) {
-		limit := int(req.Limit)
-		if limit <= 0 || limit > maxTraceSpans {
-			limit = defaultTraceLimit
-		}
-		return &TraceResponse{Spans: t.Snapshot(limit, req.TraceID)}, nil
-	})
 }

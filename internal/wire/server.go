@@ -16,7 +16,7 @@ import (
 
 // Handler answers one request frame with one response frame. The context
 // carries the server's base context (canceled when the server closes),
-// the peer address (see Peer), and any deadline installed by middleware.
+// the peer address (see Peer), and any deadline a Router installs.
 // A Handler cannot fail the connection: every outcome, including an
 // internal error, is expressed as a response frame — use ErrorFrame or a
 // Router (whose typed routes map handler errors to TError frames). The
@@ -210,9 +210,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		var resp Frame
 		func() {
-			// Transport-level backstop: services are expected to install
-			// the Recover middleware, but a bare Handler must not be able
-			// to take the connection loop down either.
+			// Transport-level backstop: a Router recovers its routes'
+			// panics itself, but a bare Handler must not be able to take
+			// the connection loop down either.
 			defer func() {
 				if r := recover(); r != nil {
 					s.logger.Error("wire: handler panic", "type", req.Type, "panic", r)

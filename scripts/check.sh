@@ -141,8 +141,9 @@ go test -race ./...
 
 # The fan-out and its four callers again at one worker (the sequential
 # schedule exactly) and at four (more workers than a 2-vCPU runner has
-# cores).
-go test -race -cpu 1,4 ./internal/fanout ./internal/keyserver ./internal/mws ./internal/rclient ./internal/device
+# cores), and so is internal/wire, whose request deadline runs a route on
+# its own goroutine and abandons it when the deadline passes.
+go test -race -cpu 1,4 ./internal/fanout ./internal/keyserver ./internal/mws ./internal/rclient ./internal/device ./internal/wire
 
 # The examples are closure roots — an internal/ package may be kept alive
 # by one alone — so each is run, not just built; a scenario that breaks
