@@ -195,6 +195,120 @@ func TestPipelineCountsEveryOutcome(t *testing.T) {
 	}
 }
 
+// TestMiddlewareOrder: the router's fixed stages run outermost first —
+// root span, count, deadline, recover, route. The route sees the root
+// span and the deadline in its context; the count, taken outside the
+// deadline, includes the whole cut-off wait; and the root span, outside
+// the count, lasts at least as long as the latency counted.
+func TestMiddlewareOrder(t *testing.T) {
+	const timeout = 20 * time.Millisecond
+	type seen struct {
+		span        obsv.TraceContext
+		hasDeadline bool
+	}
+	saw := make(chan seen, 1)
+	reg := obsv.NewRegistry()
+	tracer := obsv.NewTracer("test", 64, 0, nil)
+	r := NewRouter(reg, tracer, timeout, nil,
+		Bind(OpParams, func(ctx context.Context, _ *Empty) (*ParamsResponse, error) {
+			_, ok := ctx.Deadline()
+			saw <- seen{obsv.ContextTrace(ctx), ok}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}))
+	if em := decodeError(t, r.Handle(context.Background(), Frame{Type: TParams})); em.Code != CodeTimeout {
+		t.Fatalf("cut-off route code = %d, want CodeTimeout", em.Code)
+	}
+	in := <-saw
+
+	var roots []obsv.SpanRecord
+	for _, s := range tracer.Snapshot(0, 0) {
+		if s.ParentID == 0 {
+			roots = append(roots, s)
+		}
+	}
+	if len(roots) != 1 || roots[0].Name != "Params" {
+		t.Fatalf("root spans %+v, want one Params", roots)
+	}
+	if in.span.SpanID != roots[0].SpanID || !in.hasDeadline {
+		t.Fatalf("route saw span %+v and deadline %v, want root span %d under a deadline", in.span, in.hasDeadline, roots[0].SpanID)
+	}
+	e := reg.Export()
+	if len(e.Ops) != 1 || e.Ops[0].Op != "Params" || e.Ops[0].ErrorCodes[CodeTimeout] != 1 {
+		t.Fatalf("op rows %+v, want one Params counted as CodeTimeout", e.Ops)
+	}
+	if counted := e.Ops[0].Latency.Max; counted < timeout || roots[0].Duration < counted {
+		t.Fatalf("counted %v, root span %v: want deadline %v <= count <= span", counted, roots[0].Duration, timeout)
+	}
+}
+
+// TestRecoverMiddleware: the router's own recover answers a panicking
+// route CodeInternal, both in place and on the deadline's goroutine, and
+// the router goes on serving.
+func TestRecoverMiddleware(t *testing.T) {
+	for _, timeout := range []time.Duration{0, time.Minute} {
+		r := NewRouter(obsv.NewRegistry(), nil, timeout, nil,
+			Bind(OpParams, func(context.Context, *Empty) (*ParamsResponse, error) { panic("route bug") }))
+		if em := decodeError(t, r.Handle(context.Background(), Frame{Type: TParams})); em.Code != CodeInternal {
+			t.Fatalf("timeout %v: panic code = %d", timeout, em.Code)
+		}
+		if resp := r.Handle(context.Background(), Frame{Type: TPing}); resp.Type != TPong {
+			t.Fatalf("timeout %v: ping after panic: %+v", timeout, resp)
+		}
+	}
+}
+
+// TestInstrumentAndStatsRoute: the count stage records every routed
+// request, refusals as errors, and the built-in Stats route serves what
+// it recorded.
+func TestInstrumentAndStatsRoute(t *testing.T) {
+	reg := obsv.NewRegistry()
+	r := NewRouter(reg, nil, 0, nil,
+		Bind(OpRetrieve, func(_ context.Context, req *RetrieveRequest) (*RetrieveResponse, error) {
+			if req.RC == "" {
+				return nil, &ErrorMsg{Code: CodeBadRequest, Message: "no recipient"}
+			}
+			return &RetrieveResponse{}, nil
+		}))
+
+	ctx := context.Background()
+	for _, rc := range []string{"alice", "bob", ""} { // the last is counted as an error
+		r.Handle(ctx, Frame{Type: TRetrieve, Payload: (&RetrieveRequest{RC: rc}).Marshal()})
+	}
+	resp := r.Handle(ctx, Frame{Type: TStats})
+	if resp.Type != TStatsResp {
+		t.Fatalf("stats resp type %s", resp.Type)
+	}
+	stats, err := UnmarshalStatsResponse(resp.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byOp := map[string]OpStat{}
+	for _, op := range stats.Ops {
+		byOp[op.Op] = op
+	}
+	got, ok := byOp["Retrieve"]
+	if !ok {
+		t.Fatalf("no Retrieve op in %+v", stats.Ops)
+	}
+	if got.Requests != 3 || got.Errors != 1 {
+		t.Fatalf("retrieve stats: %+v", got)
+	}
+	if got.MaxNs <= 0 || got.P50Ns <= 0 {
+		t.Fatalf("latency fields not populated: %+v", got)
+	}
+	var byCode []string
+	for _, s := range stats.Counters {
+		if s.Name == "errors_by_code" {
+			byCode = append(byCode, fmt.Sprintf("%v=%d", s.Labels, s.Value))
+		}
+	}
+	want := fmt.Sprintf("%v=1", []obsv.Label{obsv.L("code", fmt.Sprint(CodeBadRequest)), obsv.L("op", "Retrieve")})
+	if len(byCode) != 1 || byCode[0] != want {
+		t.Fatalf("errors_by_code = %v, want [%s]", byCode, want)
+	}
+}
+
 func TestCtxErr(t *testing.T) {
 	if em := CtxErr(context.Background()); em != nil {
 		t.Fatalf("live ctx: %v", em)
