@@ -1,9 +1,13 @@
-// Package codec is the one length-prefixed binary codec of the tree: wire
-// messages, stored records and ticket plaintexts are all built by hand (no
-// reflection) from the same two primitives — big-endian fixed-width
-// integers and 4-byte-length-prefixed byte strings — so every format is
-// stable and auditable. It imports only the standard library; each user
-// wraps the errors below under its own name at its decode boundary.
+// Package codec is the one length-prefixed binary codec of the tree. A
+// format — a wire message, a stored record, a ticket plaintext — is one
+// walk: a method that hands each of its fields, in order, to a Walker,
+// which appends the field when the walk marshals and reads it back when
+// the walk unmarshals. Field order, widths and bounds are so stated once
+// for both directions, with no reflection, and a field cannot be written
+// without being read. Fields are big-endian fixed-width integers and
+// 4-byte-length-prefixed byte strings, so every format is stable and
+// auditable. It imports only the standard library; each user wraps the
+// errors below under its own name at its decode boundary.
 package codec
 
 import (
@@ -12,7 +16,8 @@ import (
 	"fmt"
 )
 
-// Encoder is the append-only field encoder.
+// Encoder is the append-only field encoder: a writing Walker's output,
+// and on its own the builder of byte strings that are never decoded.
 type Encoder struct{ buf []byte }
 
 // Bytes returns the accumulated encoding.
@@ -42,13 +47,6 @@ func (e *Encoder) Str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// Decoder is the matching reader; every accessor fails cleanly on
-// truncated input, so corrupt or hostile bytes can never panic a caller.
-type Decoder struct{ buf []byte }
-
-// NewDecoder wraps an encoding for decoding.
-func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
-
 // ErrTruncated reports input that ends inside a field.
 var ErrTruncated = errors.New("truncated encoding")
 
@@ -58,67 +56,194 @@ type TrailingError int
 
 func (n TrailingError) Error() string { return fmt.Sprintf("%d trailing bytes", int(n)) }
 
-// Uint8 reads a one-byte field.
-func (d *Decoder) Uint8() (uint8, error) {
-	if len(d.buf) < 1 {
-		return 0, ErrTruncated
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v, nil
+// Walker takes a format's fields in one direction. The zero Walker
+// writes: each accessor appends the field its pointer holds, and Bytes
+// returns the encoding. Reader returns one that reads: each accessor
+// stores the next field through its pointer. A writing walk never stores
+// through a pointer, so marshalling does not write to the value it
+// encodes. Reading never panics on corrupt or hostile input: the first
+// failure sticks, every later field reads as its zero value, and Done
+// reports the failure.
+type Walker struct {
+	out     Encoder // writing: the fields so far
+	in      []byte  // reading: the bytes not yet read
+	reading bool
+	err     error // reading: the first failure
 }
 
-// Uint32 reads a four-byte field.
-func (d *Decoder) Uint32() (uint32, error) {
-	if len(d.buf) < 4 {
-		return 0, ErrTruncated
+// Reader returns a Walker that reads the fields of b.
+func Reader(b []byte) Walker { return Walker{in: b, reading: true} }
+
+// Reading reports whether w reads. A walk asks only to set a value that
+// is not itself a field, such as one converted from a field.
+func (w *Walker) Reading() bool { return w.reading }
+
+// Bytes returns what a writing Walker has appended.
+func (w *Walker) Bytes() []byte { return w.out.Bytes() }
+
+// Done reports a reading Walker's first failure, or the bytes left after
+// its last field.
+func (w *Walker) Done() error {
+	if w.err == nil && len(w.in) != 0 {
+		return TrailingError(len(w.in))
 	}
-	v := binary.BigEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	return v, nil
+	return w.err
 }
 
-// Uint64 reads an eight-byte field.
-func (d *Decoder) Uint64() (uint64, error) {
-	if len(d.buf) < 8 {
-		return 0, ErrTruncated
+func (w *Walker) fail(err error) {
+	if w.err == nil {
+		w.err, w.in = err, nil
 	}
-	v := binary.BigEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v, nil
 }
 
-// Int64 reads a signed eight-byte field.
-func (d *Decoder) Int64() (int64, error) {
-	v, err := d.Uint64()
-	return int64(v), err
+// take consumes the next n bytes; with fewer left it fails the walk.
+func (w *Walker) take(n uint64) ([]byte, bool) {
+	if w.err != nil {
+		return nil, false
+	}
+	if uint64(len(w.in)) < n {
+		w.fail(ErrTruncated)
+		return nil, false
+	}
+	b := w.in[:n]
+	w.in = w.in[n:]
+	return b, true
 }
 
-// Blob reads a length-prefixed byte field into a fresh slice.
-func (d *Decoder) Blob() ([]byte, error) {
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if uint32(len(d.buf)) < n {
-		return nil, ErrTruncated
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[:n])
-	d.buf = d.buf[n:]
-	return out, nil
+// field consumes a length-prefixed field and returns its bytes, which
+// alias the input.
+func (w *Walker) field() ([]byte, bool) {
+	var n uint32
+	w.Uint32(&n)
+	return w.take(uint64(n))
 }
 
-// Str reads a length-prefixed string field.
-func (d *Decoder) Str() (string, error) {
-	b, err := d.Blob()
-	return string(b), err
+// Uint8 walks a one-byte field.
+func (w *Walker) Uint8(v *uint8) {
+	if !w.reading {
+		w.out.Uint8(*v)
+		return
+	}
+	*v = 0
+	if b, ok := w.take(1); ok {
+		*v = b[0]
+	}
 }
 
-// Done verifies the encoding was fully consumed.
-func (d *Decoder) Done() error {
-	if len(d.buf) != 0 {
-		return TrailingError(len(d.buf))
+// Uint32 walks a four-byte field.
+func (w *Walker) Uint32(v *uint32) {
+	if !w.reading {
+		w.out.Uint32(*v)
+		return
 	}
-	return nil
+	*v = 0
+	if b, ok := w.take(4); ok {
+		*v = binary.BigEndian.Uint32(b)
+	}
+}
+
+// Uint64 walks an eight-byte field.
+func (w *Walker) Uint64(v *uint64) {
+	if !w.reading {
+		w.out.Uint64(*v)
+		return
+	}
+	*v = 0
+	if b, ok := w.take(8); ok {
+		*v = binary.BigEndian.Uint64(b)
+	}
+}
+
+// Int64 walks a signed eight-byte field.
+func (w *Walker) Int64(v *int64) {
+	if !w.reading {
+		w.out.Int64(*v)
+		return
+	}
+	var u uint64
+	w.Uint64(&u)
+	*v = int64(u)
+}
+
+// Blob walks a length-prefixed byte field. A read blob is copied out of
+// the input, and an empty one reads as an empty, non-nil slice.
+func (w *Walker) Blob(b *[]byte) {
+	if !w.reading {
+		w.out.Blob(*b)
+		return
+	}
+	*b = nil
+	if p, ok := w.field(); ok {
+		*b = make([]byte, len(p))
+		copy(*b, p)
+	}
+}
+
+// Str walks a length-prefixed string field.
+func (w *Walker) Str(s *string) {
+	if !w.reading {
+		w.out.Str(*s)
+		return
+	}
+	*s = ""
+	if p, ok := w.field(); ok {
+		*s = string(p)
+	}
+}
+
+// Fixed walks a length-prefixed field that is always len(b) bytes long,
+// reading it into b; a field of any other length fails the walk.
+func (w *Walker) Fixed(b []byte) {
+	if !w.reading {
+		w.out.Blob(b)
+		return
+	}
+	clear(b)
+	p, ok := w.field()
+	if ok && len(p) != len(b) {
+		w.fail(fmt.Errorf("field of %d bytes where %d are required", len(p), len(b)))
+		return
+	}
+	copy(b, p)
+}
+
+// List32 and List64 walk the count of a list of at most limit elements,
+// as a four- or an eight-byte field, and return the list, whose elements
+// the caller then walks in order. Reading, they make *s that long, or nil
+// for a count of 0. A count above limit fails the walk, and so does one
+// above the bytes left, since no element takes less than one: both before
+// anything is made, so a hostile count cannot force an allocation out of
+// proportion to the input that carries it.
+func List32[T any](w *Walker, s *[]T, limit uint32) []T {
+	if !w.reading {
+		w.out.Uint32(uint32(len(*s)))
+		return *s
+	}
+	var n uint32
+	w.Uint32(&n)
+	return makeList(w, s, uint64(n), uint64(limit))
+}
+
+// List64 is List32 with an eight-byte count.
+func List64[T any](w *Walker, s *[]T, limit uint64) []T {
+	if !w.reading {
+		w.out.Uint64(uint64(len(*s)))
+		return *s
+	}
+	var n uint64
+	w.Uint64(&n)
+	return makeList(w, s, n, limit)
+}
+
+func makeList[T any](w *Walker, s *[]T, n, limit uint64) []T {
+	*s = nil
+	switch {
+	case n > limit:
+		w.fail(fmt.Errorf("implausible count %d, over the limit %d", n, limit))
+	case n > uint64(len(w.in)):
+		w.fail(fmt.Errorf("count %d over the %d bytes left: %w", n, len(w.in), ErrTruncated))
+	case n > 0:
+		*s = make([]T, n)
+	}
+	return *s
 }

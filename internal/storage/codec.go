@@ -9,10 +9,9 @@ import (
 	"mwskit/internal/codec"
 )
 
-// Record formats are built by hand from internal/codec's two primitives —
-// big-endian fixed-width integers and 4-byte-length-prefixed byte strings —
-// so they stay stable and auditable. Decoding returns an error on
-// truncation, so corrupt records can never panic the store.
+// Each record format is one walk over internal/codec's fields, run to
+// encode and to decode, so the two cannot drift apart. Decoding returns an
+// error on truncation, so corrupt records can never panic the store.
 
 // Message is one deposited record: exactly the tuple the paper stores
 // after SD authentication — rP ‖ C ‖ (A ‖ Nonce) (§V.D "SD – MWS Phase")
@@ -41,80 +40,38 @@ type Message struct {
 	Tags [][]byte
 }
 
-// encode renders m as a message payload: the record format, live and
-// pinned by the sharded-4 golden. It carries no sequence number; the shard
-// frame around it does (frameShardRecord).
-func (m *Message) encode() []byte {
-	var e codec.Encoder
-	e.Str(m.DeviceID)
-	e.Str(string(m.Attribute))
-	e.Blob(m.Nonce[:])
-	e.Blob(m.U)
-	e.Blob(m.Ciphertext)
-	e.Str(m.Scheme)
-	e.Int64(m.Timestamp)
-	e.Uint64(uint64(len(m.Tags)))
-	for _, tg := range m.Tags {
-		e.Blob(tg)
+// walk takes m as a message payload: the record format, live and pinned
+// by the sharded-4 golden. It carries no sequence number; the shard frame
+// around it does (frameShardRecord).
+func (m *Message) walk(c *codec.Walker) {
+	c.Str(&m.DeviceID)
+	c.Str((*string)(&m.Attribute))
+	c.Fixed(m.Nonce[:])
+	c.Blob(&m.U)
+	c.Blob(&m.Ciphertext)
+	c.Str(&m.Scheme)
+	c.Int64(&m.Timestamp)
+	for i := range codec.List64(c, &m.Tags, 1<<16) {
+		c.Blob(&m.Tags[i])
 	}
-	return e.Bytes()
+}
+
+func (m *Message) encode() []byte {
+	var c codec.Walker
+	m.walk(&c)
+	return c.Bytes()
 }
 
 // decodeMessage parses a message payload, stamping the caller-supplied
-// sequence number. It is where the codec's truncation and trailing-bytes
-// errors take the package's name.
+// sequence number. It is where the codec's errors take the package's
+// name.
 func decodeMessage(seq uint64, payload []byte) (*Message, error) {
-	m := &Message{Seq: seq}
-	if err := m.decode(codec.NewDecoder(payload)); err != nil {
+	m, c := &Message{Seq: seq}, codec.Reader(payload)
+	m.walk(&c)
+	if err := c.Done(); err != nil {
 		return nil, fmt.Errorf("storage: bad record: %w", err)
 	}
 	return m, nil
-}
-
-func (m *Message) decode(d *codec.Decoder) (err error) {
-	if m.DeviceID, err = d.Str(); err != nil {
-		return err
-	}
-	var a string
-	if a, err = d.Str(); err != nil {
-		return err
-	}
-	m.Attribute = attr.Attribute(a)
-	nb, err := d.Blob()
-	if err != nil {
-		return err
-	}
-	if m.Nonce, err = attr.NonceFromBytes(nb); err != nil {
-		return err
-	}
-	if m.U, err = d.Blob(); err != nil {
-		return err
-	}
-	if m.Ciphertext, err = d.Blob(); err != nil {
-		return err
-	}
-	if m.Scheme, err = d.Str(); err != nil {
-		return err
-	}
-	if m.Timestamp, err = d.Int64(); err != nil {
-		return err
-	}
-	nTags, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	if nTags > 1<<16 {
-		return errors.New("implausible tag count")
-	}
-	if nTags > 0 {
-		m.Tags = make([][]byte, nTags)
-		for i := range m.Tags {
-			if m.Tags[i], err = d.Blob(); err != nil {
-				return err
-			}
-		}
-	}
-	return d.Done()
 }
 
 // frameShardRecord builds a shard WAL record, [8B seq][message payload]:
@@ -136,17 +93,30 @@ const (
 	kvOpDelete = 2
 )
 
-func encodeKVPut(key string, value []byte) []byte {
-	var e codec.Encoder
-	e.Uint8(kvOpPut)
-	e.Str(key)
-	e.Blob(value)
-	return e.Bytes()
+// kvRecord is one KV log record: a put of value under key, or a delete
+// of key, which carries no value.
+type kvRecord struct {
+	op    uint8
+	key   string
+	value []byte
 }
 
-func encodeKVDelete(key string) []byte {
-	var e codec.Encoder
-	e.Uint8(kvOpDelete)
-	e.Str(key)
-	return e.Bytes()
+func (r *kvRecord) walk(c *codec.Walker) {
+	c.Uint8(&r.op)
+	c.Str(&r.key)
+	if r.op == kvOpPut {
+		c.Blob(&r.value)
+	}
+}
+
+func (r kvRecord) encode() []byte {
+	var c codec.Walker
+	r.walk(&c)
+	return c.Bytes()
+}
+
+func decodeKVRecord(payload []byte) (r kvRecord, err error) {
+	c := codec.Reader(payload)
+	r.walk(&c)
+	return r, c.Done()
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"mwskit/internal/attr"
-	"mwskit/internal/codec"
 	"mwskit/internal/wal"
 )
 
@@ -171,20 +170,21 @@ func TestGoldenSharded(t *testing.T) {
 		t.Fatalf("shard WALs hold %d records, want %d", framed, len(man.Records))
 	}
 	// KV records likewise: every logged Put of a value still live is what
-	// encodeKVPut writes today.
+	// a put record encodes to today.
 	for i, records := range kvRecords {
 		for _, record := range records {
 			if record[0] != kvOpPut {
 				continue
 			}
-			d := codec.NewDecoder(record[1:])
-			key, _ := d.Str()
-			val, _ := d.Blob()
-			if digestIndex(key, 4) != i {
-				t.Fatalf("key %q found in part %d, routed to %d", key, i, digestIndex(key, 4))
+			r, err := decodeKVRecord(record)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if again := encodeKVPut(key, val); !bytes.Equal(again, record) {
-				t.Fatalf("kv put %q re-encodes differently", key)
+			if digestIndex(r.key, 4) != i {
+				t.Fatalf("key %q found in part %d, routed to %d", r.key, i, digestIndex(r.key, 4))
+			}
+			if again := r.encode(); !bytes.Equal(again, record) {
+				t.Fatalf("kv put %q re-encodes differently", r.key)
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 
-	"mwskit/internal/codec"
 	"mwskit/internal/obsv"
 	"mwskit/internal/wal"
 )
@@ -81,29 +80,20 @@ func openKVPart(dir string, sync SyncPolicy) (*kvPart, error) {
 }
 
 func (p *kvPart) applyRecord(payload []byte) error {
-	d := codec.NewDecoder(payload)
-	op, err := d.Uint8()
+	r, err := decodeKVRecord(payload)
 	if err != nil {
 		return err
 	}
-	key, err := d.Str()
-	if err != nil {
-		return err
-	}
-	switch op {
+	switch r.op {
 	case kvOpPut:
-		val, err := d.Blob()
-		if err != nil {
-			return err
-		}
-		p.m[key] = val
+		p.m[r.key] = r.value
 	case kvOpDelete:
-		delete(p.m, key)
+		delete(p.m, r.key)
 	default:
-		return fmt.Errorf("storage: unknown kv op %d", op)
+		return fmt.Errorf("storage: unknown kv op %d", r.op)
 	}
 	p.mutations++
-	return d.Done()
+	return nil
 }
 
 func (p *kvPart) get(key string) ([]byte, bool) {
@@ -119,11 +109,11 @@ func (p *kvPart) get(key string) ([]byte, bool) {
 }
 
 func (p *kvPart) put(key string, value []byte) error {
-	return p.mutate(key, append([]byte{}, value...), func() []byte { return encodeKVPut(key, value) })
+	return p.mutate(key, append([]byte{}, value...), kvRecord{op: kvOpPut, key: key, value: value}.encode)
 }
 
 func (p *kvPart) delete(key string) error {
-	return p.mutate(key, nil, func() []byte { return encodeKVDelete(key) })
+	return p.mutate(key, nil, kvRecord{op: kvOpDelete, key: key}.encode)
 }
 
 // mutate applies a put of val to key, or a delete when val is nil, under
@@ -174,7 +164,7 @@ func (p *kvPart) compact() error {
 	if p.log != nil {
 		records := make([][]byte, 0, len(p.m))
 		for k, v := range p.m {
-			records = append(records, encodeKVPut(k, v))
+			records = append(records, kvRecord{op: kvOpPut, key: k, value: v}.encode())
 		}
 		//mwslint:ignore lockheld compaction rewrites the log with writers excluded, so the rewrite holds exactly p.m; its fsync runs under p.mu by design
 		if err := p.log.Rewrite(records); err != nil {

@@ -57,30 +57,34 @@ func NewSessionKey(rng io.Reader) ([]byte, error) {
 	return k, nil
 }
 
-func (t *Ticket) encode() ([]byte, error) {
-	if t.RC == "" {
-		return nil, errors.New("ticket: empty RC identity")
+func (t *Ticket) walk(c *codec.Walker) {
+	c.Str(&t.RC)
+	c.Int64(&t.IssuedAt)
+	bs := codec.List64(c, &t.Bindings, 1<<16)
+	for i := range bs {
+		c.Uint64((*uint64)(&bs[i].AID))
+		c.Str((*string)(&bs[i].Attribute))
+		if c.Reading() {
+			bs[i].Identity = t.RC
+		}
 	}
-	if len(t.SessionKey) != SessionKeyLen {
-		return nil, fmt.Errorf("ticket: session key must be %d bytes", SessionKeyLen)
-	}
-	var e codec.Encoder
-	e.Str(t.RC)
-	e.Int64(t.IssuedAt)
-	e.Uint64(uint64(len(t.Bindings)))
-	for _, b := range t.Bindings {
-		e.Uint64(uint64(b.AID))
-		e.Str(string(b.Attribute))
-	}
-	e.Blob(t.SessionKey)
-	return e.Bytes(), nil
+	c.Blob(&t.SessionKey)
 }
 
-// decoded reports a plaintext that failed to decode under the package's
-// name; it is where the codec's truncation and trailing-bytes errors are
-// wrapped.
-func decoded(err error) error {
-	if err != nil {
+// A format here is a value with a walk; encode and decode run it each
+// way, and decode is where the codec's errors take the package's name.
+type format interface{ walk(*codec.Walker) }
+
+func encode(f format) []byte {
+	var c codec.Walker
+	f.walk(&c)
+	return c.Bytes()
+}
+
+func decode(b []byte, f format) error {
+	c := codec.Reader(b)
+	f.walk(&c)
+	if err := c.Done(); err != nil {
 		return fmt.Errorf("ticket: %w", err)
 	}
 	return nil
@@ -88,42 +92,10 @@ func decoded(err error) error {
 
 func decodeTicket(b []byte) (*Ticket, error) {
 	t := &Ticket{}
-	if err := decoded(t.decode(codec.NewDecoder(b))); err != nil {
+	if err := decode(b, t); err != nil {
 		return nil, err
 	}
 	return t, nil
-}
-
-func (t *Ticket) decode(d *codec.Decoder) (err error) {
-	if t.RC, err = d.Str(); err != nil {
-		return err
-	}
-	if t.IssuedAt, err = d.Int64(); err != nil {
-		return err
-	}
-	n, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	if n > 1<<16 {
-		return errors.New("implausible binding count")
-	}
-	t.Bindings = make([]attr.Binding, n)
-	for i := range t.Bindings {
-		aid, err := d.Uint64()
-		if err != nil {
-			return err
-		}
-		a, err := d.Str()
-		if err != nil {
-			return err
-		}
-		t.Bindings[i] = attr.Binding{Identity: t.RC, AID: attr.ID(aid), Attribute: attr.Attribute(a)}
-	}
-	if t.SessionKey, err = d.Blob(); err != nil {
-		return err
-	}
-	return d.Done()
 }
 
 // AttributeByAID resolves an AID carried by this ticket.
@@ -140,11 +112,13 @@ const ticketAAD = "mwskit/ticket/v1"
 
 // Seal encrypts the ticket under the MWS–PKG shared key.
 func (t *Ticket) Seal(mwsPkgKey []byte) ([]byte, error) {
-	plain, err := t.encode()
-	if err != nil {
-		return nil, err
+	if t.RC == "" {
+		return nil, errors.New("ticket: empty RC identity")
 	}
-	return sealScheme.Seal(mwsPkgKey, plain, []byte(ticketAAD))
+	if len(t.SessionKey) != SessionKeyLen {
+		return nil, fmt.Errorf("ticket: session key must be %d bytes", SessionKeyLen)
+	}
+	return sealScheme.Seal(mwsPkgKey, encode(t), []byte(ticketAAD))
 }
 
 // OpenTicket authenticates and decrypts a sealed ticket at the PKG.
@@ -180,50 +154,41 @@ func SealToken(rng io.Reader, pub *rsa.PublicKey, tok *Token) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ticket: token wrap: %w", err)
 	}
-	body, err := sealScheme.Seal(contentKey, blobPair(tok.SessionKey, tok.TicketBlob), []byte(tokenAAD))
+	body, err := sealScheme.Seal(contentKey, encode(&pair{tok.SessionKey, tok.TicketBlob}), []byte(tokenAAD))
 	if err != nil {
 		return nil, err
 	}
-	return blobPair(wrapped, body), nil
+	return encode(&pair{wrapped, body}), nil
 }
 
-// blobPair / openBlobPair carry the two length-prefixed fields of a token
-// body (session key, ticket) and of its wrapping (RSA block, sealed body).
-func blobPair(a, b []byte) []byte {
-	var e codec.Encoder
-	e.Blob(a)
-	e.Blob(b)
-	return e.Bytes()
-}
+// pair is the two length-prefixed fields of a token body (session key,
+// ticket) and of its wrapping (RSA block, sealed body).
+type pair struct{ a, b []byte }
 
-func openBlobPair(raw []byte) (a, b []byte, err error) {
-	d := codec.NewDecoder(raw)
-	if a, err = d.Blob(); err != nil {
-		return nil, nil, decoded(err)
-	}
-	if b, err = d.Blob(); err != nil {
-		return nil, nil, decoded(err)
-	}
-	return a, b, decoded(d.Done())
+func (p *pair) walk(c *codec.Walker) {
+	c.Blob(&p.a)
+	c.Blob(&p.b)
 }
 
 // OpenToken unwraps a token with the RC's private key.
 func OpenToken(priv *rsa.PrivateKey, blob []byte) (*Token, error) {
-	wrapped, body, err := openBlobPair(blob)
-	if err != nil {
+	var outer pair // RSA block, sealed body
+	if err := decode(blob, &outer); err != nil {
 		return nil, err
 	}
-	contentKey, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, priv, wrapped, []byte(tokenAAD))
+	contentKey, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, priv, outer.a, []byte(tokenAAD))
 	if err != nil {
 		return nil, fmt.Errorf("ticket: token unwrap: %w", err)
 	}
-	plain, err := sealScheme.Open(contentKey, body, []byte(tokenAAD))
+	plain, err := sealScheme.Open(contentKey, outer.b, []byte(tokenAAD))
 	if err != nil {
 		return nil, fmt.Errorf("ticket: token body: %w", err)
 	}
-	tok := &Token{}
-	tok.SessionKey, tok.TicketBlob, err = openBlobPair(plain)
-	return tok, err
+	var body pair // session key, ticket
+	if err := decode(plain, &body); err != nil {
+		return nil, err
+	}
+	return &Token{SessionKey: body.a, TicketBlob: body.b}, nil
 }
 
 // Authenticator proves to the PKG that the bearer holds the session key
@@ -235,12 +200,19 @@ type Authenticator struct {
 
 const authAAD = "mwskit/authenticator/v1"
 
+// walk takes the timestamp as Unix seconds.
+func (a *Authenticator) walk(c *codec.Walker) {
+	c.Str(&a.RC)
+	ts := a.Timestamp.Unix()
+	c.Int64(&ts)
+	if c.Reading() {
+		a.Timestamp = time.Unix(ts, 0)
+	}
+}
+
 // SealAuthenticator encrypts the authenticator under the session key.
 func SealAuthenticator(sessionKey []byte, a *Authenticator) ([]byte, error) {
-	var e codec.Encoder
-	e.Str(a.RC)
-	e.Int64(a.Timestamp.Unix())
-	return sealScheme.Seal(sessionKey, e.Bytes(), []byte(authAAD))
+	return sealScheme.Seal(sessionKey, encode(a), []byte(authAAD))
 }
 
 // ErrStale is returned when an authenticator's timestamp falls outside
@@ -254,19 +226,10 @@ func OpenAuthenticator(sessionKey, blob []byte, now time.Time, window time.Durat
 	if err != nil {
 		return nil, fmt.Errorf("ticket: authenticator: %w", err)
 	}
-	d := codec.NewDecoder(plain)
 	a := &Authenticator{}
-	if a.RC, err = d.Str(); err != nil {
-		return nil, decoded(err)
+	if err := decode(plain, a); err != nil {
+		return nil, err
 	}
-	ts, err := d.Int64()
-	if err == nil {
-		err = d.Done()
-	}
-	if err != nil {
-		return nil, decoded(err)
-	}
-	a.Timestamp = time.Unix(ts, 0)
 	if d := now.Sub(a.Timestamp); d > window || d < -window {
 		return nil, ErrStale
 	}

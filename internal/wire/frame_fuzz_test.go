@@ -158,3 +158,37 @@ func FuzzRetrieveRequestCodec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzOpCodecs holds every payload of the op table to the same fix-point:
+// the first byte picks an op and a side, and any rest that decodes must
+// re-encode to bytes that decode and re-encode to the same bytes. The
+// seeds are each op's sample request and response.
+func FuzzOpCodecs(f *testing.F) {
+	for i, op := range ops {
+		s := sampleOf(f, op)
+		f.Add(append([]byte{byte(2 * i)}, s.req.Marshal()...))
+		f.Add(append([]byte{byte(2*i + 1)}, s.resp.Marshal()...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		pick := int(data[0]) % (2 * len(ops))
+		op, decode := ops[pick/2], ops[pick/2].DecodeReq
+		if pick%2 == 1 {
+			decode = op.DecodeResp
+		}
+		m, err := decode(data[1:])
+		if err != nil {
+			return
+		}
+		enc := m.Marshal()
+		m2, err := decode(enc)
+		if err != nil {
+			t.Fatalf("%s: re-decoding a re-encoded payload: %v", op.Name, err)
+		}
+		if !bytes.Equal(m2.Marshal(), enc) {
+			t.Fatalf("%s: the encoding is not a fix-point", op.Name)
+		}
+	})
+}

@@ -13,8 +13,8 @@ import (
 // return an error or a value, never panic — a panicking decoder would let
 // any network peer kill the server goroutine.
 func TestDecodersNeverPanic(t *testing.T) {
-	decoders := map[string]func([]byte) error{
-		"ErrorMsg": func(b []byte) error { _, err := UnmarshalErrorMsg(b); return err },
+	decoders := map[string]func([]byte) (Message, error){
+		"ErrorMsg": func(b []byte) (Message, error) { return UnmarshalErrorMsg(b) },
 	}
 	for _, op := range ops {
 		decoders[op.Name+"Request"] = op.DecodeReq
@@ -23,7 +23,7 @@ func TestDecodersNeverPanic(t *testing.T) {
 	for name, dec := range decoders {
 		t.Run(name, func(t *testing.T) {
 			if err := quick.Check(func(b []byte) bool {
-				_ = dec(b)
+				_, _ = dec(b)
 				return true
 			}, &quick.Config{MaxCount: 400}); err != nil {
 				t.Fatal(err)
@@ -41,7 +41,7 @@ func TestDecodersSurviveMutatedValidInput(t *testing.T) {
 		s := sampleOf(t, op)
 		for _, side := range []struct {
 			valid  []byte
-			decode func([]byte) error
+			decode func([]byte) (Message, error)
 		}{{s.req.Marshal(), op.DecodeReq}, {s.resp.Marshal(), op.DecodeResp}} {
 			if len(side.valid) == 0 {
 				continue // an Empty message has nothing to mutate
@@ -58,7 +58,7 @@ func TestDecodersSurviveMutatedValidInput(t *testing.T) {
 					rng.Read(junk)
 					mutated = append(mutated, junk...)
 				}
-				_ = side.decode(mutated) // must not panic
+				_, _ = side.decode(mutated) // must not panic
 			}
 		}
 	}

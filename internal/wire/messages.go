@@ -7,49 +7,14 @@ import (
 	"mwskit/internal/obsv"
 )
 
-// decode runs one message's field reader over a payload, insists that the
-// payload is consumed exactly, and reports any failure as a wire error —
-// the one place the codec's truncation and trailing-bytes errors take the
-// package's name.
-func decode[T any](b []byte, fields func(d *codec.Decoder, m *T) error) (*T, error) {
-	d := codec.NewDecoder(b)
-	m := new(T)
-	err := fields(d, m)
-	if err == nil {
-		err = d.Done()
-	}
-	if err != nil {
+// decoded finishes a read walk: the payload must be consumed exactly, and
+// any failure is reported as a wire error — the one place the codec's
+// truncation, count and trailing-bytes errors take the package's name.
+func decoded[T any](m *T, c *codec.Walker) (*T, error) {
+	if err := c.Done(); err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
 	}
 	return m, nil
-}
-
-// decodeList reads a count-prefixed list of at most limit elements — the
-// bound every variable-length field carries, so a hostile count cannot
-// force an allocation. An empty list decodes to nil.
-func decodeList[T any](d *codec.Decoder, limit uint32, what string, elem func(*codec.Decoder, *T) error) ([]T, error) {
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > limit {
-		return nil, fmt.Errorf("implausible %s count %d", what, n)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]T, n)
-	for i := range out {
-		if err := elem(d, &out[i]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func decodeBlob(d *codec.Decoder, b *[]byte) (err error) {
-	*b, err = d.Blob()
-	return err
 }
 
 // Empty is the payload-less message: the Ping and Pong frames and the
@@ -61,7 +26,8 @@ func (*Empty) Marshal() []byte { return nil }
 
 // UnmarshalEmpty accepts only an empty payload.
 func UnmarshalEmpty(b []byte) (*Empty, error) {
-	return decode(b, func(*codec.Decoder, *Empty) error { return nil })
+	c := codec.Reader(b)
+	return decoded(new(Empty), &c)
 }
 
 // Error codes carried by ErrorMsg.
@@ -84,23 +50,23 @@ type ErrorMsg struct {
 // ErrorMsg values directly.
 func (e *ErrorMsg) Error() string { return fmt.Sprintf("wire: remote error %d: %s", e.Code, e.Message) }
 
+func (e *ErrorMsg) walk(c *codec.Walker) {
+	c.Uint32(&e.Code)
+	c.Str(&e.Message)
+}
+
 // Marshal encodes the message.
 func (e *ErrorMsg) Marshal() []byte {
-	var enc codec.Encoder
-	enc.Uint32(e.Code)
-	enc.Str(e.Message)
-	return enc.Bytes()
+	var c codec.Walker
+	e.walk(&c)
+	return c.Bytes()
 }
 
 // UnmarshalErrorMsg decodes an ErrorMsg payload.
 func UnmarshalErrorMsg(b []byte) (*ErrorMsg, error) {
-	return decode(b, func(d *codec.Decoder, e *ErrorMsg) (err error) {
-		if e.Code, err = d.Uint32(); err != nil {
-			return err
-		}
-		e.Message, err = d.Str()
-		return err
-	})
+	e, c := new(ErrorMsg), codec.Reader(b)
+	e.walk(&c)
+	return decoded(e, &c)
 }
 
 // Device authentication modes for deposits.
@@ -177,58 +143,33 @@ func i64bytes(v int64) []byte {
 	return e.Bytes()
 }
 
+func (r *DepositRequest) walk(c *codec.Walker) {
+	c.Str(&r.DeviceID)
+	c.Int64(&r.Timestamp)
+	c.Str(&r.Attribute)
+	c.Blob(&r.Nonce)
+	c.Blob(&r.U)
+	c.Blob(&r.Ciphertext)
+	c.Str(&r.Scheme)
+	c.Uint8(&r.AuthMode)
+	for i := range codec.List32(c, &r.Tags, MaxTags) {
+		c.Blob(&r.Tags[i])
+	}
+	c.Blob(&r.MAC)
+}
+
 // Marshal encodes the message.
 func (r *DepositRequest) Marshal() []byte {
-	var e codec.Encoder
-	e.Str(r.DeviceID)
-	e.Int64(r.Timestamp)
-	e.Str(r.Attribute)
-	e.Blob(r.Nonce)
-	e.Blob(r.U)
-	e.Blob(r.Ciphertext)
-	e.Str(r.Scheme)
-	e.Uint8(r.AuthMode)
-	e.Uint32(uint32(len(r.Tags)))
-	for _, tg := range r.Tags {
-		e.Blob(tg)
-	}
-	e.Blob(r.MAC)
-	return e.Bytes()
+	var c codec.Walker
+	r.walk(&c)
+	return c.Bytes()
 }
 
 // UnmarshalDepositRequest decodes a DepositRequest payload.
 func UnmarshalDepositRequest(b []byte) (*DepositRequest, error) {
-	return decode(b, func(d *codec.Decoder, r *DepositRequest) (err error) {
-		if r.DeviceID, err = d.Str(); err != nil {
-			return err
-		}
-		if r.Timestamp, err = d.Int64(); err != nil {
-			return err
-		}
-		if r.Attribute, err = d.Str(); err != nil {
-			return err
-		}
-		if r.Nonce, err = d.Blob(); err != nil {
-			return err
-		}
-		if r.U, err = d.Blob(); err != nil {
-			return err
-		}
-		if r.Ciphertext, err = d.Blob(); err != nil {
-			return err
-		}
-		if r.Scheme, err = d.Str(); err != nil {
-			return err
-		}
-		if r.AuthMode, err = d.Uint8(); err != nil {
-			return err
-		}
-		if r.Tags, err = decodeList(d, MaxTags, "keyword tag", decodeBlob); err != nil {
-			return err
-		}
-		r.MAC, err = d.Blob()
-		return err
-	})
+	r, c := new(DepositRequest), codec.Reader(b)
+	r.walk(&c)
+	return decoded(r, &c)
 }
 
 // MaxTags bounds the keyword tags on one deposit.
@@ -239,19 +180,20 @@ type DepositResponse struct {
 	Seq uint64
 }
 
+func (r *DepositResponse) walk(c *codec.Walker) { c.Uint64(&r.Seq) }
+
 // Marshal encodes the message.
 func (r *DepositResponse) Marshal() []byte {
-	var e codec.Encoder
-	e.Uint64(r.Seq)
-	return e.Bytes()
+	var c codec.Walker
+	r.walk(&c)
+	return c.Bytes()
 }
 
 // UnmarshalDepositResponse decodes a DepositResponse payload.
 func UnmarshalDepositResponse(b []byte) (*DepositResponse, error) {
-	return decode(b, func(d *codec.Decoder, r *DepositResponse) (err error) {
-		r.Seq, err = d.Uint64()
-		return err
-	})
+	r, c := new(DepositResponse), codec.Reader(b)
+	r.walk(&c)
+	return decoded(r, &c)
 }
 
 // RetrieveRequest is the MWS–RC phase login + fetch (§V.D):
@@ -266,35 +208,26 @@ type RetrieveRequest struct {
 	Trapdoor []byte
 }
 
+func (r *RetrieveRequest) walk(c *codec.Walker) {
+	c.Str(&r.RC)
+	c.Blob(&r.AuthBlob)
+	c.Uint64(&r.FromSeq)
+	c.Uint32(&r.Limit)
+	c.Blob(&r.Trapdoor)
+}
+
 // Marshal encodes the message.
 func (r *RetrieveRequest) Marshal() []byte {
-	var e codec.Encoder
-	e.Str(r.RC)
-	e.Blob(r.AuthBlob)
-	e.Uint64(r.FromSeq)
-	e.Uint32(r.Limit)
-	e.Blob(r.Trapdoor)
-	return e.Bytes()
+	var c codec.Walker
+	r.walk(&c)
+	return c.Bytes()
 }
 
 // UnmarshalRetrieveRequest decodes a RetrieveRequest payload.
 func UnmarshalRetrieveRequest(b []byte) (*RetrieveRequest, error) {
-	return decode(b, func(d *codec.Decoder, r *RetrieveRequest) (err error) {
-		if r.RC, err = d.Str(); err != nil {
-			return err
-		}
-		if r.AuthBlob, err = d.Blob(); err != nil {
-			return err
-		}
-		if r.FromSeq, err = d.Uint64(); err != nil {
-			return err
-		}
-		if r.Limit, err = d.Uint32(); err != nil {
-			return err
-		}
-		r.Trapdoor, err = d.Blob()
-		return err
-	})
+	r, c := new(RetrieveRequest), codec.Reader(b)
+	r.walk(&c)
+	return decoded(r, &c)
 }
 
 // MessageItem is one retrieved message as delivered to an RC:
@@ -311,41 +244,15 @@ type MessageItem struct {
 	Timestamp  int64
 }
 
-func (m *MessageItem) encode(e *codec.Encoder) {
-	e.Uint64(m.Seq)
-	e.Uint64(m.AID)
-	e.Blob(m.Nonce)
-	e.Blob(m.U)
-	e.Blob(m.Ciphertext)
-	e.Str(m.Scheme)
-	e.Str(m.DeviceID)
-	e.Int64(m.Timestamp)
-}
-
-func decodeMessageItem(d *codec.Decoder, m *MessageItem) (err error) {
-	if m.Seq, err = d.Uint64(); err != nil {
-		return err
-	}
-	if m.AID, err = d.Uint64(); err != nil {
-		return err
-	}
-	if m.Nonce, err = d.Blob(); err != nil {
-		return err
-	}
-	if m.U, err = d.Blob(); err != nil {
-		return err
-	}
-	if m.Ciphertext, err = d.Blob(); err != nil {
-		return err
-	}
-	if m.Scheme, err = d.Str(); err != nil {
-		return err
-	}
-	if m.DeviceID, err = d.Str(); err != nil {
-		return err
-	}
-	m.Timestamp, err = d.Int64()
-	return err
+func (m *MessageItem) walk(c *codec.Walker) {
+	c.Uint64(&m.Seq)
+	c.Uint64(&m.AID)
+	c.Blob(&m.Nonce)
+	c.Blob(&m.U)
+	c.Blob(&m.Ciphertext)
+	c.Str(&m.Scheme)
+	c.Str(&m.DeviceID)
+	c.Int64(&m.Timestamp)
 }
 
 // RetrieveResponse carries the PKG token plus the matching messages.
@@ -354,26 +261,25 @@ type RetrieveResponse struct {
 	Items     []MessageItem
 }
 
+func (r *RetrieveResponse) walk(c *codec.Walker) {
+	c.Blob(&r.TokenBlob)
+	for i := range codec.List32(c, &r.Items, 1<<20) {
+		r.Items[i].walk(c)
+	}
+}
+
 // Marshal encodes the message.
 func (r *RetrieveResponse) Marshal() []byte {
-	var e codec.Encoder
-	e.Blob(r.TokenBlob)
-	e.Uint32(uint32(len(r.Items)))
-	for i := range r.Items {
-		r.Items[i].encode(&e)
-	}
-	return e.Bytes()
+	var c codec.Walker
+	r.walk(&c)
+	return c.Bytes()
 }
 
 // UnmarshalRetrieveResponse decodes a RetrieveResponse payload.
 func UnmarshalRetrieveResponse(b []byte) (*RetrieveResponse, error) {
-	return decode(b, func(d *codec.Decoder, r *RetrieveResponse) (err error) {
-		if r.TokenBlob, err = d.Blob(); err != nil {
-			return err
-		}
-		r.Items, err = decodeList(d, 1<<20, "item", decodeMessageItem)
-		return err
-	})
+	r, c := new(RetrieveResponse), codec.Reader(b)
+	r.walk(&c)
+	return decoded(r, &c)
 }
 
 // ExtractItem names one private key the RC needs: AID ‖ Nonce (§V.D,
@@ -392,41 +298,28 @@ type ExtractRequest struct {
 	Items         []ExtractItem
 }
 
+func (r *ExtractRequest) walk(c *codec.Walker) {
+	c.Str(&r.RC)
+	c.Blob(&r.TicketBlob)
+	c.Blob(&r.Authenticator)
+	for i := range codec.List32(c, &r.Items, 1<<20) {
+		c.Uint64(&r.Items[i].AID)
+		c.Blob(&r.Items[i].Nonce)
+	}
+}
+
 // Marshal encodes the message.
 func (r *ExtractRequest) Marshal() []byte {
-	var e codec.Encoder
-	e.Str(r.RC)
-	e.Blob(r.TicketBlob)
-	e.Blob(r.Authenticator)
-	e.Uint32(uint32(len(r.Items)))
-	for _, it := range r.Items {
-		e.Uint64(it.AID)
-		e.Blob(it.Nonce)
-	}
-	return e.Bytes()
+	var c codec.Walker
+	r.walk(&c)
+	return c.Bytes()
 }
 
 // UnmarshalExtractRequest decodes an ExtractRequest payload.
 func UnmarshalExtractRequest(b []byte) (*ExtractRequest, error) {
-	return decode(b, func(d *codec.Decoder, r *ExtractRequest) (err error) {
-		if r.RC, err = d.Str(); err != nil {
-			return err
-		}
-		if r.TicketBlob, err = d.Blob(); err != nil {
-			return err
-		}
-		if r.Authenticator, err = d.Blob(); err != nil {
-			return err
-		}
-		r.Items, err = decodeList(d, 1<<20, "extract", func(d *codec.Decoder, it *ExtractItem) (err error) {
-			if it.AID, err = d.Uint64(); err != nil {
-				return err
-			}
-			it.Nonce, err = d.Blob()
-			return err
-		})
-		return err
-	})
+	r, c := new(ExtractRequest), codec.Reader(b)
+	r.walk(&c)
+	return decoded(r, &c)
 }
 
 // ExtractResponse returns one sealed private key per requested item
@@ -436,22 +329,24 @@ type ExtractResponse struct {
 	SealedKeys [][]byte
 }
 
+func (r *ExtractResponse) walk(c *codec.Walker) {
+	for i := range codec.List32(c, &r.SealedKeys, 1<<20) {
+		c.Blob(&r.SealedKeys[i])
+	}
+}
+
 // Marshal encodes the message.
 func (r *ExtractResponse) Marshal() []byte {
-	var e codec.Encoder
-	e.Uint32(uint32(len(r.SealedKeys)))
-	for _, k := range r.SealedKeys {
-		e.Blob(k)
-	}
-	return e.Bytes()
+	var c codec.Walker
+	r.walk(&c)
+	return c.Bytes()
 }
 
 // UnmarshalExtractResponse decodes an ExtractResponse payload.
 func UnmarshalExtractResponse(b []byte) (*ExtractResponse, error) {
-	return decode(b, func(d *codec.Decoder, r *ExtractResponse) (err error) {
-		r.SealedKeys, err = decodeList(d, 1<<20, "key", decodeBlob)
-		return err
-	})
+	r, c := new(ExtractResponse), codec.Reader(b)
+	r.walk(&c)
+	return decoded(r, &c)
 }
 
 // ParamsResponse answers the (Empty) request for the public IBE
@@ -462,23 +357,23 @@ type ParamsResponse struct {
 	PPub   []byte // encoded sP
 }
 
+func (r *ParamsResponse) walk(c *codec.Walker) {
+	c.Str(&r.Preset)
+	c.Blob(&r.PPub)
+}
+
 // Marshal encodes the message.
 func (r *ParamsResponse) Marshal() []byte {
-	var e codec.Encoder
-	e.Str(r.Preset)
-	e.Blob(r.PPub)
-	return e.Bytes()
+	var c codec.Walker
+	r.walk(&c)
+	return c.Bytes()
 }
 
 // UnmarshalParamsResponse decodes a ParamsResponse payload.
 func UnmarshalParamsResponse(b []byte) (*ParamsResponse, error) {
-	return decode(b, func(d *codec.Decoder, r *ParamsResponse) (err error) {
-		if r.Preset, err = d.Str(); err != nil {
-			return err
-		}
-		r.PPub, err = d.Blob()
-		return err
-	})
+	r, c := new(ParamsResponse), codec.Reader(b)
+	r.walk(&c)
+	return decoded(r, &c)
 }
 
 // TrapdoorRequest asks the PKG for a PEKS keyword trapdoor. The caller
@@ -492,31 +387,25 @@ type TrapdoorRequest struct {
 	SealedKeyword []byte // AES-256-GCM under the session key
 }
 
+func (r *TrapdoorRequest) walk(c *codec.Walker) {
+	c.Str(&r.RC)
+	c.Blob(&r.TicketBlob)
+	c.Blob(&r.Authenticator)
+	c.Blob(&r.SealedKeyword)
+}
+
 // Marshal encodes the message.
 func (r *TrapdoorRequest) Marshal() []byte {
-	var e codec.Encoder
-	e.Str(r.RC)
-	e.Blob(r.TicketBlob)
-	e.Blob(r.Authenticator)
-	e.Blob(r.SealedKeyword)
-	return e.Bytes()
+	var c codec.Walker
+	r.walk(&c)
+	return c.Bytes()
 }
 
 // UnmarshalTrapdoorRequest decodes a TrapdoorRequest payload.
 func UnmarshalTrapdoorRequest(b []byte) (*TrapdoorRequest, error) {
-	return decode(b, func(d *codec.Decoder, r *TrapdoorRequest) (err error) {
-		if r.RC, err = d.Str(); err != nil {
-			return err
-		}
-		if r.TicketBlob, err = d.Blob(); err != nil {
-			return err
-		}
-		if r.Authenticator, err = d.Blob(); err != nil {
-			return err
-		}
-		r.SealedKeyword, err = d.Blob()
-		return err
-	})
+	r, c := new(TrapdoorRequest), codec.Reader(b)
+	r.walk(&c)
+	return decoded(r, &c)
 }
 
 // TrapdoorResponse returns the trapdoor sealed under the session key.
@@ -524,19 +413,20 @@ type TrapdoorResponse struct {
 	SealedTrapdoor []byte
 }
 
+func (r *TrapdoorResponse) walk(c *codec.Walker) { c.Blob(&r.SealedTrapdoor) }
+
 // Marshal encodes the message.
 func (r *TrapdoorResponse) Marshal() []byte {
-	var e codec.Encoder
-	e.Blob(r.SealedTrapdoor)
-	return e.Bytes()
+	var c codec.Walker
+	r.walk(&c)
+	return c.Bytes()
 }
 
 // UnmarshalTrapdoorResponse decodes a TrapdoorResponse payload.
 func UnmarshalTrapdoorResponse(b []byte) (*TrapdoorResponse, error) {
-	return decode(b, func(d *codec.Decoder, r *TrapdoorResponse) (err error) {
-		r.SealedTrapdoor, err = d.Blob()
-		return err
-	})
+	r, c := new(TrapdoorResponse), codec.Reader(b)
+	r.walk(&c)
+	return decoded(r, &c)
 }
 
 // OpStat is one operation's counters and latency summary as reported over
@@ -554,6 +444,18 @@ type OpStat struct {
 	MaxNs    int64
 }
 
+func (op *OpStat) walk(c *codec.Walker) {
+	c.Str(&op.Op)
+	c.Uint64(&op.Requests)
+	c.Uint64(&op.Errors)
+	c.Int64(&op.MinNs)
+	c.Int64(&op.MeanNs)
+	c.Int64(&op.P50Ns)
+	c.Int64(&op.P90Ns)
+	c.Int64(&op.P99Ns)
+	c.Int64(&op.MaxNs)
+}
+
 // StatsResponse answers a TStats introspection request with one OpStat per
 // instrumented operation, sorted by op name, plus labeled counter and
 // gauge series in obsv's own sample type: crypto-stage counters and
@@ -567,97 +469,45 @@ type StatsResponse struct {
 	Gauges   []obsv.Sample
 }
 
+func (r *StatsResponse) walk(c *codec.Walker) {
+	for i := range codec.List32(c, &r.Ops, 1<<16) {
+		r.Ops[i].walk(c)
+	}
+	walkSamples(c, &r.Counters)
+	walkSamples(c, &r.Gauges)
+}
+
+// walkSamples walks one bounded block of series, each with a bounded
+// label set.
+func walkSamples(c *codec.Walker, samples *[]obsv.Sample) {
+	ss := codec.List32(c, samples, 1<<16)
+	for i := range ss {
+		c.Str(&ss[i].Name)
+		walkLabels(c, &ss[i].Labels, 64)
+		c.Int64(&ss[i].Value)
+	}
+}
+
+// walkLabels walks the label set of a series or the attributes of a
+// span, at most limit of them.
+func walkLabels(c *codec.Walker, labels *[]obsv.Label, limit uint32) {
+	ls := codec.List32(c, labels, limit)
+	for i := range ls {
+		c.Str(&ls[i].Key)
+		c.Str(&ls[i].Value)
+	}
+}
+
 // Marshal encodes the message.
 func (r *StatsResponse) Marshal() []byte {
-	var e codec.Encoder
-	e.Uint32(uint32(len(r.Ops)))
-	for _, op := range r.Ops {
-		e.Str(op.Op)
-		e.Uint64(op.Requests)
-		e.Uint64(op.Errors)
-		e.Int64(op.MinNs)
-		e.Int64(op.MeanNs)
-		e.Int64(op.P50Ns)
-		e.Int64(op.P90Ns)
-		e.Int64(op.P99Ns)
-		e.Int64(op.MaxNs)
-	}
-	encodeSamples(&e, r.Counters)
-	encodeSamples(&e, r.Gauges)
-	return e.Bytes()
-}
-
-// encodeSamples / decodeSamples carry one bounded block of series, each
-// with a bounded label set.
-func encodeSamples(e *codec.Encoder, samples []obsv.Sample) {
-	e.Uint32(uint32(len(samples)))
-	for _, s := range samples {
-		e.Str(s.Name)
-		encodeLabels(e, s.Labels)
-		e.Int64(s.Value)
-	}
-}
-
-func decodeSamples(d *codec.Decoder) ([]obsv.Sample, error) {
-	return decodeList(d, 1<<16, "series", func(d *codec.Decoder, s *obsv.Sample) (err error) {
-		if s.Name, err = d.Str(); err != nil {
-			return err
-		}
-		if s.Labels, err = decodeLabels(d, 64); err != nil {
-			return err
-		}
-		s.Value, err = d.Int64()
-		return err
-	})
-}
-
-// encodeLabels / decodeLabels carry the label set of a series or the
-// attributes of a span, at most limit of them.
-func encodeLabels(e *codec.Encoder, labels []obsv.Label) {
-	e.Uint32(uint32(len(labels)))
-	for _, l := range labels {
-		e.Str(l.Key)
-		e.Str(l.Value)
-	}
-}
-
-func decodeLabels(d *codec.Decoder, limit uint32) ([]obsv.Label, error) {
-	return decodeList(d, limit, "label", func(d *codec.Decoder, l *obsv.Label) (err error) {
-		if l.Key, err = d.Str(); err != nil {
-			return err
-		}
-		l.Value, err = d.Str()
-		return err
-	})
+	var c codec.Walker
+	r.walk(&c)
+	return c.Bytes()
 }
 
 // UnmarshalStatsResponse decodes a StatsResponse payload.
 func UnmarshalStatsResponse(b []byte) (*StatsResponse, error) {
-	return decode(b, func(d *codec.Decoder, r *StatsResponse) (err error) {
-		r.Ops, err = decodeList(d, 1<<16, "op", func(d *codec.Decoder, op *OpStat) (err error) {
-			if op.Op, err = d.Str(); err != nil {
-				return err
-			}
-			if op.Requests, err = d.Uint64(); err != nil {
-				return err
-			}
-			if op.Errors, err = d.Uint64(); err != nil {
-				return err
-			}
-			for _, dst := range []*int64{&op.MinNs, &op.MeanNs, &op.P50Ns, &op.P90Ns, &op.P99Ns, &op.MaxNs} {
-				if *dst, err = d.Int64(); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if r.Counters, err = decodeSamples(d); err != nil {
-			return err
-		}
-		r.Gauges, err = decodeSamples(d)
-		return err
-	})
+	r, c := new(StatsResponse), codec.Reader(b)
+	r.walk(&c)
+	return decoded(r, &c)
 }

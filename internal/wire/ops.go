@@ -28,8 +28,8 @@ type Op[Req, Resp Message] struct {
 type OpInfo struct {
 	Name, RespName string // Type.String() of the request and the response type
 	Req, Resp      Type
-	// DecodeReq and DecodeResp run the op's decoders for their verdict only.
-	DecodeReq, DecodeResp func([]byte) error
+	// DecodeReq and DecodeResp run the op's decoders.
+	DecodeReq, DecodeResp func([]byte) (Message, error)
 
 	span string // the client-side span Call opens: "rpc.<name>"
 }
@@ -59,8 +59,8 @@ func declare[Req, Resp Message](req Type, name string, resp Type, respName strin
 	op := &Op[Req, Resp]{
 		OpInfo: OpInfo{
 			Name: name, RespName: respName, Req: req, Resp: resp,
-			DecodeReq:  func(b []byte) error { _, err := decodeReq(b); return err },
-			DecodeResp: func(b []byte) error { _, err := decodeResp(b); return err },
+			DecodeReq:  func(b []byte) (Message, error) { return decodeReq(b) },
+			DecodeResp: func(b []byte) (Message, error) { return decodeResp(b) },
 			span:       "rpc." + strings.ToLower(name),
 		},
 		decodeReq:  decodeReq,

@@ -63,7 +63,7 @@ var samples = map[string]struct{ req, resp Message }{
 	}}}},
 }
 
-func sampleOf(t *testing.T, op OpInfo) struct{ req, resp Message } {
+func sampleOf(t testing.TB, op OpInfo) struct{ req, resp Message } {
 	t.Helper()
 	s, ok := samples[op.Name]
 	if !ok {
@@ -90,17 +90,17 @@ func TestOpTable(t *testing.T) {
 		for _, side := range []struct {
 			what   string
 			valid  []byte
-			decode func([]byte) error
+			decode func([]byte) (Message, error)
 		}{{"Request", s.req.Marshal(), op.DecodeReq}, {"Response", s.resp.Marshal(), op.DecodeResp}} {
-			if err := side.decode(side.valid); err != nil {
+			if _, err := side.decode(side.valid); err != nil {
 				t.Errorf("%s%s rejects its own encoding: %v", op.Name, side.what, err)
 			}
 			for cut := 0; cut < len(side.valid); cut++ {
-				if err := side.decode(side.valid[:cut]); err == nil {
+				if _, err := side.decode(side.valid[:cut]); err == nil {
 					t.Errorf("%s%s accepts its encoding truncated to %d of %d bytes", op.Name, side.what, cut, len(side.valid))
 				}
 			}
-			if err := side.decode(append(side.valid[:len(side.valid):len(side.valid)], 0)); err == nil {
+			if _, err := side.decode(append(side.valid[:len(side.valid):len(side.valid)], 0)); err == nil {
 				t.Errorf("%s%s accepts a trailing byte", op.Name, side.what)
 			}
 		}

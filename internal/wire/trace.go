@@ -15,23 +15,23 @@ type TraceRequest struct {
 	Limit   uint32
 }
 
+func (r *TraceRequest) walk(c *codec.Walker) {
+	c.Uint64(&r.TraceID)
+	c.Uint32(&r.Limit)
+}
+
 // Marshal encodes the message.
 func (r *TraceRequest) Marshal() []byte {
-	var e codec.Encoder
-	e.Uint64(r.TraceID)
-	e.Uint32(r.Limit)
-	return e.Bytes()
+	var c codec.Walker
+	r.walk(&c)
+	return c.Bytes()
 }
 
 // UnmarshalTraceRequest decodes a TraceRequest payload.
 func UnmarshalTraceRequest(b []byte) (*TraceRequest, error) {
-	return decode(b, func(d *codec.Decoder, r *TraceRequest) (err error) {
-		if r.TraceID, err = d.Uint64(); err != nil {
-			return err
-		}
-		r.Limit, err = d.Uint32()
-		return err
-	})
+	r, c := new(TraceRequest), codec.Reader(b)
+	r.walk(&c)
+	return decoded(r, &c)
 }
 
 // maxTraceSpans bounds a TraceResponse so introspection cannot be used
@@ -43,60 +43,38 @@ type TraceResponse struct {
 	Spans []obsv.SpanRecord
 }
 
-// Marshal encodes the message. Span start times travel as Unix
-// nanoseconds so the encoding is architecture- and timezone-independent.
-func (r *TraceResponse) Marshal() []byte {
-	var e codec.Encoder
-	e.Uint32(uint32(len(r.Spans)))
-	for i := range r.Spans {
-		s := &r.Spans[i]
-		e.Uint64(s.TraceID)
-		e.Uint64(s.SpanID)
-		e.Uint64(s.ParentID)
-		e.Str(s.Service)
-		e.Str(s.Name)
-		e.Int64(s.Start.UnixNano())
-		e.Int64(int64(s.Duration))
-		e.Str(s.Err)
-		encodeLabels(&e, s.Attrs)
+// walk takes span start times as Unix nanoseconds, so the encoding is
+// architecture- and timezone-independent.
+func (r *TraceResponse) walk(c *codec.Walker) {
+	spans := codec.List32(c, &r.Spans, maxTraceSpans)
+	for i := range spans {
+		s := &spans[i]
+		c.Uint64(&s.TraceID)
+		c.Uint64(&s.SpanID)
+		c.Uint64(&s.ParentID)
+		c.Str(&s.Service)
+		c.Str(&s.Name)
+		start := s.Start.UnixNano()
+		c.Int64(&start)
+		c.Int64((*int64)(&s.Duration))
+		c.Str(&s.Err)
+		walkLabels(c, &s.Attrs, 256)
+		if c.Reading() {
+			s.Start = time.Unix(0, start).UTC()
+		}
 	}
-	return e.Bytes()
+}
+
+// Marshal encodes the message.
+func (r *TraceResponse) Marshal() []byte {
+	var c codec.Walker
+	r.walk(&c)
+	return c.Bytes()
 }
 
 // UnmarshalTraceResponse decodes a TraceResponse payload.
 func UnmarshalTraceResponse(b []byte) (*TraceResponse, error) {
-	return decode(b, func(d *codec.Decoder, r *TraceResponse) (err error) {
-		r.Spans, err = decodeList(d, maxTraceSpans, "span", func(d *codec.Decoder, s *obsv.SpanRecord) (err error) {
-			if s.TraceID, err = d.Uint64(); err != nil {
-				return err
-			}
-			if s.SpanID, err = d.Uint64(); err != nil {
-				return err
-			}
-			if s.ParentID, err = d.Uint64(); err != nil {
-				return err
-			}
-			if s.Service, err = d.Str(); err != nil {
-				return err
-			}
-			if s.Name, err = d.Str(); err != nil {
-				return err
-			}
-			var startNs, durNs int64
-			if startNs, err = d.Int64(); err != nil {
-				return err
-			}
-			if durNs, err = d.Int64(); err != nil {
-				return err
-			}
-			s.Start = time.Unix(0, startNs).UTC()
-			s.Duration = time.Duration(durNs)
-			if s.Err, err = d.Str(); err != nil {
-				return err
-			}
-			s.Attrs, err = decodeLabels(d, 256)
-			return err
-		})
-		return err
-	})
+	r, c := new(TraceResponse), codec.Reader(b)
+	r.walk(&c)
+	return decoded(r, &c)
 }
