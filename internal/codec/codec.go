@@ -208,40 +208,42 @@ func (w *Walker) Fixed(b []byte) {
 }
 
 // List32 and List64 walk the count of a list of at most limit elements,
-// as a four- or an eight-byte field, and return the list, whose elements
-// the caller then walks in order. Reading, they make *s that long, or nil
-// for a count of 0. A count above limit fails the walk, and so does one
-// above the bytes left, since no element takes less than one: both before
-// anything is made, so a hostile count cannot force an allocation out of
-// proportion to the input that carries it.
-func List32[T any](w *Walker, s *[]T, limit uint32) []T {
+// each of which takes at least width ≥ 1 bytes — the element walk's fixed
+// fields, plus four for each blob, string or list count in it — as a
+// four- or an eight-byte field, and return the list, whose elements the
+// caller then walks in order. Reading, they make *s that long, or nil for
+// a count of 0. A count above limit fails the walk, and so does one whose
+// elements would take more than the bytes left: both before anything is
+// made, so a hostile count cannot force an allocation out of proportion
+// to the input that carries it.
+func List32[T any](w *Walker, s *[]T, limit uint32, width int) []T {
 	if !w.reading {
 		w.out.Uint32(uint32(len(*s)))
 		return *s
 	}
 	var n uint32
 	w.Uint32(&n)
-	return makeList(w, s, uint64(n), uint64(limit))
+	return makeList(w, s, uint64(n), uint64(limit), uint64(width))
 }
 
 // List64 is List32 with an eight-byte count.
-func List64[T any](w *Walker, s *[]T, limit uint64) []T {
+func List64[T any](w *Walker, s *[]T, limit uint64, width int) []T {
 	if !w.reading {
 		w.out.Uint64(uint64(len(*s)))
 		return *s
 	}
 	var n uint64
 	w.Uint64(&n)
-	return makeList(w, s, n, limit)
+	return makeList(w, s, n, limit, uint64(width))
 }
 
-func makeList[T any](w *Walker, s *[]T, n, limit uint64) []T {
+func makeList[T any](w *Walker, s *[]T, n, limit, width uint64) []T {
 	*s = nil
 	switch {
 	case n > limit:
 		w.fail(fmt.Errorf("implausible count %d, over the limit %d", n, limit))
-	case n > uint64(len(w.in)):
-		w.fail(fmt.Errorf("count %d over the %d bytes left: %w", n, len(w.in), ErrTruncated))
+	case n > uint64(len(w.in))/width:
+		w.fail(fmt.Errorf("count %d of %d-byte elements over the %d bytes left: %w", n, width, len(w.in), ErrTruncated))
 	case n > 0:
 		*s = make([]T, n)
 	}

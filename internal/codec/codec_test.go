@@ -30,7 +30,7 @@ func (f *fields) walk(w *Walker) {
 	w.Str(&f.str)
 	w.Blob(&f.empty)
 	w.Fixed(f.fixed[:])
-	for i := range List32(w, &f.list, 4) {
+	for i := range List32(w, &f.list, 4, 4) {
 		w.Str(&f.list[i])
 	}
 }
@@ -117,8 +117,8 @@ func TestCodecTruncation(t *testing.T) {
 	}
 }
 
-// TestListCounts: a count over its limit, or over the bytes left, fails
-// the walk and makes nothing.
+// TestListCounts: a count over its limit, or over what the bytes left
+// can hold at the elements' width, fails the walk and makes nothing.
 func TestListCounts(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -131,16 +131,23 @@ func TestListCounts(t *testing.T) {
 	} {
 		var list []uint8
 		r := Reader(c.in)
-		for i := range List32(&r, &list, 4) {
+		for i := range List32(&r, &list, 4, 1) {
 			r.Uint8(&list[i])
 		}
 		if err := r.Done(); (err == nil) != c.ok || (!c.ok && list != nil) {
 			t.Errorf("%s: list %v, %v", c.name, list, err)
 		}
 	}
+	// Two four-byte elements do not fit in the six bytes left.
+	var wide []uint32
+	rw := Reader([]byte{0, 0, 0, 2, 1, 2, 3, 4, 5, 6})
+	List32(&rw, &wide, 4, 4)
+	if err := rw.Done(); !errors.Is(err, ErrTruncated) || wide != nil {
+		t.Errorf("two 4-byte elements in 6 bytes: list %v, %v", wide, err)
+	}
 	var list []uint8
 	r := Reader([]byte{0, 0, 0, 0, 0, 0, 0, 1, 7})
-	for i := range List64(&r, &list, 1) {
+	for i := range List64(&r, &list, 1, 1) {
 		r.Uint8(&list[i])
 	}
 	if err := r.Done(); err != nil || !bytes.Equal(list, []byte{7}) {

@@ -51,7 +51,7 @@ func (m *Message) walk(c *codec.Walker) {
 	c.Blob(&m.Ciphertext)
 	c.Str(&m.Scheme)
 	c.Int64(&m.Timestamp)
-	for i := range codec.List64(c, &m.Tags, 1<<16) {
+	for i := range codec.List64(c, &m.Tags, 1<<16, 4) {
 		c.Blob(&m.Tags[i])
 	}
 }

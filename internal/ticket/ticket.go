@@ -60,7 +60,7 @@ func NewSessionKey(rng io.Reader) ([]byte, error) {
 func (t *Ticket) walk(c *codec.Walker) {
 	c.Str(&t.RC)
 	c.Int64(&t.IssuedAt)
-	bs := codec.List64(c, &t.Bindings, 1<<16)
+	bs := codec.List64(c, &t.Bindings, 1<<16, 8+4)
 	for i := range bs {
 		c.Uint64((*uint64)(&bs[i].AID))
 		c.Str((*string)(&bs[i].Attribute))

@@ -152,7 +152,7 @@ func (r *DepositRequest) walk(c *codec.Walker) {
 	c.Blob(&r.Ciphertext)
 	c.Str(&r.Scheme)
 	c.Uint8(&r.AuthMode)
-	for i := range codec.List32(c, &r.Tags, MaxTags) {
+	for i := range codec.List32(c, &r.Tags, MaxTags, 4) {
 		c.Blob(&r.Tags[i])
 	}
 	c.Blob(&r.MAC)
@@ -244,6 +244,11 @@ type MessageItem struct {
 	Timestamp  int64
 }
 
+// messageItemWidth is the fewest bytes a MessageItem's walk takes: Seq,
+// AID and Timestamp, and the length prefixes of its three blobs and two
+// strings.
+const messageItemWidth = 3*8 + 5*4
+
 func (m *MessageItem) walk(c *codec.Walker) {
 	c.Uint64(&m.Seq)
 	c.Uint64(&m.AID)
@@ -263,7 +268,7 @@ type RetrieveResponse struct {
 
 func (r *RetrieveResponse) walk(c *codec.Walker) {
 	c.Blob(&r.TokenBlob)
-	for i := range codec.List32(c, &r.Items, 1<<20) {
+	for i := range codec.List32(c, &r.Items, 1<<20, messageItemWidth) {
 		r.Items[i].walk(c)
 	}
 }
@@ -302,7 +307,7 @@ func (r *ExtractRequest) walk(c *codec.Walker) {
 	c.Str(&r.RC)
 	c.Blob(&r.TicketBlob)
 	c.Blob(&r.Authenticator)
-	for i := range codec.List32(c, &r.Items, 1<<20) {
+	for i := range codec.List32(c, &r.Items, 1<<20, 8+4) {
 		c.Uint64(&r.Items[i].AID)
 		c.Blob(&r.Items[i].Nonce)
 	}
@@ -330,7 +335,7 @@ type ExtractResponse struct {
 }
 
 func (r *ExtractResponse) walk(c *codec.Walker) {
-	for i := range codec.List32(c, &r.SealedKeys, 1<<20) {
+	for i := range codec.List32(c, &r.SealedKeys, 1<<20, 4) {
 		c.Blob(&r.SealedKeys[i])
 	}
 }
@@ -470,7 +475,7 @@ type StatsResponse struct {
 }
 
 func (r *StatsResponse) walk(c *codec.Walker) {
-	for i := range codec.List32(c, &r.Ops, 1<<16) {
+	for i := range codec.List32(c, &r.Ops, 1<<16, 4+8*8) { // Op, then eight counters and latencies
 		r.Ops[i].walk(c)
 	}
 	walkSamples(c, &r.Counters)
@@ -480,7 +485,7 @@ func (r *StatsResponse) walk(c *codec.Walker) {
 // walkSamples walks one bounded block of series, each with a bounded
 // label set.
 func walkSamples(c *codec.Walker, samples *[]obsv.Sample) {
-	ss := codec.List32(c, samples, 1<<16)
+	ss := codec.List32(c, samples, 1<<16, 4+4+8) // Name, the label count, Value
 	for i := range ss {
 		c.Str(&ss[i].Name)
 		walkLabels(c, &ss[i].Labels, 64)
@@ -491,7 +496,7 @@ func walkSamples(c *codec.Walker, samples *[]obsv.Sample) {
 // walkLabels walks the label set of a series or the attributes of a
 // span, at most limit of them.
 func walkLabels(c *codec.Walker, labels *[]obsv.Label, limit uint32) {
-	ls := codec.List32(c, labels, limit)
+	ls := codec.List32(c, labels, limit, 4+4)
 	for i := range ls {
 		c.Str(&ls[i].Key)
 		c.Str(&ls[i].Value)

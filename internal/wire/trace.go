@@ -46,7 +46,7 @@ type TraceResponse struct {
 // walk takes span start times as Unix nanoseconds, so the encoding is
 // architecture- and timezone-independent.
 func (r *TraceResponse) walk(c *codec.Walker) {
-	spans := codec.List32(c, &r.Spans, maxTraceSpans)
+	spans := codec.List32(c, &r.Spans, maxTraceSpans, 5*8+4*4) // three ids, start, duration; three strings and the attribute count
 	for i := range spans {
 		s := &spans[i]
 		c.Uint64(&s.TraceID)

@@ -17,10 +17,25 @@ func hostile(fields func(e *codec.Encoder), limit uint32) []byte {
 	return e.Bytes()
 }
 
+// zeroFilled builds a payload of total bytes from the fields before a list,
+// a count that claims every byte left, up to the list's limit, and zeros
+// for the rest: a count a one-byte-per-element guard lets through, though
+// no element fits in one byte.
+func zeroFilled(fields func(e *codec.Encoder), limit uint32, total int) []byte {
+	var e codec.Encoder
+	fields(&e)
+	left := total - len(e.Bytes()) - 4
+	e.Uint32(min(limit, uint32(left)))
+	return append(e.Bytes(), make([]byte, left)...)
+}
+
 // TestHostileListCounts: every list-bearing decoder refuses a count that
 // the bytes after it cannot hold, before it makes the list. A decoder that
 // made the list first would let a few bytes from an unauthenticated peer
-// cost the server up to the list's limit in elements.
+// cost the server up to the list's limit in elements, and one that
+// counted a byte per element would let a megabyte of zeros cost 32 MiB of
+// extract items (12 bytes on the wire, 32 in memory) or 128 MiB of
+// message items (44 and 128).
 func TestHostileListCounts(t *testing.T) {
 	none := func(*codec.Encoder) {}
 	for _, c := range []struct {
@@ -75,6 +90,26 @@ func TestHostileListCounts(t *testing.T) {
 		}
 		if n := bytesPerRun(10, func() { _, _ = c.decode(c.payload) }); n >= 4<<10 {
 			t.Errorf("%s: refusing a %d-byte payload allocates %d bytes", c.name, len(c.payload), n)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) (Message, error)
+	}{
+		{"ExtractRequest items, 1 MiB of zeros", zeroFilled(func(e *codec.Encoder) {
+			e.Str("")
+			e.Blob(nil)
+			e.Blob(nil)
+		}, 1<<20, 1<<20), OpExtract.DecodeReq},
+		{"RetrieveResponse items, 1 MiB of zeros", zeroFilled(func(e *codec.Encoder) { e.Blob(nil) }, 1<<20, 1<<20), OpRetrieve.DecodeResp},
+	} {
+		if _, err := c.decode(c.payload); err == nil {
+			t.Errorf("%s: a count its elements cannot fill is accepted", c.name)
+			continue
+		}
+		if n := bytesPerRun(3, func() { _, _ = c.decode(c.payload) }); n >= 64<<10 {
+			t.Errorf("%s: refusing it allocates %d bytes", c.name, n)
 		}
 	}
 }
