@@ -2,6 +2,7 @@ package ec
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -59,6 +60,19 @@ func BenchmarkHashToSubgroup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.HashToSubgroup("bench", msg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHashToCurvePoint is H1 before the cofactor over varied
+// messages, so the attempt count varies as it does over fresh identities:
+// two candidates on average, one of them only tested for residuosity.
+func BenchmarkHashToCurvePoint(b *testing.B) {
+	c, _ := benchCurve(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.HashToCurvePoint("bench", fmt.Appendf(nil, "identity-%d", i)); err != nil {
 			b.Fatal(err)
 		}
 	}

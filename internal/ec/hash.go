@@ -19,7 +19,11 @@ const maxHashAttempts = 256
 // counter ‖ msg) expanded to the field width, and the first candidate
 // where x³ + x is a quadratic residue yields the point (with the root of
 // even parity chosen so the map is deterministic). The result is NOT yet
-// in the order-q subgroup; see HashToSubgroup.
+// in the order-q subgroup; see HashToSubgroup. A candidate's residuosity
+// is tested by the Jacobi symbol before any square root is taken, so an
+// attempt that fails costs ≈ a tenth of one that succeeds. The symbol,
+// like the attempt count, is variable-time in the candidate, which is
+// hashed from public bytes.
 func (c *Curve) HashToCurvePoint(domain string, msg []byte) (Point, error) {
 	byteLen := c.F.ByteLen()
 	h := sha256.New()
@@ -28,6 +32,11 @@ func (c *Curve) HashToCurvePoint(domain string, msg []byte) (Point, error) {
 		xBytes = expand(h, xBytes[:0], domain, ctr, msg, byteLen)
 		x := c.F.NewElement(new(big.Int).SetBytes(xBytes))
 		rhs := x.Square().Mul(x).Add(x) // x³ + x
+		// Half of all candidates are not abscissas: a decided non-square
+		// skips the root, and Sqrt's own check settles everything else.
+		if rhs.Jacobi() < 0 {
+			continue
+		}
 		y, ok := rhs.Sqrt()
 		if !ok {
 			continue

@@ -61,6 +61,26 @@ func BenchmarkFpSqrt(b *testing.B) {
 	}
 }
 
+// BenchmarkFpJacobi is the residuosity test H1 runs before FpSqrt, over
+// 256 random elements in turn, as its length follows the value: ≈ 0.1×
+// FpSqrt.
+func BenchmarkFpJacobi(b *testing.B) {
+	var xs [256]Element
+	for i := range xs {
+		x, err := benchField.RandomNonZero(rand.Reader)
+		if err != nil {
+			b.Fatal(err)
+		}
+		xs[i] = x
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if xs[i%len(xs)].Jacobi() == 0 {
+			b.Fatal("a non-zero element went undecided")
+		}
+	}
+}
+
 func BenchmarkFp2Mul(b *testing.B) {
 	x, y := benchElems(b)
 	e1 := NewE2(x, y)

