@@ -61,9 +61,9 @@ type gidHot struct {
 // Params are the public system parameters the PKG publishes after Setup:
 // the pairing system (field, curve, base point P) and P_pub = sP.
 //
-// Params also owns the g_ID hot-path cache and P_pub's pairing lines, so
-// it must be handled by pointer once in use; every constructor in this
-// package and its callers already does.
+// Params also owns the g_ID hot-path cache and the pairing lines of P_pub
+// and of (h mod q)·P_pub, so it must be handled by pointer once in use;
+// every constructor in this package and its callers already does.
 type Params struct {
 	Sys  *pairing.System
 	PPub ec.Point // sP, the public master key
@@ -84,11 +84,16 @@ type Params struct {
 	hot   lru.Cache[string, *gidHot]
 	hotMu sync.Mutex
 
-	// ppub holds the Miller lines of P_pub, the fixed argument of every
-	// g_ID and of IBS verification, built on first use (≈ 88 KB on bf80)
-	// so Params literals keep working.
+	// ppub holds the Miller lines of P_pub, the fixed argument of IBS
+	// verification, and idLines those of (h mod q)·P_pub, against which
+	// PairIdentity evaluates every cold g_ID. Each is built once (≈ 88 KB
+	// on bf80), on first use so that Params literals keep working; the
+	// constructors build idLines at once, so a first deposit pays no
+	// scalar multiplication for them.
 	ppubOnce sync.Once
 	ppub     *pairing.G1Precomp
+	idOnce   sync.Once
+	idLines  *pairing.G1Precomp
 }
 
 // InvalidateIdentity drops the cached g_ID for one identity, and its
@@ -132,13 +137,16 @@ func Setup(sys *pairing.System, rng io.Reader) (*Params, *MasterKey, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("bfibe: setup: %w", err)
 	}
-	pub := sys.G1Comb().Mul(s)
-	return &Params{Sys: sys, PPub: pub}, &MasterKey{s: s}, nil
+	p := &Params{Sys: sys, PPub: sys.G1Comb().Mul(s)}
+	p.identityLines()
+	return p, &MasterKey{s: s}, nil
 }
 
 // ParamsFromMaster rebuilds public parameters from a persisted master key.
 func ParamsFromMaster(sys *pairing.System, mk *MasterKey) *Params {
-	return &Params{Sys: sys, PPub: sys.G1Comb().Mul(mk.s)}
+	p := &Params{Sys: sys, PPub: sys.G1Comb().Mul(mk.s)}
+	p.identityLines()
+	return p
 }
 
 // HashIdentity maps an identity string to its public point Q_ID ∈ G1
@@ -173,10 +181,11 @@ func (m *MasterKey) Extract(p *Params, id []byte) (*PrivateKey, error) {
 // encryption identity, or the same value for a PEKS keyword identity,
 // which has no business in the g_ID cache. H1's cofactor is not cleared
 // on the curve: the pairing is symmetric and only its first argument
-// needs order q, so the hashed curve point R is evaluated against P_pub's
-// precomputed lines and the cofactor h goes through the final
-// exponentiation, ê(P_pub, R)^h = ê(h·R, P_pub) to the bit
-// (pairing.G1Precomp.PairCofactor). R is hashed from public bytes and
+// needs order q, so the cofactor h moves onto P_pub as h mod q, and the
+// hashed curve point R is evaluated against the precomputed lines of
+// (h mod q)·P_pub under the plain final exponentiation,
+// ê((h mod q)·P_pub, R) = ê(h·R, P_pub) to the bit
+// (pairing.Pairing.G1PrecompCofactor). R is hashed from public bytes and
 // P_pub and h are public; the secret of an encryption is the power r
 // taken afterwards. The value is 1 exactly when h·R = ∞ (probability
 // 1/q); then H1 re-hashes under its retry domain, and that rule stays in
@@ -186,7 +195,7 @@ func (p *Params) PairIdentity(id []byte) (pairing.GT, error) {
 	if err != nil {
 		return pairing.GT{}, err
 	}
-	if g := p.PPubLines().PairCofactor(r); !g.IsOne() {
+	if g := p.identityLines().Pair(r); !g.IsOne() {
 		return g, nil
 	}
 	q, err := p.HashIdentity(id)
@@ -200,6 +209,13 @@ func (p *Params) PairIdentity(id []byte) (pairing.GT, error) {
 func (p *Params) PPubLines() *pairing.G1Precomp {
 	p.ppubOnce.Do(func() { p.ppub = p.Sys.G1Precomp(p.PPub) })
 	return p.ppub
+}
+
+// identityLines returns the pairing lines of (h mod q)·P_pub, built once
+// per Params.
+func (p *Params) identityLines() *pairing.G1Precomp {
+	p.idOnce.Do(func() { p.idLines = p.Sys.G1PrecompCofactor(p.PPub) })
+	return p.idLines
 }
 
 // gID returns g_ID = ê(Q_ID, P_pub), the value whose r-th power keys a

@@ -31,7 +31,9 @@ func UnmarshalParams(sys *pairing.System, b []byte) (*Params, error) {
 	if pt.Inf {
 		return nil, errors.New("bfibe: params: P_pub is the identity")
 	}
-	return &Params{Sys: sys, PPub: pt}, nil
+	p := &Params{Sys: sys, PPub: pt}
+	p.identityLines()
+	return p, nil
 }
 
 // MarshalPrivateKey encodes an extracted key as len(ID) ‖ ID ‖ point.

@@ -41,17 +41,8 @@ func (f *Field) E2Random(r io.Reader) (E2, error) {
 // Bytes returns the concatenated fixed-width encodings of the two parts.
 func (x E2) Bytes() []byte { return append(x.A.Bytes(), x.B.Bytes()...) }
 
-// IsZero reports whether x is the additive identity.
-func (x E2) IsZero() bool { return x.A.IsZero() && x.B.IsZero() }
-
 // IsOne reports whether x is the multiplicative identity.
 func (x E2) IsOne() bool { return x.A.IsOne() && x.B.IsZero() }
-
-// SetNeg sets z = −x.
-func (z *E2) SetNeg(x *E2) {
-	z.A.SetNeg(&x.A)
-	z.B.SetNeg(&x.B)
-}
 
 // SetMul sets z = x · y by Karatsuba over i²=−1: three base
 // multiplications (ac, bd, (a+b)(c+d)) instead of the schoolbook four, with
@@ -85,9 +76,6 @@ func (z *E2) SetSelect(v uint64, a, b *E2) {
 	z.A.SetSelect(v, &a.A, &b.A)
 	z.B.SetSelect(v, &a.B, &b.B)
 }
-
-// Neg returns −x.
-func (x E2) Neg() E2 { x.SetNeg(&x); return x }
 
 // Mul returns x · y.
 func (x E2) Mul(y E2) E2 { x.SetMul(&x, &y); return x }

@@ -48,6 +48,12 @@ func e2Add(x, y E2) E2 {
 	return x
 }
 
+// IsZero reports whether x is the additive identity. Only tests ask.
+func (x E2) IsZero() bool { return x.A.IsZero() && x.B.IsZero() }
+
+// Neg returns −x. Only tests negate in F_p².
+func (x E2) Neg() E2 { return NewE2(x.A.Neg(), x.B.Neg()) }
+
 func conj(x E2) E2 { return NewE2(x.A, x.B.Neg()) }
 
 func e2Square(x E2) E2 { x.SetSquare(&x); return x }

@@ -54,9 +54,6 @@ var e2Ops = []e2Op{
 		ad, bc := new(big.Int).Mul(x.a, y.b), new(big.Int).Mul(x.b, y.a)
 		return bigE2{ac.Sub(ac, bd), ad.Add(ad, bc)}
 	}},
-	{"Neg", func(z, x, _ *E2) { z.SetNeg(x) }, func(x, _ E2) E2 { return x.Neg() }, func(x, _ bigE2) bigE2 {
-		return bigE2{new(big.Int).Neg(x.a), new(big.Int).Neg(x.b)}
-	}},
 	{"Square", func(z, x, _ *E2) { z.SetSquare(x) }, nil, func(x, _ bigE2) bigE2 {
 		aa, bb := new(big.Int).Mul(x.a, x.a), new(big.Int).Mul(x.b, x.b)
 		ab := new(big.Int).Mul(x.a, x.b)

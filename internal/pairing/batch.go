@@ -187,12 +187,12 @@ func pairLanes(live *G1Precomp, pres []*G1Precomp, qs []ec.Point, out []GT) {
 }
 
 // finalExpLanes sets out[j] = finalExp(f_j) for the accumulator f_j in
-// lane j of (fa, fb), bit for bit: finalExpBy's ladder on lanes. The lanes
+// lane j of (fa, fb), bit for bit: finalExp's ladder on lanes. The lanes
 // may hold f_j times any one F_p scale, which cancels in Re(g) and
 // 1/(2·Im(g)); those come out exact. A lane with a zero coordinate, where
-// Im(g) = 0, runs the ladder like the others and then takes
-// finalExpNoImag's value by a mask: −1 for f ∈ i·F_p* under an odd
-// exponent, else 1.
+// Im(g) = 0, runs the ladder like the others and then takes finalExp's
+// value there, 1, by a mask: g = ±1, and (±1)^((p+1)/q) = 1 as 4 divides
+// (p+1)/q.
 func (e *Pairing) finalExpLanes(out *[ff.LaneWidth]ff.E2, fa, fb *ff.Lanes) {
 	f := e.Curve.F
 	two, half := e.laneConsts()
@@ -237,14 +237,10 @@ func (e *Pairing) finalExpLanes(out *[ff.LaneWidth]ff.E2, fa, fb *ff.Lanes) {
 	f.LaneMul(&a, &a, &inv2b)
 	f.LaneElements(&rb, &a)
 
-	aZero, bZero, imZero := fa.ZeroBits(), fb.ZeroBits(), im.ZeroBits()
+	imZero := im.ZeroBits()
 	one := f.E2One()
-	minus := one.Neg()
-	odd := uint64(k.Bit(0))
 	for j := range out {
-		var noImag ff.E2
-		noImag.SetSelect((1^(aZero[j]&bZero[j]))&aZero[j]&odd, &minus, &one)
 		out[j].A, out[j].B = ra[j], rb[j]
-		out[j].SetSelect(imZero[j], &noImag, &out[j])
+		out[j].SetSelect(imZero[j], &one, &out[j])
 	}
 }

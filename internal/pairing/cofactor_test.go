@@ -25,9 +25,9 @@ func hashedCurvePoint(t testing.TB, c *ec.Curve, i int) ec.Point {
 }
 
 // TestPairCofactorMatchesClearedPair is the differential test of the
-// identity PairCofactor stands on: for hashed curve points R, the cofactor
-// carried through the final exponentiation gives the bytes that clearing
-// it on the curve and pairing gives.
+// identity G1PrecompCofactor stands on: for hashed curve points R, the
+// cofactor moved onto the first argument as h mod q gives the bytes that
+// clearing it on the curve and pairing gives.
 func TestPairCofactorMatchesClearedPair(t *testing.T) {
 	for name, sys := range presetSystems(t) {
 		n := 64
@@ -39,13 +39,13 @@ func TestPairCofactorMatchesClearedPair(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := sys.G1Comb().Mul(k)
-		pre := sys.G1Precomp(p)
+		pre := sys.G1PrecompCofactor(p)
 		for i := 0; i < n; i++ {
 			r := hashedCurvePoint(t, sys.Curve, i)
-			got := pre.PairCofactor(r).Bytes()
+			got := pre.Pair(r).Bytes()
 			want := sys.Pair(p, sys.Curve.ClearCofactor(r)).Bytes()
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%s: point %d: PairCofactor(R) differs from Pair(P, ClearCofactor(R))", name, i)
+				t.Fatalf("%s: point %d: G1PrecompCofactor(P).Pair(R) differs from Pair(P, ClearCofactor(R))", name, i)
 			}
 		}
 	}
@@ -60,7 +60,7 @@ func TestPairCofactorEdges(t *testing.T) {
 	for name, sys := range presetSystems(t) {
 		c := sys.Curve
 		g := sys.G1()
-		pre := sys.G1Precomp(g)
+		pre := sys.G1PrecompCofactor(g)
 		one := sys.GTOne().Bytes()
 
 		twoTorsion, err := c.NewPoint(c.F.Zero(), c.F.Zero())
@@ -73,15 +73,15 @@ func TestPairCofactorEdges(t *testing.T) {
 			t.Fatalf("%s: q·S is not a finite point of order dividing h", name)
 		}
 		for what, r := range map[string]ec.Point{"∞": c.Infinity(), "(0, 0)": twoTorsion, "q·S": qS} {
-			if got := pre.PairCofactor(r); !bytes.Equal(got.Bytes(), one) {
-				t.Errorf("%s: PairCofactor(%s) = %x, want 1", name, what, got.Bytes())
+			if got := pre.Pair(r); !bytes.Equal(got.Bytes(), one) {
+				t.Errorf("%s: G1PrecompCofactor(P).Pair(%s) = %x, want 1", name, what, got.Bytes())
 			}
-			if !pre.Pair(r).IsOne() {
+			if !sys.G1Precomp(g).Pair(r).IsOne() {
 				t.Errorf("%s: Pair(P, %s) ≠ 1: the order-h component must pair trivially", name, what)
 			}
 		}
-		if !sys.G1Precomp(c.Infinity()).PairCofactor(s).IsOne() {
-			t.Errorf("%s: PairCofactor over ∞ ≠ 1", name)
+		if !sys.G1PrecompCofactor(c.Infinity()).Pair(s).IsOne() {
+			t.Errorf("%s: G1PrecompCofactor(∞).Pair ≠ 1", name)
 		}
 
 		k, err := sys.RandomScalar(rand.Reader)
@@ -89,14 +89,36 @@ func TestPairCofactorEdges(t *testing.T) {
 			t.Fatal(err)
 		}
 		inG1 := sys.G1Comb().Mul(k)
-		if got, want := pre.PairCofactor(inG1), sys.Pair(g, inG1).Exp(c.H); !got.Equal(want) || got.IsOne() {
-			t.Errorf("%s: PairCofactor(R) ≠ Pair(P, R)^h for R in G1", name)
+		if got, want := pre.Pair(inG1), sys.Pair(g, inG1).Exp(c.H); !got.Equal(want) || got.IsOne() {
+			t.Errorf("%s: G1PrecompCofactor(P).Pair(R) ≠ Pair(P, R)^h for R in G1", name)
 		}
 
 		p2 := c.ScalarMult(g, big.NewInt(5))
-		sum := sys.G1Precomp(c.Add(g, p2)).PairCofactor(s)
-		if prod := pre.PairCofactor(s).Mul(sys.G1Precomp(p2).PairCofactor(s)); !sum.Equal(prod) {
-			t.Errorf("%s: PairCofactor not additive in the first argument", name)
+		sum := sys.G1PrecompCofactor(c.Add(g, p2)).Pair(s)
+		if prod := pre.Pair(s).Mul(sys.G1PrecompCofactor(p2).Pair(s)); !sum.Equal(prod) {
+			t.Errorf("%s: G1PrecompCofactor not additive in the first argument", name)
+		}
+	}
+}
+
+// TestCofactorDivisibleByFour: p ≡ 3 (mod 4) and q is odd, so
+// h = (p+1)/q ≡ 0 (mod 4) on every preset and toy curve, and the final
+// exponentiation sends g = ±1 to 1 (finalExp's zero-coordinate branch,
+// finalExpLanes' mask) with no odd-exponent case left.
+func TestCofactorDivisibleByFour(t *testing.T) {
+	curves := map[string]*ec.Curve{
+		"p = 1051": ec.MustCurve(ff.MustField(big.NewInt(1051)), big.NewInt(263)),
+		"p = 6311": ec.MustCurve(ff.MustField(big.NewInt(6311)), big.NewInt(263)),
+	}
+	for name, sys := range presetSystems(t) {
+		curves[name] = sys.Curve
+	}
+	for name, c := range curves {
+		if new(big.Int).Mod(c.H, big.NewInt(4)).Sign() != 0 {
+			t.Errorf("%s: h = %v is not a multiple of 4", name, c.H)
+		}
+		if !New(c).finalExp(ff.NewE2(c.F.Zero(), c.F.One())).IsOne() {
+			t.Errorf("%s: finalExp(i) ≠ 1", name)
 		}
 	}
 }

@@ -56,12 +56,12 @@ func (g GT) IsOne() bool { return g.v.IsOne() }
 // Immutable and safe for concurrent use.
 type Pairing struct {
 	Curve *ec.Curve
-	// pPlus1DivQ is (p+1)/q, the second factor of the final exponent.
+	// pPlus1DivQ is the cofactor h = (p+1)/q, the second factor of the
+	// final exponent. p ≡ 3 (mod 4) and q is odd, so 4 divides it.
 	pPlus1DivQ *big.Int
-	// cofactorExp is h·(h mod q) for the cofactor h = (p+1)/q: the second
-	// factor of the final exponent times the public power that stands in
-	// for clearing h on the curve (PairCofactor).
-	cofactorExp *big.Int
+	// hModQ is h mod q, the multiplier G1PrecompCofactor puts on the
+	// first argument in place of clearing h on the second.
+	hModQ *big.Int
 	// two and half are the F_p constants 2 and 1/2 of the Lucas ladder in
 	// finalExp.
 	two, half ff.Element
@@ -76,9 +76,8 @@ type Pairing struct {
 
 // New builds a Pairing for the given curve.
 func New(c *ec.Curve) *Pairing {
-	hModQ := new(big.Int).Mod(c.H, c.Q)
 	two := c.F.FromInt64(2)
-	return &Pairing{Curve: c, pPlus1DivQ: c.H, cofactorExp: hModQ.Mul(hModQ, c.H), two: two, half: two.Inv(), naf: nafDigits(c.Q)}
+	return &Pairing{Curve: c, pPlus1DivQ: c.H, hModQ: new(big.Int).Mod(c.H, c.Q), two: two, half: two.Inv(), naf: nafDigits(c.Q)}
 }
 
 // nafDigits returns k > 0 in non-adjacent form, most significant digit
@@ -411,6 +410,21 @@ func (e *Pairing) G1Precomp(p ec.Point) *G1Precomp {
 	return &G1Precomp{e: e, steps: steps}
 }
 
+// G1PrecompCofactor builds the line cache of (h mod q)·P for P in G1,
+// h = (p+1)/q the cofactor, so that its Pair(R) is ê(P, h·R) for any
+// point R of E(F_p), with no multiplication by h on the curve: the Tate
+// pairing is bilinear in a second argument taken modulo qE and its values
+// lie in μ_q, so ê(P, h·R) = ê(P, R)^h = ê(P, R)^(h mod q) =
+// ê((h mod q)·P, R). The value is the field element
+// Pair(ClearCofactor(R)) computes, bit for bit, and 1 exactly when
+// h·R = ∞ (gcd(h, q) = 1, which Params.Validate demands). It is how a
+// hashed identity meets the fixed P_pub: the multiplier is paid once per
+// first argument, on a public point, and R, hashed from public bytes, is
+// only evaluated at.
+func (e *Pairing) G1PrecompCofactor(p ec.Point) *G1Precomp {
+	return e.G1Precomp(e.Curve.ScalarMult(p, e.hModQ))
+}
+
 // PairsToOne reports whether the walk's mask fired: P is ∞ or outside G1,
 // and every pairing against pre is 1.
 func (pre *G1Precomp) PairsToOne() bool { return pre.one }
@@ -438,24 +452,6 @@ func (pre *G1Precomp) Pair(q ec.Point) GT {
 		return pre.e.GTOne()
 	}
 	return GT{v: pre.e.finalExp(pre.miller(q))}
-}
-
-// PairCofactor evaluates ê(P, h·R) for any point R of E(F_p), h = (p+1)/q
-// the cofactor, without multiplying by h on the curve: the Tate
-// pairing is bilinear in a second argument taken modulo qE, so
-// ê(P, h·R) = ê(P, R)^h = ê(P, R)^(h mod q), and that public power rides
-// in the Lucas ladder of the final exponentiation as the single exponent
-// h·(h mod q). The result is the field element Pair(ClearCofactor(R))
-// computes, bit for bit, and is 1 exactly when h·R = ∞ (gcd(h, q) = 1,
-// which Params.Validate demands). It is how a hashed identity meets the
-// fixed P_pub: R comes out of HashToCurvePoint, so nothing here is secret
-// or attacker-chosen.
-func (pre *G1Precomp) PairCofactor(r ec.Point) GT {
-	obsv.AddPairing()
-	if pre.one || r.Inf {
-		return pre.e.GTOne()
-	}
-	return GT{v: pre.e.finalExpBy(pre.miller(r), pre.e.cofactorExp)}
 }
 
 // Pair computes the modified Tate pairing ê(P, Q); pairing with the
@@ -522,16 +518,18 @@ func (e *Pairing) PairProduct(pres []*G1Precomp, qs []ec.Point) GT {
 // division by N and the one by 2·Im(g) = −4xy/N share a single F_p
 // inversion, that of −4xy·N. The result equals finalExpRef(f) bit for
 // bit: both compute the same field element, and encodings are canonical.
-func (e *Pairing) finalExp(f ff.E2) ff.E2 { return e.finalExpBy(f, e.pPlus1DivQ) }
-
-// finalExpBy is finalExp with the second factor of the exponent given:
-// f^((p−1)·k) for a public k, (p+1)/q or a multiple of it.
-func (e *Pairing) finalExpBy(f ff.E2, k *big.Int) ff.E2 {
+//
+// An accumulator with a zero coordinate has g = ±1 and no Im(g) to
+// divide by: f ∈ F_p gives g = 1, f ∈ i·F_p gives g = −1, and either way
+// g^k = 1, as k = (p+1)/q is a multiple of four. f = 0, which no pairing
+// of a G1 first argument produces, yields 1 too, the value Decapsulate
+// and Tester.Test refuse.
+func (e *Pairing) finalExp(f ff.E2) ff.E2 {
 	x, y := f.A, f.B
 	im := x.Mul(y).Double().Neg() // −2xy = N·Im(g)
 	//mwslint:declassify the pairing is non-degenerate on order-q points, so g ≠ ±1 and the outcome is fixed whenever a private key is an operand; only crafted accumulators and products of public pairings can take the branch
 	if im.IsZero() {
-		return e.finalExpNoImag(f, k)
+		return e.Curve.F.E2One()
 	}
 	re := x.Add(y).Mul(x.Sub(y)) // x² − y² = N·Re(g)
 	n := re.Add(y.Square().Double())
@@ -541,6 +539,7 @@ func (e *Pairing) finalExpBy(f ff.E2, k *big.Int) ff.E2 {
 	inv2b := n.Square().Mul(inv) // 1/(2·Im(g))
 	p := a.Double()              // V_1
 	v0, v1 := e.two, p           // (V_j, V_{j+1}) at j = 0
+	k := e.pPlus1DivQ
 	for i := k.BitLen() - 1; i >= 0; i-- {
 		// One of the pair becomes the cross term V_{2j+1} = V_j·V_{j+1} − V_1,
 		// first, while both are intact; the other its own square − 2.
@@ -557,19 +556,4 @@ func (e *Pairing) finalExpBy(f ff.E2, k *big.Int) ff.E2 {
 		}
 	}
 	return ff.NewE2(v0.Mul(e.half), a.Mul(v0).Sub(v1).Mul(inv2b))
-}
-
-// finalExpNoImag is finalExpBy for an accumulator with a zero coordinate,
-// where g = conj(f)/f is ±1 and there is no Im(g) to divide by: f ∈ F_p
-// gives g = 1, f ∈ i·F_p gives g = −1 and the result is (−1)^k.
-// f = 0, which no pairing of a G1 first argument produces, yields 1,
-// the value Decapsulate and Tester.Test refuse.
-//
-//mwslint:declassify reached only through finalExpBy's declassified branch, whose outcome no private key influences
-func (e *Pairing) finalExpNoImag(f ff.E2, k *big.Int) ff.E2 {
-	one := e.Curve.F.E2One()
-	if !f.IsZero() && f.A.IsZero() && k.Bit(0) == 1 {
-		return one.Neg()
-	}
-	return one
 }

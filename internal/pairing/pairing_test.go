@@ -44,6 +44,12 @@ func (g GT) Inv() GT { return GT{v: conj(g.v)} }
 // conj returns A − B·i, the p-th power of A + B·i.
 func conj(x ff.E2) ff.E2 { return ff.NewE2(x.A, x.B.Neg()) }
 
+// e2Neg returns −x.
+func e2Neg(x ff.E2) ff.E2 { return ff.NewE2(x.A.Neg(), x.B.Neg()) }
+
+// e2IsZero reports whether x is the additive identity.
+func e2IsZero(x ff.E2) bool { return x.A.IsZero() && x.B.IsZero() }
+
 // Exp returns g^k by public square-and-multiply, the reference the
 // constant-time GTExpSecret and the bilinearity tests compare against:
 // the branch pattern follows the bits of k, so it is for public

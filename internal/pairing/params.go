@@ -41,7 +41,7 @@ func (pp *Params) Validate() error {
 	if err != nil {
 		return err
 	}
-	// G1 must be the whole q-torsion of E(F_p), and G1Precomp.PairCofactor
+	// G1 must be the whole q-torsion of E(F_p), and G1PrecompCofactor
 	// replaces the cofactor by its residue mod q, which must be a unit.
 	if new(big.Int).Mod(sys.Curve.H, pp.Q).Sign() == 0 {
 		return errors.New("pairing: q divides the cofactor (p+1)/q")
