@@ -21,9 +21,9 @@ const maxHashAttempts = 256
 // even parity chosen so the map is deterministic). The result is NOT yet
 // in the order-q subgroup; see HashToSubgroup. A candidate's residuosity
 // is tested by the Jacobi symbol before any square root is taken, so an
-// attempt that fails costs ≈ a tenth of one that succeeds. The symbol,
-// like the attempt count, is variable-time in the candidate, which is
-// hashed from public bytes.
+// attempt that fails skips the root that dominates one that succeeds.
+// The symbol, like the attempt count, is variable-time in the candidate,
+// which is hashed from public bytes.
 func (c *Curve) HashToCurvePoint(domain string, msg []byte) (Point, error) {
 	byteLen := c.F.ByteLen()
 	h := sha256.New()

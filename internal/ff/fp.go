@@ -382,7 +382,7 @@ func (e Element) Sqrt() (Element, bool) {
 // −1 if it is not a square, and 0 if e is zero or the walk did not decide
 // within its bound (inv.go). A decided −1 is certain, so a caller may skip
 // Sqrt on it; on 0 or 1, Sqrt's own check still decides. It reads e's
-// Montgomery limbs directly, about a tenth of Sqrt's cost, and is
+// Montgomery limbs directly, at about an eighth of Sqrt's cost, and is
 // variable-time in e: its length follows e's value, so it is only for
 // public elements, such as H1's candidates hashed from public bytes.
 func (e *Element) Jacobi() int { return e.f.jacobiMont(&e.v) }
